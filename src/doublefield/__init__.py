@@ -45,7 +45,6 @@ from .divisors import (
     degree_over_Kp,
     divisor_of_upoly,
     principal_divisor,
-    restrict_to_K,
     restrict_to_Kp,
     valuation,
 )
@@ -60,31 +59,25 @@ from .errors import (
     NotCoprime,
     NotDegreeOne,
     ParseError,
-    PointwiseUnavailable,
     PrecisionFailure,
     ShiftExhausted,
     UncertifiedFactor,
 )
 from .exact import (
     BPoly,
-    Rational,
     UPoly,
     complex_roots,
-    coprime_basis,
     factor_b,
     factor_q,
     gcd_b,
     gcd_u,
     resultant_x,
-    resultant_y,
     squarefree_decomposition,
 )
 from .pairing import (
     SIDE_K,
     SIDE_KPRIME,
     SelfPairing,
-    dx_divisor,
-    image_dx,
     pair,
     self_pair_degree_one,
 )

@@ -19,11 +19,13 @@ from fractions import Fraction
 
 import mpmath
 
+from .charts import DEFAULT_SHIFT_BOUND
 from .divisors import (
     BinaryPlace,
     DeltaElement,
     Divisor,
     UnaryPlace,
+    degree_K,
     degree_over_K,
     degree_over_Kp,
     divisor_of_upoly,
@@ -32,6 +34,7 @@ from .divisors import (
 )
 from .errors import CommonSupport, MoveFailure
 from .exact import (
+    DEFAULT_PREC,
     BPoly,
     UPoly,
     complex_roots,
@@ -40,8 +43,6 @@ from .exact import (
     resultant_u,
 )
 from .pairing import SIDE_KPRIME, pair
-
-DEFAULT_PREC = 80
 
 
 def _root_eps(prec: int):
@@ -181,7 +182,7 @@ def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int =
     else:
         pd = None
     horizontal = divisor_of_upoly(pn)
-    if pd is not None and pd.degree() >= 0:
+    if pd is not None:
         horizontal = horizontal - divisor_of_upoly(pd)
     vertical: dict[int, int] = {}
     for p, e in _prime_factorization(unit.numerator):
@@ -213,12 +214,6 @@ def _prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _horizontal_degree(D: Divisor) -> int:
-    from .divisors import degree_K
-
-    return degree_K(D)
-
-
 def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PREC):
     """Arakelov intersection number; requires disjoint horizontal
     supports."""
@@ -229,8 +224,8 @@ def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PR
         for q1, c1 in D.horizontal.coeffs:
             for q2, c2 in E.horizontal.coeffs:
                 total += c1 * c2 * _hh(q1, q2, prec)
-        dD = _horizontal_degree(D.horizontal)
-        dE = _horizontal_degree(E.horizontal)
+        dD = degree_K(D.horizontal)
+        dE = degree_K(E.horizontal)
         for p, v in E.vertical:
             total += dD * v * mpmath.log(p)
         for p, v in D.vertical:
@@ -320,7 +315,7 @@ def bracket(A: Divisor, b: Divisor, prec: int = DEFAULT_PREC):
 
 
 def residue_scalar_product(
-    A: Divisor, b: Divisor, prec: int = DEFAULT_PREC, shift_bound: int = 64
+    A: Divisor, b: Divisor, prec: int = DEFAULT_PREC, shift_bound: int = DEFAULT_SHIFT_BOUND
 ):
     """bracket(A, b) minus the Arakelov degree of the norm pairing."""
     paired = pair(A, b, SIDE_KPRIME, shift_bound)
@@ -332,7 +327,7 @@ def residue_scalar_product(
 # moving divisors within their class
 
 
-def principal_move(A: Divisor, fresh: int, shift_bound: int = 64) -> Divisor:
+def principal_move(A: Divisor, fresh: int) -> Divisor:
     """An equivalent divisor A + div(h) with support disjoint from A's,
     built from a deterministic schedule of moving elements.
 
@@ -422,7 +417,7 @@ def explore_self_products(
     max_deg: int = 2,
     seed: int = 0,
     prec: int = DEFAULT_PREC,
-    shift_bound: int = 64,
+    shift_bound: int = DEFAULT_SHIFT_BOUND,
 ) -> dict:
     """Deterministically sample divisors, move each off its own support
     by two independent principal moves, and report the self residue
@@ -443,9 +438,8 @@ def explore_self_products(
         A = Divisor.make(comps)
         if A.is_zero():
             A = Divisor.of(pool[rng.randrange(len(pool))])
-        a1 = principal_move(A, fresh=17 + t, shift_bound=shift_bound)
-        a2_base = principal_move(A, fresh=29 + t, shift_bound=shift_bound)
-        a2 = _second_move(A, a2_base, 41 + t, shift_bound)
+        a1 = principal_move(A, fresh=17 + t)
+        a2 = second_move(A, principal_move(A, fresh=29 + t), 41 + t)
         v1 = residue_scalar_product(a1, A, prec, shift_bound)
         v2 = residue_scalar_product(a2, A, prec, shift_bound)
         residual = abs(v1 - v2)
@@ -472,9 +466,10 @@ def explore_self_products(
     }
 
 
-def _second_move(A: Divisor, moved: Divisor, fresh: int, shift_bound: int) -> Divisor:
+def second_move(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
     """A second representative, distinct from the first move, obtained
-    by adding one more principal divisor with disjoint support."""
+    by adding div((y - t)/(y - t - 1)) with t >= fresh chosen so that
+    neither place meets the support of A or of the moved divisor."""
     support = set(A.support()) | set(moved.support())
     t1 = fresh
     while True:

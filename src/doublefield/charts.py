@@ -10,7 +10,7 @@ place of Q(y).
 
 from __future__ import annotations
 
-from .divisors import Divisor, UnaryPlace, divisor_of_upoly
+from .divisors import BinaryPlace, Divisor, UnaryPlace, divisor_of_upoly, transpose_place
 from .errors import NotCoprime, ShiftExhausted
 from .exact import BPoly, UPoly, gcd_b, gcd_u, resultant_x
 
@@ -84,11 +84,7 @@ def fiber_resultant(f: BPoly, g: BPoly, shift: int) -> UPoly:
 
 
 def fiber_divisor(
-    f: BPoly,
-    g: BPoly,
-    shift_bound: int = DEFAULT_SHIFT_BOUND,
-    shift: int | None = None,
-    inf_shift: int | None = None,
+    f: BPoly, g: BPoly, shift_bound: int = DEFAULT_SHIFT_BOUND, shift: int | None = None
 ) -> Divisor:
     """Divisor over the places of Q(y) (including infinity) counting the
     intersections of the curves f = 0 and g = 0 above each place.
@@ -111,11 +107,7 @@ def fiber_divisor(
 
     fu = reverse_y(f)
     gu = reverse_y(g)
-    if inf_shift is None:
-        inf_shift = find_shift(fu, gu, shift_bound)
-    elif not shift_is_valid(fu, gu, inf_shift):
-        raise ShiftExhausted(f"shift {inf_shift} is not valid in the 1/y chart")
-    ru = fiber_resultant(fu, gu, inf_shift)
+    ru = fiber_resultant(fu, gu, find_shift(fu, gu, shift_bound))
     if ru.is_zero():
         raise NotCoprime(f"vanishing fiber resultant in the 1/y chart for ({f}, {g})")
     w_inf = order_at_zero(ru)
@@ -145,9 +137,7 @@ def infx_fiber_divisor(g: BPoly) -> Divisor:
     if g.deg_x() < 1:
         raise ValueError("needs positive x-degree")
     lc = g.coeff_of_x(g.deg_x())
-    out = Divisor.zero()
-    if lc.degree() >= 1:
-        out = divisor_of_upoly(lc, include_infinity=False)
+    out = divisor_of_upoly(lc, include_infinity=False)
     w_inf = g.deg_y() - lc.degree()
     if w_inf:
         out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
@@ -157,13 +147,6 @@ def infx_fiber_divisor(g: BPoly) -> Divisor:
 def transpose_divisor(D: Divisor) -> Divisor:
     """Relabel a divisor over Q(y)-places as the mirror-image divisor
     over Q(x)-places (or vice versa)."""
-    out = {}
-    for p, c in D.coeffs:
-        if not isinstance(p, UnaryPlace):
-            raise ValueError("only unary divisors can be relabeled")
-        nv = "x" if p.var == "y" else "y"
-        if p.poly is None:
-            out[UnaryPlace.infinity(nv)] = c
-        else:
-            out[UnaryPlace.finite(p.poly.with_var(nv))] = c
-    return Divisor.make(out)
+    if any(isinstance(p, BinaryPlace) for p in D.support()):
+        raise ValueError("only unary divisors can be relabeled")
+    return Divisor.make([(transpose_place(p), c) for p, c in D.coeffs])

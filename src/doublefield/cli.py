@@ -6,14 +6,17 @@ operations, and emits human-readable or JSON reports.
 Expression grammar (whitespace insignificant, no implicit
 multiplication)::
 
+    element  := expr ('/' expr)?
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
     factor   := base ('^' uint)?
     base     := rational | 'x' | 'y' | '(' expr ')' | '-' factor
     rational := int ('/' uint)?
 
-Unary minus covers the whole following factor (``-x^2`` means
-``-(x^2)``), so canonical renderings re-parse to equal values.
+A slash is part of a rational literal only when an integer follows it,
+so ``1/2*x`` is (1/2)*x while ``3/x`` and ``x^2/3`` divide two
+expressions.  Unary minus covers the whole following factor (``-x^2``
+means ``-(x^2)``), so canonical renderings re-parse to equal values.
 
 Divisor specs are semicolon-separated ``coeff * prime`` terms, where a
 prime is an expression or one of the literals ``inf_x`` / ``inf_y``,
@@ -50,17 +53,17 @@ from .errors import (
     MoveFailure,
     NonGeneric,
     ParseError,
-    PointwiseUnavailable,
     PrecisionFailure,
     ShiftExhausted,
     UncertifiedFactor,
 )
-from .exact import BPoly, factor_q, primitive_int_upoly
+from .charts import DEFAULT_SHIFT_BOUND
+from .exact import DEFAULT_PREC, BPoly, factor_q, primitive_int_upoly
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
 from .suites import SUITES, run_suite
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -116,6 +119,10 @@ class _Parser:
         self.i += 1
         return tok
 
+    def finish(self, expected=("+", "-", "*", "^", "end of input")):
+        if self.peek()[0] != "eof":
+            self.fail(expected)
+
     def fail(self, expected):
         kind, text, pos = self.peek()
         what = "end of input" if kind == "eof" else repr(text)
@@ -154,10 +161,8 @@ class _Parser:
         if kind == "int":
             self.advance()
             num = int(text)
-            if self.peek()[0] == "/":
+            if self.peek()[0] == "/" and self.tokens[self.i + 1][0] == "int":
                 self.advance()
-                if self.peek()[0] != "int":
-                    self.fail(("uint",))
                 den = int(self.advance()[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational", self.peek()[2], ("uint",))
@@ -185,37 +190,25 @@ def parse_expression(text: str) -> BPoly:
     """Parse a polynomial in x and y per the module grammar."""
     p = _Parser(text)
     value = p.expr()
-    if p.peek()[0] != "eof":
-        p.fail(("+", "-", "*", "^", "end of input"))
+    p.finish()
     return value
 
 
-def _split_fraction(text: str) -> tuple[str, str | None]:
-    """Split ``EXPR[/EXPR]`` at a top-level slash that is not part of a
-    rational literal (those follow a digit)."""
-    depth = 0
-    prev = ""
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0 and not prev.isdigit():
-            return text[:i], text[i + 1 :]
-        if not ch.isspace():
-            prev = ch
-    return text, None
-
-
 def parse_element(text: str) -> DeltaElement:
-    """Parse ``EXPR`` or ``EXPR/EXPR`` into an element of Q(x,y)."""
-    num_text, den_text = _split_fraction(text)
-    num = parse_expression(num_text)
+    """Parse ``expr ('/' expr)?`` into an element of Q(x,y)."""
+    p = _Parser(text)
+    num = p.expr()
+    if p.peek()[0] != "/":
+        p.finish(("+", "-", "*", "/", "^", "end of input"))
+        den = None
+    else:
+        p.advance()
+        den = p.expr()
+        p.finish()
     if num.is_zero():
         raise InputError("the zero element has no divisor")
-    if den_text is None:
+    if den is None:
         return DeltaElement.from_bpoly(num)
-    den = parse_expression(den_text)
     if den.is_zero():
         raise InputError("zero denominator")
     return DeltaElement.from_fraction(num, den)
@@ -277,7 +270,6 @@ def _report(args, inputs: dict, result: dict, wall_time) -> dict:
         "inputs": inputs,
         "result": result,
         "precision": args.precision,
-        "tolerance": args.tol,
         "shift_bound": args.shift_bound,
         "assume_irreducible": bool(getattr(args, "assume_irreducible", False)),
         "wall_time": wall_time,
@@ -324,8 +316,7 @@ def _cmd_correspond(args) -> tuple[dict, str, int]:
 def _cmd_pair(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.a, args.assume_irreducible)
     B = parse_divisor_spec(args.b, args.assume_irreducible)
-    side = SIDE_K if args.side == "K" else SIDE_KPRIME
-    d = pair(A, B, side, args.shift_bound)
+    d = pair(A, B, args.side, args.shift_bound)
     payload = _divisor_payload(d)
     payload["side"] = args.side
     return payload, str(d), EXIT_OK
@@ -335,8 +326,7 @@ def _cmd_selfpair(args) -> tuple[dict, str, int]:
     m = parse_prime(args.m, args.assume_irreducible)
     if not isinstance(m, BinaryPlace):
         raise InputError("selfpair expects a binary prime")
-    side = SIDE_K if args.side == "K" else SIDE_KPRIME
-    sp = self_pair_degree_one(m, side, args.shift_bound)
+    sp = self_pair_degree_one(m, args.side, args.shift_bound)
     payload = {
         "value": str(sp.value),
         "moved": str(sp.moved),
@@ -406,9 +396,8 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--precision", type=int, default=80, metavar="BITS")
-    common.add_argument("--tol", type=float, default=1e-9, metavar="REAL")
-    common.add_argument("--shift-bound", type=int, default=64, metavar="N")
+    common.add_argument("--precision", type=int, default=DEFAULT_PREC, metavar="BITS")
+    common.add_argument("--shift-bound", type=int, default=DEFAULT_SHIFT_BOUND, metavar="N")
     common.add_argument("--assume-irreducible", action="store_true")
     common.add_argument("--out", metavar="FILE", default=None)
 
@@ -426,10 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", parents=[common])
     p.add_argument("--a", required=True, metavar="SPEC")
     p.add_argument("--b", required=True, metavar="SPEC")
-    p.add_argument("--side", choices=("K", "Kprime"), default="Kprime")
+    p.add_argument("--side", choices=(SIDE_K, SIDE_KPRIME), default=SIDE_KPRIME)
     p = sub.add_parser("selfpair", parents=[common])
     p.add_argument("--m", required=True, metavar="PRIME")
-    p.add_argument("--side", choices=("K", "Kprime"), default="Kprime")
+    p.add_argument("--side", choices=(SIDE_K, SIDE_KPRIME), default=SIDE_KPRIME)
     p = sub.add_parser("arakelov-deg", parents=[common])
     p.add_argument("--d", required=True, metavar="DIVISOR")
     p = sub.add_parser("rsp", parents=[common])
@@ -445,15 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_of(args) -> dict:
-    skip = {
-        "command",
-        "json",
-        "precision",
-        "tol",
-        "shift_bound",
-        "assume_irreducible",
-        "out",
-    }
+    skip = {"command", "json", "precision", "shift_bound", "assume_irreducible", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -468,7 +449,7 @@ def main(argv=None) -> int:
     except (InputError, UncertifiedFactor, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonGeneric, PointwiseUnavailable, ShiftExhausted, MoveFailure) as exc:
+    except (NonGeneric, ShiftExhausted, MoveFailure) as exc:
         print(f"not computable on this instance: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except PrecisionFailure as exc:

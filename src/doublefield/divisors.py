@@ -4,8 +4,8 @@ Places come in three families: binary primes (irreducible polynomials
 depending on both variables), unary primes of Q(x) and of Q(y) (finite
 irreducibles or the degree valuation at infinity).  Divisors are finite
 integer formal sums over canonically ordered places.  Field elements
-enter pre-factored (``DeltaElement``) and are refined internally into
-pairwise-coprime square-free parts.
+enter as products of polynomial powers (``DeltaElement``) and are
+factored completely into primitive integer irreducibles.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .exact import (
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
-    gcd_b,
     primitive_int_bpoly,
     primitive_int_upoly,
 )
@@ -94,6 +93,16 @@ class BinaryPlace:
 
 
 Place = Union[UnaryPlace, BinaryPlace]
+
+
+def transpose_place(m: Place) -> Place:
+    """The mirror-image place under the swap of x and y."""
+    if isinstance(m, BinaryPlace):
+        return BinaryPlace(m.poly.transpose(), m.certified)
+    nv = "x" if m.var == "y" else "y"
+    if m.poly is None:
+        return UnaryPlace.infinity(nv)
+    return UnaryPlace.finite(m.poly.with_var(nv))
 
 
 def place_sort_key(p: Place):
@@ -215,13 +224,6 @@ def restrict_to_Kp(A: Divisor) -> Divisor:
     )
 
 
-def restrict_to_K(A: Divisor) -> Divisor:
-    """Keep exactly the x-unary components."""
-    return Divisor.make(
-        {p: c for p, c in A.coeffs if isinstance(p, UnaryPlace) and p.var == "x"}
-    )
-
-
 def degree_K(D: Divisor) -> int:
     """Degree of a divisor of a rational function field:
     sum of coefficient times residue degree, with deg(infinity) = 1."""
@@ -241,14 +243,13 @@ def degree_K(D: Divisor) -> int:
 class DeltaElement:
     """A nonzero element of Q(x,y) in refined factored form.
 
-    ``unit`` is a nonzero rational; ``factors`` pairs primitive integer
-    polynomials (square-free, pairwise coprime, univariate parts fully
-    factored) with nonzero integer exponents.  ``certified`` marks the
-    bivariate factors whose irreducibility was certified.
+    ``unit`` is a nonzero rational; ``factors`` pairs distinct primitive
+    integer irreducible polynomials (each from a complete factorization
+    over Q) with nonzero integer exponents.
     """
 
     unit: Fraction
-    factors: tuple[tuple[BPoly, int, bool], ...]
+    factors: tuple[tuple[BPoly, int], ...]
 
     @staticmethod
     def one() -> "DeltaElement":
@@ -277,12 +278,9 @@ class DeltaElement:
             if q.deg_x() <= 0 and q.deg_y() <= 0:
                 continue
             work.append((q, e))
-        u2, refined = _refine(work)
+        u2, factors = _refine(work)
         unit *= u2
-        # every refined piece comes from a complete factorization over Q,
-        # so its irreducibility is established
-        factors = [(q, e, True) for q, e in refined if e != 0]
-        factors.sort(key=lambda t: place_sort_key(_place_of(t[0], t[2])))
+        factors.sort(key=lambda t: place_sort_key(_place_of(t[0])))
         return DeltaElement(unit, tuple(factors))
 
     @staticmethod
@@ -293,35 +291,26 @@ class DeltaElement:
     def from_fraction(num: BPoly, den: BPoly) -> "DeltaElement":
         return DeltaElement.from_factors(1, [(num, 1), (den, -1)])
 
-    @staticmethod
-    def from_upoly(p: UPoly) -> "DeltaElement":
-        return DeltaElement.from_bpoly(BPoly.from_upoly(p))
-
     def __mul__(self, other: "DeltaElement") -> "DeltaElement":
-        return DeltaElement.from_factors(
-            self.unit * other.unit,
-            [(f, e) for f, e, _ in self.factors] + [(f, e) for f, e, _ in other.factors],
-        )
+        return DeltaElement.from_factors(self.unit * other.unit, self.factors + other.factors)
 
     def inverse(self) -> "DeltaElement":
-        return DeltaElement.from_factors(
-            1 / self.unit, [(f, -e) for f, e, _ in self.factors]
-        )
+        return DeltaElement.from_factors(1 / self.unit, [(f, -e) for f, e in self.factors])
 
     def deg_x_num_den(self) -> tuple[int, int]:
-        num = sum(f.deg_x() * e for f, e, _ in self.factors if e > 0)
-        den = -sum(f.deg_x() * e for f, e, _ in self.factors if e < 0)
+        num = sum(f.deg_x() * e for f, e in self.factors if e > 0)
+        den = -sum(f.deg_x() * e for f, e in self.factors if e < 0)
         return num, den
 
     def deg_y_num_den(self) -> tuple[int, int]:
-        num = sum(f.deg_y() * e for f, e, _ in self.factors if e > 0)
-        den = -sum(f.deg_y() * e for f, e, _ in self.factors if e < 0)
+        num = sum(f.deg_y() * e for f, e in self.factors if e > 0)
+        den = -sum(f.deg_y() * e for f, e in self.factors if e < 0)
         return num, den
 
 
-def _place_of(q: BPoly, certified: bool) -> Place:
+def _place_of(q: BPoly) -> Place:
     if q.deg_x() >= 1 and q.deg_y() >= 1:
-        return BinaryPlace(q, certified)
+        return BinaryPlace(q)
     return UnaryPlace.finite(q.as_upoly())
 
 
@@ -359,28 +348,11 @@ def valuation(place: Place, a: DeltaElement) -> int:
             num, den = a.deg_y_num_den()
         return den - num
     if isinstance(place, BinaryPlace):
-        target = place.poly
-        v = 0
-        for f, e, cert in a.factors:
-            if f.deg_x() < 1 or f.deg_y() < 1:
-                continue
-            if f == target:
-                if not cert:
-                    raise UncertifiedFactor(
-                        f"factor {f} matching the queried place is not certified irreducible"
-                    )
-                v += e
-            elif not cert:
-                g = gcd_b(f, target)
-                if g.deg_x() > 0 or g.deg_y() > 0:
-                    raise UncertifiedFactor(
-                        f"uncertified factor {f} is not coprime to the queried place"
-                    )
-        return v
+        return sum(e for f, e in a.factors if f == place.poly)
     # finite unary place
     target_var = place.var
     v = 0
-    for f, e, _ in a.factors:
+    for f, e in a.factors:
         if f.deg_x() >= 1 and f.deg_y() >= 1:
             continue
         p = f.as_upoly()
@@ -392,8 +364,8 @@ def valuation(place: Place, a: DeltaElement) -> int:
 def principal_divisor(a: DeltaElement) -> Divisor:
     """The divisor of a nonzero element, including both infinity places."""
     d: dict[Place, int] = {}
-    for f, e, cert in a.factors:
-        d[_place_of(f, cert)] = d.get(_place_of(f, cert), 0) + e
+    for f, e in a.factors:
+        d[_place_of(f)] = e
     nx, dx = a.deg_x_num_den()
     if dx - nx:
         d[UnaryPlace.infinity("x")] = dx - nx

@@ -43,15 +43,11 @@ class CommonSupport(InputError):
 
 
 class UncertifiedFactor(DoubleFieldError):
-    """An uncertified bivariate factor collides with the queried place."""
+    """Irreducibility of a binary prime could not be certified."""
 
 
 class NonGeneric(DoubleFieldError):
     """Multiplicities cannot be soundly read off a specialization."""
-
-
-class PointwiseUnavailable(DoubleFieldError):
-    """Pointwise residue would require number-field arithmetic."""
 
 
 class ShiftExhausted(DoubleFieldError):

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import mpmath
 import sympy
+from mpmath.libmp import NoConvergence
 
 from .errors import DegreeBound, PrecisionFailure
-
-Rational = Fraction
 
 _SYM = {"x": sympy.Symbol("x"), "y": sympy.Symbol("y")}
 
 DEFAULT_FACTOR_DEGREE_BOUND = 24
+
+# default working precision, in bits, of the numeric (mpmath) layer
+DEFAULT_PREC = 80
 
 
 def _frac(v) -> Fraction:
@@ -57,10 +59,6 @@ class UPoly:
     @staticmethod
     def const(var: str, c) -> "UPoly":
         return UPoly.make(var, [c])
-
-    @staticmethod
-    def gen(var: str) -> "UPoly":
-        return UPoly.make(var, [0, 1])
 
     @staticmethod
     def zero(var: str) -> "UPoly":
@@ -119,16 +117,7 @@ class UPoly:
         return UPoly(self.var, tuple(a * c for a in self.coeffs))
 
     def __pow__(self, n: int) -> "UPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = UPoly.const(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UPoly.const(self.var, 1))
 
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
         self._check(other)
@@ -154,9 +143,6 @@ class UPoly:
     def __mod__(self, other: "UPoly") -> "UPoly":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[0]
-
     def exact_div(self, other: "UPoly") -> "UPoly":
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -168,26 +154,12 @@ class UPoly:
             return self
         return self.scale(1 / self.lc())
 
-    def derivative(self) -> "UPoly":
-        return UPoly.make(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
-
     def eval(self, v) -> Fraction:
         v = _frac(v)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    def compose(self, inner: "UPoly") -> "UPoly":
-        """Substitute ``inner`` for the variable (result in inner's variable)."""
-        acc = UPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly.const(inner.var, c)
-        return acc
-
-    def reversed_coeffs(self) -> "UPoly":
-        """x^deg * f(1/x): the reciprocal polynomial."""
-        return UPoly.make(self.var, tuple(reversed(self.coeffs)))
 
     def with_var(self, var: str) -> "UPoly":
         return UPoly(var, self.coeffs)
@@ -277,16 +249,7 @@ class BPoly:
         return BPoly(tuple((k, v * c) for k, v in self.terms))
 
     def __pow__(self, n: int) -> "BPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = BPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, BPoly.const(1))
 
     def transpose(self) -> "BPoly":
         """Swap the roles of x and y."""
@@ -333,6 +296,19 @@ class BPoly:
         return render_bpoly(self)
 
 
+def _power(base, n: int, one):
+    """base**n by repeated squaring, starting from ``one``."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sympy bridges
 
@@ -367,22 +343,21 @@ def _sym2b(expr) -> BPoly:
 # canonical primitive-integer forms
 
 
+def _primitive_unit(coeffs: Sequence[Fraction], lead: Fraction) -> Fraction:
+    """The rational u with the sign of ``lead`` for which the c / u are
+    coprime integers."""
+    den = lcm(*(c.denominator for c in coeffs))
+    g = gcd(*((c * den).numerator for c in coeffs))
+    return Fraction(g if lead > 0 else -g, den)
+
+
 def primitive_int_upoly(p: UPoly) -> tuple[Fraction, UPoly]:
     """Return (unit, q) with q integer, content-free, positive leading
     coefficient, and p = unit * q."""
     if p.is_zero():
         raise ValueError("zero polynomial has no primitive form")
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    ints = [c * den_lcm for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c.numerator))
-    if ints[-1] < 0:
-        g = -g
-    unit = Fraction(g, den_lcm)
-    return unit, UPoly.make(p.var, [c / g for c in ints])
+    unit = _primitive_unit(p.coeffs, p.lc())
+    return unit, UPoly.make(p.var, [c / unit for c in p.coeffs])
 
 
 def primitive_int_bpoly(p: BPoly) -> tuple[Fraction, BPoly]:
@@ -390,23 +365,9 @@ def primitive_int_bpoly(p: BPoly) -> tuple[Fraction, BPoly]:
     the graded-lex leading term (total degree, then x-exponent)."""
     if p.is_zero():
         raise ValueError("zero polynomial has no primitive form")
-    den_lcm = 1
-    for _, c in p.terms:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    ints = {k: v * den_lcm for k, v in p.terms}
-    g = 0
-    for v in ints.values():
-        g = int_gcd(g, abs(v.numerator))
-    lead = max(ints, key=lambda k: (k[0] + k[1], k[0]))
-    if ints[lead] < 0:
-        g = -g
-    unit = Fraction(g, den_lcm)
-    return unit, BPoly.make({k: v / g for k, v in ints.items()})
-
-
-def int_content(p: UPoly) -> Fraction:
-    """Content of a rational polynomial: p / content is primitive integer."""
-    return primitive_int_upoly(p)[0]
+    _, lead = max(p.terms, key=lambda t: (t[0][0] + t[0][1], t[0][0]))
+    unit = _primitive_unit([v for _, v in p.terms], lead)
+    return unit, BPoly.make({k: v / unit for k, v in p.terms})
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +417,6 @@ def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
     return unit, out
 
 
-def squarefree_decomposition_b(f: BPoly) -> list[tuple[BPoly, int]]:
-    """Square-free decomposition of a bivariate polynomial over Q."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.deg_x() <= 0 and f.deg_y() <= 0:
-        return []
-    _, fac = sympy.sqf_list(_b2sym(f), _SYM["x"], _SYM["y"])
-    return [(primitive_int_bpoly(_sym2b(p))[1], int(m)) for p, m in fac]
-
-
 def resultant_u(f: UPoly, g: UPoly) -> Fraction:
     """Resultant of two univariate polynomials (same variable)."""
     if f.var != g.var:
@@ -496,11 +447,6 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     return _sym2u(r, "y")
 
 
-def resultant_y(f: BPoly, g: BPoly) -> UPoly:
-    """Sylvester resultant eliminating y; a polynomial in x."""
-    return resultant_x(f.transpose(), g.transpose()).with_var("x")
-
-
 def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
     """Monic square-free decomposition: pairwise coprime factors with
     multiplicities whose weighted product is monic(f)."""
@@ -510,61 +456,6 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
         return []
     _, fac = sympy.sqf_list(_u2sym(f))
     return [(_sym2u(p, f.var).monic(), int(m)) for p, m in fac]
-
-
-def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
-    """Gcd-refined pairwise-coprime monic basis plus exponent matrix.
-
-    Each input equals its leading unit times the product of basis
-    elements raised to its exponent row.
-    """
-    if not fs:
-        return [], []
-    var = fs[0].var
-    basis: list[UPoly] = []
-    for f in fs:
-        if f.is_zero():
-            raise ValueError("zero polynomial")
-        work = [f.monic()]
-        while work:
-            h = work.pop()
-            if h.degree() == 0:
-                continue
-            placed = False
-            for i, b in enumerate(basis):
-                g = gcd_u(h, b)
-                if g.degree() == 0:
-                    continue
-                if g == b:
-                    work.append(h.exact_div(b))
-                    placed = True
-                    break
-                # split b by g, retry h against the refined basis
-                basis[i : i + 1] = [g, b.exact_div(g)]
-                basis[:] = [q for q in basis if q.degree() > 0]
-                work.append(h)
-                placed = True
-                break
-            if not placed:
-                basis.append(h)
-    basis.sort(key=lambda p: (p.degree(), p.coeffs))
-    rows = []
-    for f in fs:
-        h = f.monic()
-        row = []
-        for b in basis:
-            e = 0
-            while h.degree() >= b.degree():
-                q, r = h.divmod(b)
-                if not r.is_zero():
-                    break
-                h = q
-                e += 1
-            row.append(e)
-        if h.degree() != 0:
-            raise AssertionError("coprime basis refinement failed")
-        rows.append(row)
-    return list(basis), rows
 
 
 def factor_q(
@@ -597,27 +488,26 @@ def factor_q(
 
 
 def content_free_both_ways(f: BPoly) -> bool:
-    xs = [c for c in f.x_coeffs() if not c.is_zero()]
-    g = xs[0]
-    for c in xs[1:]:
-        g = gcd_u(g, c)
-    if g.degree() != 0:
-        return False
-    ft = f.transpose()
-    ys = [c for c in ft.x_coeffs() if not c.is_zero()]
-    g = ys[0]
-    for c in ys[1:]:
-        g = gcd_u(g, c)
-    return g.degree() == 0
+    """True when no nonconstant polynomial in y alone, nor in x alone,
+    divides f."""
+    for h in (f, f.transpose()):
+        cs = [c for c in h.x_coeffs() if not c.is_zero()]
+        g = cs[0]
+        for c in cs[1:]:
+            g = gcd_u(g, c)
+        if g.degree() != 0:
+            return False
+    return True
 
 
-def certify_irreducible_bivariate(f: BPoly, specialization_range: int = 10) -> str:
+def certify_irreducible_bivariate(f: BPoly) -> str:
     """Sound sufficient irreducibility test over Q; returns "certified"
     or "unknown" (never certifies a reducible polynomial).
 
     Certified when the polynomial is content-free in each variable and
     either has degree 1 in one variable, or some small integer
-    specialization y := c keeps full x-degree and is irreducible.
+    specialization y := c with |c| <= 10 keeps full x-degree and is
+    irreducible.
     """
     if f.deg_x() < 1 or f.deg_y() < 1:
         raise ValueError("needs positive degree in both variables")
@@ -627,7 +517,7 @@ def certify_irreducible_bivariate(f: BPoly, specialization_range: int = 10) -> s
         return "certified"
     lc = f.coeff_of_x(f.deg_x())
     candidates = [0]
-    for k in range(1, specialization_range + 1):
+    for k in range(1, 11):
         candidates.extend([k, -k])
     for c in candidates:
         if lc.eval(c) == 0:
@@ -646,7 +536,7 @@ def certify_irreducible_bivariate(f: BPoly, specialization_range: int = 10) -> s
 # certified complex roots
 
 
-def complex_roots(f: UPoly, eps=1e-12, prec: int = 80) -> list[mpmath.mpc]:
+def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.mpc]:
     """All deg(f) complex roots with multiplicity.
 
     Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
@@ -671,7 +561,7 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = 80) -> list[mpmath.mpc]:
                 ]
                 try:
                     rs = mpmath.polyroots(cs, maxsteps=400, extraprec=wp)
-                except Exception:
+                except NoConvergence:
                     continue
                 if _roots_certified(sq, rs, eps):
                     found = [mpmath.mpc(r) for r in rs]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
+from .charts import DEFAULT_SHIFT_BOUND, fiber_divisor, infx_fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -20,25 +20,19 @@ from .divisors import (
     UnaryPlace,
     degree_over_Kp,
     principal_divisor,
+    transpose_place,
 )
 from .errors import NotCoprime, NotDegreeOne
 from .exact import BPoly
-from .residues import RationalIsom, residue_iso
+from .residues import residue_iso
 
 SIDE_K = "K"
 SIDE_KPRIME = "Kprime"
 
 
-def transpose_place(m: Place) -> Place:
-    if isinstance(m, BinaryPlace):
-        return BinaryPlace(m.poly.transpose(), m.certified)
-    nv = "x" if m.var == "y" else "y"
-    if m.poly is None:
-        return UnaryPlace.infinity(nv)
-    return UnaryPlace.finite(m.poly.with_var(nv))
-
-
-def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME, shift_bound: int = 64) -> Divisor:
+def pair(
+    A: Divisor, b: Divisor, side: str = SIDE_KPRIME, shift_bound: int = DEFAULT_SHIFT_BOUND
+) -> Divisor:
     """Bilinear norm pairing of two divisors with disjoint supports."""
     if side not in (SIDE_K, SIDE_KPRIME):
         raise ValueError(f"unknown side {side!r}")
@@ -98,24 +92,6 @@ def _curve_of(m: Place) -> BPoly | None:
     raise AssertionError("y-unary places are handled before curve extraction")
 
 
-def dx_divisor() -> Divisor:
-    """Divisor of the differential dx on Q(x): -2 times infinity."""
-    return Divisor.of(UnaryPlace.infinity("x"), -2)
-
-
-def image_dx(mu: RationalIsom) -> Divisor:
-    """Image of dx under x -> mu: -2 times the pole divisor of mu."""
-    from .divisors import divisor_of_upoly
-
-    out = Divisor.zero()
-    if mu.den.degree() >= 1:
-        out = divisor_of_upoly(mu.den, include_infinity=False)
-    w_inf = (0 if mu.num.is_zero() else mu.num.degree()) - mu.den.degree()
-    if w_inf > 0:
-        out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-    return out.scale(-2)
-
-
 @dataclass(frozen=True)
 class SelfPairing:
     """Self-pairing of a degree-one binary prime up to principal
@@ -128,7 +104,7 @@ class SelfPairing:
 
 
 def self_pair_degree_one(
-    m: BinaryPlace, side: str = SIDE_KPRIME, shift_bound: int = 64
+    m: BinaryPlace, side: str = SIDE_KPRIME, shift_bound: int = DEFAULT_SHIFT_BOUND
 ) -> SelfPairing:
     """Pair a degree-one binary prime with itself by first replacing it
     with the equivalent divisor m - div(x - mu), which has support

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import fiber_divisor, transpose_divisor
+from .charts import DEFAULT_SHIFT_BOUND, fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     Divisor,
@@ -49,11 +49,13 @@ class RationalIsom:
         lc = den.lc()
         return RationalIsom(num.scale(1 / lc), den.monic())
 
-    def value_deg_at_inf(self) -> int:
-        """Order of vanishing at infinity: deg den - deg num."""
-        if self.num.is_zero():
-            raise ValueError("zero function")
-        return self.den.degree() - self.num.degree()
+    def pole_divisor(self) -> Divisor:
+        """Divisor of poles of num/den over the places of Q(y)."""
+        out = divisor_of_upoly(self.den, include_infinity=False)
+        w_inf = self.num.degree() - self.den.degree()
+        if w_inf > 0:
+            out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
+        return out
 
     def __str__(self) -> str:
         if self.den == UPoly.const("y", 1):
@@ -85,7 +87,7 @@ def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
     # at a finite place, a nonzero order of d forces either both values
     # finite and equal or both infinite, and equals the coincidence
     # order in both cases
-    out = divisor_of_upoly(d, include_infinity=False) if d.degree() >= 1 else Divisor.zero()
+    out = divisor_of_upoly(d, include_infinity=False)
     w1 = a1.degree() - (b1.degree() if not b1.is_zero() else a1.degree())
     w2 = a2.degree() - (b2.degree() if not b2.is_zero() else a2.degree())
     w_inf = 0
@@ -104,7 +106,7 @@ def _check_coprime_to(A: Divisor, n: Place) -> None:
 
 
 def residue_mod_degree_one(
-    A: Divisor, n: BinaryPlace, shift_bound: int = 64
+    A: Divisor, n: BinaryPlace, shift_bound: int = DEFAULT_SHIFT_BOUND
 ) -> Divisor:
     """Residue of a divisor of Q(x,y) modulo a degree-one binary prime,
     as a divisor of Q(y); linear in the divisor argument."""
@@ -117,7 +119,6 @@ def residue_mod_degree_one(
 
 
 def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom, shift_bound: int) -> Divisor:
-    b, a = iso_n.num, iso_n.den
     if isinstance(m, BinaryPlace):
         if m.poly.deg_x() == 1:
             return different_divisor(residue_iso(m), iso_n)
@@ -126,16 +127,10 @@ def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom, shift_bound: i
         return fiber_divisor(m.poly, n.poly, shift_bound)
     if m.var == "x":
         if m.is_infinity():
-            # pole divisor of b/a
-            out = Divisor.zero()
-            if a.degree() >= 1:
-                out = divisor_of_upoly(a, include_infinity=False)
-            w_inf = b.degree() - a.degree()
-            if w_inf > 0:
-                out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-            return out
+            return iso_n.pole_divisor()
         # image of a finite place p(x) under x -> b/a: zero divisor of
         # the cleared numerator of p(b/a)
+        b, a = iso_n.num, iso_n.den
         p = m.poly
         dp = p.degree()
         cleared = UPoly.zero("y")
@@ -187,10 +182,8 @@ def _prime_correspondence(m: Place, c: Fraction) -> Divisor:
                     f"multiplicities of {f} over y = {c} cannot be soundly "
                     "read from the specialization"
                 )
-        spec = _eval_y(f, c)
-        out = Divisor.zero()
-        if spec.degree() >= 1:
-            out = divisor_of_upoly(spec, include_infinity=False)
+        spec = f.eval_y(c)
+        out = divisor_of_upoly(spec, include_infinity=False)
         escape = f.deg_x() - spec.degree()
         if escape:
             out = out + Divisor.of(UnaryPlace.infinity("x"), escape)
@@ -200,15 +193,11 @@ def _prime_correspondence(m: Place, c: Fraction) -> Divisor:
     return Divisor.zero()
 
 
-def _eval_y(f: BPoly, c: Fraction) -> UPoly:
-    return f.transpose().eval_x(c).with_var("x")
-
-
 def _dfdx(f: BPoly) -> BPoly:
     return BPoly.make({(i - 1, j): v * i for (i, j), v in f.terms if i >= 1})
 
 
-def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace, shift_bound: int = 64) -> Divisor:
+def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:
     """Residue of a divisor modulo a degree-one prime of Q(y), as a
     divisor of Q(x); an independent chart-resultant route that must
     agree with ``correspondence`` wherever both are defined."""
@@ -218,7 +207,7 @@ def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace, shift_bound: int = 64) 
     out = Divisor.zero()
     for m, w in A.coeffs:
         if isinstance(m, BinaryPlace):
-            d = fiber_divisor(q_t, m.poly.transpose(), shift_bound)
+            d = fiber_divisor(q_t, m.poly.transpose())
             out = out + transpose_divisor(d).scale(w)
         elif m.var == "x":
             out = out + Divisor.of(m, w)

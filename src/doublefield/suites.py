@@ -27,6 +27,7 @@ from .arakelov import (
     principal_arakelov,
     principal_move,
     residue_scalar_product,
+    second_move,
 )
 from .charts import fiber_divisor, find_shift
 from .divisors import (
@@ -38,8 +39,15 @@ from .divisors import (
     principal_divisor,
 )
 from .errors import MoveFailure, NonGeneric, NotCoprime, UncertifiedFactor
-from .exact import BPoly, UPoly, complex_roots, resultant_x, squarefree_decomposition
-from .pairing import SIDE_K, SIDE_KPRIME, image_dx, pair, self_pair_degree_one
+from .exact import (
+    DEFAULT_PREC,
+    BPoly,
+    UPoly,
+    complex_roots,
+    resultant_x,
+    squarefree_decomposition,
+)
+from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import (
     RationalIsom,
     correspondence,
@@ -59,8 +67,12 @@ def _c(n) -> BPoly:
     return BPoly.const(n)
 
 
+def _ypoly(*coeffs) -> UPoly:
+    return UPoly.make("y", coeffs)
+
+
 def _yplace(*coeffs) -> UnaryPlace:
-    return UnaryPlace.finite(UPoly.make("y", coeffs))
+    return UnaryPlace.finite(_ypoly(*coeffs))
 
 
 def _xplace(*coeffs) -> UnaryPlace:
@@ -118,10 +130,6 @@ def unary_pool() -> list[UnaryPlace]:
 def isom_pool() -> list[RationalIsom]:
     """Rational functions of y used both as residue isomorphisms and,
     through b(y)x - a(y), as degree-one binary primes."""
-
-    def yp(*coeffs):
-        return UPoly.make("y", coeffs)
-
     raw = [
         ((0, 1), (1,)),
         ((0, 0, 1), (1,)),
@@ -136,13 +144,10 @@ def isom_pool() -> list[RationalIsom]:
         ((-1, 1), (1, 1)),
         ((1, 1, 1), (1,)),
     ]
-    return [RationalIsom.make(yp(*num), yp(*den)) for num, den in raw]
+    return [RationalIsom.make(_ypoly(*num), _ypoly(*den)) for num, den in raw]
 
 
 def extended_isom_pool() -> list[RationalIsom]:
-    def yp(*coeffs):
-        return UPoly.make("y", coeffs)
-
     extra = [
         ((0, 0, 0, 1), (1,)),
         ((-2, 0, 0, 1), (1,)),
@@ -155,7 +160,7 @@ def extended_isom_pool() -> list[RationalIsom]:
         ((1, 0, 0, 1), (1,)),
         ((5, 1), (-2, 1)),
     ]
-    return isom_pool() + [RationalIsom.make(yp(*num), yp(*den)) for num, den in extra]
+    return isom_pool() + [RationalIsom.make(_ypoly(*num), _ypoly(*den)) for num, den in extra]
 
 
 def degree_one_prime(mu: RationalIsom) -> BinaryPlace:
@@ -191,7 +196,7 @@ def _result(name: str, checked: int, failures: list[str], **extra) -> dict:
 # 1. symmetry of the norm pairing on both sides
 
 
-def run_symmetry(shift_bound: int = 64) -> dict:
+def run_symmetry() -> dict:
     primes = binary_pool() + unary_pool()
     failures: list[str] = []
     checked = 0
@@ -201,8 +206,8 @@ def run_symmetry(shift_bound: int = 64) -> dict:
             A, B = Divisor.of(primes[i]), Divisor.of(primes[j])
             checked += 1
             for side in (SIDE_K, SIDE_KPRIME):
-                left = pair(A, B, side, shift_bound)
-                right = pair(B, A, side, shift_bound)
+                left = pair(A, B, side)
+                right = pair(B, A, side)
                 if left != right:
                     failures.append(f"pair({primes[i]}, {primes[j]}, {side}) asymmetric")
     return _result("symmetry", checked, failures, seconds=round(time.monotonic() - t0, 3))
@@ -212,7 +217,7 @@ def run_symmetry(shift_bound: int = 64) -> dict:
 # 2. bilinearity of pairing, residues and correspondences
 
 
-def run_bilinearity(shift_bound: int = 64) -> dict:
+def run_bilinearity() -> dict:
     import random
 
     rng = random.Random(2)
@@ -229,20 +234,16 @@ def run_bilinearity(shift_bound: int = 64) -> dict:
             continue
         pair_n += 1
         # additivity in the first argument, then in the second
-        if pair(A1 + A2, B, SIDE_KPRIME, shift_bound) != pair(
-            A1, B, SIDE_KPRIME, shift_bound
-        ) + pair(A2, B, SIDE_KPRIME, shift_bound):
+        if pair(A1 + A2, B) != pair(A1, B) + pair(A2, B):
             failures.append(f"pair not additive on ({m1}, {m2}; {n})")
-        if pair(B, A1 + A2, SIDE_KPRIME, shift_bound) != pair(
-            B, A1, SIDE_KPRIME, shift_bound
-        ) + pair(B, A2, SIDE_KPRIME, shift_bound):
+        if pair(B, A1 + A2) != pair(B, A1) + pair(B, A2):
             failures.append(f"pair not additive in the 2nd argument on ({n}; {m1}, {m2})")
         nprime = deg_one[rounds % len(deg_one)]
         if m1 != nprime and m2 != nprime:
             residue_n += 1
-            if residue_mod_degree_one(A1 + A2, nprime, shift_bound) != residue_mod_degree_one(
-                A1, nprime, shift_bound
-            ) + residue_mod_degree_one(A2, nprime, shift_bound):
+            if residue_mod_degree_one(A1 + A2, nprime) != residue_mod_degree_one(
+                A1, nprime
+            ) + residue_mod_degree_one(A2, nprime):
                 failures.append(f"residue not additive on ({m1}, {m2}; {nprime})")
         p = points[rounds % len(points)]
         if A1.coeff(p) or A2.coeff(p):
@@ -272,7 +273,7 @@ def run_bilinearity(shift_bound: int = 64) -> dict:
 # 3. principality: outputs of principal divisors have degree zero
 
 
-def run_principality(shift_bound: int = 64) -> dict:
+def run_principality() -> dict:
     failures: list[str] = []
     checked = 0
     moduli = [degree_one_prime(mu) for mu in isom_pool()]
@@ -282,12 +283,12 @@ def run_principality(shift_bound: int = 64) -> dict:
         A = principal_divisor(elem)
         checked += 1
         n = next(m for m in moduli if Divisor.of(m).disjoint_from(A))
-        d = residue_mod_degree_one(A, n, shift_bound)
+        d = residue_mod_degree_one(A, n)
         if degree_K(d) != 0:
             failures.append(f"residue of principal #{k} has degree {degree_K(d)}")
         B = next(b for b in others if b.disjoint_from(A))
         for side in (SIDE_K, SIDE_KPRIME):
-            dd = pair(A, B, side, shift_bound)
+            dd = pair(A, B, side)
             if degree_K(dd) != 0:
                 failures.append(f"pairing of principal #{k} has degree {degree_K(dd)} on {side}")
         for p in points:
@@ -306,7 +307,7 @@ def run_principality(shift_bound: int = 64) -> dict:
 # 4. agreement of the two residue/correspondence code paths
 
 
-def run_agreement(shift_bound: int = 64) -> dict:
+def run_agreement() -> dict:
     failures: list[str] = []
     checked = 0
     points = [_yplace(-c, 1) for c in (-3, -2, -1, 0, 1, 2, 3, 5)]
@@ -318,7 +319,7 @@ def run_agreement(shift_bound: int = 64) -> dict:
             except NonGeneric:
                 continue
             checked += 1
-            via_chart = residue_mod_Kp_degree_one(A, q, shift_bound)
+            via_chart = residue_mod_Kp_degree_one(A, q)
             if via_factorization != via_chart:
                 failures.append(f"paths disagree for ({m}, {q})")
     return _result("agreement", checked, failures)
@@ -328,7 +329,7 @@ def run_agreement(shift_bound: int = 64) -> dict:
 # 5. pairing of degree-one primes equals the different divisor
 
 
-def run_different(shift_bound: int = 64) -> dict:
+def run_different() -> dict:
     failures: list[str] = []
     isoms = isom_pool()
     primes = [degree_one_prime(mu) for mu in isoms]
@@ -336,16 +337,11 @@ def run_different(shift_bound: int = 64) -> dict:
     for i in range(len(isoms)):
         for j in range(i + 1, len(isoms)):
             checked += 1
-            lhs = pair(Divisor.of(primes[i]), Divisor.of(primes[j]), SIDE_KPRIME, shift_bound)
+            lhs = pair(Divisor.of(primes[i]), Divisor.of(primes[j]))
             rhs = different_divisor(isoms[i], isoms[j])
             if lhs != rhs:
                 failures.append(f"pair != different for ({primes[i]}, {primes[j]})")
-    worked = pair(
-        Divisor.of(BinaryPlace.make(X - Y**2)),
-        Divisor.of(BinaryPlace.make(X - Y)),
-        SIDE_KPRIME,
-        shift_bound,
-    )
+    worked = pair(Divisor.of(BinaryPlace.make(X - Y**2)), Divisor.of(BinaryPlace.make(X - Y)))
     expected = Divisor.make({_yplace(0, 1): 1, _yplace(-1, 1): 1, INF_Y: 1})
     if worked != expected:
         failures.append("worked instance (x - y^2, x - y) did not reproduce")
@@ -364,7 +360,7 @@ def _in_support_at(divisor: Divisor, var: str, value: Fraction) -> bool:
     return False
 
 
-def run_support(shift_bound: int = 64) -> dict:
+def run_support() -> dict:
     failures: list[str] = []
     isoms = isom_pool()
     primes = [degree_one_prime(mu) for mu in isoms]
@@ -375,7 +371,7 @@ def run_support(shift_bound: int = 64) -> dict:
                 continue
             m, n = primes[i], primes[j]
             nu = residue_iso(n)
-            d = residue_mod_degree_one(Divisor.of(m), n, shift_bound)
+            d = residue_mod_degree_one(Divisor.of(m), n)
             candidates = {Fraction(c) for c in (-2, -1, 0, 1, 2, 3)}
             for place, _ in d.coeffs:
                 if (
@@ -407,14 +403,15 @@ def run_support(shift_bound: int = 64) -> dict:
 # 7. self-pairing plus the moved differential is principal
 
 
-def run_selfpair(shift_bound: int = 64) -> dict:
+def run_selfpair() -> dict:
     failures: list[str] = []
     checked = 0
     for mu in extended_isom_pool():
         m = degree_one_prime(mu)
         checked += 1
-        sp = self_pair_degree_one(m, SIDE_KPRIME, shift_bound)
-        total = degree_K(sp.value + image_dx(residue_iso(m)))
+        sp = self_pair_degree_one(m)
+        # the image of dx under x -> mu is -2 times the pole divisor of mu
+        total = degree_K(sp.value - residue_iso(m).pole_divisor().scale(2))
         if total != 0:
             failures.append(f"self pairing of {m} leaves degree {total}")
     return _result("selfpair", checked, failures)
@@ -430,25 +427,25 @@ def _to_mpc(c):
     return mpmath.mpc(c)
 
 
-def _numeric_common_root(f: BPoly, g: BPoly, y0, prec: int = 80) -> bool:
+def _numeric_common_root(f: BPoly, g: BPoly, y0) -> bool:
     def x_poly(h: BPoly):
         coeffs = [mpmath.mpc(0)] * (h.deg_x() + 1)
         for (i, j), c in h.terms:
             coeffs[i] += _to_mpc(c) * y0**j
-        while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(2) ** (-prec // 2):
+        while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(2) ** (-DEFAULT_PREC // 2):
             coeffs.pop()
         return list(reversed(coeffs))
 
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         cf, cg = x_poly(f), x_poly(g)
         if len(cf) <= 1 or len(cg) <= 1:
             return True  # fiber degenerates; escapes handled at infinity
-        rf = mpmath.polyroots(cf, maxsteps=200, extraprec=prec)
-        rg = mpmath.polyroots(cg, maxsteps=200, extraprec=prec)
+        rf = mpmath.polyroots(cf, maxsteps=200, extraprec=DEFAULT_PREC)
+        rg = mpmath.polyroots(cg, maxsteps=200, extraprec=DEFAULT_PREC)
         return min(abs(a - b) for a in rf for b in rg) < mpmath.mpf(10) ** (-6)
 
 
-def run_charts(shift_bound: int = 64, prec: int = 80) -> dict:
+def run_charts() -> dict:
     failures: list[str] = []
     pool = binary_pool()
     pairs = [
@@ -456,8 +453,8 @@ def run_charts(shift_bound: int = 64, prec: int = 80) -> dict:
     ]
     shift_checked = 0
     for f, g in pairs:
-        c1 = find_shift(f, g, shift_bound)
-        c2 = find_shift(f, g, shift_bound, exclude=(c1,))
+        c1 = find_shift(f, g)
+        c2 = find_shift(f, g, exclude=(c1,))
         shift_checked += 1
         if fiber_divisor(f, g, shift=c1) != fiber_divisor(f, g, shift=c2):
             failures.append(f"fiber divisor depends on the shift for ({f}, {g})")
@@ -469,12 +466,12 @@ def run_charts(shift_bound: int = 64, prec: int = 80) -> dict:
         if r.degree() < 1 or any(e > 1 for _, e in squarefree_decomposition(r)):
             continue  # keep only certified-simple instances
         oracle_checked += 1
-        roots = complex_roots(r, eps=1e-10, prec=prec)
-        bad = [z for z in roots if not _numeric_common_root(f, g, z, prec)]
+        roots = complex_roots(r, eps=1e-10)
+        bad = [z for z in roots if not _numeric_common_root(f, g, z)]
         if bad:
             failures.append(f"resultant root of ({f}, {g}) is not a numeric intersection")
         # total over all charts must reach the bidegree bound
-        d = fiber_divisor(f, g, shift_bound)
+        d = fiber_divisor(f, g)
         bezout = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x()
         finite_deg = degree_K(d) - d.coeff(INF_Y)
         if finite_deg != len(roots):
@@ -490,51 +487,47 @@ def run_charts(shift_bound: int = 64, prec: int = 80) -> dict:
 # 9. archimedean calibration of the intersection pairing
 
 
-def run_calibration(prec: int = 80) -> dict:
+def run_calibration() -> dict:
     failures: list[str] = []
     t0 = time.monotonic()
-
-    def yp(*coeffs):
-        return UPoly.make("y", coeffs)
-
     fs = [
-        yp(-1, 1),
-        yp(2),
-        yp(-6, 1, 1),
-        yp(1, 0, 2),
-        yp(0, 1),
-        yp(3, 1),
-        yp(-2, 0, 1),
-        yp(1, 1, 1),
-        yp(4, 1),
-        yp(-1, 0, 0, 1),
+        _ypoly(-1, 1),
+        _ypoly(2),
+        _ypoly(-6, 1, 1),
+        _ypoly(1, 0, 2),
+        _ypoly(0, 1),
+        _ypoly(3, 1),
+        _ypoly(-2, 0, 1),
+        _ypoly(1, 1, 1),
+        _ypoly(4, 1),
+        _ypoly(-1, 0, 0, 1),
     ]
     targets = [
-        arakelov_from_divisor(Divisor.of(_yplace(-3, 1)), prec),
-        arakelov_from_divisor(Divisor.of(INF_Y), prec),
-        arakelov_from_divisor(Divisor.make({_yplace(5, 1): 2, _yplace(1, 0, 1): 1}), prec),
-        arakelov_from_divisor(Divisor.make({_yplace(7, 1): 1, INF_Y: -1}), prec),
-        arakelov_from_divisor(Divisor.of(_yplace(-5, 0, 1)), prec),
+        arakelov_from_divisor(Divisor.of(_yplace(-3, 1))),
+        arakelov_from_divisor(Divisor.of(INF_Y)),
+        arakelov_from_divisor(Divisor.make({_yplace(5, 1): 2, _yplace(1, 0, 1): 1})),
+        arakelov_from_divisor(Divisor.make({_yplace(7, 1): 1, INF_Y: -1})),
+        arakelov_from_divisor(Divisor.of(_yplace(-5, 0, 1))),
     ]
     checked = 0
     for f in fs:
-        pa = principal_arakelov(f, prec=prec)
+        pa = principal_arakelov(f)
         for d in targets:
             if not pa.horizontal.disjoint_from(d.horizontal):
                 continue
             checked += 1
-            v = intersect(pa, d, prec)
+            v = intersect(pa, d)
             if abs(v) > 1e-6:
                 failures.append(f"product formula off by {float(v)} for f = {f}")
-    if abs(fs_kappa_quadrature(prec) - fs_kappa_closed_form()) > 1e-9:
+    if abs(fs_kappa_quadrature() - fs_kappa_closed_form()) > 1e-9:
         failures.append("curvature integral disagrees with quadrature")
     for c in (0, 1, -2, 1.5, 3):
-        if abs(fs_point_integral_quadrature(c, prec) - fs_point_integral(c, prec)) > 1e-9:
+        if abs(fs_point_integral_quadrature(c) - fs_point_integral(c)) > 1e-9:
             failures.append(f"point integral disagrees with quadrature at {c}")
-    if abs(principal_arakelov(yp(0, 1), prec=prec).arch) > 1e-9:
+    if abs(principal_arakelov(_ypoly(0, 1)).arch) > 1e-9:
         failures.append("archimedean coefficient of div(y) is not zero")
-    d = arakelov_from_divisor(Divisor.make({_yplace(-3, 1): 1, _yplace(1, 0, 1): 2}), prec)
-    if abs(deg_Kp(d, prec, c=2) - deg_Kp(d, prec, c=5)) > 1e-9:
+    d = arakelov_from_divisor(Divisor.make({_yplace(-3, 1): 1, _yplace(1, 0, 1): 2}))
+    if abs(deg_Kp(d, c=2) - deg_Kp(d, c=5)) > 1e-9:
         failures.append("deg depends on the auxiliary constant")
     return _result(
         "calibration", checked, failures, seconds=round(time.monotonic() - t0, 3)
@@ -545,20 +538,7 @@ def run_calibration(prec: int = 80) -> dict:
 # 10. residue scalar product: symmetry, vanishing, class invariance
 
 
-def _second_representative(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
-    support = set(A.support()) | set(moved.support())
-    t = fresh
-    while True:
-        l1 = _yplace(-t, 1)
-        l2 = _yplace(-(t + 1), 1)
-        if l1 not in support and l2 not in support:
-            break
-        t += 1
-    extra = DeltaElement.from_fraction(Y - _c(t), Y - _c(t + 1))
-    return moved + principal_divisor(extra)
-
-
-def run_rsp(prec: int = 80, shift_bound: int = 64) -> dict:
+def run_rsp() -> dict:
     import random
 
     rng = random.Random(10)
@@ -574,27 +554,25 @@ def run_rsp(prec: int = 80, shift_bound: int = 64) -> dict:
         if not A.disjoint_from(B) or A.is_zero() or B.is_zero():
             continue
         sym_n += 1
-        v_ab = residue_scalar_product(A, B, prec, shift_bound)
-        v_ba = residue_scalar_product(B, A, prec, shift_bound)
+        v_ab = residue_scalar_product(A, B)
+        v_ba = residue_scalar_product(B, A)
         if abs(v_ab - v_ba) > 1e-6:
             failures.append(f"asymmetric on ({A}; {B})")
         P = principal_divisor(elements[rounds % len(elements)])
         if P.disjoint_from(B):
             van_n += 1
-            v = residue_scalar_product(P, B, prec, shift_bound)
+            v = residue_scalar_product(P, B)
             if abs(v) > 1e-6:
                 failures.append(f"nonzero ({float(v)}) on a principal divisor against {B}")
         try:
-            A1 = principal_move(A, fresh=50 + rounds, shift_bound=shift_bound)
-            A2 = _second_representative(
-                A, principal_move(A, fresh=90 + rounds, shift_bound=shift_bound), 120 + rounds
-            )
+            A1 = principal_move(A, fresh=50 + rounds)
+            A2 = second_move(A, principal_move(A, fresh=90 + rounds), 120 + rounds)
         except MoveFailure:
             continue
         if A1.disjoint_from(B) and A2.disjoint_from(B):
             inv_n += 1
-            w1 = residue_scalar_product(A1, B, prec, shift_bound)
-            w2 = residue_scalar_product(A2, B, prec, shift_bound)
+            w1 = residue_scalar_product(A1, B)
+            w2 = residue_scalar_product(A2, B)
             if abs(w1 - w2) > 1e-6:
                 failures.append(f"not class invariant on ({A}; {B})")
     if min(sym_n, van_n, inv_n) < 20:
@@ -610,12 +588,12 @@ def run_rsp(prec: int = 80, shift_bound: int = 64) -> dict:
 # 11. conjecture explorer: determinism and reporting
 
 
-def run_explorer(trials: int = 100, max_deg: int = 2, seed: int = 7, prec: int = 80) -> dict:
+def run_explorer(trials: int = 100, max_deg: int = 2, seed: int = 7) -> dict:
     failures: list[str] = []
     t0 = time.monotonic()
-    first = explore_self_products(trials=trials, max_deg=max_deg, seed=seed, prec=prec)
+    first = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
     elapsed = time.monotonic() - t0
-    second = explore_self_products(trials=trials, max_deg=max_deg, seed=seed, prec=prec)
+    second = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
     if json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True):
         failures.append("explorer output is not reproducible by seed")
     if elapsed > 300:

@@ -15,7 +15,7 @@ from doublefield.cli import (
     parse_expression,
     parse_prime,
 )
-from doublefield.divisors import BinaryPlace, Divisor, UnaryPlace
+from doublefield.divisors import BinaryPlace, DeltaElement, Divisor, UnaryPlace
 from doublefield.errors import InputError, ParseError, PrecisionFailure
 from doublefield.exact import BPoly, UPoly
 
@@ -72,6 +72,20 @@ class TestSpecParsing:
         e = parse_element("(x^2-y^2)/(x*y)")
         assert e.deg_x_num_den() == (2, 1)
 
+    def test_element_slash_after_digit(self):
+        from fractions import Fraction
+
+        x, y = BPoly.gen("x"), BPoly.gen("y")
+        assert parse_element("x^2/y") == DeltaElement.from_fraction(x**2, y)
+        assert parse_element("x^2/3") == DeltaElement.from_fraction(x**2, BPoly.const(3))
+        assert parse_element("3/x") == DeltaElement.from_fraction(BPoly.const(3), x)
+        assert parse_element("1/2*x") == DeltaElement.from_factors(Fraction(1, 2), [(x, 1)])
+
+    def test_element_single_slash(self):
+        with pytest.raises(ParseError) as exc:
+            parse_element("x/y/x")
+        assert exc.value.offset == 3
+
     def test_divisor_spec(self):
         d = parse_divisor_spec("2*(x - y^2); -1*inf_x")
         assert d.coeff(BinaryPlace.make(BPoly.gen("x") - BPoly.gen("y") ** 2)) == 2
@@ -107,6 +121,20 @@ class TestExitCodes:
     def test_input_error(self, capsys):
         assert main(["divisor", "x y"]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_divisor_slash_after_exponent(self, capsys):
+        assert main(["divisor", "x^2/y"]) == 0
+        assert capsys.readouterr().out.strip() == "2*(x) - 2*inf_x - (y) + inf_y"
+
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divisor", "(x - y)", "--tol", "1e-9"])
+        assert exc.value.code == 2
+
+    def test_negative_spec_with_equals(self, capsys):
+        # a value starting with '-' reaches the option only as --d=VALUE
+        assert main(["arakelov-deg", "--d=-1*(y - 3)"]) == 0
+        assert capsys.readouterr().out.strip() == "2"
 
     def test_shared_support_is_input_error(self, capsys):
         assert main(["pair", "--a", "(x - y)", "--b", "(x - y)"]) == 2

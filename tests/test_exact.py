@@ -2,24 +2,23 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublefield.errors import DegreeBound
+from doublefield.errors import DegreeBound, PrecisionFailure
 from doublefield.exact import (
     BPoly,
     UPoly,
     certify_irreducible_bivariate,
     complex_roots,
-    coprime_basis,
     factor_q,
     gcd_u,
     primitive_int_bpoly,
     primitive_int_upoly,
     resultant_u,
     resultant_x,
-    resultant_y,
     squarefree_decomposition,
 )
 
@@ -64,8 +63,10 @@ class TestUPoly:
     def test_eval_compose(self):
         f = up(1, 2, 1)  # (x+1)^2
         assert f.eval(2) == 9
-        inner = up(0, 0, 1, var="y")  # y^2
-        assert f.compose(inner) == up(1, 0, 2, 0, 1, var="y")
+        # substituting a constant for either variable of (x+1)^2 * y
+        g = BPoly.from_upoly(f) * Y
+        assert g.eval_x(2) == up(0, 9, var="y")
+        assert g.eval_y(2) == up(2, 4, 2)
 
     @settings(max_examples=60)
     @given(upoly_strategy(), upoly_strategy(), upoly_strategy())
@@ -175,9 +176,6 @@ class TestResultant:
         f, h, g = X - Y, X + Y**2, X**2 - Y - BPoly.const(3)
         assert resultant_x(f * h, g) == resultant_x(f, g) * resultant_x(h, g)
 
-    def test_resultant_y_mirror(self):
-        assert resultant_y(Y - X**2, Y - X) == up(0, 1, -1, var="x")
-
     def test_univariate(self):
         assert resultant_u(up(1, 0, 1), up(-2, 1)) == 5
 
@@ -194,36 +192,6 @@ class TestSquarefree:
 
     def test_constant(self):
         assert squarefree_decomposition(up(5)) == []
-
-
-class TestCoprimeBasis:
-    def test_spec_example(self):
-        basis, rows = coprime_basis([up(-1, 0, 1), up(-1, 1)])
-        assert basis == [up(-1, 1), up(1, 1)]
-        assert rows == [[1, 1], [1, 0]]
-
-    def test_irreducible_single(self):
-        basis, rows = coprime_basis([up(1, 0, 1)])
-        assert basis == [up(1, 0, 1)]
-        assert rows == [[1]]
-
-    def test_repeat(self):
-        basis, rows = coprime_basis([up(-3, 1), up(-3, 1)])
-        assert basis == [up(-3, 1)]
-        assert rows == [[1], [1]]
-
-    @settings(max_examples=30)
-    @given(st.lists(upoly_strategy(max_deg=3).filter(lambda p: not p.is_zero()), min_size=1, max_size=4))
-    def test_reconstruction(self, fs):
-        basis, rows = coprime_basis(fs)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                assert gcd_u(basis[i], basis[j]).degree() == 0
-        for f, row in zip(fs, rows):
-            prod = UPoly.const("x", 1)
-            for b, e in zip(basis, row):
-                prod = prod * b**e
-            assert prod.scale(f.lc()) == f
 
 
 class TestFactorQ:
@@ -305,3 +273,23 @@ class TestComplexRoots:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             complex_roots(up(1, 1), eps=0)
+
+    def test_no_convergence_is_precision_failure(self, monkeypatch):
+        calls = []
+
+        def never_converges(*args, **kwargs):
+            calls.append(args)
+            raise mpmath.libmp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", never_converges)
+        with pytest.raises(PrecisionFailure):
+            complex_roots(up(1, 0, 1))
+        assert len(calls) == 5  # every step of the precision schedule
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(mpmath, "polyroots", broken)
+        with pytest.raises(RuntimeError):
+            complex_roots(up(1, 0, 1))

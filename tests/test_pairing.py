@@ -1,4 +1,4 @@
-"""Unit tests for the norm pairing, dx divisors and self-pairing."""
+"""Unit tests for charts, the norm pairing, images of dx and self-pairing."""
 
 import pytest
 
@@ -21,8 +21,6 @@ from doublefield.exact import BPoly, UPoly
 from doublefield.pairing import (
     SIDE_K,
     SIDE_KPRIME,
-    dx_divisor,
-    image_dx,
     pair,
     self_pair_degree_one,
 )
@@ -123,16 +121,15 @@ class TestPair:
 
 
 class TestDx:
-    def test_dx(self):
-        assert dx_divisor() == Divisor.of(INF_X, -2)
+    # the image of dx = -2*inf_x under x -> mu is -2 times the pole divisor of mu
 
     def test_image_square(self):
         mu = RationalIsom.make(UPoly.make("y", [0, 0, 1]), UPoly.make("y", [1]))
-        assert image_dx(mu) == Divisor.of(INF_Y, -4)
+        assert mu.pole_divisor().scale(-2) == Divisor.of(INF_Y, -4)
 
     def test_image_reciprocal(self):
         mu = RationalIsom.make(UPoly.make("y", [1]), UPoly.make("y", [0, 1]))
-        assert image_dx(mu) == Divisor.of(yplace(0, 1), -2)
+        assert mu.pole_divisor().scale(-2) == Divisor.of(yplace(0, 1), -2)
 
 
 class TestSelfPair:
@@ -146,5 +143,5 @@ class TestSelfPair:
         for f in (X - Y, X - Y**2, Y * X - BPoly.const(1), 2 * X - Y - BPoly.const(3)):
             m = b(f)
             sp = self_pair_degree_one(m)
-            corr = image_dx(residue_iso(m))
+            corr = residue_iso(m).pole_divisor().scale(-2)
             assert degree_K(sp.value + corr) == 0
