@@ -10,6 +10,8 @@ place of Q(y).
 
 from __future__ import annotations
 
+from math import comb
+
 from .divisors import BinaryPlace, Divisor, UnaryPlace, divisor_of_upoly, transpose_place
 from .errors import NotCoprime, ShiftExhausted
 from .exact import BPoly, UPoly, gcd_b, gcd_u, resultant_x
@@ -19,18 +21,20 @@ DEFAULT_SHIFT_BOUND = 64
 
 def shift_chart_x(f: BPoly, c: int) -> BPoly:
     """t^(deg_x f) * f(c + 1/t, y), a polynomial in (t, y) with t stored
-    in the x slot."""
+    in the x slot.
+
+    Expanded term by term, with m = deg_x f: a*x^i*y^j becomes
+    sum over l of C(i, l) * c^l * a * t^(l + m - i) * y^j.
+    """
     m = f.deg_x()
     if m < 0:
         raise ValueError("zero polynomial")
-    t = BPoly.gen("x")
-    lin = c * t + BPoly.const(1)  # (c + 1/t) * t
-    out = BPoly.zero()
-    for i, a in enumerate(f.x_coeffs()):
-        if a.is_zero():
-            continue
-        out = out + BPoly.from_upoly(a) * lin**i * t ** (m - i)
-    return out
+    d = {}
+    for (i, j), a in f.terms:
+        for l in range(i + 1):
+            k = (l + m - i, j)
+            d[k] = d.get(k, 0) + comb(i, l) * c**l * a
+    return BPoly.make(d)
 
 
 def reverse_y(f: BPoly) -> BPoly:

@@ -2,9 +2,10 @@
 
 Scalars are ``fractions.Fraction``; univariate polynomials are dense
 coefficient tuples tagged with their variable, bivariate polynomials are
-sparse exponent maps.  Heavy algebra (factorization over Q, resultants,
-square-free decomposition) is delegated to sympy behind the interfaces
-defined here; everything stays exact.
+sparse exponent maps.  Heavy algebra (factorization over Q, gcds,
+resultants, square-free decomposition) goes to sympy's dense ``dup`` /
+``dmp`` layer through the one bridge below, which converts to and from
+dense lists over ZZ or QQ; everything stays exact.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import mpmath
-import sympy
 from mpmath.libmp import NoConvergence
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dmp_gcd, dmp_resultant, dup_resultant
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import DegreeBound, PrecisionFailure
-
-_SYM = {"x": sympy.Symbol("x"), "y": sympy.Symbol("y")}
 
 DEFAULT_FACTOR_DEGREE_BOUND = 24
 
@@ -33,8 +35,6 @@ def _frac(v) -> Fraction:
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, sympy.Rational):
-        return Fraction(int(v.p), int(v.q))
     raise TypeError(f"not an exact rational: {v!r}")
 
 
@@ -310,32 +310,66 @@ def _power(base, n: int, one):
 
 
 # ---------------------------------------------------------------------------
-# sympy bridges
+# the bridge to sympy's dense polynomial layer
+#
+# A UPoly becomes a ``dup`` list and a BPoly a level-1 ``dmp`` list with x
+# as the main variable: one ``dup`` in y per power of x.  Both list the
+# highest degree first.  Coefficients live in ZZ when all of them are
+# integral (places are primitive integer forms) and in QQ otherwise; they
+# are read back through int() of numerator and denominator, which holds
+# under every sympy ground type.
 
 
-def _u2sym(p: UPoly):
-    s = _SYM[p.var]
-    return sum(sympy.Rational(c.numerator, c.denominator) * s**i for i, c in enumerate(p.coeffs))
+def _domain(*coeff_seqs: Iterable[Fraction]):
+    if all(c.denominator == 1 for cs in coeff_seqs for c in cs):
+        return ZZ
+    return QQ
 
 
-def _sym2u(expr, var: str) -> UPoly:
-    p = sympy.Poly(expr, _SYM[var], domain="QQ")
-    coeffs = list(reversed(p.all_coeffs()))
-    return UPoly.make(var, coeffs)
+def _u_domain(*ps: UPoly):
+    return _domain(*(p.coeffs for p in ps))
 
 
-def _b2sym(p: BPoly):
-    x, y = _SYM["x"], _SYM["y"]
-    return sum(
-        sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.terms
-    )
+def _b_domain(*ps: BPoly):
+    return _domain(*((v for _, v in p.terms) for p in ps))
 
 
-def _sym2b(expr) -> BPoly:
-    p = sympy.Poly(expr, _SYM["x"], _SYM["y"], domain="QQ")
+def _to_K(c: Fraction, K):
+    return K(c.numerator) if K.is_ZZ else K(c.numerator, c.denominator)
+
+
+def _from_K(c, K) -> Fraction:
+    if K.is_ZZ:
+        return Fraction(int(c))
+    return Fraction(int(K.numer(c)), int(K.denom(c)))
+
+
+def _to_dup(p: UPoly, K) -> list:
+    return [_to_K(c, K) for c in reversed(p.coeffs)]
+
+
+def _from_dup(f: list, var: str, K) -> UPoly:
+    return UPoly.make(var, [_from_K(c, K) for c in reversed(f)])
+
+
+def _to_dmp(p: BPoly, K) -> list:
+    rows = [{} for _ in range(p.deg_x() + 1)]
+    for (i, j), v in p.terms:
+        rows[i][j] = v
+    out = []
+    for row in reversed(rows):
+        n = max(row, default=-1)
+        out.append([_to_K(row.get(j, Fraction(0)), K) for j in range(n, -1, -1)])
+    return out or [[]]
+
+
+def _from_dmp(f: list, K) -> BPoly:
     d = {}
-    for (i, j), c in p.terms():
-        d[(int(i), int(j))] = _frac(sympy.Rational(c))
+    for r, row in enumerate(f):
+        i = len(f) - 1 - r
+        for k, c in enumerate(row):
+            if c:
+                d[(i, len(row) - 1 - k)] = _from_K(c, K)
     return BPoly.make(d)
 
 
@@ -392,27 +426,33 @@ def gcd_b(f: BPoly, g: BPoly) -> BPoly:
         return g
     if g.is_zero():
         return f
-    d = sympy.gcd(_b2sym(f), _b2sym(g))
-    return primitive_int_bpoly(_sym2b(d))[1]
+    K = _b_domain(f, g)
+    d = dmp_gcd(_to_dmp(f, K), _to_dmp(g, K), 1, K)
+    return primitive_int_bpoly(_from_dmp(d, K))[1]
 
 
 def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
     """Complete factorization of a bivariate polynomial over Q.
 
     Returns (unit, [(primitive integer irreducible factor, multiplicity)])
-    with unit * prod(factor**mult) == f exactly.
+    with unit * prod(factor**mult) == f exactly.  Raises DegreeBound when
+    the degree in x or in y exceeds DEFAULT_FACTOR_DEGREE_BOUND.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
+    bound = DEFAULT_FACTOR_DEGREE_BOUND
+    if f.deg_x() > bound or f.deg_y() > bound:
+        raise DegreeBound(f"bidegree ({f.deg_x()}, {f.deg_y()}) exceeds bound {bound}")
     if f.deg_x() <= 0 and f.deg_y() <= 0:
-        return f.terms[0][1] if f.terms else Fraction(0), []
-    unit_s, fac = sympy.factor_list(_b2sym(f), _SYM["x"], _SYM["y"])
-    unit = _frac(sympy.Rational(unit_s))
+        return f.terms[0][1], []
+    K = _b_domain(f)
+    content, fac = dmp_factor_list(_to_dmp(f, K), 1, K)
+    unit = _from_K(content, K)
     out = []
     for p, m in fac:
-        u, q = primitive_int_bpoly(_sym2b(p))
-        unit *= u ** int(m)
-        out.append((q, int(m)))
+        u, q = primitive_int_bpoly(_from_dmp(p, K))
+        unit *= u**m
+        out.append((q, m))
     out.sort(key=lambda t: t[0].terms)
     return unit, out
 
@@ -427,8 +467,8 @@ def resultant_u(f: UPoly, g: UPoly) -> Fraction:
         return f.lc() ** g.degree()
     if g.degree() == 0:
         return g.lc() ** f.degree()
-    r = sympy.resultant(_u2sym(f), _u2sym(g), _SYM[f.var])
-    return _frac(sympy.Rational(r))
+    K = _u_domain(f, g)
+    return _from_K(dup_resultant(_to_dup(f, K), _to_dup(g, K), K), K)
 
 
 def resultant_x(f: BPoly, g: BPoly) -> UPoly:
@@ -443,8 +483,8 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
         return g.as_upoly().with_var("y") ** f.deg_x()
     # Convention: product of f over the x-roots of g (times lc powers), i.e.
     # Res(g, f) in sympy's ordering, so that Res_x(x - y^2, x - y) = y - y^2.
-    r = sympy.resultant(_b2sym(g), _b2sym(f), _SYM["x"])
-    return _sym2u(r, "y")
+    K = _b_domain(f, g)
+    return _from_dup(dmp_resultant(_to_dmp(g, K), _to_dmp(f, K), 1, K), "y", K)
 
 
 def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
@@ -454,8 +494,9 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
         raise ValueError("zero polynomial")
     if f.degree() == 0:
         return []
-    _, fac = sympy.sqf_list(_u2sym(f))
-    return [(_sym2u(p, f.var).monic(), int(m)) for p, m in fac]
+    K = _u_domain(f)
+    _, fac = dup_sqf_list(_to_dup(f, K), K)
+    return [(_from_dup(p, f.var, K).monic(), m) for p, m in fac]
 
 
 def factor_q(
@@ -472,15 +513,12 @@ def factor_q(
         raise DegreeBound(f"degree {f.degree()} exceeds bound {degree_bound}")
     if f.degree() == 0:
         return f.lc(), []
-    unit_s, fac = sympy.factor_list(_u2sym(f))
-    unit = _frac(sympy.Rational(unit_s))
-    out = []
-    for p, m in fac:
-        q = _sym2u(p, f.var)
-        unit *= q.lc() ** int(m)
-        out.append((q.monic(), int(m)))
+    K = _u_domain(f)
+    _, fac = dup_factor_list(_to_dup(f, K), K)
+    # the factors are monic, so the unit is the leading coefficient
+    out = [(_from_dup(p, f.var, K).monic(), m) for p, m in fac]
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-    return unit, out
+    return f.lc(), out
 
 
 # ---------------------------------------------------------------------------

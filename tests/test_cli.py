@@ -1,6 +1,7 @@
 """Tests for the command-line interface: grammar, exit codes, reports."""
 
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -125,6 +126,12 @@ class TestExitCodes:
     def test_divisor_slash_after_exponent(self, capsys):
         assert main(["divisor", "x^2/y"]) == 0
         assert capsys.readouterr().out.strip() == "2*(x) - 2*inf_x - (y) + inf_y"
+
+    def test_degree_bound_exits_2_quickly(self, capsys):
+        start = time.process_time()
+        assert main(["divisor", "(x^40 - y^40)"]) == 2
+        assert time.process_time() - start < 1.0
+        assert "exceeds bound 24" in capsys.readouterr().err
 
     def test_tol_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,16 +4,27 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, ZZ
 
 from doublefield.errors import DegreeBound, PrecisionFailure
 from doublefield.exact import (
+    DEFAULT_FACTOR_DEGREE_BOUND,
     BPoly,
     UPoly,
+    _b_domain,
+    _from_dmp,
+    _from_dup,
+    _to_dmp,
+    _to_dup,
+    _u_domain,
     certify_irreducible_bivariate,
     complex_roots,
+    factor_b,
     factor_q,
+    gcd_b,
     gcd_u,
     primitive_int_bpoly,
     primitive_int_upoly,
@@ -38,10 +49,51 @@ def bp(expr_terms):
 small_fracs = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
 
-def upoly_strategy(var="x", max_deg=5):
-    return st.lists(small_fracs, min_size=0, max_size=max_deg + 1).map(
+def upoly_strategy(var="x", max_deg=5, coeffs=small_fracs):
+    return st.lists(coeffs, min_size=0, max_size=max_deg + 1).map(
         lambda cs: UPoly.make(var, cs)
     )
+
+
+# integral coefficients take the bridge's ZZ path, the others its QQ path
+small_ints = st.integers(-9, 9).map(Fraction)
+any_coeffs = st.one_of(small_ints, small_fracs)
+
+
+def bpoly_strategy(max_deg=3, coeffs=small_fracs, max_terms=6):
+    return st.dictionaries(
+        st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)), coeffs, max_size=max_terms
+    ).map(BPoly.make)
+
+
+def mixed_upolys(max_deg=5):
+    return st.one_of(upoly_strategy(max_deg=max_deg, coeffs=small_ints), upoly_strategy(max_deg=max_deg))
+
+
+def mixed_bpolys(max_deg=3, max_terms=6):
+    return st.one_of(
+        bpoly_strategy(max_deg, small_ints, max_terms), bpoly_strategy(max_deg, small_fracs, max_terms)
+    )
+
+
+SX, SY = sympy.symbols("x y")
+
+
+def sym_u(p):
+    """Expression form of a UPoly (test-only oracle input)."""
+    s = SX if p.var == "x" else SY
+    return sum((sympy.Rational(c.numerator, c.denominator) * s**i for i, c in enumerate(p.coeffs)), sympy.S.Zero)
+
+
+def sym_b(p):
+    return sum(
+        (sympy.Rational(v.numerator, v.denominator) * SX**i * SY**j for (i, j), v in p.terms), sympy.S.Zero
+    )
+
+
+def upoly_of_expr(expr, var):
+    cs = sympy.Poly(expr, SX if var == "x" else SY, domain="QQ").all_coeffs()
+    return UPoly.make(var, [Fraction(int(c.p), int(c.q)) for c in reversed(cs)])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +205,112 @@ class TestGcd:
             return
         assert (f % d).is_zero()
         assert (g % d).is_zero()
+
+
+class TestBridge:
+    def test_domain_choice(self):
+        assert _u_domain(up(1, -2, 3)) == ZZ
+        assert _u_domain(up(1, -2), up(Fraction(1, 2))) == QQ
+        assert _b_domain(X - 2 * Y) == ZZ
+        assert _b_domain(X - Fraction(2, 3) * Y) == QQ
+
+    def test_dense_layout(self):
+        # x is the main variable; rows and coefficients run from the top degree
+        assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1), ZZ) == [[1, 0], [], [-3, 1]]
+        assert _to_dmp(BPoly.zero(), ZZ) == [[]]
+        assert _to_dup(up(1, 0, 2), ZZ) == [2, 0, 1]
+
+    @settings(max_examples=80)
+    @given(mixed_upolys(), st.sampled_from(("x", "y")))
+    def test_upoly_round_trip(self, f, var):
+        f = f.with_var(var)
+        for K in {_u_domain(f), QQ}:
+            assert _from_dup(_to_dup(f, K), var, K) == f
+
+    @settings(max_examples=80)
+    @given(mixed_bpolys())
+    def test_bpoly_round_trip(self, f):
+        for K in {_b_domain(f), QQ}:
+            assert _from_dmp(_to_dmp(f, K), K) == f
+
+
+class TestBridgedAlgebra:
+    """Each bridged call against an exact identity or sympy's expression
+    layer as an oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_upolys(), mixed_upolys())
+    def test_resultant_u_matches_sympy(self, f, g):
+        if f.degree() < 1 or g.degree() < 1:
+            return
+        r = sympy.resultant(sym_u(f), sym_u(g), SX)
+        assert resultant_u(f, g) == Fraction(int(r.p), int(r.q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_bpolys(), mixed_bpolys())
+    def test_resultant_x_matches_sympy(self, f, g):
+        if f.deg_x() < 1 or g.deg_x() < 1:
+            return
+        # the documented order: Res(g, f) in sympy's argument convention
+        r = sympy.resultant(sym_b(g), sym_b(f), SX)
+        assert resultant_x(f, g) == upoly_of_expr(r, "y")
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_upolys(max_deg=3), mixed_upolys(max_deg=3))
+    def test_factor_q_reconstructs(self, a, b):
+        f = a * b * a
+        if f.is_zero():
+            return
+        unit, fac = factor_q(f)
+        prod = UPoly.const("x", unit)
+        for p, m in fac:
+            assert p.lc() == 1
+            prod = prod * p**m
+        assert prod == f
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_bpolys(2, 4), mixed_bpolys(2, 4))
+    def test_factor_b_reconstructs(self, a, b):
+        f = a * b * a
+        if f.is_zero():
+            return
+        unit, fac = factor_b(f)
+        prod = BPoly.const(unit)
+        for p, m in fac:
+            assert primitive_int_bpoly(p) == (1, p)
+            prod = prod * p**m
+        assert prod == f
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_bpolys(2, 4), mixed_bpolys(2, 4), mixed_bpolys(2, 4))
+    def test_gcd_b_divides_both(self, a, b, h):
+        f, g = a * h, b * h
+        if f.is_zero() or g.is_zero():
+            return
+        d = gcd_b(f, g)
+        for p in (f, g):
+            assert sympy.rem(sym_b(p), sym_b(d), SX, SY, domain=QQ) == 0
+        # the common factor h divides the gcd too
+        if h.deg_x() > 0 or h.deg_y() > 0:
+            assert sympy.rem(sym_b(d), sym_b(h), SX, SY, domain=QQ) == 0
+
+
+class TestFactorB:
+    def test_bound_applies_to_either_variable(self):
+        with pytest.raises(DegreeBound):
+            factor_b(X**40 - Y**40)
+        with pytest.raises(DegreeBound):
+            factor_b(X - Y ** (DEFAULT_FACTOR_DEGREE_BOUND + 1))
+
+    def test_at_the_bound_still_factors(self):
+        f = (X**DEFAULT_FACTOR_DEGREE_BOUND - Y) * BPoly.const(3)
+        unit, fac = factor_b(f)
+        assert (unit, fac) == (Fraction(3), [(X**DEFAULT_FACTOR_DEGREE_BOUND - Y, 1)])
+
+    def test_difference_of_squares(self):
+        unit, fac = factor_b(Y**2 - X**2)
+        assert unit == -1
+        assert fac == [(X - Y, 1), (X + Y, 1)]
 
 
 class TestResultant:

@@ -1,11 +1,14 @@
 """Unit tests for charts, the norm pairing, images of dx and self-pairing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublefield.charts import (
     fiber_divisor,
     find_shift,
     infx_fiber_divisor,
+    shift_chart_x,
     shift_is_valid,
 )
 from doublefield.divisors import (
@@ -67,6 +70,30 @@ class TestCharts:
     def test_common_component(self):
         with pytest.raises(NotCoprime):
             fiber_divisor((X - Y) * (X + Y), X - Y)
+
+    def test_shift_chart_worked(self):
+        # t * ((2 + 1/t) - y) = (2 - y)*t + 1
+        assert shift_chart_x(X - Y, 2) == 2 * X - X * Y + BPoly.const(1)
+        assert shift_chart_x(X**2 * Y, 0) == Y
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 3)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=5),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(-6, 6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda t: t != 0),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    )
+    def test_shift_chart_is_the_substitution(self, terms, c, t, y):
+        f = BPoly.make(terms)
+        if f.is_zero():
+            return
+        m = f.deg_x()
+        assert shift_chart_x(f, c).eval_xy(t, y) == t**m * f.eval_xy(c + 1 / t, y)
 
     def test_infx(self):
         assert infx_fiber_divisor(X - Y) == Divisor.of(INF_Y)
