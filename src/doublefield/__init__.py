@@ -66,6 +66,7 @@ from .errors import (
 from .exact import (
     BPoly,
     UPoly,
+    clear_caches,
     complex_roots,
     factor_b,
     factor_q,

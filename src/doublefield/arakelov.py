@@ -39,6 +39,7 @@ from .exact import (
     UPoly,
     complex_roots,
     factor_b,
+    memo,
     primitive_int_upoly,
     resultant_u,
 )
@@ -89,6 +90,7 @@ def g_fs(z, w, prec: int = DEFAULT_PREC):
         )
 
 
+@memo
 def _height(q: UPoly, prec: int):
     """log|lc| + sum over roots of half log(1+|root|^2), for a primitive
     integer polynomial: the archimedean content of its zero cycle."""
@@ -99,6 +101,7 @@ def _height(q: UPoly, prec: int):
         return total
 
 
+@memo
 def arch_lambda(q: UnaryPlace, prec: int = DEFAULT_PREC):
     """Archimedean fiber coefficient attached to a place of Q(y): minus
     the Fubini-Study average of the log-norm of its defining section."""
@@ -108,7 +111,7 @@ def arch_lambda(q: UnaryPlace, prec: int = DEFAULT_PREC):
         return -_height(q.poly, prec) + mpmath.mpf(q.poly.degree()) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArakelovDivisorKp:
     """Horizontal divisor of Q(y) plus real vertical coefficients at
     finitely many rational primes and one archimedean coefficient."""
@@ -234,6 +237,7 @@ def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PR
         return total
 
 
+@memo
 def _hh(q1: UnaryPlace, q2: UnaryPlace, prec: int):
     """Intersection of two distinct horizontal prime divisors: finite
     part log|Res|, archimedean part the Green's function summed over
@@ -260,6 +264,13 @@ def _hh(q1: UnaryPlace, q2: UnaryPlace, prec: int):
 def canonical_representative(c: int, prec: int = DEFAULT_PREC) -> ArakelovDivisorKp:
     """A representative of the canonical Arakelov class (the class of
     -2 times infinity) with horizontal part -2(y - c)."""
+    return _canonical_representative(c, prec, mpmath.mp.prec)
+
+
+@memo
+def _canonical_representative(c: int, prec: int, ambient_prec: int) -> ArakelovDivisorKp:
+    # ambient_prec only keys the memo: ArakelovDivisorKp.make and the
+    # subtraction round at mpmath.mp.prec, which equals it here
     base = arakelov_from_divisor(Divisor.of(UnaryPlace.infinity("y"), -2), prec)
     move = principal_arakelov(UPoly.make("y", [-c, 1]), prec=prec)
     return base - move.scale(2)

@@ -21,12 +21,13 @@ from .exact import (
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
+    memo,
     primitive_int_bpoly,
     primitive_int_upoly,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryPlace:
     """A place of Q(x) (var='x') or Q(y) (var='y').
 
@@ -38,14 +39,19 @@ class UnaryPlace:
     poly: Optional[UPoly]
 
     @staticmethod
+    @memo
     def finite(p: UPoly) -> "UnaryPlace":
+        """The finite place of the irreducible ``p``; equal inputs share
+        one place object while it stays in the memo."""
         if p.degree() < 1:
             raise ValueError("finite place needs positive degree")
         _, q = primitive_int_upoly(p)
         return UnaryPlace(p.var, q)
 
     @staticmethod
+    @memo
     def infinity(var: str) -> "UnaryPlace":
+        """The place at infinity of Q(var), one shared object per variable."""
         return UnaryPlace(var, None)
 
     def is_infinity(self) -> bool:
@@ -60,7 +66,7 @@ class UnaryPlace:
         return f"({self.poly})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryPlace:
     """A binary prime of Q(x,y): a primitive integer irreducible
     polynomial of positive degree in both variables.
@@ -130,7 +136,7 @@ def degree_over_K(m: Place) -> int:
     return m.degree() if m.var == "y" else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Finite formal integer sum of places, canonically ordered;
     zero coefficients are never stored."""
@@ -239,7 +245,7 @@ def degree_K(D: Divisor) -> int:
 # field elements of Q(x,y) in factored form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaElement:
     """A nonzero element of Q(x,y) in refined factored form.
 

@@ -6,10 +6,30 @@ sparse exponent maps.  Heavy algebra (factorization over Q, gcds,
 resultants, square-free decomposition) goes to sympy's dense ``dup`` /
 ``dmp`` layer through the one bridge below, which converts to and from
 dense lists over ZZ or QQ; everything stays exact.
+
+Caching.  There is one memo policy for the whole package: ``memo`` wraps
+a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
+the full value of its arguments (polynomials and places are frozen and
+compare by value), and registers the cache so that ``clear_caches()``
+empties every one of them.  Here ``factor_q`` (key: polynomial and degree
+bound), ``factor_b`` and ``complex_roots`` (key: polynomial, eps and
+prec) are memoized; ``arakelov`` memoizes its per-place heights,
+``arch_lambda``, the pairwise term ``_hh`` (arguments in order) and
+``canonical_representative`` (key: c, prec and the ambient mpmath
+precision it rounds at), and ``divisors`` hands out one shared place
+object per input through ``UnaryPlace.finite`` and
+``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
+out as a fresh list, so no caller can alter a cached value.  No cache
+sits on a checked entry point: ``pair``, the residue routes,
+``correspondence`` and ``intersect`` recompute on every call, so the
+symmetry and route agreement checks still compare independent
+computations.  Nothing configures the caches; the bound of 128 entries
+each keeps the memory they hold small.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,6 +49,59 @@ DEFAULT_FACTOR_DEGREE_BOUND = 24
 # default working precision, in bits, of the numeric (mpmath) layer
 DEFAULT_PREC = 80
 
+# entries kept by each memoized function (see the module docstring)
+MEMO_SIZE = 128
+
+_MEMOS: list = []
+
+
+class _Listed(tuple):
+    """A list result, kept in a memo as a tuple."""
+
+    __slots__ = ()
+
+
+def _freeze(v):
+    if isinstance(v, list):
+        return _Listed(v)
+    if type(v) is tuple and v and isinstance(v[-1], list):
+        return v[:-1] + (_Listed(v[-1]),)
+    return v
+
+
+def _thaw(v):
+    if type(v) is _Listed:
+        return list(v)
+    if type(v) is tuple and v and type(v[-1]) is _Listed:
+        return v[:-1] + (list(v[-1]),)
+    return v
+
+
+def memo(fn):
+    """Memoize ``fn`` under the package's one caching policy: an LRU cache
+    of MEMO_SIZE entries keyed on the arguments as passed, emptied by
+    ``clear_caches()``.  A returned list, alone or as the last member of
+    a returned tuple, is cached as a tuple and handed out as a new list.
+    ``__wrapped__`` is the uncached function."""
+
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    def cached(*args, **kwargs):
+        return _freeze(fn(*args, **kwargs))
+
+    _MEMOS.append(cached)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        return _thaw(cached(*args, **kwargs))
+
+    return call
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package."""
+    for cached in _MEMOS:
+        cached.cache_clear()
+
 
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -38,7 +111,7 @@ def _frac(v) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UPoly:
     """Dense univariate polynomial over Q in the variable ``var``.
 
@@ -172,7 +245,7 @@ class UPoly:
         return render_upoly(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BPoly:
     """Sparse bivariate polynomial over Q in x and y.
 
@@ -431,6 +504,7 @@ def gcd_b(f: BPoly, g: BPoly) -> BPoly:
     return primitive_int_bpoly(_from_dmp(d, K))[1]
 
 
+@memo
 def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
     """Complete factorization of a bivariate polynomial over Q.
 
@@ -499,6 +573,7 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
     return [(_from_dup(p, f.var, K).monic(), m) for p, m in fac]
 
 
+@memo
 def factor_q(
     f: UPoly, degree_bound: int = DEFAULT_FACTOR_DEGREE_BOUND
 ) -> tuple[Fraction, list[tuple[UPoly, int]]]:
@@ -574,6 +649,7 @@ def certify_irreducible_bivariate(f: BPoly) -> str:
 # certified complex roots
 
 
+@memo
 def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.mpc]:
     """All deg(f) complex roots with multiplicity.
 

@@ -92,7 +92,7 @@ def _curve_of(m: Place) -> BPoly | None:
     raise AssertionError("y-unary places are handled before curve extraction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfPairing:
     """Self-pairing of a degree-one binary prime up to principal
     divisors: the pairing of the moved divisor against the prime, plus

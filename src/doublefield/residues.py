@@ -27,7 +27,7 @@ from .errors import EqualIsoms, NonGeneric, NotCoprime, NotDegreeOne
 from .exact import BPoly, UPoly, gcd_u, resultant_x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalIsom:
     """An embedding of Q(x) into Q(y): x -> num(y)/den(y) in lowest
     terms with monic denominator."""

@@ -43,6 +43,7 @@ from .exact import (
     DEFAULT_PREC,
     BPoly,
     UPoly,
+    clear_caches,
     complex_roots,
     resultant_x,
     squarefree_decomposition,
@@ -589,10 +590,14 @@ def run_rsp() -> dict:
 
 
 def run_explorer(trials: int = 100, max_deg: int = 2, seed: int = 7) -> dict:
+    # each run starts from empty memos, so the second one recomputes
+    # everything instead of reading back the first one's values
     failures: list[str] = []
+    clear_caches()
     t0 = time.monotonic()
     first = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
     elapsed = time.monotonic() - t0
+    clear_caches()
     second = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
     if json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True):
         failures.append("explorer output is not reproducible by seed")

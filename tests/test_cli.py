@@ -194,6 +194,15 @@ class TestReports:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_explore_warm_rerun_equals_cold(self, capsys):
+        # the autouse fixture empties the memos, so the first run is cold
+        argv = ["explore", "--trials", "30", "--max-deg", "2", "--seed", "7", "--json"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0  # served from the memos the first run filled
+        warm = capsys.readouterr().out
+        assert warm == cold
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(["divisor", "(x - y)", "--json", "--out", str(target)])
