@@ -18,6 +18,13 @@ so ``1/2*x`` is (1/2)*x while ``3/x`` and ``x^2/3`` divide two
 expressions.  Unary minus covers the whole following factor (``-x^2``
 means ``-(x^2)``), so canonical renderings re-parse to equal values.
 
+Products, powers, unary minus and the quotient are kept factor by
+factor; only a sum is multiplied out, into one factor.  So ``divisor``
+factors each written factor on its own and never their product, and a
+prime written as a product of curves or a power of one is refused.  The
+degree bound of ``exact.factor_b`` (exit 2) applies to each written
+factor and, before any multiplication, to each term of a sum.
+
 Divisor specs are semicolon-separated ``coeff * prime`` terms, where a
 prime is an expression or one of the literals ``inf_x`` / ``inf_y``,
 e.g. ``"2*(x - y^2); -1*inf_x"``.  A missing ``coeff *`` prefix means
@@ -27,6 +34,7 @@ coefficient 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -48,6 +56,7 @@ from .divisors import (
     principal_divisor,
 )
 from .errors import (
+    DegreeBound,
     DoubleFieldError,
     InputError,
     MoveFailure,
@@ -58,7 +67,13 @@ from .errors import (
     UncertifiedFactor,
 )
 from .charts import DEFAULT_SHIFT_BOUND
-from .exact import DEFAULT_PREC, BPoly, factor_q, primitive_int_upoly
+from .exact import (
+    DEFAULT_FACTOR_DEGREE_BOUND,
+    DEFAULT_PREC,
+    BPoly,
+    factor_q,
+    primitive_int_upoly,
+)
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
 from .suites import SUITES, run_suite
@@ -105,7 +120,34 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# A factored form (constant, [(polynomial, exponent), ...]) stands for
+# constant * prod(polynomial**exponent).  Every polynomial in it is
+# non-constant and every exponent nonzero; zero is the constant 0.
+_Factored = tuple[Fraction, list[tuple[BPoly, int]]]
+
+
+def _multiply_out(form: _Factored) -> BPoly:
+    """The polynomial a factored form stands for.  Its bidegree is read
+    off the factors first, and DegreeBound is raised before any
+    multiplication when it exceeds the factoring bound."""
+    c, factors = form
+    bound = DEFAULT_FACTOR_DEGREE_BOUND
+    dx = sum(e * f.deg_x() for f, e in factors)
+    dy = sum(e * f.deg_y() for f, e in factors)
+    if dx > bound or dy > bound:
+        raise DegreeBound(f"bidegree ({dx}, {dy}) exceeds bound {bound}")
+    value = None
+    for f, e in factors:
+        power = f if e == 1 else f**e
+        value = power if value is None else value * power
+    return BPoly.const(c) if value is None else value.scale(c)
+
+
 class _Parser:
+    """Recursive descent over the module grammar.  Every rule returns a
+    factored form: products, powers and unary minus combine factor lists
+    and exponents, and only a sum multiplies its terms out."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -132,31 +174,39 @@ class _Parser:
             expected=expected,
         )
 
-    def expr(self) -> BPoly:
-        value = self.term()
+    def expr(self) -> _Factored:
+        form = self.term()
+        if self.peek()[0] not in ("+", "-"):
+            return form
+        value = _multiply_out(form)
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.term()
+            rhs = _multiply_out(self.term())
             value = value + rhs if op == "+" else value - rhs
-        return value
+        if value.deg_x() <= 0 and value.deg_y() <= 0:
+            return (value.terms[0][1] if value.terms else Fraction(0)), []
+        return Fraction(1), [(value, 1)]
 
-    def term(self) -> BPoly:
-        value = self.factor()
+    def term(self) -> _Factored:
+        c, factors = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = value * self.factor()
-        return value
+            c2, factors2 = self.factor()
+            c, factors = c * c2, factors + factors2
+        return c, factors
 
-    def factor(self) -> BPoly:
-        value = self.base()
+    def factor(self) -> _Factored:
+        c, factors = self.base()
         if self.peek()[0] == "^":
             self.advance()
             if self.peek()[0] != "int":
                 self.fail(("uint",))
-            value = value ** int(self.advance()[1])
-        return value
+            n = int(self.advance()[1])
+            # x^0 is 1, so a zero exponent drops the factors
+            return c**n, [(f, e * n) for f, e in factors] if n else []
+        return c, factors
 
-    def base(self) -> BPoly:
+    def base(self) -> _Factored:
         kind, text, _ = self.peek()
         if kind == "int":
             self.advance()
@@ -166,65 +216,74 @@ class _Parser:
                 den = int(self.advance()[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational", self.peek()[2], ("uint",))
-                return BPoly.const(Fraction(num, den))
-            return BPoly.const(num)
+                return Fraction(num, den), []
+            return Fraction(num), []
         if kind == "var":
             self.advance()
-            return BPoly.gen(text)
+            return Fraction(1), [(BPoly.gen(text), 1)]
         if kind == "(":
             self.advance()
-            value = self.expr()
+            form = self.expr()
             if self.peek()[0] != ")":
                 self.fail((")",))
             self.advance()
-            return value
+            return form
         if kind == "-":
             self.advance()
             # unary minus covers the whole factor so that the canonical
             # rendering "-x^2" re-parses to the value it was printed from
-            return -self.factor()
+            c, factors = self.factor()
+            return -c, factors
         self.fail(("int", "x", "y", "(", "-"))
 
 
-def parse_expression(text: str) -> BPoly:
-    """Parse a polynomial in x and y per the module grammar."""
+def _parse_factored(text: str) -> _Factored:
     p = _Parser(text)
-    value = p.expr()
+    form = p.expr()
     p.finish()
-    return value
+    return form
+
+
+def parse_expression(text: str) -> BPoly:
+    """Parse a polynomial in x and y per the module grammar and multiply
+    it out; DegreeBound if its bidegree exceeds the factoring bound."""
+    return _multiply_out(_parse_factored(text))
 
 
 def parse_element(text: str) -> DeltaElement:
-    """Parse ``expr ('/' expr)?`` into an element of Q(x,y)."""
+    """Parse ``expr ('/' expr)?`` into an element of Q(x,y).  The factors
+    are handed over as written, so only sums are ever multiplied out."""
     p = _Parser(text)
     num = p.expr()
     if p.peek()[0] != "/":
         p.finish(("+", "-", "*", "/", "^", "end of input"))
-        den = None
+        den = (Fraction(1), [])
     else:
         p.advance()
         den = p.expr()
         p.finish()
-    if num.is_zero():
+    if num[0] == 0:
         raise InputError("the zero element has no divisor")
-    if den is None:
-        return DeltaElement.from_bpoly(num)
-    if den.is_zero():
+    if den[0] == 0:
         raise InputError("zero denominator")
-    return DeltaElement.from_fraction(num, den)
+    return DeltaElement.from_factors(num[0] / den[0], num[1] + [(f, -e) for f, e in den[1]])
 
 
 def parse_prime(text: str, assume_irreducible: bool = False) -> Place:
     """Parse a prime divisor: ``inf_x`` / ``inf_y`` or an irreducible
-    polynomial expression."""
+    polynomial expression.  A written product of curves or a power of a
+    curve is refused whatever ``assume_irreducible`` says."""
     stripped = text.strip()
     if stripped in ("inf_x", "inf_y"):
         return UnaryPlace.infinity(stripped[-1])
-    f = parse_expression(text)
+    c, written = _parse_factored(text)
+    if c == 0 or not written:
+        raise InputError(f"constant {text!r} is not a prime")
+    if len(written) > 1 or written[0][1] > 1:
+        raise InputError(f"{text!r} is a product or power of curves, not a prime")
+    f = written[0][0]
     if f.deg_x() > 0 and f.deg_y() > 0:
         return BinaryPlace.make(f, assume_irreducible=assume_irreducible)
-    if f.deg_x() <= 0 and f.deg_y() <= 0:
-        raise InputError(f"constant {text!r} is not a prime")
     u = f.as_upoly()
     _, q = primitive_int_upoly(u)
     _, factors = factor_q(q)
@@ -393,6 +452,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")

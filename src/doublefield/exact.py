@@ -377,8 +377,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:  # no square beyond the top bit
+            base = base * base
     return out
 
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface: grammar, exit codes, reports."""
 
+import hashlib
 import json
 import time
+from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import doublefield.cli as cli
@@ -16,8 +18,14 @@ from doublefield.cli import (
     parse_expression,
     parse_prime,
 )
-from doublefield.divisors import BinaryPlace, DeltaElement, Divisor, UnaryPlace
-from doublefield.errors import InputError, ParseError, PrecisionFailure
+from doublefield.divisors import (
+    BinaryPlace,
+    DeltaElement,
+    Divisor,
+    UnaryPlace,
+    principal_divisor,
+)
+from doublefield.errors import DegreeBound, InputError, ParseError, PrecisionFailure
 from doublefield.exact import BPoly, UPoly
 
 
@@ -33,8 +41,6 @@ class TestExpressionGrammar:
         assert exc.value.expected
 
     def test_rationals(self):
-        from fractions import Fraction
-
         assert parse_expression("1/2*x") == BPoly.const(Fraction(1, 2)) * BPoly.gen("x")
 
     def test_negation_and_precedence(self):
@@ -68,14 +74,115 @@ class TestExpressionGrammar:
         assert parse_expression(str(p)) == p
 
 
+# Generated expression texts with the polynomial each stands for,
+# computed apart from the parser: nested sums, powers 0-3, unary minus and
+# rational literals.  The level says where a text may stand unbracketed
+# (0 a sum, 1 a term, 2 a factor, 3 a power base).
+_X, _Y, _C = BPoly.gen("x"), BPoly.gen("y"), BPoly.const
+_LEAVES = st.sampled_from(
+    [("x", _X, 3), ("y", _Y, 3), ("0", _C(0), 3), ("1", _C(1), 3), ("2", _C(2), 3)]
+    + [("1/2", _C(Fraction(1, 2)), 3), ("3/4", _C(Fraction(3, 4)), 3)]
+    + [("-3", _C(-3), 1), ("-5/3", _C(Fraction(-5, 3)), 1)]
+)
+
+
+def _at(child, level):
+    text, _, own = child
+    return text if own >= level else f"({text})"
+
+
+def _plus(a, b):
+    return f"{a[0]} + {b[0]}", a[1] + b[1], 0
+
+
+def _minus(a, b):
+    return f"{a[0]} - {_at(b, 1)}", a[1] - b[1], 0
+
+
+def _times(a, b):
+    return f"{_at(a, 1)}*{_at(b, 1)}", a[1] * b[1], 1
+
+
+def _power(a, k):
+    return f"{_at(a, 3)}^{k}", a[1] ** k, 2
+
+
+def _negate(a):
+    return f"-{_at(a, 1)}", -a[1], 1
+
+
+def _bracket(a):
+    return f"({a[0]})", a[1], 3
+
+
+def _combine(children):
+    return st.one_of(
+        st.builds(_plus, children, children),
+        st.builds(_minus, children, children),
+        st.builds(_times, children, children),
+        st.builds(_power, children, st.integers(0, 3)),
+        st.builds(_negate, children),
+        st.builds(_bracket, children),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _combine, max_leaves=8)
+
+
+class TestFactoredParsing:
+    @settings(max_examples=80, deadline=None)
+    @given(_EXPRESSIONS, st.none() | _EXPRESSIONS)
+    def test_factored_equals_multiplied_out(self, n, d):
+        (n_text, num, _), (d_text, den, _) = n, d or ("1", _C(1), 3)
+        assume(not num.is_zero() and not den.is_zero())
+        try:
+            expanded = DeltaElement.from_fraction(num, den)
+            written = [parse_expression(n_text), parse_expression(d_text)]
+        except DegreeBound:
+            assume(False)
+        assert written == [num, den]
+        factored = parse_element(n_text if d is None else f"({n_text})/({d_text})")
+        assert factored == DeltaElement.from_fraction(*written) == expanded
+        assert principal_divisor(factored) == principal_divisor(expanded)
+
+    def test_zero_exponent_and_zero_values(self):
+        assert parse_element("(x - x)^0*y") == DeltaElement.from_bpoly(BPoly.gen("y"))
+        with pytest.raises(InputError, match="zero element"):
+            parse_element("(x - x)*y")
+        with pytest.raises(InputError, match="zero denominator"):
+            parse_element("y/(x*(y - y))")
+
+
+class TestDegreeBudget:
+    def test_expansion_overrun_is_degree_bound(self):
+        start = time.process_time()
+        with pytest.raises(DegreeBound):
+            parse_expression("(x+y+1)^100000")
+        assert time.process_time() - start < 0.5
+
+    def test_sum_overrun_exits_2(self, capsys):
+        start = time.process_time()
+        assert main(["pair", "--a", "(x+y)^1000 + 1", "--b", "y - 5"]) == 2
+        assert time.process_time() - start < 0.5
+        assert "exceeds bound 24" in capsys.readouterr().err
+
+    def test_unexpanded_power_succeeds(self, capsys):
+        # each written factor is factored alone, so no bound is reached
+        assert main(["divisor", "(x+y)^100000"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == "-100000*inf_x - 100000*inf_y + 100000*(x + y)"
+
+    def test_product_over_bound_succeeds(self, capsys):
+        assert main(["divisor", "(x-y)^30"]) == 0
+        assert capsys.readouterr().out.strip() == "-30*inf_x - 30*inf_y + 30*(x - y)"
+
+
 class TestSpecParsing:
     def test_element_fraction(self):
         e = parse_element("(x^2-y^2)/(x*y)")
         assert e.deg_x_num_den() == (2, 1)
 
     def test_element_slash_after_digit(self):
-        from fractions import Fraction
-
         x, y = BPoly.gen("x"), BPoly.gen("y")
         assert parse_element("x^2/y") == DeltaElement.from_fraction(x**2, y)
         assert parse_element("x^2/3") == DeltaElement.from_fraction(x**2, BPoly.const(3))
@@ -107,6 +214,26 @@ class TestSpecParsing:
     def test_constant_rejected(self):
         with pytest.raises(InputError):
             parse_prime("7")
+        with pytest.raises(InputError):
+            parse_prime("0*x")
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("text", ["(x-y)*(x+y^2)", "x*y", "(x - y)^2"])
+    def test_written_product_rejected(self, text, flag):
+        with pytest.raises(InputError, match="product or power of curves"):
+            parse_prime(text, assume_irreducible=flag)
+
+    @pytest.mark.parametrize("flag", [[], ["--assume-irreducible"]])
+    def test_written_product_exits_2(self, flag, capsys):
+        argv = ["pair", "--a", "(x-y)*(x+y^2)", "--b", "(y-5)"] + flag
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "product or power of curves" in captured.err
+
+    def test_scaled_prime_is_the_curve(self):
+        assert parse_prime("-2*(x - y^2)") == parse_prime("x - y^2")
+        assert parse_prime("-3*y + 6") == parse_prime("y - 2")
 
 
 class TestExitCodes:
@@ -215,3 +342,44 @@ class TestReports:
         assert main(["arakelov-deg", "--d", "1*(y - 3)", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["result"]["degree"] + 2) < 1e-6
+
+
+# The eight CLI examples of README.md with the stdout they printed before
+# the parser kept factors apart; the explore report (wall_time dropped)
+# is pinned by the SHA-256 of its key-sorted JSON.
+README_EXAMPLES = [
+    (["divisor", "(x^2-y^2)/(x*y)"], "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)\n"),
+    (["pair", "--a", "x - y^2", "--b", "x - y", "--side", "Kprime"], "(y - 1) + (y) + inf_y\n"),
+    (["residue", "--A", "1*(x - y^2)", "--n", "x - y"], "(y - 1) + (y) + inf_y\n"),
+    (["correspond", "--A", "(x^2 - y)", "--p", "y - 4"], "(x - 2) + (x + 2)\n"),
+    (["selfpair", "--m", "x - y"], "2*inf_y\n"),
+    (["arakelov-deg", "--d", "2*(y - 3); 1*inf_y"], "-6\n"),
+    (["rsp", "--a", "(x - y^2)", "--b", "2*(x - y); -1*inf_x"], "0\n"),
+    (
+        ["explore", "--trials", "100", "--max-deg", "2", "--seed", "7", "--json"],
+        "75113e9f111f8935531b04274f35e6cf614a6e555e092250de037cfbf1a4133b",
+    ),
+]
+
+
+def _report_digest(out: str) -> str:
+    """SHA-256 of a JSON report without its wall_time, keys sorted."""
+    report = json.loads(out)
+    report.pop("wall_time")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestReadmeExamples:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_examples_print_pinned_text(self, capsys):
+        # twice in one process: the second round reuses the cached argument
+        # parser and the memos the first round filled
+        for _ in range(2):
+            for argv, expected in README_EXAMPLES:
+                assert main(argv) == 0
+                out = capsys.readouterr().out
+                if "--json" in argv:
+                    out = _report_digest(out)
+                assert out == expected, argv

@@ -161,6 +161,15 @@ class TestBPoly:
         assert f * g == g * f
         assert (f + g) * (f - g) == f * f - g * g
 
+    @settings(max_examples=40)
+    @given(mixed_bpolys(max_deg=2, max_terms=4), mixed_upolys(max_deg=3), st.integers(0, 9))
+    def test_power_is_repeated_product(self, f, p, n):
+        f_n, p_n = BPoly.const(1), UPoly.const("x", 1)
+        for _ in range(n):
+            f_n, p_n = f_n * f, p_n * p
+        assert f**n == f_n
+        assert p**n == p_n
+
 
 # ---------------------------------------------------------------------------
 # normalization
