@@ -9,6 +9,40 @@ integral of log|z-a| is half log(1+|a|^2)), and principal Arakelov
 divisors intersect everything of disjoint support to zero (the product
 formula), which is what makes the residue scalar product well defined
 on divisor classes.
+
+The degree against the canonical class is an integer.  Write h = _height
+(log|lc| plus half log(1+|root|^2) summed over the roots, h(inf) = 0)
+and L = log(1+c^2) for an integer c.  The canonical representative
+
+    K_c = arakelov_from_divisor(-2*inf_y) - 2*principal_arakelov(y - c)
+
+has horizontal part -2(y - c), no vertical part and arch
+-2*(1/2) + 2*(L/2) = L - 1.  For a place q other than y - c,
+
+    _hh(q, y - c) = log|Res(q, y - c)| + sum over roots a of g_fs(a, c)
+                  = h(q) + deg(q)*L/2,
+
+since |Res| = |lc(q)| * prod |a - c| cancels the -log|a - c| of the
+Green's function (for q = inf_y, _hh = h(y - c) = L/2 directly).  So for
+an Arakelov divisor D with horizontal part sum c_q q of degree d,
+vertical coefficients v_p and arch A,
+
+    intersect(D, K_c) = -2*sum c_q h(q) - d*L + d*(L - 1) - 2*(sum v_p log p + A)
+                      = -2*sum c_q h(q) - d - 2*(sum v_p log p + A),
+
+and L drops out.  arakelov_from_divisor sets v = 0 and
+A = sum c_q (deg(q)/2 - h(q)), so the heights cancel as well and, for a
+divisor E of Q(y) of degree d,
+
+    intersect(arakelov_from_divisor(E), K_c) = -2*d,
+
+which is what deg_Kp(E) returns.  That is d times 2g - 2 = -2, with every
+archimedean contribution cancelled by the Fubini-Study normalization
+(Faltings, "Calculus on arithmetic surfaces", Ann. Math. 119, 1984;
+Hriljac, "Heights and Arakelov's intersection theory", Amer. J. Math.
+107, 1985).  So deg_Kp, bracket and residue_scalar_product compute in
+integers; the numeric route through K_c remains as an oracle in the
+calibration suite.
 """
 
 from __future__ import annotations
@@ -18,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from sympy.ntheory import factorint
 
 from .charts import DEFAULT_SHIFT_BOUND
 from .divisors import (
@@ -32,7 +67,7 @@ from .divisors import (
     principal_divisor,
     restrict_to_Kp,
 )
-from .errors import CommonSupport, MoveFailure
+from .errors import CommonSupport, InputError, MoveFailure
 from .exact import (
     DEFAULT_PREC,
     BPoly,
@@ -44,6 +79,10 @@ from .exact import (
     resultant_u,
 )
 from .pairing import SIDE_KPRIME, pair
+
+# largest unit, in bits of its numerator or denominator, that
+# principal_arakelov factors into vertical fibers
+MAX_UNIT_BITS = 64
 
 
 def _root_eps(prec: int):
@@ -171,7 +210,9 @@ def arakelov_from_divisor(D: Divisor, prec: int = DEFAULT_PREC) -> ArakelovDivis
 def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int = DEFAULT_PREC) -> ArakelovDivisorKp:
     """Arakelov divisor of a nonzero element unit * num/den of Q(y):
     horizontal function-field divisor, Gauss valuations on the finite
-    fibers, and minus the archimedean average of its log."""
+    fibers, and minus the archimedean average of its log.  InputError if
+    the numerator or denominator of the unit, contents included, has
+    more than MAX_UNIT_BITS bits."""
     if num.is_zero() or (den is not None and den.is_zero()):
         raise ValueError("zero element")
     unit = Fraction(unit)
@@ -202,19 +243,9 @@ def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int =
 
 def _prime_factorization(n: int) -> list[tuple[int, int]]:
     n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    if n.bit_length() > MAX_UNIT_BITS:
+        raise InputError(f"unit of {n.bit_length()} bits exceeds bound {MAX_UNIT_BITS}")
+    return sorted(factorint(n).items())
 
 
 def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PREC):
@@ -261,33 +292,12 @@ def _hh(q1: UnaryPlace, q2: UnaryPlace, prec: int):
         return total
 
 
-def canonical_representative(c: int, prec: int = DEFAULT_PREC) -> ArakelovDivisorKp:
-    """A representative of the canonical Arakelov class (the class of
-    -2 times infinity) with horizontal part -2(y - c)."""
-    return _canonical_representative(c, prec, mpmath.mp.prec)
-
-
-@memo
-def _canonical_representative(c: int, prec: int, ambient_prec: int) -> ArakelovDivisorKp:
-    # ambient_prec only keys the memo: ArakelovDivisorKp.make and the
-    # subtraction round at mpmath.mp.prec, which equals it here
-    base = arakelov_from_divisor(Divisor.of(UnaryPlace.infinity("y"), -2), prec)
-    move = principal_arakelov(UPoly.make("y", [-c, 1]), prec=prec)
-    return base - move.scale(2)
-
-
-def deg_Kp(D: ArakelovDivisorKp, prec: int = DEFAULT_PREC, c: int | None = None):
-    """Arakelov degree against the canonical class, computed through a
-    representative whose horizontal support avoids D's."""
-    if c is None:
-        support = {
-            tuple(q.poly.coeffs) for q, _ in D.horizontal.coeffs if not q.is_infinity()
-        }
-        c = 0
-        while (Fraction(-c), Fraction(1)) in support:
-            c += 1
-    rep = canonical_representative(c, prec)
-    return intersect(D, rep, prec)
+def deg_Kp(D: Divisor) -> int:
+    """Arakelov degree of arakelov_from_divisor(D) against the canonical
+    class, for a divisor D of Q(y): exactly -2 deg D (module docstring)."""
+    if any(not (isinstance(q, UnaryPlace) and q.var == "y") for q, _ in D.coeffs):
+        raise ValueError("deg_Kp expects a divisor of Q(y)")
+    return -2 * degree_K(D)
 
 
 def trace_to_Kp(A: Divisor) -> Divisor:
@@ -311,27 +321,23 @@ def trace_to_Kp(A: Divisor) -> Divisor:
     return out
 
 
-def bracket(A: Divisor, b: Divisor, prec: int = DEFAULT_PREC):
-    """N(b) deg(A traced to Q(y)) + N(A) deg(b traced to Q(y)), with N
-    the residue degree over Q(y) extended by linearity."""
+def bracket(A: Divisor, b: Divisor) -> int:
+    """N(b) deg_Kp(A traced to Q(y)) + N(A) deg_Kp(b traced to Q(y)),
+    with N the residue degree over Q(y) extended by linearity."""
     nA = sum(w * degree_over_Kp(m) for m, w in A.coeffs)
     nB = sum(w * degree_over_Kp(m) for m, w in b.coeffs)
-    with mpmath.workprec(prec):
-        total = mpmath.mpf(0)
-        if nB:
-            total += nB * deg_Kp(arakelov_from_divisor(trace_to_Kp(A), prec), prec)
-        if nA:
-            total += nA * deg_Kp(arakelov_from_divisor(trace_to_Kp(b), prec), prec)
-        return total
+    total = 0
+    if nB:
+        total += nB * deg_Kp(trace_to_Kp(A))
+    if nA:
+        total += nA * deg_Kp(trace_to_Kp(b))
+    return total
 
 
-def residue_scalar_product(
-    A: Divisor, b: Divisor, prec: int = DEFAULT_PREC, shift_bound: int = DEFAULT_SHIFT_BOUND
-):
+def residue_scalar_product(A: Divisor, b: Divisor, shift_bound: int = DEFAULT_SHIFT_BOUND) -> int:
     """bracket(A, b) minus the Arakelov degree of the norm pairing."""
     paired = pair(A, b, SIDE_KPRIME, shift_bound)
-    with mpmath.workprec(prec):
-        return bracket(A, b, prec) - deg_Kp(arakelov_from_divisor(paired, prec), prec)
+    return bracket(A, b) - deg_Kp(paired)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +433,6 @@ def explore_self_products(
     trials: int,
     max_deg: int = 2,
     seed: int = 0,
-    prec: int = DEFAULT_PREC,
     shift_bound: int = DEFAULT_SHIFT_BOUND,
 ) -> dict:
     """Deterministically sample divisors, move each off its own support
@@ -451,21 +456,20 @@ def explore_self_products(
             A = Divisor.of(pool[rng.randrange(len(pool))])
         a1 = principal_move(A, fresh=17 + t)
         a2 = second_move(A, principal_move(A, fresh=29 + t), 41 + t)
-        v1 = residue_scalar_product(a1, A, prec, shift_bound)
-        v2 = residue_scalar_product(a2, A, prec, shift_bound)
-        residual = abs(v1 - v2)
+        v1 = residue_scalar_product(a1, A, shift_bound)
+        v2 = residue_scalar_product(a2, A, shift_bound)
         value = float(v1)
         records.append(
             {
                 "trial": t,
                 "divisor": str(A),
                 "value": value,
-                "move_residual": float(residual),
+                "move_residual": float(abs(v1 - v2)),
             }
         )
         if minimum is None or value < minimum:
             minimum = value
-        if value < -1e-6:
+        if v1 < 0:
             negatives.append(t)
     return {
         "trials": trials,

@@ -23,7 +23,9 @@ factor; only a sum is multiplied out, into one factor.  So ``divisor``
 factors each written factor on its own and never their product, and a
 prime written as a product of curves or a power of one is refused.  The
 degree bound of ``exact.factor_b`` (exit 2) applies to each written
-factor and, before any multiplication, to each term of a sum.
+factor and, before any multiplication, to each term of a sum.  A power
+of a constant is refused (exit 2) before it is computed when the
+exponent times the bit length of the base exceeds ``MAX_CONSTANT_BITS``.
 
 Divisor specs are semicolon-separated ``coeff * prime`` terms, where a
 prime is an expression or one of the literals ``inf_x`` / ``inf_y``,
@@ -42,7 +44,6 @@ import time
 from fractions import Fraction
 
 from .arakelov import (
-    arakelov_from_divisor,
     deg_Kp,
     explore_self_products,
     residue_scalar_product,
@@ -69,7 +70,6 @@ from .errors import (
 from .charts import DEFAULT_SHIFT_BOUND
 from .exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
-    DEFAULT_PREC,
     BPoly,
     factor_q,
     primitive_int_upoly,
@@ -78,7 +78,11 @@ from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
 from .suites import SUITES, run_suite
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
+
+# largest constant power the parser computes, in bits of its numerator
+# or denominator, estimated as exponent times the bits of the base
+MAX_CONSTANT_BITS = 1 << 16
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -202,6 +206,12 @@ class _Parser:
             if self.peek()[0] != "int":
                 self.fail(("uint",))
             n = int(self.advance()[1])
+            if abs(c.numerator) > 1 or c.denominator > 1:
+                bits = n * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                if bits > MAX_CONSTANT_BITS:
+                    raise InputError(
+                        f"constant power of about {bits} bits exceeds bound {MAX_CONSTANT_BITS}"
+                    )
             # x^0 is 1, so a zero exponent drops the factors
             return c**n, [(f, e * n) for f, e in factors] if n else []
         return c, factors
@@ -328,7 +338,6 @@ def _report(args, inputs: dict, result: dict, wall_time) -> dict:
         "command": args.command,
         "inputs": inputs,
         "result": result,
-        "precision": args.precision,
         "shift_bound": args.shift_bound,
         "assume_irreducible": bool(getattr(args, "assume_irreducible", False)),
         "wall_time": wall_time,
@@ -396,18 +405,14 @@ def _cmd_selfpair(args) -> tuple[dict, str, int]:
 
 
 def _cmd_arakelov_deg(args) -> tuple[dict, str, int]:
-    d = parse_divisor_spec(args.d, args.assume_irreducible)
-    bad = [m for m, _ in d.coeffs if not (isinstance(m, UnaryPlace) and m.var == "y")]
-    if bad:
-        raise InputError("arakelov-deg expects a divisor of Q(y)")
-    value = float(deg_Kp(arakelov_from_divisor(d, args.precision), args.precision))
+    value = float(deg_Kp(parse_divisor_spec(args.d, args.assume_irreducible)))
     return {"degree": value}, f"{value:.12g}", EXIT_OK
 
 
 def _cmd_rsp(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.a, args.assume_irreducible)
     B = parse_divisor_spec(args.b, args.assume_irreducible)
-    value = float(residue_scalar_product(A, B, args.precision, args.shift_bound))
+    value = float(residue_scalar_product(A, B, args.shift_bound))
     return {"value": value}, f"{value:.12g}", EXIT_OK
 
 
@@ -416,7 +421,6 @@ def _cmd_explore(args) -> tuple[dict, str, int]:
         trials=args.trials,
         max_deg=args.max_deg,
         seed=args.seed,
-        prec=args.precision,
         shift_bound=args.shift_bound,
     )
     human = (
@@ -456,7 +460,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--precision", type=int, default=DEFAULT_PREC, metavar="BITS")
     common.add_argument("--shift-bound", type=int, default=DEFAULT_SHIFT_BOUND, metavar="N")
     common.add_argument("--assume-irreducible", action="store_true")
     common.add_argument("--out", metavar="FILE", default=None)
@@ -494,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "json", "precision", "shift_bound", "assume_irreducible", "out"}
+    skip = {"command", "json", "shift_bound", "assume_irreducible", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

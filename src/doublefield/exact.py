@@ -14,11 +14,9 @@ compare by value), and registers the cache so that ``clear_caches()``
 empties every one of them.  Here ``factor_q`` (key: polynomial and degree
 bound), ``factor_b`` and ``complex_roots`` (key: polynomial, eps and
 prec) are memoized; ``arakelov`` memoizes its per-place heights,
-``arch_lambda``, the pairwise term ``_hh`` (arguments in order) and
-``canonical_representative`` (key: c, prec and the ambient mpmath
-precision it rounds at), and ``divisors`` hands out one shared place
-object per input through ``UnaryPlace.finite`` and
-``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
+``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
+``divisors`` hands out one shared place object per input through
+``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
 out as a fresh list, so no caller can alter a cached value.  No cache
 sits on a checked entry point: ``pair``, the residue routes,
 ``correspondence`` and ``intersect`` recompute on every call, so the
@@ -655,8 +653,10 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.
     """All deg(f) complex roots with multiplicity.
 
     Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
-    square-free factor, a sound bound on the distance to a true root.
-    Raises PrecisionFailure when certification cannot be reached.
+    square-free factor, so the disc of radius eps about z holds a root,
+    and the discs about the roots of one factor are pairwise disjoint,
+    so each holds a different root.  Precision is escalated until both
+    hold; PrecisionFailure is raised when they cannot be reached.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -692,11 +692,13 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.
 def _roots_certified(sq: UPoly, rs, eps) -> bool:
     deg = sq.degree()
     lc = abs(mpmath.mpf(sq.lc().numerator) / mpmath.mpf(sq.lc().denominator))
-    for z in rs:
-        val = _eval_mp(sq, mpmath.mpc(z))
+    zs = [mpmath.mpc(z) for z in rs]
+    for z in zs:
+        val = _eval_mp(sq, z)
         if (abs(val) / lc) ** (mpmath.mpf(1) / deg) >= eps:
             return False
-    return True
+    n = len(zs)
+    return all(abs(zs[i] - zs[j]) > 2 * eps for i in range(n) for j in range(i + 1, n))
 
 
 def _eval_mp(p: UPoly, z):

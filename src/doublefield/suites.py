@@ -16,7 +16,9 @@ from fractions import Fraction
 import mpmath
 
 from .arakelov import (
+    ArakelovDivisorKp,
     arakelov_from_divisor,
+    bracket,
     deg_Kp,
     explore_self_products,
     fs_kappa_closed_form,
@@ -488,6 +490,14 @@ def run_charts() -> dict:
 # 9. archimedean calibration of the intersection pairing
 
 
+def _canonical_route(D: ArakelovDivisorKp, c: int):
+    """intersect(D, K_c) for the canonical representative
+    K_c = arakelov_from_divisor(-2*inf_y) - 2*principal_arakelov(y - c):
+    the numeric route that deg_Kp replaces by its closed form."""
+    K_c = arakelov_from_divisor(Divisor.of(INF_Y, -2)) - principal_arakelov(_ypoly(-c, 1)).scale(2)
+    return intersect(D, K_c)
+
+
 def run_calibration() -> dict:
     failures: list[str] = []
     t0 = time.monotonic()
@@ -520,6 +530,20 @@ def run_calibration() -> dict:
             v = intersect(pa, d)
             if abs(v) > 1e-6:
                 failures.append(f"product formula off by {float(v)} for f = {f}")
+        for c in (4, 5):  # y - 4 and y - 5 lie off every support here
+            checked += 1
+            v = _canonical_route(pa, c)
+            if abs(v) > 1e-6:
+                failures.append(f"canonical route gives {float(v)} on div({f}) at c = {c}")
+    for d in targets:
+        for c in (4, 5):
+            checked += 1
+            v = _canonical_route(d, c)
+            if abs(v - deg_Kp(d.horizontal)) > 1e-9:
+                failures.append(
+                    f"canonical route gives {float(v)} at c = {c}, deg_Kp {deg_Kp(d.horizontal)} "
+                    f"for {d.horizontal}"
+                )
     if abs(fs_kappa_quadrature() - fs_kappa_closed_form()) > 1e-9:
         failures.append("curvature integral disagrees with quadrature")
     for c in (0, 1, -2, 1.5, 3):
@@ -527,26 +551,28 @@ def run_calibration() -> dict:
             failures.append(f"point integral disagrees with quadrature at {c}")
     if abs(principal_arakelov(_ypoly(0, 1)).arch) > 1e-9:
         failures.append("archimedean coefficient of div(y) is not zero")
-    d = arakelov_from_divisor(Divisor.make({_yplace(-3, 1): 1, _yplace(1, 0, 1): 2}))
-    if abs(deg_Kp(d, c=2) - deg_Kp(d, c=5)) > 1e-9:
-        failures.append("deg depends on the auxiliary constant")
     return _result(
         "calibration", checked, failures, seconds=round(time.monotonic() - t0, 3)
     )
 
 
 # ---------------------------------------------------------------------------
-# 10. residue scalar product: symmetry, vanishing, class invariance
+# 10. residue scalar product: exact vanishing, symmetry, class invariance
 
 
 def run_rsp() -> dict:
+    """The residue scalar product is exactly 0 on every pair, and the
+    bracket equals -2 times the Bezout number deg_K pair(A, B, Kprime),
+    so the degree of pair is checked against the bidegree formula the
+    bracket is built from; nonzero_bezout counts the pairs where that
+    check can fail."""
     import random
 
     rng = random.Random(10)
     primes = binary_pool() + unary_pool()
     elements = element_pool()
     failures: list[str] = []
-    sym_n = van_n = inv_n = rounds = 0
+    sym_n = van_n = inv_n = bez_n = rounds = 0
     while min(sym_n, van_n, inv_n) < 20 and rounds < 500:
         rounds += 1
         m1, m2, n1, n2 = rng.sample(primes, 4)
@@ -557,14 +583,18 @@ def run_rsp() -> dict:
         sym_n += 1
         v_ab = residue_scalar_product(A, B)
         v_ba = residue_scalar_product(B, A)
-        if abs(v_ab - v_ba) > 1e-6:
-            failures.append(f"asymmetric on ({A}; {B})")
+        if v_ab != 0 or v_ba != 0:
+            failures.append(f"nonzero ({v_ab}, {v_ba}) on ({A}; {B})")
+        bezout = degree_K(pair(A, B, SIDE_KPRIME))
+        bez_n += bezout != 0
+        if bracket(A, B) != -2 * bezout:
+            failures.append(f"bracket {bracket(A, B)} != -2 * Bezout {bezout} on ({A}; {B})")
         P = principal_divisor(elements[rounds % len(elements)])
         if P.disjoint_from(B):
             van_n += 1
             v = residue_scalar_product(P, B)
-            if abs(v) > 1e-6:
-                failures.append(f"nonzero ({float(v)}) on a principal divisor against {B}")
+            if v != 0:
+                failures.append(f"nonzero ({v}) on a principal divisor against {B}")
         try:
             A1 = principal_move(A, fresh=50 + rounds)
             A2 = second_move(A, principal_move(A, fresh=90 + rounds), 120 + rounds)
@@ -574,14 +604,19 @@ def run_rsp() -> dict:
             inv_n += 1
             w1 = residue_scalar_product(A1, B)
             w2 = residue_scalar_product(A2, B)
-            if abs(w1 - w2) > 1e-6:
-                failures.append(f"not class invariant on ({A}; {B})")
+            if w1 != 0 or w2 != 0:
+                failures.append(f"nonzero ({w1}, {w2}) on moves of ({A}; {B})")
     if min(sym_n, van_n, inv_n) < 20:
         failures.append(
             f"corpus too small: symmetry {sym_n}, vanishing {van_n}, invariance {inv_n}"
         )
     return _result(
-        "rsp", sym_n, failures, vanishing_instances=van_n, invariance_instances=inv_n
+        "rsp",
+        sym_n,
+        failures,
+        vanishing_instances=van_n,
+        invariance_instances=inv_n,
+        nonzero_bezout=bez_n,
     )
 
 

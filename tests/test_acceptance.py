@@ -83,6 +83,7 @@ def test_10_residue_scalar_product_symmetry_vanishing_invariance():
     _assert_ok(result, minimum=20)
     assert result["vanishing_instances"] >= 20
     assert result["invariance_instances"] >= 20
+    assert result["nonzero_bezout"] >= 20
 
 
 def test_11_explorer_reproducible_and_reports_minimum():

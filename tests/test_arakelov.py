@@ -1,9 +1,13 @@
 """Unit tests for the Arakelov layer and the residue scalar product."""
 
+import time
+from fractions import Fraction
+
 import mpmath
 import pytest
 
 from doublefield.arakelov import (
+    MAX_UNIT_BITS,
     ArakelovDivisorKp,
     arakelov_from_divisor,
     arch_lambda,
@@ -28,7 +32,7 @@ from doublefield.divisors import (
     UnaryPlace,
     principal_divisor,
 )
-from doublefield.errors import CommonSupport
+from doublefield.errors import CommonSupport, InputError
 from doublefield.exact import BPoly, UPoly
 
 X = BPoly.gen("x")
@@ -70,6 +74,16 @@ class TestPrincipalArakelov:
         assert a.horizontal.is_zero()
         assert a.vertical_dict() == {2: 1}
         assert abs(a.arch + mpmath.log(2)) < 1e-12
+
+    def test_large_prime_unit(self):
+        start = time.process_time()
+        a = principal_arakelov(yp(-1, 1), unit=2**61 - 1)
+        assert time.process_time() - start < 0.5
+        assert a.vertical_dict() == {2**61 - 1: 1}
+
+    def test_unit_over_bound_refused(self):
+        with pytest.raises(InputError, match="exceeds bound"):
+            principal_arakelov(yp(-1, 1), unit=Fraction(1, 2**MAX_UNIT_BITS + 1))
 
     def test_multiplicative(self):
         f, g = yp(-1, 1), yp(3, 0, 1)
@@ -123,20 +137,36 @@ class TestIntersect:
 
 class TestDegKp:
     def test_zero_divisor(self):
-        assert abs(deg_Kp(ArakelovDivisorKp.zero())) < 1e-12
+        assert deg_Kp(Divisor.zero()) == 0
 
-    def test_c_independence(self):
-        d = arakelov_from_divisor(Divisor.make({yplace(-3, 1): 1, yplace(1, 0, 1): 2}))
-        assert abs(deg_Kp(d, c=2) - deg_Kp(d, c=5)) < 1e-9
+    def test_closed_form(self):
+        d = Divisor.make({yplace(-3, 1): 1, yplace(1, 0, 1): 2, INF_Y: -1})
+        assert deg_Kp(d) == -2 * (1 + 4 - 1)
+        assert type(deg_Kp(d)) is int
+
+    def test_equals_canonical_route(self):
+        # intersect against K_c = arakelov(-2 inf_y) - 2 div_Ar(y - c) for
+        # two c off the support: the numeric route the closed form replaces
+        d = Divisor.make({yplace(-3, 1): 1, yplace(1, 0, 1): 2})
+        for c in (2, 5):
+            base = arakelov_from_divisor(Divisor.of(INF_Y, -2))
+            k_c = base - principal_arakelov(yp(-c, 1)).scale(2)
+            assert abs(intersect(arakelov_from_divisor(d), k_c) - deg_Kp(d)) < 1e-9
 
     def test_additive(self):
-        d1 = arakelov_from_divisor(Divisor.of(yplace(-3, 1)))
-        d2 = arakelov_from_divisor(Divisor.of(INF_Y, 2))
-        assert abs(deg_Kp(d1 + d2) - (deg_Kp(d1) + deg_Kp(d2))) < 1e-9
+        d1 = Divisor.of(yplace(-3, 1))
+        d2 = Divisor.of(INF_Y, 2)
+        assert deg_Kp(d1 + d2) == deg_Kp(d1) + deg_Kp(d2) == -6
 
     def test_principal_degree_zero(self):
         pa = principal_arakelov(yp(-6, 1, 1), yp(-1, 1))
-        assert abs(deg_Kp(pa)) < 1e-6
+        assert deg_Kp(pa.horizontal) == 0
+
+    def test_refuses_other_places(self):
+        with pytest.raises(ValueError):
+            deg_Kp(Divisor.of(UnaryPlace.finite(UPoly.make("x", [-3, 1]))))
+        with pytest.raises(ValueError):
+            deg_Kp(Divisor.of(BinaryPlace.make(X - Y)))
 
 
 class TestBracketAndRsp:
@@ -150,19 +180,19 @@ class TestBracketAndRsp:
         # with the degree term of the pairing, leaving a zero product
         A = Divisor.of(BinaryPlace.make(X - Y**2))
         B = Divisor.of(BinaryPlace.make(X - Y))
-        assert abs(bracket(A, B) + 6) < 1e-9
-        assert abs(residue_scalar_product(A, B)) < 1e-6
+        assert bracket(A, B) == -6
+        assert residue_scalar_product(A, B) == 0
 
     def test_rsp_principal_vanishes(self):
         a = DeltaElement.from_fraction(X - Y**2, X * Y - BPoly.const(2))
         A = principal_divisor(a)
         B = Divisor.of(BinaryPlace.make(X - Y - BPoly.const(3)))
-        assert abs(residue_scalar_product(A, B)) < 1e-6
+        assert residue_scalar_product(A, B) == 0
 
     def test_rsp_symmetric(self):
         A = Divisor.of(BinaryPlace.make(X - Y**2))
         B = Divisor.make({BinaryPlace.make(X - Y): 1, yplace(-3, 1): 1})
-        assert abs(residue_scalar_product(A, B) - residue_scalar_product(B, A)) < 1e-6
+        assert residue_scalar_product(A, B) == residue_scalar_product(B, A) == 0
 
     def test_rsp_class_invariance(self):
         A = Divisor.of(BinaryPlace.make(X - Y))
@@ -173,7 +203,7 @@ class TestBracketAndRsp:
         # gives the same number as any other representative
         A3 = principal_move(A, fresh=23)
         v2 = residue_scalar_product(A3, B)
-        assert abs(v1 - v2) < 1e-6
+        assert v1 == v2 == 0
 
 
 class TestExplorer:
@@ -184,5 +214,5 @@ class TestExplorer:
 
     def test_residuals_small(self):
         r = explore_self_products(trials=5, max_deg=2, seed=1)
-        assert all(rec["move_residual"] < 1e-6 for rec in r["records"])
+        assert all(rec["move_residual"] == 0.0 for rec in r["records"])
         assert r["minimum"] == min(rec["value"] for rec in r["records"])

@@ -172,6 +172,17 @@ class TestDegreeBudget:
         out = capsys.readouterr().out.strip()
         assert out == "-100000*inf_x - 100000*inf_y + 100000*(x + y)"
 
+    def test_constant_power_overrun_exits_2(self, capsys):
+        start = time.process_time()
+        assert main(["divisor", "(7^1000000)^4*x"]) == 2
+        assert time.process_time() - start < 0.5
+        assert f"exceeds bound {cli.MAX_CONSTANT_BITS}" in capsys.readouterr().err
+
+    def test_constant_power_within_bound(self):
+        e = parse_element("2^100*(1/3)^50*x")
+        assert e == DeltaElement.from_factors(Fraction(2**100, 3**50), [(BPoly.gen("x"), 1)])
+        assert parse_element("(-1)^1000000*x") == DeltaElement.from_bpoly(BPoly.gen("x"))
+
     def test_product_over_bound_succeeds(self, capsys):
         assert main(["divisor", "(x-y)^30"]) == 0
         assert capsys.readouterr().out.strip() == "-30*inf_x - 30*inf_y + 30*(x - y)"
@@ -270,6 +281,15 @@ class TestExitCodes:
         assert main(["arakelov-deg", "--d=-1*(y - 3)"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_arakelov_deg_needs_divisor_of_Qy(self, capsys):
+        assert main(["arakelov-deg", "--d", "(x - 3)"]) == 2
+        assert "divisor of Q(y)" in capsys.readouterr().err
+
+    def test_precision_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rsp", "--a", "(x - y)", "--b", "(x + y)", "--precision", "80"])
+        assert exc.value.code == 2
+
     def test_shared_support_is_input_error(self, capsys):
         assert main(["pair", "--a", "(x - y)", "--b", "(x - y)"]) == 2
 
@@ -341,12 +361,14 @@ class TestReports:
     def test_arakelov_deg_value(self, capsys):
         assert main(["arakelov-deg", "--d", "1*(y - 3)", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert abs(report["result"]["degree"] + 2) < 1e-6
+        assert report["result"]["degree"] == -2.0
+        assert report["schema_version"] == "3" and "precision" not in report
 
 
 # The eight CLI examples of README.md with the stdout they printed before
 # the parser kept factors apart; the explore report (wall_time dropped)
-# is pinned by the SHA-256 of its key-sorted JSON.
+# is pinned by the SHA-256 of its key-sorted JSON, taken since the residue
+# scalar product is exact (every value and residual 0.0, schema "3").
 README_EXAMPLES = [
     (["divisor", "(x^2-y^2)/(x*y)"], "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)\n"),
     (["pair", "--a", "x - y^2", "--b", "x - y", "--side", "Kprime"], "(y - 1) + (y) + inf_y\n"),
@@ -357,7 +379,7 @@ README_EXAMPLES = [
     (["rsp", "--a", "(x - y^2)", "--b", "2*(x - y); -1*inf_x"], "0\n"),
     (
         ["explore", "--trials", "100", "--max-deg", "2", "--seed", "7", "--json"],
-        "75113e9f111f8935531b04274f35e6cf614a6e555e092250de037cfbf1a4133b",
+        "1b6c7b165b4bb5d2ab97dc38698f7fad068ef3037a7e55b9420aa2bc81cc5327",
     ),
 ]
 

@@ -441,6 +441,19 @@ class TestComplexRoots:
         with pytest.raises(ValueError):
             complex_roots(up(1, 1), eps=0)
 
+    def test_clustered_roots_get_disjoint_discs(self):
+        # Mignotte-type x^8 - 2(10x - 1)^2: two real roots near 1/10 lie
+        # about 1.4e-5 apart, so discs of radius 1e-6 can be disjoint and
+        # discs of radius 1e-5 cannot; approximations that pass the
+        # residual test at 1e-5 do not prove they hit different roots
+        f = up(*[0] * 8, 1) - (up(-1, 10) ** 2).scale(2)
+        eps = 1e-6
+        rs = complex_roots(f, eps=eps)
+        assert len(rs) == 8
+        assert all(abs(a - b) > 2 * eps for i, a in enumerate(rs) for b in rs[i + 1 :])
+        with pytest.raises(PrecisionFailure):
+            complex_roots(f, eps=1e-5)
+
     def test_no_convergence_is_precision_failure(self, monkeypatch):
         calls = []
 

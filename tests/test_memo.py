@@ -5,17 +5,11 @@ and ``clear_caches`` empties every memo."""
 from fractions import Fraction
 
 import mpmath
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublefield import arakelov, exact
-from doublefield.arakelov import (
-    arakelov_from_divisor,
-    arch_lambda,
-    canonical_representative,
-    deg_Kp,
-)
+from doublefield import exact
+from doublefield.arakelov import arakelov_from_divisor, intersect
 from doublefield.divisors import Divisor, UnaryPlace
 from doublefield.exact import (
     MEMO_SIZE,
@@ -87,27 +81,6 @@ def test_complex_roots_equal_uncached(f):
     assert complex_roots(f) == complex_roots.__wrapped__(f)
 
 
-def _same_bits(a, b):
-    return a == b and a.arch._mpf_ == b.arch._mpf_
-
-
-@pytest.mark.parametrize("c", [1, 3])
-def test_canonical_representative_keys_on_ambient_precision(c):
-    # make and the subtraction round at the ambient precision, so a value
-    # cached under one ambient precision must not answer for another (for
-    # c = 1, 3 the two roundings differ; for c = 0 the value is exactly -1)
-    uncached = arakelov._canonical_representative.__wrapped__
-    with mpmath.workprec(53):
-        at53 = canonical_representative(c, 80)
-        assert _same_bits(at53, uncached(c, 80, 53))
-    with mpmath.workprec(80):
-        at80 = canonical_representative(c, 80)
-        assert _same_bits(at80, uncached(c, 80, 80))
-    with mpmath.workprec(53):
-        assert _same_bits(canonical_representative(c, 80), at53)
-    assert at53.arch._mpf_ != at80.arch._mpf_
-
-
 def test_returned_lists_cannot_alter_the_cache():
     f = UPoly.make("y", [-2, 0, 0, 1]) * UPoly.make("y", [1, 1])
     unit, fac = factor_q(f)
@@ -138,14 +111,16 @@ def test_equal_places_are_shared():
 
 def test_clear_caches_empties_every_memo():
     q = UnaryPlace.finite(UPoly.make("y", [1, 0, 1]))
-    arch_lambda(q)
-    deg_Kp(arakelov_from_divisor(Divisor.of(q)))
+    intersect(
+        arakelov_from_divisor(Divisor.of(q)),
+        arakelov_from_divisor(Divisor.of(UnaryPlace.infinity("y"))),
+    )
     factor_q(UPoly.make("x", [Fraction(1, 2), 0, 1]))
     factor_b(BPoly.gen("x") - BPoly.gen("y"))
     filled = [m.cache_info().currsize for m in exact._MEMOS]
     # factor_q, factor_b, complex_roots, _height, arch_lambda, _hh,
-    # canonical_representative, UnaryPlace.finite and .infinity
-    assert len(filled) == 9 and all(n > 0 for n in filled)
+    # UnaryPlace.finite and .infinity
+    assert len(filled) == 8 and all(n > 0 for n in filled)
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in exact._MEMOS)
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in exact._MEMOS)

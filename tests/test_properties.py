@@ -25,10 +25,15 @@ def binary_primes(draw):
     )
     f = BPoly.make(terms)
     assume(f.deg_x() >= 1 and f.deg_y() >= 1)
-    try:
-        return BinaryPlace.make(f)
-    except UncertifiedFactor:
-        assume(False)
+    # about a third of the draws are not certified irreducible; a shift
+    # f + c of the same bidegree stands in for them, because discarding
+    # them (two draws per example) tripped the filter_too_much health check
+    for c in (0, 1, -1, 2):
+        try:
+            return BinaryPlace.make(f + BPoly.const(c))
+        except UncertifiedFactor:
+            pass
+    assume(False)
 
 
 @PROPERTY_SETTINGS
