@@ -60,7 +60,6 @@ from .errors import (
     NotDegreeOne,
     ParseError,
     PrecisionFailure,
-    ShiftExhausted,
     UncertifiedFactor,
 )
 from .exact import (

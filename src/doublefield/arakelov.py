@@ -54,7 +54,6 @@ from fractions import Fraction
 import mpmath
 from sympy.ntheory import factorint
 
-from .charts import DEFAULT_SHIFT_BOUND
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -165,10 +164,6 @@ class ArakelovDivisorKp:
             sorted((p, v) for p, v in (vertical or {}).items() if v != 0)
         )
         return ArakelovDivisorKp(horizontal, vert, mpmath.mpf(arch) * 1)
-
-    @staticmethod
-    def zero() -> "ArakelovDivisorKp":
-        return ArakelovDivisorKp.make(Divisor.zero())
 
     def vertical_dict(self) -> dict:
         return dict(self.vertical)
@@ -334,9 +329,9 @@ def bracket(A: Divisor, b: Divisor) -> int:
     return total
 
 
-def residue_scalar_product(A: Divisor, b: Divisor, shift_bound: int = DEFAULT_SHIFT_BOUND) -> int:
+def residue_scalar_product(A: Divisor, b: Divisor) -> int:
     """bracket(A, b) minus the Arakelov degree of the norm pairing."""
-    paired = pair(A, b, SIDE_KPRIME, shift_bound)
+    paired = pair(A, b, SIDE_KPRIME)
     return bracket(A, b) - deg_Kp(paired)
 
 
@@ -429,12 +424,7 @@ def _prime_pool(max_deg: int) -> list:
     return pool
 
 
-def explore_self_products(
-    trials: int,
-    max_deg: int = 2,
-    seed: int = 0,
-    shift_bound: int = DEFAULT_SHIFT_BOUND,
-) -> dict:
+def explore_self_products(trials: int, max_deg: int = 2, seed: int = 0) -> dict:
     """Deterministically sample divisors, move each off its own support
     by two independent principal moves, and report the self residue
     scalar products and the residual between the two moves."""
@@ -456,8 +446,8 @@ def explore_self_products(
             A = Divisor.of(pool[rng.randrange(len(pool))])
         a1 = principal_move(A, fresh=17 + t)
         a2 = second_move(A, principal_move(A, fresh=29 + t), 41 + t)
-        v1 = residue_scalar_product(a1, A, shift_bound)
-        v2 = residue_scalar_product(a2, A, shift_bound)
+        v1 = residue_scalar_product(a1, A)
+        v2 = residue_scalar_product(a2, A)
         value = float(v1)
         records.append(
             {

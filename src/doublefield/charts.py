@@ -10,13 +10,12 @@ place of Q(y).
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb
 
 from .divisors import BinaryPlace, Divisor, UnaryPlace, divisor_of_upoly, transpose_place
-from .errors import NotCoprime, ShiftExhausted
+from .errors import NotCoprime
 from .exact import BPoly, UPoly, gcd_b, gcd_u, resultant_x
-
-DEFAULT_SHIFT_BOUND = 64
 
 
 def shift_chart_x(f: BPoly, c: int) -> BPoly:
@@ -56,21 +55,35 @@ def shift_is_valid(f: BPoly, g: BPoly, c: int) -> bool:
     return gcd_u(fc, gc).degree() == 0
 
 
-def shift_candidates(bound: int):
+def shift_candidates():
     yield 0
-    for k in range(1, bound + 1):
+    for k in count(1):
         yield k
         yield -k
 
 
-def find_shift(f: BPoly, g: BPoly, bound: int = DEFAULT_SHIFT_BOUND, exclude=()) -> int:
-    """Smallest valid shift (by the search order 0, 1, -1, 2, ...)."""
-    for c in shift_candidates(bound):
+def find_shift(f: BPoly, g: BPoly, exclude=()) -> int:
+    """First valid shift in the search order 0, 1, -1, 2, ..., skipping
+    ``exclude``.
+
+    A shift c fails when x - c divides f or g (at most deg_x f + deg_x g
+    values) or when f(c, y) and g(c, y) share a root y0.  Then (c, y0) is
+    a common point, so Res_y(f, g) vanishes at c (if both leading
+    coefficients in y vanish at c, the Sylvester matrix has a zero
+    column).  For coprime f and g this resultant is nonzero, of degree
+    at most deg_x f * deg_y g + deg_y f * deg_x g in x.  So at most
+    ``limit`` shifts fail, and NotCoprime follows limit + 1 failures.
+    """
+    limit = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() + f.deg_x() + g.deg_x()
+    rejected = 0
+    for c in shift_candidates():
         if c in exclude:
             continue
         if shift_is_valid(f, g, c):
             return c
-    raise ShiftExhausted(f"no valid shift within |c| <= {bound} for ({f}, {g})")
+        rejected += 1
+        if rejected > limit:
+            raise NotCoprime(f"{rejected} chart shifts fail, so ({f}, {g}) share a component")
 
 
 def _common_component(f: BPoly, g: BPoly) -> bool:
@@ -87,9 +100,7 @@ def fiber_resultant(f: BPoly, g: BPoly, shift: int) -> UPoly:
     return resultant_x(ft, gt)
 
 
-def fiber_divisor(
-    f: BPoly, g: BPoly, shift_bound: int = DEFAULT_SHIFT_BOUND, shift: int | None = None
-) -> Divisor:
+def fiber_divisor(f: BPoly, g: BPoly, shift: int | None = None) -> Divisor:
     """Divisor over the places of Q(y) (including infinity) counting the
     intersections of the curves f = 0 and g = 0 above each place.
 
@@ -101,9 +112,9 @@ def fiber_divisor(
     if _common_component(f, g):
         raise NotCoprime(f"curves share a component: ({f}, {g})")
     if shift is None:
-        shift = find_shift(f, g, shift_bound)
+        shift = find_shift(f, g)
     elif not shift_is_valid(f, g, shift):
-        raise ShiftExhausted(f"shift {shift} is not valid for ({f}, {g})")
+        raise ValueError(f"shift {shift} is not valid for ({f}, {g})")
     r = fiber_resultant(f, g, shift)
     if r.is_zero():
         raise NotCoprime(f"vanishing fiber resultant for ({f}, {g})")
@@ -111,7 +122,7 @@ def fiber_divisor(
 
     fu = reverse_y(f)
     gu = reverse_y(g)
-    ru = fiber_resultant(fu, gu, find_shift(fu, gu, shift_bound))
+    ru = fiber_resultant(fu, gu, find_shift(fu, gu))
     if ru.is_zero():
         raise NotCoprime(f"vanishing fiber resultant in the 1/y chart for ({f}, {g})")
     w_inf = order_at_zero(ru)

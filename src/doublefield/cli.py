@@ -23,9 +23,11 @@ factor; only a sum is multiplied out, into one factor.  So ``divisor``
 factors each written factor on its own and never their product, and a
 prime written as a product of curves or a power of one is refused.  The
 degree bound of ``exact.factor_b`` (exit 2) applies to each written
-factor and, before any multiplication, to each term of a sum.  A power
-of a constant is refused (exit 2) before it is computed when the
-exponent times the bit length of the base exceeds ``MAX_CONSTANT_BITS``.
+factor and, before any multiplication, to each term of a sum; so does
+``MAX_COEFFICIENT_BITS``, a bound on the bits of the term's multiplied-out
+coefficients.  A power of a constant is refused (exit 2) before it is
+computed when the exponent times the bit length of the base exceeds
+``MAX_CONSTANT_BITS``.
 
 Divisor specs are semicolon-separated ``coeff * prime`` terms, where a
 prime is an expression or one of the literals ``inf_x`` / ``inf_y``,
@@ -42,6 +44,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from .arakelov import (
     deg_Kp,
@@ -64,10 +67,8 @@ from .errors import (
     NonGeneric,
     ParseError,
     PrecisionFailure,
-    ShiftExhausted,
     UncertifiedFactor,
 )
-from .charts import DEFAULT_SHIFT_BOUND
 from .exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
     BPoly,
@@ -78,11 +79,15 @@ from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
 from .suites import SUITES, run_suite
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 # largest constant power the parser computes, in bits of its numerator
 # or denominator, estimated as exponent times the bits of the base
 MAX_CONSTANT_BITS = 1 << 16
+# largest coefficient the parser multiplies out, in bits, estimated from
+# the L1 norms of the factors: (x + y + 2^41)^24 + 1, just below it,
+# factors in about 0.9 s of CPU, and (x + y + 2^80)^24 + 1 in about 16 s
+MAX_COEFFICIENT_BITS = 1 << 10
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -130,16 +135,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _Factored = tuple[Fraction, list[tuple[BPoly, int]]]
 
 
+def _l1_bits(f: BPoly) -> int:
+    """Bits of the L1 norm of f with its denominators cleared, which
+    bounds the coefficients of f^e by e times as many bits."""
+    den = lcm(*(a.denominator for _, a in f.terms))
+    return sum(abs(a.numerator) * (den // a.denominator) for _, a in f.terms).bit_length()
+
+
 def _multiply_out(form: _Factored) -> BPoly:
-    """The polynomial a factored form stands for.  Its bidegree is read
-    off the factors first, and DegreeBound is raised before any
-    multiplication when it exceeds the factoring bound."""
+    """The polynomial a factored form stands for.  Its bidegree and the
+    bits of its coefficients are read off the factors first, and
+    DegreeBound or InputError is raised before any multiplication when
+    they exceed their bounds."""
     c, factors = form
     bound = DEFAULT_FACTOR_DEGREE_BOUND
     dx = sum(e * f.deg_x() for f, e in factors)
     dy = sum(e * f.deg_y() for f, e in factors)
     if dx > bound or dy > bound:
         raise DegreeBound(f"bidegree ({dx}, {dy}) exceeds bound {bound}")
+    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+    bits += sum(e * _l1_bits(f) for f, e in factors)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise InputError(
+            f"coefficients of about {bits} bits exceed bound {MAX_COEFFICIENT_BITS}"
+        )
     value = None
     for f, e in factors:
         power = f if e == 1 else f**e
@@ -338,7 +357,6 @@ def _report(args, inputs: dict, result: dict, wall_time) -> dict:
         "command": args.command,
         "inputs": inputs,
         "result": result,
-        "shift_bound": args.shift_bound,
         "assume_irreducible": bool(getattr(args, "assume_irreducible", False)),
         "wall_time": wall_time,
     }
@@ -368,7 +386,7 @@ def _cmd_residue(args) -> tuple[dict, str, int]:
     n = parse_prime(args.n, args.assume_irreducible)
     if not isinstance(n, BinaryPlace):
         raise InputError("the modulus must be a binary prime")
-    d = residue_mod_degree_one(A, n, args.shift_bound)
+    d = residue_mod_degree_one(A, n)
     return _divisor_payload(d), str(d), EXIT_OK
 
 
@@ -384,7 +402,7 @@ def _cmd_correspond(args) -> tuple[dict, str, int]:
 def _cmd_pair(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.a, args.assume_irreducible)
     B = parse_divisor_spec(args.b, args.assume_irreducible)
-    d = pair(A, B, args.side, args.shift_bound)
+    d = pair(A, B, args.side)
     payload = _divisor_payload(d)
     payload["side"] = args.side
     return payload, str(d), EXIT_OK
@@ -394,7 +412,7 @@ def _cmd_selfpair(args) -> tuple[dict, str, int]:
     m = parse_prime(args.m, args.assume_irreducible)
     if not isinstance(m, BinaryPlace):
         raise InputError("selfpair expects a binary prime")
-    sp = self_pair_degree_one(m, args.side, args.shift_bound)
+    sp = self_pair_degree_one(m, args.side)
     payload = {
         "value": str(sp.value),
         "moved": str(sp.moved),
@@ -412,17 +430,12 @@ def _cmd_arakelov_deg(args) -> tuple[dict, str, int]:
 def _cmd_rsp(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.a, args.assume_irreducible)
     B = parse_divisor_spec(args.b, args.assume_irreducible)
-    value = float(residue_scalar_product(A, B, args.shift_bound))
+    value = float(residue_scalar_product(A, B))
     return {"value": value}, f"{value:.12g}", EXIT_OK
 
 
 def _cmd_explore(args) -> tuple[dict, str, int]:
-    result = explore_self_products(
-        trials=args.trials,
-        max_deg=args.max_deg,
-        seed=args.seed,
-        shift_bound=args.shift_bound,
-    )
+    result = explore_self_products(trials=args.trials, max_deg=args.max_deg, seed=args.seed)
     human = (
         f"trials={result['trials']} minimum={result['minimum']:.6g} "
         f"negative_trials={result['negative_trials']}"
@@ -460,7 +473,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--shift-bound", type=int, default=DEFAULT_SHIFT_BOUND, metavar="N")
     common.add_argument("--assume-irreducible", action="store_true")
     common.add_argument("--out", metavar="FILE", default=None)
 
@@ -497,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "json", "shift_bound", "assume_irreducible", "out"}
+    skip = {"command", "json", "assume_irreducible", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -512,7 +524,7 @@ def main(argv=None) -> int:
     except (InputError, UncertifiedFactor, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonGeneric, ShiftExhausted, MoveFailure) as exc:
+    except (NonGeneric, MoveFailure) as exc:
         print(f"not computable on this instance: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except PrecisionFailure as exc:

@@ -50,10 +50,6 @@ class NonGeneric(DoubleFieldError):
     """Multiplicities cannot be soundly read off a specialization."""
 
 
-class ShiftExhausted(DoubleFieldError):
-    """No valid chart shift below the configured bound."""
-
-
 class PrecisionFailure(DoubleFieldError):
     """Numeric certification failed at the working precision (retryable)."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import DEFAULT_SHIFT_BOUND, fiber_divisor, infx_fiber_divisor, transpose_divisor
+from .charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -30,9 +30,7 @@ SIDE_K = "K"
 SIDE_KPRIME = "Kprime"
 
 
-def pair(
-    A: Divisor, b: Divisor, side: str = SIDE_KPRIME, shift_bound: int = DEFAULT_SHIFT_BOUND
-) -> Divisor:
+def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
     """Bilinear norm pairing of two divisors with disjoint supports."""
     if side not in (SIDE_K, SIDE_KPRIME):
         raise ValueError(f"unknown side {side!r}")
@@ -41,19 +39,17 @@ def pair(
     out = Divisor.zero()
     for m, wm in A.coeffs:
         for n, wn in b.coeffs:
-            out = out + _pair_primes(m, n, side, shift_bound).scale(wm * wn)
+            out = out + _pair_primes(m, n, side).scale(wm * wn)
     return out
 
 
-def _pair_primes(m: Place, n: Place, side: str, shift_bound: int) -> Divisor:
+def _pair_primes(m: Place, n: Place, side: str) -> Divisor:
     if side == SIDE_K:
-        return transpose_divisor(
-            _pair_primes_kp(transpose_place(m), transpose_place(n), shift_bound)
-        )
-    return _pair_primes_kp(m, n, shift_bound)
+        return transpose_divisor(_pair_primes_kp(transpose_place(m), transpose_place(n)))
+    return _pair_primes_kp(m, n)
 
 
-def _pair_primes_kp(m: Place, n: Place, shift_bound: int) -> Divisor:
+def _pair_primes_kp(m: Place, n: Place) -> Divisor:
     m_kp_unary = isinstance(m, UnaryPlace) and m.var == "y"
     n_kp_unary = isinstance(n, UnaryPlace) and n.var == "y"
     if m_kp_unary and n_kp_unary:
@@ -62,34 +58,23 @@ def _pair_primes_kp(m: Place, n: Place, shift_bound: int) -> Divisor:
         return Divisor.of(n, degree_over_Kp(m)) if degree_over_Kp(m) else Divisor.zero()
     if m_kp_unary:
         return Divisor.of(m, degree_over_Kp(n)) if degree_over_Kp(n) else Divisor.zero()
-    # both m and n live over the x-line: binary or x-unary
-    fm = _curve_of(m)
-    fn = _curve_of(n)
-    if fm is None and fn is None:
-        # two x-unary places (possibly one at infinity) norm to zero in Q(y)
-        return Divisor.zero()
-    if fm is None:
-        # m = infinity of Q(x) against the curve of n
-        if isinstance(n, UnaryPlace):
-            return Divisor.zero()
-        return infx_fiber_divisor(fn)
-    if fn is None:
-        if isinstance(m, UnaryPlace):
-            return Divisor.zero()
-        return infx_fiber_divisor(fm)
+    # both m and n live over the x-line: binary or x-unary, and two
+    # x-unary places (possibly one at infinity) norm to zero in Q(y)
     if isinstance(m, UnaryPlace) and isinstance(n, UnaryPlace):
         return Divisor.zero()
-    return fiber_divisor(fm, fn, shift_bound)
+    if m == UnaryPlace.infinity("x"):
+        return infx_fiber_divisor(n.poly)
+    if n == UnaryPlace.infinity("x"):
+        return infx_fiber_divisor(m.poly)
+    return fiber_divisor(_curve_of(m), _curve_of(n))
 
 
-def _curve_of(m: Place) -> BPoly | None:
-    """Defining polynomial as a curve in the (x, y) plane; None for the
-    x-infinity section."""
+def _curve_of(m: Place) -> BPoly:
+    """Defining polynomial of a binary or finite x-unary place as a
+    curve in the (x, y) plane."""
     if isinstance(m, BinaryPlace):
         return m.poly
-    if m.var == "x":
-        return None if m.is_infinity() else BPoly.from_upoly(m.poly)
-    raise AssertionError("y-unary places are handled before curve extraction")
+    return BPoly.from_upoly(m.poly)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +88,7 @@ class SelfPairing:
     moving_element: str
 
 
-def self_pair_degree_one(
-    m: BinaryPlace, side: str = SIDE_KPRIME, shift_bound: int = DEFAULT_SHIFT_BOUND
-) -> SelfPairing:
+def self_pair_degree_one(m: BinaryPlace, side: str = SIDE_KPRIME) -> SelfPairing:
     """Pair a degree-one binary prime with itself by first replacing it
     with the equivalent divisor m - div(x - mu), which has support
     disjoint from m."""
@@ -116,5 +99,5 @@ def self_pair_degree_one(
     n = Divisor.of(m) - principal_divisor(elem)
     if n.coeff(m) != 0:
         raise AssertionError("moving step failed to clear the prime")
-    value = pair(n, Divisor.of(m), side, shift_bound)
+    value = pair(n, Divisor.of(m), side)
     return SelfPairing(value, n, f"({m.poly})/({iso.den})")

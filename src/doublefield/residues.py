@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import DEFAULT_SHIFT_BOUND, fiber_divisor, transpose_divisor
+from .charts import fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     Divisor,
@@ -105,26 +105,24 @@ def _check_coprime_to(A: Divisor, n: Place) -> None:
         raise NotCoprime(f"divisor meets the modulus {n}")
 
 
-def residue_mod_degree_one(
-    A: Divisor, n: BinaryPlace, shift_bound: int = DEFAULT_SHIFT_BOUND
-) -> Divisor:
+def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
     """Residue of a divisor of Q(x,y) modulo a degree-one binary prime,
     as a divisor of Q(y); linear in the divisor argument."""
     iso_n = residue_iso(n)
     _check_coprime_to(A, n)
     out = Divisor.zero()
     for m, w in A.coeffs:
-        out = out + _prime_residue(m, n, iso_n, shift_bound).scale(w)
+        out = out + _prime_residue(m, n, iso_n).scale(w)
     return out
 
 
-def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom, shift_bound: int) -> Divisor:
+def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom) -> Divisor:
     if isinstance(m, BinaryPlace):
         if m.poly.deg_x() == 1:
             return different_divisor(residue_iso(m), iso_n)
         # the residue field of n is Q(y) itself, so the residue of a
         # higher-degree prime is read off the chart resultants directly
-        return fiber_divisor(m.poly, n.poly, shift_bound)
+        return fiber_divisor(m.poly, n.poly)
     if m.var == "x":
         if m.is_infinity():
             return iso_n.pole_divisor()

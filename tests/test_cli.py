@@ -178,6 +178,17 @@ class TestDegreeBudget:
         assert time.process_time() - start < 0.5
         assert f"exceeds bound {cli.MAX_CONSTANT_BITS}" in capsys.readouterr().err
 
+    def test_coefficient_overrun_exits_2(self, capsys):
+        # factoring the multiplied-out sum took seconds of CPU in sympy
+        start = time.process_time()
+        assert main(["divisor", "(x + 7^200)^24 + 1"]) == 2
+        assert time.process_time() - start < 0.5
+        assert f"exceed bound {cli.MAX_COEFFICIENT_BITS}" in capsys.readouterr().err
+
+    def test_coefficients_within_bound(self, capsys):
+        # 24 * 41 + 1 = 985 estimated bits
+        assert main(["divisor", "(x + 2^40)^24 + 1"]) == 0
+
     def test_constant_power_within_bound(self):
         e = parse_element("2^100*(1/3)^50*x")
         assert e == DeltaElement.from_factors(Fraction(2**100, 3**50), [(BPoly.gen("x"), 1)])
@@ -290,6 +301,11 @@ class TestExitCodes:
             main(["rsp", "--a", "(x - y)", "--b", "(x + y)", "--precision", "80"])
         assert exc.value.code == 2
 
+    def test_shift_bound_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--a", "x - y^2 - 1", "--b", "x + y", "--shift-bound", "5"])
+        assert exc.value.code == 2
+
     def test_shared_support_is_input_error(self, capsys):
         assert main(["pair", "--a", "(x - y)", "--b", "(x - y)"]) == 2
 
@@ -323,6 +339,7 @@ class TestReports:
         schema = self._schema()
         cmds = [
             ["pair", "--a", "x - y^2", "--b", "x - y", "--json"],
+            ["pair", "--a", "x - y^2 - 1", "--b", "x + y", "--json"],
             ["divisor", "(x - y)", "--json"],
             ["rsp", "--a", "(x - y^2)", "--b", "2*(x - y); -1*inf_x", "--json"],
             ["arakelov-deg", "--d", "2*(y - 3); 1*inf_y", "--json"],
@@ -362,13 +379,15 @@ class TestReports:
         assert main(["arakelov-deg", "--d", "1*(y - 3)", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["degree"] == -2.0
-        assert report["schema_version"] == "3" and "precision" not in report
+        assert report["schema_version"] == "4"
+        assert "precision" not in report and "shift_bound" not in report
 
 
 # The eight CLI examples of README.md with the stdout they printed before
 # the parser kept factors apart; the explore report (wall_time dropped)
 # is pinned by the SHA-256 of its key-sorted JSON, taken since the residue
-# scalar product is exact (every value and residual 0.0, schema "3").
+# scalar product is exact (every value and residual 0.0) and the report
+# lost its shift bound (schema "4").
 README_EXAMPLES = [
     (["divisor", "(x^2-y^2)/(x*y)"], "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)\n"),
     (["pair", "--a", "x - y^2", "--b", "x - y", "--side", "Kprime"], "(y - 1) + (y) + inf_y\n"),
@@ -379,7 +398,7 @@ README_EXAMPLES = [
     (["rsp", "--a", "(x - y^2)", "--b", "2*(x - y); -1*inf_x"], "0\n"),
     (
         ["explore", "--trials", "100", "--max-deg", "2", "--seed", "7", "--json"],
-        "1b6c7b165b4bb5d2ab97dc38698f7fad068ef3037a7e55b9420aa2bc81cc5327",
+        "c7219c346aa8ef1c05ac813dab5f29744c2c12ba9dec9c8529dd18f1e0d94a23",
     ),
 ]
 
@@ -405,3 +424,28 @@ class TestReadmeExamples:
                 if "--json" in argv:
                     out = _report_digest(out)
                 assert out == expected, argv
+
+
+# texts over the grammar's alphabet, the divisor-spec syntax and a few
+# characters outside both
+_FUZZ_TEXT = st.text(alphabet="xy0123456789+-*^()/ ;_inf\t=a.", max_size=14)
+
+
+class TestParserFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_FUZZ_TEXT)
+    def test_only_input_errors_with_offsets_in_range(self, text):
+        # certification is not the parser's business, and its failure
+        # raises UncertifiedFactor, which is not an InputError
+        parsers = (
+            parse_element,
+            lambda t: parse_prime(t, assume_irreducible=True),
+            lambda t: parse_divisor_spec(t, assume_irreducible=True),
+        )
+        for parse in parsers:
+            try:
+                parse(text)
+            except ParseError as exc:
+                assert 0 <= exc.offset <= len(text)
+            except InputError:
+                pass

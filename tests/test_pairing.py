@@ -1,9 +1,12 @@
 """Unit tests for charts, the norm pairing, images of dx and self-pairing."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doublefield.charts as charts
 from doublefield.charts import (
     fiber_divisor,
     find_shift,
@@ -70,6 +73,36 @@ class TestCharts:
     def test_common_component(self):
         with pytest.raises(NotCoprime):
             fiber_divisor((X - Y) * (X + Y), X - Y)
+
+    def test_invalid_given_shift_refused(self):
+        with pytest.raises(ValueError, match="not valid"):
+            fiber_divisor(X - Y**2, X - Y, shift=0)
+
+    def test_shift_beyond_129_candidates(self):
+        # every c in -64..64 is the x of a common point; the degree limit
+        # 1*129 + 1*0 + 1 + 0 = 130 leaves room for the 130th candidate
+        g = prod((Y - BPoly.const(c) for c in range(-64, 65)), start=BPoly.const(1))
+        assert find_shift(X - Y, g) == 65
+
+    def test_common_component_stops_after_limit(self, monkeypatch):
+        f, g = X - Y, (X - Y) * (X + BPoly.const(1))
+        limit = 1 * 1 + 1 * 2 + 1 + 2
+        tried = []
+
+        def counting(f, g, c):
+            tried.append(c)
+            return shift_is_valid(f, g, c)
+
+        monkeypatch.setattr(charts, "shift_is_valid", counting)
+        with pytest.raises(NotCoprime):
+            find_shift(f, g)
+        assert 0 < len(tried) <= limit + 1
+
+    def test_exclude_is_not_counted(self):
+        # limit 1*1 + 2*1 + 1 + 1 = 5: only 0 and 1 fail, and the five
+        # excluded shifts before 4 count against no limit
+        f, g = X - Y**2, X - Y
+        assert find_shift(f, g, exclude=(-1, 2, -2, 3, -3)) == 4
 
     def test_shift_chart_worked(self):
         # t * ((2 + 1/t) - y) = (2 - y)*t + 1

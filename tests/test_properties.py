@@ -4,6 +4,7 @@ primes of bidegree at most (2, 2), beyond the fixed suite pools."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from doublefield.charts import find_shift, reverse_y
 from doublefield.divisors import BinaryPlace, Divisor, UnaryPlace, degree_K
 from doublefield.errors import NonGeneric, UncertifiedFactor
 from doublefield.exact import BPoly, UPoly
@@ -57,3 +58,34 @@ def test_correspondence_matches_chart_route(m, c):
     except NonGeneric:
         assume(False)
     assert via_factorization == residue_mod_Kp_degree_one(A, p)
+
+
+def _rejected_before(c):
+    """Candidates the search order 0, 1, -1, 2, -2, ... tries before c."""
+    return 2 * c - 1 if c > 0 else -2 * c
+
+
+@PROPERTY_SETTINGS
+@given(binary_primes(), binary_primes())
+def test_shift_search_rejects_at_most_the_limit(m, n):
+    assume(m != n)
+    for f, g in ((m.poly, n.poly), (reverse_y(m.poly), reverse_y(n.poly))):
+        limit = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() + f.deg_x() + g.deg_x()
+        assert _rejected_before(find_shift(f, g)) <= limit
+
+
+weights = st.sampled_from((-2, -1, 1, 2))
+
+
+@PROPERTY_SETTINGS
+@given(binary_primes(), binary_primes(), binary_primes(), weights, weights, weights, weights, weights)
+def test_pair_bilinear(p, q, r, w1, w2, w3, w4, w5):
+    assume(len({p, q, r}) == 3)
+    # A1 and A2 share their support, so additivity also checks that
+    # the coefficients multiply, in either argument
+    A1 = Divisor.make({p: w1, q: w2})
+    A2 = Divisor.make({p: w3, q: w4})
+    B = Divisor.of(r, w5)
+    for side in (SIDE_K, SIDE_KPRIME):
+        assert pair(A1 + A2, B, side) == pair(A1, B, side) + pair(A2, B, side)
+        assert pair(B, A1 + A2, side) == pair(B, A1, side) + pair(B, A2, side)
