@@ -1,11 +1,13 @@
 """Chart-based intersection machinery on P1 x P1 over Q.
 
 The fiber of a coprime pair of curves over each point of the y-line is
-counted by a resultant taken in a shifted coordinate x = c + 1/t, where
-the integer shift c is chosen (and verified exactly) so that no common
-point of the pair lies on the moved section at infinity.  The same
-machinery in the u = 1/y chart yields the coefficient at the infinite
-place of Q(y).
+counted by one resultant in the original coordinates, Res_x(f, g): its
+order at each finite y0 is the whole fiber's intersection multiplicity,
+x = infinity included, and the place y = infinity gets the Bezout number
+deg_x f * deg_y g + deg_y f * deg_x g minus its degree (proof in
+``fiber_divisor``).  The shifted chart x = c + 1/t, the 1/y chart and
+the shift search remain as library API; the ``charts`` suite uses them
+as an independent two-chart route.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 
 from .divisors import BinaryPlace, Divisor, UnaryPlace, divisor_of_upoly, transpose_place
 from .errors import NotCoprime
-from .exact import BPoly, UPoly, gcd_b, gcd_u, resultant_x
+from .exact import BPoly, UPoly, gcd_u, resultant_x, y_content
 
 
 def shift_chart_x(f: BPoly, c: int) -> BPoly:
@@ -86,59 +88,60 @@ def find_shift(f: BPoly, g: BPoly, exclude=()) -> int:
             raise NotCoprime(f"{rejected} chart shifts fail, so ({f}, {g}) share a component")
 
 
-def _common_component(f: BPoly, g: BPoly) -> bool:
-    d = gcd_b(f, g)
-    return d.deg_x() > 0 or d.deg_y() > 0
-
-
 def fiber_resultant(f: BPoly, g: BPoly, shift: int) -> UPoly:
-    """Resultant in the shifted chart; its order at y0 is the total
-    intersection multiplicity of f and g on the fiber y = y0, summed
-    over all x in P1."""
+    """Resultant in the shifted chart x = shift + 1/t.  It equals
+    ``resultant_x(f, g)`` up to sign whenever x - shift divides neither
+    input (see ``fiber_divisor``); kept as the two-chart oracle of the
+    ``charts`` suite."""
     ft = shift_chart_x(f, shift)
     gt = shift_chart_x(g, shift)
     return resultant_x(ft, gt)
 
 
-def fiber_divisor(f: BPoly, g: BPoly, shift: int | None = None) -> Divisor:
+def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
     """Divisor over the places of Q(y) (including infinity) counting the
     intersections of the curves f = 0 and g = 0 above each place.
 
     Each input has positive x-degree; purely x-unary inputs (deg_y = 0)
     are allowed.  Inputs must have no common component.
+
+    Proof.  Let f have bidegree (a1, b1) and g (a2, b2), with a1, a2 >= 1.
+    Their bihomogenizations F(X0:X1; Y0:Y1), G on P1 x P1 are binary
+    forms of degrees a1, a2 in X whose coefficients are forms of degrees
+    b1, b2 in Y.  The Sylvester resultant R = Res_X(F, G) with these
+    formal degrees is then a form of degree a1*b2 + a2*b1 in Y, and for
+    every point y0 of the Y-line at which F and G do not both vanish
+    identically, ord_y0 R is the sum of the intersection multiplicities
+    of F and G over all points (x, y0) of the fiber, x = infinity
+    included (Fulton, Algebraic Curves, 1.6 and 5.1).  Since a1 and a2
+    are the x-degrees of f and g, R(1, y) = r = resultant_x(f, g).  So r
+    counts the finite places of Q(y), and the place y = infinity, where
+    R has the order a1*b2 + a2*b1 - deg r, gets that Bezout number
+    minus deg r.  A Moebius change of x such as x = c + 1/t maps each
+    fiber to itself and keeps the multiplicities, so it multiplies R
+    only by a unit: +-1 for the shift chart, and no chart is needed.
+
+    Common components: over Q(y), r = 0 exactly when f and g share a
+    factor of positive x-degree.  A common factor h(y) does not make r
+    vanish: each root of h is a fiber inside both curves, where R only
+    vanishes to the finite order a1 + a2 per factor of h
+    (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  Such an h divides the
+    y-content of f and of g (the gcd of their coefficients in x), which
+    is checked first.  Either case raises NotCoprime.
     """
     if f.deg_x() < 1 or g.deg_x() < 1:
         raise ValueError("both inputs need positive x-degree")
-    if _common_component(f, g):
-        raise NotCoprime(f"curves share a component: ({f}, {g})")
-    if shift is None:
-        shift = find_shift(f, g)
-    elif not shift_is_valid(f, g, shift):
-        raise ValueError(f"shift {shift} is not valid for ({f}, {g})")
-    r = fiber_resultant(f, g, shift)
+    cf = y_content(f)
+    if cf.degree() > 0 and gcd_u(cf, y_content(g)).degree() > 0:
+        raise NotCoprime(f"curves share a component in y alone: ({f}, {g})")
+    r = resultant_x(f, g)
     if r.is_zero():
-        raise NotCoprime(f"vanishing fiber resultant for ({f}, {g})")
-    finite = divisor_of_upoly(r, include_infinity=False)
-
-    fu = reverse_y(f)
-    gu = reverse_y(g)
-    ru = fiber_resultant(fu, gu, find_shift(fu, gu))
-    if ru.is_zero():
-        raise NotCoprime(f"vanishing fiber resultant in the 1/y chart for ({f}, {g})")
-    w_inf = order_at_zero(ru)
+        raise NotCoprime(f"vanishing resultant: ({f}, {g}) share a component")
+    out = divisor_of_upoly(r, include_infinity=False)
+    w_inf = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() - r.degree()
     if w_inf:
-        finite = finite + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-    return finite
-
-
-def order_at_zero(p: UPoly) -> int:
-    """Multiplicity of 0 as a root."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    k = 0
-    while p.coeffs[k] == 0:
-        k += 1
-    return k
+        out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
+    return out
 
 
 def infx_fiber_divisor(g: BPoly) -> Divisor:

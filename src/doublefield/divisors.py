@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import UncertifiedFactor
+from .errors import InputError, UncertifiedFactor
 from .exact import (
     BPoly,
     UPoly,
@@ -72,7 +72,9 @@ class BinaryPlace:
     polynomial of positive degree in both variables.
 
     ``certified`` records whether irreducibility was certified; it does
-    not participate in place identity.
+    not participate in place identity.  ``assume_irreducible`` admits a
+    polynomial the certificate cannot decide, unless ``factor_b`` splits
+    it: a reducible polynomial is refused with or without the flag.
     """
 
     poly: BPoly
@@ -84,8 +86,13 @@ class BinaryPlace:
             raise ValueError("binary place needs positive degree in both variables")
         _, q = primitive_int_bpoly(f)
         cert = certify_irreducible_bivariate(q) == "certified"
-        if not cert and not assume_irreducible:
-            raise UncertifiedFactor(f"could not certify irreducibility of {q}")
+        if not cert:
+            if not assume_irreducible:
+                raise UncertifiedFactor(f"could not certify irreducibility of {q}")
+            # the flag skips the certificate, not the exact factorization
+            _, factors = factor_b(q)
+            if len(factors) != 1 or factors[0][1] != 1:
+                raise InputError(f"{q} is reducible, not a prime")
         return BinaryPlace(q, cert)
 
     def degree_x(self) -> int:

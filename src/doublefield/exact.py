@@ -599,17 +599,22 @@ def factor_q(
 # bivariate irreducibility certification
 
 
+def y_content(f: BPoly) -> UPoly:
+    """Gcd of the coefficients of f in x, a polynomial in y; taken from
+    the lowest degree up, it stops at the first constant one."""
+    cs = sorted((c for c in f.x_coeffs() if not c.is_zero()), key=UPoly.degree)
+    g = cs[0]
+    for c in cs[1:]:
+        if g.degree() == 0:
+            break
+        g = gcd_u(g, c)
+    return g
+
+
 def content_free_both_ways(f: BPoly) -> bool:
     """True when no nonconstant polynomial in y alone, nor in x alone,
     divides f."""
-    for h in (f, f.transpose()):
-        cs = [c for c in h.x_coeffs() if not c.is_zero()]
-        g = cs[0]
-        for c in cs[1:]:
-            g = gcd_u(g, c)
-        if g.degree() != 0:
-            return False
-    return True
+    return y_content(f).degree() == 0 and y_content(f.transpose()).degree() == 0
 
 
 def certify_irreducible_bivariate(f: BPoly) -> str:

@@ -2,9 +2,12 @@
 
 ``pair(A, b, side)`` sends a coprime pair of divisors of Q(x,y) to a
 divisor of Q(x) (side K) or Q(y) (side Kprime).  Binary-against-binary
-and unary-against-binary contributions come from chart resultants;
-pairs involving a unary prime of the output side reduce to residue
-degrees; unary-against-unary pairs on the same side vanish.
+and unary-against-binary contributions come from one resultant per
+pair of primes, Res_x on side Kprime (Res_y on side K, by transposing):
+its roots give the finite places, and the Bezout number minus its
+degree gives the place at infinity.  Pairs involving a unary prime of
+the output side reduce to residue degrees; unary-against-unary pairs on
+the same side vanish.
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ SIDE_KPRIME = "Kprime"
 
 
 def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
-    """Bilinear norm pairing of two divisors with disjoint supports."""
+    """Bilinear norm pairing of two divisors with disjoint supports.
+
+    Each pair of primes of the x-line (binary or x-unary, for side
+    Kprime) contributes ``fiber_divisor``: one resultant Res_x in the
+    original coordinates, read at y = infinity off the Bezout number.
+    """
     if side not in (SIDE_K, SIDE_KPRIME):
         raise ValueError(f"unknown side {side!r}")
     if not A.disjoint_from(b):

@@ -68,6 +68,7 @@ def test_07_self_pairing_plus_differential_is_principal():
 def test_08_chart_robustness_and_numeric_intersection_oracle():
     result = run_charts()
     _assert_ok(result, minimum=20)
+    assert result["common_instances"] >= 20
     assert result["oracle_instances"] >= 20
 
 

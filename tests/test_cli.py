@@ -321,11 +321,24 @@ class TestExitCodes:
 
     def test_uncertified_binary_needs_flag(self, capsys):
         # x^2 - y^2 sits in the certification gap: every admissible
-        # specialization is reducible, so it is refused without the flag
+        # specialization is reducible, so it is refused without the flag;
+        # it is (x - y)(x + y), so the flag does not admit it either
         args = ["pair", "--a", "(x^2 - y^2)", "--b", "(y - 5)"]
         assert main(args) == 2
         assert "input error" in capsys.readouterr().err
+        assert main(args + ["--assume-irreducible"]) == 2
+        assert "reducible" in capsys.readouterr().err
+
+    def test_flag_admits_irreducible_uncertified_binary(self, capsys):
+        # the product vanishes at every y = c with |c| <= 10, so each
+        # specialization is x^2 and the certificate fails; factor_b
+        # finds one factor
+        f = "x^2 - y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
+        args = ["pair", "--a", f, "--b", "(y - 5)"]
+        assert main(args) == 2
+        capsys.readouterr()
         assert main(args + ["--assume-irreducible"]) == 0
+        assert capsys.readouterr().out.strip() == "2*(y - 5)"
 
 
 class TestReports:

@@ -3,7 +3,7 @@
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import doublefield.charts as charts
@@ -23,7 +23,7 @@ from doublefield.divisors import (
     principal_divisor,
 )
 from doublefield.errors import NotCoprime
-from doublefield.exact import BPoly, UPoly
+from doublefield.exact import BPoly, UPoly, resultant_x
 from doublefield.pairing import (
     SIDE_K,
     SIDE_KPRIME,
@@ -31,6 +31,7 @@ from doublefield.pairing import (
     self_pair_degree_one,
 )
 from doublefield.residues import RationalIsom, residue_iso
+from doublefield.suites import _two_chart_fiber_divisor
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -64,19 +65,31 @@ class TestCharts:
         assert d == Divisor.make({yplace(0, 1): 1, yplace(-1, 1): 1, INF_Y: 1})
 
     def test_shift_invariance(self):
+        # the two-chart oracle gives one divisor for every valid shift,
+        # and it is the one-resultant route's
         f, g = X**2 - Y, X - Y**2
         shifts = [c for c in range(-5, 6) if shift_is_valid(f, g, c)]
         assert len(shifts) >= 2
-        results = {fiber_divisor(f, g, shift=c) for c in shifts}
-        assert len(results) == 1
+        results = {_two_chart_fiber_divisor(f, g, c) for c in shifts}
+        assert results == {fiber_divisor(f, g)}
 
     def test_common_component(self):
         with pytest.raises(NotCoprime):
             fiber_divisor((X - Y) * (X + Y), X - Y)
 
+    def test_common_component_in_y_alone(self):
+        # Res_x does not vanish on a shared factor in y alone, so the
+        # y-content check has to refuse these pairs
+        one, two = BPoly.const(1), BPoly.const(2)
+        f, g = (Y - one) * (X + one), (Y - one) * (X + two)
+        assert not resultant_x(f, g).is_zero()
+        for f, g in ((f, g), ((X + one) * Y, (X + one) * (Y + two))):
+            with pytest.raises(NotCoprime):
+                fiber_divisor(f, g)
+
     def test_invalid_given_shift_refused(self):
         with pytest.raises(ValueError, match="not valid"):
-            fiber_divisor(X - Y**2, X - Y, shift=0)
+            _two_chart_fiber_divisor(X - Y**2, X - Y, 0)
 
     def test_shift_beyond_129_candidates(self):
         # every c in -64..64 is the x of a common point; the degree limit
@@ -127,6 +140,28 @@ class TestCharts:
             return
         m = f.deg_x()
         assert shift_chart_x(f, c).eval_xy(t, y) == t**m * f.eval_xy(c + 1 / t, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                st.integers(-5, 5).filter(bool),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.integers(-4, 4),
+    )
+    def test_shift_chart_keeps_the_resultant_up_to_sign(self, terms, c):
+        # x = c + 1/t is a Moebius change of x of determinant -1
+        f, g = (BPoly.make(d) for d in terms)
+        assume(f.deg_x() >= 1 and g.deg_x() >= 1)
+        assume(not f.eval_x(c).is_zero() and not g.eval_x(c).is_zero())
+        r = resultant_x(f, g)
+        assert resultant_x(shift_chart_x(f, c), shift_chart_x(g, c)) in (r, -r)
 
     def test_infx(self):
         assert infx_fiber_divisor(X - Y) == Divisor.of(INF_Y)

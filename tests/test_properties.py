@@ -4,12 +4,13 @@ primes of bidegree at most (2, 2), beyond the fixed suite pools."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublefield.charts import find_shift, reverse_y
+from doublefield.charts import fiber_divisor, find_shift, reverse_y
 from doublefield.divisors import BinaryPlace, Divisor, UnaryPlace, degree_K
 from doublefield.errors import NonGeneric, UncertifiedFactor
 from doublefield.exact import BPoly, UPoly
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair
 from doublefield.residues import correspondence, residue_mod_Kp_degree_one
+from doublefield.suites import _two_chart_fiber_divisor
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -72,6 +73,14 @@ def test_shift_search_rejects_at_most_the_limit(m, n):
     for f, g in ((m.poly, n.poly), (reverse_y(m.poly), reverse_y(n.poly))):
         limit = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() + f.deg_x() + g.deg_x()
         assert _rejected_before(find_shift(f, g)) <= limit
+
+
+@PROPERTY_SETTINGS
+@given(binary_primes(), binary_primes())
+def test_fiber_divisor_matches_two_chart_route(m, n):
+    assume(m != n)
+    for f, g in ((m.poly, n.poly), (reverse_y(m.poly), reverse_y(n.poly))):
+        assert fiber_divisor(f, g) == _two_chart_fiber_divisor(f, g, find_shift(f, g))
 
 
 weights = st.sampled_from((-2, -1, 1, 2))
