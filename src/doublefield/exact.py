@@ -12,9 +12,9 @@ a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
 empties every one of them.  Here ``factor_q`` (key: polynomial and degree
-bound), ``factor_b`` and ``complex_roots`` (key: polynomial, eps and
-prec) are memoized; ``arakelov`` memoizes its per-place heights,
-``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
+bound), ``factor_b``, ``y_content`` and ``complex_roots`` (key:
+polynomial, eps and prec) are memoized; ``arakelov`` memoizes its
+per-place heights, ``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
 ``divisors`` hands out one shared place object per input through
 ``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
 out as a fresh list, so no caller can alter a cached value.  No cache
@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -510,6 +510,28 @@ def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
     Returns (unit, [(primitive integer irreducible factor, multiplicity)])
     with unit * prod(factor**mult) == f exactly.  Raises DegreeBound when
     the degree in x or in y exceeds DEFAULT_FACTOR_DEGREE_BOUND.
+
+    An input of positive degree in both variables is first tried for a
+    proof that it is irreducible; only when that fails does it go to
+    sympy's ``dmp_factor_list`` (Wang's EEZ lifting).  With
+    (u, q) = primitive_int_bpoly(f), the result is (u, [(q, 1)]) when
+
+    (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
+        y swapped; or
+    (b) y_content(q) is constant and q(x, c) is irreducible over Q, where
+        c is the first of 0, 1, -1, 2, ... at which lc_x(q) does not
+        vanish.
+
+    Proof.  Let q = g*h with neither factor constant.  A factor of
+    x-degree 0 lies in Q[y] and divides every x-coefficient of q, hence
+    y_content(q); as that is constant, both g and h have positive
+    x-degree.  In (a), deg_x g + deg_x h = 1 then leaves no room, so q is
+    irreducible; the swapped case is the same argument with x and y
+    exchanged.  In (b), lc_x(q)(c) = lc_x(g)(c)*lc_x(h)(c) is nonzero,
+    so q(x, c) = g(x, c)*h(x, c) is a product of two factors of positive
+    degree, against its irreducibility.  Both results equal sympy's:
+    the factorization over Q is unique up to units, and
+    primitive_int_bpoly fixes the unit.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -518,6 +540,15 @@ def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
         raise DegreeBound(f"bidegree ({f.deg_x()}, {f.deg_y()}) exceeds bound {bound}")
     if f.deg_x() <= 0 and f.deg_y() <= 0:
         return f.terms[0][1], []
+    if f.deg_x() > 0 and f.deg_y() > 0:
+        u, q = primitive_int_bpoly(f)
+        content_free_y = y_content(q).degree() == 0
+        if (
+            (q.deg_x() == 1 and content_free_y)
+            or (q.deg_y() == 1 and y_content(q.transpose()).degree() == 0)
+            or (content_free_y and _irreducible_at(q, next(_specializations(q))))
+        ):
+            return u, [(q, 1)]
     K = _b_domain(f)
     content, fac = dmp_factor_list(_to_dmp(f, K), 1, K)
     unit = _from_K(content, K)
@@ -599,6 +630,7 @@ def factor_q(
 # bivariate irreducibility certification
 
 
+@memo
 def y_content(f: BPoly) -> UPoly:
     """Gcd of the coefficients of f in x, a polynomial in y; taken from
     the lowest degree up, it stops at the first constant one."""
@@ -617,6 +649,26 @@ def content_free_both_ways(f: BPoly) -> bool:
     return y_content(f).degree() == 0 and y_content(f.transpose()).degree() == 0
 
 
+def _specializations(f: BPoly) -> Iterator[int]:
+    """The integers c, in the order 0, 1, -1, 2, -2, ..., at which the
+    x-leading coefficient of f does not vanish."""
+    lc = f.coeff_of_x(f.deg_x())
+    c = 0
+    while True:
+        if lc.eval(c) != 0:
+            yield c
+        c = -c if c > 0 else 1 - c
+
+
+def _irreducible_at(f: BPoly, c: int) -> bool:
+    """True when the specialization y := c proves f irreducible, for f of
+    constant y-content and c not a root of its x-leading coefficient
+    (proof in ``factor_b``): f(x, c) is irreducible over Q.  Raises
+    DegreeBound past the degree bound of ``factor_q``."""
+    _, fac = factor_q(f.eval_y(c))
+    return len(fac) == 1 and fac[0][1] == 1
+
+
 def certify_irreducible_bivariate(f: BPoly) -> str:
     """Sound sufficient irreducibility test over Q; returns "certified"
     or "unknown" (never certifies a reducible polynomial).
@@ -632,20 +684,14 @@ def certify_irreducible_bivariate(f: BPoly) -> str:
         return "unknown"
     if f.deg_x() == 1 or f.deg_y() == 1:
         return "certified"
-    lc = f.coeff_of_x(f.deg_x())
-    candidates = [0]
-    for k in range(1, 11):
-        candidates.extend([k, -k])
-    for c in candidates:
-        if lc.eval(c) == 0:
-            continue
-        spec = f.eval_y(c)
+    for c in _specializations(f):
+        if abs(c) > 10:
+            break
         try:
-            _, fac = factor_q(spec)
+            if _irreducible_at(f, c):
+                return "certified"
         except DegreeBound:
             return "unknown"
-        if len(fac) == 1 and fac[0][1] == 1:
-            return "certified"
     return "unknown"
 
 

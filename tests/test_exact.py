@@ -1,14 +1,17 @@
 """Unit tests for the exact arithmetic substrate."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.factortools import dmp_factor_list
 
+from doublefield import exact
 from doublefield.errors import DegreeBound, PrecisionFailure
 from doublefield.exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
@@ -17,6 +20,7 @@ from doublefield.exact import (
     _b_domain,
     _from_dmp,
     _from_dup,
+    _from_K,
     _to_dmp,
     _to_dup,
     _u_domain,
@@ -304,12 +308,80 @@ class TestBridgedAlgebra:
             assert sympy.rem(sym_b(d), sym_b(h), SX, SY, domain=QQ) == 0
 
 
+def _sympy_route(f):
+    """factor_b's oracle: sympy's bivariate factorizer through the bridge,
+    with each factor put in primitive integer form and sorted."""
+    K = _b_domain(f)
+    content, fac = dmp_factor_list(_to_dmp(f, K), 1, K)
+    unit, out = _from_K(content, K), []
+    for p, m in fac:
+        u, q = primitive_int_bpoly(_from_dmp(p, K))
+        unit *= u**m
+        out.append((q, m))
+    out.sort(key=lambda t: t[0].terms)
+    return unit, out
+
+
+# curves: positive degree in both variables, mostly irreducible
+curves = mixed_bpolys(2, 5).filter(lambda f: f.deg_x() > 0 and f.deg_y() > 0)
+nonconstant_upolys = st.sampled_from("xy").flatmap(
+    lambda v: upoly_strategy(v, max_deg=2, coeffs=small_ints).filter(lambda p: p.degree() > 0)
+)
+factor_b_inputs = st.one_of(
+    curves,
+    st.lists(curves, min_size=2, max_size=3).map(math.prod),
+    st.tuples(curves, nonconstant_upolys).map(lambda t: t[0] * BPoly.from_upoly(t[1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_b_inputs)
+@example((Y - BPoly.const(1)) * (X + BPoly.const(1)))  # y-content, degree 1 in x
+@example((X * Y + BPoly.const(1)) * (X + BPoly.const(1)))  # lc_x vanishes at y = 0
+def test_factor_b_matches_sympy_route(f):
+    assert factor_b.__wrapped__(f) == _sympy_route(f)
+
+
 class TestFactorB:
     def test_bound_applies_to_either_variable(self):
         with pytest.raises(DegreeBound):
             factor_b(X**40 - Y**40)
         with pytest.raises(DegreeBound):
             factor_b(X - Y ** (DEFAULT_FACTOR_DEGREE_BOUND + 1))
+
+    def test_degree_one_curves_need_no_factorization(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dmp_factor_list", refuse)
+        monkeypatch.setattr(exact, "factor_q", refuse)
+        one = BPoly.const(1)
+        for f in (X - Y**2, X * Y**2 + Y + one, Y * X**3 + X + one, (X * Y + one).scale(Fraction(-2, 3))):
+            u, q = primitive_int_bpoly(f)
+            assert factor_b(f) == (u, [(q, 1)])
+
+    def test_undecided_input_pays_one_univariate_factorization(self, monkeypatch):
+        factor_q_calls = []
+        at_sympy_route = []
+
+        def counting_factor_q(*args):
+            factor_q_calls.append(args)
+            return factor_q(*args)
+
+        def recording_dmp_factor_list(*args):
+            at_sympy_route.append(len(factor_q_calls))
+            return dmp_factor_list(*args)
+
+        monkeypatch.setattr(exact, "factor_q", counting_factor_q)
+        monkeypatch.setattr(exact, "dmp_factor_list", recording_dmp_factor_list)
+        for f, factors in (
+            ((X - Y) * (X + Y**2), [X - Y, X + Y**2]),
+            (X**2 - Y**2, [X - Y, X + Y]),
+        ):
+            factor_q_calls.clear()
+            at_sympy_route.clear()
+            assert factor_b(f) == (1, [(q, 1) for q in factors])
+            assert at_sympy_route == [len(factor_q_calls)] and len(factor_q_calls) <= 1
 
     def test_at_the_bound_still_factors(self):
         f = (X**DEFAULT_FACTOR_DEGREE_BOUND - Y) * BPoly.const(3)
