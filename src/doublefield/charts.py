@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import count
 from math import comb
 
-from .divisors import BinaryPlace, Divisor, UnaryPlace, divisor_of_upoly, transpose_place
+from .divisors import BinaryPlace, Divisor, divisor_of_upoly, transpose_place
 from .errors import NotCoprime
 from .exact import BPoly, UPoly, gcd_u, resultant_x, y_content
 
@@ -137,11 +137,7 @@ def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
     r = resultant_x(f, g)
     if r.is_zero():
         raise NotCoprime(f"vanishing resultant: ({f}, {g}) share a component")
-    out = divisor_of_upoly(r, include_infinity=False)
-    w_inf = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() - r.degree()
-    if w_inf:
-        out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-    return out
+    return divisor_of_upoly(r, f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x())
 
 
 def infx_fiber_divisor(g: BPoly) -> Divisor:
@@ -154,12 +150,7 @@ def infx_fiber_divisor(g: BPoly) -> Divisor:
     """
     if g.deg_x() < 1:
         raise ValueError("needs positive x-degree")
-    lc = g.coeff_of_x(g.deg_x())
-    out = divisor_of_upoly(lc, include_infinity=False)
-    w_inf = g.deg_y() - lc.degree()
-    if w_inf:
-        out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-    return out
+    return divisor_of_upoly(g.coeff_of_x(g.deg_x()), g.deg_y())
 
 
 def transpose_divisor(D: Divisor) -> Divisor:

@@ -67,7 +67,6 @@ from .errors import (
     NonGeneric,
     ParseError,
     PrecisionFailure,
-    UncertifiedFactor,
 )
 from .exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
@@ -79,7 +78,7 @@ from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
 from .suites import SUITES, run_suite
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 # largest constant power the parser computes, in bits of its numerator
 # or denominator, estimated as exponent times the bits of the base
@@ -298,10 +297,10 @@ def parse_element(text: str) -> DeltaElement:
     return DeltaElement.from_factors(num[0] / den[0], num[1] + [(f, -e) for f, e in den[1]])
 
 
-def parse_prime(text: str, assume_irreducible: bool = False) -> Place:
+def parse_prime(text: str) -> Place:
     """Parse a prime divisor: ``inf_x`` / ``inf_y`` or an irreducible
-    polynomial expression.  A written product of curves or a power of a
-    curve is refused whatever ``assume_irreducible`` says."""
+    polynomial expression.  A written product of curves, a power of a
+    curve and a reducible curve are refused with InputError."""
     stripped = text.strip()
     if stripped in ("inf_x", "inf_y"):
         return UnaryPlace.infinity(stripped[-1])
@@ -312,7 +311,7 @@ def parse_prime(text: str, assume_irreducible: bool = False) -> Place:
         raise InputError(f"{text!r} is a product or power of curves, not a prime")
     f = written[0][0]
     if f.deg_x() > 0 and f.deg_y() > 0:
-        return BinaryPlace.make(f, assume_irreducible=assume_irreducible)
+        return BinaryPlace.make(f)
     u = f.as_upoly()
     _, q = primitive_int_upoly(u)
     _, factors = factor_q(q)
@@ -324,7 +323,7 @@ def parse_prime(text: str, assume_irreducible: bool = False) -> Place:
 _COEFF_RE = re.compile(r"^\s*([+-]?\d+)\s*\*(.*)$", re.S)
 
 
-def parse_divisor_spec(text: str, assume_irreducible: bool = False) -> Divisor:
+def parse_divisor_spec(text: str) -> Divisor:
     """Parse a semicolon-separated list of ``coeff * prime`` terms."""
     comps: dict[Place, int] = {}
     for raw in text.split(";"):
@@ -335,7 +334,7 @@ def parse_divisor_spec(text: str, assume_irreducible: bool = False) -> Divisor:
             coeff, body = int(m.group(1)), m.group(2)
         else:
             coeff, body = 1, raw
-        place = parse_prime(body, assume_irreducible)
+        place = parse_prime(body)
         comps[place] = comps.get(place, 0) + coeff
     return Divisor.make(comps)
 
@@ -357,7 +356,6 @@ def _report(args, inputs: dict, result: dict, wall_time) -> dict:
         "command": args.command,
         "inputs": inputs,
         "result": result,
-        "assume_irreducible": bool(getattr(args, "assume_irreducible", False)),
         "wall_time": wall_time,
     }
 
@@ -382,8 +380,8 @@ def _cmd_divisor(args) -> tuple[dict, str, int]:
 
 
 def _cmd_residue(args) -> tuple[dict, str, int]:
-    A = parse_divisor_spec(args.A, args.assume_irreducible)
-    n = parse_prime(args.n, args.assume_irreducible)
+    A = parse_divisor_spec(args.A)
+    n = parse_prime(args.n)
     if not isinstance(n, BinaryPlace):
         raise InputError("the modulus must be a binary prime")
     d = residue_mod_degree_one(A, n)
@@ -391,8 +389,8 @@ def _cmd_residue(args) -> tuple[dict, str, int]:
 
 
 def _cmd_correspond(args) -> tuple[dict, str, int]:
-    A = parse_divisor_spec(args.A, args.assume_irreducible)
-    p = parse_prime(args.p, args.assume_irreducible)
+    A = parse_divisor_spec(args.A)
+    p = parse_prime(args.p)
     if not (isinstance(p, UnaryPlace) and p.var == "y" and not p.is_infinity()):
         raise InputError("the point must be a finite prime of Q(y)")
     d = correspondence(A, p)
@@ -400,8 +398,8 @@ def _cmd_correspond(args) -> tuple[dict, str, int]:
 
 
 def _cmd_pair(args) -> tuple[dict, str, int]:
-    A = parse_divisor_spec(args.a, args.assume_irreducible)
-    B = parse_divisor_spec(args.b, args.assume_irreducible)
+    A = parse_divisor_spec(args.a)
+    B = parse_divisor_spec(args.b)
     d = pair(A, B, args.side)
     payload = _divisor_payload(d)
     payload["side"] = args.side
@@ -409,7 +407,7 @@ def _cmd_pair(args) -> tuple[dict, str, int]:
 
 
 def _cmd_selfpair(args) -> tuple[dict, str, int]:
-    m = parse_prime(args.m, args.assume_irreducible)
+    m = parse_prime(args.m)
     if not isinstance(m, BinaryPlace):
         raise InputError("selfpair expects a binary prime")
     sp = self_pair_degree_one(m, args.side)
@@ -423,13 +421,13 @@ def _cmd_selfpair(args) -> tuple[dict, str, int]:
 
 
 def _cmd_arakelov_deg(args) -> tuple[dict, str, int]:
-    value = float(deg_Kp(parse_divisor_spec(args.d, args.assume_irreducible)))
+    value = float(deg_Kp(parse_divisor_spec(args.d)))
     return {"degree": value}, f"{value:.12g}", EXIT_OK
 
 
 def _cmd_rsp(args) -> tuple[dict, str, int]:
-    A = parse_divisor_spec(args.a, args.assume_irreducible)
-    B = parse_divisor_spec(args.b, args.assume_irreducible)
+    A = parse_divisor_spec(args.a)
+    B = parse_divisor_spec(args.b)
     value = float(residue_scalar_product(A, B))
     return {"value": value}, f"{value:.12g}", EXIT_OK
 
@@ -473,7 +471,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--assume-irreducible", action="store_true")
     common.add_argument("--out", metavar="FILE", default=None)
 
     top = argparse.ArgumentParser(prog="doublefield")
@@ -509,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "json", "assume_irreducible", "out"}
+    skip = {"command", "json", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -521,7 +518,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc} (offset {exc.offset})", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, UncertifiedFactor, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NonGeneric, MoveFailure) as exc:

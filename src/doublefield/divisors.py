@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import InputError, UncertifiedFactor
+from .errors import InputError
 from .exact import (
     BPoly,
     UPoly,
@@ -71,28 +71,24 @@ class BinaryPlace:
     """A binary prime of Q(x,y): a primitive integer irreducible
     polynomial of positive degree in both variables.
 
-    ``certified`` records whether irreducibility was certified; it does
-    not participate in place identity.  ``assume_irreducible`` admits a
-    polynomial the certificate cannot decide, unless ``factor_b`` splits
-    it: a reducible polynomial is refused with or without the flag.
+    ``make`` proves the prime with ``certify_irreducible_bivariate`` and,
+    when that says "unknown", with the exact ``factor_b``; a reducible
+    polynomial is refused with InputError.  ``certified`` records which
+    of the two proved it (True for the certificate); it does not
+    participate in place identity.
     """
 
     poly: BPoly
     certified: bool = field(default=True, compare=False, hash=False)
 
     @staticmethod
-    def make(f: BPoly, assume_irreducible: bool = False) -> "BinaryPlace":
+    def make(f: BPoly) -> "BinaryPlace":
         if f.deg_x() < 1 or f.deg_y() < 1:
             raise ValueError("binary place needs positive degree in both variables")
         _, q = primitive_int_bpoly(f)
         cert = certify_irreducible_bivariate(q) == "certified"
-        if not cert:
-            if not assume_irreducible:
-                raise UncertifiedFactor(f"could not certify irreducibility of {q}")
-            # the flag skips the certificate, not the exact factorization
-            _, factors = factor_b(q)
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise InputError(f"{q} is reducible, not a prime")
+        if not cert and factor_b(q)[1] != [(q, 1)]:
+            raise InputError(f"{q} is reducible, not a prime")
         return BinaryPlace(q, cert)
 
     def degree_x(self) -> int:
@@ -388,15 +384,20 @@ def principal_divisor(a: DeltaElement) -> Divisor:
     return Divisor.make(d)
 
 
-def divisor_of_upoly(p: UPoly, include_infinity: bool = True) -> Divisor:
-    """Divisor in Q(x) or Q(y) of a nonzero univariate polynomial."""
+def divisor_of_upoly(p: UPoly, degree: int = 0) -> Divisor:
+    """The finite zeros of a nonzero univariate polynomial p plus
+    (degree - deg p) times the place at infinity of its variable.
+
+    ``degree=0`` gives div(p) in Q(x) or Q(y).  A ``degree`` of at least
+    deg p gives the zero divisor of p read as a binary form of that
+    degree, whose order at infinity is the number of missing top
+    coefficients (Fulton, Algebraic Curves, 5.1).
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    d: dict[Place, int] = {}
+    d: dict[Place, int] = {UnaryPlace.infinity(p.var): degree - p.degree()}
     if p.degree() >= 1:
         _, fac = factor_q(p)
         for irr, m in fac:
             d[UnaryPlace.finite(irr)] = m
-    if include_infinity and p.degree() >= 1:
-        d[UnaryPlace.infinity(p.var)] = -p.degree()
     return Divisor.make(d)

@@ -43,7 +43,11 @@ class CommonSupport(InputError):
 
 
 class UncertifiedFactor(DoubleFieldError):
-    """Irreducibility of a binary prime could not be certified."""
+    """Irreducibility of a binary prime could not be certified.
+
+    The library no longer raises it: ``BinaryPlace.make`` decides every
+    binary prime exactly.  The class stays exported for code that still
+    catches it."""
 
 
 class NonGeneric(DoubleFieldError):

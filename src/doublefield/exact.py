@@ -11,9 +11,9 @@ Caching.  There is one memo policy for the whole package: ``memo`` wraps
 a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
-empties every one of them.  Here ``factor_q`` (key: polynomial and degree
-bound), ``factor_b``, ``y_content`` and ``complex_roots`` (key:
-polynomial, eps and prec) are memoized; ``arakelov`` memoizes its
+empties every one of them.  Here ``factor_q``, ``factor_b``, ``y_content``
+(key: the polynomial) and ``complex_roots`` (key: polynomial, eps and
+prec) are memoized; ``arakelov`` memoizes its
 per-place heights, ``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
 ``divisors`` hands out one shared place object per input through
 ``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
@@ -604,18 +604,18 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
 
 
 @memo
-def factor_q(
-    f: UPoly, degree_bound: int = DEFAULT_FACTOR_DEGREE_BOUND
-) -> tuple[Fraction, list[tuple[UPoly, int]]]:
+def factor_q(f: UPoly) -> tuple[Fraction, list[tuple[UPoly, int]]]:
     """Complete factorization over Q into monic irreducibles.
 
     Returns (unit, [(factor, multiplicity), ...]) with
-    unit * prod(factor**mult) == f exactly.
+    unit * prod(factor**mult) == f exactly.  Raises DegreeBound when the
+    degree exceeds DEFAULT_FACTOR_DEGREE_BOUND.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree() > degree_bound:
-        raise DegreeBound(f"degree {f.degree()} exceeds bound {degree_bound}")
+    bound = DEFAULT_FACTOR_DEGREE_BOUND
+    if f.degree() > bound:
+        raise DegreeBound(f"degree {f.degree()} exceeds bound {bound}")
     if f.degree() == 0:
         return f.lc(), []
     K = _u_domain(f)

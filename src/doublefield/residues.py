@@ -51,11 +51,7 @@ class RationalIsom:
 
     def pole_divisor(self) -> Divisor:
         """Divisor of poles of num/den over the places of Q(y)."""
-        out = divisor_of_upoly(self.den, include_infinity=False)
-        w_inf = self.num.degree() - self.den.degree()
-        if w_inf > 0:
-            out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-        return out
+        return divisor_of_upoly(self.den, max(self.num.degree(), self.den.degree()))
 
     def __str__(self) -> str:
         if self.den == UPoly.const("y", 1):
@@ -76,7 +72,19 @@ def residue_iso(n: BinaryPlace) -> RationalIsom:
 def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
     """Effective divisor of Q(y) measuring the coincidence orders of two
     embeddings: at each place the order of mu - nu where both are finite
-    with equal values, of 1/mu - 1/nu where both have poles, else 0."""
+    with equal values, of 1/mu - 1/nu where both have poles, else 0.
+
+    Proof.  With mu = b1/a1 and nu = b2/a2 in lowest terms, d = b1*a2 -
+    b2*a1 is the form B1*A2 - B2*A1 of degree max(deg a1, deg b1) +
+    max(deg a2, deg b2) in the homogeneous coordinates of the y-line.
+    At every place, y = infinity included, A1 and B1 do not vanish
+    together, nor A2 and B2.  Where both values are finite, d is
+    A1*A2*(mu - nu) with A1*A2 a unit; where both are infinite, it is
+    B1*B2*(1/nu - 1/mu) with B1*B2 a unit; where only mu is infinite,
+    A1 = 0 and d = B1*A2 does not vanish (the same with mu and nu
+    swapped).  So the order of d is the coincidence order in all three
+    cases.
+    """
     if mu == nu:
         raise EqualIsoms("the two embeddings coincide")
     b1, a1 = mu.num, mu.den
@@ -84,20 +92,7 @@ def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
     d = b1 * a2 - b2 * a1
     if d.is_zero():
         raise EqualIsoms("the two embeddings coincide")
-    # at a finite place, a nonzero order of d forces either both values
-    # finite and equal or both infinite, and equals the coincidence
-    # order in both cases
-    out = divisor_of_upoly(d, include_infinity=False)
-    w1 = a1.degree() - (b1.degree() if not b1.is_zero() else a1.degree())
-    w2 = a2.degree() - (b2.degree() if not b2.is_zero() else a2.degree())
-    w_inf = 0
-    if w1 >= 0 and w2 >= 0:
-        w_inf = max(0, a1.degree() + a2.degree() - d.degree())
-    elif w1 < 0 and w2 < 0:
-        w_inf = max(0, b1.degree() + b2.degree() - d.degree())
-    if w_inf:
-        out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-    return out
+    return divisor_of_upoly(d, max(a1.degree(), b1.degree()) + max(a2.degree(), b2.degree()))
 
 
 def _check_coprime_to(A: Divisor, n: Place) -> None:
@@ -127,18 +122,15 @@ def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom) -> Divisor:
         if m.is_infinity():
             return iso_n.pole_divisor()
         # image of a finite place p(x) under x -> b/a: zero divisor of
-        # the cleared numerator of p(b/a)
+        # the cleared numerator of p(b/a), a form of degree
+        # dp * max(deg a, deg b)
         b, a = iso_n.num, iso_n.den
         p = m.poly
         dp = p.degree()
         cleared = UPoly.zero("y")
         for i, c in enumerate(p.coeffs):
             cleared = cleared + (b**i) * (a ** (dp - i)).scale(c)
-        out = divisor_of_upoly(cleared, include_infinity=False)
-        w_inf = dp * a.degree() - cleared.degree()
-        if w_inf > 0:
-            out = out + Divisor.of(UnaryPlace.infinity("y"), w_inf)
-        return out
+        return divisor_of_upoly(cleared, dp * max(a.degree(), b.degree()))
     # K'-unary places map to themselves (the identification is the
     # identity on Q(y))
     return Divisor.of(m, 1)
@@ -180,12 +172,7 @@ def _prime_correspondence(m: Place, c: Fraction) -> Divisor:
                     f"multiplicities of {f} over y = {c} cannot be soundly "
                     "read from the specialization"
                 )
-        spec = f.eval_y(c)
-        out = divisor_of_upoly(spec, include_infinity=False)
-        escape = f.deg_x() - spec.degree()
-        if escape:
-            out = out + Divisor.of(UnaryPlace.infinity("x"), escape)
-        return out
+        return divisor_of_upoly(f.eval_y(c), f.deg_x())
     if m.var == "x":
         return Divisor.of(m, 1)
     return Divisor.zero()

@@ -41,7 +41,7 @@ from .divisors import (
     divisor_of_upoly,
     principal_divisor,
 )
-from .errors import MoveFailure, NonGeneric, NotCoprime, UncertifiedFactor
+from .errors import MoveFailure, NonGeneric, NotCoprime
 from .exact import (
     DEFAULT_PREC,
     BPoly,
@@ -83,13 +83,6 @@ def _xplace(*coeffs) -> UnaryPlace:
     return UnaryPlace.finite(UPoly.make("x", coeffs))
 
 
-def _binary(f: BPoly) -> BinaryPlace:
-    try:
-        return BinaryPlace.make(f)
-    except UncertifiedFactor:
-        return BinaryPlace.make(f, assume_irreducible=True)
-
-
 def binary_pool() -> list[BinaryPlace]:
     """Deterministic pool of binary primes, degrees at most 3 in each
     variable."""
@@ -113,7 +106,7 @@ def binary_pool() -> list[BinaryPlace]:
         X - Y**3,
         X**2 - Y**3,
     ]
-    return [_binary(f) for f in polys]
+    return [BinaryPlace.make(f) for f in polys]
 
 
 def unary_pool() -> list[UnaryPlace]:
@@ -282,7 +275,7 @@ def run_principality() -> dict:
     checked = 0
     moduli = [degree_one_prime(mu) for mu in isom_pool()]
     points = [_yplace(-c, 1) for c in (5, -7, 3)]
-    others = [Divisor.of(_binary(2 * X - Y - _c(3))), Divisor.of(_yplace(-5, 1))]
+    others = [Divisor.of(BinaryPlace.make(2 * X - Y - _c(3))), Divisor.of(_yplace(-5, 1))]
     for k, elem in enumerate(element_pool()):
         A = principal_divisor(elem)
         checked += 1
@@ -461,15 +454,12 @@ def _two_chart_fiber_divisor(f: BPoly, g: BPoly, c: int) -> Divisor:
     r = fiber_resultant(f, g, c)
     if r.is_zero():
         raise NotCoprime(f"vanishing fiber resultant for ({f}, {g})")
-    out = divisor_of_upoly(r, include_infinity=False)
     fu, gu = reverse_y(f), reverse_y(g)
     ru = fiber_resultant(fu, gu, find_shift(fu, gu))
     if ru.is_zero():
         raise NotCoprime(f"vanishing fiber resultant in the 1/y chart for ({f}, {g})")
     w_inf = next(k for k, v in enumerate(ru.coeffs) if v != 0)
-    if w_inf:
-        out = out + Divisor.of(INF_Y, w_inf)
-    return out
+    return divisor_of_upoly(r, r.degree() + w_inf)
 
 
 def run_charts() -> dict:

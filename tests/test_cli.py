@@ -239,13 +239,16 @@ class TestSpecParsing:
         with pytest.raises(InputError):
             parse_prime("0*x")
 
-    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("in_spec", [False, True])
     @pytest.mark.parametrize("text", ["(x-y)*(x+y^2)", "x*y", "(x - y)^2"])
-    def test_written_product_rejected(self, text, flag):
+    def test_written_product_rejected(self, text, in_spec):
         with pytest.raises(InputError, match="product or power of curves"):
-            parse_prime(text, assume_irreducible=flag)
+            if in_spec:
+                parse_divisor_spec(f"2*{text}")
+            else:
+                parse_prime(text)
 
-    @pytest.mark.parametrize("flag", [[], ["--assume-irreducible"]])
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_written_product_exits_2(self, flag, capsys):
         argv = ["pair", "--a", "(x-y)*(x+y^2)", "--b", "(y-5)"] + flag
         assert main(argv) == 2
@@ -319,25 +322,25 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "rsp", boom)
         assert main(["rsp", "--a", "(x - y)", "--b", "(x + y)"]) == 4
 
-    def test_uncertified_binary_needs_flag(self, capsys):
+    def test_reducible_binary_exits_2(self, capsys):
         # x^2 - y^2 sits in the certification gap: every admissible
-        # specialization is reducible, so it is refused without the flag;
-        # it is (x - y)(x + y), so the flag does not admit it either
+        # specialization is reducible; factor_b splits it into
+        # (x - y)(x + y), so it is refused
         args = ["pair", "--a", "(x^2 - y^2)", "--b", "(y - 5)"]
         assert main(args) == 2
-        assert "input error" in capsys.readouterr().err
-        assert main(args + ["--assume-irreducible"]) == 2
-        assert "reducible" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reducible" in captured.err
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--assume-irreducible"])
+        assert exc.value.code == 2
 
-    def test_flag_admits_irreducible_uncertified_binary(self, capsys):
+    def test_uncertified_irreducible_binary_is_decided(self, capsys):
         # the product vanishes at every y = c with |c| <= 10, so each
         # specialization is x^2 and the certificate fails; factor_b
         # finds one factor
         f = "x^2 - y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
-        args = ["pair", "--a", f, "--b", "(y - 5)"]
-        assert main(args) == 2
-        capsys.readouterr()
-        assert main(args + ["--assume-irreducible"]) == 0
+        assert main(["pair", "--a", f, "--b", "(y - 5)"]) == 0
         assert capsys.readouterr().out.strip() == "2*(y - 5)"
 
 
@@ -392,15 +395,16 @@ class TestReports:
         assert main(["arakelov-deg", "--d", "1*(y - 3)", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["degree"] == -2.0
-        assert report["schema_version"] == "4"
+        assert report["schema_version"] == "5"
         assert "precision" not in report and "shift_bound" not in report
+        assert "assume_irreducible" not in report
 
 
 # The eight CLI examples of README.md with the stdout they printed before
 # the parser kept factors apart; the explore report (wall_time dropped)
 # is pinned by the SHA-256 of its key-sorted JSON, taken since the residue
 # scalar product is exact (every value and residual 0.0) and the report
-# lost its shift bound (schema "4").
+# lost its assume_irreducible key (schema "5").
 README_EXAMPLES = [
     (["divisor", "(x^2-y^2)/(x*y)"], "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)\n"),
     (["pair", "--a", "x - y^2", "--b", "x - y", "--side", "Kprime"], "(y - 1) + (y) + inf_y\n"),
@@ -411,7 +415,7 @@ README_EXAMPLES = [
     (["rsp", "--a", "(x - y^2)", "--b", "2*(x - y); -1*inf_x"], "0\n"),
     (
         ["explore", "--trials", "100", "--max-deg", "2", "--seed", "7", "--json"],
-        "c7219c346aa8ef1c05ac813dab5f29744c2c12ba9dec9c8529dd18f1e0d94a23",
+        "b6c069c67a036220ea46cd87ba63d064e62858975c708c75bc3dbd2211acd097",
     ),
 ]
 
@@ -448,13 +452,7 @@ class TestParserFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_FUZZ_TEXT)
     def test_only_input_errors_with_offsets_in_range(self, text):
-        # certification is not the parser's business, and its failure
-        # raises UncertifiedFactor, which is not an InputError
-        parsers = (
-            parse_element,
-            lambda t: parse_prime(t, assume_irreducible=True),
-            lambda t: parse_divisor_spec(t, assume_irreducible=True),
-        )
+        parsers = (parse_element, parse_prime, parse_divisor_spec)
         for parse in parsers:
             try:
                 parse(text)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublefield.divisors import (
@@ -19,11 +19,21 @@ from doublefield.divisors import (
     restrict_to_Kp,
     valuation,
 )
-from doublefield.errors import UncertifiedFactor
-from doublefield.exact import BPoly, UPoly
+from doublefield.errors import InputError
+from doublefield.exact import BPoly, UPoly, certify_irreducible_bivariate, factor_b, primitive_int_bpoly
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
+
+
+def _uncertified_prime() -> BPoly:
+    """x^2 - y*(y^2 - 1)*...*(y^2 - 100): irreducible, but every
+    specialization y = c with |c| <= 10 is x^2, so only factor_b
+    decides it."""
+    g = Y
+    for k in range(1, 11):
+        g = g * (Y**2 - BPoly.const(k * k))
+    return X**2 - g
 
 
 def uplace(var, *coeffs):
@@ -43,8 +53,32 @@ class TestPlaces:
         assert BinaryPlace.make(-2 * (X - Y)) == BinaryPlace.make(X - Y)
 
     def test_binary_rejects_reducible_without_flag(self):
-        with pytest.raises(UncertifiedFactor):
+        with pytest.raises(InputError, match="reducible"):
             BinaryPlace.make((X**2 - Y) * (X**2 + Y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.integers(-3, 3).filter(bool),
+            min_size=2,
+            max_size=6,
+        ).filter(lambda t: any(i for i, _ in t) and any(j for _, j in t))
+    )
+    @example(dict(_uncertified_prime().terms))
+    @example({(2, 0): 1, (0, 2): -1})
+    def test_binary_make_decides_exactly(self, terms):
+        f = BPoly.make(terms)
+        _, q = primitive_int_bpoly(f)
+        prime = factor_b.__wrapped__(q)[1] == [(q, 1)]
+        try:
+            place = BinaryPlace.make(f)
+        except InputError:
+            assert not prime
+        else:
+            assert prime
+            assert place.poly == q
+            assert place.certified == (certify_irreducible_bivariate(q) == "certified")
 
     def test_certified_flag_not_identity(self):
         a = BinaryPlace.make(X - Y)
@@ -174,3 +208,13 @@ class TestDivisorOfUpoly:
         for coeffs in ([-2, 0, 1], [0, 1], [6, -5, 1], [1, 1, 1, 1]):
             D = divisor_of_upoly(UPoly.make("x", coeffs))
             assert degree_K(D) == 0
+
+    def test_infinity_from_formal_degree(self):
+        # (y - 1)(y - 2) as a binary form of degree 5 has a triple zero at
+        # infinity; degree 0 gives div(p), with the pole -deg p there
+        p = UPoly.make("y", [2, -3, 1])
+        finite = Divisor.make({uplace("y", -1, 1): 1, uplace("y", -2, 1): 1})
+        assert divisor_of_upoly(p, 5) == finite + Divisor.of(inf("y"), 3)
+        assert divisor_of_upoly(p, 2) == finite
+        assert divisor_of_upoly(p) == finite - Divisor.of(inf("y"), 2)
+        assert divisor_of_upoly(UPoly.const("x", 7), 2) == Divisor.of(inf("x"), 2)

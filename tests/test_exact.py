@@ -458,7 +458,7 @@ class TestFactorQ:
 
     def test_degree_bound(self):
         with pytest.raises(DegreeBound):
-            factor_q(up(*([0] * 30 + [1])), degree_bound=24)
+            factor_q(up(*([0] * 30 + [1])))
 
 
 class TestCertifyIrreducible:

@@ -60,7 +60,6 @@ def test_factor_q_equals_uncached(f):
     expected = factor_q.__wrapped__(f)
     assert factor_q(f) == expected
     assert factor_q(f) == expected
-    assert factor_q(f, 6) == factor_q.__wrapped__(f, 6)
 
 
 @MEMO_SETTINGS

@@ -47,8 +47,8 @@ def xplace(*coeffs):
     return UnaryPlace.finite(UPoly.make("x", coeffs))
 
 
-def b(f, assume=False):
-    return BinaryPlace.make(f, assume_irreducible=assume)
+def b(f):
+    return BinaryPlace.make(f)
 
 
 class TestCharts:
@@ -185,7 +185,7 @@ class TestPair:
         pairs = [
             (Divisor.of(b(X - Y**2)), Divisor.of(b(X - Y))),
             (Divisor.of(b(X**2 - Y)), Divisor.of(yplace(1, 1))),
-            (Divisor.of(xplace(0, 1)), Divisor.of(b(X**2 + Y**2 - BPoly.const(2), assume=True))),
+            (Divisor.of(xplace(0, 1)), Divisor.of(b(X**2 + Y**2 - BPoly.const(2)))),
             (Divisor.of(INF_X), Divisor.of(b(Y * X - BPoly.const(1)))),
         ]
         for A, B in pairs:

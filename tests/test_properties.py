@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from doublefield.charts import fiber_divisor, find_shift, reverse_y
 from doublefield.divisors import BinaryPlace, Divisor, UnaryPlace, degree_K
-from doublefield.errors import NonGeneric, UncertifiedFactor
+from doublefield.errors import InputError, NonGeneric
 from doublefield.exact import BPoly, UPoly
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair
 from doublefield.residues import correspondence, residue_mod_Kp_degree_one
@@ -27,13 +27,13 @@ def binary_primes(draw):
     )
     f = BPoly.make(terms)
     assume(f.deg_x() >= 1 and f.deg_y() >= 1)
-    # about a third of the draws are not certified irreducible; a shift
-    # f + c of the same bidegree stands in for them, because discarding
-    # them (two draws per example) tripped the filter_too_much health check
+    # some draws are reducible; a shift f + c of the same bidegree stands
+    # in for them, because discarding them (two draws per example)
+    # tripped the filter_too_much health check
     for c in (0, 1, -1, 2):
         try:
             return BinaryPlace.make(f + BPoly.const(c))
-        except UncertifiedFactor:
+        except InputError:
             pass
     assume(False)
 

@@ -173,7 +173,7 @@ class TestCorrespondence:
         # (y-1)*x^2 - y: at y = 1 the leading coefficient vanishes and
         # the polynomial is not monic in x
         f = (Y - BPoly.const(1)) * X**2 - Y
-        A = Divisor.of(BinaryPlace.make(f, assume_irreducible=True))
+        A = Divisor.of(BinaryPlace.make(f))
         with pytest.raises(NonGeneric):
             correspondence(A, yplace(-1, 1))
 
@@ -207,7 +207,7 @@ class TestCrossCheck:
         points = [yplace(c, 1) for c in (-1, -2, -3, 0, 1, 5)]
         checked = 0
         for f in curves:
-            A = Divisor.of(BinaryPlace.make(f, assume_irreducible=True))
+            A = Divisor.of(BinaryPlace.make(f))
             for q in points:
                 try:
                     c1 = correspondence(A, q)
