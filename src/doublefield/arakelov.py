@@ -56,14 +56,12 @@ from sympy.ntheory import factorint
 
 from .divisors import (
     BinaryPlace,
-    DeltaElement,
     Divisor,
     UnaryPlace,
+    bidegree,
     degree_K,
     degree_over_K,
-    degree_over_Kp,
     divisor_of_upoly,
-    principal_divisor,
     restrict_to_Kp,
 )
 from .errors import CommonSupport, InputError, MoveFailure
@@ -319,8 +317,8 @@ def trace_to_Kp(A: Divisor) -> Divisor:
 def bracket(A: Divisor, b: Divisor) -> int:
     """N(b) deg_Kp(A traced to Q(y)) + N(A) deg_Kp(b traced to Q(y)),
     with N the residue degree over Q(y) extended by linearity."""
-    nA = sum(w * degree_over_Kp(m) for m, w in A.coeffs)
-    nB = sum(w * degree_over_Kp(m) for m, w in b.coeffs)
+    nA = bidegree(A)[0]
+    nB = bidegree(b)[0]
     total = 0
     if nB:
         total += nB * deg_Kp(trace_to_Kp(A))
@@ -343,40 +341,25 @@ def principal_move(A: Divisor, fresh: int) -> Divisor:
     """An equivalent divisor A + div(h) with support disjoint from A's,
     built from a deterministic schedule of moving elements.
 
-    The element h inverts every finite component of A and then clears
-    any infinite components with powers of fresh linear factors x - t,
-    y - t chosen to avoid A's support.
+    The element h inverts every finite component of A; by div_of_place
+    that leaves a*inf_x + b*inf_y with (a, b) = bidegree(A).  An infinite
+    place in A's support is then cleared with a power of the fresh linear
+    factor x - t or y - t, t >= fresh the first value whose place is off
+    A's support, which trades w*inf_x for w*[x - t].
     """
-    factors: list[tuple[BPoly, int]] = []
-    for m, w in A.coeffs:
-        if isinstance(m, BinaryPlace):
-            factors.append((m.poly, -w))
-        elif not m.is_infinity():
-            factors.append((BPoly.from_upoly(m.poly), -w))
-    h = DeltaElement.from_factors(1, factors) if factors else DeltaElement.one()
-    moved = A + principal_divisor(h)
-    # clear infinite components that collide with A's support
     support = set(A.support())
-    for var in ("x", "y"):
-        infp = UnaryPlace.infinity(var)
-        if infp in support and moved.coeff(infp) != 0:
-            w = moved.coeff(infp)
-            t = _fresh_constant(support, var, fresh)
-            lin = BPoly.gen(var) - BPoly.const(t)
-            extra = DeltaElement.from_factors(1, [(lin, w)])
-            moved = moved + principal_divisor(extra)
+    comps = {}
+    for var, w in zip(("x", "y"), bidegree(A)):
+        place = UnaryPlace.infinity(var)
+        if w and place in support:
+            t = fresh
+            while (place := UnaryPlace.finite(UPoly.make(var, [-t, 1]))) in support:
+                t += 1
+        comps[place] = w
+    moved = Divisor.make(comps)
     if not moved.disjoint_from(A):
         raise MoveFailure(f"move with fresh constant {fresh} failed for {A}")
     return moved
-
-
-def _fresh_constant(support, var: str, fresh: int) -> int:
-    t = fresh
-    while True:
-        place = UnaryPlace.finite(UPoly.make(var, [-t, 1]))
-        if place not in support:
-            return t
-        t += 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +466,7 @@ def second_move(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
         if lin1 not in support and lin2 not in support:
             break
         t1 += 1
-    num = BPoly.gen("y") - BPoly.const(t1)
-    den = BPoly.gen("y") - BPoly.const(t1 + 1)
-    extra = principal_divisor(DeltaElement.from_fraction(num, den))
-    out = moved + extra
+    out = moved + Divisor.make({lin1: 1, lin2: -1})
     if not out.disjoint_from(A):
         raise MoveFailure("second move failed to stay off the support")
     return out

@@ -315,7 +315,7 @@ def parse_prime(text: str) -> Place:
     u = f.as_upoly()
     _, q = primitive_int_upoly(u)
     _, factors = factor_q(q)
-    if len(factors) != 1 or factors[0][1] != 1 or factors[0][0].degree() != q.degree():
+    if len(factors) != 1 or factors[0][1] != 1:
         raise InputError(f"{text!r} is not irreducible")
     return UnaryPlace.finite(q)
 

@@ -233,6 +233,15 @@ def restrict_to_Kp(A: Divisor) -> Divisor:
     )
 
 
+def bidegree(D: Divisor) -> tuple[int, int]:
+    """(sum of w*degree_over_Kp(m), sum of w*degree_over_K(m)) over the
+    components w*[m] of D: the class of D in Pic(P1 x P1) = Z^2."""
+    return (
+        sum(w * degree_over_Kp(m) for m, w in D.coeffs),
+        sum(w * degree_over_K(m) for m, w in D.coeffs),
+    )
+
+
 def degree_K(D: Divisor) -> int:
     """Degree of a divisor of a rational function field:
     sum of coefficient times residue degree, with deg(infinity) = 1."""
@@ -259,10 +268,6 @@ class DeltaElement:
 
     unit: Fraction
     factors: tuple[tuple[BPoly, int], ...]
-
-    @staticmethod
-    def one() -> "DeltaElement":
-        return DeltaElement(Fraction(1), ())
 
     @staticmethod
     def constant(c) -> "DeltaElement":
@@ -306,16 +311,6 @@ class DeltaElement:
     def inverse(self) -> "DeltaElement":
         return DeltaElement.from_factors(1 / self.unit, [(f, -e) for f, e in self.factors])
 
-    def deg_x_num_den(self) -> tuple[int, int]:
-        num = sum(f.deg_x() * e for f, e in self.factors if e > 0)
-        den = -sum(f.deg_x() * e for f, e in self.factors if e < 0)
-        return num, den
-
-    def deg_y_num_den(self) -> tuple[int, int]:
-        num = sum(f.deg_y() * e for f, e in self.factors if e > 0)
-        den = -sum(f.deg_y() * e for f, e in self.factors if e < 0)
-        return num, den
-
 
 def _place_of(q: BPoly) -> Place:
     if q.deg_x() >= 1 and q.deg_y() >= 1:
@@ -348,40 +343,44 @@ def _refine(work: list[tuple[BPoly, int]]) -> tuple[Fraction, list[tuple[BPoly, 
 # valuations and principal divisors
 
 
+def div_of_place(m: Place) -> Divisor:
+    """The divisor of the polynomial defining a finite place m:
+    [m] - degree_over_Kp(m)*[inf_x] - degree_over_K(m)*[inf_y].
+
+    Proof.  Let f be the primitive integer irreducible polynomial of m.
+    At a finite place n the order of f is the exponent of n's polynomial
+    in the factorization of f over Q, which is 1 at m and 0 elsewhere,
+    since distinct primitive irreducibles are not associate.  At inf_x
+    the order of a polynomial is minus its degree in x (the degree
+    valuation of Q(x) extended to Q(x,y)), and deg_x f is
+    degree_over_Kp(m) in all three families: deg_x for a binary place,
+    deg m for an x-unary place, 0 for a y-unary one.  inf_y is the same
+    with x and y swapped.  So the divisor has bidegree (0, 0), as every
+    principal divisor on P1 x P1 does (Pic = Z^2 by bidegree; Hartshorne,
+    Algebraic Geometry, II Ex. 6.6.1).
+    """
+    if isinstance(m, UnaryPlace) and m.is_infinity():
+        raise ValueError("the place at infinity is not defined by a polynomial")
+    return Divisor.make(
+        {
+            m: 1,
+            UnaryPlace.infinity("x"): -degree_over_Kp(m),
+            UnaryPlace.infinity("y"): -degree_over_K(m),
+        }
+    )
+
+
 def valuation(place: Place, a: DeltaElement) -> int:
     """Order of ``a`` at the given place of Q(x,y)."""
-    if isinstance(place, UnaryPlace) and place.is_infinity():
-        if place.var == "x":
-            num, den = a.deg_x_num_den()
-        else:
-            num, den = a.deg_y_num_den()
-        return den - num
-    if isinstance(place, BinaryPlace):
-        return sum(e for f, e in a.factors if f == place.poly)
-    # finite unary place
-    target_var = place.var
-    v = 0
-    for f, e in a.factors:
-        if f.deg_x() >= 1 and f.deg_y() >= 1:
-            continue
-        p = f.as_upoly()
-        if p.var == target_var and p == place.poly:
-            v += e
-    return v
+    return principal_divisor(a).coeff(place)
 
 
 def principal_divisor(a: DeltaElement) -> Divisor:
-    """The divisor of a nonzero element, including both infinity places."""
-    d: dict[Place, int] = {}
-    for f, e in a.factors:
-        d[_place_of(f)] = e
-    nx, dx = a.deg_x_num_den()
-    if dx - nx:
-        d[UnaryPlace.infinity("x")] = dx - nx
-    ny, dy = a.deg_y_num_den()
-    if dy - ny:
-        d[UnaryPlace.infinity("y")] = dy - ny
-    return Divisor.make(d)
+    """The divisor of a nonzero element, including both infinity places:
+    the sum of e*div_of_place over its factors f^e."""
+    return Divisor.make(
+        (p, e * c) for f, e in a.factors for p, c in div_of_place(_place_of(f)).coeffs
+    )
 
 
 def divisor_of_upoly(p: UPoly, degree: int = 0) -> Divisor:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from .charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
-    DeltaElement,
     Divisor,
     Place,
     UnaryPlace,
     degree_over_Kp,
-    principal_divisor,
+    div_of_place,
+    divisor_of_upoly,
     transpose_place,
 )
 from .errors import NotCoprime, NotDegreeOne
@@ -103,8 +103,7 @@ def self_pair_degree_one(m: BinaryPlace, side: str = SIDE_KPRIME) -> SelfPairing
     if m.poly.deg_x() != 1:
         raise NotDegreeOne(f"prime has x-degree {m.poly.deg_x()}, expected 1")
     iso = residue_iso(m)
-    elem = DeltaElement.from_fraction(m.poly, BPoly.from_upoly(iso.den.with_var("y")))
-    n = Divisor.of(m) - principal_divisor(elem)
+    n = Divisor.of(m) - div_of_place(m) + divisor_of_upoly(iso.den)
     if n.coeff(m) != 0:
         raise AssertionError("moving step failed to clear the prime")
     value = pair(n, Divisor.of(m), side)

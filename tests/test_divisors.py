@@ -147,7 +147,7 @@ class TestValuation:
         assert valuation(inf("y"), a) == -1
 
     def test_constant(self):
-        assert valuation(BinaryPlace.make(X - Y), DeltaElement.one()) == 0
+        assert valuation(BinaryPlace.make(X - Y), DeltaElement.constant(1)) == 0
 
 
 class TestPrincipalDivisor:

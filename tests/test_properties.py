@@ -1,16 +1,28 @@
 """Properties of the pairing and the residue routes on generated binary
-primes of bidegree at most (2, 2), beyond the fixed suite pools."""
+primes of bidegree at most (2, 2), beyond the fixed suite pools, and of
+the closed-form principal divisors of places against the factoring
+route they replaced."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from doublefield.arakelov import _prime_pool, principal_move, second_move
 from doublefield.charts import fiber_divisor, find_shift, reverse_y
-from doublefield.divisors import BinaryPlace, Divisor, UnaryPlace, degree_K
+from doublefield.divisors import (
+    BinaryPlace,
+    DeltaElement,
+    Divisor,
+    UnaryPlace,
+    bidegree,
+    degree_K,
+    div_of_place,
+)
 from doublefield.errors import InputError, NonGeneric
-from doublefield.exact import BPoly, UPoly
-from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair
-from doublefield.residues import correspondence, residue_mod_Kp_degree_one
-from doublefield.suites import _two_chart_fiber_divisor
+from doublefield.exact import BPoly, UPoly, factor_q
+from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
+from doublefield.residues import correspondence, residue_iso, residue_mod_Kp_degree_one
+from doublefield.suites import _two_chart_fiber_divisor, degree_one_prime, extended_isom_pool
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -98,3 +110,97 @@ def test_pair_bilinear(p, q, r, w1, w2, w3, w4, w5):
     for side in (SIDE_K, SIDE_KPRIME):
         assert pair(A1 + A2, B, side) == pair(A1, B, side) + pair(A2, B, side)
         assert pair(B, A1 + A2, side) == pair(B, A1, side) + pair(B, A2, side)
+
+
+# ---------------------------------------------------------------------------
+# closed-form principal divisors of places against the factoring route
+
+
+def _curve(m) -> BPoly:
+    return m.poly if isinstance(m, BinaryPlace) else BPoly.from_upoly(m.poly)
+
+
+def _factoring_divisor(a: DeltaElement) -> Divisor:
+    """div(a) read off its refined factors, with the degree valuations
+    den - num at infinity: the route principal_divisor took before the
+    closed form."""
+    d = {}
+    for f, e in a.factors:
+        if f.deg_x() >= 1 and f.deg_y() >= 1:
+            d[BinaryPlace(f)] = e
+        else:
+            d[UnaryPlace.finite(f.as_upoly())] = e
+    d[UnaryPlace.infinity("x")] = -sum(f.deg_x() * e for f, e in a.factors)
+    d[UnaryPlace.infinity("y")] = -sum(f.deg_y() * e for f, e in a.factors)
+    return Divisor.make(d)
+
+
+def _factoring_move(A: Divisor, fresh: int) -> Divisor:
+    finite = [(_curve(m), -w) for m, w in A.coeffs if not (isinstance(m, UnaryPlace) and m.is_infinity())]
+    moved = A + _factoring_divisor(DeltaElement.from_factors(1, finite))
+    support = set(A.support())
+    for var in ("x", "y"):
+        w = moved.coeff(UnaryPlace.infinity(var))
+        if w and UnaryPlace.infinity(var) in support:
+            t = fresh
+            while UnaryPlace.finite(UPoly.make(var, [-t, 1])) in support:
+                t += 1
+            lin = BPoly.gen(var) - BPoly.const(t)
+            moved = moved + _factoring_divisor(DeltaElement.from_factors(1, [(lin, w)]))
+    return moved
+
+
+def _factoring_second_move(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
+    support = set(A.support()) | set(moved.support())
+    t = fresh
+    while any(UnaryPlace.finite(UPoly.make("y", [-c, 1])) in support for c in (t, t + 1)):
+        t += 1
+    y = BPoly.gen("y")
+    return moved + _factoring_divisor(DeltaElement.from_fraction(y - BPoly.const(t), y - BPoly.const(t + 1)))
+
+
+@st.composite
+def unary_places(draw):
+    p = UPoly.make(draw(st.sampled_from("xy")), draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4)))
+    assume(p.degree() >= 1)
+    return UnaryPlace.finite(factor_q(p)[1][0][0])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(binary_primes(), unary_places()))
+def test_div_of_place_matches_factoring_route(m):
+    D = div_of_place(m)
+    assert D == _factoring_divisor(DeltaElement.from_factors(1, [(_curve(m), 1)]))
+    assert bidegree(D) == (0, 0)
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_div_of_place_refuses_infinity(var):
+    with pytest.raises(ValueError):
+        div_of_place(UnaryPlace.infinity(var))
+
+
+POOL = _prime_pool(2)
+pool_divisors = st.dictionaries(
+    st.sampled_from(POOL), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
+).map(Divisor.make)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_divisors, st.integers(0, 60), st.integers(0, 60))
+def test_moves_match_factoring_route(A, fresh, fresh2):
+    moved = principal_move(A, fresh)
+    assert moved == _factoring_move(A, fresh)
+    again = second_move(A, moved, fresh2)
+    assert again == _factoring_second_move(A, moved, fresh2)
+    for B in (moved, again):
+        assert B.disjoint_from(A)
+        assert bidegree(B - A) == (0, 0)
+
+
+def test_self_pairing_moved_matches_factoring_route():
+    for mu in extended_isom_pool():
+        m = degree_one_prime(mu)
+        den = BPoly.from_upoly(residue_iso(m).den)
+        expected = Divisor.of(m) - _factoring_divisor(DeltaElement.from_fraction(m.poly, den))
+        assert self_pair_degree_one(m).moved == expected
