@@ -24,7 +24,6 @@ from .arakelov import (
     principal_arakelov,
     principal_move,
     residue_scalar_product,
-    trace_to_Kp,
 )
 from .charts import (
     fiber_divisor,
@@ -45,7 +44,6 @@ from .divisors import (
     degree_over_Kp,
     divisor_of_upoly,
     principal_divisor,
-    restrict_to_Kp,
     valuation,
 )
 from .errors import (

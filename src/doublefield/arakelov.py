@@ -60,9 +60,7 @@ from .divisors import (
     UnaryPlace,
     bidegree,
     degree_K,
-    degree_over_K,
     divisor_of_upoly,
-    restrict_to_Kp,
 )
 from .errors import CommonSupport, InputError, MoveFailure
 from .exact import (
@@ -70,7 +68,6 @@ from .exact import (
     BPoly,
     UPoly,
     complex_roots,
-    factor_b,
     memo,
     primitive_int_upoly,
     resultant_u,
@@ -293,38 +290,25 @@ def deg_Kp(D: Divisor) -> int:
     return -2 * degree_K(D)
 
 
-def trace_to_Kp(A: Divisor) -> Divisor:
-    """Divisor of Q(y) carried by A: the y-unary components as they
-    stand, and every other prime counted at infinity with its residue
-    degree over Q(x).
-
-    The completion at infinity is what makes the degree of the result
-    vanish on every principal divisor (the y-degrees of numerator and
-    denominator balance), which in turn makes the bracket, and with it
-    the residue scalar product, well defined on divisor classes.
-    """
-    out = restrict_to_Kp(A)
-    extra = sum(
-        w * degree_over_K(m)
-        for m, w in A.coeffs
-        if not (isinstance(m, UnaryPlace) and m.var == "y")
-    )
-    if extra:
-        out = out + Divisor.of(UnaryPlace.infinity("y"), extra)
-    return out
-
-
 def bracket(A: Divisor, b: Divisor) -> int:
     """N(b) deg_Kp(A traced to Q(y)) + N(A) deg_Kp(b traced to Q(y)),
-    with N the residue degree over Q(y) extended by linearity."""
-    nA = bidegree(A)[0]
-    nB = bidegree(b)[0]
-    total = 0
-    if nB:
-        total += nB * deg_Kp(trace_to_Kp(A))
-    if nA:
-        total += nA * deg_Kp(trace_to_Kp(b))
-    return total
+    with N the residue degree over Q(y) extended by linearity: with
+    (nA, dA) = bidegree(A) and (nB, dB) = bidegree(b), that is
+    -2*(nB*dA + nA*dB), minus twice the intersection number of the two
+    classes in Pic(P1 x P1) = Z^2 (Hartshorne, Algebraic Geometry, II
+    Ex. 6.6.1; Fulton, Algebraic Curves, 5.1).
+
+    Proof.  A traced to Q(y) keeps its y-unary components as they stand
+    and counts every other prime m at inf_y with its residue degree
+    degree_over_K(m) over Q(x), so its degree is the sum of
+    w*degree_over_K(m) over all components w*[m] of A (a y-unary place
+    has degree_over_K equal to its degree), which is dA.  deg_Kp of a
+    divisor of Q(y) is -2 times its degree.  The trace of a principal
+    divisor has degree 0, since its bidegree is (0, 0) (``div_of_place``),
+    which makes the bracket well defined on divisor classes.
+    """
+    (nA, dA), (nB, dB) = bidegree(A), bidegree(b)
+    return -2 * (nB * dA + nA * dB)
 
 
 def residue_scalar_product(A: Divisor, b: Divisor) -> int:
@@ -368,7 +352,9 @@ def principal_move(A: Divisor, fresh: int) -> Divisor:
 
 def _prime_pool(max_deg: int) -> list:
     """Deterministic pool of prime divisors of Q(x,y) with degrees
-    bounded by max_deg in each variable."""
+    bounded by max_deg in each variable; ValueError below 1."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
     pool = [UnaryPlace.infinity("x"), UnaryPlace.infinity("y")]
     for var in ("x", "y"):
         for c in (0, 1, -1, 2):
@@ -398,12 +384,7 @@ def _prime_pool(max_deg: int) -> list:
             X**2 * Y - BPoly.const(1),
             X * Y**2 - X - BPoly.const(1),
         ]
-    for f in candidates:
-        if f.deg_x() > max_deg or f.deg_y() > max_deg:
-            continue
-        _, fac = factor_b(f)
-        if len(fac) == 1 and fac[0][1] == 1:
-            pool.append(BinaryPlace(fac[0][0], True))
+    pool += [BinaryPlace.make(f) for f in candidates if f.deg_x() <= max_deg and f.deg_y() <= max_deg]
     return pool
 
 

@@ -226,13 +226,6 @@ class Divisor:
         return "".join(parts)
 
 
-def restrict_to_Kp(A: Divisor) -> Divisor:
-    """Keep exactly the y-unary components."""
-    return Divisor.make(
-        {p: c for p, c in A.coeffs if isinstance(p, UnaryPlace) and p.var == "y"}
-    )
-
-
 def bidegree(D: Divisor) -> tuple[int, int]:
     """(sum of w*degree_over_Kp(m), sum of w*degree_over_K(m)) over the
     components w*[m] of D: the class of D in Pic(P1 x P1) = Z^2."""

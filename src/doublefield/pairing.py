@@ -27,7 +27,6 @@ from .divisors import (
 )
 from .errors import NotCoprime, NotDegreeOne
 from .exact import BPoly
-from .residues import residue_iso
 
 SIDE_K = "K"
 SIDE_KPRIME = "Kprime"
@@ -97,14 +96,16 @@ class SelfPairing:
 
 
 def self_pair_degree_one(m: BinaryPlace, side: str = SIDE_KPRIME) -> SelfPairing:
-    """Pair a degree-one binary prime with itself by first replacing it
-    with the equivalent divisor m - div(x - mu), which has support
-    disjoint from m."""
+    """Pair a degree-one binary prime m = a*x - b with itself by first
+    replacing it with the equivalent divisor m - div(x - b/a), which has
+    support disjoint from m.  The moving element is m/a with a made
+    monic; a and b are coprime because m is prime, so a is the
+    denominator of b/a in lowest terms."""
     if m.poly.deg_x() != 1:
         raise NotDegreeOne(f"prime has x-degree {m.poly.deg_x()}, expected 1")
-    iso = residue_iso(m)
-    n = Divisor.of(m) - div_of_place(m) + divisor_of_upoly(iso.den)
+    den = m.poly.coeff_of_x(1).monic()
+    n = Divisor.of(m) - div_of_place(m) + divisor_of_upoly(den)
     if n.coeff(m) != 0:
         raise AssertionError("moving step failed to clear the prime")
     value = pair(n, Divisor.of(m), side)
-    return SelfPairing(value, n, f"({m.poly})/({iso.den})")
+    return SelfPairing(value, n, f"({m.poly})/({den})")

@@ -1,13 +1,17 @@
 """Divisor residues modulo degree-one primes, correspondences, and
 different divisors of pairs of rational embeddings.
 
-A degree-one binary prime a(y)*x - b(y) identifies the residue field of
-Q(x,y) with Q(y) through the substitution x -> b(y)/a(y); residues of
-divisors modulo such a prime are divisors of Q(y).  Symmetrically a
+A degree-one binary prime n = a(y)*x - b(y) identifies the residue field
+of Q(x,y) modulo n with Q(y) through the substitution x -> b(y)/a(y), so
+the residue of a divisor A modulo n is A's norm pairing against n down to
+Q(y): ``residue_mod_degree_one(A, n) = pair(A, n, Kprime)`` (the proof,
+component by component, is in its docstring).  Symmetrically a
 degree-one prime (y - c) of Q(y) yields divisors of Q(x), computed both
-by explicit fiber factorization (``correspondence``) and by the chart
-resultant machinery (``residue_mod_Kp_degree_one``) so the two paths can
-cross-check each other.
+by explicit fiber factorization (``correspondence``) and as the pairing
+on side K (``residue_mod_Kp_degree_one``), so the two paths can
+cross-check each other.  ``different_divisor`` and
+``RationalIsom.pole_divisor`` remain as the closed forms the pairing is
+checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     Divisor,
@@ -25,6 +28,7 @@ from .divisors import (
 )
 from .errors import EqualIsoms, NonGeneric, NotCoprime, NotDegreeOne
 from .exact import BPoly, UPoly, gcd_u, resultant_x
+from .pairing import SIDE_K, SIDE_KPRIME, pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,39 +105,29 @@ def _check_coprime_to(A: Divisor, n: Place) -> None:
 
 
 def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
-    """Residue of a divisor of Q(x,y) modulo a degree-one binary prime,
-    as a divisor of Q(y); linear in the divisor argument."""
-    iso_n = residue_iso(n)
+    """Residue of a divisor of Q(x,y) modulo a degree-one binary prime
+    n = a(y)*x - b(y), as a divisor of Q(y): the pairing of A against n
+    on side Kprime, linear in A.
+
+    Proof.  The residue field of n is Q(y) with x = b/a, and a and b are
+    coprime because n is prime, so deg_y n = max(deg a, deg b).  For each
+    component m of A, pair reads:
+    - a binary m = a1*x - b1 of x-degree 1: ``fiber_divisor`` of
+      Res_x(m, n) = +-(b1*a - b*a1) as a form of the Bezout degree
+      deg_y m + deg_y n, which is ``different_divisor`` of the two
+      embeddings b1/a1 and b/a;
+    - any other binary m: ``fiber_divisor(m, n)``, the fibers of m over
+      the places of Q(y) cut out on the line n;
+    - a finite p(x): Res_x(p, a*x - b) = +-a^(deg p)*p(b/a) as a form of
+      degree deg p * deg_y n, the zeros of p at x = b/a;
+    - inf_x: ``infx_fiber_divisor(n)`` = ``divisor_of_upoly(a, deg_y n)``,
+      the pole divisor of b/a (``RationalIsom.pole_divisor``);
+    - a y-unary m: [m] times deg_x n = 1, since Q(y) is fixed.
+    """
+    if n.poly.deg_x() != 1:
+        raise NotDegreeOne(f"prime has x-degree {n.poly.deg_x()}, expected 1")
     _check_coprime_to(A, n)
-    out = Divisor.zero()
-    for m, w in A.coeffs:
-        out = out + _prime_residue(m, n, iso_n).scale(w)
-    return out
-
-
-def _prime_residue(m: Place, n: BinaryPlace, iso_n: RationalIsom) -> Divisor:
-    if isinstance(m, BinaryPlace):
-        if m.poly.deg_x() == 1:
-            return different_divisor(residue_iso(m), iso_n)
-        # the residue field of n is Q(y) itself, so the residue of a
-        # higher-degree prime is read off the chart resultants directly
-        return fiber_divisor(m.poly, n.poly)
-    if m.var == "x":
-        if m.is_infinity():
-            return iso_n.pole_divisor()
-        # image of a finite place p(x) under x -> b/a: zero divisor of
-        # the cleared numerator of p(b/a), a form of degree
-        # dp * max(deg a, deg b)
-        b, a = iso_n.num, iso_n.den
-        p = m.poly
-        dp = p.degree()
-        cleared = UPoly.zero("y")
-        for i, c in enumerate(p.coeffs):
-            cleared = cleared + (b**i) * (a ** (dp - i)).scale(c)
-        return divisor_of_upoly(cleared, dp * max(a.degree(), b.degree()))
-    # K'-unary places map to themselves (the identification is the
-    # identity on Q(y))
-    return Divisor.of(m, 1)
+    return pair(A, Divisor.of(n), SIDE_KPRIME)
 
 
 def _degree_one_kp_value(q: UnaryPlace) -> Fraction:
@@ -184,17 +178,9 @@ def _dfdx(f: BPoly) -> BPoly:
 
 def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:
     """Residue of a divisor modulo a degree-one prime of Q(y), as a
-    divisor of Q(x); an independent chart-resultant route that must
-    agree with ``correspondence`` wherever both are defined."""
+    divisor of Q(x): the pairing of A against q on side K.  It reads
+    resultants, not the specialization that ``correspondence`` reads,
+    and the two must agree wherever both are defined."""
     _degree_one_kp_value(q)
     _check_coprime_to(A, q)
-    q_t = BPoly.make({(1, 0): q.poly.coeffs[1], (0, 0): q.poly.coeffs[0]})
-    out = Divisor.zero()
-    for m, w in A.coeffs:
-        if isinstance(m, BinaryPlace):
-            d = fiber_divisor(q_t, m.poly.transpose())
-            out = out + transpose_divisor(d).scale(w)
-        elif m.var == "x":
-            out = out + Divisor.of(m, w)
-        # y-unary places contribute zero
-    return out
+    return pair(A, Divisor.of(q), SIDE_K)

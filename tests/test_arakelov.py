@@ -23,13 +23,13 @@ from doublefield.arakelov import (
     principal_arakelov,
     principal_move,
     residue_scalar_product,
-    trace_to_Kp,
 )
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
     Divisor,
     UnaryPlace,
+    bidegree,
     principal_divisor,
 )
 from doublefield.errors import CommonSupport, InputError
@@ -171,9 +171,10 @@ class TestDegKp:
 
 class TestBracketAndRsp:
     def test_trace_degree_balances_on_principal(self):
+        # the bracket reads the trace degree off the bidegree, which
+        # balances on every principal divisor
         a = DeltaElement.from_fraction(X - Y**2, X * Y - BPoly.const(2))
-        t = trace_to_Kp(principal_divisor(a))
-        assert sum(w * m.degree() for m, w in t.coeffs) == 0
+        assert bidegree(principal_divisor(a)) == (0, 0)
 
     def test_binary_binary_bracket_matches_pairing_degree(self):
         # two degree-one curves: bracket = -2 * (1*2 + 1*1) must agree
@@ -216,3 +217,8 @@ class TestExplorer:
         r = explore_self_products(trials=5, max_deg=2, seed=1)
         assert all(rec["move_residual"] == 0.0 for rec in r["records"])
         assert r["minimum"] == min(rec["value"] for rec in r["records"])
+
+    @pytest.mark.parametrize("max_deg", [0, -3])
+    def test_max_deg_below_one_refused(self, max_deg):
+        with pytest.raises(ValueError, match="max_deg must be at least 1"):
+            explore_self_products(trials=2, max_deg=max_deg, seed=7)

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import shlex
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -317,6 +319,11 @@ class TestExitCodes:
     def test_nongeneric(self, capsys):
         assert main(["correspond", "--A", "(x*y - 1)", "--p", "y"]) == 3
 
+    @pytest.mark.parametrize("max_deg", ["0", "-3"])
+    def test_explore_max_deg_below_one_exits_2(self, max_deg, capsys):
+        assert main(["explore", "--trials", "2", "--max-deg", max_deg, "--seed", "7"]) == 2
+        assert "max_deg must be at least 1" in capsys.readouterr().err
+
     def test_precision_failure_maps_to_4(self, monkeypatch, capsys):
         def boom(args):
             raise PrecisionFailure("could not certify roots")
@@ -429,7 +436,22 @@ def _report_digest(out: str) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def _readme_cli_examples() -> list[list[str]]:
+    """argv of each command in the README's CLI example block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        assert words[0] == "doublefield", line
+        commands.append(words[1:])
+    return commands
+
+
 class TestReadmeExamples:
+    def test_readme_lists_the_pinned_commands(self):
+        assert _readme_cli_examples() == [argv for argv, _ in README_EXAMPLES]
+
     def test_parser_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 

@@ -16,7 +16,6 @@ from doublefield.divisors import (
     degree_over_Kp,
     divisor_of_upoly,
     principal_divisor,
-    restrict_to_Kp,
     valuation,
 )
 from doublefield.errors import InputError
@@ -106,18 +105,6 @@ class TestDivisorAlgebra:
         p = uplace("y", 0, 1)
         D = Divisor.make({p: 1}) + Divisor.make({p: -1})
         assert D.coeffs == ()
-
-    def test_restrictions(self):
-        D = Divisor.make(
-            {BinaryPlace.make(X - Y): 3, uplace("y", -1, 1): 2, uplace("x", 0, 1): 5}
-        )
-        assert restrict_to_Kp(D) == Divisor.make({uplace("y", -1, 1): 2})
-        assert restrict_to_Kp(Divisor.make({inf("y"): -1})) == Divisor.make({inf("y"): -1})
-
-    def test_restrict_linear(self):
-        D = Divisor.make({uplace("y", -1, 1): 2, inf("y"): 1})
-        E = Divisor.make({uplace("y", -1, 1): -2, uplace("x", 0, 1): 7})
-        assert restrict_to_Kp(D + E) == restrict_to_Kp(D) + restrict_to_Kp(E)
 
 
 class TestDegreeK:

@@ -1,14 +1,15 @@
 """Properties of the pairing and the residue routes on generated binary
-primes of bidegree at most (2, 2), beyond the fixed suite pools, and of
-the closed-form principal divisors of places against the factoring
-route they replaced."""
+primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
+closed-form principal divisors of places against the factoring route
+they replaced, and of the residue routes and the bracket against the
+per-prime routes they replaced."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublefield.arakelov import _prime_pool, principal_move, second_move
-from doublefield.charts import fiber_divisor, find_shift, reverse_y
+from doublefield.arakelov import _prime_pool, bracket, deg_Kp, principal_move, second_move
+from doublefield.charts import fiber_divisor, find_shift, reverse_y, transpose_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -16,13 +17,21 @@ from doublefield.divisors import (
     UnaryPlace,
     bidegree,
     degree_K,
+    degree_over_K,
     div_of_place,
+    divisor_of_upoly,
 )
-from doublefield.errors import InputError, NonGeneric
+from doublefield.errors import InputError, NonGeneric, NotCoprime
 from doublefield.exact import BPoly, UPoly, factor_q
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
-from doublefield.residues import correspondence, residue_iso, residue_mod_Kp_degree_one
-from doublefield.suites import _two_chart_fiber_divisor, degree_one_prime, extended_isom_pool
+from doublefield.residues import (
+    correspondence,
+    different_divisor,
+    residue_iso,
+    residue_mod_degree_one,
+    residue_mod_Kp_degree_one,
+)
+from doublefield.suites import _two_chart_fiber_divisor, binary_pool, degree_one_prime, extended_isom_pool
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -204,3 +213,95 @@ def test_self_pairing_moved_matches_factoring_route():
         den = BPoly.from_upoly(residue_iso(m).den)
         expected = Divisor.of(m) - _factoring_divisor(DeltaElement.from_fraction(m.poly, den))
         assert self_pair_degree_one(m).moved == expected
+
+
+# ---------------------------------------------------------------------------
+# residues and the bracket against the per-prime routes they replaced
+
+
+def _old_residue_of_prime(m, n: BinaryPlace) -> Divisor:
+    """Residue of one prime modulo a degree-one binary prime n = a*x - b,
+    read off a table of prime families."""
+    iso_n = residue_iso(n)
+    if isinstance(m, BinaryPlace):
+        if m.poly.deg_x() == 1:
+            return different_divisor(residue_iso(m), iso_n)
+        return fiber_divisor(m.poly, n.poly)
+    if m.var == "x":
+        if m.is_infinity():
+            return iso_n.pole_divisor()
+        b, a = iso_n.num, iso_n.den
+        dp = m.poly.degree()
+        cleared = UPoly.zero("y")
+        for i, c in enumerate(m.poly.coeffs):
+            cleared = cleared + (b**i) * (a ** (dp - i)).scale(c)
+        return divisor_of_upoly(cleared, dp * max(a.degree(), b.degree()))
+    return Divisor.of(m)
+
+
+def _old_residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
+    residue_iso(n)
+    if A.coeff(n) != 0:
+        raise NotCoprime(f"divisor meets the modulus {n}")
+    out = Divisor.zero()
+    for m, w in A.coeffs:
+        out = out + _old_residue_of_prime(m, n).scale(w)
+    return out
+
+
+def _old_residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:
+    """The chart loop: each binary prime against the line y = c with x
+    and y swapped, x-unary primes passing through."""
+    if A.coeff(q) != 0:
+        raise NotCoprime(f"divisor meets the modulus {q}")
+    q_t = BPoly.make({(1, 0): q.poly.coeffs[1], (0, 0): q.poly.coeffs[0]})
+    out = Divisor.zero()
+    for m, w in A.coeffs:
+        if isinstance(m, BinaryPlace):
+            out = out + transpose_divisor(fiber_divisor(q_t, m.poly.transpose())).scale(w)
+        elif m.var == "x":
+            out = out + Divisor.of(m, w)
+    return out
+
+
+def _old_trace_to_Qy(A: Divisor) -> Divisor:
+    """A traced to Q(y): its y-unary components as they stand, every
+    other prime at inf_y with its residue degree over Q(x)."""
+    out = Divisor.make({m: w for m, w in A.coeffs if isinstance(m, UnaryPlace) and m.var == "y"})
+    extra = sum(w * degree_over_K(m) for m, w in A.coeffs if not (isinstance(m, UnaryPlace) and m.var == "y"))
+    return out + Divisor.of(UnaryPlace.infinity("y"), extra)
+
+
+def _old_bracket(A: Divisor, b: Divisor) -> int:
+    nA, nB = bidegree(A)[0], bidegree(b)[0]
+    return nB * deg_Kp(_old_trace_to_Qy(A)) + nA * deg_Kp(_old_trace_to_Qy(b))
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the class and message it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error, not only the value, must agree
+        return type(exc), str(exc)
+
+
+RESIDUE_POOL = binary_pool() + _prime_pool(2)
+MODULI = [degree_one_prime(mu) for mu in extended_isom_pool()]
+residue_divisors = st.dictionaries(
+    st.sampled_from(RESIDUE_POOL), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
+).map(Divisor.make)
+
+
+@settings(max_examples=80, deadline=None)
+@given(residue_divisors, st.sampled_from(MODULI + RESIDUE_POOL), st.integers(-6, 6))
+def test_residue_routes_match_per_prime_routes(A, n, c):
+    if isinstance(n, BinaryPlace):
+        assert _outcome(residue_mod_degree_one, A, n) == _outcome(_old_residue_mod_degree_one, A, n)
+    q = UnaryPlace.finite(UPoly.make("y", [-c, 1]))
+    assert _outcome(residue_mod_Kp_degree_one, A, q) == _outcome(_old_residue_mod_Kp_degree_one, A, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(residue_divisors, residue_divisors)
+def test_bracket_matches_trace_route(A, B):
+    assert bracket(A, B) == _old_bracket(A, B) == bracket(B, A)
