@@ -152,7 +152,10 @@ class Divisor:
         acc: dict[Place, int] = {}
         for p, c in items:
             acc[p] = acc.get(p, 0) + c
-        return Divisor(tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: place_sort_key(t[0]))))
+        kept = [(p, c) for p, c in acc.items() if c]
+        if len(kept) > 1:
+            kept.sort(key=lambda t: place_sort_key(t[0]))
+        return Divisor(tuple(kept))
 
     @staticmethod
     def zero() -> "Divisor":
@@ -181,10 +184,7 @@ class Divisor:
         return all(c >= 0 for _, c in self.coeffs)
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        d = self.as_dict()
-        for p, c in other.coeffs:
-            d[p] = d.get(p, 0) + c
-        return Divisor.make(d)
+        return Divisor.make(self.coeffs + other.coeffs)
 
     def __neg__(self) -> "Divisor":
         return Divisor(tuple((p, -c) for p, c in self.coeffs))

@@ -23,6 +23,12 @@ sits on a checked entry point: ``pair``, the residue routes,
 symmetry and route agreement checks still compare independent
 computations.  Nothing configures the caches; the bound of 128 entries
 each keeps the memory they hold small.
+
+A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
+``str`` does, because places and divisors are dicts keyed on them.
+That is no memo: it is part of the value, with nothing to clear and no
+bound, and it stays out of ``==``, ``repr`` and pickles (``str`` hashes
+differ between processes).
 """
 
 from __future__ import annotations
@@ -109,8 +115,16 @@ def _frac(v) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+class _HashSlot:
+    """Base of the frozen polynomials: a slot outside the dataclass
+    fields, where ``__hash__`` keeps the hash it computed first.  Being
+    no field, it takes no part in ``==``, ``repr`` or pickled state."""
+
+    __slots__ = ("_hash",)
+
+
 @dataclass(frozen=True, slots=True)
-class UPoly:
+class UPoly(_HashSlot):
     """Dense univariate polynomial over Q in the variable ``var``.
 
     ``coeffs[i]`` is the coefficient of ``var**i``; the tuple carries no
@@ -119,6 +133,14 @@ class UPoly:
 
     var: str
     coeffs: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.var, self.coeffs)))
+            return self._hash
 
     @staticmethod
     def make(var: str, coeffs: Iterable) -> "UPoly":
@@ -244,7 +266,7 @@ class UPoly:
 
 
 @dataclass(frozen=True, slots=True)
-class BPoly:
+class BPoly(_HashSlot):
     """Sparse bivariate polynomial over Q in x and y.
 
     ``terms`` maps nothing to zero: it is a sorted tuple of
@@ -253,6 +275,14 @@ class BPoly:
     """
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.terms,)))
+            return self._hash
 
     @staticmethod
     def make(d: dict[tuple[int, int], Fraction]) -> "BPoly":

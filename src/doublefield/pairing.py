@@ -43,11 +43,12 @@ def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
         raise ValueError(f"unknown side {side!r}")
     if not A.disjoint_from(b):
         raise NotCoprime("pairing requires disjoint supports")
-    out = Divisor.zero()
-    for m, wm in A.coeffs:
-        for n, wn in b.coeffs:
-            out = out + _pair_primes(m, n, side).scale(wm * wn)
-    return out
+    return Divisor.make(
+        (p, c * wm * wn)
+        for m, wm in A.coeffs
+        for n, wn in b.coeffs
+        for p, c in _pair_primes(m, n, side).coeffs
+    )
 
 
 def _pair_primes(m: Place, n: Place, side: str) -> Divisor:

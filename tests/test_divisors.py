@@ -16,10 +16,19 @@ from doublefield.divisors import (
     degree_over_Kp,
     divisor_of_upoly,
     principal_divisor,
+    transpose_place,
     valuation,
 )
 from doublefield.errors import InputError
-from doublefield.exact import BPoly, UPoly, certify_irreducible_bivariate, factor_b, primitive_int_bpoly
+from doublefield.exact import (
+    BPoly,
+    UPoly,
+    certify_irreducible_bivariate,
+    clear_caches,
+    factor_b,
+    primitive_int_bpoly,
+)
+from doublefield.suites import binary_pool
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -92,6 +101,47 @@ class TestPlaces:
         assert degree_over_Kp(inf("y")) == 0
         assert degree_over_K(BinaryPlace.make(X - Y**2)) == 2
         assert degree_over_K(uplace("x", -2, 0, 1)) == 0
+
+
+def _same_place(a, b):
+    """a and b are distinct place objects on distinct polynomial objects,
+    equal and hash-equal, with the generated dataclass hash."""
+    assert a is not b and a.poly is not b.poly
+    assert a == b
+    assert hash(a) == hash(b)
+    key = (a.var, a.poly) if isinstance(a, UnaryPlace) else (a.poly,)
+    assert hash(a) == hash(key)
+    assert Divisor.of(a, 2) == Divisor.of(b, 2)
+    assert hash(Divisor.of(a, 2)) == hash(Divisor.of(b, 2))
+
+
+class TestPlaceHash:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from("xy"),
+        st.lists(st.integers(-5, 5), min_size=2, max_size=4).filter(lambda cs: cs[-1] != 0),
+        st.lists(st.integers(-5, 5), max_size=4),
+        st.integers(2, 9),
+    )
+    def test_unary_routes(self, var, coeffs, other, k):
+        fresh = UnaryPlace.finite.__wrapped__  # the memo would hand out one object
+        p, q = UPoly.make(var, coeffs), UPoly.make(var, other)
+        m = UnaryPlace.finite(p)
+        _same_place(m, fresh(p.scale(k)))
+        _same_place(m, fresh((p + q) - q))
+        _same_place(m, fresh(p.with_var("x" if var == "y" else "y").with_var(var)))
+        clear_caches()
+        _same_place(m, transpose_place(transpose_place(m)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(binary_pool()), st.sampled_from([X, Y, X * Y - Y**2]), st.integers(2, 9))
+    def test_binary_routes(self, m, g, k):
+        f = m.poly
+        d = f.as_dict()
+        _same_place(m, BinaryPlace.make(BPoly.make(dict(reversed(d.items())))))
+        _same_place(m, BinaryPlace.make(f.scale(-k)))
+        _same_place(m, BinaryPlace.make((f + g) - g))
+        _same_place(m, transpose_place(transpose_place(m)))
 
 
 class TestDivisorAlgebra:

@@ -1,7 +1,13 @@
 """Unit tests for the exact arithmetic substrate."""
 
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -173,6 +179,76 @@ class TestBPoly:
             f_n, p_n = f_n * f, p_n * p
         assert f**n == f_n
         assert p**n == p_n
+
+
+# ---------------------------------------------------------------------------
+# the hash a frozen polynomial keeps after its first hash()
+
+
+def _same_value(a, b):
+    """a and b are distinct objects with equal values and equal hashes,
+    and the hash each keeps is the one the generated dataclass hash gave."""
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    for p in (a, b):  # read back from the slot
+        assert hash(p) == (hash((p.var, p.coeffs)) if isinstance(p, UPoly) else hash((p.terms,)))
+
+
+class TestHashOnce:
+    @settings(max_examples=40)
+    @given(mixed_upolys(), mixed_upolys(), st.integers(1, 9))
+    def test_upoly_routes(self, f, g, k):
+        _same_value(f, UPoly.make("x", list(f.coeffs)))
+        _same_value(f, (f + g) - g)
+        _same_value(f * g, g * f)
+        _same_value(f, f.with_var("y").with_var("x"))
+        if not f.is_zero():
+            _same_value(primitive_int_upoly(f)[1], primitive_int_upoly(f.scale(k))[1])
+
+    @settings(max_examples=40)
+    @given(mixed_bpolys(), mixed_bpolys(), st.integers(1, 9))
+    def test_bpoly_routes(self, f, g, k):
+        d = f.as_dict()
+        _same_value(BPoly.make(d), BPoly.make(dict(reversed(d.items()))))
+        _same_value(f, (f + g) - g)
+        _same_value(f * g, g * f)
+        _same_value(f, f.transpose().transpose())
+        if not f.is_zero():
+            _same_value(primitive_int_bpoly(f)[1], primitive_int_bpoly(f.scale(k))[1])
+
+    def test_slot_is_not_in_repr_or_fields(self):
+        f, p = X**2 - Y, up(1, 2)
+        hash(f), hash(p)
+        assert repr(p) == f"UPoly(var='x', coeffs={p.coeffs!r})"
+        assert repr(f) == f"BPoly(terms={f.terms!r})"
+        assert [fld.name for fld in dataclasses.fields(p)] == ["var", "coeffs"]
+        assert [fld.name for fld in dataclasses.fields(f)] == ["terms"]
+
+    def test_unpickled_hash_is_recomputed(self):
+        """A polynomial hashed and pickled by a process under another
+        PYTHONHASHSEED is found as a dict key here: the salted str hash
+        of its variable is not carried over."""
+        child = (
+            "import pickle, sys\n"
+            "from doublefield.exact import BPoly, UPoly\n"
+            "p = UPoly.make('x', [1, 2, 3])\n"
+            "f = BPoly.make({(1, 0): 1, (0, 1): 2})\n"
+            "print(hash('x'), hash(p), hash(f))\n"
+            "sys.stdout.flush()\n"
+            "sys.stdout.buffer.write(pickle.dumps((p, f)))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(exact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, check=True).stdout
+        line, blob = out.split(b"\n", 1)
+        hash_x, hash_p, _ = (int(v) for v in line.split())
+        assert hash_x != hash("x")  # the two processes salt str hashes differently
+        p, f = pickle.loads(blob)
+        assert hash(p) != hash_p
+        here = {up(1, 2, 3): "p", bp({(1, 0): 1, (0, 1): 2}): "f"}
+        assert here[p] == "p" and here[f] == "f"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Properties of the pairing and the residue routes on generated binary
 primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
 closed-form principal divisors of places against the factoring route
-they replaced, and of the residue routes and the bracket against the
-per-prime routes they replaced."""
+they replaced, of the residue routes and the bracket against the
+per-prime routes they replaced, and of the one-``make`` pairing and
+divisor sum against the left folds they replaced."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,10 +21,11 @@ from doublefield.divisors import (
     degree_over_K,
     div_of_place,
     divisor_of_upoly,
+    place_sort_key,
 )
 from doublefield.errors import InputError, NonGeneric, NotCoprime
 from doublefield.exact import BPoly, UPoly, factor_q
-from doublefield.pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
+from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
 from doublefield.residues import (
     correspondence,
     different_divisor,
@@ -305,3 +307,52 @@ def test_residue_routes_match_per_prime_routes(A, n, c):
 @given(residue_divisors, residue_divisors)
 def test_bracket_matches_trace_route(A, B):
     assert bracket(A, B) == _old_bracket(A, B) == bracket(B, A)
+
+
+# ---------------------------------------------------------------------------
+# one Divisor.make per pairing and per sum against the left folds they replaced
+
+
+def _old_make(d: dict) -> Divisor:
+    return Divisor(tuple(sorted(((p, c) for p, c in d.items() if c), key=lambda t: place_sort_key(t[0]))))
+
+
+def _old_add(D: Divisor, E: Divisor) -> Divisor:
+    d = D.as_dict()
+    for p, c in E.coeffs:
+        d[p] = d.get(p, 0) + c
+    return _old_make(d)
+
+
+def _old_pair(A: Divisor, b: Divisor, side: str) -> Divisor:
+    if not A.disjoint_from(b):
+        raise NotCoprime("pairing requires disjoint supports")
+    out = Divisor.zero()
+    for m, wm in A.coeffs:
+        for n, wn in b.coeffs:
+            out = _old_add(out, _pair_primes(m, n, side).scale(wm * wn))
+    return out
+
+
+def _same_divisor(new, old):
+    """Equal outcomes; a divisor has the same coefficient tuple and prints the same."""
+    if isinstance(new, Divisor):
+        assert (new.coeffs, str(new)) == (old.coeffs, str(old))
+    else:
+        assert new == old
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_divisors, residue_divisors, st.data())
+def test_one_make_matches_left_folds(A, B, data):
+    for side in (SIDE_K, SIDE_KPRIME):
+        _same_divisor(_outcome(pair, A, B, side), _outcome(_old_pair, A, B, side))
+        _same_divisor(_outcome(pair, B, A, side), _outcome(_old_pair, B, A, side))
+    # C cancels some components of A and shares others with B
+    cancelled = data.draw(st.sets(st.sampled_from(A.support())))
+    C = Divisor.make({**B.as_dict(), **{m: -w for m, w in A.coeffs if m in cancelled}})
+    for D, E in ((A, B), (A, C), (C, A), (A, A)):
+        _same_divisor(D + E, _old_add(D, E))
+        _same_divisor(D - E, _old_add(D, -E))
+    assert (A - A).coeffs == ()
+    assert all((A + C).coeff(m) == 0 for m in cancelled)
