@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from sympy.ntheory import factorint
@@ -67,9 +66,11 @@ from .exact import (
     DEFAULT_PREC,
     BPoly,
     UPoly,
+    _frac,
     complex_roots,
     memo,
     primitive_int_upoly,
+    qdiv,
     resultant_u,
 )
 from .pairing import SIDE_KPRIME, pair
@@ -205,14 +206,14 @@ def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int =
     more than MAX_UNIT_BITS bits."""
     if num.is_zero() or (den is not None and den.is_zero()):
         raise ValueError("zero element")
-    unit = Fraction(unit)
+    unit = _frac(unit)
     if unit == 0:
         raise ValueError("zero element")
     un, pn = primitive_int_upoly(num)
-    unit *= un
+    unit = _frac(unit * un)
     if den is not None:
         ud, pd = primitive_int_upoly(den)
-        unit /= ud
+        unit = qdiv(unit, ud)
     else:
         pd = None
     horizontal = divisor_of_upoly(pn)

@@ -43,7 +43,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from math import lcm
 
 from .arakelov import (
@@ -71,8 +70,11 @@ from .errors import (
 from .exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
     BPoly,
+    Scalar,
+    _frac,
     factor_q,
     primitive_int_upoly,
+    qdiv,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_degree_one
@@ -131,7 +133,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # A factored form (constant, [(polynomial, exponent), ...]) stands for
 # constant * prod(polynomial**exponent).  Every polynomial in it is
 # non-constant and every exponent nonzero; zero is the constant 0.
-_Factored = tuple[Fraction, list[tuple[BPoly, int]]]
+_Factored = tuple[Scalar, list[tuple[BPoly, int]]]
 
 
 def _l1_bits(f: BPoly) -> int:
@@ -206,15 +208,15 @@ class _Parser:
             rhs = _multiply_out(self.term())
             value = value + rhs if op == "+" else value - rhs
         if value.deg_x() <= 0 and value.deg_y() <= 0:
-            return (value.terms[0][1] if value.terms else Fraction(0)), []
-        return Fraction(1), [(value, 1)]
+            return (value.terms[0][1] if value.terms else 0), []
+        return 1, [(value, 1)]
 
     def term(self) -> _Factored:
         c, factors = self.factor()
         while self.peek()[0] == "*":
             self.advance()
             c2, factors2 = self.factor()
-            c, factors = c * c2, factors + factors2
+            c, factors = _frac(c * c2), factors + factors2
         return c, factors
 
     def factor(self) -> _Factored:
@@ -231,7 +233,7 @@ class _Parser:
                         f"constant power of about {bits} bits exceeds bound {MAX_CONSTANT_BITS}"
                     )
             # x^0 is 1, so a zero exponent drops the factors
-            return c**n, [(f, e * n) for f, e in factors] if n else []
+            return _frac(c**n), [(f, e * n) for f, e in factors] if n else []
         return c, factors
 
     def base(self) -> _Factored:
@@ -244,11 +246,11 @@ class _Parser:
                 den = int(self.advance()[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational", self.peek()[2], ("uint",))
-                return Fraction(num, den), []
-            return Fraction(num), []
+                return qdiv(num, den), []
+            return num, []
         if kind == "var":
             self.advance()
-            return Fraction(1), [(BPoly.gen(text), 1)]
+            return 1, [(BPoly.gen(text), 1)]
         if kind == "(":
             self.advance()
             form = self.expr()
@@ -285,7 +287,7 @@ def parse_element(text: str) -> DeltaElement:
     num = p.expr()
     if p.peek()[0] != "/":
         p.finish(("+", "-", "*", "/", "^", "end of input"))
-        den = (Fraction(1), [])
+        den = (1, [])
     else:
         p.advance()
         den = p.expr()
@@ -294,7 +296,7 @@ def parse_element(text: str) -> DeltaElement:
         raise InputError("the zero element has no divisor")
     if den[0] == 0:
         raise InputError("zero denominator")
-    return DeltaElement.from_factors(num[0] / den[0], num[1] + [(f, -e) for f, e in den[1]])
+    return DeltaElement.from_factors(qdiv(num[0], den[0]), num[1] + [(f, -e) for f, e in den[1]])
 
 
 def parse_prime(text: str) -> Place:

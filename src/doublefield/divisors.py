@@ -11,19 +11,22 @@ factored completely into primitive integer irreducibles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import InputError
 from .exact import (
     BPoly,
+    Scalar,
     UPoly,
+    _frac,
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
     memo,
     primitive_int_bpoly,
     primitive_int_upoly,
+    qdiv,
+    qpow,
 )
 
 
@@ -163,7 +166,7 @@ class Divisor:
 
     @staticmethod
     def of(place: Place, coeff: int = 1) -> "Divisor":
-        return Divisor.make({place: coeff})
+        return Divisor(((place, coeff),)) if coeff else Divisor.zero()
 
     def as_dict(self) -> dict[Place, int]:
         return dict(self.coeffs)
@@ -254,24 +257,25 @@ def degree_K(D: Divisor) -> int:
 class DeltaElement:
     """A nonzero element of Q(x,y) in refined factored form.
 
-    ``unit`` is a nonzero rational; ``factors`` pairs distinct primitive
-    integer irreducible polynomials (each from a complete factorization
-    over Q) with nonzero integer exponents.
+    ``unit`` is a nonzero rational, an int when it is integral;
+    ``factors`` pairs distinct primitive integer irreducible polynomials
+    (each from a complete factorization over Q) with nonzero integer
+    exponents.
     """
 
-    unit: Fraction
+    unit: Scalar
     factors: tuple[tuple[BPoly, int], ...]
 
     @staticmethod
     def constant(c) -> "DeltaElement":
-        c = Fraction(c)
+        c = _frac(c)
         if c == 0:
             raise ValueError("zero is not a DeltaElement")
         return DeltaElement(c, ())
 
     @staticmethod
     def from_factors(unit, raw: Iterable[tuple[BPoly, int]]) -> "DeltaElement":
-        unit = Fraction(unit)
+        unit = _frac(unit)
         if unit == 0:
             raise ValueError("zero is not a DeltaElement")
         work: list[tuple[BPoly, int]] = []
@@ -281,12 +285,12 @@ class DeltaElement:
             if e == 0:
                 continue
             u, q = primitive_int_bpoly(f)
-            unit *= u**e
+            unit = _frac(unit * qpow(u, e))
             if q.deg_x() <= 0 and q.deg_y() <= 0:
                 continue
             work.append((q, e))
         u2, factors = _refine(work)
-        unit *= u2
+        unit = _frac(unit * u2)
         factors.sort(key=lambda t: place_sort_key(_place_of(t[0])))
         return DeltaElement(unit, tuple(factors))
 
@@ -302,7 +306,7 @@ class DeltaElement:
         return DeltaElement.from_factors(self.unit * other.unit, self.factors + other.factors)
 
     def inverse(self) -> "DeltaElement":
-        return DeltaElement.from_factors(1 / self.unit, [(f, -e) for f, e in self.factors])
+        return DeltaElement.from_factors(qdiv(1, self.unit), [(f, -e) for f, e in self.factors])
 
 
 def _place_of(q: BPoly) -> Place:
@@ -311,11 +315,11 @@ def _place_of(q: BPoly) -> Place:
     return UnaryPlace.finite(q.as_upoly())
 
 
-def _refine(work: list[tuple[BPoly, int]]) -> tuple[Fraction, list[tuple[BPoly, int]]]:
+def _refine(work: list[tuple[BPoly, int]]) -> tuple[Scalar, list[tuple[BPoly, int]]]:
     """Split every factor into primitive integer irreducibles over Q and
     merge repeats; returns the accumulated rational unit and the pieces."""
     pieces: dict[tuple, tuple[BPoly, int]] = {}
-    unit = Fraction(1)
+    unit: Scalar = 1
 
     def add(q: BPoly, e: int) -> None:
         key = q.terms
@@ -326,7 +330,7 @@ def _refine(work: list[tuple[BPoly, int]]) -> tuple[Fraction, list[tuple[BPoly, 
 
     for f, e in work:
         u, fac = factor_b(f)
-        unit *= u**e
+        unit = _frac(unit * qpow(u, e))
         for q, m in fac:
             add(q, e * m)
     return unit, [(q, e) for q, e in pieces.values() if e != 0]
@@ -352,14 +356,17 @@ def div_of_place(m: Place) -> Divisor:
     principal divisor on P1 x P1 does (Pic = Z^2 by bidegree; Hartshorne,
     Algebraic Geometry, II Ex. 6.6.1).
     """
+    return Divisor.make(_place_terms(m))
+
+
+def _place_terms(m: Place) -> tuple[tuple[Place, int], ...]:
+    """The three terms of ``div_of_place(m)``, zero coefficients included."""
     if isinstance(m, UnaryPlace) and m.is_infinity():
         raise ValueError("the place at infinity is not defined by a polynomial")
-    return Divisor.make(
-        {
-            m: 1,
-            UnaryPlace.infinity("x"): -degree_over_Kp(m),
-            UnaryPlace.infinity("y"): -degree_over_K(m),
-        }
+    return (
+        (m, 1),
+        (UnaryPlace.infinity("x"), -degree_over_Kp(m)),
+        (UnaryPlace.infinity("y"), -degree_over_K(m)),
     )
 
 
@@ -370,10 +377,8 @@ def valuation(place: Place, a: DeltaElement) -> int:
 
 def principal_divisor(a: DeltaElement) -> Divisor:
     """The divisor of a nonzero element, including both infinity places:
-    the sum of e*div_of_place over its factors f^e."""
-    return Divisor.make(
-        (p, e * c) for f, e in a.factors for p, c in div_of_place(_place_of(f)).coeffs
-    )
+    the sum of e*div_of_place over its factors f^e, built in one make."""
+    return Divisor.make((p, e * c) for f, e in a.factors for p, c in _place_terms(_place_of(f)))
 
 
 def divisor_of_upoly(p: UPoly, degree: int = 0) -> Divisor:

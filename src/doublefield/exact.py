@@ -1,11 +1,22 @@
 """Exact rational and polynomial arithmetic.
 
-Scalars are ``fractions.Fraction``; univariate polynomials are dense
-coefficient tuples tagged with their variable, bivariate polynomials are
-sparse exponent maps.  Heavy algebra (factorization over Q, gcds,
-resultants, square-free decomposition) goes to sympy's dense ``dup`` /
-``dmp`` layer through the one bridge below, which converts to and from
-dense lists over ZZ or QQ; everything stays exact.
+Univariate polynomials are dense coefficient tuples tagged with their
+variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
+(factorization over Q, gcds, resultants, square-free decomposition) goes
+to sympy's dense ``dup`` / ``dmp`` layer through the one bridge below,
+which converts to and from dense lists over ZZ or QQ; everything stays
+exact.
+
+Scalars.  An exact scalar is an ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
+every coefficient, unit and value below is kept in that form.  Nearly
+every polynomial here is a primitive integer form, so its coefficients
+are plain ints, which are cheaper to build, add, compare and hash.
+Python makes ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``,
+so polynomial equality, hashes, memo keys, place order and rendering are
+those of an all-``Fraction`` representation.  ``int / int`` is a float,
+so every division of scalars goes through ``qdiv`` and every negative
+power through ``qpow``.
 
 Caching.  There is one memo policy for the whole package: ``memo`` wraps
 a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
@@ -25,10 +36,11 @@ computations.  Nothing configures the caches; the bound of 128 entries
 each keeps the memory they hold small.
 
 A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
-``str`` does, because places and divisors are dicts keyed on them.
-That is no memo: it is part of the value, with nothing to clear and no
-bound, and it stays out of ``==``, ``repr`` and pickles (``str`` hashes
-differ between processes).
+``str`` does, because places and divisors are dicts keyed on them; a
+``BPoly`` keeps its degrees in x and y the same way.  That is no memo:
+it is part of the value, with nothing to clear and no bound, and it
+stays out of ``==``, ``repr`` and pickles (``str`` hashes differ between
+processes).
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -107,12 +119,42 @@ def clear_caches() -> None:
         cached.cache_clear()
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+Scalar = Union[int, Fraction]
+
+
+def _frac(v) -> Scalar:
+    """The exact scalar equal to v: an ``int`` when v is integral, a
+    ``Fraction`` only when it is not.  The two forms of an integer are
+    equal and hash alike, so this changes no value, key or order; ints
+    are only cheaper to build, compare and hash.  TypeError for anything
+    but an int or a Fraction (a float above all)."""
+    if type(v) is int:
         return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"not an exact rational: {v!r}")
+
+
+def _exact(cs: Iterable) -> list[Scalar]:
+    """``_frac`` of every scalar in cs, without a call for an int."""
+    return [c if type(c) is int else _frac(c) for c in cs]
+
+
+def qdiv(a: Scalar, b: Scalar) -> Scalar:
+    """a / b as an exact scalar; ZeroDivisionError when b is 0.  The one
+    division of scalars: a bare ``/`` of two ints is a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _frac(a / b)
+
+
+def qpow(a: Scalar, e: int) -> Scalar:
+    """a**e as an exact scalar for any integer e; a negative power of an
+    int would be a float."""
+    return _frac(a**e) if e >= 0 else qdiv(1, a**-e)
 
 
 class _HashSlot:
@@ -121,6 +163,13 @@ class _HashSlot:
     no field, it takes no part in ``==``, ``repr`` or pickled state."""
 
     __slots__ = ("_hash",)
+
+
+class _DegreeSlots(_HashSlot):
+    """Two more such slots, where ``BPoly.deg_x`` and ``deg_y`` keep the
+    degrees they computed first."""
+
+    __slots__ = ("_deg_x", "_deg_y")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +181,7 @@ class UPoly(_HashSlot):
     """
 
     var: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __hash__(self) -> int:
         # the generated dataclass hash, computed once
@@ -144,7 +193,7 @@ class UPoly(_HashSlot):
 
     @staticmethod
     def make(var: str, coeffs: Iterable) -> "UPoly":
-        cs = [_frac(c) for c in coeffs]
+        cs = _exact(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         return UPoly(var, tuple(cs))
@@ -164,9 +213,9 @@ class UPoly(_HashSlot):
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def lc(self) -> Fraction:
+    def lc(self) -> Scalar:
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def __add__(self, other: "UPoly") -> "UPoly":
@@ -193,7 +242,7 @@ class UPoly(_HashSlot):
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -207,7 +256,7 @@ class UPoly(_HashSlot):
         c = _frac(c)
         if c == 0:
             return UPoly.zero(self.var)
-        return UPoly(self.var, tuple(a * c for a in self.coeffs))
+        return UPoly(self.var, tuple(_exact(a * c for a in self.coeffs)))
 
     def __pow__(self, n: int) -> "UPoly":
         return _power(self, n, UPoly.const(self.var, 1))
@@ -216,7 +265,7 @@ class UPoly(_HashSlot):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         rem = list(self.coeffs)
         dlc = other.lc()
         d = other.degree()
@@ -226,7 +275,7 @@ class UPoly(_HashSlot):
             if len(rem) - 1 < d:
                 break
             k = len(rem) - 1 - d
-            f = rem[-1] / dlc
+            f = qdiv(rem[-1], dlc)
             q[k] = f
             for i, b in enumerate(other.coeffs):
                 rem[k + i] -= f * b
@@ -245,14 +294,14 @@ class UPoly(_HashSlot):
     def monic(self) -> "UPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.lc())
+        return self.scale(qdiv(1, self.lc()))
 
-    def eval(self, v) -> Fraction:
+    def eval(self, v) -> Scalar:
         v = _frac(v)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return acc
+        return _frac(acc)
 
     def with_var(self, var: str) -> "UPoly":
         return UPoly(var, self.coeffs)
@@ -266,7 +315,7 @@ class UPoly(_HashSlot):
 
 
 @dataclass(frozen=True, slots=True)
-class BPoly(_HashSlot):
+class BPoly(_DegreeSlots):
     """Sparse bivariate polynomial over Q in x and y.
 
     ``terms`` maps nothing to zero: it is a sorted tuple of
@@ -274,7 +323,7 @@ class BPoly(_HashSlot):
     x-exponent and ``j`` the y-exponent.
     """
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int], Scalar], ...]
 
     def __hash__(self) -> int:
         # the generated dataclass hash, computed once
@@ -285,17 +334,17 @@ class BPoly(_HashSlot):
             return self._hash
 
     @staticmethod
-    def make(d: dict[tuple[int, int], Fraction]) -> "BPoly":
-        items = sorted((k, _frac(v)) for k, v in d.items() if v != 0)
+    def make(d: dict[tuple[int, int], Scalar]) -> "BPoly":
+        items = sorted((k, v if type(v) is int else _frac(v)) for k, v in d.items() if v != 0)
         return BPoly(tuple(items))
 
     @staticmethod
     def const(c) -> "BPoly":
-        return BPoly.make({(0, 0): _frac(c)})
+        return BPoly.make({(0, 0): c})
 
     @staticmethod
     def gen(var: str) -> "BPoly":
-        return BPoly.make({(1, 0) if var == "x" else (0, 1): Fraction(1)})
+        return BPoly.make({(1, 0) if var == "x" else (0, 1): 1})
 
     @staticmethod
     def zero() -> "BPoly":
@@ -307,22 +356,41 @@ class BPoly(_HashSlot):
             return BPoly.make({(i, 0): c for i, c in enumerate(p.coeffs)})
         return BPoly.make({(0, j): c for j, c in enumerate(p.coeffs)})
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
+    def as_dict(self) -> dict[tuple[int, int], Scalar]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def deg_x(self) -> int:
-        return max((k[0] for k, _ in self.terms), default=-1)
+        """Degree in x, -1 for the zero polynomial; kept once computed."""
+        try:
+            return self._deg_x
+        except AttributeError:
+            return self._keep_degrees()[0]
 
     def deg_y(self) -> int:
-        return max((k[1] for k, _ in self.terms), default=-1)
+        """Degree in y, -1 for the zero polynomial; kept once computed."""
+        try:
+            return self._deg_y
+        except AttributeError:
+            return self._keep_degrees()[1]
+
+    def _keep_degrees(self) -> tuple[int, int]:
+        dx = dy = -1
+        for (i, j), _ in self.terms:
+            if i > dx:
+                dx = i
+            if j > dy:
+                dy = j
+        object.__setattr__(self, "_deg_x", dx)
+        object.__setattr__(self, "_deg_y", dy)
+        return dx, dy
 
     def __add__(self, other: "BPoly") -> "BPoly":
         d = self.as_dict()
         for k, v in other.terms:
-            d[k] = d.get(k, Fraction(0)) + v
+            d[k] = d.get(k, 0) + v
         return BPoly.make(d)
 
     def __neg__(self) -> "BPoly":
@@ -334,11 +402,11 @@ class BPoly(_HashSlot):
     def __mul__(self, other: Union["BPoly", int, Fraction]) -> "BPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        d: dict[tuple[int, int], Fraction] = {}
+        d: dict[tuple[int, int], Scalar] = {}
         for (i1, j1), a in self.terms:
             for (i2, j2), b in other.terms:
                 k = (i1 + i2, j1 + j2)
-                d[k] = d.get(k, Fraction(0)) + a * b
+                d[k] = d.get(k, 0) + a * b
         return BPoly.make(d)
 
     __rmul__ = __mul__
@@ -347,7 +415,7 @@ class BPoly(_HashSlot):
         c = _frac(c)
         if c == 0:
             return BPoly.zero()
-        return BPoly(tuple((k, v * c) for k, v in self.terms))
+        return BPoly(tuple(zip((k for k, _ in self.terms), _exact(v * c for _, v in self.terms))))
 
     def __pow__(self, n: int) -> "BPoly":
         return _power(self, n, BPoly.const(1))
@@ -358,7 +426,7 @@ class BPoly(_HashSlot):
 
     def coeff_of_x(self, i: int) -> UPoly:
         """Coefficient of x**i, as a polynomial in y."""
-        d: dict[int, Fraction] = {}
+        d: dict[int, Scalar] = {}
         for (a, b), v in self.terms:
             if a == i:
                 d[b] = v
@@ -380,7 +448,7 @@ class BPoly(_HashSlot):
     def eval_y(self, c) -> UPoly:
         return self.transpose().eval_x(c).with_var("x")
 
-    def eval_xy(self, a, b) -> Fraction:
+    def eval_xy(self, a, b) -> Scalar:
         return self.eval_x(a).eval(b)
 
     def as_upoly(self) -> UPoly:
@@ -417,13 +485,13 @@ def _power(base, n: int, one):
 # A UPoly becomes a ``dup`` list and a BPoly a level-1 ``dmp`` list with x
 # as the main variable: one ``dup`` in y per power of x.  Both list the
 # highest degree first.  Coefficients live in ZZ when all of them are
-# integral (places are primitive integer forms) and in QQ otherwise; they
-# are read back through int() of numerator and denominator, which holds
-# under every sympy ground type.
+# ints (places are primitive integer forms) and in QQ otherwise; they are
+# read back through int() of numerator and denominator, which holds under
+# every sympy ground type, as an int when the denominator is 1.
 
 
-def _domain(*coeff_seqs: Iterable[Fraction]):
-    if all(c.denominator == 1 for cs in coeff_seqs for c in cs):
+def _domain(*coeff_seqs: Iterable[Scalar]):
+    if all(type(c) is int for cs in coeff_seqs for c in cs):
         return ZZ
     return QQ
 
@@ -436,14 +504,15 @@ def _b_domain(*ps: BPoly):
     return _domain(*((v for _, v in p.terms) for p in ps))
 
 
-def _to_K(c: Fraction, K):
-    return K(c.numerator) if K.is_ZZ else K(c.numerator, c.denominator)
+def _to_K(c: Scalar, K):
+    return K(c) if K.is_ZZ else K(c.numerator, c.denominator)
 
 
-def _from_K(c, K) -> Fraction:
+def _from_K(c, K) -> Scalar:
     if K.is_ZZ:
-        return Fraction(int(c))
-    return Fraction(int(K.numer(c)), int(K.denom(c)))
+        return int(c)
+    num, den = int(K.numer(c)), int(K.denom(c))
+    return num if den == 1 else Fraction(num, den)
 
 
 def _to_dup(p: UPoly, K) -> list:
@@ -461,7 +530,7 @@ def _to_dmp(p: BPoly, K) -> list:
     out = []
     for row in reversed(rows):
         n = max(row, default=-1)
-        out.append([_to_K(row.get(j, Fraction(0)), K) for j in range(n, -1, -1)])
+        out.append([_to_K(row.get(j, 0), K) for j in range(n, -1, -1)])
     return out or [[]]
 
 
@@ -479,31 +548,40 @@ def _from_dmp(f: list, K) -> BPoly:
 # canonical primitive-integer forms
 
 
-def _primitive_unit(coeffs: Sequence[Fraction], lead: Fraction) -> Fraction:
-    """The rational u with the sign of ``lead`` for which the c / u are
-    coprime integers."""
+def _primitive(coeffs: Sequence[Scalar], lead: Scalar) -> tuple[Scalar, Optional[list[int]]]:
+    """(u, ints): the rational u with the sign of ``lead`` for which the
+    c / u are coprime integers, and those integers, in integer arithmetic
+    only (lcm of the denominators, then gcd).  ints is None, and u is 1,
+    when the c already are such integers."""
     den = lcm(*(c.denominator for c in coeffs))
-    g = gcd(*((c * den).numerator for c in coeffs))
-    return Fraction(g if lead > 0 else -g, den)
+    nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*nums)
+    if lead < 0:
+        g = -g
+    if g == 1 and den == 1:
+        return 1, None
+    return qdiv(g, den), [n // g for n in nums]
 
 
-def primitive_int_upoly(p: UPoly) -> tuple[Fraction, UPoly]:
+def primitive_int_upoly(p: UPoly) -> tuple[Scalar, UPoly]:
     """Return (unit, q) with q integer, content-free, positive leading
-    coefficient, and p = unit * q."""
+    coefficient, and p = unit * q; (1, p) itself when p is such a q."""
     if p.is_zero():
         raise ValueError("zero polynomial has no primitive form")
-    unit = _primitive_unit(p.coeffs, p.lc())
-    return unit, UPoly.make(p.var, [c / unit for c in p.coeffs])
+    unit, ints = _primitive(p.coeffs, p.lc())
+    return (unit, p) if ints is None else (unit, UPoly(p.var, tuple(ints)))
 
 
-def primitive_int_bpoly(p: BPoly) -> tuple[Fraction, BPoly]:
+def primitive_int_bpoly(p: BPoly) -> tuple[Scalar, BPoly]:
     """Same normalization for bivariate polynomials; the sign is fixed by
     the graded-lex leading term (total degree, then x-exponent)."""
     if p.is_zero():
         raise ValueError("zero polynomial has no primitive form")
     _, lead = max(p.terms, key=lambda t: (t[0][0] + t[0][1], t[0][0]))
-    unit = _primitive_unit([v for _, v in p.terms], lead)
-    return unit, BPoly.make({k: v / unit for k, v in p.terms})
+    unit, ints = _primitive([v for _, v in p.terms], lead)
+    if ints is None:
+        return unit, p
+    return unit, BPoly(tuple(zip((k for k, _ in p.terms), ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +612,7 @@ def gcd_b(f: BPoly, g: BPoly) -> BPoly:
 
 
 @memo
-def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
+def factor_b(f: BPoly) -> tuple[Scalar, list[tuple[BPoly, int]]]:
     """Complete factorization of a bivariate polynomial over Q.
 
     Returns (unit, [(primitive integer irreducible factor, multiplicity)])
@@ -585,22 +663,22 @@ def factor_b(f: BPoly) -> tuple[Fraction, list[tuple[BPoly, int]]]:
     out = []
     for p, m in fac:
         u, q = primitive_int_bpoly(_from_dmp(p, K))
-        unit *= u**m
+        unit = _frac(unit * qpow(u, m))
         out.append((q, m))
     out.sort(key=lambda t: t[0].terms)
     return unit, out
 
 
-def resultant_u(f: UPoly, g: UPoly) -> Fraction:
+def resultant_u(f: UPoly, g: UPoly) -> Scalar:
     """Resultant of two univariate polynomials (same variable)."""
     if f.var != g.var:
         raise ValueError("variable mismatch")
     if f.is_zero() or g.is_zero():
-        return Fraction(0)
+        return 0
     if f.degree() == 0:
-        return f.lc() ** g.degree()
+        return qpow(f.lc(), g.degree())
     if g.degree() == 0:
-        return g.lc() ** f.degree()
+        return qpow(g.lc(), f.degree())
     K = _u_domain(f, g)
     return _from_K(dup_resultant(_to_dup(f, K), _to_dup(g, K), K), K)
 
@@ -634,7 +712,7 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
 
 
 @memo
-def factor_q(f: UPoly) -> tuple[Fraction, list[tuple[UPoly, int]]]:
+def factor_q(f: UPoly) -> tuple[Scalar, list[tuple[UPoly, int]]]:
     """Complete factorization over Q into monic irreducibles.
 
     Returns (unit, [(factor, multiplicity), ...]) with
@@ -793,7 +871,7 @@ def _eval_mp(p: UPoly, z):
 # rendering
 
 
-def _fmt_coeff(c: Fraction) -> str:
+def _fmt_coeff(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -834,7 +912,7 @@ def render_bpoly(p: BPoly) -> str:
     return "".join(parts)
 
 
-def _term_str(c: Fraction, mon: str, first: bool) -> str:
+def _term_str(c: Scalar, mon: str, first: bool) -> str:
     sign = "-" if c < 0 else ("" if first else "+")
     if not first:
         sign = " - " if c < 0 else " + "

@@ -17,7 +17,6 @@ checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import (
     BinaryPlace,
@@ -27,7 +26,7 @@ from .divisors import (
     divisor_of_upoly,
 )
 from .errors import EqualIsoms, NonGeneric, NotCoprime, NotDegreeOne
-from .exact import BPoly, UPoly, gcd_u, resultant_x
+from .exact import BPoly, Scalar, UPoly, gcd_u, qdiv, resultant_x
 from .pairing import SIDE_K, SIDE_KPRIME, pair
 
 
@@ -50,8 +49,7 @@ class RationalIsom:
             if g.degree() >= 1:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-        lc = den.lc()
-        return RationalIsom(num.scale(1 / lc), den.monic())
+        return RationalIsom(num.scale(qdiv(1, den.lc())), den.monic())
 
     def pole_divisor(self) -> Divisor:
         """Divisor of poles of num/den over the places of Q(y)."""
@@ -130,10 +128,10 @@ def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
     return pair(A, Divisor.of(n), SIDE_KPRIME)
 
 
-def _degree_one_kp_value(q: UnaryPlace) -> Fraction:
+def _degree_one_kp_value(q: UnaryPlace) -> Scalar:
     if q.var != "y" or q.is_infinity() or q.poly.degree() != 1:
         raise NotDegreeOne(f"expected a finite degree-one place of Q(y), got {q}")
-    return -q.poly.coeffs[0] / q.poly.coeffs[1]
+    return qdiv(-q.poly.coeffs[0], q.poly.coeffs[1])
 
 
 def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
@@ -149,7 +147,7 @@ def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
     return out
 
 
-def _prime_correspondence(m: Place, c: Fraction) -> Divisor:
+def _prime_correspondence(m: Place, c: Scalar) -> Divisor:
     if isinstance(m, BinaryPlace):
         f = m.poly
         lc = f.coeff_of_x(f.deg_x())

@@ -48,6 +48,7 @@ from .exact import (
     UPoly,
     clear_caches,
     complex_roots,
+    qdiv,
     resultant_x,
     squarefree_decomposition,
 )
@@ -382,7 +383,7 @@ def run_support() -> dict:
                 den_val = nu.den.eval(c)
                 if den_val == 0:
                     continue
-                x_val = nu.num.eval(c) / den_val
+                x_val = qdiv(nu.num.eval(c), den_val)
                 below = UPoly.make("y", [-c.numerator, c.denominator])
                 try:
                     corr = correspondence(Divisor.of(m), UnaryPlace.finite(below))

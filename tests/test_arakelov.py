@@ -85,6 +85,12 @@ class TestPrincipalArakelov:
         with pytest.raises(InputError, match="exceeds bound"):
             principal_arakelov(yp(-1, 1), unit=Fraction(1, 2**MAX_UNIT_BITS + 1))
 
+    def test_float_unit_refused(self):
+        # 0.1 is 3602879701896397/2**55, not 1/10: no valuation is read off it
+        with pytest.raises(TypeError, match="not an exact rational"):
+            principal_arakelov(yp(-1, 1), unit=0.1)
+        assert principal_arakelov(yp(-1, 1), unit=Fraction(1, 10)).vertical_dict() == {2: -1, 5: -1}
+
     def test_multiplicative(self):
         f, g = yp(-1, 1), yp(3, 0, 1)
         ab = principal_arakelov(f * g)

@@ -467,6 +467,55 @@ class TestReadmeExamples:
                 assert out == expected, argv
 
 
+# Reports of commands whose inputs have non-integral rational
+# coefficients, pinned as printed while every coefficient was a Fraction:
+# each is the compact JSON of the report without its wall_time, which
+# keeps key order and tells 2 from 2.0.  A float coefficient or unit
+# would show here first, in a rendered place or in a moving element.
+RATIONAL_REPORTS = [
+    (
+        ['divisor', '(1/2*x^2 - 3/4*y)^2*(2/3*x*y + 5/7)/(3/2*y - 1/3)', '--json'],
+        '{"schema_version":"5","command":"divisor","inputs":{"expr":"(1/2*x^2 - 3/4*y)^2*(2/3*x*y + 5/7)/(3/2*y - 1/3)"},"result":{"divisor":"-5*inf_x - (9*y - 2) - 2*inf_y + (14*x*y + 15) + 2*(2*x^2 - 3*y)","terms":[{"place":"inf_x","coeff":-5},{"place":"(9*y - 2)","coeff":-1},{"place":"inf_y","coeff":-2},{"place":"(14*x*y + 15)","coeff":1},{"place":"(2*x^2 - 3*y)","coeff":2}]}}',
+    ),
+    (
+        ['divisor', '(1/2*x - 1/3*y)^3/(5/6*x^2*y - 1/4)', '--json'],
+        '{"schema_version":"5","command":"divisor","inputs":{"expr":"(1/2*x - 1/3*y)^3/(5/6*x^2*y - 1/4)"},"result":{"divisor":"-inf_x - 2*inf_y - (10*x^2*y - 3) + 3*(3*x - 2*y)","terms":[{"place":"inf_x","coeff":-1},{"place":"inf_y","coeff":-2},{"place":"(10*x^2*y - 3)","coeff":-1},{"place":"(3*x - 2*y)","coeff":3}]}}',
+    ),
+    (
+        ['pair', '--a', '1*(x - 1/2*y^2); -1*(2/3*y + 1/5)', '--b', '2*(2/3*x - y); 1*(3/7*x - 1/2)', '--json'],
+        '{"schema_version":"5","command":"pair","inputs":{"a":"1*(x - 1/2*y^2); -1*(2/3*y + 1/5)","b":"2*(2/3*x - y); 1*(3/7*x - 1/2)","side":"Kprime"},"result":{"divisor":"(3*y^2 - 7) + 2*(y - 3) + 2*(y) - 3*(10*y + 3) + 2*inf_y","terms":[{"place":"(3*y^2 - 7)","coeff":1},{"place":"(y - 3)","coeff":2},{"place":"(y)","coeff":2},{"place":"(10*y + 3)","coeff":-3},{"place":"inf_y","coeff":2}],"side":"Kprime"}}',
+    ),
+    (
+        ['pair', '--a', '(1/2*x^2 - 3/5*y)', '--b', '(3/4*x*y - 2/3)', '--side', 'K', '--json'],
+        '{"schema_version":"5","command":"pair","inputs":{"a":"(1/2*x^2 - 3/5*y)","b":"(3/4*x*y - 2/3)","side":"K"},"result":{"divisor":"(15*x^3 - 16)","terms":[{"place":"(15*x^3 - 16)","coeff":1}],"side":"K"}}',
+    ),
+    (
+        ['selfpair', '--m', '3*x*y + 2*x - 1/5', '--json'],
+        '{"schema_version":"5","command":"selfpair","inputs":{"m":"3*x*y + 2*x - 1/5","side":"Kprime"},"result":{"value":"2*(3*y + 2)","moved":"inf_x + (3*y + 2)","moving_element":"(15*x*y + 10*x - 1)/(y + 2/3)","side":"Kprime"}}',
+    ),
+    (
+        ['selfpair', '--m', '2/3*x*y^2 - 5/7*x - 1/3', '--side', 'K', '--json'],
+        '{"schema_version":"5","command":"selfpair","inputs":{"m":"2/3*x*y^2 - 5/7*x - 1/3","side":"K"},"result":{"value":"4*inf_x","moved":"inf_x + (14*y^2 - 15)","moving_element":"(14*x*y^2 - 15*x - 7)/(y^2 - 15/14)","side":"K"}}',
+    ),
+    (
+        ['arakelov-deg', '--d', '2*(1/2*y - 3/4); -1*(2/3*y^2 + 1/5); 1*inf_y', '--json'],
+        '{"schema_version":"5","command":"arakelov-deg","inputs":{"d":"2*(1/2*y - 3/4); -1*(2/3*y^2 + 1/5); 1*inf_y"},"result":{"degree":-2.0}}',
+    ),
+]
+
+
+class TestRationalCoefficientReports:
+    def test_reports_print_pinned_text(self, capsys):
+        for argv, expected in RATIONAL_REPORTS:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            wall_time = report.pop("wall_time")
+            assert json.dumps(report, separators=(",", ":")) == expected, argv
+            # the pin covers all of stdout: it is this report, indented
+            assert out == json.dumps(dict(report, wall_time=wall_time), indent=2) + "\n"
+
+
 # texts over the grammar's alphabet, the divisor-spec syntax and a few
 # characters outside both
 _FUZZ_TEXT = st.text(alphabet="xy0123456789+-*^()/ ;_inf\t=a.", max_size=14)

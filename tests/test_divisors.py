@@ -206,6 +206,12 @@ class TestPrincipalDivisor:
     def test_constant(self):
         assert principal_divisor(DeltaElement.constant(7)).is_zero()
 
+    def test_units_are_exact(self):
+        assert type(DeltaElement.constant(Fraction(14, 2)).unit) is int
+        assert DeltaElement.from_factors(Fraction(3, 2), [(X - Y, 1)]).unit == Fraction(3, 2)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            DeltaElement.constant(0.5)
+
     def test_x_minus_y(self):
         D = principal_divisor(DeltaElement.from_bpoly(X - Y))
         assert D == Divisor.make({BinaryPlace.make(X - Y): 1, inf("x"): -1, inf("y"): -1})

@@ -18,6 +18,7 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dmp_factor_list
 
 from doublefield import exact
+from doublefield.divisors import DeltaElement
 from doublefield.errors import DegreeBound, PrecisionFailure
 from doublefield.exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
@@ -219,11 +220,34 @@ class TestHashOnce:
 
     def test_slot_is_not_in_repr_or_fields(self):
         f, p = X**2 - Y, up(1, 2)
-        hash(f), hash(p)
+        hash(f), hash(p), f.deg_x(), f.deg_y()
         assert repr(p) == f"UPoly(var='x', coeffs={p.coeffs!r})"
         assert repr(f) == f"BPoly(terms={f.terms!r})"
         assert [fld.name for fld in dataclasses.fields(p)] == ["var", "coeffs"]
         assert [fld.name for fld in dataclasses.fields(f)] == ["terms"]
+
+    @settings(max_examples=40)
+    @given(mixed_bpolys(), st.sampled_from(("deg_x", "deg_y")))
+    def test_degrees_kept_once(self, f, first):
+        """Either degree, asked first, keeps both; they are the scans the
+        methods made before, and equal polynomials agree on them."""
+        dx = max((i for (i, _), _ in f.terms), default=-1)
+        dy = max((j for (_, j), _ in f.terms), default=-1)
+        getattr(f, first)()
+        assert (f._deg_x, f._deg_y) == (dx, dy)
+        assert (f.deg_x(), f.deg_y()) == (dx, dy)
+        g = BPoly.make(f.as_dict())
+        assert not hasattr(g, "_deg_x") and not hasattr(g, "_deg_y")
+        assert g == f and hash(g) == hash(f)
+        assert (g.deg_x(), g.deg_y()) == (dx, dy)
+
+    def test_degrees_not_pickled(self):
+        f = X**3 * Y - Y**2
+        assert (f.deg_x(), f.deg_y(), hash(f)) == (3, 2, hash(f))
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f
+        assert not hasattr(g, "_deg_x") and not hasattr(g, "_deg_y") and not hasattr(g, "_hash")
+        assert (g.deg_x(), g.deg_y()) == (3, 2)
 
     def test_unpickled_hash_is_recomputed(self):
         """A polynomial hashed and pickled by a process under another
@@ -249,6 +273,94 @@ class TestHashOnce:
         assert hash(p) != hash_p
         here = {up(1, 2, 3): "p", bp({(1, 0): 1, (0, 1): 2}): "f"}
         assert here[p] == "p" and here[f] == "f"
+
+
+# ---------------------------------------------------------------------------
+# exact scalars: an int exactly when integral, else a Fraction
+
+
+def _exact_scalar(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _assert_exact(*values):
+    """Every scalar, coefficient and unit in values is in exact form;
+    values may nest polynomials, tuples and lists."""
+    for v in values:
+        if isinstance(v, UPoly):
+            _assert_exact(*v.coeffs)
+        elif isinstance(v, BPoly):
+            _assert_exact(*(c for _, c in v.terms))
+        elif isinstance(v, DeltaElement):
+            _assert_exact(v.unit, *(f for f, _ in v.factors))
+        elif isinstance(v, (tuple, list)):
+            _assert_exact(*v)
+        else:
+            assert _exact_scalar(v), repr(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixed_upolys(max_deg=3),
+    mixed_upolys(max_deg=3),
+    mixed_bpolys(2, 4),
+    mixed_bpolys(2, 4),
+    any_coeffs,
+    st.integers(1, 3),
+)
+def test_results_are_exact_scalars(p, q, f, g, c, e):
+    """Ring operations, division, normalization, evaluation and every
+    bridged call return ints for integral scalars, Fractions for the
+    others, and never a float."""
+    _assert_exact(p + q, p - q, p * q, -p, p.scale(c), p**e, p.monic(), p.eval(c))
+    _assert_exact(f + g, f - g, f * g, -f, f.scale(c), f**e, f.eval_x(c), f.eval_y(c))
+    if not q.is_zero():
+        _assert_exact(p.divmod(q))
+    if p.degree() >= 1:
+        _assert_exact(primitive_int_upoly(p), factor_q(p), resultant_u(p, p + UPoly.const("x", 1)))
+    if not f.is_zero():
+        _assert_exact(primitive_int_bpoly(f), factor_b(f))
+    if not f.is_zero() and not g.is_zero():
+        if f.deg_x() >= 1 or g.deg_x() >= 1:
+            _assert_exact(resultant_x(f, g))
+        # negative exponents reach the unit through inverse powers
+        a = DeltaElement.from_factors(c or 1, [(f, e), (g, -e)])
+        _assert_exact(a, a.inverse())
+
+
+def _primitive_by_fractions(coeffs):
+    """The Fraction route the integer one replaced, kept as the oracle:
+    the unit takes the sign of the last coefficient, which the caller
+    makes the leading one, and divides every coefficient."""
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    g = math.gcd(*((c * den).numerator for c in cs))
+    unit = Fraction(g if cs[-1] > 0 else -g, den)
+    return unit, [c / unit for c in cs]
+
+
+def _graded_lex_last(f):
+    """f's terms with the graded-lex leading term moved last."""
+    lead = max(f.terms, key=lambda t: (t[0][0] + t[0][1], t[0][0]))
+    return [t for t in f.terms if t is not lead] + [lead]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_upolys(), mixed_bpolys())
+def test_primitive_matches_fraction_route(p, f):
+    if not p.is_zero():
+        unit, q = primitive_int_upoly(p)
+        old_unit, old = _primitive_by_fractions(p.coeffs)
+        assert unit == old_unit and q == UPoly.make(p.var, old)
+        _assert_exact(unit, q)
+        assert primitive_int_upoly(q) == (1, q) and primitive_int_upoly(q)[1] is q
+    if not f.is_zero():
+        unit, q = primitive_int_bpoly(f)
+        terms = _graded_lex_last(f)
+        old_unit, old = _primitive_by_fractions([c for _, c in terms])
+        assert unit == old_unit and q == BPoly.make({k: v for (k, _), v in zip(terms, old)})
+        _assert_exact(unit, q)
+        assert primitive_int_bpoly(q) == (1, q) and primitive_int_bpoly(q)[1] is q
 
 
 # ---------------------------------------------------------------------------
