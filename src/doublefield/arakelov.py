@@ -69,6 +69,7 @@ from .exact import (
     _frac,
     complex_roots,
     memo,
+    mpf_of,
     primitive_int_upoly,
     qdiv,
     resultant_u,
@@ -129,7 +130,7 @@ def _height(q: UPoly, prec: int):
     """log|lc| + sum over roots of half log(1+|root|^2), for a primitive
     integer polynomial: the archimedean content of its zero cycle."""
     with mpmath.workprec(prec):
-        total = mpmath.log(abs(mpmath.mpf(q.lc().numerator) / q.lc().denominator))
+        total = mpmath.log(abs(mpf_of(q.lc())))
         for a in complex_roots(q, eps=_root_eps(prec), prec=prec):
             total += mpmath.mpf(0.5) * mpmath.log(1 + abs(a) ** 2)
         return total
@@ -225,7 +226,7 @@ def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int =
     for p, e in _prime_factorization(unit.denominator):
         vertical[p] = vertical.get(p, 0) - e
     with mpmath.workprec(prec):
-        arch = -mpmath.log(abs(mpmath.mpf(unit.numerator)) / unit.denominator)
+        arch = -mpmath.log(abs(mpf_of(unit)))
         arch -= _height(pn, prec)
         if pd is not None:
             arch += _height(pd, prec)
@@ -274,7 +275,7 @@ def _hh(q1: UnaryPlace, q2: UnaryPlace, prec: int):
     if r == 0:
         raise CommonSupport("places coincide")
     with mpmath.workprec(prec):
-        total = mpmath.log(abs(mpmath.mpf(r.numerator) / r.denominator))
+        total = mpmath.log(abs(mpf_of(r)))
         roots1 = complex_roots(q1.poly, eps=_root_eps(prec), prec=prec)
         roots2 = complex_roots(q2.poly, eps=_root_eps(prec), prec=prec)
         for a in roots1:

@@ -73,7 +73,6 @@ from .exact import (
     Scalar,
     _frac,
     factor_q,
-    primitive_int_upoly,
     qdiv,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
@@ -314,12 +313,10 @@ def parse_prime(text: str) -> Place:
     f = written[0][0]
     if f.deg_x() > 0 and f.deg_y() > 0:
         return BinaryPlace.make(f)
-    u = f.as_upoly()
-    _, q = primitive_int_upoly(u)
-    _, factors = factor_q(q)
+    _, factors = factor_q(f.as_upoly())
     if len(factors) != 1 or factors[0][1] != 1:
         raise InputError(f"{text!r} is not irreducible")
-    return UnaryPlace.finite(q)
+    return UnaryPlace.finite(factors[0][0])
 
 
 _COEFF_RE = re.compile(r"^\s*([+-]?\d+)\s*\*(.*)$", re.S)

@@ -90,7 +90,7 @@ class BinaryPlace:
             raise ValueError("binary place needs positive degree in both variables")
         _, q = primitive_int_bpoly(f)
         cert = certify_irreducible_bivariate(q) == "certified"
-        if not cert and factor_b(q)[1] != [(q, 1)]:
+        if not cert and factor_b(q)[1] != ((q, 1),):
             raise InputError(f"{q} is reducible, not a prime")
         return BinaryPlace(q, cert)
 
@@ -120,11 +120,11 @@ def transpose_place(m: Place) -> Place:
 def place_sort_key(p: Place):
     """Deterministic total order on places for canonical divisor form."""
     if isinstance(p, BinaryPlace):
-        return (2, 0, tuple((k, (c.numerator, c.denominator)) for k, c in p.poly.terms))
+        return (2, 0, p.poly.terms)
     fam = 0 if p.var == "x" else 1
     if p.poly is None:
         return (fam, 1, ())
-    return (fam, 0, tuple((c.numerator, c.denominator) for c in p.poly.coeffs))
+    return (fam, 0, p.poly.coeffs)
 
 
 def degree_over_Kp(m: Place) -> int:
@@ -291,7 +291,8 @@ class DeltaElement:
             work.append((q, e))
         u2, factors = _refine(work)
         unit = _frac(unit * u2)
-        factors.sort(key=lambda t: place_sort_key(_place_of(t[0])))
+        # distinct primitive irreducibles, so their terms order them totally
+        factors.sort(key=lambda t: t[0].terms)
         return DeltaElement(unit, tuple(factors))
 
     @staticmethod

@@ -4,8 +4,11 @@ Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
 (factorization over Q, gcds, resultants, square-free decomposition) goes
 to sympy's dense ``dup`` / ``dmp`` layer through the one bridge below,
-which converts to and from dense lists over ZZ or QQ; everything stays
-exact.
+which works over ZZ only: each bridged call puts its inputs in primitive
+integer form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts
+their rational units back exactly, so everything stays exact.  Both
+factorizers return primitive integer irreducibles with a positive
+leading coefficient, the form in which places store their polynomials.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -24,11 +27,11 @@ the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
 empties every one of them.  Here ``factor_q``, ``factor_b``, ``y_content``
 (key: the polynomial) and ``complex_roots`` (key: polynomial, eps and
-prec) are memoized; ``arakelov`` memoizes its
-per-place heights, ``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
+prec) are memoized; ``arakelov`` memoizes its per-place heights,
+``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
 ``divisors`` hands out one shared place object per input through
-``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  A returned list is cached as a tuple and handed
-out as a fresh list, so no caller can alter a cached value.  No cache
+``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  Memoized functions
+return tuples, never lists, so no caller can alter a cached value.  No cache
 sits on a checked entry point: ``pair``, the residue routes,
 ``correspondence`` and ``intersect`` recompute on every call, so the
 symmetry and route agreement checks still compare independent
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath.libmp import NoConvergence
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_gcd, dmp_resultant, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
@@ -71,46 +74,13 @@ MEMO_SIZE = 128
 _MEMOS: list = []
 
 
-class _Listed(tuple):
-    """A list result, kept in a memo as a tuple."""
-
-    __slots__ = ()
-
-
-def _freeze(v):
-    if isinstance(v, list):
-        return _Listed(v)
-    if type(v) is tuple and v and isinstance(v[-1], list):
-        return v[:-1] + (_Listed(v[-1]),)
-    return v
-
-
-def _thaw(v):
-    if type(v) is _Listed:
-        return list(v)
-    if type(v) is tuple and v and type(v[-1]) is _Listed:
-        return v[:-1] + (list(v[-1]),)
-    return v
-
-
 def memo(fn):
     """Memoize ``fn`` under the package's one caching policy: an LRU cache
     of MEMO_SIZE entries keyed on the arguments as passed, emptied by
-    ``clear_caches()``.  A returned list, alone or as the last member of
-    a returned tuple, is cached as a tuple and handed out as a new list.
-    ``__wrapped__`` is the uncached function."""
-
-    @functools.lru_cache(maxsize=MEMO_SIZE)
-    def cached(*args, **kwargs):
-        return _freeze(fn(*args, **kwargs))
-
+    ``clear_caches()``.  ``__wrapped__`` is the uncached function."""
+    cached = functools.lru_cache(maxsize=MEMO_SIZE)(fn)
     _MEMOS.append(cached)
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        return _thaw(cached(*args, **kwargs))
-
-    return call
+    return cached
 
 
 def clear_caches() -> None:
@@ -484,63 +454,38 @@ def _power(base, n: int, one):
 #
 # A UPoly becomes a ``dup`` list and a BPoly a level-1 ``dmp`` list with x
 # as the main variable: one ``dup`` in y per power of x.  Both list the
-# highest degree first.  Coefficients live in ZZ when all of them are
-# ints (places are primitive integer forms) and in QQ otherwise; they are
-# read back through int() of numerator and denominator, which holds under
-# every sympy ground type, as an int when the denominator is 1.
+# highest degree first.  Coefficients live in ZZ: every bridged call
+# first puts its inputs in primitive integer form and puts their rational
+# units back exactly afterwards.  They are read back through int(), which
+# holds under every sympy ground type.
 
 
-def _domain(*coeff_seqs: Iterable[Scalar]):
-    if all(type(c) is int for cs in coeff_seqs for c in cs):
-        return ZZ
-    return QQ
+def _to_dup(p: UPoly) -> list:
+    return [ZZ(c) for c in reversed(p.coeffs)]
 
 
-def _u_domain(*ps: UPoly):
-    return _domain(*(p.coeffs for p in ps))
+def _from_dup(f: list, var: str) -> UPoly:
+    return UPoly.make(var, [int(c) for c in reversed(f)])
 
 
-def _b_domain(*ps: BPoly):
-    return _domain(*((v for _, v in p.terms) for p in ps))
-
-
-def _to_K(c: Scalar, K):
-    return K(c) if K.is_ZZ else K(c.numerator, c.denominator)
-
-
-def _from_K(c, K) -> Scalar:
-    if K.is_ZZ:
-        return int(c)
-    num, den = int(K.numer(c)), int(K.denom(c))
-    return num if den == 1 else Fraction(num, den)
-
-
-def _to_dup(p: UPoly, K) -> list:
-    return [_to_K(c, K) for c in reversed(p.coeffs)]
-
-
-def _from_dup(f: list, var: str, K) -> UPoly:
-    return UPoly.make(var, [_from_K(c, K) for c in reversed(f)])
-
-
-def _to_dmp(p: BPoly, K) -> list:
+def _to_dmp(p: BPoly) -> list:
     rows = [{} for _ in range(p.deg_x() + 1)]
     for (i, j), v in p.terms:
         rows[i][j] = v
     out = []
     for row in reversed(rows):
         n = max(row, default=-1)
-        out.append([_to_K(row.get(j, 0), K) for j in range(n, -1, -1)])
+        out.append([ZZ(row.get(j, 0)) for j in range(n, -1, -1)])
     return out or [[]]
 
 
-def _from_dmp(f: list, K) -> BPoly:
+def _from_dmp(f: list) -> BPoly:
     d = {}
     for r, row in enumerate(f):
         i = len(f) - 1 - r
         for k, c in enumerate(row):
             if c:
-                d[(i, len(row) - 1 - k)] = _from_K(c, K)
+                d[(i, len(row) - 1 - k)] = int(c)
     return BPoly.make(d)
 
 
@@ -606,23 +551,23 @@ def gcd_b(f: BPoly, g: BPoly) -> BPoly:
         return g
     if g.is_zero():
         return f
-    K = _b_domain(f, g)
-    d = dmp_gcd(_to_dmp(f, K), _to_dmp(g, K), 1, K)
-    return primitive_int_bpoly(_from_dmp(d, K))[1]
+    d = dmp_gcd(_to_dmp(primitive_int_bpoly(f)[1]), _to_dmp(primitive_int_bpoly(g)[1]), 1, ZZ)
+    return primitive_int_bpoly(_from_dmp(d))[1]
 
 
 @memo
-def factor_b(f: BPoly) -> tuple[Scalar, list[tuple[BPoly, int]]]:
+def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     """Complete factorization of a bivariate polynomial over Q.
 
-    Returns (unit, [(primitive integer irreducible factor, multiplicity)])
-    with unit * prod(factor**mult) == f exactly.  Raises DegreeBound when
-    the degree in x or in y exceeds DEFAULT_FACTOR_DEGREE_BOUND.
+    Returns (unit, ((primitive integer irreducible factor, multiplicity),
+    ...)) with unit * prod(factor**mult) == f exactly, the factors sorted
+    by their terms.  Raises DegreeBound when the degree in x or in y
+    exceeds DEFAULT_FACTOR_DEGREE_BOUND.
 
     An input of positive degree in both variables is first tried for a
     proof that it is irreducible; only when that fails does it go to
     sympy's ``dmp_factor_list`` (Wang's EEZ lifting).  With
-    (u, q) = primitive_int_bpoly(f), the result is (u, [(q, 1)]) when
+    (u, q) = primitive_int_bpoly(f), the result is (u, ((q, 1),)) when
 
     (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
         y swapped; or
@@ -647,26 +592,25 @@ def factor_b(f: BPoly) -> tuple[Scalar, list[tuple[BPoly, int]]]:
     if f.deg_x() > bound or f.deg_y() > bound:
         raise DegreeBound(f"bidegree ({f.deg_x()}, {f.deg_y()}) exceeds bound {bound}")
     if f.deg_x() <= 0 and f.deg_y() <= 0:
-        return f.terms[0][1], []
+        return f.terms[0][1], ()
+    unit, q = primitive_int_bpoly(f)
     if f.deg_x() > 0 and f.deg_y() > 0:
-        u, q = primitive_int_bpoly(f)
         content_free_y = y_content(q).degree() == 0
         if (
             (q.deg_x() == 1 and content_free_y)
             or (q.deg_y() == 1 and y_content(q.transpose()).degree() == 0)
             or (content_free_y and _irreducible_at(q, next(_specializations(q))))
         ):
-            return u, [(q, 1)]
-    K = _b_domain(f)
-    content, fac = dmp_factor_list(_to_dmp(f, K), 1, K)
-    unit = _from_K(content, K)
+            return unit, ((q, 1),)
+    content, fac = dmp_factor_list(_to_dmp(q), 1, ZZ)
+    unit *= int(content)
     out = []
     for p, m in fac:
-        u, q = primitive_int_bpoly(_from_dmp(p, K))
-        unit = _frac(unit * qpow(u, m))
-        out.append((q, m))
+        u, irr = primitive_int_bpoly(_from_dmp(p))
+        unit *= u**m
+        out.append((irr, m))
     out.sort(key=lambda t: t[0].terms)
-    return unit, out
+    return _frac(unit), tuple(out)
 
 
 def resultant_u(f: UPoly, g: UPoly) -> Scalar:
@@ -679,8 +623,11 @@ def resultant_u(f: UPoly, g: UPoly) -> Scalar:
         return qpow(f.lc(), g.degree())
     if g.degree() == 0:
         return qpow(g.lc(), f.degree())
-    K = _u_domain(f, g)
-    return _from_K(dup_resultant(_to_dup(f, K), _to_dup(g, K), K), K)
+    u, F = primitive_int_upoly(f)
+    v, G = primitive_int_upoly(g)
+    r = int(dup_resultant(_to_dup(F), _to_dup(G), ZZ))
+    # homogeneity: Res(uF, vG) = u^deg G * v^deg F * Res(F, G)
+    return _frac(u ** g.degree() * v ** f.degree() * r)
 
 
 def resultant_x(f: BPoly, g: BPoly) -> UPoly:
@@ -693,10 +640,14 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
         return (f.as_upoly().with_var("y") ** g.deg_x()) if f.deg_y() >= 0 else UPoly.zero("y")
     if g.deg_x() == 0:
         return g.as_upoly().with_var("y") ** f.deg_x()
+    u, F = primitive_int_bpoly(f)
+    v, G = primitive_int_bpoly(g)
     # Convention: product of f over the x-roots of g (times lc powers), i.e.
     # Res(g, f) in sympy's ordering, so that Res_x(x - y^2, x - y) = y - y^2.
-    K = _b_domain(f, g)
-    return _from_dup(dmp_resultant(_to_dmp(g, K), _to_dmp(f, K), 1, K), "y", K)
+    r = _from_dup(dmp_resultant(_to_dmp(G), _to_dmp(F), 1, ZZ), "y")
+    # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
+    unit = u ** g.deg_x() * v ** f.deg_x()
+    return r if unit == 1 else r.scale(unit)
 
 
 def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
@@ -706,18 +657,19 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
         raise ValueError("zero polynomial")
     if f.degree() == 0:
         return []
-    K = _u_domain(f)
-    _, fac = dup_sqf_list(_to_dup(f, K), K)
-    return [(_from_dup(p, f.var, K).monic(), m) for p, m in fac]
+    _, fac = dup_sqf_list(_to_dup(primitive_int_upoly(f)[1]), ZZ)
+    return [(_from_dup(p, f.var).monic(), m) for p, m in fac]
 
 
 @memo
-def factor_q(f: UPoly) -> tuple[Scalar, list[tuple[UPoly, int]]]:
-    """Complete factorization over Q into monic irreducibles.
+def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
+    """Complete factorization over Q into primitive integer irreducibles
+    with positive leading coefficient, the form of a place.
 
-    Returns (unit, [(factor, multiplicity), ...]) with
-    unit * prod(factor**mult) == f exactly.  Raises DegreeBound when the
-    degree exceeds DEFAULT_FACTOR_DEGREE_BOUND.
+    Returns (unit, ((factor, multiplicity), ...)) with
+    unit * prod(factor**mult) == f exactly, the factors sorted by degree,
+    then coefficients.  Raises DegreeBound when the degree exceeds
+    DEFAULT_FACTOR_DEGREE_BOUND.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -725,13 +677,17 @@ def factor_q(f: UPoly) -> tuple[Scalar, list[tuple[UPoly, int]]]:
     if f.degree() > bound:
         raise DegreeBound(f"degree {f.degree()} exceeds bound {bound}")
     if f.degree() == 0:
-        return f.lc(), []
-    K = _u_domain(f)
-    _, fac = dup_factor_list(_to_dup(f, K), K)
-    # the factors are monic, so the unit is the leading coefficient
-    out = [(_from_dup(p, f.var, K).monic(), m) for p, m in fac]
+        return f.lc(), ()
+    unit, q = primitive_int_upoly(f)
+    content, fac = dup_factor_list(_to_dup(q), ZZ)
+    unit *= int(content)
+    out = []
+    for p, m in fac:
+        u, irr = primitive_int_upoly(_from_dup(p, f.var))
+        unit *= u**m
+        out.append((irr, m))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-    return f.lc(), out
+    return _frac(unit), tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +763,14 @@ def certify_irreducible_bivariate(f: BPoly) -> str:
 # certified complex roots
 
 
+def mpf_of(c: Scalar) -> mpmath.mpf:
+    """The exact scalar c as an ``mpmath.mpf``, rounded at the working
+    precision: the one such conversion of the package."""
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
 @memo
-def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.mpc]:
+def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpc, ...]:
     """All deg(f) complex roots with multiplicity.
 
     Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
@@ -822,17 +784,14 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.
     if eps <= 0:
         raise ValueError("eps must be positive")
     if f.degree() == 0:
-        return []
+        return ()
     roots: list[mpmath.mpc] = []
     for sq, mult in squarefree_decomposition(f):
         deg = sq.degree()
         found = None
         for wp in (prec, 2 * prec, 4 * prec, 8 * prec, 16 * prec):
             with mpmath.workprec(wp):
-                cs = [
-                    mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                    for c in reversed(sq.coeffs)
-                ]
+                cs = [mpf_of(c) for c in reversed(sq.coeffs)]
                 try:
                     rs = mpmath.polyroots(cs, maxsteps=400, extraprec=wp)
                 except NoConvergence:
@@ -845,12 +804,12 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> list[mpmath.
                 f"could not certify roots of degree-{deg} factor at prec={prec}"
             )
         roots.extend(found * mult)
-    return roots
+    return tuple(roots)
 
 
 def _roots_certified(sq: UPoly, rs, eps) -> bool:
     deg = sq.degree()
-    lc = abs(mpmath.mpf(sq.lc().numerator) / mpmath.mpf(sq.lc().denominator))
+    lc = abs(mpf_of(sq.lc()))
     zs = [mpmath.mpc(z) for z in rs]
     for z in zs:
         val = _eval_mp(sq, z)
@@ -863,7 +822,7 @@ def _roots_certified(sq: UPoly, rs, eps) -> bool:
 def _eval_mp(p: UPoly, z):
     acc = mpmath.mpc(0)
     for c in reversed(p.coeffs):
-        acc = acc * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+        acc = acc * z + mpf_of(c)
     return acc
 
 

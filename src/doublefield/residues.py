@@ -141,10 +141,9 @@ def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
     primes contributing zero."""
     c = _degree_one_kp_value(p)
     _check_coprime_to(A, p)
-    out = Divisor.zero()
-    for m, w in A.coeffs:
-        out = out + _prime_correspondence(m, c).scale(w)
-    return out
+    return Divisor.make(
+        (n, v * w) for m, w in A.coeffs for n, v in _prime_correspondence(m, c).coeffs
+    )
 
 
 def _prime_correspondence(m: Place, c: Scalar) -> Divisor:

@@ -48,6 +48,7 @@ from .exact import (
     UPoly,
     clear_caches,
     complex_roots,
+    mpf_of,
     qdiv,
     resultant_x,
     squarefree_decomposition,
@@ -419,17 +420,11 @@ def run_selfpair() -> dict:
 # 8. chart robustness and the numeric intersection oracle
 
 
-def _to_mpc(c):
-    if isinstance(c, Fraction):
-        return mpmath.mpc(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator))
-    return mpmath.mpc(c)
-
-
 def _numeric_common_root(f: BPoly, g: BPoly, y0) -> bool:
     def x_poly(h: BPoly):
         coeffs = [mpmath.mpc(0)] * (h.deg_x() + 1)
         for (i, j), c in h.terms:
-            coeffs[i] += _to_mpc(c) * y0**j
+            coeffs[i] += mpf_of(c) * y0**j
         while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(2) ** (-DEFAULT_PREC // 2):
             coeffs.pop()
         return list(reversed(coeffs))

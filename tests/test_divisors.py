@@ -78,7 +78,7 @@ class TestPlaces:
     def test_binary_make_decides_exactly(self, terms):
         f = BPoly.make(terms)
         _, q = primitive_int_bpoly(f)
-        prime = factor_b.__wrapped__(q)[1] == [(q, 1)]
+        prime = factor_b.__wrapped__(q)[1] == ((q, 1),)
         try:
             place = BinaryPlace.make(f)
         except InputError:

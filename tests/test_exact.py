@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import QQ
 from sympy.polys.factortools import dmp_factor_list
 
 from doublefield import exact
@@ -24,13 +24,10 @@ from doublefield.exact import (
     DEFAULT_FACTOR_DEGREE_BOUND,
     BPoly,
     UPoly,
-    _b_domain,
     _from_dmp,
     _from_dup,
-    _from_K,
     _to_dmp,
     _to_dup,
-    _u_domain,
     certify_irreducible_bivariate,
     complex_roots,
     factor_b,
@@ -66,7 +63,8 @@ def upoly_strategy(var="x", max_deg=5, coeffs=small_fracs):
     )
 
 
-# integral coefficients take the bridge's ZZ path, the others its QQ path
+# the bridge reduces integral and rational inputs alike to primitive
+# integer forms, and puts the units back
 small_ints = st.integers(-9, 9).map(Fraction)
 any_coeffs = st.one_of(small_ints, small_fracs)
 
@@ -105,6 +103,11 @@ def sym_b(p):
 def upoly_of_expr(expr, var):
     cs = sympy.Poly(expr, SX if var == "x" else SY, domain="QQ").all_coeffs()
     return UPoly.make(var, [Fraction(int(c.p), int(c.q)) for c in reversed(cs)])
+
+
+def bpoly_of_poly(P):
+    """A sympy Poly in x and y (test-only oracle output) as a BPoly."""
+    return BPoly.make({k: Fraction(int(c.p), int(c.q)) for k, c in P.as_dict().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +412,22 @@ class TestGcd:
 
 
 class TestBridge:
-    def test_domain_choice(self):
-        assert _u_domain(up(1, -2, 3)) == ZZ
-        assert _u_domain(up(1, -2), up(Fraction(1, 2))) == QQ
-        assert _b_domain(X - 2 * Y) == ZZ
-        assert _b_domain(X - Fraction(2, 3) * Y) == QQ
-
     def test_dense_layout(self):
         # x is the main variable; rows and coefficients run from the top degree
-        assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1), ZZ) == [[1, 0], [], [-3, 1]]
-        assert _to_dmp(BPoly.zero(), ZZ) == [[]]
-        assert _to_dup(up(1, 0, 2), ZZ) == [2, 0, 1]
+        assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1)) == [[1, 0], [], [-3, 1]]
+        assert _to_dmp(BPoly.zero()) == [[]]
+        assert _to_dup(up(1, 0, 2)) == [2, 0, 1]
 
     @settings(max_examples=80)
-    @given(mixed_upolys(), st.sampled_from(("x", "y")))
+    @given(upoly_strategy(coeffs=small_ints), st.sampled_from(("x", "y")))
     def test_upoly_round_trip(self, f, var):
         f = f.with_var(var)
-        for K in {_u_domain(f), QQ}:
-            assert _from_dup(_to_dup(f, K), var, K) == f
+        assert _from_dup(_to_dup(f), var) == f
 
     @settings(max_examples=80)
-    @given(mixed_bpolys())
+    @given(bpoly_strategy(coeffs=small_ints))
     def test_bpoly_round_trip(self, f):
-        for K in {_b_domain(f), QQ}:
-            assert _from_dmp(_to_dmp(f, K), K) == f
+        assert _from_dmp(_to_dmp(f)) == f
 
 
 class TestBridgedAlgebra:
@@ -465,9 +460,25 @@ class TestBridgedAlgebra:
         unit, fac = factor_q(f)
         prod = UPoly.const("x", unit)
         for p, m in fac:
-            assert p.lc() == 1
+            assert primitive_int_upoly(p) == (1, p)
             prod = prod * p**m
         assert prod == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_upolys())
+    def test_factor_q_matches_sympy(self, f):
+        """sympy's factor_list over QQ, its monic factors put in
+        primitive integer form and sorted, is factor_q exactly."""
+        if f.is_zero():
+            return
+        coeff, fac = sympy.Poly(sym_u(f), SX, domain=QQ).factor_list()
+        unit, out = Fraction(int(coeff.p), int(coeff.q)), []
+        for P, m in fac:
+            u, q = primitive_int_upoly(upoly_of_expr(P.as_expr(), "x"))
+            unit *= u**m
+            out.append((q, m))
+        out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
+        assert factor_q(f) == (unit, tuple(out))
 
     @settings(max_examples=30, deadline=None)
     @given(mixed_bpolys(2, 4), mixed_bpolys(2, 4))
@@ -497,17 +508,17 @@ class TestBridgedAlgebra:
 
 
 def _sympy_route(f):
-    """factor_b's oracle: sympy's bivariate factorizer through the bridge,
-    with each factor put in primitive integer form and sorted."""
-    K = _b_domain(f)
-    content, fac = dmp_factor_list(_to_dmp(f, K), 1, K)
-    unit, out = _from_K(content, K), []
-    for p, m in fac:
-        u, q = primitive_int_bpoly(_from_dmp(p, K))
+    """factor_b's oracle: sympy's bivariate factorizer over QQ, reached
+    through sympy's own Poly and not the bridge, with each factor put in
+    primitive integer form and sorted."""
+    coeff, fac = sympy.Poly(sym_b(f), SX, SY, domain=QQ).factor_list()
+    unit, out = Fraction(int(coeff.p), int(coeff.q)), []
+    for P, m in fac:
+        u, q = primitive_int_bpoly(bpoly_of_poly(P))
         unit *= u**m
         out.append((q, m))
     out.sort(key=lambda t: t[0].terms)
-    return unit, out
+    return unit, tuple(out)
 
 
 # curves: positive degree in both variables, mostly irreducible
@@ -546,7 +557,7 @@ class TestFactorB:
         one = BPoly.const(1)
         for f in (X - Y**2, X * Y**2 + Y + one, Y * X**3 + X + one, (X * Y + one).scale(Fraction(-2, 3))):
             u, q = primitive_int_bpoly(f)
-            assert factor_b(f) == (u, [(q, 1)])
+            assert factor_b(f) == (u, ((q, 1),))
 
     def test_undecided_input_pays_one_univariate_factorization(self, monkeypatch):
         factor_q_calls = []
@@ -568,18 +579,18 @@ class TestFactorB:
         ):
             factor_q_calls.clear()
             at_sympy_route.clear()
-            assert factor_b(f) == (1, [(q, 1) for q in factors])
+            assert factor_b(f) == (1, tuple((q, 1) for q in factors))
             assert at_sympy_route == [len(factor_q_calls)] and len(factor_q_calls) <= 1
 
     def test_at_the_bound_still_factors(self):
         f = (X**DEFAULT_FACTOR_DEGREE_BOUND - Y) * BPoly.const(3)
         unit, fac = factor_b(f)
-        assert (unit, fac) == (Fraction(3), [(X**DEFAULT_FACTOR_DEGREE_BOUND - Y, 1)])
+        assert (unit, fac) == (Fraction(3), ((X**DEFAULT_FACTOR_DEGREE_BOUND - Y, 1),))
 
     def test_difference_of_squares(self):
         unit, fac = factor_b(Y**2 - X**2)
         assert unit == -1
-        assert fac == [(X - Y, 1), (X + Y, 1)]
+        assert fac == ((X - Y, 1), (X + Y, 1))
 
 
 class TestResultant:
@@ -625,16 +636,16 @@ class TestFactorQ:
     def test_x4_minus_1(self):
         unit, fac = factor_q(up(-1, 0, 0, 0, 1))
         assert unit == 1
-        assert fac == [(up(-1, 1), 1), (up(1, 1), 1), (up(1, 0, 1), 1)]
+        assert fac == ((up(-1, 1), 1), (up(1, 1), 1), (up(1, 0, 1), 1))
 
     def test_irreducible_quadratic(self):
         unit, fac = factor_q(up(1, 0, 1))
-        assert (unit, fac) == (Fraction(1), [(up(1, 0, 1), 1)])
+        assert (unit, fac) == (Fraction(1), ((up(1, 0, 1), 1),))
 
     def test_unit(self):
         unit, fac = factor_q(up(-6, 6))
         assert unit == 6
-        assert fac == [(up(-1, 1), 1)]
+        assert fac == ((up(-1, 1), 1),)
 
     def test_reconstruction(self):
         f = up(0, -4, 0, 1)  # x^3 - 4x

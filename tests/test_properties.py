@@ -2,8 +2,9 @@
 primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
 closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
-per-prime routes they replaced, and of the one-``make`` pairing and
-divisor sum against the left folds they replaced."""
+per-prime routes they replaced, of the one-``make`` pairing,
+correspondence and divisor sum against the left folds they replaced,
+and of the place order against the per-coefficient key it replaced."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,9 @@ from doublefield.errors import InputError, NonGeneric, NotCoprime
 from doublefield.exact import BPoly, UPoly, factor_q
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
 from doublefield.residues import (
+    _check_coprime_to,
+    _degree_one_kp_value,
+    _prime_correspondence,
     correspondence,
     different_divisor,
     residue_iso,
@@ -334,6 +338,15 @@ def _old_pair(A: Divisor, b: Divisor, side: str) -> Divisor:
     return out
 
 
+def _old_correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
+    c = _degree_one_kp_value(p)
+    _check_coprime_to(A, p)
+    out = Divisor.zero()
+    for m, w in A.coeffs:
+        out = _old_add(out, _prime_correspondence(m, c).scale(w))
+    return out
+
+
 def _same_divisor(new, old):
     """Equal outcomes; a divisor has the same coefficient tuple and prints the same."""
     if isinstance(new, Divisor):
@@ -356,3 +369,37 @@ def test_one_make_matches_left_folds(A, B, data):
         _same_divisor(D - E, _old_add(D, -E))
     assert (A - A).coeffs == ()
     assert all((A + C).coeff(m) == 0 for m in cancelled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_divisors, st.integers(-6, 6))
+def test_one_make_correspondence_matches_left_fold(A, c):
+    p = UnaryPlace.finite(UPoly.make("y", [-c, 1]))
+    _same_divisor(_outcome(correspondence, A, p), _outcome(_old_correspondence, A, p))
+
+
+# ---------------------------------------------------------------------------
+# the place order against the per-coefficient key it replaced
+
+
+def _old_place_sort_key(p):
+    """The key that paired every coefficient as (numerator, denominator)."""
+    if isinstance(p, BinaryPlace):
+        return (2, 0, tuple((k, (c.numerator, c.denominator)) for k, c in p.poly.terms))
+    fam = 0 if p.var == "x" else 1
+    if p.poly is None:
+        return (fam, 1, ())
+    return (fam, 0, tuple((c.numerator, c.denominator) for c in p.poly.coeffs))
+
+
+places = st.one_of(binary_primes(), unary_places(), st.sampled_from("xy").map(UnaryPlace.infinity))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(places, min_size=2, max_size=6))
+def test_place_sort_key_matches_pair_key(ms):
+    old, new = _old_place_sort_key, place_sort_key
+    for m in ms:
+        for n in ms:
+            assert (new(m) < new(n)) == (old(m) < old(n))
+            assert (new(m) == new(n)) == (old(m) == old(n)) == (m == n)
