@@ -25,14 +25,7 @@ from .arakelov import (
     principal_move,
     residue_scalar_product,
 )
-from .charts import (
-    fiber_divisor,
-    find_shift,
-    infx_fiber_divisor,
-    shift_chart_x,
-    shift_is_valid,
-    transpose_divisor,
-)
+from .charts import fiber_divisor, infx_fiber_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -58,7 +51,6 @@ from .errors import (
     NotDegreeOne,
     ParseError,
     PrecisionFailure,
-    UncertifiedFactor,
 )
 from .exact import (
     BPoly,
@@ -67,7 +59,6 @@ from .exact import (
     complex_roots,
     factor_b,
     factor_q,
-    gcd_b,
     gcd_u,
     resultant_x,
     squarefree_decomposition,

@@ -6,8 +6,9 @@ order at each finite y0 is the whole fiber's intersection multiplicity,
 x = infinity included, and the place y = infinity gets the Bezout number
 deg_x f * deg_y g + deg_y f * deg_x g minus its degree (proof in
 ``fiber_divisor``).  The shifted chart x = c + 1/t, the 1/y chart and
-the shift search remain as library API; the ``charts`` suite uses them
-as an independent two-chart route.
+the shift search serve only the ``charts`` suite's two-chart oracle, an
+independent route to the same fibers; ``dfbench/spans.py`` traces the
+shift search by name.
 """
 
 from __future__ import annotations

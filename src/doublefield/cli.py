@@ -266,19 +266,6 @@ class _Parser:
         self.fail(("int", "x", "y", "(", "-"))
 
 
-def _parse_factored(text: str) -> _Factored:
-    p = _Parser(text)
-    form = p.expr()
-    p.finish()
-    return form
-
-
-def parse_expression(text: str) -> BPoly:
-    """Parse a polynomial in x and y per the module grammar and multiply
-    it out; DegreeBound if its bidegree exceeds the factoring bound."""
-    return _multiply_out(_parse_factored(text))
-
-
 def parse_element(text: str) -> DeltaElement:
     """Parse ``expr ('/' expr)?`` into an element of Q(x,y).  The factors
     are handed over as written, so only sums are ever multiplied out."""
@@ -305,7 +292,9 @@ def parse_prime(text: str) -> Place:
     stripped = text.strip()
     if stripped in ("inf_x", "inf_y"):
         return UnaryPlace.infinity(stripped[-1])
-    c, written = _parse_factored(text)
+    p = _Parser(text)
+    c, written = p.expr()
+    p.finish()
     if c == 0 or not written:
         raise InputError(f"constant {text!r} is not a prime")
     if len(written) > 1 or written[0][1] > 1:

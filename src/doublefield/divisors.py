@@ -25,7 +25,6 @@ from .exact import (
     memo,
     primitive_int_bpoly,
     primitive_int_upoly,
-    qdiv,
     qpow,
 )
 
@@ -93,12 +92,6 @@ class BinaryPlace:
         if not cert and factor_b(q)[1] != ((q, 1),):
             raise InputError(f"{q} is reducible, not a prime")
         return BinaryPlace(q, cert)
-
-    def degree_x(self) -> int:
-        return self.poly.deg_x()
-
-    def degree_y(self) -> int:
-        return self.poly.deg_y()
 
     def __str__(self) -> str:
         return f"({self.poly})"
@@ -168,9 +161,6 @@ class Divisor:
     def of(place: Place, coeff: int = 1) -> "Divisor":
         return Divisor(((place, coeff),)) if coeff else Divisor.zero()
 
-    def as_dict(self) -> dict[Place, int]:
-        return dict(self.coeffs)
-
     def coeff(self, place: Place) -> int:
         for p, c in self.coeffs:
             if p == place:
@@ -182,9 +172,6 @@ class Divisor:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for _, c in self.coeffs)
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor.make(self.coeffs + other.coeffs)
@@ -267,13 +254,6 @@ class DeltaElement:
     factors: tuple[tuple[BPoly, int], ...]
 
     @staticmethod
-    def constant(c) -> "DeltaElement":
-        c = _frac(c)
-        if c == 0:
-            raise ValueError("zero is not a DeltaElement")
-        return DeltaElement(c, ())
-
-    @staticmethod
     def from_factors(unit, raw: Iterable[tuple[BPoly, int]]) -> "DeltaElement":
         unit = _frac(unit)
         if unit == 0:
@@ -296,18 +276,8 @@ class DeltaElement:
         return DeltaElement(unit, tuple(factors))
 
     @staticmethod
-    def from_bpoly(f: BPoly) -> "DeltaElement":
-        return DeltaElement.from_factors(1, [(f, 1)])
-
-    @staticmethod
     def from_fraction(num: BPoly, den: BPoly) -> "DeltaElement":
         return DeltaElement.from_factors(1, [(num, 1), (den, -1)])
-
-    def __mul__(self, other: "DeltaElement") -> "DeltaElement":
-        return DeltaElement.from_factors(self.unit * other.unit, self.factors + other.factors)
-
-    def inverse(self) -> "DeltaElement":
-        return DeltaElement.from_factors(qdiv(1, self.unit), [(f, -e) for f, e in self.factors])
 
 
 def _place_of(q: BPoly) -> Place:

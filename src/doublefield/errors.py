@@ -46,8 +46,8 @@ class UncertifiedFactor(DoubleFieldError):
     """Irreducibility of a binary prime could not be certified.
 
     The library no longer raises it: ``BinaryPlace.make`` decides every
-    binary prime exactly.  The class stays exported for code that still
-    catches it."""
+    binary prime exactly.  The class stays in ``errors`` only for
+    ``dfbench/corpus.py``, which still catches it."""
 
 
 class NonGeneric(DoubleFieldError):

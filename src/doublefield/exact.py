@@ -418,9 +418,6 @@ class BPoly(_DegreeSlots):
     def eval_y(self, c) -> UPoly:
         return self.transpose().eval_x(c).with_var("x")
 
-    def eval_xy(self, a, b) -> Scalar:
-        return self.eval_x(a).eval(b)
-
     def as_upoly(self) -> UPoly:
         """Convert when at most one variable occurs (constants become 'x')."""
         if self.deg_x() > 0 and self.deg_y() > 0:
@@ -546,11 +543,11 @@ def gcd_u(f: UPoly, g: UPoly) -> UPoly:
 
 
 def gcd_b(f: BPoly, g: BPoly) -> BPoly:
-    """Gcd of bivariate polynomials over Q (primitive integer form)."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
+    """Gcd of bivariate polynomials over Q in primitive integer form;
+    gcd_b(f, 0) is the primitive form of f, and gcd_b(0, 0) is 0."""
+    if f.is_zero() or g.is_zero():
+        h = g if f.is_zero() else f
+        return h if h.is_zero() else primitive_int_bpoly(h)[1]
     d = dmp_gcd(_to_dmp(primitive_int_bpoly(f)[1]), _to_dmp(primitive_int_bpoly(g)[1]), 1, ZZ)
     return primitive_int_bpoly(_from_dmp(d))[1]
 

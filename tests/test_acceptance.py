@@ -9,15 +9,16 @@ criterion.
 import time
 
 from doublefield.suites import (
+    SUITES,
     run_agreement,
     run_bilinearity,
     run_calibration,
     run_charts,
     run_different,
-    run_explorer,
     run_principality,
     run_rsp,
     run_selfpair,
+    run_suite,
     run_support,
     run_symmetry,
 )
@@ -88,7 +89,15 @@ def test_10_residue_scalar_product_symmetry_vanishing_invariance():
 
 
 def test_11_explorer_reproducible_and_reports_minimum():
-    result = run_explorer(trials=100, max_deg=2, seed=7)
+    # run_suite times both explorer runs (100 trials, max_deg 2, seed 7)
+    result = run_suite("explorer")
     _assert_ok(result, minimum=100)
     assert result["seconds"] < 300
     assert result["minimum"] is not None
+
+
+def test_run_suite_times_every_suite():
+    results = run_suite("all")["results"]
+    assert [r["suite"] for r in results] == list(SUITES)
+    assert len(results) == 11
+    assert all(isinstance(r["seconds"], float) for r in results)

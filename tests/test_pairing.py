@@ -139,7 +139,7 @@ class TestCharts:
         if f.is_zero():
             return
         m = f.deg_x()
-        assert shift_chart_x(f, c).eval_xy(t, y) == t**m * f.eval_xy(c + 1 / t, y)
+        assert shift_chart_x(f, c).eval_x(t).eval(y) == t**m * f.eval_x(c + 1 / t).eval(y)
 
     @settings(max_examples=60, deadline=None)
     @given(
