@@ -25,18 +25,28 @@ Caching.  There is one memo policy for the whole package: ``memo`` wraps
 a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
-empties every one of them.  Here ``factor_q``, ``factor_b``, ``y_content``
-(key: the polynomial) and ``complex_roots`` (key: polynomial, eps and
-prec) are memoized; ``arakelov`` memoizes its per-place heights,
-``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
-``divisors`` hands out one shared place object per input through
-``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  Memoized functions
-return tuples, never lists, so no caller can alter a cached value.  No cache
-sits on a checked entry point: ``pair``, the residue routes,
-``correspondence`` and ``intersect`` recompute on every call, so the
-symmetry and route agreement checks still compare independent
-computations.  Nothing configures the caches; the bound of 128 entries
-each keeps the memory they hold small.
+empties every one of them.  Here ``factor_b``, ``y_content`` (key: the
+polynomial) and ``complex_roots`` (key: polynomial, eps and prec) are
+memoized; ``arakelov`` memoizes its per-place heights, ``arch_lambda``
+and the pairwise term ``_hh`` (arguments in order), and ``divisors``
+hands out one shared place object per input through
+``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  ``factor_q`` itself
+has no memo: it takes the primitive form of its input and puts the unit
+back outside the memoized ``_factor_primitive_q``, so f and c*f share one
+entry for every nonzero rational c.  A fiber resultant and its negative,
+which ``pair(A, B)`` and ``pair(B, A)`` factor, are then factored once.
+``factor_b`` stays keyed on its raw input: the bivariate products it
+factors hardly ever repeat, even up to a unit, so a primitive key would
+only add its cost to every call.  Memoized functions return tuples, never
+lists, so no caller can alter a cached value.  No cache sits on a checked
+entry point: ``pair``, the residue routes, ``correspondence`` and
+``intersect`` recompute on every call, so the route agreement checks
+compare independent computations.  The pair-symmetry checks (``verify``
+criterion 1 and the benchmark's gate) compare the two resultants, which
+differ by a sign, and the two uses of the infinity rule; the
+factorization is that of one primitive form either way, so they do not
+check it.  Nothing configures the caches; the bound of 128 entries each
+keeps the memory they hold small.
 
 A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
 ``str`` does, because places and divisors are dicts keyed on them; a
@@ -658,7 +668,6 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
     return [(_from_dup(p, f.var).monic(), m) for p, m in fac]
 
 
-@memo
 def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     """Complete factorization over Q into primitive integer irreducibles
     with positive leading coefficient, the form of a place.
@@ -666,7 +675,8 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     Returns (unit, ((factor, multiplicity), ...)) with
     unit * prod(factor**mult) == f exactly, the factors sorted by degree,
     then coefficients.  Raises DegreeBound when the degree exceeds
-    DEFAULT_FACTOR_DEGREE_BOUND.
+    DEFAULT_FACTOR_DEGREE_BOUND.  The memo is keyed on the primitive
+    form, so f and c*f share one entry for every nonzero rational c.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -676,11 +686,18 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     if f.degree() == 0:
         return f.lc(), ()
     unit, q = primitive_int_upoly(f)
+    u, fac = _factor_primitive_q(q)
+    return _frac(unit * u), fac
+
+
+@memo
+def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
+    """``factor_q`` of a primitive integer q of positive degree."""
     content, fac = dup_factor_list(_to_dup(q), ZZ)
-    unit *= int(content)
+    unit = int(content)
     out = []
     for p, m in fac:
-        u, irr = primitive_int_upoly(_from_dup(p, f.var))
+        u, irr = primitive_int_upoly(_from_dup(p, q.var))
         unit *= u**m
         out.append((irr, m))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))

@@ -1,6 +1,7 @@
 """The memo policy: memoized functions return exactly what their uncached
 bodies return, return tuples that no caller can use to alter a cached
-value, and ``clear_caches`` empties every memo."""
+value, and ``clear_caches`` empties every memo.  ``factor_q`` is keyed
+on the primitive form, so inputs equal up to a unit share one entry."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doublefield import exact
+from doublefield import exact, suites
 from doublefield.arakelov import arakelov_from_divisor, intersect
 from doublefield.divisors import Divisor, UnaryPlace
 from doublefield.exact import (
@@ -54,12 +55,35 @@ def _bits(z):
     return (z.real._mpf_, z.imag._mpf_)
 
 
+def _factor_q_uncached(f):
+    """factor_q(f) from the uncached body of its memo, with f's unit put
+    back."""
+    if f.degree() == 0:
+        return f.lc(), ()
+    unit, q = exact.primitive_int_upoly(f)
+    u, fac = exact._factor_primitive_q.__wrapped__(q)
+    return exact._frac(unit * u), fac
+
+
 @MEMO_SETTINGS
 @given(upolys())
 def test_factor_q_equals_uncached(f):
-    expected = factor_q.__wrapped__(f)
+    expected = _factor_q_uncached(f)
     assert factor_q(f) == expected
     assert factor_q(f) == expected
+
+
+@MEMO_SETTINGS
+@given(upolys(), st.one_of(st.just(-1), coefficients.filter(bool)))
+def test_factor_q_is_keyed_up_to_a_unit(f, c):
+    """factor_q(c*f) == (c*u, fac) where factor_q(f) == (u, fac), whichever
+    of the two is asked first, from an empty memo or a warm one."""
+    u, fac = _factor_q_uncached(f)
+    expected = {f: (u, fac), f.scale(c): (exact._frac(c * u), fac)}
+    for first, second in ((f, f.scale(c)), (f.scale(c), f)):
+        clear_caches()
+        assert factor_q(first) == expected[first]
+        assert factor_q(second) == expected[second]
 
 
 @MEMO_SETTINGS
@@ -110,9 +134,30 @@ def test_clear_caches_empties_every_memo():
     factor_q(UPoly.make("x", [Fraction(1, 2), 0, 1]))
     factor_b(BPoly.gen("x") - BPoly.gen("y"))
     filled = [m.cache_info().currsize for m in exact._MEMOS]
-    # factor_q, factor_b, y_content, complex_roots, _height, arch_lambda,
-    # _hh, UnaryPlace.finite and .infinity
+    # factor_q's (on the primitive form), factor_b, y_content, complex_roots,
+    # _height, arch_lambda, _hh, UnaryPlace.finite and .infinity
     assert len(filled) == 9 and all(n > 0 for n in filled)
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in exact._MEMOS)
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in exact._MEMOS)
+
+
+def test_symmetry_passes_share_no_factorization(monkeypatch):
+    """run_symmetry computes every pair(A, B) and then every pair(B, A),
+    each pass from empty memos: the two factor the same fiber resultants
+    up to sign, so each must miss the factor memo as often as the other.
+    A memo kept across them would serve part of the second pass (229
+    misses, then 206: the pass holds more distinct inputs than MEMO_SIZE)."""
+    misses = []
+
+    def count_and_clear():
+        misses.append(exact._factor_primitive_q.cache_info().misses)
+        clear_caches()
+
+    clear_caches()
+    monkeypatch.setattr(suites, "clear_caches", count_and_clear)
+    assert suites.run_symmetry()["ok"]
+    misses.append(exact._factor_primitive_q.cache_info().misses)
+    # the primes' certification, the pass of pair(A, B), that of pair(B, A)
+    assert len(misses) == 3 and misses[1] > 0
+    assert misses[2] == misses[1]
