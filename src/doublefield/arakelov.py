@@ -51,7 +51,6 @@ import random
 from dataclasses import dataclass
 
 import mpmath
-from sympy.ntheory import factorint
 
 from .divisors import (
     BinaryPlace,
@@ -68,6 +67,7 @@ from .exact import (
     UPoly,
     _frac,
     complex_roots,
+    factor_int,
     memo,
     mpf_of,
     primitive_int_upoly,
@@ -81,13 +81,13 @@ from .pairing import SIDE_KPRIME, pair
 MAX_UNIT_BITS = 64
 
 
-def _root_eps(prec: int):
-    return mpmath.mpf(2) ** (-(prec // 2))
+# radius of the disc about each root that complex_roots certifies
+_ROOT_EPS = mpmath.mpf(2) ** -(DEFAULT_PREC // 2)
 
 
-def fs_point_integral(c, prec: int = DEFAULT_PREC):
+def fs_point_integral(c):
     """Closed form of the Fubini-Study average of log|z - c|."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         c = mpmath.mpc(c)
         return mpmath.mpf(0.5) * mpmath.log(1 + abs(c) ** 2)
 
@@ -97,10 +97,10 @@ def fs_kappa_closed_form():
     return mpmath.mpf(1)
 
 
-def fs_point_integral_quadrature(c, prec: int = DEFAULT_PREC):
+def fs_point_integral_quadrature(c):
     """Independent evaluation of the same average by radial reduction
     (Jensen's formula on circles) and adaptive quadrature."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         a = abs(mpmath.mpc(c))
 
         def integrand(r):
@@ -109,14 +109,14 @@ def fs_point_integral_quadrature(c, prec: int = DEFAULT_PREC):
         return mpmath.quad(integrand, [0, a, mpmath.inf] if a > 0 else [0, 1, mpmath.inf])
 
 
-def fs_kappa_quadrature(prec: int = DEFAULT_PREC):
-    with mpmath.workprec(prec):
+def fs_kappa_quadrature():
+    with mpmath.workprec(DEFAULT_PREC):
         return mpmath.quad(lambda u: mpmath.log(1 + u) / (1 + u) ** 2, [0, mpmath.inf])
 
 
-def g_fs(z, w, prec: int = DEFAULT_PREC):
+def g_fs(z, w):
     """Fubini-Study Green's function on P1 at two distinct finite points."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         z, w = mpmath.mpc(z), mpmath.mpc(w)
         return (
             -mpmath.log(abs(z - w))
@@ -126,24 +126,24 @@ def g_fs(z, w, prec: int = DEFAULT_PREC):
 
 
 @memo
-def _height(q: UPoly, prec: int):
+def _height(q: UPoly):
     """log|lc| + sum over roots of half log(1+|root|^2), for a primitive
     integer polynomial: the archimedean content of its zero cycle."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         total = mpmath.log(abs(mpf_of(q.lc())))
-        for a in complex_roots(q, eps=_root_eps(prec), prec=prec):
+        for a in complex_roots(q, eps=_ROOT_EPS):
             total += mpmath.mpf(0.5) * mpmath.log(1 + abs(a) ** 2)
         return total
 
 
 @memo
-def arch_lambda(q: UnaryPlace, prec: int = DEFAULT_PREC):
+def arch_lambda(q: UnaryPlace):
     """Archimedean fiber coefficient attached to a place of Q(y): minus
     the Fubini-Study average of the log-norm of its defining section."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         if q.is_infinity():
             return mpmath.mpf(0.5)
-        return -_height(q.poly, prec) + mpmath.mpf(q.poly.degree()) / 2
+        return -_height(q.poly) + mpmath.mpf(q.poly.degree()) / 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,17 +189,17 @@ class ArakelovDivisorKp:
         )
 
 
-def arakelov_from_divisor(D: Divisor, prec: int = DEFAULT_PREC) -> ArakelovDivisorKp:
+def arakelov_from_divisor(D: Divisor) -> ArakelovDivisorKp:
     """Complete a divisor of Q(y) with its archimedean fiber coefficient
     and empty vertical part."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         arch = mpmath.mpf(0)
         for q, c in D.coeffs:
-            arch += c * arch_lambda(q, prec)
+            arch += c * arch_lambda(q)
         return ArakelovDivisorKp.make(D, None, arch)
 
 
-def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int = DEFAULT_PREC) -> ArakelovDivisorKp:
+def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1) -> ArakelovDivisorKp:
     """Arakelov divisor of a nonzero element unit * num/den of Q(y):
     horizontal function-field divisor, Gauss valuations on the finite
     fibers, and minus the archimedean average of its log.  InputError if
@@ -225,31 +225,30 @@ def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1, prec: int =
         vertical[p] = vertical.get(p, 0) + e
     for p, e in _prime_factorization(unit.denominator):
         vertical[p] = vertical.get(p, 0) - e
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         arch = -mpmath.log(abs(mpf_of(unit)))
-        arch -= _height(pn, prec)
+        arch -= _height(pn)
         if pd is not None:
-            arch += _height(pd, prec)
+            arch += _height(pd)
     return ArakelovDivisorKp.make(horizontal, vertical, arch)
 
 
-def _prime_factorization(n: int) -> list[tuple[int, int]]:
-    n = abs(n)
-    if n.bit_length() > MAX_UNIT_BITS:
-        raise InputError(f"unit of {n.bit_length()} bits exceeds bound {MAX_UNIT_BITS}")
-    return sorted(factorint(n).items())
+def _prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
+    if abs(n).bit_length() > MAX_UNIT_BITS:
+        raise InputError(f"unit of {abs(n).bit_length()} bits exceeds bound {MAX_UNIT_BITS}")
+    return factor_int(n)
 
 
-def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PREC):
+def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp):
     """Arakelov intersection number; requires disjoint horizontal
     supports."""
     if not D.horizontal.disjoint_from(E.horizontal):
         raise CommonSupport("horizontal supports are not disjoint")
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         total = mpmath.mpf(0)
         for q1, c1 in D.horizontal.coeffs:
             for q2, c2 in E.horizontal.coeffs:
-                total += c1 * c2 * _hh(q1, q2, prec)
+                total += c1 * c2 * _hh(q1, q2)
         dD = degree_K(D.horizontal)
         dE = degree_K(E.horizontal)
         for p, v in E.vertical:
@@ -261,26 +260,26 @@ def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp, prec: int = DEFAULT_PR
 
 
 @memo
-def _hh(q1: UnaryPlace, q2: UnaryPlace, prec: int):
+def _hh(q1: UnaryPlace, q2: UnaryPlace):
     """Intersection of two distinct horizontal prime divisors: finite
     part log|Res|, archimedean part the Green's function summed over
     root pairs (the infinite place entering as the limit point)."""
     if q1.is_infinity() and q2.is_infinity():
         raise CommonSupport("both places at infinity")
     if q1.is_infinity():
-        return _height(q2.poly, prec)
+        return _height(q2.poly)
     if q2.is_infinity():
-        return _height(q1.poly, prec)
+        return _height(q1.poly)
     r = resultant_u(q1.poly, q2.poly)
     if r == 0:
         raise CommonSupport("places coincide")
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         total = mpmath.log(abs(mpf_of(r)))
-        roots1 = complex_roots(q1.poly, eps=_root_eps(prec), prec=prec)
-        roots2 = complex_roots(q2.poly, eps=_root_eps(prec), prec=prec)
+        roots1 = complex_roots(q1.poly, eps=_ROOT_EPS)
+        roots2 = complex_roots(q2.poly, eps=_ROOT_EPS)
         for a in roots1:
             for b in roots2:
-                total += g_fs(a, b, prec)
+                total += g_fs(a, b)
         return total
 
 

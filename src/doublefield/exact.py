@@ -2,13 +2,15 @@
 
 Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
-(factorization over Q, gcds, resultants, square-free decomposition) goes
-to sympy's dense ``dup`` / ``dmp`` layer through the one bridge below,
-which works over ZZ only: each bridged call puts its inputs in primitive
-integer form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts
-their rational units back exactly, so everything stays exact.  Both
-factorizers return primitive integer irreducibles with a positive
-leading coefficient, the form in which places store their polynomials.
+(factorization over Q, gcds, contents in y, lowest terms, resultants,
+square-free decomposition) goes to sympy's dense ``dup`` / ``dmp`` layer
+through the one bridge below, which works over ZZ only: each bridged
+call puts its inputs in primitive integer form (``primitive_int_upoly``,
+``primitive_int_bpoly``) and puts their rational units back exactly, so
+everything stays exact.  Both factorizers return primitive integer
+irreducibles with a positive leading coefficient, the form in which
+places store their polynomials.  ``factor_int`` is the bridge's one
+integer call.  No other module of the package imports sympy.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -26,7 +28,7 @@ a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
 empties every one of them.  Here ``factor_b``, ``y_content`` (key: the
-polynomial) and ``complex_roots`` (key: polynomial, eps and prec) are
+polynomial) and ``complex_roots`` (key: polynomial and eps) are
 memoized; ``arakelov`` memoizes its per-place heights, ``arch_lambda``
 and the pairwise term ``_hh`` (arguments in order), and ``divisors``
 hands out one shared place object per input through
@@ -66,8 +68,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath.libmp import NoConvergence
+from sympy.ntheory import factorint
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_gcd, dmp_resultant, dup_resultant
+from sympy.polys.euclidtools import dmp_content, dmp_gcd, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -75,7 +78,7 @@ from .errors import DegreeBound, PrecisionFailure
 
 DEFAULT_FACTOR_DEGREE_BOUND = 24
 
-# default working precision, in bits, of the numeric (mpmath) layer
+# working precision, in bits, of the numeric (mpmath) layer
 DEFAULT_PREC = 80
 
 # entries kept by each memoized function (see the module docstring)
@@ -240,36 +243,6 @@ class UPoly(_HashSlot):
 
     def __pow__(self, n: int) -> "UPoly":
         return _power(self, n, UPoly.const(self.var, 1))
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlc = other.lc()
-        d = other.degree()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = qdiv(rem[-1], dlc)
-            q[k] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= f * b
-            rem.pop()
-        return UPoly.make(self.var, q), UPoly.make(self.var, rem)
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "UPoly") -> "UPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("not an exact division")
-        return q
 
     def monic(self) -> "UPoly":
         if self.is_zero():
@@ -503,11 +476,15 @@ def _from_dmp(f: list) -> BPoly:
 def _primitive(coeffs: Sequence[Scalar], lead: Scalar) -> tuple[Scalar, Optional[list[int]]]:
     """(u, ints): the rational u with the sign of ``lead`` for which the
     c / u are coprime integers, and those integers, in integer arithmetic
-    only (lcm of the denominators, then gcd).  ints is None, and u is 1,
-    when the c already are such integers."""
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*nums)
+    only (the gcd, after the lcm of the denominators when some c is a
+    Fraction).  ints is None, and u is 1, when the c already are such
+    integers."""
+    try:
+        den, nums, g = 1, coeffs, gcd(*coeffs)
+    except TypeError:  # math.gcd takes no Fraction
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(*nums)
     if lead < 0:
         g = -g
     if g == 1 and den == 1:
@@ -541,15 +518,25 @@ def primitive_int_bpoly(p: BPoly) -> tuple[Scalar, BPoly]:
 
 
 def gcd_u(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd over Q; gcd(f, 0) = monic(f)."""
-    if f.var != g.var:
-        raise ValueError("variable mismatch")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q; gcd(f, 0) = monic(f) and gcd(0, 0) = 0."""
+    f._check(g)
+    if f.is_zero() or g.is_zero():
+        return (g if f.is_zero() else f).monic()
+    d = dup_gcd(_to_dup(primitive_int_upoly(f)[1]), _to_dup(primitive_int_upoly(g)[1]), ZZ)
+    return _from_dup(d, f.var).monic()
+
+
+def cancel_u(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """num/den in lowest terms: (p, q) with q monic, p and q coprime and
+    p/q = num/den; (0, 1) when num is 0.  den must be nonzero."""
+    num._check(den)
+    if num.is_zero():
+        return num, UPoly.const(den.var, 1)
+    u, N = primitive_int_upoly(num)
+    v, D = primitive_int_upoly(den)
+    p, q = dup_cancel(_to_dup(N), _to_dup(D), ZZ)
+    q = _from_dup(q, den.var)
+    return _from_dup(p, num.var).scale(qdiv(u, v * q.lc())), q.monic()
 
 
 def gcd_b(f: BPoly, g: BPoly) -> BPoly:
@@ -644,7 +631,7 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     if f.deg_x() == 0 and g.deg_x() == 0:
         raise ValueError("both inputs constant in x")
     if f.deg_x() == 0:
-        return (f.as_upoly().with_var("y") ** g.deg_x()) if f.deg_y() >= 0 else UPoly.zero("y")
+        return f.as_upoly().with_var("y") ** g.deg_x()
     if g.deg_x() == 0:
         return g.as_upoly().with_var("y") ** f.deg_x()
     u, F = primitive_int_bpoly(f)
@@ -690,6 +677,12 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     return _frac(unit * u), fac
 
 
+def factor_int(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of |n| for a nonzero integer n, as
+    (prime, exponent) pairs in increasing order."""
+    return tuple(sorted(factorint(abs(n)).items()))
+
+
 @memo
 def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     """``factor_q`` of a primitive integer q of positive degree."""
@@ -710,15 +703,10 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
 
 @memo
 def y_content(f: BPoly) -> UPoly:
-    """Gcd of the coefficients of f in x, a polynomial in y; taken from
-    the lowest degree up, it stops at the first constant one."""
-    cs = sorted((c for c in f.x_coeffs() if not c.is_zero()), key=UPoly.degree)
-    g = cs[0]
-    for c in cs[1:]:
-        if g.degree() == 0:
-            break
-        g = gcd_u(g, c)
-    return g
+    """Monic gcd of the coefficients of a nonzero f in x, a polynomial
+    in y."""
+    c = dmp_content(_to_dmp(primitive_int_bpoly(f)[1]), 1, ZZ)
+    return _from_dup(c, "y").monic()
 
 
 def content_free_both_ways(f: BPoly) -> bool:
@@ -784,14 +772,15 @@ def mpf_of(c: Scalar) -> mpmath.mpf:
 
 
 @memo
-def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpc, ...]:
+def complex_roots(f: UPoly, eps=1e-12) -> tuple[mpmath.mpc, ...]:
     """All deg(f) complex roots with multiplicity.
 
     Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
     square-free factor, so the disc of radius eps about z holds a root,
     and the discs about the roots of one factor are pairwise disjoint,
     so each holds a different root.  Precision is escalated until both
-    hold; PrecisionFailure is raised when they cannot be reached.
+    hold, from DEFAULT_PREC bits up to 16 times that; PrecisionFailure is
+    raised when they cannot be reached.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -803,7 +792,7 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> tuple[mpmath
     for sq, mult in squarefree_decomposition(f):
         deg = sq.degree()
         found = None
-        for wp in (prec, 2 * prec, 4 * prec, 8 * prec, 16 * prec):
+        for wp in (DEFAULT_PREC * k for k in (1, 2, 4, 8, 16)):
             with mpmath.workprec(wp):
                 cs = [mpf_of(c) for c in reversed(sq.coeffs)]
                 try:
@@ -815,7 +804,7 @@ def complex_roots(f: UPoly, eps=1e-12, prec: int = DEFAULT_PREC) -> tuple[mpmath
                     break
         if found is None:
             raise PrecisionFailure(
-                f"could not certify roots of degree-{deg} factor at prec={prec}"
+                f"could not certify roots of degree-{deg} factor at prec={DEFAULT_PREC}"
             )
         roots.extend(found * mult)
     return tuple(roots)

@@ -26,7 +26,7 @@ from .divisors import (
     divisor_of_upoly,
 )
 from .errors import EqualIsoms, NonGeneric, NotCoprime, NotDegreeOne
-from .exact import BPoly, Scalar, UPoly, gcd_u, qdiv, resultant_x
+from .exact import BPoly, Scalar, UPoly, cancel_u, qdiv, resultant_x
 from .pairing import SIDE_K, SIDE_KPRIME, pair
 
 
@@ -44,12 +44,7 @@ class RationalIsom:
             raise ValueError("zero denominator")
         if num.var != "y" or den.var != "y":
             raise ValueError("rational isomorphisms live in Q(y)")
-        if not num.is_zero():
-            g = gcd_u(num, den)
-            if g.degree() >= 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        return RationalIsom(num.scale(qdiv(1, den.lc())), den.monic())
+        return RationalIsom(*cancel_u(num, den))
 
     def pole_divisor(self) -> Divisor:
         """Divisor of poles of num/den over the places of Q(y)."""

@@ -1,6 +1,7 @@
 """Unit tests for the exact arithmetic substrate."""
 
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -28,6 +29,7 @@ from doublefield.exact import (
     _from_dup,
     _to_dmp,
     _to_dup,
+    cancel_u,
     certify_irreducible_bivariate,
     complex_roots,
     factor_b,
@@ -39,6 +41,7 @@ from doublefield.exact import (
     resultant_u,
     resultant_x,
     squarefree_decomposition,
+    y_content,
 )
 
 
@@ -119,13 +122,6 @@ class TestUPoly:
         assert up(1, 2, 0, 0).coeffs == (Fraction(1), Fraction(2))
         assert up(0).is_zero()
 
-    def test_divmod_roundtrip(self):
-        f = up(1, 0, -3, 1)
-        g = up(-1, 1)
-        q, r = f.divmod(g)
-        assert q * g + r == f
-        assert r.degree() < g.degree()
-
     def test_eval_compose(self):
         f = up(1, 2, 1)  # (x+1)^2
         assert f.eval(2) == 9
@@ -140,15 +136,6 @@ class TestUPoly:
         assert (f + g) + h == f + (g + h)
         assert f * (g + h) == f * g + f * h
         assert f * g == g * f
-
-    @settings(max_examples=40)
-    @given(upoly_strategy(), upoly_strategy(max_deg=3))
-    def test_divmod_identity(self, f, g):
-        if g.is_zero():
-            return
-        q, r = f.divmod(g)
-        assert q * g + r == f
-        assert r.is_zero() or r.degree() < g.degree()
 
 
 class TestBPoly:
@@ -312,17 +299,18 @@ def _assert_exact(*values):
     st.integers(1, 3),
 )
 def test_results_are_exact_scalars(p, q, f, g, c, e):
-    """Ring operations, division, normalization, evaluation and every
-    bridged call return ints for integral scalars, Fractions for the
-    others, and never a float."""
+    """Ring operations, normalization, evaluation and every bridged call
+    return ints for integral scalars, Fractions for the others, and never
+    a float."""
     _assert_exact(p + q, p - q, p * q, -p, p.scale(c), p**e, p.monic(), p.eval(c))
     _assert_exact(f + g, f - g, f * g, -f, f.scale(c), f**e, f.eval_x(c), f.eval_y(c))
+    _assert_exact(gcd_u(p, q))
     if not q.is_zero():
-        _assert_exact(p.divmod(q))
+        _assert_exact(cancel_u(p, q))
     if p.degree() >= 1:
         _assert_exact(primitive_int_upoly(p), factor_q(p), resultant_u(p, p + UPoly.const("x", 1)))
     if not f.is_zero():
-        _assert_exact(primitive_int_bpoly(f), factor_b(f))
+        _assert_exact(primitive_int_bpoly(f), factor_b(f), y_content(f))
     if not f.is_zero() and not g.is_zero():
         if f.deg_x() >= 1 or g.deg_x() >= 1:
             _assert_exact(resultant_x(f, g))
@@ -406,15 +394,36 @@ class TestGcd:
         assert gcd_b(BPoly.zero(), f) == gcd_b(f, BPoly.zero()) == X - Y
         assert gcd_b(BPoly.zero(), BPoly.zero()) == BPoly.zero()
 
-    @settings(max_examples=40)
-    @given(upoly_strategy(max_deg=4), upoly_strategy(max_deg=4))
-    def test_divides_both(self, f, g):
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_upolys(max_deg=4), mixed_upolys(max_deg=4), mixed_upolys(max_deg=2))
+    def test_divides_both(self, a, b, h):
+        """gcd_u divides both inputs and equals sympy's own monic gcd over
+        QQ, reached through sympy's Poly and not the bridge."""
+        f, g = a * h, b * h
         d = gcd_u(f, g)
-        if d.is_zero():
-            assert f.is_zero() and g.is_zero()
+        if f.is_zero() and g.is_zero():
+            assert d.is_zero()
             return
-        assert (f % d).is_zero()
-        assert (g % d).is_zero()
+        for p in (f, g):
+            assert sympy.rem(sym_u(p), sym_u(d), SX, domain=QQ) == 0
+        F, G = (sympy.Poly(sym_u(p), SX, domain=QQ) for p in (f, g))
+        assert d == upoly_of_expr(F.gcd(G).monic().as_expr(), "x")
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)))
+    @example(2 * X * Y + 2 * X, BPoly.const(1), 1)
+    @example(X * Y, Y + BPoly.const(1), 1)
+    def test_y_content_is_monic_gcd(self, a, h, k):
+        """y_content is sympy's monic gcd over QQ of the coefficients in x,
+        also when it has a factor in y alone or only one coefficient."""
+        f = a * h**k
+        if f.is_zero():
+            return
+        cs = [sympy.Poly(sym_u(c.with_var("x")), SX, domain=QQ) for c in f.x_coeffs() if not c.is_zero()]
+        expected = functools.reduce(lambda u, v: u.gcd(v), cs).monic()
+        content = y_content(f)
+        assert content.lc() == 1
+        assert content == upoly_of_expr(expected.as_expr(), "x").with_var("y")
 
 
 class TestBridge:

@@ -98,9 +98,9 @@ def test_factor_b_equals_uncached(f):
 @given(upolys(max_degree=3))
 def test_complex_roots_equal_uncached(f):
     eps = mpmath.mpf(2) ** -40
-    expected = [_bits(z) for z in complex_roots.__wrapped__(f, eps=eps, prec=80)]
+    expected = [_bits(z) for z in complex_roots.__wrapped__(f, eps=eps)]
     for _ in range(2):
-        assert [_bits(z) for z in complex_roots(f, eps=eps, prec=80)] == expected
+        assert [_bits(z) for z in complex_roots(f, eps=eps)] == expected
     assert complex_roots(f) == complex_roots.__wrapped__(f)
 
 

@@ -5,6 +5,8 @@ benchmark take from it.  The set is pinned here, so that a name comes
 back into the root, or leaves it, only through an edit to this list.
 """
 
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import doublefield
@@ -91,3 +93,23 @@ def test_root_exports_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public == ROOT_EXPORTS
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level package of every module that the file at path imports,
+    inside functions too."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_exact_imports_sympy():
+    """The bridge in exact is the one route to sympy."""
+    sources = sorted(Path(doublefield.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    importers = {p.name for p in sources if "sympy" in _imported_modules(p)}
+    assert importers == {"exact.py"}

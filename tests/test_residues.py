@@ -1,6 +1,9 @@
 """Unit tests for residues, correspondences and different divisors."""
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublefield.divisors import (
     BinaryPlace,
@@ -47,6 +50,43 @@ def xplace(*coeffs):
 
 INF_X = UnaryPlace.infinity("x")
 INF_Y = UnaryPlace.infinity("y")
+
+
+SY = sympy.Symbol("y")
+
+small_ints = st.integers(-6, 6)
+small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+ypolys = st.lists(st.one_of(small_ints, small_fracs), max_size=4).map(lambda cs: yp(*cs))
+
+
+def sym_y(p):
+    """A polynomial in y as a sympy Poly over QQ (test-only oracle)."""
+    terms = (sympy.Rational(c.numerator, c.denominator) * SY**j for j, c in enumerate(p.coeffs))
+    return sympy.Poly(sum(terms, sympy.S.Zero), SY, domain="QQ")
+
+
+class TestRationalIsomMake:
+    def test_zero_numerator_is_zero_over_one(self):
+        zero = RationalIsom.make(yp(0), yp(1, 1))
+        assert str(zero) == "0"
+        assert zero.pole_divisor().is_zero()
+        assert zero == RationalIsom.make(yp(0), yp(1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ypolys, ypolys, ypolys)
+    def test_lowest_terms_with_monic_denominator(self, a, b, h):
+        """Coprime parts, a monic denominator and the same value, checked
+        with sympy's own gcd over QQ."""
+        num, den = a * h, b * h
+        if den.is_zero():
+            return
+        r = RationalIsom.make(num, den)
+        assert r.den.lc() == 1
+        if r.num.is_zero():
+            assert r.den == yp(1)
+        else:
+            assert sym_y(r.num).gcd(sym_y(r.den)) == sym_y(yp(1))
+        assert r.num * den == r.den * num
 
 
 class TestResidueIso:
