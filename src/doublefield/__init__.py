@@ -45,8 +45,6 @@ from .errors import (
     DoubleFieldError,
     EqualIsoms,
     InputError,
-    MoveFailure,
-    NonGeneric,
     NotCoprime,
     NotDegreeOne,
     ParseError,

@@ -60,7 +60,7 @@ from .divisors import (
     degree_K,
     divisor_of_upoly,
 )
-from .errors import CommonSupport, InputError, MoveFailure
+from .errors import CommonSupport, InputError
 from .exact import (
     DEFAULT_PREC,
     BPoly,
@@ -330,7 +330,8 @@ def principal_move(A: Divisor, fresh: int) -> Divisor:
     that leaves a*inf_x + b*inf_y with (a, b) = bidegree(A).  An infinite
     place in A's support is then cleared with a power of the fresh linear
     factor x - t or y - t, t >= fresh the first value whose place is off
-    A's support, which trades w*inf_x for w*[x - t].
+    A's support, which trades w*inf_x for w*[x - t].  So every place of
+    the result is off A's support.
     """
     support = set(A.support())
     comps = {}
@@ -341,10 +342,7 @@ def principal_move(A: Divisor, fresh: int) -> Divisor:
             while (place := UnaryPlace.finite(UPoly.make(var, [-t, 1]))) in support:
                 t += 1
         comps[place] = w
-    moved = Divisor.make(comps)
-    if not moved.disjoint_from(A):
-        raise MoveFailure(f"move with fresh constant {fresh} failed for {A}")
-    return moved
+    return Divisor.make(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +437,10 @@ def explore_self_products(trials: int, max_deg: int = 2, seed: int = 0) -> dict:
 def second_move(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
     """A second representative, distinct from the first move, obtained
     by adding div((y - t)/(y - t - 1)) with t >= fresh chosen so that
-    neither place meets the support of A or of the moved divisor."""
+    neither place meets the support of A or of the moved divisor.  The
+    result is disjoint from A because moved is: ValueError otherwise."""
+    if not moved.disjoint_from(A):
+        raise ValueError(f"moved divisor {moved} meets the support of {A}")
     support = set(A.support()) | set(moved.support())
     t1 = fresh
     while True:
@@ -448,7 +449,4 @@ def second_move(A: Divisor, moved: Divisor, fresh: int) -> Divisor:
         if lin1 not in support and lin2 not in support:
             break
         t1 += 1
-    out = moved + Divisor.make({lin1: 1, lin2: -1})
-    if not out.disjoint_from(A):
-        raise MoveFailure("second move failed to stay off the support")
-    return out
+    return moved + Divisor.make({lin1: 1, lin2: -1})

@@ -62,8 +62,6 @@ from .errors import (
     DegreeBound,
     DoubleFieldError,
     InputError,
-    MoveFailure,
-    NonGeneric,
     ParseError,
     PrecisionFailure,
 )
@@ -92,7 +90,6 @@ MAX_COEFFICIENT_BITS = 1 << 10
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_INPUT = 2
-EXIT_NONGENERIC = 3
 EXIT_PRECISION = 4
 
 
@@ -509,9 +506,6 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonGeneric, MoveFailure) as exc:
-        print(f"not computable on this instance: {exc}", file=sys.stderr)
-        return EXIT_NONGENERIC
     except PrecisionFailure as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION

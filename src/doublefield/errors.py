@@ -50,13 +50,5 @@ class UncertifiedFactor(DoubleFieldError):
     ``dfbench/corpus.py``, which still catches it."""
 
 
-class NonGeneric(DoubleFieldError):
-    """Multiplicities cannot be soundly read off a specialization."""
-
-
 class PrecisionFailure(DoubleFieldError):
     """Numeric certification failed at the working precision (retryable)."""
-
-
-class MoveFailure(DoubleFieldError):
-    """No disjoint-support principal move found within the schedule."""

@@ -558,10 +558,13 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     by their terms.  Raises DegreeBound when the degree in x or in y
     exceeds DEFAULT_FACTOR_DEGREE_BOUND.
 
-    An input of positive degree in both variables is first tried for a
-    proof that it is irreducible; only when that fails does it go to
-    sympy's ``dmp_factor_list`` (Wang's EEZ lifting).  With
-    (u, q) = primitive_int_bpoly(f), the result is (u, ((q, 1),)) when
+    An input in one variable is ``factor_q``'s, whose factors are already
+    in the form of ``primitive_int_bpoly``: in one variable the graded-lex
+    leading term is the leading one.  An input of positive degree in both
+    variables is first tried for a proof that it is irreducible; only
+    when that fails does it go to sympy's ``dmp_factor_list`` (Wang's EEZ
+    lifting).  With (u, q) = primitive_int_bpoly(f), the result is
+    (u, ((q, 1),)) when
 
     (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
         y swapped; or
@@ -585,17 +588,18 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     bound = DEFAULT_FACTOR_DEGREE_BOUND
     if f.deg_x() > bound or f.deg_y() > bound:
         raise DegreeBound(f"bidegree ({f.deg_x()}, {f.deg_y()}) exceeds bound {bound}")
-    if f.deg_x() <= 0 and f.deg_y() <= 0:
-        return f.terms[0][1], ()
+    if f.deg_x() <= 0 or f.deg_y() <= 0:
+        unit, fac = factor_q(f.as_upoly())
+        out = sorted(((BPoly.from_upoly(p), m) for p, m in fac), key=lambda t: t[0].terms)
+        return unit, tuple(out)
     unit, q = primitive_int_bpoly(f)
-    if f.deg_x() > 0 and f.deg_y() > 0:
-        content_free_y = y_content(q).degree() == 0
-        if (
-            (q.deg_x() == 1 and content_free_y)
-            or (q.deg_y() == 1 and y_content(q.transpose()).degree() == 0)
-            or (content_free_y and _irreducible_at(q, next(_specializations(q))))
-        ):
-            return unit, ((q, 1),)
+    content_free_y = y_content(q).degree() == 0
+    if (
+        (q.deg_x() == 1 and content_free_y)
+        or (q.deg_y() == 1 and y_content(q.transpose()).degree() == 0)
+        or (content_free_y and _irreducible_at(q, next(_specializations(q))))
+    ):
+        return unit, ((q, 1),)
     content, fac = dmp_factor_list(_to_dmp(q), 1, ZZ)
     unit *= int(content)
     out = []

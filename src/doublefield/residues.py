@@ -8,10 +8,10 @@ Q(y): ``residue_mod_degree_one(A, n) = pair(A, n, Kprime)`` (the proof,
 component by component, is in its docstring).  Symmetrically a
 degree-one prime (y - c) of Q(y) yields divisors of Q(x), computed both
 by explicit fiber factorization (``correspondence``) and as the pairing
-on side K (``residue_mod_Kp_degree_one``), so the two paths can
-cross-check each other.  ``different_divisor`` and
-``RationalIsom.pole_divisor`` remain as the closed forms the pairing is
-checked against.
+on side K (``residue_mod_Kp_degree_one``); the two agree at every
+degree-one point, so each cross-checks the other.  ``different_divisor``
+and ``RationalIsom.pole_divisor`` remain as the closed forms the pairing
+is checked against.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .divisors import (
     UnaryPlace,
     divisor_of_upoly,
 )
-from .errors import EqualIsoms, NonGeneric, NotCoprime, NotDegreeOne
-from .exact import BPoly, Scalar, UPoly, cancel_u, qdiv, resultant_x
+from .errors import EqualIsoms, NotCoprime, NotDegreeOne
+from .exact import Scalar, UPoly, cancel_u, qdiv
 from .pairing import SIDE_K, SIDE_KPRIME, pair
 
 
@@ -133,7 +133,20 @@ def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
     """Divisor of Q(x) associated to a degree-one place (y - c) through
     each component of A: fibers of binary primes over y = c (with escape
     to x = infinity), x-unary primes passing through unchanged, y-unary
-    primes contributing zero."""
+    primes contributing zero.  It equals ``residue_mod_Kp_degree_one(A,
+    p)`` at every such place.
+
+    Proof.  y - c is monic of degree 1 in y, so Res_y(f, y - c) =
+    +-f(x, c) for a binary prime f.  The pairing on side K reads it as a
+    form of the Bezout degree deg_x f, and so does
+    ``divisor_of_upoly(f(x, c), deg_x f)``: the factors of f(x, c) give
+    the finite places, and its degree drop below deg_x f goes to
+    x = infinity.  The order of f(x, c) at a root x0 is the intersection
+    number of f with the line y = c at (x0, c) (Fulton, Algebraic
+    Curves, 3.3), so neither reading needs f monic in x or its fiber
+    unramified over c.  The pairing also sends an x-unary prime to
+    itself times deg_y(y - c) = 1, and a y-unary prime to 0.
+    """
     c = _degree_one_kp_value(p)
     _check_coprime_to(A, p)
     return Divisor.make(
@@ -143,36 +156,17 @@ def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
 
 def _prime_correspondence(m: Place, c: Scalar) -> Divisor:
     if isinstance(m, BinaryPlace):
-        f = m.poly
-        lc = f.coeff_of_x(f.deg_x())
-        monic_in_x = lc.degree() == 0
-        if not monic_in_x:
-            lc_ok = lc.eval(c) != 0
-            if f.deg_x() >= 2:
-                disc = resultant_x(f, _dfdx(f))
-                disc_ok = not disc.is_zero() and disc.eval(c) != 0
-            else:
-                disc_ok = True
-            if not (lc_ok and disc_ok):
-                raise NonGeneric(
-                    f"multiplicities of {f} over y = {c} cannot be soundly "
-                    "read from the specialization"
-                )
-        return divisor_of_upoly(f.eval_y(c), f.deg_x())
+        return divisor_of_upoly(m.poly.eval_y(c), m.poly.deg_x())
     if m.var == "x":
         return Divisor.of(m, 1)
     return Divisor.zero()
-
-
-def _dfdx(f: BPoly) -> BPoly:
-    return BPoly.make({(i - 1, j): v * i for (i, j), v in f.terms if i >= 1})
 
 
 def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:
     """Residue of a divisor modulo a degree-one prime of Q(y), as a
     divisor of Q(x): the pairing of A against q on side K.  It reads
     resultants, not the specialization that ``correspondence`` reads,
-    and the two must agree wherever both are defined."""
+    and the two agree at every degree-one place."""
     _degree_one_kp_value(q)
     _check_coprime_to(A, q)
     return pair(A, Divisor.of(q), SIDE_K)

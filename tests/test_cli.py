@@ -322,7 +322,9 @@ class TestExitCodes:
         assert main(["pair", "--a", "(x - y)", "--b", "(x - y)"]) == 2
 
     def test_nongeneric(self, capsys):
-        assert main(["correspond", "--A", "(x*y - 1)", "--p", "y"]) == 3
+        # the leading coefficient y vanishes at y = 0: the fiber escapes
+        assert main(["correspond", "--A", "(x*y - 1)", "--p", "y"]) == 0
+        assert capsys.readouterr().out == "inf_x\n"
 
     @pytest.mark.parametrize("max_deg", ["0", "-3"])
     def test_explore_max_deg_below_one_exits_2(self, max_deg, capsys):

@@ -541,10 +541,20 @@ curves = mixed_bpolys(2, 5).filter(lambda f: f.deg_x() > 0 and f.deg_y() > 0)
 nonconstant_upolys = st.sampled_from("xy").flatmap(
     lambda v: upoly_strategy(v, max_deg=2, coeffs=small_ints).filter(lambda p: p.degree() > 0)
 )
+# products in one variable, repeated factors included, which factor_b
+# hands to factor_q
+one_variable = st.sampled_from("xy").flatmap(
+    lambda v: st.lists(
+        upoly_strategy(v, max_deg=3, coeffs=any_coeffs).filter(lambda p: p.degree() > 0),
+        min_size=1,
+        max_size=3,
+    ).map(lambda ps: math.prod(BPoly.from_upoly(p) for p in ps + ps[:1]))
+)
 factor_b_inputs = st.one_of(
     curves,
     st.lists(curves, min_size=2, max_size=3).map(math.prod),
     st.tuples(curves, nonconstant_upolys).map(lambda t: t[0] * BPoly.from_upoly(t[1])),
+    one_variable,
 )
 
 

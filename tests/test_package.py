@@ -49,8 +49,6 @@ ROOT_EXPORTS = {
     "DoubleFieldError",
     "EqualIsoms",
     "InputError",
-    "MoveFailure",
-    "NonGeneric",
     "NotCoprime",
     "NotDegreeOne",
     "ParseError",

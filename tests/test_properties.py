@@ -24,7 +24,7 @@ from doublefield.divisors import (
     divisor_of_upoly,
     place_sort_key,
 )
-from doublefield.errors import InputError, NonGeneric, NotCoprime
+from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly, factor_q
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
 from doublefield.residues import (
@@ -77,15 +77,11 @@ def test_pair_symmetric_with_bezout_degree(m, n):
 
 
 @PROPERTY_SETTINGS
-@given(binary_primes(), st.integers(-3, 3))
-def test_correspondence_matches_chart_route(m, c):
+@given(binary_primes(), st.integers(-3, 3), st.integers(1, 3))
+def test_correspondence_matches_chart_route(m, a, b):
     A = Divisor.of(m)
-    p = UnaryPlace.finite(UPoly.make("y", [-c, 1]))
-    try:
-        via_factorization = correspondence(A, p)
-    except NonGeneric:
-        assume(False)
-    assert via_factorization == residue_mod_Kp_degree_one(A, p)
+    p = UnaryPlace.finite(UPoly.make("y", [-a, b]))
+    assert correspondence(A, p) == residue_mod_Kp_degree_one(A, p)
 
 
 def _rejected_before(c):
@@ -211,6 +207,12 @@ def test_moves_match_factoring_route(A, fresh, fresh2):
     for B in (moved, again):
         assert B.disjoint_from(A)
         assert bidegree(B - A) == (0, 0)
+
+
+def test_second_move_refuses_a_moved_divisor_meeting_A():
+    A = Divisor.of(POOL[2])
+    with pytest.raises(ValueError, match="meets the support"):
+        second_move(A, A + principal_move(A, 5), 7)
 
 
 def test_self_pairing_moved_matches_factoring_route():
