@@ -65,18 +65,16 @@ from .exact import (
     DEFAULT_PREC,
     BPoly,
     UPoly,
-    _frac,
     complex_roots,
     factor_int,
     memo,
     mpf_of,
     primitive_int_upoly,
-    qdiv,
     resultant_u,
 )
 from .pairing import SIDE_KPRIME, pair
 
-# largest unit, in bits of its numerator or denominator, that
+# largest content, in bits of its numerator or denominator, that
 # principal_arakelov factors into vertical fibers
 MAX_UNIT_BITS = 64
 
@@ -199,38 +197,24 @@ def arakelov_from_divisor(D: Divisor) -> ArakelovDivisorKp:
         return ArakelovDivisorKp.make(D, None, arch)
 
 
-def principal_arakelov(num: UPoly, den: UPoly | None = None, unit=1) -> ArakelovDivisorKp:
-    """Arakelov divisor of a nonzero element unit * num/den of Q(y):
-    horizontal function-field divisor, Gauss valuations on the finite
-    fibers, and minus the archimedean average of its log.  InputError if
-    the numerator or denominator of the unit, contents included, has
-    more than MAX_UNIT_BITS bits."""
-    if num.is_zero() or (den is not None and den.is_zero()):
+def principal_arakelov(num: UPoly) -> ArakelovDivisorKp:
+    """Arakelov divisor of a nonzero polynomial num of Q[y]: horizontal
+    function-field divisor, Gauss valuations of its content on the
+    finite fibers, and minus the archimedean average of its log.  The
+    divisor of a quotient is the difference of two.  InputError if the
+    numerator or denominator of the content has more than MAX_UNIT_BITS
+    bits."""
+    if num.is_zero():
         raise ValueError("zero element")
-    unit = _frac(unit)
-    if unit == 0:
-        raise ValueError("zero element")
-    un, pn = primitive_int_upoly(num)
-    unit = _frac(unit * un)
-    if den is not None:
-        ud, pd = primitive_int_upoly(den)
-        unit = qdiv(unit, ud)
-    else:
-        pd = None
-    horizontal = divisor_of_upoly(pn)
-    if pd is not None:
-        horizontal = horizontal - divisor_of_upoly(pd)
+    unit, pn = primitive_int_upoly(num)
     vertical: dict[int, int] = {}
     for p, e in _prime_factorization(unit.numerator):
         vertical[p] = vertical.get(p, 0) + e
     for p, e in _prime_factorization(unit.denominator):
         vertical[p] = vertical.get(p, 0) - e
     with mpmath.workprec(DEFAULT_PREC):
-        arch = -mpmath.log(abs(mpf_of(unit)))
-        arch -= _height(pn)
-        if pd is not None:
-            arch += _height(pd)
-    return ArakelovDivisorKp.make(horizontal, vertical, arch)
+        arch = -mpmath.log(abs(mpf_of(unit))) - _height(pn)
+    return ArakelovDivisorKp.make(divisor_of_upoly(pn), vertical, arch)
 
 
 def _prime_factorization(n: int) -> tuple[tuple[int, int], ...]:

@@ -308,14 +308,31 @@ def parse_prime(text: str) -> Place:
 _COEFF_RE = re.compile(r"^\s*([+-]?\d+)\s*\*(.*)$", re.S)
 
 
+def _has_top_level_sum(text: str) -> bool:
+    """True when the expression has a binary + or - outside parentheses,
+    so that a ``N*`` in front of it binds only to its first term."""
+    if text.strip() in ("inf_x", "inf_y"):
+        return False
+    depth, prev = 0, None
+    for kind, _, _ in _tokenize(text):
+        if kind in ("(", ")"):
+            depth += 1 if kind == "(" else -1
+        elif kind in ("+", "-") and depth == 0 and prev in ("int", "var", ")"):
+            return True
+        prev = kind
+    return False
+
+
 def parse_divisor_spec(text: str) -> Divisor:
-    """Parse a semicolon-separated list of ``coeff * prime`` terms."""
+    """Parse a semicolon-separated list of ``coeff * prime`` terms.  A
+    leading ``N*`` is the coefficient only when the rest of the term has
+    no + or - outside parentheses; otherwise it belongs to the prime."""
     comps: dict[Place, int] = {}
     for raw in text.split(";"):
         if not raw.strip():
             raise ParseError("empty divisor term", 0, ("coeff * prime",))
         m = _COEFF_RE.match(raw)
-        if m:
+        if m and not _has_top_level_sum(m.group(2)):
             coeff, body = int(m.group(1)), m.group(2)
         else:
             coeff, body = 1, raw

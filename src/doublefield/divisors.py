@@ -19,7 +19,6 @@ from .exact import (
     Scalar,
     UPoly,
     _frac,
-    certify_irreducible_bivariate,
     factor_b,
     factor_q,
     memo,
@@ -73,10 +72,10 @@ class BinaryPlace:
     """A binary prime of Q(x,y): a primitive integer irreducible
     polynomial of positive degree in both variables.
 
-    ``make`` proves the prime with ``certify_irreducible_bivariate`` and,
-    when that says "unknown", with the exact ``factor_b``; a reducible
-    polynomial is refused with InputError.  ``certified`` records which
-    of the two proved it (True for the certificate); it does not
+    ``make`` decides the prime exactly with ``factor_b``, and a
+    reducible polynomial is refused with InputError.  Nothing reads
+    ``certified``: it stays only so that the benchmark harness's
+    ``BinaryPlace(q, True)`` still constructs, and it does not
     participate in place identity.
     """
 
@@ -88,10 +87,9 @@ class BinaryPlace:
         if f.deg_x() < 1 or f.deg_y() < 1:
             raise ValueError("binary place needs positive degree in both variables")
         _, q = primitive_int_bpoly(f)
-        cert = certify_irreducible_bivariate(q) == "certified"
-        if not cert and factor_b(q)[1] != ((q, 1),):
+        if factor_b(q)[1] != ((q, 1),):
             raise InputError(f"{q} is reducible, not a prime")
-        return BinaryPlace(q, cert)
+        return BinaryPlace(q)
 
     def __str__(self) -> str:
         return f"({self.poly})"
@@ -103,7 +101,7 @@ Place = Union[UnaryPlace, BinaryPlace]
 def transpose_place(m: Place) -> Place:
     """The mirror-image place under the swap of x and y."""
     if isinstance(m, BinaryPlace):
-        return BinaryPlace(m.poly.transpose(), m.certified)
+        return BinaryPlace(m.poly.transpose())
     nv = "x" if m.var == "y" else "y"
     if m.poly is None:
         return UnaryPlace.infinity(nv)

@@ -64,7 +64,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -561,27 +561,12 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     An input in one variable is ``factor_q``'s, whose factors are already
     in the form of ``primitive_int_bpoly``: in one variable the graded-lex
     leading term is the leading one.  An input of positive degree in both
-    variables is first tried for a proof that it is irreducible; only
-    when that fails does it go to sympy's ``dmp_factor_list`` (Wang's EEZ
-    lifting).  With (u, q) = primitive_int_bpoly(f), the result is
-    (u, ((q, 1),)) when
-
-    (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
-        y swapped; or
-    (b) y_content(q) is constant and q(x, c) is irreducible over Q, where
-        c is the first of 0, 1, -1, 2, ... at which lc_x(q) does not
-        vanish.
-
-    Proof.  Let q = g*h with neither factor constant.  A factor of
-    x-degree 0 lies in Q[y] and divides every x-coefficient of q, hence
-    y_content(q); as that is constant, both g and h have positive
-    x-degree.  In (a), deg_x g + deg_x h = 1 then leaves no room, so q is
-    irreducible; the swapped case is the same argument with x and y
-    exchanged.  In (b), lc_x(q)(c) = lc_x(g)(c)*lc_x(h)(c) is nonzero,
-    so q(x, c) = g(x, c)*h(x, c) is a product of two factors of positive
-    degree, against its irreducibility.  Both results equal sympy's:
-    the factorization over Q is unique up to units, and
-    primitive_int_bpoly fixes the unit.
+    variables is put in primitive integer form, (u, q) =
+    primitive_int_bpoly(f).  The result is (u, ((q, 1),)) when
+    ``certify_irreducible_bivariate(q)`` proves q prime; only when it
+    does not does q go to sympy's ``dmp_factor_list`` (Wang's EEZ
+    lifting).  Both results equal sympy's: the factorization over Q is
+    unique up to units, and primitive_int_bpoly fixes the unit.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -593,12 +578,7 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
         out = sorted(((BPoly.from_upoly(p), m) for p, m in fac), key=lambda t: t[0].terms)
         return unit, tuple(out)
     unit, q = primitive_int_bpoly(f)
-    content_free_y = y_content(q).degree() == 0
-    if (
-        (q.deg_x() == 1 and content_free_y)
-        or (q.deg_y() == 1 and y_content(q.transpose()).degree() == 0)
-        or (content_free_y and _irreducible_at(q, next(_specializations(q))))
-    ):
+    if certify_irreducible_bivariate(q):
         return unit, ((q, 1),)
     content, fac = dmp_factor_list(_to_dmp(q), 1, ZZ)
     unit *= int(content)
@@ -719,50 +699,40 @@ def content_free_both_ways(f: BPoly) -> bool:
     return y_content(f).degree() == 0 and y_content(f.transpose()).degree() == 0
 
 
-def _specializations(f: BPoly) -> Iterator[int]:
-    """The integers c, in the order 0, 1, -1, 2, -2, ..., at which the
-    x-leading coefficient of f does not vanish."""
-    lc = f.coeff_of_x(f.deg_x())
-    c = 0
-    while True:
-        if lc.eval(c) != 0:
-            yield c
-        c = -c if c > 0 else 1 - c
+def certify_irreducible_bivariate(q: BPoly) -> bool:
+    """A sound sufficient test that a nonzero q is irreducible over Q:
+    True when
 
+    (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
+        y swapped; or
+    (b) y_content(q) is constant and q(x, c) is irreducible over Q, where
+        c is the first of 0, 1, -1, 2, ... at which lc_x(q) does not
+        vanish.
 
-def _irreducible_at(f: BPoly, c: int) -> bool:
-    """True when the specialization y := c proves f irreducible, for f of
-    constant y-content and c not a root of its x-leading coefficient
-    (proof in ``factor_b``): f(x, c) is irreducible over Q.  Raises
-    DegreeBound past the degree bound of ``factor_q``."""
-    _, fac = factor_q(f.eval_y(c))
-    return len(fac) == 1 and fac[0][1] == 1
+    False means only that neither applies.  Raises DegreeBound when
+    q(x, c) is past the degree bound of ``factor_q``.
 
-
-def certify_irreducible_bivariate(f: BPoly) -> str:
-    """Sound sufficient irreducibility test over Q; returns "certified"
-    or "unknown" (never certifies a reducible polynomial).
-
-    Certified when the polynomial is content-free in each variable and
-    either has degree 1 in one variable, or some small integer
-    specialization y := c with |c| <= 10 keeps full x-degree and is
-    irreducible.
+    Proof.  Let q = g*h with neither factor constant.  A factor of
+    x-degree 0 lies in Q[y] and divides every x-coefficient of q, hence
+    y_content(q); as that is constant, both g and h have positive
+    x-degree.  In (a), deg_x g + deg_x h = 1 then leaves no room, so q is
+    irreducible; the swapped case is the same argument with x and y
+    exchanged.  In (b), lc_x(q)(c) = lc_x(g)(c)*lc_x(h)(c) is nonzero,
+    so q(x, c) = g(x, c)*h(x, c) is a product of two factors of positive
+    degree, against its irreducibility.
     """
-    if f.deg_x() < 1 or f.deg_y() < 1:
-        raise ValueError("needs positive degree in both variables")
-    if not content_free_both_ways(f):
-        return "unknown"
-    if f.deg_x() == 1 or f.deg_y() == 1:
-        return "certified"
-    for c in _specializations(f):
-        if abs(c) > 10:
-            break
-        try:
-            if _irreducible_at(f, c):
-                return "certified"
-        except DegreeBound:
-            return "unknown"
-    return "unknown"
+    content_free_y = y_content(q).degree() == 0
+    if q.deg_x() == 1 and content_free_y:
+        return True
+    if q.deg_y() == 1 and y_content(q.transpose()).degree() == 0:
+        return True
+    if not content_free_y:
+        return False
+    lc, c = q.coeff_of_x(q.deg_x()), 0
+    while lc.eval(c) == 0:
+        c = -c if c > 0 else 1 - c
+    _, fac = factor_q(q.eval_y(c))
+    return len(fac) == 1 and fac[0][1] == 1
 
 
 # ---------------------------------------------------------------------------

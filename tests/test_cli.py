@@ -230,6 +230,29 @@ class TestSpecParsing:
         assert d.coeff(BinaryPlace.make(BPoly.gen("x") - BPoly.gen("y") ** 2)) == 2
         assert d.coeff(UnaryPlace.infinity("x")) == -1
 
+    @pytest.mark.parametrize(
+        "text, coeff, prime",
+        [
+            ("2*(x - y^2)", 2, "x - y^2"),
+            ("2*x", 2, "x"),
+            ("-1*inf_x", -1, "inf_x"),
+            ("2*-x", 2, "x"),
+            # a coefficient binds only to the first term of a sum
+            ("3*x - y^2", 1, "3*x - y^2"),
+            ("2*x^2 - y", 1, "2*x^2 - y"),
+            ("3*x*y + (x - 1)", 1, "3*x*y + x - 1"),
+        ],
+    )
+    def test_coefficient_precedence(self, text, coeff, prime):
+        assert parse_divisor_spec(text) == Divisor.of(parse_prime(prime), coeff)
+
+    def test_coefficient_precedence_through_the_cli(self, capsys):
+        for a in ("3*x - y^2", "(3*x - y^2)"):
+            assert main(["residue", "--A", a, "--n", "x - y"]) == 0
+            assert capsys.readouterr().out.strip() == "(y - 3) + (y) + inf_y"
+        assert main(["pair", "--a", "2*x^2 - y", "--b", "y - 5"]) == 0
+        assert capsys.readouterr().out.strip() == "2*(y - 5)"
+
     def test_coefficient_optional(self):
         d = parse_divisor_spec("(x - y)")
         assert d == Divisor.of(BinaryPlace.make(BPoly.gen("x") - BPoly.gen("y")))
@@ -339,9 +362,8 @@ class TestExitCodes:
         assert main(["rsp", "--a", "(x - y)", "--b", "(x + y)"]) == 4
 
     def test_reducible_binary_exits_2(self, capsys):
-        # x^2 - y^2 sits in the certification gap: every admissible
-        # specialization is reducible; factor_b splits it into
-        # (x - y)(x + y), so it is refused
+        # x^2 - y^2 is x^2 at y = 0, so the certificate does not apply;
+        # factor_b splits it into (x - y)(x + y), so it is refused
         args = ["pair", "--a", "(x^2 - y^2)", "--b", "(y - 5)"]
         assert main(args) == 2
         captured = capsys.readouterr()
@@ -353,8 +375,8 @@ class TestExitCodes:
 
     def test_uncertified_irreducible_binary_is_decided(self, capsys):
         # the product vanishes at every y = c with |c| <= 10, so each
-        # specialization is x^2 and the certificate fails; factor_b
-        # finds one factor
+        # specialization is x^2 and the certificate does not apply;
+        # Wang's algorithm in factor_b finds one factor
         f = "x^2 - y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
         assert main(["pair", "--a", f, "--b", "(y - 5)"]) == 0
         assert capsys.readouterr().out.strip() == "2*(y - 5)"

@@ -23,12 +23,11 @@ from doublefield.errors import InputError
 from doublefield.exact import (
     BPoly,
     UPoly,
-    certify_irreducible_bivariate,
     clear_caches,
-    factor_b,
     primitive_int_bpoly,
 )
 from doublefield.suites import binary_pool
+from test_exact import _sympy_route
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -36,8 +35,8 @@ Y = BPoly.gen("y")
 
 def _uncertified_prime() -> BPoly:
     """x^2 - y*(y^2 - 1)*...*(y^2 - 100): irreducible, but every
-    specialization y = c with |c| <= 10 is x^2, so only factor_b
-    decides it."""
+    specialization y = c with |c| <= 10 is x^2, so the certificate
+    does not apply and only Wang's algorithm decides it."""
     g = Y
     for k in range(1, 11):
         g = g * (Y**2 - BPoly.const(k * k))
@@ -75,10 +74,11 @@ class TestPlaces:
     )
     @example(dict(_uncertified_prime().terms))
     @example({(2, 0): 1, (0, 2): -1})
+    @example({(2, 0): 1, (0, 3): -1, (0, 1): -1})  # x^2 - y^3 - y: x^2 at y = 0
     def test_binary_make_decides_exactly(self, terms):
         f = BPoly.make(terms)
         _, q = primitive_int_bpoly(f)
-        prime = factor_b.__wrapped__(q)[1] == ((q, 1),)
+        prime = _sympy_route(q)[1] == ((q, 1),)
         try:
             place = BinaryPlace.make(f)
         except InputError:
@@ -86,7 +86,6 @@ class TestPlaces:
         else:
             assert prime
             assert place.poly == q
-            assert place.certified == (certify_irreducible_bivariate(q) == "certified")
 
     def test_certified_flag_not_identity(self):
         a = BinaryPlace.make(X - Y)

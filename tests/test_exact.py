@@ -687,17 +687,32 @@ class TestFactorQ:
 
 class TestCertifyIrreducible:
     def test_degree_one(self):
-        assert certify_irreducible_bivariate(X - Y**2) == "certified"
+        assert certify_irreducible_bivariate(X - Y**2) is True
 
     def test_never_certifies_reducible(self):
-        assert certify_irreducible_bivariate(X**2 - Y**2) != "certified"
+        assert certify_irreducible_bivariate(X**2 - Y**2) is False
 
     def test_specialization(self):
-        assert certify_irreducible_bivariate(X**2 - Y) == "certified"
+        assert certify_irreducible_bivariate(X**2 - Y) is True
 
     def test_reducible_content_free(self):
         f = (X**2 - Y) * (X**2 + Y)
-        assert certify_irreducible_bivariate(f) == "unknown"
+        assert certify_irreducible_bivariate(f) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(curves, nonconstant_upolys.map(BPoly.from_upoly)), min_size=1, max_size=3))
+@example([X - Y**2, Y + BPoly.const(1)])  # degree 1 in x, but y + 1 divides it
+@example([X * Y + BPoly.const(1), X + BPoly.const(1)])  # lc_x vanishes at y = 0
+def test_certificate_is_sound(factors):
+    """Never True on a product of nonconstant factors, and True only on
+    what sympy's own factorizer finds irreducible."""
+    q = primitive_int_bpoly(math.prod(factors))[1]
+    certified = certify_irreducible_bivariate(q)
+    if len(factors) > 1:
+        assert not certified
+    if certified:
+        assert _sympy_route(q)[1] == ((q, 1),)
 
 
 class TestComplexRoots:
