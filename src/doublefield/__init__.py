@@ -40,7 +40,6 @@ from .divisors import (
     valuation,
 )
 from .errors import (
-    CommonSupport,
     DegreeBound,
     DoubleFieldError,
     EqualIsoms,

@@ -60,7 +60,7 @@ from .divisors import (
     degree_K,
     divisor_of_upoly,
 )
-from .errors import CommonSupport, InputError
+from .errors import InputError, NotCoprime
 from .exact import (
     DEFAULT_PREC,
     BPoly,
@@ -227,7 +227,7 @@ def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp):
     """Arakelov intersection number; requires disjoint horizontal
     supports."""
     if not D.horizontal.disjoint_from(E.horizontal):
-        raise CommonSupport("horizontal supports are not disjoint")
+        raise NotCoprime("horizontal supports are not disjoint")
     with mpmath.workprec(DEFAULT_PREC):
         total = mpmath.mpf(0)
         for q1, c1 in D.horizontal.coeffs:
@@ -249,14 +249,14 @@ def _hh(q1: UnaryPlace, q2: UnaryPlace):
     part log|Res|, archimedean part the Green's function summed over
     root pairs (the infinite place entering as the limit point)."""
     if q1.is_infinity() and q2.is_infinity():
-        raise CommonSupport("both places at infinity")
+        raise NotCoprime("both places at infinity")
     if q1.is_infinity():
         return _height(q2.poly)
     if q2.is_infinity():
         return _height(q1.poly)
     r = resultant_u(q1.poly, q2.poly)
     if r == 0:
-        raise CommonSupport("places coincide")
+        raise NotCoprime("places coincide")
     with mpmath.workprec(DEFAULT_PREC):
         total = mpmath.log(abs(mpf_of(r)))
         roots1 = complex_roots(q1.poly, eps=_ROOT_EPS)

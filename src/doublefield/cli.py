@@ -29,10 +29,11 @@ coefficients.  A power of a constant is refused (exit 2) before it is
 computed when the exponent times the bit length of the base exceeds
 ``MAX_CONSTANT_BITS``.
 
-Divisor specs are semicolon-separated ``coeff * prime`` terms, where a
-prime is an expression or one of the literals ``inf_x`` / ``inf_y``,
-e.g. ``"2*(x - y^2); -1*inf_x"``.  A missing ``coeff *`` prefix means
-coefficient 1.
+Divisor specs are semicolon-separated terms, each an expression of one
+curve or one of the literals ``inf_x`` / ``inf_y`` after an optional
+``coeff *``, e.g. ``"2*(x - y^2); -1*inf_x"``.  A term's coefficient is
+the constant factor the grammar computes for it, and must be an
+integer.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from .arakelov import (
     residue_scalar_product,
 )
 from .divisors import (
-    BinaryPlace,
     DeltaElement,
     Divisor,
     Place,
     UnaryPlace,
+    place_of_curve,
     principal_divisor,
 )
 from .errors import (
@@ -70,7 +71,6 @@ from .exact import (
     BPoly,
     Scalar,
     _frac,
-    factor_q,
     qdiv,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
@@ -100,16 +100,17 @@ EXIT_PRECISION = 4
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xy])|([+\-*^()/]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    """Tokens of text[start:end], with their offsets in text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    pos = start
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos, end)
         if m is None:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:end].lstrip()
             if not stripped:
                 break
-            at = len(text) - len(stripped)
+            at = end - len(stripped)
             raise ParseError(
                 f"unexpected character {stripped[0]!r} at offset {at}",
                 at,
@@ -122,7 +123,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         else:
             tokens.append((m.group(3), m.group(3), m.start(3)))
         pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    tokens.append(("eof", "", end))
     return tokens
 
 
@@ -166,11 +167,11 @@ def _multiply_out(form: _Factored) -> BPoly:
 class _Parser:
     """Recursive descent over the module grammar.  Every rule returns a
     factored form: products, powers and unary minus combine factor lists
-    and exponents, and only a sum multiplies its terms out."""
+    and exponents, and only a sum multiplies its terms out.  It reads
+    text[start:end] and reports offsets in text."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, start: int, end: int):
+        self.tokens = _tokenize(text, start, end)
         self.i = 0
 
     def peek(self):
@@ -266,7 +267,7 @@ class _Parser:
 def parse_element(text: str) -> DeltaElement:
     """Parse ``expr ('/' expr)?`` into an element of Q(x,y).  The factors
     are handed over as written, so only sums are ever multiplied out."""
-    p = _Parser(text)
+    p = _Parser(text, 0, len(text))
     num = p.expr()
     if p.peek()[0] != "/":
         p.finish(("+", "-", "*", "/", "^", "end of input"))
@@ -283,62 +284,53 @@ def parse_element(text: str) -> DeltaElement:
 
 
 def parse_prime(text: str) -> Place:
-    """Parse a prime divisor: ``inf_x`` / ``inf_y`` or an irreducible
-    polynomial expression.  A written product of curves, a power of a
-    curve and a reducible curve are refused with InputError."""
-    stripped = text.strip()
-    if stripped in ("inf_x", "inf_y"):
-        return UnaryPlace.infinity(stripped[-1])
-    p = _Parser(text)
-    c, written = p.expr()
-    p.finish()
-    if c == 0 or not written:
+    """Parse a prime divisor, a divisor-spec term whose nonzero constant
+    factor is ignored.  A written product of curves, a power of a curve
+    and a reducible curve are refused with InputError."""
+    c, place = _term(text, 0, len(text))
+    if c == 0:
         raise InputError(f"constant {text!r} is not a prime")
-    if len(written) > 1 or written[0][1] > 1:
-        raise InputError(f"{text!r} is a product or power of curves, not a prime")
-    f = written[0][0]
-    if f.deg_x() > 0 and f.deg_y() > 0:
-        return BinaryPlace.make(f)
-    _, factors = factor_q(f.as_upoly())
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise InputError(f"{text!r} is not irreducible")
-    return UnaryPlace.finite(factors[0][0])
-
-
-_COEFF_RE = re.compile(r"^\s*([+-]?\d+)\s*\*(.*)$", re.S)
-
-
-def _has_top_level_sum(text: str) -> bool:
-    """True when the expression has a binary + or - outside parentheses,
-    so that a ``N*`` in front of it binds only to its first term."""
-    if text.strip() in ("inf_x", "inf_y"):
-        return False
-    depth, prev = 0, None
-    for kind, _, _ in _tokenize(text):
-        if kind in ("(", ")"):
-            depth += 1 if kind == "(" else -1
-        elif kind in ("+", "-") and depth == 0 and prev in ("int", "var", ")"):
-            return True
-        prev = kind
-    return False
+    return place
 
 
 def parse_divisor_spec(text: str) -> Divisor:
-    """Parse a semicolon-separated list of ``coeff * prime`` terms.  A
-    leading ``N*`` is the coefficient only when the rest of the term has
-    no + or - outside parentheses; otherwise it belongs to the prime."""
+    """Parse a semicolon-separated list of terms, each with an integer
+    coefficient.  Offsets of parse errors are in text."""
     comps: dict[Place, int] = {}
+    start = 0
     for raw in text.split(";"):
         if not raw.strip():
-            raise ParseError("empty divisor term", 0, ("coeff * prime",))
-        m = _COEFF_RE.match(raw)
-        if m and not _has_top_level_sum(m.group(2)):
-            coeff, body = int(m.group(1)), m.group(2)
-        else:
-            coeff, body = 1, raw
-        place = parse_prime(body)
-        comps[place] = comps.get(place, 0) + coeff
+            raise ParseError("empty divisor term", start, ("coeff * prime",))
+        c, place = _term(text, start, start + len(raw))
+        if c.denominator != 1:
+            raise InputError(f"coefficient {c} of {raw.strip()!r} is not an integer")
+        comps[place] = comps.get(place, 0) + int(c)
+        start += len(raw) + 1
     return Divisor.make(comps)
+
+
+def _term(text: str, start: int, end: int) -> tuple[Scalar, Place]:
+    """The constant factor and the place of the term text[start:end]:
+    ``inf_x`` or ``inf_y`` after an optional ``coeff *``, or an
+    expression of one curve."""
+    term = text[start:end].rstrip()
+    head = term[:-5].rstrip()
+    infinity = term.endswith(("inf_x", "inf_y")) and (not head or head.endswith("*"))
+    if infinity and not head:
+        return 1, UnaryPlace.infinity(term[-1])
+    # a coefficient of inf_x or inf_y is the constant before the '*'
+    p = _Parser(text, start, start + len(head) - 1 if infinity else end)
+    c, written = p.expr()
+    p.finish()
+    if infinity:
+        if written:
+            raise InputError(f"the coefficient in {term.strip()!r} is not a constant")
+        return c, UnaryPlace.infinity(term[-1])
+    if not written:
+        raise InputError(f"constant {term.strip()!r} is not a prime")
+    if len(written) > 1 or written[0][1] > 1:
+        raise InputError(f"{term.strip()!r} is a product or power of curves, not a prime")
+    return c, place_of_curve(written[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +375,13 @@ def _cmd_divisor(args) -> tuple[dict, str, int]:
 
 def _cmd_residue(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.A)
-    n = parse_prime(args.n)
-    if not isinstance(n, BinaryPlace):
-        raise InputError("the modulus must be a binary prime")
-    d = residue_mod_degree_one(A, n)
+    d = residue_mod_degree_one(A, parse_prime(args.n))
     return _divisor_payload(d), str(d), EXIT_OK
 
 
 def _cmd_correspond(args) -> tuple[dict, str, int]:
     A = parse_divisor_spec(args.A)
-    p = parse_prime(args.p)
-    if not (isinstance(p, UnaryPlace) and p.var == "y" and not p.is_infinity()):
-        raise InputError("the point must be a finite prime of Q(y)")
-    d = correspondence(A, p)
+    d = correspondence(A, parse_prime(args.p))
     return _divisor_payload(d), str(d), EXIT_OK
 
 
@@ -409,10 +395,7 @@ def _cmd_pair(args) -> tuple[dict, str, int]:
 
 
 def _cmd_selfpair(args) -> tuple[dict, str, int]:
-    m = parse_prime(args.m)
-    if not isinstance(m, BinaryPlace):
-        raise InputError("selfpair expects a binary prime")
-    sp = self_pair_degree_one(m, args.side)
+    sp = self_pair_degree_one(parse_prime(args.m), args.side)
     payload = {
         "value": str(sp.value),
         "moved": str(sp.moved),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .errors import InputError
+from .errors import InputError, NotDegreeOne
 from .exact import (
     BPoly,
     Scalar,
@@ -72,8 +72,8 @@ class BinaryPlace:
     """A binary prime of Q(x,y): a primitive integer irreducible
     polynomial of positive degree in both variables.
 
-    ``make`` decides the prime exactly with ``factor_b``, and a
-    reducible polynomial is refused with InputError.  Nothing reads
+    ``make`` decides the prime with ``place_of_curve``, and a reducible
+    polynomial is refused with InputError.  Nothing reads
     ``certified``: it stays only so that the benchmark harness's
     ``BinaryPlace(q, True)`` still constructs, and it does not
     participate in place identity.
@@ -86,16 +86,31 @@ class BinaryPlace:
     def make(f: BPoly) -> "BinaryPlace":
         if f.deg_x() < 1 or f.deg_y() < 1:
             raise ValueError("binary place needs positive degree in both variables")
-        _, q = primitive_int_bpoly(f)
-        if factor_b(q)[1] != ((q, 1),):
-            raise InputError(f"{q} is reducible, not a prime")
-        return BinaryPlace(q)
+        return place_of_curve(f)
 
     def __str__(self) -> str:
         return f"({self.poly})"
 
 
 Place = Union[UnaryPlace, BinaryPlace]
+
+
+def place_of_curve(f: BPoly) -> Place:
+    """The place of the written curve f = 0, for a nonconstant f.  With
+    q the primitive integer form of f, the curve is prime exactly when
+    ``factor_b(q)`` finds q itself, once; otherwise InputError."""
+    _, q = primitive_int_bpoly(f)
+    if factor_b(q)[1] != ((q, 1),):
+        raise InputError(f"{q} is reducible, not a prime")
+    return _place_of(q)
+
+
+def degree_one_coeffs(m: Place) -> tuple[UPoly, UPoly]:
+    """The coefficients (a, b) of a binary prime m = a(y)*x - b(y) of
+    x-degree 1; NotDegreeOne for every other place."""
+    if not isinstance(m, BinaryPlace) or m.poly.deg_x() != 1:
+        raise NotDegreeOne(f"{m} is not a binary prime of x-degree 1")
+    return m.poly.coeff_of_x(1), -m.poly.coeff_of_x(0)
 
 
 def transpose_place(m: Place) -> Place:

@@ -38,10 +38,6 @@ class NotCoprime(InputError):
     """Divisor arguments must have disjoint supports."""
 
 
-class CommonSupport(InputError):
-    """Arakelov intersection needs disjoint horizontal supports."""
-
-
 class UncertifiedFactor(DoubleFieldError):
     """Irreducibility of a binary prime could not be certified.
 

@@ -20,12 +20,13 @@ from .divisors import (
     Divisor,
     Place,
     UnaryPlace,
+    degree_one_coeffs,
     degree_over_Kp,
     div_of_place,
     divisor_of_upoly,
     transpose_place,
 )
-from .errors import NotCoprime, NotDegreeOne
+from .errors import NotCoprime
 from .exact import BPoly
 
 SIDE_K = "K"
@@ -102,9 +103,7 @@ def self_pair_degree_one(m: BinaryPlace, side: str = SIDE_KPRIME) -> SelfPairing
     support disjoint from m.  The moving element is m/a with a made
     monic; a and b are coprime because m is prime, so a is the
     denominator of b/a in lowest terms."""
-    if m.poly.deg_x() != 1:
-        raise NotDegreeOne(f"prime has x-degree {m.poly.deg_x()}, expected 1")
-    den = m.poly.coeff_of_x(1).monic()
+    den = degree_one_coeffs(m)[0].monic()
     n = Divisor.of(m) - div_of_place(m) + divisor_of_upoly(den)
     value = pair(n, Divisor.of(m), side)
     return SelfPairing(value, n, f"({m.poly})/({den})")

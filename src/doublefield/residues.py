@@ -23,6 +23,7 @@ from .divisors import (
     Divisor,
     Place,
     UnaryPlace,
+    degree_one_coeffs,
     divisor_of_upoly,
 )
 from .errors import EqualIsoms, NotCoprime, NotDegreeOne
@@ -58,11 +59,7 @@ class RationalIsom:
 
 def residue_iso(n: BinaryPlace) -> RationalIsom:
     """The substitution x -> b/a read off a degree-one prime a*x - b."""
-    f = n.poly
-    if f.deg_x() != 1:
-        raise NotDegreeOne(f"prime has x-degree {f.deg_x()}, expected 1")
-    a = f.coeff_of_x(1)
-    b = -f.coeff_of_x(0)
+    a, b = degree_one_coeffs(n)
     return RationalIsom.make(b, a)
 
 
@@ -117,14 +114,13 @@ def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
       the pole divisor of b/a (``RationalIsom.pole_divisor``);
     - a y-unary m: [m] times deg_x n = 1, since Q(y) is fixed.
     """
-    if n.poly.deg_x() != 1:
-        raise NotDegreeOne(f"prime has x-degree {n.poly.deg_x()}, expected 1")
+    degree_one_coeffs(n)
     _check_coprime_to(A, n)
     return pair(A, Divisor.of(n), SIDE_KPRIME)
 
 
 def _degree_one_kp_value(q: UnaryPlace) -> Scalar:
-    if q.var != "y" or q.is_infinity() or q.poly.degree() != 1:
+    if not isinstance(q, UnaryPlace) or q.var != "y" or q.is_infinity() or q.poly.degree() != 1:
         raise NotDegreeOne(f"expected a finite degree-one place of Q(y), got {q}")
     return qdiv(-q.poly.coeffs[0], q.poly.coeffs[1])
 

@@ -32,7 +32,7 @@ from doublefield.divisors import (
     bidegree,
     principal_divisor,
 )
-from doublefield.errors import CommonSupport, InputError
+from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly
 
 X = BPoly.gen("x")
@@ -134,7 +134,7 @@ class TestIntersect:
 
     def test_common_support(self):
         a = arakelov_from_divisor(Divisor.of(yplace(-1, 1)))
-        with pytest.raises(CommonSupport):
+        with pytest.raises(NotCoprime):
             intersect(a, a)
 
     def test_green_infinity_limit(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from doublefield.divisors import (
 )
 from doublefield.errors import DegreeBound, InputError, ParseError, PrecisionFailure
 from doublefield.exact import BPoly, UPoly
+from doublefield.suites import binary_pool, unary_pool
 
 
 def _element(p: BPoly) -> DeltaElement:
@@ -206,7 +208,46 @@ class TestDegreeBudget:
         assert capsys.readouterr().out.strip() == "-30*inf_x - 30*inf_y + 30*(x - y)"
 
 
+# Divisor-spec terms built around a pool prime from integer and rational
+# constants, each factor possibly negated, with the product of the
+# constants, which is the coefficient the term stands for.  A constant
+# goes before inf_x / inf_y, and anywhere around a curve.
+_SPEC_PRIMES = binary_pool() + unary_pool()
+_SPEC_CONSTANTS = st.one_of(
+    st.integers(0, 6).map(lambda n: (str(n), Fraction(n))),
+    st.tuples(st.integers(0, 6), st.integers(2, 4)).map(lambda t: (f"{t[0]}/{t[1]}", Fraction(*t))),
+)
+
+
+@st.composite
+def _spec_terms(draw):
+    place = draw(st.sampled_from(_SPEC_PRIMES))
+    factors = []
+    for (text, value), negate in draw(st.lists(st.tuples(_SPEC_CONSTANTS, st.booleans()), max_size=3)):
+        factors.append((f"-{text}", -value) if negate else (text, value))
+    if isinstance(place, UnaryPlace) and place.is_infinity():
+        factors.append((str(place), Fraction(1)))
+    else:
+        negate = draw(st.booleans())
+        curve = (f"-{place}", Fraction(-1)) if negate else (str(place), Fraction(1))
+        factors.insert(draw(st.integers(0, len(factors))), curve)
+    text = "*".join(t for t, _ in factors)
+    if draw(st.booleans()) and not text.endswith(("inf_x", "inf_y")):
+        text = f"({text})"
+    return text, place, math.prod(v for _, v in factors)
+
+
 class TestSpecParsing:
+    @settings(max_examples=150, deadline=None)
+    @given(_spec_terms())
+    def test_coefficient_is_the_product_of_the_constants(self, term):
+        text, place, product = term
+        if product.denominator != 1:
+            with pytest.raises(InputError, match="not an integer"):
+                parse_divisor_spec(text)
+        else:
+            assert parse_divisor_spec(text) == Divisor.of(place, int(product))
+
     def test_element_fraction(self):
         e = parse_element("(x^2-y^2)/(x*y)")
         D = principal_divisor(e)
@@ -236,15 +277,44 @@ class TestSpecParsing:
             ("2*(x - y^2)", 2, "x - y^2"),
             ("2*x", 2, "x"),
             ("-1*inf_x", -1, "inf_x"),
-            ("2*-x", 2, "x"),
-            # a coefficient binds only to the first term of a sum
+            ("2*-x", -2, "x"),
+            # a sum is multiplied out into one factor, so its coefficient is 1
             ("3*x - y^2", 1, "3*x - y^2"),
             ("2*x^2 - y", 1, "2*x^2 - y"),
             ("3*x*y + (x - 1)", 1, "3*x*y + x - 1"),
+            # the coefficient is the term's constant factor, wherever it stands
+            ("-(x - y)", -1, "x - y"),
+            ("(x - y)*2", 2, "x - y"),
+            ("2*3*(x - y)", 6, "x - y"),
+            ("2*-(x - y)", -2, "x - y"),
+            ("4/2*inf_y", 2, "inf_y"),
         ],
     )
     def test_coefficient_precedence(self, text, coeff, prime):
         assert parse_divisor_spec(text) == Divisor.of(parse_prime(prime), coeff)
+
+    @pytest.mark.parametrize("text", ["3/2*(x - y)", "(x - y)*1/2", "-1/3*inf_x", "x*inf_y"])
+    def test_coefficient_must_be_an_integer(self, text):
+        with pytest.raises(InputError, match="coefficient"):
+            parse_divisor_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("1*(x - y); 2*(x +)", 17),
+            ("(x - y);;(x+y)", 8),
+            ("(x - y); ", 8),
+            ("(x - y); 2*inf_x; 3 inf_y", 20),
+            ("(x - y); (x @ y)", 12),
+            # a leading '+' is refused, as everywhere in the grammar
+            ("(x - y); +2*(x + y)", 9),
+        ],
+    )
+    def test_parse_error_offsets_are_in_the_spec(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_divisor_spec(text)
+        assert exc.value.offset == offset
+        assert f"offset {offset}" in str(exc.value) or str(exc.value) == "empty divisor term"
 
     def test_coefficient_precedence_through_the_cli(self, capsys):
         for a in ("3*x - y^2", "(3*x - y^2)"):
@@ -252,6 +322,12 @@ class TestSpecParsing:
             assert capsys.readouterr().out.strip() == "(y - 3) + (y) + inf_y"
         assert main(["pair", "--a", "2*x^2 - y", "--b", "y - 5"]) == 0
         assert capsys.readouterr().out.strip() == "2*(y - 5)"
+        assert main(["pair", "--a", "-(x - y)", "--b", "y - 5"]) == 0
+        assert capsys.readouterr().out.strip() == "-(y - 5)"
+        assert main(["pair", "--a", "3/2*(x - y)", "--b", "y - 5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: coefficient 3/2" in captured.err
 
     def test_coefficient_optional(self):
         d = parse_divisor_spec("(x - y)")

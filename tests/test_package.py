@@ -44,7 +44,6 @@ ROOT_EXPORTS = {
     "principal_divisor",
     "valuation",
     # errors
-    "CommonSupport",
     "DegreeBound",
     "DoubleFieldError",
     "EqualIsoms",

@@ -15,6 +15,7 @@ from doublefield.divisors import (
 )
 from doublefield.errors import EqualIsoms, NotCoprime, NotDegreeOne
 from doublefield.exact import BPoly, UPoly
+from doublefield.pairing import self_pair_degree_one
 from doublefield.residues import (
     RationalIsom,
     correspondence,
@@ -23,6 +24,7 @@ from doublefield.residues import (
     residue_mod_Kp_degree_one,
     residue_mod_degree_one,
 )
+from doublefield.suites import unary_pool
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -244,3 +246,40 @@ class TestCrossCheck:
             A = Divisor.of(BinaryPlace.make(f))
             for q in points:
                 assert correspondence(A, q) == residue_mod_Kp_degree_one(A, q)
+
+
+# Each function that needs a degree-one prime refuses every other family
+# of place with NotDegreeOne, the library's own check, not an
+# AttributeError from reading a field the place does not have.
+_X_DEGREE_TWO = BinaryPlace.make(X**2 - Y - BPoly.const(3))
+_BINARY_MODULUS = [
+    lambda n: residue_mod_degree_one(Divisor.zero(), n),
+    residue_iso,
+    self_pair_degree_one,
+]
+_POINT_OF_QY = [
+    lambda p: correspondence(Divisor.zero(), p),
+    lambda p: residue_mod_Kp_degree_one(Divisor.zero(), p),
+]
+
+
+def _is_point_of_qy(q):
+    return isinstance(q, UnaryPlace) and q.var == "y" and not q.is_infinity() and q.degree() == 1
+
+
+@pytest.mark.parametrize("place", unary_pool() + [_X_DEGREE_TWO], ids=str)
+@pytest.mark.parametrize("fn", range(len(_BINARY_MODULUS)))
+def test_binary_modulus_refuses_other_families(fn, place):
+    with pytest.raises(NotDegreeOne):
+        _BINARY_MODULUS[fn](place)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [q for q in unary_pool() if not _is_point_of_qy(q)] + [_X_DEGREE_TWO, BinaryPlace.make(X * Y - BPoly.const(2))],
+    ids=str,
+)
+@pytest.mark.parametrize("fn", range(len(_POINT_OF_QY)))
+def test_point_of_qy_refuses_other_families(fn, place):
+    with pytest.raises(NotDegreeOne):
+        _POINT_OF_QY[fn](place)
