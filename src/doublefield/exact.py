@@ -706,11 +706,14 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
     (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
         y swapped; or
     (b) y_content(q) is constant and q(x, c) is irreducible over Q, where
-        c is the first of 0, 1, -1, 2, ... at which lc_x(q) does not
-        vanish.
+        c is the first of 1, -1, 2, -2, ... at which neither lc_x(q) nor
+        q(0, y) vanishes.
 
     False means only that neither applies.  Raises DegreeBound when
-    q(x, c) is past the degree bound of ``factor_q``.
+    q(x, c) is past the degree bound of ``factor_q``.  The proof of (b)
+    needs only lc_x(q)(c) != 0; the condition on q(0, y) only chooses c,
+    skipping the points where x divides q(x, c).  When q(0, y) is 0, x
+    divides q, and q, of x-degree at least 2 there, is reducible.
 
     Proof.  Let q = g*h with neither factor constant.  A factor of
     x-degree 0 lies in Q[y] and divides every x-coefficient of q, hence
@@ -728,8 +731,11 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
         return True
     if not content_free_y:
         return False
-    lc, c = q.coeff_of_x(q.deg_x()), 0
-    while lc.eval(c) == 0:
+    lc, tail = q.coeff_of_x(q.deg_x()), q.coeff_of_x(0)
+    if tail.is_zero():
+        return False
+    c = 1
+    while lc.eval(c) == 0 or tail.eval(c) == 0:
         c = -c if c > 0 else 1 - c
     _, fac = factor_q(q.eval_y(c))
     return len(fac) == 1 and fac[0][1] == 1

@@ -438,7 +438,7 @@ class TestExitCodes:
         assert main(["rsp", "--a", "(x - y)", "--b", "(x + y)"]) == 4
 
     def test_reducible_binary_exits_2(self, capsys):
-        # x^2 - y^2 is x^2 at y = 0, so the certificate does not apply;
+        # x^2 - y^2 is x^2 - 1 at y = 1, so the certificate does not apply;
         # factor_b splits it into (x - y)(x + y), so it is refused
         args = ["pair", "--a", "(x^2 - y^2)", "--b", "(y - 5)"]
         assert main(args) == 2
@@ -451,9 +451,9 @@ class TestExitCodes:
 
     def test_uncertified_irreducible_binary_is_decided(self, capsys):
         # the product vanishes at every y = c with |c| <= 10, so each
-        # specialization is x^2 and the certificate does not apply;
+        # specialization is (x - c)^2 and the certificate does not apply;
         # Wang's algorithm in factor_b finds one factor
-        f = "x^2 - y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
+        f = "(x - y)^2 + y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
         assert main(["pair", "--a", f, "--b", "(y - 5)"]) == 0
         assert capsys.readouterr().out.strip() == "2*(y - 5)"
 

@@ -23,6 +23,7 @@ from doublefield.errors import InputError
 from doublefield.exact import (
     BPoly,
     UPoly,
+    certify_irreducible_bivariate,
     clear_caches,
     primitive_int_bpoly,
 )
@@ -34,13 +35,15 @@ Y = BPoly.gen("y")
 
 
 def _uncertified_prime() -> BPoly:
-    """x^2 - y*(y^2 - 1)*...*(y^2 - 100): irreducible, but every
-    specialization y = c with |c| <= 10 is x^2, so the certificate
-    does not apply and only Wang's algorithm decides it."""
+    """(x - y)^2 + y*(y^2 - 1)*...*(y^2 - 100): irreducible, since its
+    x-discriminant -4*y*(y^2 - 1)*...*(y^2 - 100) has odd degree and so
+    is no square, but every specialization y = c with |c| <= 10 is
+    (x - c)^2, so the certificate does not apply and only Wang's
+    algorithm decides it."""
     g = Y
     for k in range(1, 11):
         g = g * (Y**2 - BPoly.const(k * k))
-    return X**2 - g
+    return (X - Y) ** 2 + g
 
 
 def uplace(var, *coeffs):
@@ -62,6 +65,10 @@ class TestPlaces:
     def test_binary_rejects_reducible_without_flag(self):
         with pytest.raises(InputError, match="reducible"):
             BinaryPlace.make((X**2 - Y) * (X**2 + Y))
+
+    def test_uncertified_prime_misses_the_certificate(self):
+        # keeps the fixture below on Wang's algorithm
+        assert certify_irreducible_bivariate(_uncertified_prime()) is False
 
     @settings(max_examples=60, deadline=None)
     @given(

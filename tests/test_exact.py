@@ -699,6 +699,10 @@ class TestCertifyIrreducible:
         f = (X**2 - Y) * (X**2 + Y)
         assert certify_irreducible_bivariate(f) is False
 
+    def test_sparse_prime(self):
+        # x^2 at y = 0, where x divides q(x, 0); x^2 - 2 at y = 1
+        assert certify_irreducible_bivariate(X**2 - Y**3 - Y) is True
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(curves, nonconstant_upolys.map(BPoly.from_upoly)), min_size=1, max_size=3))
@@ -712,6 +716,20 @@ def test_certificate_is_sound(factors):
     if len(factors) > 1:
         assert not certified
     if certified:
+        assert _sympy_route(q)[1] == ((q, 1),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_bpolys(3).filter(lambda h: h.deg_x() > 0 or h.deg_y() > 0))
+@example(X**2 - Y**3 - Y)  # a sparse prime: x divides q(x, 0), not q(x, 1)
+@example(X**2 * Y + X * Y**2 + BPoly.const(1))  # x*h loops forever without the q(0, y) = 0 guard
+def test_certificate_terminates_on_multiples_of_x_and_y(h):
+    """Returns False on x*h and y*h for every nonconstant h, and is sound
+    on h itself."""
+    for m in (X, Y):
+        assert certify_irreducible_bivariate(primitive_int_bpoly(m * h)[1]) is False
+    q = primitive_int_bpoly(h)[1]
+    if certify_irreducible_bivariate(q):
         assert _sympy_route(q)[1] == ((q, 1),)
 
 
