@@ -4,13 +4,15 @@ Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
 (factorization over Q, gcds, contents in y, lowest terms, resultants,
 square-free decomposition) goes to sympy's dense ``dup`` / ``dmp`` layer
-through the one bridge below, which works over ZZ only: each bridged
-call puts its inputs in primitive integer form (``primitive_int_upoly``,
-``primitive_int_bpoly``) and puts their rational units back exactly, so
-everything stays exact.  Both factorizers return primitive integer
-irreducibles with a positive leading coefficient, the form in which
-places store their polynomials.  ``factor_int`` is the bridge's one
-integer call.  No other module of the package imports sympy.
+through the one bridge below, except that ``factor_q`` decides degrees
+1 and 2 in integers (a quadratic by its discriminant).  The bridge works
+over ZZ only: each bridged call puts its inputs in primitive integer
+form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
+rational units back exactly, so everything stays exact.  Both
+factorizers return primitive integer irreducibles with a positive
+leading coefficient, the form in which places store their polynomials.
+``factor_int`` is the bridge's one integer call.  No other module of the
+package imports sympy.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -63,7 +65,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
@@ -646,7 +648,9 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     Returns (unit, ((factor, multiplicity), ...)) with
     unit * prod(factor**mult) == f exactly, the factors sorted by degree,
     then coefficients.  Raises DegreeBound when the degree exceeds
-    DEFAULT_FACTOR_DEGREE_BOUND.  The memo is keyed on the primitive
+    DEFAULT_FACTOR_DEGREE_BOUND.  Degrees 1 and 2 are decided in
+    integers (a quadratic by its discriminant); degree 3 and up go to
+    sympy's ``dup_factor_list``.  The memo is keyed on the primitive
     form, so f and c*f share one entry for every nonzero rational c.
     """
     if f.is_zero():
@@ -669,7 +673,32 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
 
 @memo
 def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
-    """``factor_q`` of a primitive integer q of positive degree."""
+    """``factor_q`` of a primitive integer q of positive degree.
+
+    Degrees 1 and 2 are decided in integers; only degree 3 and up go to
+    sympy's ``dup_factor_list``.  A linear q is its own factor.  For
+    q = a*x^2 + b*x + c let D = b^2 - 4ac.  When D is no integer square,
+    q has no rational root, so no linear factor over Q, and is
+    irreducible.  When D = s^2 its roots (-b -+ s)/2a, in lowest terms
+    n/d with d > 0, give the primitive factors d*x - n, squared when
+    s = 0, and the unit is 1: q and the product of the factors have the
+    same roots, so they differ by a rational factor; both are primitive
+    (the product by Gauss's lemma) with a positive leading coefficient,
+    so that factor is 1.
+    """
+    if q.degree() == 1:
+        return 1, ((q, 1),)
+    if q.degree() == 2:
+        c, b, a = q.coeffs
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        if s * s != disc:
+            return 1, ((q, 1),)
+        roots = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
+        lin = sorted((UPoly(q.var, (-r.numerator, r.denominator)) for r in roots), key=lambda p: p.coeffs)
+        if s == 0:
+            return 1, ((lin[0], 2),)
+        return 1, ((lin[0], 1), (lin[1], 1))
     content, fac = dup_factor_list(_to_dup(q), ZZ)
     unit = int(content)
     out = []

@@ -482,18 +482,9 @@ class TestBridgedAlgebra:
     @settings(max_examples=60, deadline=None)
     @given(mixed_upolys())
     def test_factor_q_matches_sympy(self, f):
-        """sympy's factor_list over QQ, its monic factors put in
-        primitive integer form and sorted, is factor_q exactly."""
         if f.is_zero():
             return
-        coeff, fac = sympy.Poly(sym_u(f), SX, domain=QQ).factor_list()
-        unit, out = Fraction(int(coeff.p), int(coeff.q)), []
-        for P, m in fac:
-            u, q = primitive_int_upoly(upoly_of_expr(P.as_expr(), "x"))
-            unit *= u**m
-            out.append((q, m))
-        out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-        assert factor_q(f) == (unit, tuple(out))
+        assert factor_q(f) == _sympy_route_q(f)
 
     @settings(max_examples=30, deadline=None)
     @given(mixed_bpolys(2, 4), mixed_bpolys(2, 4))
@@ -520,6 +511,51 @@ class TestBridgedAlgebra:
         # the common factor h divides the gcd too
         if h.deg_x() > 0 or h.deg_y() > 0:
             assert sympy.rem(sym_b(d), sym_b(h), SX, SY, domain=QQ) == 0
+
+
+def _sympy_route_q(f):
+    """factor_q's oracle: sympy's factor_list over QQ, its monic factors
+    put in primitive integer form and sorted."""
+    s = SX if f.var == "x" else SY
+    coeff, fac = sympy.Poly(sym_u(f), s, domain=QQ).factor_list()
+    unit, out = Fraction(int(coeff.p), int(coeff.q)), []
+    for P, m in fac:
+        u, q = primitive_int_upoly(upoly_of_expr(P.as_expr(), f.var))
+        unit *= u**m
+        out.append((q, m))
+    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
+    return unit, tuple(out)
+
+
+# linear and quadratic inputs, which factor_q decides in integers: split
+# products k*(d1*v - n1)*(d2*v - n2), and a*v^2 + b*v + c at random
+nonzero_fracs = small_fracs.filter(lambda c: c != 0)
+split_quadratics = st.builds(
+    lambda v, d1, n1, d2, n2, k: UPoly.make(v, [n1 * n2, -(d1 * n2 + d2 * n1), d1 * d2]).scale(k),
+    st.sampled_from("xy"),
+    st.integers(1, 12),
+    st.integers(-20, 20),
+    st.integers(1, 12),
+    st.integers(-20, 20),
+    nonzero_fracs,
+)
+low_degree = st.one_of(
+    split_quadratics,
+    st.sampled_from("xy").flatmap(
+        lambda v: upoly_strategy(v, max_deg=2, coeffs=any_coeffs).filter(lambda p: p.degree() > 0)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree)
+@example(up(1, 4, 4))  # 4x^2 + 4x + 1 = (2x + 1)^2
+@example(up(-1, -1, 6, var="y"))  # 6y^2 - y - 1 = (2y - 1)(3y + 1)
+@example(up(0, -1, 2))  # 2x^2 - x: a zero root
+@example(up(1, 0, 1))  # x^2 + 1: D < 0
+@example(up(-2, 0, 1))  # x^2 - 2: D > 0, but no square
+def test_low_degree_factor_q_matches_sympy(f):
+    assert factor_q(f) == _sympy_route_q(f)
 
 
 def _sympy_route(f):
@@ -683,6 +719,21 @@ class TestFactorQ:
     def test_degree_bound(self):
         with pytest.raises(DegreeBound):
             factor_q(up(*([0] * 30 + [1])))
+
+    def test_low_degrees_need_no_factorizer(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+        monkeypatch.setattr(exact, "dmp_factor_list", refuse)
+        assert factor_q(up(-6, 4)) == (2, ((up(-3, 2), 1),))
+        assert factor_q(up(1, 4, 4)) == (1, ((up(1, 2), 2),))
+        assert factor_q(up(-1, -1, 6, var="y")) == (1, ((up(-1, 2, var="y"), 1), (up(1, 3, var="y"), 1)))
+        assert factor_q(up(0, -3, 6)) == (3, ((up(-1, 2), 1), (up(0, 1), 1)))
+        assert factor_q(up(-2, 0, 1)) == (1, ((up(-2, 0, 1), 1),))
+        # the certificate reads x^2 + x + 2 at y = 1, where D = -7
+        q = X**2 * Y + X + Y**2 + BPoly.const(1)
+        assert factor_b(q) == (1, ((q, 1),))
 
 
 class TestCertifyIrreducible:
