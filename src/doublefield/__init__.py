@@ -33,9 +33,8 @@ from .divisors import (
     Place,
     UnaryPlace,
     degree_K,
-    degree_over_K,
-    degree_over_Kp,
     divisor_of_upoly,
+    place_bidegree,
     principal_divisor,
     valuation,
 )

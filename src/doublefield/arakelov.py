@@ -284,13 +284,13 @@ def bracket(A: Divisor, b: Divisor) -> int:
     Ex. 6.6.1; Fulton, Algebraic Curves, 5.1).
 
     Proof.  A traced to Q(y) keeps its y-unary components as they stand
-    and counts every other prime m at inf_y with its residue degree
-    degree_over_K(m) over Q(x), so its degree is the sum of
-    w*degree_over_K(m) over all components w*[m] of A (a y-unary place
-    has degree_over_K equal to its degree), which is dA.  deg_Kp of a
-    divisor of Q(y) is -2 times its degree.  The trace of a principal
-    divisor has degree 0, since its bidegree is (0, 0) (``div_of_place``),
-    which makes the bracket well defined on divisor classes.
+    and counts every other prime m at inf_y with its residue degree b
+    over Q(x), where (a, b) = place_bidegree(m), so its degree is the sum
+    of w*b over all components w*[m] of A (a y-unary place has b equal to
+    its degree), which is dA.  deg_Kp of a divisor of Q(y) is -2 times
+    its degree.  The trace of a principal divisor has degree 0, since
+    its bidegree is (0, 0) (``div_of_place``), which makes the bracket
+    well defined on divisor classes.
     """
     (nA, dA), (nB, dB) = bidegree(A), bidegree(b)
     return -2 * (nB * dA + nA * dB)

@@ -143,11 +143,12 @@ def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
 
 def infx_fiber_divisor(g: BPoly) -> Divisor:
     """Intersections of the section x = infinity with the curve g = 0,
-    as a divisor over the places of Q(y) including infinity.
+    as a divisor over the places of Q(y) including infinity: the X0
+    reading of the pairing rule (``pairing._pair_primes_kp``).
 
-    In any shifted chart the section becomes t = 0 and the resultant
-    against the transformed curve is its x-leading coefficient, which is
-    shift-independent.
+    The section is the form X0 of bidegree (1, 0), and Res_X(X0, G) is
+    +-G(0, 1; Y), the x-leading coefficient of g as a form of Y-degree
+    deg_y g.
     """
     if g.deg_x() < 1:
         raise ValueError("needs positive x-degree")

@@ -133,19 +133,15 @@ def place_sort_key(p: Place):
     return (fam, 0, p.poly.coeffs)
 
 
-def degree_over_Kp(m: Place) -> int:
-    """Residue degree over Q(y): binary -> deg_x, x-unary -> its degree,
-    y-unary -> 0 by convention."""
+def place_bidegree(m: Place) -> tuple[int, int]:
+    """The bidegree (a, b) of the form on P1 x P1 that cuts out m: a
+    binary place is (deg_x, deg_y), an x-unary p is (deg p, 0) and a
+    y-unary q is (0, deg q), with inf_x = X0 at (1, 0) and inf_y = Y0 at
+    (0, 1).  a is m's residue degree over Q(y) and b over Q(x)."""
     if isinstance(m, BinaryPlace):
-        return m.poly.deg_x()
-    return m.degree() if m.var == "x" else 0
-
-
-def degree_over_K(m: Place) -> int:
-    """Mirror of degree_over_Kp with the roles of x and y swapped."""
-    if isinstance(m, BinaryPlace):
-        return m.poly.deg_y()
-    return m.degree() if m.var == "y" else 0
+        return m.poly.deg_x(), m.poly.deg_y()
+    d = m.degree()
+    return (d, 0) if m.var == "x" else (0, d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,12 +226,13 @@ class Divisor:
 
 
 def bidegree(D: Divisor) -> tuple[int, int]:
-    """(sum of w*degree_over_Kp(m), sum of w*degree_over_K(m)) over the
-    components w*[m] of D: the class of D in Pic(P1 x P1) = Z^2."""
-    return (
-        sum(w * degree_over_Kp(m) for m, w in D.coeffs),
-        sum(w * degree_over_K(m) for m, w in D.coeffs),
-    )
+    """The sum of w*place_bidegree(m) over the components w*[m] of D:
+    the class of D in Pic(P1 x P1) = Z^2."""
+    a = b = 0
+    for m, w in D.coeffs:
+        da, db = place_bidegree(m)
+        a, b = a + w * da, b + w * db
+    return a, b
 
 
 def degree_K(D: Divisor) -> int:
@@ -326,19 +323,19 @@ def _refine(work: list[tuple[BPoly, int]]) -> tuple[Scalar, list[tuple[BPoly, in
 
 def div_of_place(m: Place) -> Divisor:
     """The divisor of the polynomial defining a finite place m:
-    [m] - degree_over_Kp(m)*[inf_x] - degree_over_K(m)*[inf_y].
+    [m] - a*[inf_x] - b*[inf_y], with (a, b) = place_bidegree(m).
 
     Proof.  Let f be the primitive integer irreducible polynomial of m.
     At a finite place n the order of f is the exponent of n's polynomial
     in the factorization of f over Q, which is 1 at m and 0 elsewhere,
     since distinct primitive irreducibles are not associate.  At inf_x
     the order of a polynomial is minus its degree in x (the degree
-    valuation of Q(x) extended to Q(x,y)), and deg_x f is
-    degree_over_Kp(m) in all three families: deg_x for a binary place,
-    deg m for an x-unary place, 0 for a y-unary one.  inf_y is the same
-    with x and y swapped.  So the divisor has bidegree (0, 0), as every
-    principal divisor on P1 x P1 does (Pic = Z^2 by bidegree; Hartshorne,
-    Algebraic Geometry, II Ex. 6.6.1).
+    valuation of Q(x) extended to Q(x,y)), and deg_x f is a in all three
+    families: deg_x for a binary place, deg m for an x-unary place, 0
+    for a y-unary one.  inf_y is the same with x, y and a, b swapped.
+    So the divisor has bidegree (0, 0), as every principal divisor on
+    P1 x P1 does (Pic = Z^2 by bidegree; Hartshorne, Algebraic Geometry,
+    II Ex. 6.6.1).
     """
     return Divisor.make(_place_terms(m))
 
@@ -347,11 +344,8 @@ def _place_terms(m: Place) -> tuple[tuple[Place, int], ...]:
     """The three terms of ``div_of_place(m)``, zero coefficients included."""
     if isinstance(m, UnaryPlace) and m.is_infinity():
         raise ValueError("the place at infinity is not defined by a polynomial")
-    return (
-        (m, 1),
-        (UnaryPlace.infinity("x"), -degree_over_Kp(m)),
-        (UnaryPlace.infinity("y"), -degree_over_K(m)),
-    )
+    a, b = place_bidegree(m)
+    return (m, 1), (UnaryPlace.infinity("x"), -a), (UnaryPlace.infinity("y"), -b)
 
 
 def valuation(place: Place, a: DeltaElement) -> int:

@@ -1,13 +1,11 @@
 """Divisor-valued norm pairings on Q(x,y).
 
 ``pair(A, b, side)`` sends a coprime pair of divisors of Q(x,y) to a
-divisor of Q(x) (side K) or Q(y) (side Kprime).  Binary-against-binary
-and unary-against-binary contributions come from one resultant per
-pair of primes, Res_x on side Kprime (Res_y on side K, by transposing):
-its roots give the finite places, and the Bezout number minus its
-degree gives the place at infinity.  Pairs involving a unary prime of
-the output side reduce to residue degrees; unary-against-unary pairs on
-the same side vanish.
+divisor of Q(x) (side K) or Q(y) (side Kprime).  Every place is a form
+on P1 x P1 with a bidegree (``place_bidegree``), and a pair of places
+goes to the divisor on the y-line of the resultant of their two forms,
+of the Bezout degree a1*b2 + a2*b1 (``_pair_primes_kp``).  Side K is the
+same rule with x and y swapped.
 """
 
 from __future__ import annotations
@@ -19,11 +17,10 @@ from .divisors import (
     BinaryPlace,
     Divisor,
     Place,
-    UnaryPlace,
     degree_one_coeffs,
-    degree_over_Kp,
     div_of_place,
     divisor_of_upoly,
+    place_bidegree,
     transpose_place,
 )
 from .errors import NotCoprime
@@ -36,9 +33,10 @@ SIDE_KPRIME = "Kprime"
 def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
     """Bilinear norm pairing of two divisors with disjoint supports.
 
-    Each pair of primes of the x-line (binary or x-unary, for side
-    Kprime) contributes ``fiber_divisor``: one resultant Res_x in the
-    original coordinates, read at y = infinity off the Bezout number.
+    Each pair of places contributes the divisor of the resultant of
+    their forms, read off their bidegrees (``_pair_primes_kp``): a
+    multiple of a place of the output line, 0, or one resultant Res_x
+    in the original coordinates, read at infinity off the Bezout number.
     """
     if side not in (SIDE_K, SIDE_KPRIME):
         raise ValueError(f"unknown side {side!r}")
@@ -59,31 +57,50 @@ def _pair_primes(m: Place, n: Place, side: str) -> Divisor:
 
 
 def _pair_primes_kp(m: Place, n: Place) -> Divisor:
-    m_kp_unary = isinstance(m, UnaryPlace) and m.var == "y"
-    n_kp_unary = isinstance(n, UnaryPlace) and n.var == "y"
-    if m_kp_unary and n_kp_unary:
+    """The pairing of two distinct places on side Kprime, read off their
+    bidegrees (a1, b1) = place_bidegree(m) and (a2, b2) = place_bidegree(n).
+
+    Proof.  m and n are cut out on P1 x P1 by irreducible forms F and G
+    of these bidegrees (X0 for inf_x, Y0 for inf_y).  The pushforward to
+    the y-line of their intersection is the divisor of the binary form
+    R = Res_X(F, G), taken with the formal X-degrees a1 and a2, which has
+    degree a1*b2 + a2*b1 in Y (Fulton, Algebraic Curves, 1.6 and 5.1).
+    There are three readings:
+    - a1 = 0: F is a form in Y alone, so R = F^a2, whose divisor is
+      a2*[m]; and a2 = 0 likewise gives a1*[n].  Two y-unary places
+      pair to 0.
+    - a1*b2 + a2*b1 = 0 with a1, a2 >= 1: then b1 = b2 = 0, and R is a
+      nonzero effective form of degree 0, so its divisor is 0.  Two
+      x-unary places pair to 0.
+    - otherwise both curves have positive X-degree, and ``fiber_divisor``
+      reads R off Res_x of the two curve polynomials.  Its proof needs
+      each curve to reach its X-degree, which fails only for X0 = inf_x,
+      whose curve is 1: there R is +-lc_X of the other form, which
+      ``infx_fiber_divisor`` reads as a form of that form's Y-degree.
+    """
+    (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
+    if a1 == 0:
+        return Divisor.of(m, a2)
+    if a2 == 0:
+        return Divisor.of(n, a1)
+    if a1 * b2 + a2 * b1 == 0:
         return Divisor.zero()
-    if n_kp_unary:
-        return Divisor.of(n, degree_over_Kp(m)) if degree_over_Kp(m) else Divisor.zero()
-    if m_kp_unary:
-        return Divisor.of(m, degree_over_Kp(n)) if degree_over_Kp(n) else Divisor.zero()
-    # both m and n live over the x-line: binary or x-unary, and two
-    # x-unary places (possibly one at infinity) norm to zero in Q(y)
-    if isinstance(m, UnaryPlace) and isinstance(n, UnaryPlace):
-        return Divisor.zero()
-    if m == UnaryPlace.infinity("x"):
-        return infx_fiber_divisor(n.poly)
-    if n == UnaryPlace.infinity("x"):
-        return infx_fiber_divisor(m.poly)
-    return fiber_divisor(_curve_of(m), _curve_of(n))
+    f, g = _curve_of(m), _curve_of(n)
+    if f.deg_x() < a1 or g.deg_x() < a2:
+        return infx_fiber_divisor(max(f, g, key=BPoly.deg_x))
+    return fiber_divisor(f, g)
+
+
+_ONE = BPoly.const(1)
 
 
 def _curve_of(m: Place) -> BPoly:
-    """Defining polynomial of a binary or finite x-unary place as a
-    curve in the (x, y) plane."""
+    """The polynomial of a place over the x-line as a curve in the
+    (x, y) plane, and 1 for inf_x, whose form X0 is 1 in the chart
+    x = X1/X0."""
     if isinstance(m, BinaryPlace):
         return m.poly
-    return BPoly.from_upoly(m.poly)
+    return _ONE if m.is_infinity() else BPoly.from_upoly(m.poly)
 
 
 @dataclass(frozen=True, slots=True)

@@ -100,19 +100,16 @@ def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
     on side Kprime, linear in A.
 
     Proof.  The residue field of n is Q(y) with x = b/a, and a and b are
-    coprime because n is prime, so deg_y n = max(deg a, deg b).  For each
-    component m of A, pair reads:
-    - a binary m = a1*x - b1 of x-degree 1: ``fiber_divisor`` of
-      Res_x(m, n) = +-(b1*a - b*a1) as a form of the Bezout degree
-      deg_y m + deg_y n, which is ``different_divisor`` of the two
-      embeddings b1/a1 and b/a;
-    - any other binary m: ``fiber_divisor(m, n)``, the fibers of m over
-      the places of Q(y) cut out on the line n;
-    - a finite p(x): Res_x(p, a*x - b) = +-a^(deg p)*p(b/a) as a form of
-      degree deg p * deg_y n, the zeros of p at x = b/a;
-    - inf_x: ``infx_fiber_divisor(n)`` = ``divisor_of_upoly(a, deg_y n)``,
-      the pole divisor of b/a (``RationalIsom.pole_divisor``);
-    - a y-unary m: [m] times deg_x n = 1, since Q(y) is fixed.
+    coprime because n is prime, so n is a form N of bidegree (1, d) with
+    d = deg_y n = max(deg a, deg b).  The pairing rule
+    (``pairing._pair_primes_kp``) sends a component m of A, a form M of
+    bidegree (i, j), to the divisor on the y-line of Res_X(M, N), of
+    degree i*d + j.  N is linear in X with root (X0 : X1) = (a : b), so
+    that resultant is +-M(a, b; Y), the form of m restricted to the line
+    n: the divisor of m in the residue field Q(y).  It reads [m] for a
+    y-unary m (i = 0), the zeros of p at x = b/a for a finite p(x), the
+    pole divisor of b/a for inf_x, and ``different_divisor`` of the two
+    embeddings b1/a1 and b/a for a binary m = a1*x - b1.
     """
     degree_one_coeffs(n)
     _check_coprime_to(A, n)

@@ -12,9 +12,8 @@ from doublefield.divisors import (
     Divisor,
     UnaryPlace,
     degree_K,
-    degree_over_K,
-    degree_over_Kp,
     divisor_of_upoly,
+    place_bidegree,
     principal_divisor,
     transpose_place,
     valuation,
@@ -100,13 +99,20 @@ class TestPlaces:
         assert a == b
 
     def test_degree_conventions(self):
-        assert degree_over_Kp(BinaryPlace.make(X - Y**2)) == 1
-        assert degree_over_Kp(uplace("y", 1, 0, 1)) == 0
-        assert degree_over_Kp(uplace("x", -2, 0, 1)) == 2
-        assert degree_over_Kp(inf("x")) == 1
-        assert degree_over_Kp(inf("y")) == 0
-        assert degree_over_K(BinaryPlace.make(X - Y**2)) == 2
-        assert degree_over_K(uplace("x", -2, 0, 1)) == 0
+        # one row per family: the bidegree of the form that cuts the place out
+        table = [
+            (BinaryPlace.make(X - Y**2), (1, 2)),
+            (BinaryPlace.make(X**3 * Y - BPoly.const(2)), (3, 1)),
+            (uplace("x", -2, 0, 1), (2, 0)),
+            (uplace("x", 5, 1), (1, 0)),
+            (inf("x"), (1, 0)),
+            (uplace("y", 1, 0, 1), (0, 2)),
+            (uplace("y", -3, 0, 0, 1), (0, 3)),
+            (inf("y"), (0, 1)),
+        ]
+        for place, expected in table:
+            assert place_bidegree(place) == expected, place
+            assert place_bidegree(transpose_place(place)) == expected[::-1], place
 
 
 def _same_place(a, b):

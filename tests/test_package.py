@@ -38,9 +38,8 @@ ROOT_EXPORTS = {
     "Place",
     "UnaryPlace",
     "degree_K",
-    "degree_over_K",
-    "degree_over_Kp",
     "divisor_of_upoly",
+    "place_bidegree",
     "principal_divisor",
     "valuation",
     # errors

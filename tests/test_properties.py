@@ -4,14 +4,16 @@ closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
 per-prime routes they replaced, of the one-``make`` pairing,
 correspondence and divisor sum against the left folds they replaced,
-and of the place order against the per-coefficient key it replaced."""
+of the place order against the per-coefficient key it replaced, and of
+the pairing rule read off place bidegrees against the case analysis over
+place families it replaced."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from doublefield.arakelov import _prime_pool, bracket, deg_Kp, principal_move, second_move
-from doublefield.charts import fiber_divisor, find_shift, reverse_y, transpose_divisor
+from doublefield.charts import fiber_divisor, find_shift, infx_fiber_divisor, reverse_y, transpose_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -19,10 +21,12 @@ from doublefield.divisors import (
     UnaryPlace,
     bidegree,
     degree_K,
-    degree_over_K,
     div_of_place,
     divisor_of_upoly,
+    place_bidegree,
+    place_of_curve,
     place_sort_key,
+    transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly, factor_q
@@ -276,7 +280,7 @@ def _old_trace_to_Qy(A: Divisor) -> Divisor:
     """A traced to Q(y): its y-unary components as they stand, every
     other prime at inf_y with its residue degree over Q(x)."""
     out = Divisor.make({m: w for m, w in A.coeffs if isinstance(m, UnaryPlace) and m.var == "y"})
-    extra = sum(w * degree_over_K(m) for m, w in A.coeffs if not (isinstance(m, UnaryPlace) and m.var == "y"))
+    extra = sum(w * place_bidegree(m)[1] for m, w in A.coeffs if not (isinstance(m, UnaryPlace) and m.var == "y"))
     return out + Divisor.of(UnaryPlace.infinity("y"), extra)
 
 
@@ -405,3 +409,91 @@ def test_place_sort_key_matches_pair_key(ms):
         for n in ms:
             assert (new(m) < new(n)) == (old(m) < old(n))
             assert (new(m) == new(n)) == (old(m) == old(n)) == (m == n)
+
+
+# ---------------------------------------------------------------------------
+# the pairing rule read off place bidegrees against the family ladder it replaced
+
+
+def _ladder_degree_over_Kp(m) -> int:
+    if isinstance(m, BinaryPlace):
+        return m.poly.deg_x()
+    return m.degree() if m.var == "x" else 0
+
+
+def _ladder_pair_primes_kp(m, n) -> Divisor:
+    """The seven-way case analysis over place families."""
+    m_kp_unary = isinstance(m, UnaryPlace) and m.var == "y"
+    n_kp_unary = isinstance(n, UnaryPlace) and n.var == "y"
+    if m_kp_unary and n_kp_unary:
+        return Divisor.zero()
+    if n_kp_unary:
+        return Divisor.of(n, _ladder_degree_over_Kp(m)) if _ladder_degree_over_Kp(m) else Divisor.zero()
+    if m_kp_unary:
+        return Divisor.of(m, _ladder_degree_over_Kp(n)) if _ladder_degree_over_Kp(n) else Divisor.zero()
+    if isinstance(m, UnaryPlace) and isinstance(n, UnaryPlace):
+        return Divisor.zero()
+    if m == UnaryPlace.infinity("x"):
+        return infx_fiber_divisor(n.poly)
+    if n == UnaryPlace.infinity("x"):
+        return infx_fiber_divisor(m.poly)
+    return fiber_divisor(_curve(m), _curve(n))
+
+
+def _ladder_pair_primes(m, n, side: str) -> Divisor:
+    if side == SIDE_K:
+        return transpose_divisor(_ladder_pair_primes_kp(transpose_place(m), transpose_place(n)))
+    return _ladder_pair_primes_kp(m, n)
+
+
+def _prime_near(f: BPoly):
+    """The place of f + c for the first c of 0, 1, -1, 2 at which
+    ``place_of_curve`` finds a prime."""
+    for c in (0, 1, -1, 2):
+        try:
+            return place_of_curve(f + BPoly.const(c))
+        except InputError:
+            pass
+    assume(False)
+
+
+@st.composite
+def bidegree_3_primes(draw):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.sampled_from((-3, -2, -1, 1, 2, 3)),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    f = BPoly.make(terms)
+    assume(f.deg_x() >= 1 and f.deg_y() >= 1)
+    return _prime_near(f)
+
+
+@st.composite
+def unary_primes(draw):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)) + [draw(st.integers(1, 3))]
+    return _prime_near(BPoly.from_upoly(UPoly.make(draw(st.sampled_from("xy")), coeffs)))
+
+
+X, Y, ONE = BPoly.gen("x"), BPoly.gen("y"), BPoly.const(1)
+all_places = st.one_of(bidegree_3_primes(), unary_primes(), st.sampled_from("xy").map(UnaryPlace.infinity))
+
+
+@settings(max_examples=120, deadline=None)
+@given(all_places, all_places)
+# one example per reading: X0 = inf_x, a Bezout number of 0, and a form
+# of X-degree 0, finite and at infinity
+@example(UnaryPlace.infinity("x"), place_of_curve(X * Y - ONE))
+@example(place_of_curve(X - ONE), place_of_curve(X + BPoly.const(2)))
+@example(place_of_curve(Y - ONE), place_of_curve(X * X - Y))
+@example(UnaryPlace.infinity("y"), place_of_curve(X * X * Y - ONE))
+def test_pairing_rule_matches_family_ladder(m, n):
+    assume(m != n)
+    (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
+    for a, b in ((m, n), (n, m)):
+        for side in (SIDE_K, SIDE_KPRIME):
+            assert _pair_primes(a, b, side) == _ladder_pair_primes(a, b, side)
+        assert degree_K(_pair_primes(a, b, SIDE_KPRIME)) == a1 * b2 + a2 * b1
