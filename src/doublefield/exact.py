@@ -72,7 +72,7 @@ import mpmath
 from mpmath.libmp import NoConvergence
 from sympy.ntheory import factorint
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_content, dmp_gcd, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
+from sympy.polys.euclidtools import dmp_content, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -539,16 +539,6 @@ def cancel_u(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
     p, q = dup_cancel(_to_dup(N), _to_dup(D), ZZ)
     q = _from_dup(q, den.var)
     return _from_dup(p, num.var).scale(qdiv(u, v * q.lc())), q.monic()
-
-
-def gcd_b(f: BPoly, g: BPoly) -> BPoly:
-    """Gcd of bivariate polynomials over Q in primitive integer form;
-    gcd_b(f, 0) is the primitive form of f, and gcd_b(0, 0) is 0."""
-    if f.is_zero() or g.is_zero():
-        h = g if f.is_zero() else f
-        return h if h.is_zero() else primitive_int_bpoly(h)[1]
-    d = dmp_gcd(_to_dmp(primitive_int_bpoly(f)[1]), _to_dmp(primitive_int_bpoly(g)[1]), 1, ZZ)
-    return primitive_int_bpoly(_from_dmp(d))[1]
 
 
 @memo

@@ -32,7 +32,7 @@ from .arakelov import (
     residue_scalar_product,
     second_move,
 )
-from .charts import fiber_divisor, fiber_resultant, find_shift, reverse_y, shift_is_valid
+from .charts import fiber_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -408,7 +408,7 @@ def run_selfpair() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 8. chart robustness and the numeric intersection oracle
+# 8. Moebius equivariance of the fiber rule and the numeric intersection oracle
 
 
 def _numeric_common_root(f: BPoly, g: BPoly, y0) -> bool:
@@ -429,40 +429,69 @@ def _numeric_common_root(f: BPoly, g: BPoly, y0) -> bool:
         return min(abs(a - b) for a in rf for b in rg) < mpmath.mpf(10) ** (-6)
 
 
-def _two_chart_fiber_divisor(f: BPoly, g: BPoly, c: int) -> Divisor:
-    """fiber_divisor by two charts: the finite places from the resultant
-    in the chart x = c + 1/t, for a shift c that misses every common
-    point, and y = infinity from the order at u = 0 of the resultant in
-    the 1/y chart, with its own shift.  The route ``fiber_divisor``
-    replaces by one resultant and the Bezout number, kept as its
-    oracle."""
-    if not shift_is_valid(f, g, c):
-        raise ValueError(f"shift {c} is not valid for ({f}, {g})")
-    r = fiber_resultant(f, g, c)
-    if r.is_zero():
-        raise NotCoprime(f"vanishing fiber resultant for ({f}, {g})")
-    fu, gu = reverse_y(f), reverse_y(g)
-    ru = fiber_resultant(fu, gu, find_shift(fu, gu))
-    if ru.is_zero():
-        raise NotCoprime(f"vanishing fiber resultant in the 1/y chart for ({f}, {g})")
-    w_inf = next(k for k, v in enumerate(ru.coeffs) if v != 0)
-    return divisor_of_upoly(r, r.degree() + w_inf)
+# y -> 1/y, y -> y + 1 and y -> (2y + 1)/(y + 1), as (a, b, c, d) for (ay + b)/(cy + d)
+_MOEBIUS = ((0, 1, 1, 0), (1, 1, 0, 1), (2, 1, 1, 1))
+
+
+def _pull_curve(f: BPoly, s) -> BPoly:
+    """(cy + d)^(deg_y f) * f(x, (ay + b)/(cy + d)) for s = (a, b, c, d):
+    the form of f with Y0 and Y1 sent to dY0 + cY1 and bY0 + aY1."""
+    a, b, c, d = s
+    num, den, n = a * Y + _c(b), c * Y + _c(d), f.deg_y()
+    return sum((X**i * num**j * den ** (n - j) * v for (i, j), v in f.terms), BPoly.zero())
+
+
+def _pull_divisor(D: Divisor, s) -> Divisor:
+    """sigma^* D over the places of Q(y): a finite place q of degree k
+    goes to the zeros of the form (cy + d)^k * q(sigma(y)) of degree k,
+    and inf_y (the form Y0) to those of cy + d, so a place that sigma
+    sends to infinity needs no case of its own."""
+    _, _, c, d = s
+    out = []
+    for m, w in D.coeffs:
+        if m.is_infinity():
+            pulled = divisor_of_upoly(_ypoly(d, c), 1)
+        else:
+            form = _pull_curve(BPoly.from_upoly(m.poly), s).coeff_of_x(0)
+            pulled = divisor_of_upoly(form, m.poly.degree())
+        out += pulled.scale(w).coeffs
+    return Divisor.make(out)
 
 
 def run_charts() -> dict:
-    failures: list[str] = []
-    pool = binary_pool()
-    pairs = [
-        (pool[i].poly, pool[j].poly) for i in range(len(pool)) for j in range(i + 1, len(pool))
+    """Criterion 8: the fiber rule commutes with Moebius maps of y, and
+    its roots are numeric intersections.
+
+    Proof of the equivariance.  Let sigma(y) = (ay + b)/(cy + d) with
+    ad != bc.  Then phi = (id, sigma) is an automorphism of P1 x P1 that
+    sends the fiber over y0 onto the fiber over sigma(y0).  It pulls a
+    form F(X; Y0, Y1) back to F(X; dY0 + cY1, bY0 + aY1), of the same
+    bidegree, whose chart y = Y1/Y0 is ``_pull_curve``.  An isomorphism
+    keeps intersection multiplicities (Fulton, Algebraic Curves, 3.3 and
+    5.1), so the intersections of phi^*f and phi^*g above y0 are those of
+    f and g above sigma(y0), and
+    fiber_divisor(phi^*f, phi^*g) = sigma^* fiber_divisor(f, g),
+    with sigma^* as in ``_pull_divisor``.  Under y -> 1/y the place
+    y = infinity becomes the root y = 0 of an actual resultant instead of
+    the Bezout number minus a degree, and under all three maps the two
+    sides factor different polynomials.  Where they factor one
+    polynomial up to a unit, ``factor_q``'s memo would serve the second
+    side from the first, so each side runs from empty memos.
+    """
+    curves = [m.poly for m in binary_pool()]
+    index = [(i, j) for i in range(len(curves)) for j in range(i + 1, len(curves))]
+    pairs = [(curves[i], curves[j]) for i, j in index]
+    cases = [(i, j, s) for i, j in index for s in _MOEBIUS]
+    clear_caches()
+    direct = [fiber_divisor(f, g) for f, g in pairs]
+    expected = [_pull_divisor(d, s) for d in direct for s in _MOEBIUS]
+    clear_caches()
+    pulled = {s: [_pull_curve(f, s) for f in curves] for s in _MOEBIUS}
+    failures = [
+        f"fiber divisor of ({curves[i]}, {curves[j]}) is not equivariant under (a, b, c, d) = {s}"
+        for (i, j, s), rhs in zip(cases, expected)
+        if fiber_divisor(pulled[s][i], pulled[s][j]) != rhs
     ]
-    shift_checked = 0
-    for f, g in pairs:
-        c1 = find_shift(f, g)
-        c2 = find_shift(f, g, exclude=(c1,))
-        shift_checked += 1
-        d = fiber_divisor(f, g)
-        if not _two_chart_fiber_divisor(f, g, c1) == _two_chart_fiber_divisor(f, g, c2) == d:
-            failures.append(f"fiber divisor depends on the route or the shift for ({f}, {g})")
     # a shared component in y alone leaves Res_x nonzero; one of positive
     # x-degree makes it vanish
     common_checked = 0
@@ -475,7 +504,7 @@ def run_charts() -> dict:
                 continue
             failures.append(f"common component of ({h}, {k}) not refused")
     oracle_checked = 0
-    for f, g in pairs:
+    for (f, g), d in zip(pairs, direct):
         if oracle_checked >= 24:
             break
         r = resultant_x(f, g)
@@ -486,9 +515,7 @@ def run_charts() -> dict:
         bad = [z for z in roots if not _numeric_common_root(f, g, z)]
         if bad:
             failures.append(f"resultant root of ({f}, {g}) is not a numeric intersection")
-        # on the two-chart route the total over all charts is no
-        # identity, so it must reach the bidegree bound there
-        d = _two_chart_fiber_divisor(f, g, find_shift(f, g))
+        # the y = infinity term tops the total up to the Bezout number
         bezout = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x()
         finite_deg = degree_K(d) - d.coeff(INF_Y)
         if finite_deg != len(roots):
@@ -496,7 +523,12 @@ def run_charts() -> dict:
         if degree_K(d) != bezout:
             failures.append(f"Bezout total {degree_K(d)} != {bezout} for ({f}, {g})")
     return _result(
-        "charts", shift_checked, failures, common_instances=common_checked, oracle_instances=oracle_checked
+        "charts",
+        len(pairs),
+        failures,
+        equivariance_instances=len(cases),
+        common_instances=common_checked,
+        oracle_instances=oracle_checked,
     )
 
 

@@ -34,7 +34,6 @@ from doublefield.exact import (
     complex_roots,
     factor_b,
     factor_q,
-    gcd_b,
     gcd_u,
     primitive_int_bpoly,
     primitive_int_upoly,
@@ -388,12 +387,6 @@ class TestGcd:
     def test_coprime(self):
         assert gcd_u(up(1, 0, 1), up(-2, 1)) == up(1)
 
-    def test_gcd_b_with_zero_is_primitive(self):
-        f = 4 * X - 4 * Y
-        assert gcd_b(f, X**2 - Y**2) == X - Y
-        assert gcd_b(BPoly.zero(), f) == gcd_b(f, BPoly.zero()) == X - Y
-        assert gcd_b(BPoly.zero(), BPoly.zero()) == BPoly.zero()
-
     @settings(max_examples=60, deadline=None)
     @given(mixed_upolys(max_deg=4), mixed_upolys(max_deg=4), mixed_upolys(max_deg=2))
     def test_divides_both(self, a, b, h):
@@ -498,19 +491,6 @@ class TestBridgedAlgebra:
             assert primitive_int_bpoly(p) == (1, p)
             prod = prod * p**m
         assert prod == f
-
-    @settings(max_examples=30, deadline=None)
-    @given(mixed_bpolys(2, 4), mixed_bpolys(2, 4), mixed_bpolys(2, 4))
-    def test_gcd_b_divides_both(self, a, b, h):
-        f, g = a * h, b * h
-        if f.is_zero() or g.is_zero():
-            return
-        d = gcd_b(f, g)
-        for p in (f, g):
-            assert sympy.rem(sym_b(p), sym_b(d), SX, SY, domain=QQ) == 0
-        # the common factor h divides the gcd too
-        if h.deg_x() > 0 or h.deg_y() > 0:
-            assert sympy.rem(sym_b(d), sym_b(h), SX, SY, domain=QQ) == 0
 
 
 def _sympy_route_q(f):

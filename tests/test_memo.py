@@ -161,3 +161,40 @@ def test_symmetry_passes_share_no_factorization(monkeypatch):
     # the primes' certification, the pass of pair(A, B), that of pair(B, A)
     assert len(misses) == 3 and misses[1] > 0
     assert misses[2] == misses[1]
+
+
+def test_charts_passes_share_no_factorization(monkeypatch):
+    """run_charts computes every sigma^* fiber_divisor(f, g) and then
+    every fiber_divisor(phi^*f, phi^*g), each pass from empty memos.  The
+    two passes often factor one polynomial up to a unit (136 of the
+    second pass's 347 inputs are asked in the first), so a memo kept
+    across them would serve the second pass from the first: each input
+    of the second pass must miss the factor memo the first time it is
+    asked, and without the clear between them there is no second pass."""
+    cached = exact._factor_primitive_q
+    passes = [[]]  # per stretch between clears, each input and whether the memo served it
+
+    def recording(q):
+        hits = cached.cache_info().hits
+        out = cached(q)
+        passes[-1].append((q, cached.cache_info().hits > hits))
+        return out
+
+    def clear_and_open_pass():
+        clear_caches()
+        passes.append([])
+
+    monkeypatch.setattr(exact, "_factor_primitive_q", recording)
+    monkeypatch.setattr(suites, "clear_caches", clear_and_open_pass)
+    assert suites.run_charts()["ok"]
+    # the primes' certification, then the two passes
+    assert len(passes) == 3
+    _, first, second = passes
+    assert {q for q, _ in first} & {q for q, _ in second}
+    seen = set()
+    served = []
+    for q, hit in second:
+        if q not in seen and hit:
+            served.append(q)
+        seen.add(q)
+    assert served == []

@@ -1,19 +1,8 @@
 """Unit tests for charts, the norm pairing, images of dx and self-pairing."""
 
-from math import prod
-
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-import doublefield.charts as charts
-from doublefield.charts import (
-    fiber_divisor,
-    find_shift,
-    infx_fiber_divisor,
-    shift_chart_x,
-    shift_is_valid,
-)
+from doublefield.charts import fiber_divisor, infx_fiber_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -31,7 +20,6 @@ from doublefield.pairing import (
     self_pair_degree_one,
 )
 from doublefield.residues import RationalIsom, residue_iso
-from doublefield.suites import _two_chart_fiber_divisor
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -52,26 +40,9 @@ def b(f):
 
 
 class TestCharts:
-    def test_shift_validity(self):
-        f, g = X - Y**2, X - Y
-        assert not shift_is_valid(f, g, 0)  # common gcd y at x = 0
-        assert not shift_is_valid(f, g, 1)  # intersection at (1, 1)
-        assert shift_is_valid(f, g, 2)
-        assert shift_is_valid(f, g, -1)
-        assert find_shift(f, g) == -1
-
     def test_worked_fiber(self):
         d = fiber_divisor(X - Y**2, X - Y)
         assert d == Divisor.make({yplace(0, 1): 1, yplace(-1, 1): 1, INF_Y: 1})
-
-    def test_shift_invariance(self):
-        # the two-chart oracle gives one divisor for every valid shift,
-        # and it is the one-resultant route's
-        f, g = X**2 - Y, X - Y**2
-        shifts = [c for c in range(-5, 6) if shift_is_valid(f, g, c)]
-        assert len(shifts) >= 2
-        results = {_two_chart_fiber_divisor(f, g, c) for c in shifts}
-        assert results == {fiber_divisor(f, g)}
 
     def test_common_component(self):
         with pytest.raises(NotCoprime):
@@ -86,82 +57,6 @@ class TestCharts:
         for f, g in ((f, g), ((X + one) * Y, (X + one) * (Y + two))):
             with pytest.raises(NotCoprime):
                 fiber_divisor(f, g)
-
-    def test_invalid_given_shift_refused(self):
-        with pytest.raises(ValueError, match="not valid"):
-            _two_chart_fiber_divisor(X - Y**2, X - Y, 0)
-
-    def test_shift_beyond_129_candidates(self):
-        # every c in -64..64 is the x of a common point; the degree limit
-        # 1*129 + 1*0 + 1 + 0 = 130 leaves room for the 130th candidate
-        g = prod((Y - BPoly.const(c) for c in range(-64, 65)), start=BPoly.const(1))
-        assert find_shift(X - Y, g) == 65
-
-    def test_common_component_stops_after_limit(self, monkeypatch):
-        f, g = X - Y, (X - Y) * (X + BPoly.const(1))
-        limit = 1 * 1 + 1 * 2 + 1 + 2
-        tried = []
-
-        def counting(f, g, c):
-            tried.append(c)
-            return shift_is_valid(f, g, c)
-
-        monkeypatch.setattr(charts, "shift_is_valid", counting)
-        with pytest.raises(NotCoprime):
-            find_shift(f, g)
-        assert 0 < len(tried) <= limit + 1
-
-    def test_exclude_is_not_counted(self):
-        # limit 1*1 + 2*1 + 1 + 1 = 5: only 0 and 1 fail, and the five
-        # excluded shifts before 4 count against no limit
-        f, g = X - Y**2, X - Y
-        assert find_shift(f, g, exclude=(-1, 2, -2, 3, -3)) == 4
-
-    def test_shift_chart_worked(self):
-        # t * ((2 + 1/t) - y) = (2 - y)*t + 1
-        assert shift_chart_x(X - Y, 2) == 2 * X - X * Y + BPoly.const(1)
-        assert shift_chart_x(X**2 * Y, 0) == Y
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 4), st.integers(0, 3)),
-            st.fractions(min_value=-9, max_value=9, max_denominator=5),
-            min_size=1,
-            max_size=6,
-        ),
-        st.integers(-6, 6),
-        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda t: t != 0),
-        st.fractions(min_value=-5, max_value=5, max_denominator=7),
-    )
-    def test_shift_chart_is_the_substitution(self, terms, c, t, y):
-        f = BPoly.make(terms)
-        if f.is_zero():
-            return
-        m = f.deg_x()
-        assert shift_chart_x(f, c).eval_x(t).eval(y) == t**m * f.eval_x(c + 1 / t).eval(y)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                st.integers(-5, 5).filter(bool),
-                min_size=1,
-                max_size=5,
-            ),
-            min_size=2,
-            max_size=2,
-        ),
-        st.integers(-4, 4),
-    )
-    def test_shift_chart_keeps_the_resultant_up_to_sign(self, terms, c):
-        # x = c + 1/t is a Moebius change of x of determinant -1
-        f, g = (BPoly.make(d) for d in terms)
-        assume(f.deg_x() >= 1 and g.deg_x() >= 1)
-        assume(not f.eval_x(c).is_zero() and not g.eval_x(c).is_zero())
-        r = resultant_x(f, g)
-        assert resultant_x(shift_chart_x(f, c), shift_chart_x(g, c)) in (r, -r)
 
     def test_infx(self):
         assert infx_fiber_divisor(X - Y) == Divisor.of(INF_Y)

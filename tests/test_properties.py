@@ -1,5 +1,6 @@
 """Properties of the pairing and the residue routes on generated binary
 primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
+fiber rule under Moebius maps of y, of the
 closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
 per-prime routes they replaced, of the one-``make`` pairing,
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from doublefield.arakelov import _prime_pool, bracket, deg_Kp, principal_move, second_move
-from doublefield.charts import fiber_divisor, find_shift, infx_fiber_divisor, reverse_y, transpose_divisor
+from doublefield.charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -29,7 +30,7 @@ from doublefield.divisors import (
     transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
-from doublefield.exact import BPoly, UPoly, factor_q
+from doublefield.exact import BPoly, UPoly, clear_caches, factor_q
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
@@ -41,9 +42,17 @@ from doublefield.residues import (
     residue_mod_degree_one,
     residue_mod_Kp_degree_one,
 )
-from doublefield.suites import _two_chart_fiber_divisor, binary_pool, degree_one_prime, extended_isom_pool
+from doublefield.suites import (
+    _pull_curve,
+    _pull_divisor,
+    binary_pool,
+    degree_one_prime,
+    extended_isom_pool,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
+X, Y, ONE = BPoly.gen("x"), BPoly.gen("y"), BPoly.const(1)
+INF_Y = UnaryPlace.infinity("y")
 
 
 @st.composite
@@ -88,26 +97,44 @@ def test_correspondence_matches_chart_route(m, a, b):
     assert correspondence(A, p) == residue_mod_Kp_degree_one(A, p)
 
 
-def _rejected_before(c):
-    """Candidates the search order 0, 1, -1, 2, -2, ... tries before c."""
-    return 2 * c - 1 if c > 0 else -2 * c
+# sigma(y) = (ay + b)/(cy + d) as (a, b, c, d), with ad != bc
+moebius_maps = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda s: s[0] * s[3] != s[1] * s[2])
 
 
 @PROPERTY_SETTINGS
-@given(binary_primes(), binary_primes())
-def test_shift_search_rejects_at_most_the_limit(m, n):
+@given(binary_primes(), binary_primes(), moebius_maps)
+@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (0, 1, 1, 0))
+@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (2, 1, 1, 1))
+def test_fiber_divisor_is_moebius_equivariant(m, n, s):
+    """fiber_divisor(phi^*f, phi^*g) = sigma^* fiber_divisor(f, g) for
+    phi = (id, sigma), each side from empty memos (proof in
+    ``suites.run_charts``)."""
     assume(m != n)
-    for f, g in ((m.poly, n.poly), (reverse_y(m.poly), reverse_y(n.poly))):
-        limit = f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() + f.deg_x() + g.deg_x()
-        assert _rejected_before(find_shift(f, g)) <= limit
+    f, g = m.poly, n.poly
+    clear_caches()
+    expected = _pull_divisor(fiber_divisor(f, g), s)
+    clear_caches()
+    assert fiber_divisor(_pull_curve(f, s), _pull_curve(g, s)) == expected
 
 
-@PROPERTY_SETTINGS
-@given(binary_primes(), binary_primes())
-def test_fiber_divisor_matches_two_chart_route(m, n):
-    assume(m != n)
-    for f, g in ((m.poly, n.poly), (reverse_y(m.poly), reverse_y(n.poly))):
-        assert fiber_divisor(f, g) == _two_chart_fiber_divisor(f, g, find_shift(f, g))
+def _yplace(*coeffs):
+    return UnaryPlace.finite(UPoly.make("y", coeffs))
+
+
+def test_pull_back_under_inversion_swaps_zero_and_infinity():
+    s = (0, 1, 1, 0)  # y -> 1/y
+    assert _pull_curve(X - Y**2, s) == X * Y**2 - ONE
+    assert _pull_divisor(Divisor.of(INF_Y), s) == Divisor.of(_yplace(0, 1))
+    assert _pull_divisor(Divisor.of(_yplace(0, 1)), s) == Divisor.of(INF_Y)
+    D = Divisor.make({_yplace(-2, 0, 1): 3, INF_Y: -1})
+    assert _pull_divisor(D, s) == Divisor.make({_yplace(-1, 0, 2): 3, _yplace(0, 1): -1})
+
+
+def test_pull_back_moves_infinity_for_a_map_with_bc_nonzero():
+    # sigma(y) = (2y + 1)/(y + 1) sends infinity to 2 and -1 to infinity
+    s = (2, 1, 1, 1)
+    assert _pull_divisor(Divisor.of(_yplace(-2, 1)), s) == Divisor.of(INF_Y)
+    assert _pull_divisor(Divisor.of(INF_Y), s) == Divisor.of(_yplace(1, 1))
 
 
 weights = st.sampled_from((-2, -1, 1, 2))
@@ -478,7 +505,6 @@ def unary_primes(draw):
     return _prime_near(BPoly.from_upoly(UPoly.make(draw(st.sampled_from("xy")), coeffs)))
 
 
-X, Y, ONE = BPoly.gen("x"), BPoly.gen("y"), BPoly.const(1)
 all_places = st.one_of(bidegree_3_primes(), unary_primes(), st.sampled_from("xy").map(UnaryPlace.infinity))
 
 
