@@ -71,6 +71,7 @@ from typing import Iterable, Optional, Sequence, Union
 import mpmath
 from mpmath.libmp import NoConvergence
 from sympy.ntheory import factorint
+from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_neg, dup_sub
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_content, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
@@ -601,7 +602,43 @@ def resultant_u(f: UPoly, g: UPoly) -> Scalar:
 
 
 def resultant_x(f: BPoly, g: BPoly) -> UPoly:
-    """Sylvester resultant eliminating x; a polynomial in y."""
+    """Sylvester resultant eliminating x; a polynomial in y.
+
+    Convention: sympy's ``dmp_resultant(G, F)``, so that
+    Res_x(x - y^2, x - y) = y - y^2.  Let a1, a2 be the x-degrees of f
+    and g, and Res(A, B) = lc(A)^deg B * prod B(beta) over the roots
+    beta of A, the Sylvester determinant; Res(B, A) = (-1)^(a1*a2)
+    Res(A, B).  sympy's PRS puts the form of larger degree first and
+    fixes no sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G)
+    when a1 > a2.  With F, G the primitive forms of f and g (rows f_i,
+    g_i of ``_to_dmp``, polynomials in y), one of three routes computes
+    it exactly, in integer ``dup`` arithmetic:
+
+    - a1 = 1 or a2 = 1: substitution (``_substitute``).  For
+      F = f1*x + f0, Res(F, G) = f1^a2 * G(-f0/f1)
+      = sum g_i*(-f0)^i*f1^(a2-i), and a2 >= a1, so the value is
+      Res(G, F) = (-1)^a2 Res(F, G).  For G = g1*x + g0 and a1 > 1,
+      Res(G, F) = g1^a1 * F(-g0/g1) = sum f_i*(-g0)^i*g1^(a1-i), and the
+      value is Res(F, G) = (-1)^a1 Res(G, F).
+    - a1, a2 in {2, 3}: the Bezoutian (``_bezout_det``) of both forms
+      read with the formal degree n = max(a1, a2).  Its determinant is
+      (-1)^(n(n-1)/2) Res_n,n(F, G) (Cox, Little, O'Shea, Using
+      Algebraic Geometry, ch. 3), a polynomial identity in the
+      coefficients, so it holds when the smaller form is padded with a
+      zero leading coefficient, and Res_n,n(G, F) = (-1)^n Res_n,n(F, G).
+      Padding a form of degree n - 1 to formal degree n multiplies the
+      resultant by the other form's leading coefficient:
+      Res_n,n(G, F) = g_n * Res(G, F) when a1 = n - 1, and
+      Res_n,n(G, F) = (-1)^n f_n * Res(G, F) when a2 = n - 1 (swap the
+      arguments, pad, and swap back).  So Res(G, F) is
+      (-1)^(n(n+1)/2) det, times (-1)^n when a2 < a1, divided exactly by
+      lc_x of the larger form when a1 != a2: - at (2, 2) and (3, 2),
+      + at (3, 3) and (2, 3).  a1*a2 is even when a1 != a2, so this is
+      sympy's value in every order.
+    - otherwise sympy's subresultant PRS.  The Bezout route is not
+      extended past n = 3: a Bareiss determinant of the Bezoutian lost
+      to the PRS on unbalanced and larger shapes.
+    """
     if f.deg_x() < 0 or g.deg_x() < 0:
         raise ValueError("zero polynomial")
     if f.deg_x() == 0 and g.deg_x() == 0:
@@ -612,12 +649,63 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
         return g.as_upoly().with_var("y") ** f.deg_x()
     u, F = primitive_int_bpoly(f)
     v, G = primitive_int_bpoly(g)
-    # Convention: product of f over the x-roots of g (times lc powers), i.e.
-    # Res(g, f) in sympy's ordering, so that Res_x(x - y^2, x - y) = y - y^2.
-    r = _from_dup(dmp_resultant(_to_dmp(G), _to_dmp(F), 1, ZZ), "y")
+    a1, a2 = f.deg_x(), g.deg_x()
+    fr, gr = _to_dmp(F), _to_dmp(G)
+    if a1 == 1:
+        r, negate = _substitute(gr, fr[1], fr[0]), a2 % 2
+    elif a2 == 1:
+        r, negate = _substitute(fr, gr[1], gr[0]), a1 % 2
+    elif a1 <= 3 and a2 <= 3:
+        n = max(a1, a2)
+        r = _bezout_det(fr, gr, n)
+        if a1 != a2:
+            r = dup_exquo(r, (gr if a2 > a1 else fr)[0], ZZ)
+        negate = (n * (n + 1) // 2 + (n if a2 < a1 else 0)) % 2
+    else:
+        r, negate = dmp_resultant(gr, fr, 1, ZZ), False
+    r = _from_dup(dup_neg(r, ZZ) if negate else r, "y")
     # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
-    unit = u ** g.deg_x() * v ** f.deg_x()
+    unit = u**a2 * v**a1
     return r if unit == 1 else r.scale(unit)
+
+
+def _substitute(rows: list, t0: list, t1: list) -> list:
+    """sum r_i*(-t0)^i*t1^(n-i) for the rows [r_n, ..., r_0] of a form of
+    x-degree n, by homogeneous Horner: the form evaluated at
+    (x0 : x1) = (t1 : -t0)."""
+    s = dup_neg(t0, ZZ)
+    acc, power = rows[0], [ZZ(1)]
+    for r in rows[1:]:
+        power = dup_mul(power, t1, ZZ)
+        acc = dup_add(dup_mul(acc, s, ZZ), dup_mul(r, power, ZZ), ZZ)
+    return acc
+
+
+def _bezout_det(fr: list, gr: list, n: int) -> list:
+    """Determinant of the n x n Bezoutian, n = 2 or 3, of two forms given
+    by their ``_to_dmp`` rows and read with formal x-degree n: the
+    coefficients B[i][j] of x^i z^j in (F(x)G(z) - F(z)G(x)) / (x - z).
+    Each pair b < a adds c = f_a g_b - f_b g_a times
+    (x^a z^b - x^b z^a) / (x - z) = sum over t < a - b of x^(a-1-t) z^(b+t)."""
+    f = fr[::-1] + [[]] * (n + 1 - len(fr))
+    g = gr[::-1] + [[]] * (n + 1 - len(gr))
+    B = [[[] for _ in range(n)] for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(a):
+            c = dup_sub(dup_mul(f[a], g[b], ZZ), dup_mul(f[b], g[a], ZZ), ZZ)
+            for t in range(a - b):
+                B[a - 1 - t][b + t] = dup_add(B[a - 1 - t][b + t], c, ZZ)
+
+    def minor(i, j, k, l):
+        return dup_sub(dup_mul(B[i][k], B[j][l], ZZ), dup_mul(B[i][l], B[j][k], ZZ), ZZ)
+
+    if n == 2:
+        return minor(0, 1, 0, 1)
+    return dup_add(
+        dup_sub(dup_mul(B[0][0], minor(1, 2, 1, 2), ZZ), dup_mul(B[0][1], minor(1, 2, 0, 2), ZZ), ZZ),
+        dup_mul(B[0][2], minor(1, 2, 0, 1), ZZ),
+        ZZ,
+    )
 
 
 def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:

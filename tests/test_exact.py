@@ -5,6 +5,7 @@ import functools
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -100,6 +101,17 @@ def sym_b(p):
     return sum(
         (sympy.Rational(v.numerator, v.denominator) * SX**i * SY**j for (i, j), v in p.terms), sympy.S.Zero
     )
+
+
+def _grid_form(rng, a, b, lc_at_zero):
+    """A form of x-degree a and y-degree b with integer coefficients in
+    [-5, 5]; its x-leading coefficient has y-degree b and, when
+    lc_at_zero (b >= 1), vanishes at y = 0."""
+    d = {(i, j): rng.randint(-5, 5) for i in range(a) for j in range(b + 1)}
+    for j in range(1 if lc_at_zero else 0, b):
+        d[(a, j)] = rng.randint(-5, 5)
+    d[(a, b)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return BPoly.make(d)
 
 
 def upoly_of_expr(expr, var):
@@ -450,14 +462,31 @@ class TestBridgedAlgebra:
         r = sympy.resultant(sym_u(f), sym_u(g), SX)
         assert resultant_u(f, g) == Fraction(int(r.p), int(r.q))
 
-    @settings(max_examples=40, deadline=None)
-    @given(mixed_bpolys(), mixed_bpolys())
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_bpolys(max_deg=5), mixed_bpolys(max_deg=5))
     def test_resultant_x_matches_sympy(self, f, g):
+        # x-degrees up to 5 reach the substitution, the Bezout
+        # determinant and sympy's PRS
         if f.deg_x() < 1 or g.deg_x() < 1:
             return
         # the documented order: Res(g, f) in sympy's argument convention
         r = sympy.resultant(sym_b(g), sym_b(f), SX)
         assert resultant_x(f, g) == upoly_of_expr(r, "y")
+
+    @pytest.mark.parametrize("a1, a2", [(a1, a2) for a1 in range(1, 6) for a2 in range(1, 6)])
+    def test_resultant_x_grid_matches_sympy(self, a1, a2):
+        """Every pair of x-degrees in {1..5}^2, so every route and sign,
+        at y-degrees 0..3, with x-leading coefficients that vanish at
+        y = 0 and rational units."""
+        rng = random.Random(100 * a1 + a2)
+        for b1 in range(4):
+            for b2 in range(4):
+                f = _grid_form(rng, a1, b1, lc_at_zero=b1 > 0 and (b1 + b2) % 2 == 0)
+                g = _grid_form(rng, a2, b2, lc_at_zero=b2 > 0 and (b1 + b2) % 2 == 1)
+                if (b1 + b2) % 3 == 0:
+                    f = f.scale(Fraction(-2, 3))
+                r = sympy.resultant(sym_b(g), sym_b(f), SX)
+                assert resultant_x(f, g) == upoly_of_expr(r, "y"), (f, g)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_upolys(max_deg=3), mixed_upolys(max_deg=3))

@@ -9,7 +9,7 @@ vacuously; this table keeps that checkable.
 
 import pytest
 
-from doublefield import charts, pairing, suites
+from doublefield import charts, exact, pairing, suites
 from doublefield.divisors import Divisor, UnaryPlace, place_bidegree
 from doublefield.exact import UPoly, clear_caches
 from doublefield.suites import run_suite
@@ -17,6 +17,7 @@ from doublefield.suites import run_suite
 _rule = pairing._pair_primes_kp
 _infx = pairing.infx_fiber_divisor
 _fiber = charts.fiber_divisor
+_substitute = exact._substitute
 INF_Y = UnaryPlace.infinity("y")
 ZERO_Y = UnaryPlace.finite(UPoly.make("y", [0, 1]))
 
@@ -66,6 +67,18 @@ def _infinity_moved_to_zero(f, g):
     return d + Divisor.make({INF_Y: -w, ZERO_Y: w})
 
 
+def _substitution_power_plus_one(rows, t0, t1):
+    """The fiber resultant's substitution with f1's power one too high: the
+    other form read with formal x-degree one more than its own."""
+    return _substitute([[]] + rows, t0, t1)
+
+
+def _exquo_skipped(f, g, K):
+    """The fiber resultant's Bezout route without its exact division by
+    lc_x of the larger form."""
+    return f
+
+
 _FIBER = (pairing, suites)
 
 # (name, modules, attribute, mutant, suites that must fail)
@@ -83,6 +96,14 @@ MUTANTS = [
         _infinity_moved_to_zero,
         ("agreement", "different", "support", "charts"),
     ),
+    (
+        "substitution-f1-power-off-by-one",
+        (exact,),
+        "_substitute",
+        _substitution_power_plus_one,
+        ("symmetry", "agreement", "different", "support", "charts"),
+    ),
+    ("bezout-without-division", (exact,), "dup_exquo", _exquo_skipped, ("charts",)),
 ]
 
 
