@@ -1,18 +1,19 @@
-"""Genus-0 Arakelov intersection layer over Q(y) and the residue scalar
-product on divisors of Q(x,y).
+"""Arakelov degree, bracket and residue scalar product on divisors of
+Q(x,y), moves within a divisor class, and the self-product explorer.
 
-Divisors of Q(y) are completed with real coefficients on the finite
-fibers (one per rational prime) and on the archimedean fiber.  The
-archimedean metric is Fubini-Study; with that normalization the two
-basic integrals have exact closed forms (integral of log(1+|z|^2) is 1,
-integral of log|z-a| is half log(1+|a|^2)), and principal Arakelov
-divisors intersect everything of disjoint support to zero (the product
-formula), which is what makes the residue scalar product well defined
-on divisor classes.
+The scalar product is completed over C with genus-0 Arakelov theory
+over Q(y): a divisor of Q(y) gets real coefficients on the finite
+fibers (one per rational prime) and on the archimedean fiber, with the
+Fubini-Study metric, for which the two basic integrals have exact closed
+forms (integral of log(1+|z|^2) is 1, integral of log|z-a| is half
+log(1+|a|^2)) and principal Arakelov divisors intersect everything of
+disjoint support to zero (the product formula).  That numeric layer is
+``oracles``; this module needs only the closed form below, in integers.
 
-The degree against the canonical class is an integer.  Write h = _height
-(log|lc| plus half log(1+|root|^2) summed over the roots, h(inf) = 0)
-and L = log(1+c^2) for an integer c.  The canonical representative
+The degree against the canonical class is an integer.  Write h =
+``oracles._height`` (log|lc| plus half log(1+|root|^2) summed over the
+roots, h(inf) = 0) and L = log(1+c^2) for an integer c.  The canonical
+representative
 
     K_c = arakelov_from_divisor(-2*inf_y) - 2*principal_arakelov(y - c)
 
@@ -41,235 +42,24 @@ archimedean contribution cancelled by the Fubini-Study normalization
 (Faltings, "Calculus on arithmetic surfaces", Ann. Math. 119, 1984;
 Hriljac, "Heights and Arakelov's intersection theory", Amer. J. Math.
 107, 1985).  So deg_Kp, bracket and residue_scalar_product compute in
-integers; the numeric route through K_c remains as an oracle in the
-calibration suite.
+integers.  The functions named here are those of ``oracles``, and
+``verify``'s calibration suite checks deg_Kp against
+``oracles.canonical_route``, the numeric intersection with K_c.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-import mpmath
-
-from .divisors import (
-    BinaryPlace,
-    Divisor,
-    UnaryPlace,
-    bidegree,
-    degree_K,
-    divisor_of_upoly,
-)
-from .errors import InputError, NotCoprime
-from .exact import (
-    DEFAULT_PREC,
-    BPoly,
-    UPoly,
-    complex_roots,
-    factor_int,
-    memo,
-    mpf_of,
-    primitive_int_upoly,
-    resultant_u,
-)
+from .divisors import BinaryPlace, Divisor, UnaryPlace, bidegree, degree_K
+from .exact import BPoly, UPoly
 from .pairing import SIDE_KPRIME, pair
-
-# largest content, in bits of its numerator or denominator, that
-# principal_arakelov factors into vertical fibers
-MAX_UNIT_BITS = 64
-
-
-# radius of the disc about each root that complex_roots certifies
-_ROOT_EPS = mpmath.mpf(2) ** -(DEFAULT_PREC // 2)
-
-
-def fs_point_integral(c):
-    """Closed form of the Fubini-Study average of log|z - c|."""
-    with mpmath.workprec(DEFAULT_PREC):
-        c = mpmath.mpc(c)
-        return mpmath.mpf(0.5) * mpmath.log(1 + abs(c) ** 2)
-
-
-def fs_kappa_closed_form():
-    """Closed form of the Fubini-Study average of log(1 + |z|^2)."""
-    return mpmath.mpf(1)
-
-
-def fs_point_integral_quadrature(c):
-    """Independent evaluation of the same average by radial reduction
-    (Jensen's formula on circles) and adaptive quadrature."""
-    with mpmath.workprec(DEFAULT_PREC):
-        a = abs(mpmath.mpc(c))
-
-        def integrand(r):
-            return 2 * r * mpmath.log(max(r, a)) / (1 + r**2) ** 2
-
-        return mpmath.quad(integrand, [0, a, mpmath.inf] if a > 0 else [0, 1, mpmath.inf])
-
-
-def fs_kappa_quadrature():
-    with mpmath.workprec(DEFAULT_PREC):
-        return mpmath.quad(lambda u: mpmath.log(1 + u) / (1 + u) ** 2, [0, mpmath.inf])
-
-
-def g_fs(z, w):
-    """Fubini-Study Green's function on P1 at two distinct finite points."""
-    with mpmath.workprec(DEFAULT_PREC):
-        z, w = mpmath.mpc(z), mpmath.mpc(w)
-        return (
-            -mpmath.log(abs(z - w))
-            + mpmath.mpf(0.5) * mpmath.log(1 + abs(z) ** 2)
-            + mpmath.mpf(0.5) * mpmath.log(1 + abs(w) ** 2)
-        )
-
-
-@memo
-def _height(q: UPoly):
-    """log|lc| + sum over roots of half log(1+|root|^2), for a primitive
-    integer polynomial: the archimedean content of its zero cycle."""
-    with mpmath.workprec(DEFAULT_PREC):
-        total = mpmath.log(abs(mpf_of(q.lc())))
-        for a in complex_roots(q, eps=_ROOT_EPS):
-            total += mpmath.mpf(0.5) * mpmath.log(1 + abs(a) ** 2)
-        return total
-
-
-@memo
-def arch_lambda(q: UnaryPlace):
-    """Archimedean fiber coefficient attached to a place of Q(y): minus
-    the Fubini-Study average of the log-norm of its defining section."""
-    with mpmath.workprec(DEFAULT_PREC):
-        if q.is_infinity():
-            return mpmath.mpf(0.5)
-        return -_height(q.poly) + mpmath.mpf(q.poly.degree()) / 2
-
-
-@dataclass(frozen=True, slots=True)
-class ArakelovDivisorKp:
-    """Horizontal divisor of Q(y) plus real vertical coefficients at
-    finitely many rational primes and one archimedean coefficient."""
-
-    horizontal: Divisor
-    vertical: tuple[tuple[int, object], ...]  # (prime, real coeff), sorted
-    arch: object  # real
-
-    @staticmethod
-    def make(horizontal: Divisor, vertical: dict | None = None, arch=0) -> "ArakelovDivisorKp":
-        vert = tuple(
-            sorted((p, v) for p, v in (vertical or {}).items() if v != 0)
-        )
-        return ArakelovDivisorKp(horizontal, vert, mpmath.mpf(arch) * 1)
-
-    def vertical_dict(self) -> dict:
-        return dict(self.vertical)
-
-    def __add__(self, other: "ArakelovDivisorKp") -> "ArakelovDivisorKp":
-        v = self.vertical_dict()
-        for p, c in other.vertical:
-            v[p] = v.get(p, 0) + c
-        return ArakelovDivisorKp.make(
-            self.horizontal + other.horizontal, v, self.arch + other.arch
-        )
-
-    def __neg__(self) -> "ArakelovDivisorKp":
-        return ArakelovDivisorKp.make(
-            -self.horizontal, {p: -c for p, c in self.vertical}, -self.arch
-        )
-
-    def __sub__(self, other: "ArakelovDivisorKp") -> "ArakelovDivisorKp":
-        return self + (-other)
-
-    def scale(self, k) -> "ArakelovDivisorKp":
-        return ArakelovDivisorKp.make(
-            self.horizontal.scale(int(k)),
-            {p: c * k for p, c in self.vertical},
-            self.arch * k,
-        )
-
-
-def arakelov_from_divisor(D: Divisor) -> ArakelovDivisorKp:
-    """Complete a divisor of Q(y) with its archimedean fiber coefficient
-    and empty vertical part."""
-    with mpmath.workprec(DEFAULT_PREC):
-        arch = mpmath.mpf(0)
-        for q, c in D.coeffs:
-            arch += c * arch_lambda(q)
-        return ArakelovDivisorKp.make(D, None, arch)
-
-
-def principal_arakelov(num: UPoly) -> ArakelovDivisorKp:
-    """Arakelov divisor of a nonzero polynomial num of Q[y]: horizontal
-    function-field divisor, Gauss valuations of its content on the
-    finite fibers, and minus the archimedean average of its log.  The
-    divisor of a quotient is the difference of two.  InputError if the
-    numerator or denominator of the content has more than MAX_UNIT_BITS
-    bits."""
-    if num.is_zero():
-        raise ValueError("zero element")
-    unit, pn = primitive_int_upoly(num)
-    vertical: dict[int, int] = {}
-    for p, e in _prime_factorization(unit.numerator):
-        vertical[p] = vertical.get(p, 0) + e
-    for p, e in _prime_factorization(unit.denominator):
-        vertical[p] = vertical.get(p, 0) - e
-    with mpmath.workprec(DEFAULT_PREC):
-        arch = -mpmath.log(abs(mpf_of(unit))) - _height(pn)
-    return ArakelovDivisorKp.make(divisor_of_upoly(pn), vertical, arch)
-
-
-def _prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
-    if abs(n).bit_length() > MAX_UNIT_BITS:
-        raise InputError(f"unit of {abs(n).bit_length()} bits exceeds bound {MAX_UNIT_BITS}")
-    return factor_int(n)
-
-
-def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp):
-    """Arakelov intersection number; requires disjoint horizontal
-    supports."""
-    if not D.horizontal.disjoint_from(E.horizontal):
-        raise NotCoprime("horizontal supports are not disjoint")
-    with mpmath.workprec(DEFAULT_PREC):
-        total = mpmath.mpf(0)
-        for q1, c1 in D.horizontal.coeffs:
-            for q2, c2 in E.horizontal.coeffs:
-                total += c1 * c2 * _hh(q1, q2)
-        dD = degree_K(D.horizontal)
-        dE = degree_K(E.horizontal)
-        for p, v in E.vertical:
-            total += dD * v * mpmath.log(p)
-        for p, v in D.vertical:
-            total += dE * v * mpmath.log(p)
-        total += dD * E.arch + dE * D.arch
-        return total
-
-
-@memo
-def _hh(q1: UnaryPlace, q2: UnaryPlace):
-    """Intersection of two distinct horizontal prime divisors: finite
-    part log|Res|, archimedean part the Green's function summed over
-    root pairs (the infinite place entering as the limit point)."""
-    if q1.is_infinity() and q2.is_infinity():
-        raise NotCoprime("both places at infinity")
-    if q1.is_infinity():
-        return _height(q2.poly)
-    if q2.is_infinity():
-        return _height(q1.poly)
-    r = resultant_u(q1.poly, q2.poly)
-    if r == 0:
-        raise NotCoprime("places coincide")
-    with mpmath.workprec(DEFAULT_PREC):
-        total = mpmath.log(abs(mpf_of(r)))
-        roots1 = complex_roots(q1.poly, eps=_ROOT_EPS)
-        roots2 = complex_roots(q2.poly, eps=_ROOT_EPS)
-        for a in roots1:
-            for b in roots2:
-                total += g_fs(a, b)
-        return total
 
 
 def deg_Kp(D: Divisor) -> int:
-    """Arakelov degree of arakelov_from_divisor(D) against the canonical
-    class, for a divisor D of Q(y): exactly -2 deg D (module docstring)."""
+    """Arakelov degree of oracles.arakelov_from_divisor(D) against the
+    canonical class, for a divisor D of Q(y): exactly -2 deg D (module
+    docstring)."""
     if any(not (isinstance(q, UnaryPlace) and q.var == "y") for q, _ in D.coeffs):
         raise ValueError("deg_Kp expects a divisor of Q(y)")
     return -2 * degree_K(D)

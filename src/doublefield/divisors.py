@@ -348,11 +348,6 @@ def _place_terms(m: Place) -> tuple[tuple[Place, int], ...]:
     return (m, 1), (UnaryPlace.infinity("x"), -a), (UnaryPlace.infinity("y"), -b)
 
 
-def valuation(place: Place, a: DeltaElement) -> int:
-    """Order of ``a`` at the given place of Q(x,y)."""
-    return principal_divisor(a).coeff(place)
-
-
 def principal_divisor(a: DeltaElement) -> Divisor:
     """The divisor of a nonzero element, including both infinity places:
     the sum of e*div_of_place over its factors f^e, built in one make."""

@@ -29,11 +29,11 @@ Caching.  There is one memo policy for the whole package: ``memo`` wraps
 a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
-empties every one of them.  Here ``factor_b``, ``y_content`` (key: the
-polynomial) and ``complex_roots`` (key: polynomial and eps) are
-memoized; ``arakelov`` memoizes its per-place heights, ``arch_lambda``
-and the pairwise term ``_hh`` (arguments in order), and ``divisors``
-hands out one shared place object per input through
+empties every one of them.  Here ``factor_b`` and ``y_content`` (key:
+the polynomial) are memoized; the verify oracle (``oracles``) memoizes
+``complex_roots`` (key: polynomial and eps), its per-place heights,
+``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
+``divisors`` hands out one shared place object per input through
 ``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  ``factor_q`` itself
 has no memo: it takes the primitive form of its input and puts the unit
 back outside the memoized ``_factor_primitive_q``, so f and c*f share one
@@ -43,9 +43,9 @@ which ``pair(A, B)`` and ``pair(B, A)`` factor, are then factored once.
 factors hardly ever repeat, even up to a unit, so a primitive key would
 only add its cost to every call.  Memoized functions return tuples, never
 lists, so no caller can alter a cached value.  No cache sits on a checked
-entry point: ``pair``, the residue routes, ``correspondence`` and
-``intersect`` recompute on every call, so the route agreement checks
-compare independent computations.  The pair-symmetry checks (``verify``
+entry point: ``pair``, the residue routes, ``correspondence`` and the
+oracle's ``intersect`` recompute on every call, so the route agreement
+checks compare independent computations.  The pair-symmetry checks (``verify``
 criterion 1 and the benchmark's gate) compare the two resultants, which
 differ by a sign, and the two uses of the infinity rule; the
 factorization is that of one primitive form either way, so they do not
@@ -68,8 +68,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
-from mpmath.libmp import NoConvergence
 from sympy.ntheory import factorint
 from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_neg, dup_sub
 from sympy.polys.domains import ZZ
@@ -77,12 +75,9 @@ from sympy.polys.euclidtools import dmp_content, dmp_resultant, dup_cancel, dup_
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
 
-from .errors import DegreeBound, PrecisionFailure
+from .errors import DegreeBound
 
 DEFAULT_FACTOR_DEGREE_BOUND = 24
-
-# working precision, in bits, of the numeric (mpmath) layer
-DEFAULT_PREC = 80
 
 # entries kept by each memoized function (see the module docstring)
 MEMO_SIZE = 128
@@ -846,74 +841,6 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
         c = -c if c > 0 else 1 - c
     _, fac = factor_q(q.eval_y(c))
     return len(fac) == 1 and fac[0][1] == 1
-
-
-# ---------------------------------------------------------------------------
-# certified complex roots
-
-
-def mpf_of(c: Scalar) -> mpmath.mpf:
-    """The exact scalar c as an ``mpmath.mpf``, rounded at the working
-    precision: the one such conversion of the package."""
-    return mpmath.mpf(c.numerator) / c.denominator
-
-
-@memo
-def complex_roots(f: UPoly, eps=1e-12) -> tuple[mpmath.mpc, ...]:
-    """All deg(f) complex roots with multiplicity.
-
-    Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
-    square-free factor, so the disc of radius eps about z holds a root,
-    and the discs about the roots of one factor are pairwise disjoint,
-    so each holds a different root.  Precision is escalated until both
-    hold, from DEFAULT_PREC bits up to 16 times that; PrecisionFailure is
-    raised when they cannot be reached.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if f.degree() == 0:
-        return ()
-    roots: list[mpmath.mpc] = []
-    for sq, mult in squarefree_decomposition(f):
-        deg = sq.degree()
-        found = None
-        for wp in (DEFAULT_PREC * k for k in (1, 2, 4, 8, 16)):
-            with mpmath.workprec(wp):
-                cs = [mpf_of(c) for c in reversed(sq.coeffs)]
-                try:
-                    rs = mpmath.polyroots(cs, maxsteps=400, extraprec=wp)
-                except NoConvergence:
-                    continue
-                if _roots_certified(sq, rs, eps):
-                    found = [mpmath.mpc(r) for r in rs]
-                    break
-        if found is None:
-            raise PrecisionFailure(
-                f"could not certify roots of degree-{deg} factor at prec={DEFAULT_PREC}"
-            )
-        roots.extend(found * mult)
-    return tuple(roots)
-
-
-def _roots_certified(sq: UPoly, rs, eps) -> bool:
-    deg = sq.degree()
-    lc = abs(mpf_of(sq.lc()))
-    zs = [mpmath.mpc(z) for z in rs]
-    for z in zs:
-        val = _eval_mp(sq, z)
-        if (abs(val) / lc) ** (mpmath.mpf(1) / deg) >= eps:
-            return False
-    n = len(zs)
-    return all(abs(zs[i] - zs[j]) > 2 * eps for i in range(n) for j in range(i + 1, n))
-
-
-def _eval_mp(p: UPoly, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(p.coeffs):
-        acc = acc * z + mpf_of(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Divisor residues modulo degree-one primes, correspondences, and
-different divisors of pairs of rational embeddings.
+"""Divisor residues modulo degree-one primes and correspondences.
 
 A degree-one binary prime n = a(y)*x - b(y) identifies the residue field
 of Q(x,y) modulo n with Q(y) through the substitution x -> b(y)/a(y), so
@@ -9,14 +8,12 @@ component by component, is in its docstring).  Symmetrically a
 degree-one prime (y - c) of Q(y) yields divisors of Q(x), computed both
 by explicit fiber factorization (``correspondence``) and as the pairing
 on side K (``residue_mod_Kp_degree_one``); the two agree at every
-degree-one point, so each cross-checks the other.  ``different_divisor``
-and ``RationalIsom.pole_divisor`` remain as the closed forms the pairing
-is checked against.
+degree-one point, so each cross-checks the other.  The closed forms the
+pairing of degree-one primes is checked against, ``different_divisor``
+and ``RationalIsom.pole_divisor``, are ``verify``'s oracle (``oracles``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .divisors import (
     BinaryPlace,
@@ -26,67 +23,9 @@ from .divisors import (
     degree_one_coeffs,
     divisor_of_upoly,
 )
-from .errors import EqualIsoms, NotCoprime, NotDegreeOne
-from .exact import Scalar, UPoly, cancel_u, qdiv
+from .errors import NotCoprime, NotDegreeOne
+from .exact import Scalar, qdiv
 from .pairing import SIDE_K, SIDE_KPRIME, pair
-
-
-@dataclass(frozen=True, slots=True)
-class RationalIsom:
-    """An embedding of Q(x) into Q(y): x -> num(y)/den(y) in lowest
-    terms with monic denominator."""
-
-    num: UPoly
-    den: UPoly
-
-    @staticmethod
-    def make(num: UPoly, den: UPoly) -> "RationalIsom":
-        if den.is_zero():
-            raise ValueError("zero denominator")
-        if num.var != "y" or den.var != "y":
-            raise ValueError("rational isomorphisms live in Q(y)")
-        return RationalIsom(*cancel_u(num, den))
-
-    def pole_divisor(self) -> Divisor:
-        """Divisor of poles of num/den over the places of Q(y)."""
-        return divisor_of_upoly(self.den, max(self.num.degree(), self.den.degree()))
-
-    def __str__(self) -> str:
-        if self.den == UPoly.const("y", 1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-def residue_iso(n: BinaryPlace) -> RationalIsom:
-    """The substitution x -> b/a read off a degree-one prime a*x - b."""
-    a, b = degree_one_coeffs(n)
-    return RationalIsom.make(b, a)
-
-
-def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
-    """Effective divisor of Q(y) measuring the coincidence orders of two
-    embeddings: at each place the order of mu - nu where both are finite
-    with equal values, of 1/mu - 1/nu where both have poles, else 0.
-
-    Proof.  With mu = b1/a1 and nu = b2/a2 in lowest terms, d = b1*a2 -
-    b2*a1 is the form B1*A2 - B2*A1 of degree max(deg a1, deg b1) +
-    max(deg a2, deg b2) in the homogeneous coordinates of the y-line.
-    At every place, y = infinity included, A1 and B1 do not vanish
-    together, nor A2 and B2.  Where both values are finite, d is
-    A1*A2*(mu - nu) with A1*A2 a unit; where both are infinite, it is
-    B1*B2*(1/nu - 1/mu) with B1*B2 a unit; where only mu is infinite,
-    A1 = 0 and d = B1*A2 does not vanish (the same with mu and nu
-    swapped).  So the order of d is the coincidence order in all three
-    cases.
-    """
-    if mu == nu:
-        raise EqualIsoms("the two embeddings coincide")
-    b1, a1 = mu.num, mu.den
-    b2, a2 = nu.num, nu.den
-    d = b1 * a2 - b2 * a1
-    if d.is_zero():
-        raise EqualIsoms("the two embeddings coincide")
-    return divisor_of_upoly(d, max(a1.degree(), b1.degree()) + max(a2.degree(), b2.degree()))
 
 
 def _check_coprime_to(A: Divisor, n: Place) -> None:
@@ -108,8 +47,8 @@ def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
     that resultant is +-M(a, b; Y), the form of m restricted to the line
     n: the divisor of m in the residue field Q(y).  It reads [m] for a
     y-unary m (i = 0), the zeros of p at x = b/a for a finite p(x), the
-    pole divisor of b/a for inf_x, and ``different_divisor`` of the two
-    embeddings b1/a1 and b/a for a binary m = a1*x - b1.
+    pole divisor of b/a for inf_x, and ``oracles.different_divisor`` of
+    the two embeddings b1/a1 and b/a for a binary m = a1*x - b1.
     """
     degree_one_coeffs(n)
     _check_coprime_to(A, n)

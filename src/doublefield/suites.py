@@ -14,20 +14,10 @@ import json
 import time
 from fractions import Fraction
 
-import mpmath
-
 from .arakelov import (
-    ArakelovDivisorKp,
-    arakelov_from_divisor,
     bracket,
     deg_Kp,
     explore_self_products,
-    fs_kappa_closed_form,
-    fs_kappa_quadrature,
-    fs_point_integral,
-    fs_point_integral_quadrature,
-    intersect,
-    principal_arakelov,
     principal_move,
     residue_scalar_product,
     second_move,
@@ -43,26 +33,24 @@ from .divisors import (
     principal_divisor,
 )
 from .errors import NotCoprime
-from .exact import (
-    DEFAULT_PREC,
-    BPoly,
-    UPoly,
-    clear_caches,
+from .exact import BPoly, UPoly, clear_caches, qdiv, resultant_x, squarefree_decomposition
+from .oracles import (
+    RationalIsom,
+    arakelov_from_divisor,
+    canonical_route,
     complex_roots,
-    mpf_of,
-    qdiv,
-    resultant_x,
-    squarefree_decomposition,
+    different_divisor,
+    fs_kappa_closed_form,
+    fs_kappa_quadrature,
+    fs_point_integral,
+    fs_point_integral_quadrature,
+    intersect,
+    numeric_common_root,
+    principal_arakelov,
+    residue_iso,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
-from .residues import (
-    RationalIsom,
-    correspondence,
-    different_divisor,
-    residue_iso,
-    residue_mod_Kp_degree_one,
-    residue_mod_degree_one,
-)
+from .residues import correspondence, residue_mod_Kp_degree_one, residue_mod_degree_one
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")
@@ -411,24 +399,6 @@ def run_selfpair() -> dict:
 # 8. Moebius equivariance of the fiber rule and the numeric intersection oracle
 
 
-def _numeric_common_root(f: BPoly, g: BPoly, y0) -> bool:
-    def x_poly(h: BPoly):
-        coeffs = [mpmath.mpc(0)] * (h.deg_x() + 1)
-        for (i, j), c in h.terms:
-            coeffs[i] += mpf_of(c) * y0**j
-        while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(2) ** (-DEFAULT_PREC // 2):
-            coeffs.pop()
-        return list(reversed(coeffs))
-
-    with mpmath.workprec(DEFAULT_PREC):
-        cf, cg = x_poly(f), x_poly(g)
-        if len(cf) <= 1 or len(cg) <= 1:
-            return True  # fiber degenerates; escapes handled at infinity
-        rf = mpmath.polyroots(cf, maxsteps=200, extraprec=DEFAULT_PREC)
-        rg = mpmath.polyroots(cg, maxsteps=200, extraprec=DEFAULT_PREC)
-        return min(abs(a - b) for a in rf for b in rg) < mpmath.mpf(10) ** (-6)
-
-
 # y -> 1/y, y -> y + 1 and y -> (2y + 1)/(y + 1), as (a, b, c, d) for (ay + b)/(cy + d)
 _MOEBIUS = ((0, 1, 1, 0), (1, 1, 0, 1), (2, 1, 1, 1))
 
@@ -512,7 +482,7 @@ def run_charts() -> dict:
             continue  # keep only certified-simple instances
         oracle_checked += 1
         roots = complex_roots(r, eps=1e-10)
-        bad = [z for z in roots if not _numeric_common_root(f, g, z)]
+        bad = [z for z in roots if not numeric_common_root(f, g, z)]
         if bad:
             failures.append(f"resultant root of ({f}, {g}) is not a numeric intersection")
         # the y = infinity term tops the total up to the Bezout number
@@ -534,14 +504,6 @@ def run_charts() -> dict:
 
 # ---------------------------------------------------------------------------
 # 9. archimedean calibration of the intersection pairing
-
-
-def _canonical_route(D: ArakelovDivisorKp, c: int):
-    """intersect(D, K_c) for the canonical representative
-    K_c = arakelov_from_divisor(-2*inf_y) - 2*principal_arakelov(y - c):
-    the numeric route that deg_Kp replaces by its closed form."""
-    K_c = arakelov_from_divisor(Divisor.of(INF_Y, -2)) - principal_arakelov(_ypoly(-c, 1)).scale(2)
-    return intersect(D, K_c)
 
 
 def run_calibration() -> dict:
@@ -577,13 +539,13 @@ def run_calibration() -> dict:
                 failures.append(f"product formula off by {float(v)} for f = {f}")
         for c in (4, 5):  # y - 4 and y - 5 lie off every support here
             checked += 1
-            v = _canonical_route(pa, c)
+            v = canonical_route(pa, c)
             if abs(v) > 1e-6:
                 failures.append(f"canonical route gives {float(v)} on div({f}) at c = {c}")
     for d in targets:
         for c in (4, 5):
             checked += 1
-            v = _canonical_route(d, c)
+            v = canonical_route(d, c)
             if abs(v - deg_Kp(d.horizontal)) > 1e-9:
                 failures.append(
                     f"canonical route gives {float(v)} at c = {c}, deg_Kp {deg_Kp(d.horizontal)} "

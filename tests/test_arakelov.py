@@ -7,20 +7,9 @@ import mpmath
 import pytest
 
 from doublefield.arakelov import (
-    MAX_UNIT_BITS,
-    ArakelovDivisorKp,
-    arakelov_from_divisor,
-    arch_lambda,
     bracket,
     deg_Kp,
     explore_self_products,
-    fs_kappa_closed_form,
-    fs_kappa_quadrature,
-    fs_point_integral,
-    fs_point_integral_quadrature,
-    g_fs,
-    intersect,
-    principal_arakelov,
     principal_move,
     residue_scalar_product,
 )
@@ -34,6 +23,19 @@ from doublefield.divisors import (
 )
 from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly
+from doublefield.oracles import (
+    MAX_UNIT_BITS,
+    ArakelovDivisorKp,
+    arakelov_from_divisor,
+    arch_lambda,
+    fs_kappa_closed_form,
+    fs_kappa_quadrature,
+    fs_point_integral,
+    fs_point_integral_quadrature,
+    g_fs,
+    intersect,
+    principal_arakelov,
+)
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")

@@ -1,4 +1,4 @@
-"""Unit tests for places, divisors, valuations and principal divisors."""
+"""Unit tests for places, divisors and principal divisors."""
 
 from fractions import Fraction
 
@@ -16,7 +16,6 @@ from doublefield.divisors import (
     place_bidegree,
     principal_divisor,
     transpose_place,
-    valuation,
 )
 from doublefield.errors import InputError
 from doublefield.exact import (
@@ -182,21 +181,6 @@ class TestDegreeK:
 
     def test_simple(self):
         assert degree_K(Divisor.make({uplace("x", -1, 1): 4})) == 4
-
-
-class TestValuation:
-    def test_binary_factorable(self):
-        a = DeltaElement.from_factors(1, [(X**2 - Y**2, 1)])
-        assert valuation(BinaryPlace.make(X - Y), a) == 1
-        assert valuation(BinaryPlace.make(X + Y), a) == 1
-
-    def test_infinity(self):
-        a = DeltaElement.from_fraction(X**2 - Y**2, X * Y)
-        assert valuation(inf("x"), a) == -1
-        assert valuation(inf("y"), a) == -1
-
-    def test_constant(self):
-        assert valuation(BinaryPlace.make(X - Y), DeltaElement.from_factors(1, [])) == 0
 
 
 class TestPrincipalDivisor:

@@ -32,7 +32,6 @@ from doublefield.exact import (
     _to_dup,
     cancel_u,
     certify_irreducible_bivariate,
-    complex_roots,
     factor_b,
     factor_q,
     gcd_u,
@@ -43,6 +42,7 @@ from doublefield.exact import (
     squarefree_decomposition,
     y_content,
 )
+from doublefield.oracles import complex_roots
 
 
 def up(*coeffs, var="x"):

@@ -10,17 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublefield import exact, suites
-from doublefield.arakelov import arakelov_from_divisor, intersect
 from doublefield.divisors import Divisor, UnaryPlace
 from doublefield.exact import (
     MEMO_SIZE,
     BPoly,
     UPoly,
     clear_caches,
-    complex_roots,
     factor_b,
     factor_q,
 )
+from doublefield.oracles import arakelov_from_divisor, complex_roots, intersect
 
 MEMO_SETTINGS = settings(max_examples=25, deadline=None)
 

@@ -9,8 +9,8 @@ vacuously; this table keeps that checkable.
 
 import pytest
 
-from doublefield import charts, exact, pairing, suites
-from doublefield.divisors import Divisor, UnaryPlace, place_bidegree
+from doublefield import arakelov, charts, exact, oracles, pairing, residues, suites
+from doublefield.divisors import Divisor, UnaryPlace, degree_K, place_bidegree
 from doublefield.exact import UPoly, clear_caches
 from doublefield.suites import run_suite
 
@@ -18,6 +18,10 @@ _rule = pairing._pair_primes_kp
 _infx = pairing.infx_fiber_divisor
 _fiber = charts.fiber_divisor
 _substitute = exact._substitute
+_g_fs = oracles.g_fs
+_kappa = oracles.fs_kappa_closed_form
+_deg_Kp = arakelov.deg_Kp
+_pair = pairing.pair
 INF_Y = UnaryPlace.infinity("y")
 ZERO_Y = UnaryPlace.finite(UPoly.make("y", [0, 1]))
 
@@ -79,7 +83,29 @@ def _exquo_skipped(f, g, K):
     return f
 
 
+def _g_fs_without_w_term(z, w):
+    """The Fubini-Study Green's function without its half log(1 + |w|^2)
+    term, which is fs_point_integral(w)."""
+    return _g_fs(z, w) - oracles.fs_point_integral(w)
+
+
+def _kappa_perturbed():
+    """The curvature integral's closed form off by 2^-20."""
+    return _kappa() + 2.0**-20
+
+
+def _deg_Kp_off_by_one(D):
+    """deg_Kp one too high on divisors of degree above 1."""
+    return _deg_Kp(D) + (degree_K(D) > 1)
+
+
+def _pair_first_place_of_a(A, b, side=pairing.SIDE_KPRIME):
+    """pair reading only A's first place, which is not additive in A."""
+    return _pair(Divisor.make(A.coeffs[:1]), b, side)
+
+
 _FIBER = (pairing, suites)
+_PAIR = (pairing, arakelov, residues, suites)
 
 # (name, modules, attribute, mutant, suites that must fail)
 MUTANTS = [
@@ -104,6 +130,16 @@ MUTANTS = [
         ("symmetry", "agreement", "different", "support", "charts"),
     ),
     ("bezout-without-division", (exact,), "dup_exquo", _exquo_skipped, ("charts",)),
+    ("green-without-w-term", (oracles,), "g_fs", _g_fs_without_w_term, ("calibration",)),
+    ("kappa-off-by-2^-20", (suites,), "fs_kappa_closed_form", _kappa_perturbed, ("calibration",)),
+    ("deg_Kp-off-by-one-above-degree-1", (suites,), "deg_Kp", _deg_Kp_off_by_one, ("calibration",)),
+    (
+        "pair-reads-first-place-of-A",
+        _PAIR,
+        "pair",
+        _pair_first_place_of_a,
+        ("bilinearity", "principality", "selfpair", "rsp"),
+    ),
 ]
 
 

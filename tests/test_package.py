@@ -13,19 +13,9 @@ import doublefield
 
 ROOT_EXPORTS = {
     # arakelov
-    "ArakelovDivisorKp",
-    "arakelov_from_divisor",
-    "arch_lambda",
     "bracket",
     "deg_Kp",
     "explore_self_products",
-    "fs_kappa_closed_form",
-    "fs_kappa_quadrature",
-    "fs_point_integral",
-    "fs_point_integral_quadrature",
-    "g_fs",
-    "intersect",
-    "principal_arakelov",
     "principal_move",
     "residue_scalar_product",
     # charts
@@ -41,7 +31,6 @@ ROOT_EXPORTS = {
     "divisor_of_upoly",
     "place_bidegree",
     "principal_divisor",
-    "valuation",
     # errors
     "DegreeBound",
     "DoubleFieldError",
@@ -55,12 +44,10 @@ ROOT_EXPORTS = {
     "BPoly",
     "UPoly",
     "clear_caches",
-    "complex_roots",
     "factor_b",
     "factor_q",
     "gcd_u",
     "resultant_x",
-    "squarefree_decomposition",
     # pairing
     "SIDE_K",
     "SIDE_KPRIME",
@@ -68,10 +55,7 @@ ROOT_EXPORTS = {
     "pair",
     "self_pair_degree_one",
     # residues
-    "RationalIsom",
     "correspondence",
-    "different_divisor",
-    "residue_iso",
     "residue_mod_Kp_degree_one",
     "residue_mod_degree_one",
     # suites
@@ -92,20 +76,41 @@ def test_root_exports_are_pinned():
 
 
 def _imported_modules(path: Path) -> set[str]:
-    """Top-level package of every module that the file at path imports,
-    inside functions too."""
+    """Every module that the file at path imports, inside functions too:
+    the top-level package of an outside module, and ``.name`` for a
+    module of this package however it is written (``from .name import``,
+    ``from . import name``, ``from doublefield.name import``)."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            names.add(node.module.split(".")[0])
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["doublefield" if node.level else "", node.module]))
+            dotted = [f"{module}.{a.name}" for a in node.names] if module == "doublefield" else [module]
+        else:
+            continue
+        for name in dotted:
+            top, _, rest = name.partition(".")
+            names.add("." + rest.split(".")[0] if top == "doublefield" and rest else top)
     return names
+
+
+def _importers(module: str) -> set[str]:
+    sources = sorted(Path(doublefield.__file__).parent.glob("*.py"))
+    assert len(sources) >= 11
+    return {p.name for p in sources if module in _imported_modules(p)}
 
 
 def test_only_exact_imports_sympy():
     """The bridge in exact is the one route to sympy."""
-    sources = sorted(Path(doublefield.__file__).parent.glob("*.py"))
-    assert len(sources) >= 10
-    importers = {p.name for p in sources if "sympy" in _imported_modules(p)}
-    assert importers == {"exact.py"}
+    assert _importers("sympy") == {"exact.py"}
+
+
+def test_only_oracles_imports_mpmath():
+    """mpmath serves only the numeric layer, which is verify's oracle."""
+    assert _importers("mpmath") == {"oracles.py"}
+
+
+def test_only_suites_imports_oracles():
+    """verify is the one way into the oracle."""
+    assert _importers(".oracles") == {"suites.py"}

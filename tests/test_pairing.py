@@ -13,13 +13,13 @@ from doublefield.divisors import (
 )
 from doublefield.errors import NotCoprime
 from doublefield.exact import BPoly, UPoly, resultant_x
+from doublefield.oracles import RationalIsom, residue_iso
 from doublefield.pairing import (
     SIDE_K,
     SIDE_KPRIME,
     pair,
     self_pair_degree_one,
 )
-from doublefield.residues import RationalIsom, residue_iso
 
 X = BPoly.gen("x")
 Y = BPoly.gen("y")

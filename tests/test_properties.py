@@ -31,14 +31,13 @@ from doublefield.divisors import (
 )
 from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly, clear_caches, factor_q
+from doublefield.oracles import different_divisor, residue_iso
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
     _degree_one_kp_value,
     _prime_correspondence,
     correspondence,
-    different_divisor,
-    residue_iso,
     residue_mod_degree_one,
     residue_mod_Kp_degree_one,
 )

@@ -15,12 +15,10 @@ from doublefield.divisors import (
 )
 from doublefield.errors import EqualIsoms, NotCoprime, NotDegreeOne
 from doublefield.exact import BPoly, UPoly
+from doublefield.oracles import RationalIsom, different_divisor, residue_iso
 from doublefield.pairing import self_pair_degree_one
 from doublefield.residues import (
-    RationalIsom,
     correspondence,
-    different_divisor,
-    residue_iso,
     residue_mod_Kp_degree_one,
     residue_mod_degree_one,
 )
