@@ -4,8 +4,11 @@ Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
 (factorization over Q, gcds, contents in y, lowest terms, resultants,
 square-free decomposition) goes to sympy's dense ``dup`` / ``dmp`` layer
-through the one bridge below, except that ``factor_q`` decides degrees
-1 and 2 in integers (a quadratic by its discriminant).  The bridge works
+through the one bridge below, except that ``factor_q`` decides most
+inputs in plain integers: it splits off powers of the variable, decides
+degrees 1 and 2 (a quadratic by its discriminant), and proves most
+higher degrees irreducible from their degree patterns mod small primes,
+so that sympy's Zassenhaus sees only the rest.  The bridge works
 over ZZ only: each bridged call puts its inputs in primitive integer
 form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
 rational units back exactly, so everything stays exact.  Both
@@ -721,10 +724,13 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     Returns (unit, ((factor, multiplicity), ...)) with
     unit * prod(factor**mult) == f exactly, the factors sorted by degree,
     then coefficients.  Raises DegreeBound when the degree exceeds
-    DEFAULT_FACTOR_DEGREE_BOUND.  Degrees 1 and 2 are decided in
-    integers (a quadratic by its discriminant); degree 3 and up go to
-    sympy's ``dup_factor_list``.  The memo is keyed on the primitive
-    form, so f and c*f share one entry for every nonzero rational c.
+    DEFAULT_FACTOR_DEGREE_BOUND.  A power of the variable is split off
+    first.  Degrees 1 and 2 are decided in integers (a quadratic by its
+    discriminant), and degree 3 and up by degree patterns mod small
+    primes, which prove most such inputs irreducible; only what they
+    leave undecided goes to sympy's ``dup_factor_list``.  The proofs are
+    in ``_factor_primitive_q``.  The memo is keyed on the primitive form,
+    so f and c*f share one entry for every nonzero rational c.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -746,41 +752,184 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
 
 @memo
 def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
-    """``factor_q`` of a primitive integer q of positive degree.
+    """``factor_q`` of a primitive integer q of positive degree in t.
 
-    Degrees 1 and 2 are decided in integers; only degree 3 and up go to
-    sympy's ``dup_factor_list``.  A linear q is its own factor.  For
-    q = a*x^2 + b*x + c let D = b^2 - 4ac.  When D is no integer square,
-    q has no rational root, so no linear factor over Q, and is
-    irreducible.  When D = s^2 its roots (-b -+ s)/2a, in lowest terms
-    n/d with d > 0, give the primitive factors d*x - n, squared when
-    s = 0, and the unit is 1: q and the product of the factors have the
+    First t^k, for the k low zero coefficients of q, is split off as the
+    factor (t, k).  The cofactor c = q / t^k has the same coefficients as
+    q, so it is primitive with a positive leading coefficient too, and it
+    is decided here, not by a recursive call of this memo.  A constant c
+    (then c = 1) adds no factor, and a linear c is its own factor.
+
+    A quadratic c = a*t^2 + b*t + d is decided by D = b^2 - 4ad.  When D
+    is no integer square, c has no rational root, so no linear factor over
+    Q, and is irreducible.  When D = s^2 its roots (-b -+ s)/2a, in lowest
+    terms n/e with e > 0, give the primitive factors e*t - n, squared when
+    s = 0, and the unit is 1: c and the product of the factors have the
     same roots, so they differ by a rational factor; both are primitive
-    (the product by Gauss's lemma) with a positive leading coefficient,
-    so that factor is 1.
+    (the product by Gauss's lemma) with a positive leading coefficient, so
+    that factor is 1.
+
+    For c of degree n >= 3, ``_proved_irreducible`` reads the degrees of
+    the factors of c mod p at the primes of ``PATTERN_PRIMES`` in turn.
+    It skips a prime p that divides lc(c) or at which c mod p is not
+    squarefree, and proves c irreducible when no degree 0 < d < n is a
+    sum of factor degrees at every prime it used.  Proof: let c = g*h over
+    Z with deg g = d, 0 < d < n; by Gauss's lemma such a split exists for
+    every factorization over Q.  Since p does not divide lc(c) =
+    lc(g)*lc(h), g mod p keeps degree d.  As c mod p is squarefree, its
+    monic irreducible factors are distinct and each divides exactly one of
+    g mod p and h mod p (unique factorization in GF(p)[t]), so d is the
+    sum of the degrees of those that divide g mod p.  Only when the test
+    stops without a proof (at most ``PATTERN_MAX_PRIMES`` usable primes,
+    or ``PATTERN_STALL`` in a row that leave the candidate degrees as they
+    were) does c go to sympy's ``dup_factor_list`` (Zassenhaus).
     """
-    if q.degree() == 1:
-        return 1, ((q, 1),)
-    if q.degree() == 2:
-        c, b, a = q.coeffs
-        disc = b * b - 4 * a * c
+    cs = q.coeffs
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    out = [(UPoly(q.var, (0, 1)), k)] if k else []
+    c = UPoly(q.var, cs[k:]) if k else q
+    n = c.degree()
+    unit = 1
+    if n == 1 or (n >= 3 and _proved_irreducible(c.coeffs)):
+        out.append((c, 1))
+    elif n == 2:
+        d0, b, a = c.coeffs
+        disc = b * b - 4 * a * d0
         s = isqrt(max(disc, 0))
         if s * s != disc:
-            return 1, ((q, 1),)
-        roots = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
-        lin = sorted((UPoly(q.var, (-r.numerator, r.denominator)) for r in roots), key=lambda p: p.coeffs)
-        if s == 0:
-            return 1, ((lin[0], 2),)
-        return 1, ((lin[0], 1), (lin[1], 1))
-    content, fac = dup_factor_list(_to_dup(q), ZZ)
-    unit = int(content)
-    out = []
-    for p, m in fac:
-        u, irr = primitive_int_upoly(_from_dup(p, q.var))
-        unit *= u**m
-        out.append((irr, m))
+            out.append((c, 1))
+        else:
+            roots = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
+            lin = [UPoly(q.var, (-r.numerator, r.denominator)) for r in roots]
+            out += [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
+    elif n >= 3:
+        content, fac = dup_factor_list(_to_dup(c), ZZ)
+        unit = int(content)
+        for p, m in fac:
+            u, irr = primitive_int_upoly(_from_dup(p, q.var))
+            unit *= u**m
+            out.append((irr, m))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return _frac(unit), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# degree patterns mod p, on plain int lists over GF(p), low degree first
+
+# the odd primes the pattern test tries in turn, the most of them it
+# uses, and how many usable primes in a row that leave its candidate
+# degrees unchanged stop it (CHANGES.md has the table that chose them)
+PATTERN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+PATTERN_MAX_PRIMES = 8
+PATTERN_STALL = 3
+
+
+def _proved_irreducible(cs: Sequence[int]) -> bool:
+    """True when the degree patterns mod p of the primitive integer
+    polynomial with coefficients cs (degree n >= 3) leave no degree for a
+    proper factor; False only means that they did not (the proof and the
+    stopping rule are in ``_factor_primitive_q``).  Bit d of a mask stands
+    for degree d."""
+    n = len(cs) - 1
+    candidates = (1 << n) - 2
+    used = unchanged = 0
+    for p in PATTERN_PRIMES:
+        pattern = _degree_pattern(cs, p)
+        if pattern is None:
+            continue
+        sums = 1
+        for d in pattern:
+            sums |= sums << d
+        narrowed = candidates & sums
+        if not narrowed:
+            return True
+        unchanged = unchanged + 1 if narrowed == candidates else 0
+        candidates = narrowed
+        used += 1
+        if used == PATTERN_MAX_PRIMES or unchanged == PATTERN_STALL:
+            return False
+    return False
+
+
+def _degree_pattern(cs: Sequence[int], p: int) -> Optional[list[int]]:
+    """The degrees of the irreducible factors of f = cs mod p, with
+    repetition; None when p divides the leading coefficient or f is not
+    squarefree (gcd(f, f') is not constant)."""
+    lc = cs[-1] % p
+    if not lc:
+        return None
+    inv = pow(lc, -1, p)
+    f = [c * inv % p for c in cs]
+    df = _trim([i * c % p for i, c in enumerate(f)][1:])
+    if len(_gcd_p(f, df, p)) > 1:
+        return None
+    return _ddf_p(f, p)
+
+
+def _ddf_p(f: list[int], p: int) -> list[int]:
+    """The degrees of the irreducible factors of a monic squarefree f of
+    positive degree over GF(p), by distinct-degree factorization (von zur
+    Gathen and Gerhard, Modern Computer Algebra, section 14.2): after the
+    factors of degree below d are divided out of g, gcd(g, t^(p^d) - t) is
+    the product of those of degree d, and once 2d > deg g what is left is
+    irreducible.  h = t^(p^d) is kept mod f: h^p = sum h_i t^(i p), as
+    h_i^p = h_i, so ``rows`` holds t^(i p) mod f; g divides f, so h - t
+    mod f serves for g as well."""
+    n = len(f) - 1
+    rows = [[1]]
+    for _ in range(1, n):
+        rows.append(_divmod_p([0] * p + rows[-1], f, p)[1])
+    degrees: list[int] = []
+    h, g, d = [0, 1], f, 0
+    while 2 * d + 2 < len(g):
+        d += 1
+        acc = [0] * n
+        for hi, row in zip(h, rows):
+            if hi:
+                for j, r in enumerate(row):
+                    acc[j] += hi * r
+        h = _trim([a % p for a in acc])
+        t = h + [0] * (2 - len(h))
+        t[1] = (t[1] - 1) % p
+        common = _gcd_p(g, _divmod_p(_trim(t), g, p)[1], p)
+        if len(common) > 1:
+            degrees += [d] * ((len(common) - 1) // d)
+            g = _divmod_p(g[:], common, p)[0]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_p(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by a monic f over GF(p); a is
+    overwritten."""
+    n = len(f) - 1
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        if c:
+            quo[i - n] = c
+            s = i - n
+            for j in range(n):
+                a[s + j] -= c * f[j]
+    return quo, _trim([c % p for c in a[:n]])
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over GF(p) of a monic a and a reduced b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _divmod_p(b[:], a, p)[1]
+    return a
 
 
 # ---------------------------------------------------------------------------

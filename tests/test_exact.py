@@ -14,10 +14,11 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
-from sympy.polys.factortools import dmp_factor_list
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_monic, gf_sqf_p
 
 from doublefield import exact
 from doublefield.divisors import DeltaElement
@@ -743,6 +744,129 @@ class TestFactorQ:
         # the certificate reads x^2 + x + 2 at y = 1, where D = -7
         q = X**2 * Y + X + Y**2 + BPoly.const(1)
         assert factor_b(q) == (1, ((q, 1),))
+
+
+# factor_q's degree-pattern proof (exact._proved_irreducible) on fixed
+# examples: the fallback, the primes it must skip, and two reducible
+# quartics on which a proof that skipped either check would err
+SWINNERTON_DYER = up(576, 0, -960, 0, 352, 0, -40, 0, 1, var="y")
+# (7y - 3)(15y^3 + 6y^2 + 5y + 4): 3, 5 and 7 divide lc = 105; read there
+# regardless, q mod 3 has pattern [1, 1] and q mod 7 pattern [3], which
+# leave no degree
+LC_105 = up(-12, 13, 17, -3, 105, var="y")
+# (y^2 - 6y + 4)(y^2 - 2y - 1): [2, 2] mod 3; not squarefree mod 5, where a
+# distinct-degree factorization would read [1, 3] and leave no degree
+SQUARE_MOD_5 = up(-4, -2, 15, -8, 1, var="y")
+PATTERN_EXAMPLES = {
+    "swinnerton-dyer": SWINNERTON_DYER,
+    "eisenstein-at-3": up(3, 3, 0, 0, 1, var="y"),  # y^4 mod 3, not squarefree
+    "lc-105": LC_105,
+    "square-mod-5": SQUARE_MOD_5,
+    "y^24-1": up(-1, *[0] * 23, 1, var="y"),
+}
+
+
+@pytest.mark.parametrize("name", PATTERN_EXAMPLES)
+def test_pattern_example_matches_sympy(name):
+    f = PATTERN_EXAMPLES[name]
+    assert factor_q(f) == _sympy_route_q(f)
+
+
+class TestDegreePatterns:
+    def _refuse_factorizer(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+
+    def test_swinnerton_dyer_takes_the_fallback(self, monkeypatch):
+        """Irreducible, but it splits into factors of degree at most 2
+        mod every prime, so no pattern proves it and sympy decides it."""
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return dup_factor_list(*args)
+
+        for p in exact.PATTERN_PRIMES:
+            pattern = exact._degree_pattern(SWINNERTON_DYER.coeffs, p)
+            assert pattern is None or max(pattern) <= 2
+        monkeypatch.setattr(exact, "dup_factor_list", recording)
+        assert factor_q(SWINNERTON_DYER) == (1, ((SWINNERTON_DYER, 1),))
+        assert len(calls) == 1
+
+    def test_unusable_primes_are_skipped(self, monkeypatch):
+        f = PATTERN_EXAMPLES["eisenstein-at-3"]
+        assert exact._degree_pattern(f.coeffs, 3) is None
+        assert all(exact._degree_pattern(LC_105.coeffs, p) is None for p in (3, 5, 7))
+        assert exact._degree_pattern(SQUARE_MOD_5.coeffs, 5) is None
+        self._refuse_factorizer(monkeypatch)
+        assert factor_q(f) == (1, ((f, 1),))
+
+    def test_y24_minus_1_splits_into_cyclotomic_factors(self):
+        _, fac = factor_q(PATTERN_EXAMPLES["y^24-1"])
+        assert [(p.degree(), m) for p, m in fac] == [(d, 1) for d in (1, 1, 2, 2, 2, 4, 4, 8)]
+
+    def test_powers_of_the_variable_are_split_off_first(self, monkeypatch):
+        self._refuse_factorizer(monkeypatch)
+        t, cubic = up(0, 1), up(1, 1, 0, 1)  # x^3 + x + 1 has no rational root
+        assert factor_q(t**3 * cubic.scale(-2)) == (-2, ((t, 3), (cubic, 1)))
+        assert factor_q(t**2 * up(-2, 0, 1)) == (1, ((t, 2), (up(-2, 0, 1), 1)))
+        assert factor_q(t**4 * up(-1, 0, 1)) == (1, ((up(-1, 1), 1), (t, 4), (up(1, 1), 1)))
+        assert factor_q(t**5) == (1, ((t, 5),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=4, max_size=25).filter(lambda cs: cs[-1] != 0),
+        st.sampled_from(exact.PATTERN_PRIMES[:6]),
+    )
+    def test_pattern_equals_sympy_gf_factor_sqf(self, cs, p):
+        """The kernel's degrees are those of sympy's factorization over
+        GF(p); None exactly where p divides lc or the reduction has a
+        square factor."""
+        f = gf_from_int_poly(cs[::-1], p)
+        usable = cs[-1] % p != 0 and gf_sqf_p(gf_monic(f, p, ZZ)[1], p, ZZ)
+        pattern = exact._degree_pattern(cs, p)
+        if not usable:
+            assert pattern is None
+            return
+        _, fac = gf_factor_sqf(f, p, ZZ)
+        assert sorted(pattern) == sorted(len(g) - 1 for g in fac)
+
+
+def _irreducible_of_degree(draw, var, d):
+    """An integer polynomial of degree d with a nonzero constant term,
+    mostly irreducible."""
+    cs = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) + [draw(st.integers(1, 9))]
+    cs[0] = cs[0] or 1
+    return UPoly.make(var, cs)
+
+
+@st.composite
+def degree_3_to_24(draw):
+    """Products of up to four factors of degree 1 to 8, all of one degree
+    when ``equal`` is drawn, with a repeated factor and a power of the
+    variable at times, and a rational unit: total degree 3 to 24."""
+    var = draw(st.sampled_from("xy"))
+    equal = draw(st.booleans())
+    d = draw(st.integers(1, 8))
+    factors = [
+        _irreducible_of_degree(draw, var, d if equal else draw(st.integers(1, 8)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        factors.append(factors[0])
+    f = math.prod(factors[1:], start=factors[0]) * UPoly.make(var, [0] * draw(st.integers(0, 3)) + [1])
+    assume(3 <= f.degree() <= 24)
+    return f.scale(draw(nonzero_fracs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(degree_3_to_24())
+@example(SWINNERTON_DYER * up(-1, 0, 1, var="y"))
+@example(up(1, 1, 0, 1) * up(2, -1, 0, 1))  # two cubics
+def test_factor_q_matches_sympy_on_degrees_3_to_24(f):
+    assert factor_q(f) == _sympy_route_q(f)
 
 
 class TestCertifyIrreducible:

@@ -4,7 +4,9 @@ Each row of ``MUTANTS`` names one plausible mistake in a rule, the
 modules whose attribute it replaces (every module that imports the
 rule), and the suites that must fail while it is in place, each run
 from empty memos.  A criterion that no mutant can fail would hold
-vacuously; this table keeps that checkable.
+vacuously; this table keeps that checkable.  ``EXAMPLE_MUTANTS`` holds
+the mutants that no suite can fail, each with the fixed example of
+``tests/test_exact.py`` that fails instead.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from doublefield import arakelov, charts, exact, oracles, pairing, residues, sui
 from doublefield.divisors import Divisor, UnaryPlace, degree_K, place_bidegree
 from doublefield.exact import UPoly, clear_caches
 from doublefield.suites import run_suite
+import test_exact
 
 _rule = pairing._pair_primes_kp
 _infx = pairing.infx_fiber_divisor
@@ -22,6 +25,8 @@ _g_fs = oracles.g_fs
 _kappa = oracles.fs_kappa_closed_form
 _deg_Kp = arakelov.deg_Kp
 _pair = pairing.pair
+_pattern = exact._degree_pattern
+_ddf = exact._ddf_p
 INF_Y = UnaryPlace.infinity("y")
 ZERO_Y = UnaryPlace.finite(UPoly.make("y", [0, 1]))
 
@@ -104,6 +109,30 @@ def _pair_first_place_of_a(A, b, side=pairing.SIDE_KPRIME):
     return _pair(Divisor.make(A.coeffs[:1]), b, side)
 
 
+def _pattern_where_p_divides_lc(cs, p):
+    """factor_q's degree pattern read even where p divides lc: the
+    pattern of cs mod p with its leading zeros dropped."""
+    f = [c % p for c in cs]
+    while not f[-1]:
+        f.pop()
+    return _pattern(f, p)
+
+
+def _pattern_where_not_squarefree(cs, p):
+    """factor_q's degree pattern read even where cs mod p has a square
+    factor."""
+    lc = cs[-1] % p
+    if not lc:
+        return None
+    inv = pow(lc, -1, p)
+    return _ddf([c * inv % p for c in cs], p)
+
+
+def _always_proved(cs):
+    """factor_q's pattern proof declaring every input irreducible."""
+    return True
+
+
 _FIBER = (pairing, suites)
 _PAIR = (pairing, arakelov, residues, suites)
 
@@ -140,6 +169,17 @@ MUTANTS = [
         _pair_first_place_of_a,
         ("bilinearity", "principality", "selfpair", "rsp"),
     ),
+    ("pattern-proof-always-true", (exact,), "_proved_irreducible", _always_proved, ("charts",)),
+]
+
+# Mutants of factor_q's pattern proof that no verify suite fails: every
+# reducible polynomial the suites factor keeps a proper factor degree in
+# the patterns these mutants read.  Each row names the example of
+# test_exact.test_pattern_example_matches_sympy that fails instead.
+# (name, attribute of exact, mutant, example)
+EXAMPLE_MUTANTS = [
+    ("pattern-read-where-p-divides-lc", "_degree_pattern", _pattern_where_p_divides_lc, "lc-105"),
+    ("pattern-read-where-not-squarefree", "_degree_pattern", _pattern_where_not_squarefree, "square-mod-5"),
 ]
 
 
@@ -160,3 +200,17 @@ def test_suite_catches_mutant(monkeypatch, modules, attr, mutant, suite):
     finally:
         clear_caches()
 
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, example",
+    [pytest.param(attr, mutant, example, id=f"{name}-{example}") for name, attr, mutant, example in EXAMPLE_MUTANTS],
+)
+def test_factor_q_example_catches_mutant(monkeypatch, attr, mutant, example):
+    monkeypatch.setattr(exact, attr, mutant)
+    clear_caches()
+    try:
+        with pytest.raises(AssertionError):
+            test_exact.test_pattern_example_matches_sympy(example)
+    finally:
+        clear_caches()
