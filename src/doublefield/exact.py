@@ -6,9 +6,11 @@ variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
 square-free decomposition) goes to sympy's dense ``dup`` / ``dmp`` layer
 through the one bridge below, except that ``factor_q`` decides most
 inputs in plain integers: it splits off powers of the variable, decides
-degrees 1 and 2 (a quadratic by its discriminant), and proves most
-higher degrees irreducible from their degree patterns mod small primes,
-so that sympy's Zassenhaus sees only the rest.  The bridge works
+degrees 1 and 2 (a quadratic by its discriminant), and decides most
+higher degrees from their degree patterns mod small primes, finished by
+Hensel-lifted rational roots when only a linear factor is left possible,
+so that sympy's Zassenhaus sees only inputs that may have a factor of
+degree 2 to n - 2.  The bridge works
 over ZZ only: each bridged call puts its inputs in primitive integer
 form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
 rational units back exactly, so everything stays exact.  Both
@@ -726,11 +728,14 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     then coefficients.  Raises DegreeBound when the degree exceeds
     DEFAULT_FACTOR_DEGREE_BOUND.  A power of the variable is split off
     first.  Degrees 1 and 2 are decided in integers (a quadratic by its
-    discriminant), and degree 3 and up by degree patterns mod small
-    primes, which prove most such inputs irreducible; only what they
-    leave undecided goes to sympy's ``dup_factor_list``.  The proofs are
-    in ``_factor_primitive_q``.  The memo is keyed on the primitive form,
-    so f and c*f share one entry for every nonzero rational c.
+    discriminant), and degree n >= 3 by degree patterns mod small primes,
+    which prove most such inputs irreducible; when they leave only factor
+    degrees 1 and n - 1 possible, the rational roots, Hensel-lifted from
+    the roots mod p, decide the rest.  Only inputs that may still have a
+    factor of degree 2 to n - 2 go to sympy's ``dup_factor_list``.  The
+    proofs are in ``_factor_primitive_q``.  The memo is keyed on the
+    primitive form, so f and c*f share one entry for every nonzero
+    rational c.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -769,20 +774,44 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
     (the product by Gauss's lemma) with a positive leading coefficient, so
     that factor is 1.
 
-    For c of degree n >= 3, ``_proved_irreducible`` reads the degrees of
-    the factors of c mod p at the primes of ``PATTERN_PRIMES`` in turn.
-    It skips a prime p that divides lc(c) or at which c mod p is not
-    squarefree, and proves c irreducible when no degree 0 < d < n is a
-    sum of factor degrees at every prime it used.  Proof: let c = g*h over
-    Z with deg g = d, 0 < d < n; by Gauss's lemma such a split exists for
-    every factorization over Q.  Since p does not divide lc(c) =
-    lc(g)*lc(h), g mod p keeps degree d.  As c mod p is squarefree, its
-    monic irreducible factors are distinct and each divides exactly one of
+    For c of degree n >= 3, ``_pattern_verdict`` reads the degrees of the
+    factors of c mod p at the primes of ``PATTERN_PRIMES`` in turn.  It
+    skips a prime p that divides lc(c) or at which c mod p is not
+    squarefree, and keeps the candidates C: the degrees 0 < d < n that are
+    a sum of factor degrees at every prime it used.  Every factor of c
+    over Z has its degree in C.  Proof: let c = g*h over Z with deg g = d,
+    0 < d < n; by Gauss's lemma such a split exists for every
+    factorization over Q.  Since p does not divide lc(c) = lc(g)*lc(h),
+    g mod p keeps degree d.  As c mod p is squarefree, its monic
+    irreducible factors are distinct and each divides exactly one of
     g mod p and h mod p (unique factorization in GF(p)[t]), so d is the
-    sum of the degrees of those that divide g mod p.  Only when the test
-    stops without a proof (at most ``PATTERN_MAX_PRIMES`` usable primes,
-    or ``PATTERN_STALL`` in a row that leave the candidate degrees as they
-    were) does c go to sympy's ``dup_factor_list`` (Zassenhaus).
+    sum of the degrees of those that divide g mod p.  An empty C proves c
+    irreducible.
+
+    When C is a subset of {1, n - 1} after a usable prime p,
+    ``_rational_roots`` decides c at p.  It lifts each root r of c mod p
+    by Newton's iteration to the root mod M = p^(2^k), for the first k
+    with M > 2*|lc(c)*c(0)| (c(0) != 0, as t^k is split off), takes the
+    symmetric residue m of lc(c)*r mod M, and keeps m/lc(c) when it is a
+    root of c in Q.  Every rational root is found: c is squarefree mod p
+    and p does not divide lc(c), so a root a/b in lowest terms (b divides
+    lc(c), a divides c(0)) reduces to a simple root mod p, which by
+    Hensel's lemma has exactly one p-adic lift, a/b itself; lc(c)*a/b is
+    an integer of absolute value at most |lc(c)*c(0)| < M/2, so the
+    symmetric residue is that integer.  The roots are simple (c mod p is
+    squarefree, so c is), each gives the primitive factor b*t - a, and
+    the cofactor h, c divided exactly by them, is irreducible or 1: it
+    has no rational root, so a proper split h = h1*h2 over Z has
+    deg h1, deg h2 >= 2, and h1 would be a factor of c of degree 2 to
+    n - 2, which is not in C.  The unit is 1, as for the quadratic: the
+    factors are primitive with positive leading coefficients and their
+    product is c, by Gauss's lemma and unique factorization.  Each cubic
+    is decided at its first usable prime, as its C lies in {1, 2}.
+
+    Only when the test stops with another C (at most
+    ``PATTERN_MAX_PRIMES`` usable primes, or ``PATTERN_STALL`` in a row
+    that leave C as it was) does c go to sympy's ``dup_factor_list``
+    (Zassenhaus).
     """
     cs = q.coeffs
     k = 0
@@ -792,27 +821,43 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
     c = UPoly(q.var, cs[k:]) if k else q
     n = c.degree()
     unit = 1
-    if n == 1 or (n >= 3 and _proved_irreducible(c.coeffs)):
-        out.append((c, 1))
-    elif n == 2:
+    roots = _pattern_verdict(c.coeffs) if n >= 3 else ()
+    if n == 2:
         d0, b, a = c.coeffs
         disc = b * b - 4 * a * d0
         s = isqrt(max(disc, 0))
         if s * s != disc:
             out.append((c, 1))
         else:
-            roots = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
-            lin = [UPoly(q.var, (-r.numerator, r.denominator)) for r in roots]
+            zeros = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
+            lin = [UPoly(q.var, (-r.numerator, r.denominator)) for r in zeros]
             out += [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
-    elif n >= 3:
+    elif roots is None:
         content, fac = dup_factor_list(_to_dup(c), ZZ)
         unit = int(content)
         for p, m in fac:
             u, irr = primitive_int_upoly(_from_dup(p, q.var))
             unit *= u**m
             out.append((irr, m))
+    else:
+        for a, b in roots:
+            out.append((UPoly(q.var, (-a, b)), 1))
+            c = UPoly(q.var, _exquo_linear(c.coeffs, a, b))
+        if c.degree() > 0:
+            out.append((c, 1))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return _frac(unit), tuple(out)
+
+
+def _exquo_linear(cs: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+    """The integer coefficients of cs / (b*t - a), low degree first, for
+    a factor b*t - a of cs in Z[t]: from cs_i = b*h_(i-1) - a*h_i, top
+    down."""
+    h, acc = [], 0
+    for c in reversed(cs[1:]):
+        acc = (c + a * acc) // b
+        h.append(acc)
+    return tuple(reversed(h))
 
 
 # ---------------------------------------------------------------------------
@@ -826,14 +871,17 @@ PATTERN_MAX_PRIMES = 8
 PATTERN_STALL = 3
 
 
-def _proved_irreducible(cs: Sequence[int]) -> bool:
-    """True when the degree patterns mod p of the primitive integer
-    polynomial with coefficients cs (degree n >= 3) leave no degree for a
-    proper factor; False only means that they did not (the proof and the
-    stopping rule are in ``_factor_primitive_q``).  Bit d of a mask stands
-    for degree d."""
+def _pattern_verdict(cs: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]:
+    """The rational roots (a, b), meaning a/b in lowest terms with b > 0,
+    of the primitive integer polynomial with coefficients cs (degree
+    n >= 3, cs[0] != 0) when its degree patterns mod p decide it: () when
+    they prove it irreducible, the roots when they leave only factor
+    degrees 1 and n - 1; None when they leave it undecided (the proof and
+    the stopping rule are in ``_factor_primitive_q``).  Bit d of a mask
+    stands for degree d."""
     n = len(cs) - 1
     candidates = (1 << n) - 2
+    linear = 2 | 1 << (n - 1)
     used = unchanged = 0
     for p in PATTERN_PRIMES:
         pattern = _degree_pattern(cs, p)
@@ -844,13 +892,60 @@ def _proved_irreducible(cs: Sequence[int]) -> bool:
             sums |= sums << d
         narrowed = candidates & sums
         if not narrowed:
-            return True
+            return ()
+        if not narrowed & ~linear:
+            return _rational_roots(cs, p, pattern.count(1))
         unchanged = unchanged + 1 if narrowed == candidates else 0
         candidates = narrowed
         used += 1
         if used == PATTERN_MAX_PRIMES or unchanged == PATTERN_STALL:
-            return False
-    return False
+            return None
+    return None
+
+
+def _rational_roots(cs: Sequence[int], p: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The rational roots (a, b) of cs, for a usable prime p at which cs
+    has ``count`` roots: each root mod p, found by evaluation, is lifted
+    past 2*|lc*cs[0]| and kept when lc times it, as a symmetric residue,
+    over lc is a root in Q (proof in ``_factor_primitive_q``)."""
+    lc = cs[-1]
+    bound = 2 * abs(lc * cs[0])
+    roots = []
+    for r in range(p):
+        v = 0
+        for c in reversed(cs):
+            v = (v * r + c) % p
+        if v:
+            continue
+        r, mod = _hensel_lift(cs, r, p, bound)
+        m = lc * r % mod
+        if 2 * m > mod:
+            m -= mod
+        g = gcd(m, lc)
+        a, b = m // g, lc // g
+        v, w = 0, 1
+        for c in reversed(cs):
+            v, w = v * a + c * w, w * b
+        if not v:
+            roots.append((a, b))
+        count -= 1
+        if not count:
+            break
+    return tuple(roots)
+
+
+def _hensel_lift(cs: Sequence[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """(root, M): a simple root r of cs mod p lifted by Newton's iteration
+    (von zur Gathen and Gerhard, Modern Computer Algebra, section 15.4) to
+    the root mod M = p^(2^k), for the first k with M > bound."""
+    mod = p
+    while mod <= bound:
+        mod *= mod
+        v = dv = 0
+        for c in reversed(cs):
+            v, dv = (v * r + c) % mod, (dv * r + v) % mod
+        r = (r - v * pow(dv, -1, mod)) % mod
+    return r, mod
 
 
 def _degree_pattern(cs: Sequence[int], p: int) -> Optional[list[int]]:

@@ -746,7 +746,7 @@ class TestFactorQ:
         assert factor_b(q) == (1, ((q, 1),))
 
 
-# factor_q's degree-pattern proof (exact._proved_irreducible) on fixed
+# factor_q's degree-pattern proof (exact._pattern_verdict) on fixed
 # examples: the fallback, the primes it must skip, and two reducible
 # quartics on which a proof that skipped either check would err
 SWINNERTON_DYER = up(576, 0, -960, 0, 352, 0, -40, 0, 1, var="y")
@@ -867,6 +867,67 @@ def degree_3_to_24(draw):
 @example(up(1, 1, 0, 1) * up(2, -1, 0, 1))  # two cubics
 def test_factor_q_matches_sympy_on_degrees_3_to_24(f):
     assert factor_q(f) == _sympy_route_q(f)
+
+
+@st.composite
+def linear_factors_times_cofactor(draw):
+    """One to three factors b*t - a, with b up to 10^6 and |a| up to
+    10^12, times a cofactor of degree 2 to 21 and a rational unit: the
+    inputs whose rational roots factor_q lifts from their roots mod p.
+    Roots divisible by 3, negative roots and b > 1 are drawn on purpose."""
+    var = draw(st.sampled_from("xy"))
+    f = _irreducible_of_degree(draw, var, draw(st.integers(2, 21)))
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.one_of(st.just(1), st.integers(2, 10**6)))
+        a = draw(st.integers(-(10**12), 10**12).filter(lambda a: a != 0))
+        if draw(st.booleans()):
+            a = 3 * (a // 3) or 3
+        f = f * UPoly.make(var, [-a, b])
+    return f.scale(draw(nonzero_fracs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_factors_times_cofactor())
+@example(up(-3 * 10**11, 1, var="y") * up(1, 1, 0, 1, var="y"))  # root 3*10^11, 0 mod 3
+@example(up(10**12 - 1, 999983, var="y") * up(-2, 0, 1, var="y"))  # negative root, b prime
+@example(up(-5, 6) * up(7, 6) * up(1, 0, 0, 0, 1))  # two roots with b = 6, times t^4 + 1
+def test_factor_q_matches_sympy_on_linear_factors(f):
+    assert factor_q(f) == _sympy_route_q(f)
+
+
+class TestRationalRoots:
+    """Inputs that factor_q decides by Hensel-lifted rational roots, with
+    sympy's factorizer refused."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_factorizer(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+
+    def test_irreducible_cubic_without_zassenhaus(self):
+        # t^3 + t + 3 has the pattern [1, 2] at 3, 5 and 7, which leaves
+        # the candidates unchanged until the stall, so patterns alone
+        # would send it to Zassenhaus; the finish finds no rational root
+        # at p = 3
+        f = up(3, 1, 0, 1)
+        assert [exact._degree_pattern(f.coeffs, p) for p in (3, 5, 7)] == [[1, 2]] * 3
+        assert factor_q(f) == (1, ((f, 1),))
+
+    def test_cubic_with_three_rational_roots(self):
+        # (2t - 1)(3t + 5)(t - 7) = 6t^3 - 35t^2 - 54t + 35: every root is
+        # lifted at the first usable prime, two with a denominator
+        f = up(35, -54, -35, 6)
+        assert factor_q(f) == (1, ((up(-7, 1), 1), (up(-1, 2), 1), (up(5, 3), 1)))
+
+    def test_linear_times_irreducible_of_degree_12(self):
+        # (3y + 1)(y^11 - y - 1): y^11 - y - 1 is irreducible (Selmer), and
+        # the patterns leave factor degrees 1 and 11 only, so the root
+        # -1/3 and an exact division decide the rest
+        f = up(-1, -4, -3, *[0] * 8, 1, 3, var="y")
+        assert exact._pattern_verdict(f.coeffs) == ((-1, 3),)
+        assert factor_q(f) == (1, ((up(1, 3, var="y"), 1), (up(-1, -1, *[0] * 9, 1, var="y"), 1)))
 
 
 class TestCertifyIrreducible:

@@ -27,6 +27,7 @@ _deg_Kp = arakelov.deg_Kp
 _pair = pairing.pair
 _pattern = exact._degree_pattern
 _ddf = exact._ddf_p
+_lift = exact._hensel_lift
 INF_Y = UnaryPlace.infinity("y")
 ZERO_Y = UnaryPlace.finite(UPoly.make("y", [0, 1]))
 
@@ -129,8 +130,20 @@ def _pattern_where_not_squarefree(cs, p):
 
 
 def _always_proved(cs):
-    """factor_q's pattern proof declaring every input irreducible."""
-    return True
+    """factor_q's pattern verdict declaring every input irreducible."""
+    return ()
+
+
+def _no_roots(cs, p, count):
+    """factor_q's rational-root finish finding no root, so that it
+    declares every input it decides irreducible."""
+    return ()
+
+
+def _lift_without_lc(cs, r, p, bound):
+    """factor_q's Hensel lift stopping past 2*|cs[0]| instead of
+    2*|lc*cs[0]|, too early for lc times a root with a denominator."""
+    return _lift(cs, r, p, 2 * abs(cs[0]))
 
 
 _FIBER = (pairing, suites)
@@ -169,7 +182,9 @@ MUTANTS = [
         _pair_first_place_of_a,
         ("bilinearity", "principality", "selfpair", "rsp"),
     ),
-    ("pattern-proof-always-true", (exact,), "_proved_irreducible", _always_proved, ("charts",)),
+    ("pattern-proof-always-true", (exact,), "_pattern_verdict", _always_proved, ("charts",)),
+    ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
+    ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
 ]
 
 # Mutants of factor_q's pattern proof that no verify suite fails: every
