@@ -19,7 +19,8 @@ expressions.  Unary minus covers the whole following factor (``-x^2``
 means ``-(x^2)``), so canonical renderings re-parse to equal values.
 
 Products, powers, unary minus and the quotient are kept factor by
-factor; only a sum is multiplied out, into one factor.  So ``divisor``
+factor; only a sum is multiplied out, into one factor: each term into a
+coefficient table, added into the sum's one table.  So ``divisor``
 factors each written factor on its own and never their product, and a
 prime written as a product of curves or a power of one is refused.  The
 degree bound of ``exact.factor_b`` (exit 2) applies to each written
@@ -132,6 +133,8 @@ def _tokenize(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
 # non-constant and every exponent nonzero; zero is the constant 0.
 _Factored = tuple[Scalar, list[tuple[BPoly, int]]]
 
+_X, _Y = BPoly.gen("x"), BPoly.gen("y")
+
 
 def _l1_bits(f: BPoly) -> int:
     """Bits of the L1 norm of f with its denominators cleared, which
@@ -140,11 +143,12 @@ def _l1_bits(f: BPoly) -> int:
     return sum(abs(a.numerator) * (den // a.denominator) for _, a in f.terms).bit_length()
 
 
-def _multiply_out(form: _Factored) -> BPoly:
-    """The polynomial a factored form stands for.  Its bidegree and the
-    bits of its coefficients are read off the factors first, and
-    DegreeBound or InputError is raised before any multiplication when
-    they exceed their bounds."""
+def _multiply_out(form: _Factored) -> dict[tuple[int, int], Scalar]:
+    """The coefficient table {(i, j): c} of the polynomial a factored
+    form stands for, possibly with zero entries, multiplied out in one
+    dict.  Its bidegree and the bits of its coefficients are read off the
+    factors first, and DegreeBound or InputError is raised before any
+    multiplication when they exceed their bounds."""
     c, factors = form
     bound = DEFAULT_FACTOR_DEGREE_BOUND
     dx = sum(e * f.deg_x() for f, e in factors)
@@ -157,17 +161,31 @@ def _multiply_out(form: _Factored) -> BPoly:
         raise InputError(
             f"coefficients of about {bits} bits exceed bound {MAX_COEFFICIENT_BITS}"
         )
-    value = None
-    for f, e in factors:
-        power = f if e == 1 else f**e
-        value = power if value is None else value * power
-    return BPoly.const(c) if value is None else value.scale(c)
+    powers = [f.terms for f, e in factors for _ in range(e)]
+    if not powers:
+        return {(0, 0): c}
+    table = {k: c * v for k, v in powers[0]}
+    for terms in powers[1:]:
+        table = _mul_table(table, terms)
+    return table
+
+
+def _mul_table(table: dict, terms: tuple) -> dict[tuple[int, int], Scalar]:
+    """The coefficient table of table times the polynomial with these
+    terms."""
+    out: dict[tuple[int, int], Scalar] = {}
+    for (i1, j1), a in table.items():
+        for (i2, j2), b in terms:
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + a * b
+    return out
 
 
 class _Parser:
     """Recursive descent over the module grammar.  Every rule returns a
     factored form: products, powers and unary minus combine factor lists
-    and exponents, and only a sum multiplies its terms out.  It reads
+    and exponents, and only a sum multiplies its terms out, adding their
+    tables into one and building one polynomial from it.  It reads
     text[start:end] and reports offsets in text."""
 
     def __init__(self, text: str, start: int, end: int):
@@ -199,11 +217,13 @@ class _Parser:
         form = self.term()
         if self.peek()[0] not in ("+", "-"):
             return form
-        value = _multiply_out(form)
+        table = _multiply_out(form)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = _multiply_out(self.term())
-            value = value + rhs if op == "+" else value - rhs
+            sign = 1 if self.advance()[0] == "+" else -1
+            c, factors = self.term()
+            for k, v in _multiply_out((sign * c, factors)).items():
+                table[k] = table.get(k, 0) + v
+        value = BPoly.make(table)
         if value.deg_x() <= 0 and value.deg_y() <= 0:
             return (value.terms[0][1] if value.terms else 0), []
         return 1, [(value, 1)]
@@ -247,7 +267,7 @@ class _Parser:
             return num, []
         if kind == "var":
             self.advance()
-            return 1, [(BPoly.gen(text), 1)]
+            return 1, [(_X if text == "x" else _Y, 1)]
         if kind == "(":
             self.advance()
             form = self.expr()

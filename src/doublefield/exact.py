@@ -1034,9 +1034,44 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
 @memo
 def y_content(f: BPoly) -> UPoly:
     """Monic gcd of the coefficients of a nonzero f in x, a polynomial
-    in y."""
-    c = dmp_content(_to_dmp(primitive_int_bpoly(f)[1]), 1, ZZ)
-    return _from_dup(c, "y").monic()
+    in y.
+
+    It is read as 1 in integers when some row (coefficient of a power of
+    x) of the primitive form of f is a nonzero constant, or when
+    ``_rows_coprime_mod_p`` finds the top row coprime mod p to another
+    row; sympy's ``dmp_content`` computes it otherwise.
+
+    Proof of the second test.  The content c(y) of the primitive form is
+    a primitive integer polynomial (Gauss's lemma) and divides every row
+    in Z[y].  lc(c) divides the leading coefficient of the top row, and p
+    does not, so c mod p keeps the degree of c and divides both rows mod
+    p.  Their gcd mod p is constant, so deg c = 0.
+    """
+    g = primitive_int_bpoly(f)[1]
+    rows: dict[int, list[int]] = {}
+    for (i, j), v in g.terms:  # sorted, so rows and their entries ascend
+        row = rows.setdefault(i, [])
+        row += [0] * (j - len(row))
+        row.append(v)
+    ys = list(rows.values())
+    if any(len(row) == 1 for row in ys) or _rows_coprime_mod_p(ys):
+        return UPoly.const("y", 1)
+    return _from_dup(dmp_content(_to_dmp(g), 1, ZZ), "y").monic()
+
+
+def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
+    """True when the last of the nonzero integer rows (low degree first)
+    and some other row are coprime mod p, at the first p of
+    ``PATTERN_PRIMES`` that does not divide the last row's leading
+    coefficient; False when no other row is, or when every prime there
+    divides that coefficient."""
+    top = rows[-1]
+    p = next((p for p in PATTERN_PRIMES if top[-1] % p), None)
+    if p is None:
+        return False
+    inv = pow(top[-1], -1, p)
+    monic = [c * inv % p for c in top]
+    return any(len(_gcd_p(monic, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1])
 
 
 def content_free_both_ways(f: BPoly) -> bool:

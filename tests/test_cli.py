@@ -10,8 +10,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 import doublefield.cli as cli
 from doublefield.cli import (
@@ -159,6 +161,63 @@ class TestFactoredParsing:
             parse_element("(x - x)*y")
         with pytest.raises(InputError, match="zero denominator"):
             parse_element("y/(x*(y - y))")
+
+
+# The same texts with the sympy expression each stands for, from integer
+# and rational literals; a sum of a text and its negation, plus a
+# literal, cancels to a constant or to zero.
+_SX, _SY = sympy.symbols("x y")
+_SYMPY_LEAVES = st.one_of(
+    st.sampled_from([("x", _SX, 3), ("y", _SY, 3)]),
+    st.integers(0, 12).map(lambda n: (str(n), sympy.Integer(n), 3)),
+    st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda t: (f"{t[0]}/{t[1]}", sympy.Rational(*t), 3)),
+)
+
+
+def _sympy_combine(children):
+    return _combine(children) | st.builds(lambda a, c: _plus(_minus(a, a), c), children, _SYMPY_LEAVES)
+
+
+_SYMPY_EXPRESSIONS = st.recursive(_SYMPY_LEAVES, _sympy_combine, max_leaves=8)
+
+
+class TestParserAgainstSympy:
+    @settings(max_examples=150, deadline=None)
+    @given(_SYMPY_EXPRESSIONS)
+    def test_parse_equals_sympy_expansion(self, generated):
+        """parse_element equals the element of sympy's expansion over QQ;
+        a text that cancels to zero is refused."""
+        text, expr, _ = generated
+        P = sympy.Poly(expr, _SX, _SY, domain=QQ)
+        expected = BPoly.make({k: Fraction(int(c.numerator), int(c.denominator)) for k, c in P.as_dict().items()})
+        try:
+            if expected.is_zero():
+                with pytest.raises(InputError, match="zero element"):
+                    parse_element(text)
+                return
+            written = parse_element(text)
+        except DegreeBound:
+            assume(False)
+        assert written == _element(expected)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("(x+y)^1000 + 1", DegreeBound, "exceeds bound 24"),
+            ("(x + 7^200)^24 + 1", InputError, f"exceed bound {cli.MAX_COEFFICIENT_BITS}"),
+        ],
+    )
+    def test_bounds_checked_before_multiplying(self, monkeypatch, text, error, message):
+        """A term past a bound is refused before its table is multiplied;
+        the inner sums here are tables of single terms, which need no
+        multiplication."""
+
+        def refuse(table, terms):
+            raise AssertionError("multiplied a term past its bound")
+
+        monkeypatch.setattr(cli, "_mul_table", refuse)
+        with pytest.raises(error, match=message):
+            parse_element(text)
 
 
 class TestDegreeBudget:

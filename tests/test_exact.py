@@ -17,6 +17,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dmp_content
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_monic, gf_sqf_p
 
@@ -416,13 +417,15 @@ class TestGcd:
         assert d == upoly_of_expr(F.gcd(G).monic().as_expr(), "x")
 
     @settings(max_examples=60, deadline=None)
-    @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)))
-    @example(2 * X * Y + 2 * X, BPoly.const(1), 1)
-    @example(X * Y, Y + BPoly.const(1), 1)
-    def test_y_content_is_monic_gcd(self, a, h, k):
+    @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)), st.sampled_from((0, 1, 3)))
+    @example(2 * X * Y + 2 * X, BPoly.const(1), 1, 0)
+    @example(X * Y, Y + BPoly.const(1), 1, 0)
+    def test_y_content_is_monic_gcd(self, a, h, k, m):
         """y_content is sympy's monic gcd over QQ of the coefficients in x,
-        also when it has a factor in y alone or only one coefficient."""
-        f = a * h**k
+        also when it has a factor in y alone or only one coefficient.  The
+        factor m*x + 1 leaves the content as it is; m = 3 puts 3 into the
+        top row's leading coefficient, so the modular test skips p = 3."""
+        f = a * h**k * (m * X + BPoly.const(1))
         if f.is_zero():
             return
         cs = [sympy.Poly(sym_u(c.with_var("x")), SX, domain=QQ) for c in f.x_coeffs() if not c.is_zero()]
@@ -430,6 +433,45 @@ class TestGcd:
         content = y_content(f)
         assert content.lc() == 1
         assert content == upoly_of_expr(expected.as_expr(), "x").with_var("y")
+
+
+# y_content on fixed examples, with the route each must take: a
+# constant row; rows coprime mod 3; rows y^2 + 1 and y^2 + 4, equal mod 3
+# but coprime over Q; a top row 105*y + 1, whose lc 3, 5 and 7 divide,
+# sharing the root 9 with y + 2 mod 11; and (x + 1)(y^2 + 1), whose
+# content is y^2 + 1
+CONTENT_EXAMPLES = {
+    "constant-row": (X**2 * Y + X + Y**2, "row"),
+    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), "mod p"),
+    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), "sympy"),
+    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), "sympy"),
+    "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), "sympy"),
+}
+
+
+@pytest.mark.parametrize("name", CONTENT_EXAMPLES)
+def test_y_content_example_route(monkeypatch, name):
+    """Each example equals the monic content sympy computes, reached by
+    its route: sympy is called only where the modular test fails."""
+    f, route = CONTENT_EXAMPLES[name]
+    expected = _from_dup(dmp_content(_to_dmp(primitive_int_bpoly(f)[1]), 1, ZZ), "y").monic()
+    calls = {"mod p": [], "sympy": []}
+    modular = exact._rows_coprime_mod_p
+
+    def coprime(rows):
+        calls["mod p"].append(modular(rows))
+        return calls["mod p"][-1]
+
+    def content(*args):
+        calls["sympy"].append(args)
+        return dmp_content(*args)
+
+    monkeypatch.setattr(exact, "_rows_coprime_mod_p", coprime)
+    monkeypatch.setattr(exact, "dmp_content", content)
+    assert y_content(f) == expected
+    taken = "sympy" if calls["sympy"] else "mod p" if calls["mod p"] else "row"
+    assert taken == route
+    assert calls["mod p"] == ([] if route == "row" else [route == "mod p"])
 
 
 class TestBridge:

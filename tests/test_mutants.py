@@ -146,6 +146,12 @@ def _lift_without_lc(cs, r, p, bound):
     return _lift(cs, r, p, 2 * abs(cs[0]))
 
 
+def _rows_always_coprime(rows):
+    """y_content's modular test reporting every curve's rows coprime, so
+    that every content reads as constant."""
+    return True
+
+
 _FIBER = (pairing, suites)
 _PAIR = (pairing, arakelov, residues, suites)
 
@@ -185,6 +191,7 @@ MUTANTS = [
     ("pattern-proof-always-true", (exact,), "_pattern_verdict", _always_proved, ("charts",)),
     ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
+    ("content-always-constant", (exact,), "_rows_coprime_mod_p", _rows_always_coprime, ("charts",)),
 ]
 
 # Mutants of factor_q's pattern proof that no verify suite fails: every
