@@ -16,7 +16,6 @@ from .arakelov import (
     principal_move,
     residue_scalar_product,
 )
-from .charts import fiber_divisor, infx_fiber_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -31,12 +30,10 @@ from .divisors import (
 from .errors import (
     DegreeBound,
     DoubleFieldError,
-    EqualIsoms,
     InputError,
     NotCoprime,
     NotDegreeOne,
     ParseError,
-    PrecisionFailure,
 )
 from .exact import (
     BPoly,
@@ -44,7 +41,6 @@ from .exact import (
     clear_caches,
     factor_b,
     factor_q,
-    gcd_u,
     resultant_x,
 )
 from .pairing import (

@@ -123,6 +123,14 @@ def transpose_place(m: Place) -> Place:
     return UnaryPlace.finite(m.poly.with_var(nv))
 
 
+def transpose_divisor(D: Divisor) -> Divisor:
+    """Relabel a divisor over Q(y)-places as the mirror-image divisor
+    over Q(x)-places (or vice versa)."""
+    if any(isinstance(p, BinaryPlace) for p in D.support()):
+        raise ValueError("only unary divisors can be relabeled")
+    return Divisor.make([(transpose_place(p), c) for p, c in D.coeffs])
+
+
 def place_sort_key(p: Place):
     """Deterministic total order on places for canonical divisor form."""
     if isinstance(p, BinaryPlace):

@@ -389,20 +389,13 @@ class BPoly(_DegreeSlots):
         n = max(d, default=-1) + 1
         return UPoly.make("y", [d.get(j, 0) for j in range(n)])
 
-    def x_coeffs(self) -> list[UPoly]:
-        """All coefficients of powers of x, index = x-exponent."""
-        return [self.coeff_of_x(i) for i in range(self.deg_x() + 1)]
-
-    def eval_x(self, c) -> UPoly:
-        """Substitute x = c; result is a polynomial in y."""
-        c = _frac(c)
-        acc = UPoly.zero("y")
-        for p in reversed(self.x_coeffs()):
-            acc = acc * c + p
-        return acc
-
     def eval_y(self, c) -> UPoly:
-        return self.transpose().eval_x(c).with_var("x")
+        """Substitute y = c; result is a polynomial in x."""
+        c = _frac(c)
+        out = [0] * (self.deg_x() + 1)
+        for (i, j), v in self.terms:
+            out[i] += v * c**j
+        return UPoly.make("x", out)
 
     def as_upoly(self) -> UPoly:
         """Convert when at most one variable occurs (constants become 'x')."""

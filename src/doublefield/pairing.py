@@ -6,13 +6,19 @@ on P1 x P1 with a bidegree (``place_bidegree``), and a pair of places
 goes to the divisor on the y-line of the resultant of their two forms,
 of the Bezout degree a1*b2 + a2*b1 (``_pair_primes_kp``).  Side K is the
 same rule with x and y swapped.
+
+The fiber of a coprime pair of curves over each point of the y-line is
+counted by one resultant in the original coordinates, Res_x(f, g): its
+order at each finite y0 is the whole fiber's intersection multiplicity,
+x = infinity included, and the place y = infinity gets the Bezout number
+deg_x f * deg_y g + deg_y f * deg_x g minus its degree (proof in
+``fiber_divisor``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
 from .divisors import (
     BinaryPlace,
     Divisor,
@@ -21,10 +27,11 @@ from .divisors import (
     div_of_place,
     divisor_of_upoly,
     place_bidegree,
+    transpose_divisor,
     transpose_place,
 )
 from .errors import NotCoprime
-from .exact import BPoly
+from .exact import BPoly, gcd_u, resultant_x, y_content
 
 SIDE_K = "K"
 SIDE_KPRIME = "Kprime"
@@ -65,42 +72,84 @@ def _pair_primes_kp(m: Place, n: Place) -> Divisor:
     the y-line of their intersection is the divisor of the binary form
     R = Res_X(F, G), taken with the formal X-degrees a1 and a2, which has
     degree a1*b2 + a2*b1 in Y (Fulton, Algebraic Curves, 1.6 and 5.1).
-    There are three readings:
+    There are four readings:
     - a1 = 0: F is a form in Y alone, so R = F^a2, whose divisor is
       a2*[m]; and a2 = 0 likewise gives a1*[n].  Two y-unary places
       pair to 0.
     - a1*b2 + a2*b1 = 0 with a1, a2 >= 1: then b1 = b2 = 0, and R is a
       nonzero effective form of degree 0, so its divisor is 0.  Two
       x-unary places pair to 0.
-    - otherwise both curves have positive X-degree, and ``fiber_divisor``
-      reads R off Res_x of the two curve polynomials.  Its proof needs
-      each curve to reach its X-degree, which fails only for X0 = inf_x,
-      whose curve is 1: there R is +-lc_X of the other form, which
-      ``infx_fiber_divisor`` reads as a form of that form's Y-degree.
+    - m = inf_x, F = X0 of bidegree (1, 0): n is binary, since an
+      x-unary n has b2 = 0 and a Bezout number of 0.  With
+      G = sum g_i X1^i X0^(a2-i), R = Res_X(X0, G) = +-G(0, 1; Y) =
+      +-lc_X(G), the x-leading coefficient g_a2 of n's curve, as a form
+      of Y-degree b2 = a1*b2 + a2*b1.  n = inf_x likewise reads lc_X(F).
+    - otherwise both curves reach their X-degrees, and ``fiber_divisor``
+      reads R off Res_x of the two curve polynomials.
     """
     (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
     if a1 == 0:
         return Divisor.of(m, a2)
     if a2 == 0:
         return Divisor.of(n, a1)
-    if a1 * b2 + a2 * b1 == 0:
+    bezout = a1 * b2 + a2 * b1
+    if bezout == 0:
         return Divisor.zero()
-    f, g = _curve_of(m), _curve_of(n)
-    if f.deg_x() < a1 or g.deg_x() < a2:
-        return infx_fiber_divisor(max(f, g, key=BPoly.deg_x))
-    return fiber_divisor(f, g)
-
-
-_ONE = BPoly.const(1)
+    if m.poly is None:  # m = inf_x, since a1 >= 1 rules out inf_y
+        return divisor_of_upoly(n.poly.coeff_of_x(a2), bezout)
+    if n.poly is None:
+        return divisor_of_upoly(m.poly.coeff_of_x(a1), bezout)
+    return fiber_divisor(_curve_of(m), _curve_of(n))
 
 
 def _curve_of(m: Place) -> BPoly:
-    """The polynomial of a place over the x-line as a curve in the
-    (x, y) plane, and 1 for inf_x, whose form X0 is 1 in the chart
-    x = X1/X0."""
+    """The polynomial of a binary or finite x-unary place as a curve in
+    the (x, y) plane."""
     if isinstance(m, BinaryPlace):
         return m.poly
-    return _ONE if m.is_infinity() else BPoly.from_upoly(m.poly)
+    return BPoly.from_upoly(m.poly)
+
+
+def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
+    """Divisor over the places of Q(y) (including infinity) counting the
+    intersections of the curves f = 0 and g = 0 above each place.
+
+    Each input has positive x-degree; purely x-unary inputs (deg_y = 0)
+    are allowed.  Inputs must have no common component.
+
+    Proof.  Let f have bidegree (a1, b1) and g (a2, b2), with a1, a2 >= 1.
+    Their bihomogenizations F(X0:X1; Y0:Y1), G on P1 x P1 are binary
+    forms of degrees a1, a2 in X whose coefficients are forms of degrees
+    b1, b2 in Y.  The Sylvester resultant R = Res_X(F, G) with these
+    formal degrees is then a form of degree a1*b2 + a2*b1 in Y, and for
+    every point y0 of the Y-line at which F and G do not both vanish
+    identically, ord_y0 R is the sum of the intersection multiplicities
+    of F and G over all points (x, y0) of the fiber, x = infinity
+    included (Fulton, Algebraic Curves, 1.6 and 5.1).  Since a1 and a2
+    are the x-degrees of f and g, R(1, y) = r = resultant_x(f, g).  So r
+    counts the finite places of Q(y), and the place y = infinity, where
+    R has the order a1*b2 + a2*b1 - deg r, gets that Bezout number
+    minus deg r.  A Moebius change of x such as x = c + 1/t maps each
+    fiber to itself and keeps the multiplicities, so it multiplies R
+    only by a unit, and no chart is needed.
+
+    Common components: over Q(y), r = 0 exactly when f and g share a
+    factor of positive x-degree.  A common factor h(y) does not make r
+    vanish: each root of h is a fiber inside both curves, where R only
+    vanishes to the finite order a1 + a2 per factor of h
+    (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  Such an h divides the
+    y-content of f and of g (the gcd of their coefficients in x), which
+    is checked first.  Either case raises NotCoprime.
+    """
+    if f.deg_x() < 1 or g.deg_x() < 1:
+        raise ValueError("both inputs need positive x-degree")
+    cf = y_content(f)
+    if cf.degree() > 0 and gcd_u(cf, y_content(g)).degree() > 0:
+        raise NotCoprime(f"curves share a component in y alone: ({f}, {g})")
+    r = resultant_x(f, g)
+    if r.is_zero():
+        raise NotCoprime(f"vanishing resultant: ({f}, {g}) share a component")
+    return divisor_of_upoly(r, f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x())
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,6 @@ from .arakelov import (
     residue_scalar_product,
     second_move,
 )
-from .charts import fiber_divisor
 from .divisors import (
     BinaryPlace,
     DeltaElement,
@@ -49,7 +48,7 @@ from .oracles import (
     principal_arakelov,
     residue_iso,
 )
-from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
+from .pairing import SIDE_K, SIDE_KPRIME, fiber_divisor, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_Kp_degree_one, residue_mod_degree_one
 
 X = BPoly.gen("x")

@@ -18,9 +18,6 @@ ROOT_EXPORTS = {
     "explore_self_products",
     "principal_move",
     "residue_scalar_product",
-    # charts
-    "fiber_divisor",
-    "infx_fiber_divisor",
     # divisors
     "BinaryPlace",
     "DeltaElement",
@@ -34,19 +31,16 @@ ROOT_EXPORTS = {
     # errors
     "DegreeBound",
     "DoubleFieldError",
-    "EqualIsoms",
     "InputError",
     "NotCoprime",
     "NotDegreeOne",
     "ParseError",
-    "PrecisionFailure",
     # exact
     "BPoly",
     "UPoly",
     "clear_caches",
     "factor_b",
     "factor_q",
-    "gcd_u",
     "resultant_x",
     # pairing
     "SIDE_K",
@@ -97,7 +91,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 def _importers(module: str) -> set[str]:
     sources = sorted(Path(doublefield.__file__).parent.glob("*.py"))
-    assert len(sources) >= 11
+    assert len(sources) >= 10
     return {p.name for p in sources if module in _imported_modules(p)}
 
 

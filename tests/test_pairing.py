@@ -1,8 +1,7 @@
-"""Unit tests for charts, the norm pairing, images of dx and self-pairing."""
+"""Unit tests for the fiber rule, the norm pairing, images of dx and self-pairing."""
 
 import pytest
 
-from doublefield.charts import fiber_divisor, infx_fiber_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -17,6 +16,7 @@ from doublefield.oracles import RationalIsom, residue_iso
 from doublefield.pairing import (
     SIDE_K,
     SIDE_KPRIME,
+    fiber_divisor,
     pair,
     self_pair_degree_one,
 )
@@ -59,8 +59,11 @@ class TestCharts:
                 fiber_divisor(f, g)
 
     def test_infx(self):
-        assert infx_fiber_divisor(X - Y) == Divisor.of(INF_Y)
-        assert infx_fiber_divisor(Y * X - BPoly.const(1)) == Divisor.of(yplace(0, 1))
+        # X0 = inf_x against a curve reads lc_x of the curve as a form of
+        # its y-degree
+        infx = Divisor.of(INF_X)
+        assert pair(infx, Divisor.of(b(X - Y))) == Divisor.of(INF_Y)
+        assert pair(infx, Divisor.of(b(Y * X - BPoly.const(1)))) == Divisor.of(yplace(0, 1))
 
 
 class TestPair:

@@ -5,16 +5,16 @@ closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
 per-prime routes they replaced, of the one-``make`` pairing,
 correspondence and divisor sum against the left folds they replaced,
-of the place order against the per-coefficient key it replaced, and of
+of the place order against the per-coefficient key it replaced, of
 the pairing rule read off place bidegrees against the case analysis over
-place families it replaced."""
+place families it replaced, and of inf_x against a curve as x = 0
+against the curve under x -> 1/x."""
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from doublefield.arakelov import _prime_pool, bracket, deg_Kp, principal_move, second_move
-from doublefield.charts import fiber_divisor, infx_fiber_divisor, transpose_divisor
 from doublefield.divisors import (
     BinaryPlace,
     DeltaElement,
@@ -27,12 +27,13 @@ from doublefield.divisors import (
     place_bidegree,
     place_of_curve,
     place_sort_key,
+    transpose_divisor,
     transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly, clear_caches, factor_q
 from doublefield.oracles import different_divisor, residue_iso
-from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, pair, self_pair_degree_one
+from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, fiber_divisor, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
     _degree_one_kp_value,
@@ -460,10 +461,32 @@ def _ladder_pair_primes_kp(m, n) -> Divisor:
     if isinstance(m, UnaryPlace) and isinstance(n, UnaryPlace):
         return Divisor.zero()
     if m == UnaryPlace.infinity("x"):
-        return infx_fiber_divisor(n.poly)
+        return fiber_divisor(X, _reversed_in_x(n.poly))
     if n == UnaryPlace.infinity("x"):
-        return infx_fiber_divisor(m.poly)
+        return fiber_divisor(X, _reversed_in_x(m.poly))
     return fiber_divisor(_curve(m), _curve(n))
+
+
+def _reversed_in_x(f: BPoly) -> BPoly:
+    """x^a * f(1/x, y) for f of x-degree a: the curve f under x -> 1/x,
+    which sends the fiber of f at x = infinity to its fiber at x = 0."""
+    a = f.deg_x()
+    return BPoly.make({(a - i, j): c for (i, j), c in f.terms})
+
+
+@PROPERTY_SETTINGS
+@given(binary_primes())
+@example(place_of_curve(X - Y))
+@example(place_of_curve(X * X * (Y * Y + ONE) + X + Y**3))
+def test_infx_pairs_as_x_zero_of_the_reversed_curve(n):
+    """pair(inf_x, n) = pair((x), n*) on side Kprime, with n* = x^a*n(1/x, y)
+    the image of n under x -> 1/x.  x does not divide the prime n, so n*
+    is again a binary prime of bidegree (a, b)."""
+    reversed_n = place_of_curve(_reversed_in_x(n.poly))
+    assert place_bidegree(reversed_n) == place_bidegree(n)
+    x_zero = UnaryPlace.finite(UPoly.make("x", [0, 1]))
+    expected = pair(Divisor.of(x_zero), Divisor.of(reversed_n))
+    assert pair(Divisor.of(UnaryPlace.infinity("x")), Divisor.of(n)) == expected
 
 
 def _ladder_pair_primes(m, n, side: str) -> Divisor:
