@@ -5,8 +5,8 @@ and divisors of Q(x), Q(y) and Q(x,y), divisor residues and
 correspondences, divisor-valued norm pairings, the genus-0 Arakelov
 degree and the residue scalar product in closed form, a deterministic
 explorer for self-products, and the acceptance suites with their
-numeric oracles (``oracles``).  A batch CLI (``doublefield``) exposes
-every operation.
+numeric oracles (``suites`` and ``oracles``, which the root does not
+import).  A batch CLI (``doublefield``) exposes every operation.
 """
 
 from .arakelov import (
@@ -51,6 +51,5 @@ from .pairing import (
     self_pair_degree_one,
 )
 from .residues import correspondence, residue_mod_Kp_degree_one, residue_mod_degree_one
-from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

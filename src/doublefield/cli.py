@@ -72,6 +72,7 @@ from .exact import (
     BPoly,
     Scalar,
     _frac,
+    _mul_table,
     qdiv,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, pair, self_pair_degree_one
@@ -168,17 +169,6 @@ def _multiply_out(form: _Factored) -> dict[tuple[int, int], Scalar]:
     for terms in powers[1:]:
         table = _mul_table(table, terms)
     return table
-
-
-def _mul_table(table: dict, terms: tuple) -> dict[tuple[int, int], Scalar]:
-    """The coefficient table of table times the polynomial with these
-    terms."""
-    out: dict[tuple[int, int], Scalar] = {}
-    for (i1, j1), a in table.items():
-        for (i2, j2), b in terms:
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + a * b
-    return out
 
 
 class _Parser:

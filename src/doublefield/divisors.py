@@ -276,21 +276,20 @@ class DeltaElement:
         unit = _frac(unit)
         if unit == 0:
             raise ValueError("zero is not a DeltaElement")
-        work: list[tuple[BPoly, int]] = []
+        # factor_b returns the unit and the primitive integer irreducibles
+        # of each factor, constants included; equal irreducibles merge
+        pieces: dict[BPoly, int] = {}
         for f, e in raw:
             if f.is_zero():
                 raise ValueError("zero factor")
             if e == 0:
                 continue
-            u, q = primitive_int_bpoly(f)
+            u, fac = factor_b(f)
             unit = _frac(unit * qpow(u, e))
-            if q.deg_x() <= 0 and q.deg_y() <= 0:
-                continue
-            work.append((q, e))
-        u2, factors = _refine(work)
-        unit = _frac(unit * u2)
+            for q, m in fac:
+                pieces[q] = pieces.get(q, 0) + e * m
         # distinct primitive irreducibles, so their terms order them totally
-        factors.sort(key=lambda t: t[0].terms)
+        factors = sorted(((q, e) for q, e in pieces.items() if e), key=lambda t: t[0].terms)
         return DeltaElement(unit, tuple(factors))
 
     @staticmethod
@@ -302,27 +301,6 @@ def _place_of(q: BPoly) -> Place:
     if q.deg_x() >= 1 and q.deg_y() >= 1:
         return BinaryPlace(q)
     return UnaryPlace.finite(q.as_upoly())
-
-
-def _refine(work: list[tuple[BPoly, int]]) -> tuple[Scalar, list[tuple[BPoly, int]]]:
-    """Split every factor into primitive integer irreducibles over Q and
-    merge repeats; returns the accumulated rational unit and the pieces."""
-    pieces: dict[tuple, tuple[BPoly, int]] = {}
-    unit: Scalar = 1
-
-    def add(q: BPoly, e: int) -> None:
-        key = q.terms
-        if key in pieces:
-            pieces[key] = (q, pieces[key][1] + e)
-        else:
-            pieces[key] = (q, e)
-
-    for f, e in work:
-        u, fac = factor_b(f)
-        unit = _frac(unit * qpow(u, e))
-        for q, m in fac:
-            add(q, e * m)
-    return unit, [(q, e) for q, e in pieces.values() if e != 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,26 @@
 """Exact rational and polynomial arithmetic.
 
 Univariate polynomials are dense coefficient tuples tagged with their
-variable, bivariate polynomials are sparse exponent maps.  Heavy algebra
-(factorization over Q, gcds, contents in y, lowest terms, resultants,
-square-free decomposition) goes to sympy's dense ``dup`` / ``dmp`` layer
-through the one bridge below, except that ``factor_q`` decides most
-inputs in plain integers: it splits off powers of the variable, decides
-degrees 1 and 2 (a quadratic by its discriminant), and decides most
-higher degrees from their degree patterns mod small primes, finished by
-Hensel-lifted rational roots when only a linear factor is left possible,
-so that sympy's Zassenhaus sees only inputs that may have a factor of
-degree 2 to n - 2.  The bridge works
-over ZZ only: each bridged call puts its inputs in primitive integer
-form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
-rational units back exactly, so everything stays exact.  Both
+variable, bivariate polynomials are sparse exponent maps.  The dense
+arithmetic this module does itself runs on plain coefficient lists, low
+degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
+``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
+in closed form, and the cofactor of a rational root.  ``factor_q``
+decides most inputs in plain integers too: it splits off powers of the
+variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
+decides most higher degrees from their degree patterns mod small primes,
+finished by Hensel-lifted rational roots when only a linear factor is
+left possible.  The one bridge to sympy holds only sympy's algorithms:
+Zassenhaus and Wang factorization, for inputs that may have a factor of
+degree 2 to n - 2 and curves the certificate cannot prove prime, gcds,
+contents in y that no gcd mod p decides, lowest terms, the PRS
+resultant, square-free decomposition and ``factor_int``.  The bridge
+works over ZZ only: each bridged call puts its inputs in primitive
+integer form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts
+their rational units back exactly, so everything stays exact.  Both
 factorizers return primitive integer irreducibles with a positive
 leading coefficient, the form in which places store their polynomials.
-``factor_int`` is the bridge's one integer call.  No other module of the
-package imports sympy.
+No other module of the package imports sympy.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -74,7 +77,6 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from sympy.ntheory import factorint
-from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_neg, dup_sub
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_content, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
@@ -206,15 +208,7 @@ class UPoly(_HashSlot):
 
     def __add__(self, other: "UPoly") -> "UPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.make(
-            self.var,
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ],
-        )
+        return UPoly.make(self.var, _add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "UPoly":
         return UPoly(self.var, tuple(-c for c in self.coeffs))
@@ -226,15 +220,7 @@ class UPoly(_HashSlot):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UPoly.zero(self.var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly.make(self.var, out)
+        return UPoly.make(self.var, _mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -358,12 +344,7 @@ class BPoly(_DegreeSlots):
     def __mul__(self, other: Union["BPoly", int, Fraction]) -> "BPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        d: dict[tuple[int, int], Scalar] = {}
-        for (i1, j1), a in self.terms:
-            for (i2, j2), b in other.terms:
-                k = (i1 + i2, j1 + j2)
-                d[k] = d.get(k, 0) + a * b
-        return BPoly.make(d)
+        return BPoly.make(_mul_table(dict(self.terms), other.terms))
 
     __rmul__ = __mul__
 
@@ -425,6 +406,74 @@ def _power(base, n: int, one):
     return out
 
 
+def _mul_table(table: dict, terms: tuple) -> dict[tuple[int, int], Scalar]:
+    """The coefficient table {(i, j): c} of table times the polynomial
+    with these terms, possibly with zero entries."""
+    out: dict[tuple[int, int], Scalar] = {}
+    for (i1, j1), a in table.items():
+        for (i2, j2), b in terms:
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + a * b
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dense arithmetic on plain coefficient lists, low degree first
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: Sequence, b: Sequence) -> list:
+    """a + b, with no trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _mul(a: Sequence, b: Sequence) -> list:
+    """a * b; [] when either is zero, and no trailing zeros when a and b
+    have none."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for a nonzero b that divides a exactly in Z[t], by long
+    division from the top."""
+    a, n = list(a), len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + n] // b[-1]
+        if c:
+            for j in range(n):
+                a[i + j] -= c * b[j]
+    return q
+
+
+def _x_rows(g: BPoly) -> list[list]:
+    """rows[i] = the coefficient of x^i in g, a list in y; [] for a power
+    of x that g lacks."""
+    rows: list[list] = [[] for _ in range(g.deg_x() + 1)]
+    for (i, j), v in g.terms:  # sorted, so each row's entries ascend
+        row = rows[i]
+        row += [0] * (j - len(row))
+        row.append(v)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # the bridge to sympy's dense polynomial layer
 #
@@ -445,14 +494,7 @@ def _from_dup(f: list, var: str) -> UPoly:
 
 
 def _to_dmp(p: BPoly) -> list:
-    rows = [{} for _ in range(p.deg_x() + 1)]
-    for (i, j), v in p.terms:
-        rows[i][j] = v
-    out = []
-    for row in reversed(rows):
-        n = max(row, default=-1)
-        out.append([ZZ(row.get(j, 0)) for j in range(n, -1, -1)])
-    return out or [[]]
+    return [[ZZ(c) for c in reversed(row)] for row in reversed(_x_rows(p))] or [[]]
 
 
 def _from_dmp(f: list) -> BPoly:
@@ -604,8 +646,8 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     Res(A, B).  sympy's PRS puts the form of larger degree first and
     fixes no sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G)
     when a1 > a2.  With F, G the primitive forms of f and g (rows f_i,
-    g_i of ``_to_dmp``, polynomials in y), one of three routes computes
-    it exactly, in integer ``dup`` arithmetic:
+    g_i of ``_x_rows``, polynomials in y), one of three routes computes
+    it exactly, in integer list arithmetic:
 
     - a1 = 1 or a2 = 1: substitution (``_substitute``).  For
       F = f1*x + f0, Res(F, G) = f1^a2 * G(-f0/f1)
@@ -643,61 +685,60 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     u, F = primitive_int_bpoly(f)
     v, G = primitive_int_bpoly(g)
     a1, a2 = f.deg_x(), g.deg_x()
-    fr, gr = _to_dmp(F), _to_dmp(G)
+    fr, gr = _x_rows(F), _x_rows(G)
     if a1 == 1:
-        r, negate = _substitute(gr, fr[1], fr[0]), a2 % 2
+        r, negate = _substitute(gr, *fr), a2 % 2
     elif a2 == 1:
-        r, negate = _substitute(fr, gr[1], gr[0]), a1 % 2
+        r, negate = _substitute(fr, *gr), a1 % 2
     elif a1 <= 3 and a2 <= 3:
         n = max(a1, a2)
         r = _bezout_det(fr, gr, n)
         if a1 != a2:
-            r = dup_exquo(r, (gr if a2 > a1 else fr)[0], ZZ)
+            r = _exquo(r, (gr if a2 > a1 else fr)[-1])
         negate = (n * (n + 1) // 2 + (n if a2 < a1 else 0)) % 2
     else:
-        r, negate = dmp_resultant(gr, fr, 1, ZZ), False
-    r = _from_dup(dup_neg(r, ZZ) if negate else r, "y")
+        r, negate = _from_dup(dmp_resultant(_to_dmp(G), _to_dmp(F), 1, ZZ), "y").coeffs, False
+    r = UPoly.make("y", [-c for c in r] if negate else r)
     # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
     unit = u**a2 * v**a1
     return r if unit == 1 else r.scale(unit)
 
 
 def _substitute(rows: list, t0: list, t1: list) -> list:
-    """sum r_i*(-t0)^i*t1^(n-i) for the rows [r_n, ..., r_0] of a form of
+    """sum r_i*(-t0)^i*t1^(n-i) for the rows [r_0, ..., r_n] of a form of
     x-degree n, by homogeneous Horner: the form evaluated at
     (x0 : x1) = (t1 : -t0)."""
-    s = dup_neg(t0, ZZ)
-    acc, power = rows[0], [ZZ(1)]
-    for r in rows[1:]:
-        power = dup_mul(power, t1, ZZ)
-        acc = dup_add(dup_mul(acc, s, ZZ), dup_mul(r, power, ZZ), ZZ)
+    s = [-c for c in t0]
+    acc, power = rows[-1], [1]
+    for r in reversed(rows[:-1]):
+        power = _mul(power, t1)
+        acc = _add(_mul(acc, s), _mul(r, power))
     return acc
 
 
 def _bezout_det(fr: list, gr: list, n: int) -> list:
     """Determinant of the n x n Bezoutian, n = 2 or 3, of two forms given
-    by their ``_to_dmp`` rows and read with formal x-degree n: the
+    by their ``_x_rows`` and read with formal x-degree n: the
     coefficients B[i][j] of x^i z^j in (F(x)G(z) - F(z)G(x)) / (x - z).
     Each pair b < a adds c = f_a g_b - f_b g_a times
     (x^a z^b - x^b z^a) / (x - z) = sum over t < a - b of x^(a-1-t) z^(b+t)."""
-    f = fr[::-1] + [[]] * (n + 1 - len(fr))
-    g = gr[::-1] + [[]] * (n + 1 - len(gr))
+    f = fr + [[]] * (n + 1 - len(fr))
+    g = gr + [[]] * (n + 1 - len(gr))
     B = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(1, n + 1):
         for b in range(a):
-            c = dup_sub(dup_mul(f[a], g[b], ZZ), dup_mul(f[b], g[a], ZZ), ZZ)
+            c = _add(_mul(f[a], g[b]), _mul(f[b], [-v for v in g[a]]))
             for t in range(a - b):
-                B[a - 1 - t][b + t] = dup_add(B[a - 1 - t][b + t], c, ZZ)
+                B[a - 1 - t][b + t] = _add(B[a - 1 - t][b + t], c)
 
     def minor(i, j, k, l):
-        return dup_sub(dup_mul(B[i][k], B[j][l], ZZ), dup_mul(B[i][l], B[j][k], ZZ), ZZ)
+        return _add(_mul(B[i][k], B[j][l]), _mul(B[i][l], [-v for v in B[j][k]]))
 
     if n == 2:
         return minor(0, 1, 0, 1)
-    return dup_add(
-        dup_sub(dup_mul(B[0][0], minor(1, 2, 1, 2), ZZ), dup_mul(B[0][1], minor(1, 2, 0, 2), ZZ), ZZ),
-        dup_mul(B[0][2], minor(1, 2, 0, 1), ZZ),
-        ZZ,
+    return _add(
+        _add(_mul(B[0][0], minor(1, 2, 1, 2)), _mul(B[0][1], [-v for v in minor(1, 2, 0, 2)])),
+        _mul(B[0][2], minor(1, 2, 0, 1)),
     )
 
 
@@ -835,22 +876,11 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
     else:
         for a, b in roots:
             out.append((UPoly(q.var, (-a, b)), 1))
-            c = UPoly(q.var, _exquo_linear(c.coeffs, a, b))
+            c = UPoly(q.var, tuple(_exquo(c.coeffs, (-a, b))))
         if c.degree() > 0:
             out.append((c, 1))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return _frac(unit), tuple(out)
-
-
-def _exquo_linear(cs: Sequence[int], a: int, b: int) -> tuple[int, ...]:
-    """The integer coefficients of cs / (b*t - a), low degree first, for
-    a factor b*t - a of cs in Z[t]: from cs_i = b*h_(i-1) - a*h_i, top
-    down."""
-    h, acc = [], 0
-    for c in reversed(cs[1:]):
-        acc = (c + a * acc) // b
-        h.append(acc)
-    return tuple(reversed(h))
 
 
 # ---------------------------------------------------------------------------
@@ -990,12 +1020,6 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
     return degrees
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _divmod_p(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by a monic f over GF(p); a is
     overwritten."""
@@ -1032,39 +1056,34 @@ def y_content(f: BPoly) -> UPoly:
     It is read as 1 in integers when some row (coefficient of a power of
     x) of the primitive form of f is a nonzero constant, or when
     ``_rows_coprime_mod_p`` finds the top row coprime mod p to another
-    row; sympy's ``dmp_content`` computes it otherwise.
+    row at one of up to three primes p; sympy's ``dmp_content`` computes
+    it otherwise.
 
-    Proof of the second test.  The content c(y) of the primitive form is
-    a primitive integer polynomial (Gauss's lemma) and divides every row
-    in Z[y].  lc(c) divides the leading coefficient of the top row, and p
-    does not, so c mod p keeps the degree of c and divides both rows mod
-    p.  Their gcd mod p is constant, so deg c = 0.
+    Proof of the second test, at each such p.  The content c(y) of the
+    primitive form is a primitive integer polynomial (Gauss's lemma) and
+    divides every row in Z[y].  lc(c) divides the leading coefficient of
+    the top row, and p does not, so c mod p keeps the degree of c and
+    divides both rows mod p.  Their gcd mod p is constant, so deg c = 0.
     """
     g = primitive_int_bpoly(f)[1]
-    rows: dict[int, list[int]] = {}
-    for (i, j), v in g.terms:  # sorted, so rows and their entries ascend
-        row = rows.setdefault(i, [])
-        row += [0] * (j - len(row))
-        row.append(v)
-    ys = list(rows.values())
-    if any(len(row) == 1 for row in ys) or _rows_coprime_mod_p(ys):
+    rows = _x_rows(g)
+    if any(len(row) == 1 for row in rows) or _rows_coprime_mod_p(rows):
         return UPoly.const("y", 1)
     return _from_dup(dmp_content(_to_dmp(g), 1, ZZ), "y").monic()
 
 
 def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
-    """True when the last of the nonzero integer rows (low degree first)
-    and some other row are coprime mod p, at the first p of
-    ``PATTERN_PRIMES`` that does not divide the last row's leading
-    coefficient; False when no other row is, or when every prime there
-    divides that coefficient."""
+    """True when the last of the integer rows (low degree first, the last
+    nonzero) and some other nonzero row are coprime mod p, at one of the
+    first three primes of ``PATTERN_PRIMES`` that do not divide the last
+    row's leading coefficient; False when no other row is at any of them."""
     top = rows[-1]
-    p = next((p for p in PATTERN_PRIMES if top[-1] % p), None)
-    if p is None:
-        return False
-    inv = pow(top[-1], -1, p)
-    monic = [c * inv % p for c in top]
-    return any(len(_gcd_p(monic, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1])
+    for p in [p for p in PATTERN_PRIMES if top[-1] % p][:3]:
+        inv = pow(top[-1], -1, p)
+        monic = [c * inv % p for c in top]
+        if any(len(_gcd_p(monic, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1] if row):
+            return True
+    return False
 
 
 def content_free_both_ways(f: BPoly) -> bool:

@@ -151,6 +151,28 @@ class TestUPoly:
         assert f * g == g * f
 
 
+# the list helpers exact does its own dense arithmetic with, low degree
+# first and without trailing zeros
+int_lists = st.lists(st.integers(-50, 50), max_size=6).map(exact._trim)
+scalar_lists = st.lists(any_coeffs, max_size=6).map(exact._trim)
+
+
+class TestListArithmetic:
+    @settings(max_examples=80)
+    @given(int_lists, int_lists.filter(bool))
+    def test_exquo_inverts_mul(self, a, b):
+        assert exact._exquo(exact._mul(a, b), b) == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(scalar_lists, scalar_lists)
+    def test_add_mul_match_upoly_and_sympy(self, a, b):
+        f, g = up(*a), up(*b)
+        total, product = exact._add(a, b), exact._mul(a, b)
+        assert total == list((f + g).coeffs) and product == list((f * g).coeffs)
+        assert up(*total) == upoly_of_expr(sym_u(f) + sym_u(g), "x")
+        assert up(*product) == upoly_of_expr(sym_u(f) * sym_u(g), "x")
+
+
 class TestBPoly:
     def test_product(self):
         assert (X - Y) * (X + Y) == X * X - Y * Y
@@ -436,16 +458,19 @@ class TestGcd:
         assert content == upoly_of_expr(expected.as_expr(), "x").with_var("y")
 
 
-# y_content on fixed examples, with the route each must take: a
-# constant row; rows coprime mod 3; rows y^2 + 1 and y^2 + 4, equal mod 3
-# but coprime over Q; a top row 105*y + 1, whose lc 3, 5 and 7 divide,
-# sharing the root 9 with y + 2 mod 11; and (x + 1)(y^2 + 1), whose
-# content is y^2 + 1
+# y_content on fixed examples, with the route each must take (a prime
+# names the modular test and the prime that decides it): a constant row;
+# rows coprime mod 3; rows y^2 + 1 and y^2 + 4, equal mod 3 but coprime
+# over Q and mod 5; a top row 105*y + 1, whose lc 3, 5 and 7 divide,
+# sharing the root 9 with y + 2 mod 11 but not mod 13; rows y and
+# y + 105, equal mod 3, 5 and 7, so that sympy finds the constant
+# content; and (x + 1)(y^2 + 1), whose content is y^2 + 1
 CONTENT_EXAMPLES = {
     "constant-row": (X**2 * Y + X + Y**2, "row"),
-    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), "mod p"),
-    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), "sympy"),
-    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), "sympy"),
+    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), 3),
+    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), 5),
+    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), 13),
+    "rows-equal-mod-3-5-7": (X * Y + Y + BPoly.const(105), "sympy"),
     "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), "sympy"),
 }
 
@@ -471,8 +496,15 @@ def test_y_content_example_route(monkeypatch, name):
     monkeypatch.setattr(exact, "dmp_content", content)
     assert y_content(f) == expected
     taken = "sympy" if calls["sympy"] else "mod p" if calls["mod p"] else "row"
-    assert taken == route
-    assert calls["mod p"] == ([] if route == "row" else [route == "mod p"])
+    assert taken == ("mod p" if type(route) is int else route)
+    assert calls["mod p"] == ([] if route == "row" else [type(route) is int])
+    if type(route) is int:
+        # the primes before route do not decide it, route does
+        rows = exact._x_rows(primitive_int_bpoly(f)[1])
+        k = exact.PATTERN_PRIMES.index(route)
+        for primes, decided in ((exact.PATTERN_PRIMES[:k], False), (exact.PATTERN_PRIMES[: k + 1], True)):
+            monkeypatch.setattr(exact, "PATTERN_PRIMES", primes)
+            assert modular(rows) is decided
 
 
 class TestBridge:

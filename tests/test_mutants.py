@@ -82,14 +82,15 @@ def _infinity_moved_to_zero(f, g):
 
 def _substitution_power_plus_one(rows, t0, t1):
     """The fiber resultant's substitution with f1's power one too high: the
-    other form read with formal x-degree one more than its own."""
-    return _substitute([[]] + rows, t0, t1)
+    other form read with formal x-degree one more than its own (a zero
+    row on top of its rows, which run from x^0 up)."""
+    return _substitute(rows + [[]], t0, t1)
 
 
-def _exquo_skipped(f, g, K):
+def _exquo_skipped(a, b):
     """The fiber resultant's Bezout route without its exact division by
-    lc_x of the larger form."""
-    return f
+    lc_x of the larger form: the list division returning its dividend."""
+    return list(a)
 
 
 def _g_fs_without_w_term(z, w):
@@ -180,7 +181,7 @@ MUTANTS = [
         _substitution_power_plus_one,
         ("symmetry", "agreement", "different", "support", "charts"),
     ),
-    ("bezout-without-division", (exact,), "dup_exquo", _exquo_skipped, ("charts",)),
+    ("bezout-without-division", (exact,), "_exquo", _exquo_skipped, ("charts",)),
     ("green-without-w-term", (oracles,), "g_fs", _g_fs_without_w_term, ("calibration",)),
     ("kappa-off-by-2^-20", (suites,), "fs_kappa_closed_form", _kappa_perturbed, ("calibration",)),
     ("deg_Kp-off-by-one-above-degree-1", (suites,), "deg_Kp", _deg_Kp_off_by_one, ("calibration",)),

@@ -6,6 +6,9 @@ back into the root, or leaves it, only through an edit to this list.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -52,9 +55,6 @@ ROOT_EXPORTS = {
     "correspondence",
     "residue_mod_Kp_degree_one",
     "residue_mod_degree_one",
-    # suites
-    "SUITES",
-    "run_suite",
 }
 
 
@@ -98,6 +98,46 @@ def _importers(module: str) -> set[str]:
 def test_only_exact_imports_sympy():
     """The bridge in exact is the one route to sympy."""
     assert _importers("sympy") == {"exact.py"}
+
+
+# sympy's algorithms, the only names the bridge takes from sympy: exact
+# does its dense arithmetic itself, on plain int lists
+BRIDGED = {
+    "ZZ",
+    "dmp_content",
+    "dmp_factor_list",
+    "dmp_resultant",
+    "dup_cancel",
+    "dup_factor_list",
+    "dup_gcd",
+    "dup_resultant",
+    "dup_sqf_list",
+    "factorint",
+}
+
+
+def test_bridge_imports_only_sympy_algorithms():
+    """A plain ``import sympy...`` would show up as its module name."""
+    path = Path(doublefield.__file__).parent / "exact.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "sympy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            names |= {a.name for a in node.names}
+    assert names == BRIDGED
+
+
+def test_root_import_leaves_out_the_suites_and_the_oracle():
+    """``import doublefield`` loads the product only; verify's suites and
+    their oracle come in with ``doublefield.suites``."""
+    code = "import sys, doublefield; print(sorted(m for m in sys.modules if m.startswith('doublefield')))"
+    src = str(Path(doublefield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "doublefield.exact" in loaded
+    assert "doublefield.suites" not in loaded and "doublefield.oracles" not in loaded
 
 
 def test_only_oracles_imports_mpmath():
