@@ -87,7 +87,18 @@ def bracket(A: Divisor, b: Divisor) -> int:
 
 
 def residue_scalar_product(A: Divisor, b: Divisor) -> int:
-    """bracket(A, b) minus the Arakelov degree of the norm pairing."""
+    """bracket(A, b) minus the Arakelov degree of the norm pairing.
+
+    It is identically 0 on Q(x, y): for A and b of disjoint support with
+    (nA, dA) = bidegree(A) and (nB, dB) = bidegree(b), let
+    I = nA*dB + dA*nB, their intersection number in Pic(P1 x P1).
+    ``bracket`` is -2*I.  pair(A, b, K') is a divisor of Q(y) of degree I:
+    each pair of places of bidegrees (a1, b1) and (a2, b2) goes to a
+    divisor of degree a1*b2 + a2*b1, the Bezout count of
+    ``fiber_divisor``'s proof (``_pair_primes_kp`` for every family of
+    places), and the pairing is bilinear.  So deg_Kp of it is -2*I as
+    well.  This is the genus-0 case of the paper's scalar product.
+    """
     paired = pair(A, b, SIDE_KPRIME)
     return bracket(A, b) - deg_Kp(paired)
 

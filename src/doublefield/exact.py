@@ -10,10 +10,12 @@ decides most inputs in plain integers too: it splits off powers of the
 variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
 finished by Hensel-lifted rational roots when only a linear factor is
-left possible.  The one bridge to sympy holds only sympy's algorithms:
-Zassenhaus and Wang factorization, for inputs that may have a factor of
-degree 2 to n - 2 and curves the certificate cannot prove prime, gcds,
-contents in y that no gcd mod p decides, lowest terms, the PRS
+left possible.  The certificate proves a curve prime by the same
+degree-set rule over Q, read at several points.  The one bridge to sympy
+holds only sympy's algorithms: Zassenhaus and Wang factorization, for
+inputs that may have a factor of degree 2 to n - 2 and curves whose
+degree sets leave a proper factor possible, gcds, contents in y that no
+gcd mod p decides, lowest terms, the PRS
 resultant, square-free decomposition and ``factor_int``.  The bridge
 works over ZZ only: each bridged call puts its inputs in primitive
 integer form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts
@@ -73,8 +75,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from sympy.ntheory import factorint
 from sympy.polys.domains import ZZ
@@ -888,7 +891,8 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
 
 # the odd primes the pattern test tries in turn, the most of them it
 # uses, and how many usable primes in a row that leave its candidate
-# degrees unchanged stop it (CHANGES.md has the table that chose them)
+# degrees unchanged stop it (CHANGES.md has the table that chose them);
+# the certificate stops on its points by the same two counts
 PATTERN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 PATTERN_MAX_PRIMES = 8
 PATTERN_STALL = 3
@@ -899,25 +903,40 @@ def _pattern_verdict(cs: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]
     of the primitive integer polynomial with coefficients cs (degree
     n >= 3, cs[0] != 0) when its degree patterns mod p decide it: () when
     they prove it irreducible, the roots when they leave only factor
-    degrees 1 and n - 1; None when they leave it undecided (the proof and
-    the stopping rule are in ``_factor_primitive_q``).  Bit d of a mask
-    stands for degree d."""
+    degrees 1 and n - 1; None when they leave it undecided (the proof is
+    in ``_factor_primitive_q``, the rule in ``_degree_sets``)."""
     n = len(cs) - 1
+    verdict = _degree_sets(n, ((p, _degree_pattern(cs, p)) for p in PATTERN_PRIMES), 2 | 1 << (n - 1))
+    if verdict is None:
+        return None
+    candidates, p, pattern = verdict
+    return _rational_roots(cs, p, pattern.count(1)) if candidates else ()
+
+
+def _degree_sets(n: int, patterns: Iterable, enough: int = 0) -> Optional[tuple]:
+    """The degree-set rule.  The candidates C start as the degrees
+    0 < d < n, a mask in which bit d stands for degree d.  Each
+    (point, degrees) of ``patterns`` in turn, degrees being the factor
+    degrees at that point with multiplicity (None for a point that is
+    skipped), keeps in C the degrees that are a sum of some of them.
+    Returns (C, point, degrees) once C is empty (at once, with no point,
+    when it starts empty) or lies within the mask ``enough`` after a
+    point; None when the patterns run out or the test stops:
+    ``PATTERN_MAX_PRIMES`` usable points, or ``PATTERN_STALL`` in a row
+    that leave C as it was."""
     candidates = (1 << n) - 2
-    linear = 2 | 1 << (n - 1)
+    if not candidates:
+        return 0, None, None
     used = unchanged = 0
-    for p in PATTERN_PRIMES:
-        pattern = _degree_pattern(cs, p)
-        if pattern is None:
+    for point, degrees in patterns:
+        if degrees is None:
             continue
         sums = 1
-        for d in pattern:
+        for d in degrees:
             sums |= sums << d
         narrowed = candidates & sums
-        if not narrowed:
-            return ()
-        if not narrowed & ~linear:
-            return _rational_roots(cs, p, pattern.count(1))
+        if not narrowed & ~enough:
+            return narrowed, point, degrees
         unchanged = unchanged + 1 if narrowed == candidates else 0
         candidates = narrowed
         used += 1
@@ -1094,44 +1113,51 @@ def content_free_both_ways(f: BPoly) -> bool:
 
 def certify_irreducible_bivariate(q: BPoly) -> bool:
     """A sound sufficient test that a nonzero q is irreducible over Q:
-    True when
+    the degree-set rule of ``_pattern_verdict`` (``_degree_sets``), read
+    over Q at several points.
 
-    (a) deg_x q = 1 and y_content(q) is constant, or the same with x and
-        y swapped; or
-    (b) y_content(q) is constant and q(x, c) is irreducible over Q, where
-        c is the first of 1, -1, 2, -2, ... at which neither lc_x(q) nor
-        q(0, y) vanishes.
+    Let g be whichever of q and q.transpose() has the smaller x-degree n
+    (q on a tie).  The test returns False when g(0, y) = 0 or y_content(g)
+    is not constant: then x or the content divides g, a proper factor
+    when g has positive degree in both variables.  Otherwise it narrows
+    the candidate degrees 1..n - 1 by the factor degrees, with
+    multiplicity, of g(x, c) (``factor_q``) at the points c = 1, -1, 2,
+    -2, ... that are zeros of neither lc_x(g) nor g(0, y), and returns
+    True once no degree is left.  With n = 1 none is left to begin with,
+    so no point is read.  It returns False when ``_degree_sets`` stops;
+    False means only that the rule did not prove q prime.  Raises
+    DegreeBound when g(x, c) is past the degree bound of ``factor_q``.
 
-    False means only that neither applies.  Raises DegreeBound when
-    q(x, c) is past the degree bound of ``factor_q``.  The proof of (b)
-    needs only lc_x(q)(c) != 0; the condition on q(0, y) only chooses c,
-    skipping the points where x divides q(x, c).  When q(0, y) is 0, x
-    divides q, and q, of x-degree at least 2 there, is reducible.
-
-    Proof.  Let q = g*h with neither factor constant.  A factor of
-    x-degree 0 lies in Q[y] and divides every x-coefficient of q, hence
-    y_content(q); as that is constant, both g and h have positive
-    x-degree.  In (a), deg_x g + deg_x h = 1 then leaves no room, so q is
-    irreducible; the swapped case is the same argument with x and y
-    exchanged.  In (b), lc_x(q)(c) = lc_x(g)(c)*lc_x(h)(c) is nonzero,
-    so q(x, c) = g(x, c)*h(x, c) is a product of two factors of positive
-    degree, against its irreducibility.
+    Proof.  q and its transpose are irreducible together.  Let g = a*b
+    with neither factor constant.  A factor of x-degree 0 lies in Q[y] and
+    divides every x-coefficient of g, hence y_content(g); as that is
+    constant, d = deg_x a lies in 1..n - 1.  At a point c,
+    lc_x(g)(c) = lc_x(a)(c)*lc_x(b)(c) is nonzero, so a(x, c) has degree
+    d and divides g(x, c); by unique factorization in Q[x] its
+    irreducible factors are some of those of g(x, c), counted with
+    multiplicity, so d is a sum of some of their degrees.  So d stays a
+    candidate at every point, and no candidate left proves g irreducible.
+    The proof needs only lc_x(g)(c) != 0; skipping the zeros of g(0, y)
+    only avoids points where x divides g(x, c), which rule out neither 1
+    nor n - 1.
     """
-    content_free_y = y_content(q).degree() == 0
-    if q.deg_x() == 1 and content_free_y:
-        return True
-    if q.deg_y() == 1 and y_content(q.transpose()).degree() == 0:
-        return True
-    if not content_free_y:
+    g = q.transpose() if q.deg_y() < q.deg_x() else q
+    # the terms are sorted, so the first has the least power of x
+    if g.terms[0][0][0] > 0 or y_content(g).degree() > 0:
         return False
-    lc, tail = q.coeff_of_x(q.deg_x()), q.coeff_of_x(0)
-    if tail.is_zero():
-        return False
-    c = 1
-    while lc.eval(c) == 0 or tail.eval(c) == 0:
-        c = -c if c > 0 else 1 - c
-    _, fac = factor_q(q.eval_y(c))
-    return len(fac) == 1 and fac[0][1] == 1
+    return _degree_sets(g.deg_x(), _specializations(g)) is not None
+
+
+def _specializations(g: BPoly) -> Iterator[tuple[int, list[int]]]:
+    """(c, the factor degrees of g(x, c) with multiplicity) at c = 1, -1,
+    2, -2, ..., skipping the zeros of lc_x(g) and g(0, y).  Nothing is
+    built before the first point is asked for, so a curve of x-degree 1,
+    which needs no point, pays for none."""
+    lc, tail = g.coeff_of_x(g.deg_x()), g.coeff_of_x(0)
+    for k in count(1):
+        for c in (k, -k):
+            if lc.eval(c) and tail.eval(c):
+                yield c, [p.degree() for p, m in factor_q(g.eval_y(c))[1] for _ in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -683,8 +683,25 @@ factor_b_inputs = st.one_of(
 @given(factor_b_inputs)
 @example((Y - BPoly.const(1)) * (X + BPoly.const(1)))  # y-content, degree 1 in x
 @example((X * Y + BPoly.const(1)) * (X + BPoly.const(1)))  # lc_x vanishes at y = 0
+@example(X**2 + Y**2 - BPoly.const(2))  # prime, but x^2 - 1 at y = 1 and y = -1 splits
+@example((X + Y) * (X * Y - BPoly.const(1)))  # reducible, of bidegree (2, 2)
 def test_factor_b_matches_sympy_route(f):
     assert factor_b.__wrapped__(f) == _sympy_route(f)
+
+
+# 2*x^2*y^3 + 4*x*y^2 + 3*x*y + 4*y^2 + 1, of bidegree (2, 3): a prime of
+# the benchmark's cli-divisor corpus (seed 1) that splits at y = 1, which
+# Wang's algorithm decided before the certificate read several points
+CORPUS_PRIME_2_3 = bp({(2, 3): 2, (1, 2): 4, (1, 1): 3, (0, 2): 4, (0, 0): 1})
+# factor_b on fixed reducible curves, which every proof of primality must
+# leave to Wang's algorithm
+REDUCIBLE_CURVES = {"x^2-y^2": X**2 - Y**2}
+
+
+@pytest.mark.parametrize("name", REDUCIBLE_CURVES)
+def test_reducible_curve_matches_sympy(name):
+    f = REDUCIBLE_CURVES[name]
+    assert factor_b(f) == _sympy_route(f)
 
 
 class TestFactorB:
@@ -705,7 +722,22 @@ class TestFactorB:
             u, q = primitive_int_bpoly(f)
             assert factor_b(f) == (u, ((q, 1),))
 
-    def test_undecided_input_pays_one_univariate_factorization(self, monkeypatch):
+    def test_curves_split_at_some_points_need_no_wang(self, monkeypatch):
+        """Primes whose value at some point splits: the factor degrees at
+        the next points rule out every degree, so Wang never runs."""
+
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dmp_factor_list", refuse)
+        for f in (X**2 + Y**2 - BPoly.const(2), CORPUS_PRIME_2_3):
+            u, q = primitive_int_bpoly(f)
+            assert factor_b(f) == (u, ((q, 1),))
+
+    def test_reducible_input_pays_at_most_the_stall_before_wang(self, monkeypatch):
+        """On a reducible curve the candidate degrees can only stay as they
+        are, so the certificate stops after PATTERN_STALL points and Wang
+        runs once, after every certificate call."""
         factor_q_calls = []
         at_sympy_route = []
 
@@ -726,7 +758,8 @@ class TestFactorB:
             factor_q_calls.clear()
             at_sympy_route.clear()
             assert factor_b(f) == (1, tuple((q, 1) for q in factors))
-            assert at_sympy_route == [len(factor_q_calls)] and len(factor_q_calls) <= 1
+            assert at_sympy_route == [len(factor_q_calls)]
+            assert len(factor_q_calls) <= exact.PATTERN_STALL
 
     def test_at_the_bound_still_factors(self):
         f = (X**DEFAULT_FACTOR_DEGREE_BOUND - Y) * BPoly.const(3)

@@ -5,8 +5,8 @@ modules whose attribute it replaces (every module that imports the
 rule), and the suites that must fail while it is in place, each run
 from empty memos.  A criterion that no mutant can fail would hold
 vacuously; this table keeps that checkable.  ``EXAMPLE_MUTANTS`` holds
-the mutants that no suite can fail, each with the fixed example of
-``tests/test_exact.py`` that fails instead.
+the mutants that no suite reports as a failure, each with the fixed
+example of ``tests/test_exact.py`` that fails instead.
 """
 
 import pytest
@@ -150,6 +150,13 @@ def _lift_without_lc(cs, r, p, bound):
     return _lift(cs, r, p, 2 * abs(cs[0]))
 
 
+def _certified_when_content_free(q):
+    """The certificate with its degree sets always empty: every curve
+    whose content is constant is proved prime."""
+    g = q.transpose() if q.deg_y() < q.deg_x() else q
+    return exact.y_content(g).degree() == 0
+
+
 def _rows_always_coprime(rows):
     """y_content's modular test reporting every curve's rows coprime, so
     that every content reads as constant."""
@@ -198,14 +205,21 @@ MUTANTS = [
     ("content-always-constant", (exact,), "_rows_coprime_mod_p", _rows_always_coprime, ("charts",)),
 ]
 
-# Mutants of factor_q's pattern proof that no verify suite fails: every
-# reducible polynomial the suites factor keeps a proper factor degree in
-# the patterns these mutants read.  Each row names the example of
-# test_exact.test_pattern_example_matches_sympy that fails instead.
-# (name, attribute of exact, mutant, example)
+# Mutants of the factorizers' proofs that no verify suite reports as a
+# failure.  Every reducible polynomial the suites hand to factor_q keeps
+# a proper factor degree in the patterns the two pattern mutants read.
+# The certificate mutant proves the two reducible products of
+# principality's element pool prime, and that suite then raises
+# NotCoprime instead of reporting a failure.  Each row names the fixed
+# example of tests/test_exact.py that fails instead, and the test that
+# checks it.
+_PATTERN = test_exact.test_pattern_example_matches_sympy
+_REDUCIBLE = test_exact.test_reducible_curve_matches_sympy
+# (name, attribute of exact, mutant, example test, example)
 EXAMPLE_MUTANTS = [
-    ("pattern-read-where-p-divides-lc", "_degree_pattern", _pattern_where_p_divides_lc, "lc-105"),
-    ("pattern-read-where-not-squarefree", "_degree_pattern", _pattern_where_not_squarefree, "square-mod-5"),
+    ("pattern-read-where-p-divides-lc", "_degree_pattern", _pattern_where_p_divides_lc, _PATTERN, "lc-105"),
+    ("pattern-read-where-not-squarefree", "_degree_pattern", _pattern_where_not_squarefree, _PATTERN, "square-mod-5"),
+    ("degree-sets-always-empty", "certify_irreducible_bivariate", _certified_when_content_free, _REDUCIBLE, "x^2-y^2"),
 ]
 
 
@@ -229,14 +243,17 @@ def test_suite_catches_mutant(monkeypatch, modules, attr, mutant, suite):
 
 
 @pytest.mark.parametrize(
-    "attr, mutant, example",
-    [pytest.param(attr, mutant, example, id=f"{name}-{example}") for name, attr, mutant, example in EXAMPLE_MUTANTS],
+    "attr, mutant, check, example",
+    [
+        pytest.param(attr, mutant, check, example, id=f"{name}-{example}")
+        for name, attr, mutant, check, example in EXAMPLE_MUTANTS
+    ],
 )
-def test_factor_q_example_catches_mutant(monkeypatch, attr, mutant, example):
+def test_example_catches_mutant(monkeypatch, attr, mutant, check, example):
     monkeypatch.setattr(exact, attr, mutant)
     clear_caches()
     try:
         with pytest.raises(AssertionError):
-            test_exact.test_pattern_example_matches_sympy(example)
+            check(example)
     finally:
         clear_caches()
