@@ -5,22 +5,23 @@ variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
 ``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
-in closed form, and the cofactor of a rational root.  ``factor_q``
+in closed form, the cofactor of a rational root, and lowest terms.  A
+univariate gcd is the content in y of the polynomial whose two rows in
+x are the inputs, so ``gcd_u`` goes through ``y_content``.  ``factor_q``
 decides most inputs in plain integers too: it splits off powers of the
 variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
 finished by Hensel-lifted rational roots when only a linear factor is
 left possible.  The certificate proves a curve prime by the same
 degree-set rule over Q, read at several points.  The one bridge to sympy
-holds only sympy's algorithms: Zassenhaus and Wang factorization, for
-inputs that may have a factor of degree 2 to n - 2 and curves whose
-degree sets leave a proper factor possible, gcds, contents in y that no
-gcd mod p decides, lowest terms, the PRS
-resultant, square-free decomposition and ``factor_int``.  The bridge
-works over ZZ only: each bridged call puts its inputs in primitive
-integer form (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts
-their rational units back exactly, so everything stays exact.  Both
-factorizers return primitive integer irreducibles with a positive
+holds only the fallbacks: Zassenhaus and Wang factorization, for inputs
+that may have a factor of degree 2 to n - 2 and curves whose degree sets
+leave a proper factor possible, contents in y that no gcd mod p decides,
+the PRS resultant past x-degree 3, and ``factor_int`` for the oracle.
+The bridge works over ZZ only: each bridged call puts its inputs in
+primitive integer form (``primitive_int_upoly``, ``primitive_int_bpoly``)
+and puts their rational units back exactly, so everything stays exact.
+Both factorizers return primitive integer irreducibles with a positive
 leading coefficient, the form in which places store their polynomials.
 No other module of the package imports sympy.
 
@@ -81,9 +82,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from sympy.ntheory import factorint
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_content, dmp_resultant, dup_cancel, dup_gcd, dup_resultant
+from sympy.polys.euclidtools import dmp_content, dmp_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import DegreeBound
 
@@ -555,29 +555,35 @@ def primitive_int_bpoly(p: BPoly) -> tuple[Scalar, BPoly]:
 
 
 # ---------------------------------------------------------------------------
-# gcd, resultants, square-free parts
+# gcd, lowest terms, resultants
 
 
 def gcd_u(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd over Q; gcd(f, 0) = monic(f) and gcd(0, 0) = 0."""
+    """Monic gcd over Q; gcd(f, 0) = monic(f) and gcd(0, 0) = 0.  For
+    nonzero f and g it is ``y_content`` of the polynomial f + x*g, whose
+    two rows in x are f and g."""
     f._check(g)
     if f.is_zero() or g.is_zero():
         return (g if f.is_zero() else f).monic()
-    d = dup_gcd(_to_dup(primitive_int_upoly(f)[1]), _to_dup(primitive_int_upoly(g)[1]), ZZ)
-    return _from_dup(d, f.var).monic()
+    rows = {(i, j): c for i, p in enumerate((f, g)) for j, c in enumerate(p.coeffs)}
+    return y_content(BPoly.make(rows)).with_var(f.var)
 
 
 def cancel_u(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
     """num/den in lowest terms: (p, q) with q monic, p and q coprime and
-    p/q = num/den; (0, 1) when num is 0.  den must be nonzero."""
+    p/q = num/den; (0, 1) when num is 0.  den must be nonzero.
+
+    With N, D the primitive forms of num and den and G that of their
+    ``gcd_u``, G divides N and D exactly in Z[t] by Gauss's lemma, so the
+    quotients are integer lists that ``_exquo`` finds."""
     num._check(den)
     if num.is_zero():
         return num, UPoly.const(den.var, 1)
     u, N = primitive_int_upoly(num)
     v, D = primitive_int_upoly(den)
-    p, q = dup_cancel(_to_dup(N), _to_dup(D), ZZ)
-    q = _from_dup(q, den.var)
-    return _from_dup(p, num.var).scale(qdiv(u, v * q.lc())), q.monic()
+    G = primitive_int_upoly(gcd_u(N, D))[1].coeffs
+    p, q = _exquo(N.coeffs, G), _exquo(D.coeffs, G)
+    return UPoly(num.var, tuple(p)).scale(qdiv(u, v * q[-1])), UPoly(den.var, tuple(q)).monic()
 
 
 @memo
@@ -620,23 +626,6 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
         out.append((irr, m))
     out.sort(key=lambda t: t[0].terms)
     return _frac(unit), tuple(out)
-
-
-def resultant_u(f: UPoly, g: UPoly) -> Scalar:
-    """Resultant of two univariate polynomials (same variable)."""
-    if f.var != g.var:
-        raise ValueError("variable mismatch")
-    if f.is_zero() or g.is_zero():
-        return 0
-    if f.degree() == 0:
-        return qpow(f.lc(), g.degree())
-    if g.degree() == 0:
-        return qpow(g.lc(), f.degree())
-    u, F = primitive_int_upoly(f)
-    v, G = primitive_int_upoly(g)
-    r = int(dup_resultant(_to_dup(F), _to_dup(G), ZZ))
-    # homogeneity: Res(uF, vG) = u^deg G * v^deg F * Res(F, G)
-    return _frac(u ** g.degree() * v ** f.degree() * r)
 
 
 def resultant_x(f: BPoly, g: BPoly) -> UPoly:
@@ -743,17 +732,6 @@ def _bezout_det(fr: list, gr: list, n: int) -> list:
         _add(_mul(B[0][0], minor(1, 2, 1, 2)), _mul(B[0][1], [-v for v in minor(1, 2, 0, 2)])),
         _mul(B[0][2], minor(1, 2, 0, 1)),
     )
-
-
-def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
-    """Monic square-free decomposition: pairwise coprime factors with
-    multiplicities whose weighted product is monic(f)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.degree() == 0:
-        return []
-    _, fac = dup_sqf_list(_to_dup(primitive_int_upoly(f)[1]), ZZ)
-    return [(_from_dup(p, f.var).monic(), m) for p, m in fac]
 
 
 def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:

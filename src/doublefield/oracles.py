@@ -11,7 +11,7 @@ derivation is in ``arakelov``'s docstring), and criteria 5 to 7 the
 pairing of degree-one primes against ``different_divisor`` and
 ``RationalIsom``.  ``suites`` is the one importer of this module, and
 this is the one module of the package that imports mpmath.  Polynomial
-algebra goes through ``exact``'s bridge, and the four memos here are
+algebra goes through ``exact``, and the four memos here are
 ``exact.memo`` caches, emptied by ``clear_caches()``.
 """
 
@@ -30,10 +30,10 @@ from .exact import (
     UPoly,
     cancel_u,
     factor_int,
+    factor_q,
     memo,
     primitive_int_upoly,
-    resultant_u,
-    squarefree_decomposition,
+    resultant_x,
 )
 
 # working precision, in bits, of the numeric (mpmath) layer
@@ -58,12 +58,14 @@ def mpf_of(c: Scalar) -> mpmath.mpf:
 def complex_roots(f: UPoly, eps=1e-12) -> tuple[mpmath.mpc, ...]:
     """All deg(f) complex roots with multiplicity.
 
+    The roots are those of the irreducible factors of f (``factor_q``),
+    each repeated with its multiplicity; such a factor is square-free.
     Each returned z satisfies (|f(z)|/|lc|)**(1/deg) < eps for its
-    square-free factor, so the disc of radius eps about z holds a root,
-    and the discs about the roots of one factor are pairwise disjoint,
-    so each holds a different root.  Precision is escalated until both
-    hold, from DEFAULT_PREC bits up to 16 times that; PrecisionFailure is
-    raised when they cannot be reached.
+    factor, so the disc of radius eps about z holds a root, and the discs
+    about the roots of one factor are pairwise disjoint, so each holds a
+    different root.  Precision is escalated until both hold, from
+    DEFAULT_PREC bits up to 16 times that; PrecisionFailure is raised
+    when they cannot be reached.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -72,7 +74,7 @@ def complex_roots(f: UPoly, eps=1e-12) -> tuple[mpmath.mpc, ...]:
     if f.degree() == 0:
         return ()
     roots: list[mpmath.mpc] = []
-    for sq, mult in squarefree_decomposition(f):
+    for sq, mult in factor_q(f)[1]:
         deg = sq.degree()
         found = None
         for wp in (DEFAULT_PREC * k for k in (1, 2, 4, 8, 16)):
@@ -309,11 +311,13 @@ def _hh(q1: UnaryPlace, q2: UnaryPlace):
         return _height(q2.poly)
     if q2.is_infinity():
         return _height(q1.poly)
-    r = resultant_u(q1.poly, q2.poly)
-    if r == 0:
+    # the place polynomials rewritten in x have y-degree 0, so their
+    # resultant in x is a constant, up to a sign that log|Res| ignores
+    r = resultant_x(*(BPoly.from_upoly(q.poly.with_var("x")) for q in (q1, q2)))
+    if r.is_zero():
         raise NotCoprime("places coincide")
     with mpmath.workprec(DEFAULT_PREC):
-        total = mpmath.log(abs(mpf_of(r)))
+        total = mpmath.log(abs(mpf_of(r.lc())))
         roots1 = complex_roots(q1.poly, eps=_ROOT_EPS)
         roots2 = complex_roots(q2.poly, eps=_ROOT_EPS)
         for a in roots1:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
 import doublefield.cli as cli
+import doublefield.suites as suites
 from doublefield.cli import (
     main,
     parse_divisor_spec,
@@ -29,7 +30,7 @@ from doublefield.divisors import (
     UnaryPlace,
     principal_divisor,
 )
-from doublefield.errors import DegreeBound, InputError, ParseError, PrecisionFailure
+from doublefield.errors import DegreeBound, InputError, NotCoprime, ParseError, PrecisionFailure
 from doublefield.exact import BPoly, UPoly
 from doublefield.suites import binary_pool, unary_pool
 
@@ -495,6 +496,25 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "rsp", boom)
         assert main(["rsp", "--a", "(x - y)", "--b", "(x + y)"]) == 4
+
+    @pytest.mark.parametrize(
+        "error, code, out",
+        [
+            (NotCoprime("places coincide"), 1, "principality: FAIL (checked=0)\n  NotCoprime: places coincide\n"),
+            (PrecisionFailure("no roots"), 4, ""),
+        ],
+        ids=["NotCoprime", "PrecisionFailure"],
+    )
+    def test_library_error_inside_a_suite(self, monkeypatch, capsys, error, code, out):
+        """A library error inside a verify suite is that suite's FAIL line
+        (exit 1); a precision failure keeps its own exit code."""
+
+        def boom():
+            raise error
+
+        monkeypatch.setitem(suites.SUITES, "principality", boom)
+        assert main(["verify", "--suite", "principality"]) == code
+        assert capsys.readouterr().out == out
 
     def test_reducible_binary_exits_2(self, capsys):
         # x^2 - y^2 is x^2 - 1 at y = 1, so the certificate does not apply;

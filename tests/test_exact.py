@@ -39,9 +39,7 @@ from doublefield.exact import (
     gcd_u,
     primitive_int_bpoly,
     primitive_int_upoly,
-    resultant_u,
     resultant_x,
-    squarefree_decomposition,
     y_content,
 )
 from doublefield.oracles import complex_roots
@@ -343,7 +341,7 @@ def test_results_are_exact_scalars(p, q, f, g, c, e):
     if not q.is_zero():
         _assert_exact(cancel_u(p, q))
     if p.degree() >= 1:
-        _assert_exact(primitive_int_upoly(p), factor_q(p), resultant_u(p, p + UPoly.const("x", 1)))
+        _assert_exact(primitive_int_upoly(p), factor_q(p))
     if not f.is_zero():
         _assert_exact(primitive_int_bpoly(f), factor_b(f), y_content(f))
     if not f.is_zero() and not g.is_zero():
@@ -439,6 +437,21 @@ class TestGcd:
         assert d == upoly_of_expr(F.gcd(G).monic().as_expr(), "x")
 
     @settings(max_examples=60, deadline=None)
+    @given(mixed_upolys(max_deg=4), mixed_upolys(max_deg=4), mixed_upolys(max_deg=2))
+    def test_cancel_matches_sympy(self, a, b, h):
+        """cancel_u equals sympy's Poly.cancel over QQ, reached through
+        sympy's Poly and not the bridge, with the denominator made monic."""
+        num, den = a * h, b * h
+        assume(not den.is_zero())
+        p, q = cancel_u(num, den)
+        if num.is_zero():
+            assert (p, q) == (num, up(1))
+            return
+        c, P, Q = sympy.Poly(sym_u(num), SX, domain=QQ).cancel(sympy.Poly(sym_u(den), SX, domain=QQ))
+        assert q == upoly_of_expr(Q.monic().as_expr(), "x")
+        assert p == upoly_of_expr(c * P.as_expr() / Q.LC(), "x")
+
+    @settings(max_examples=60, deadline=None)
     @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)), st.sampled_from((0, 1, 3)))
     @example(2 * X * Y + 2 * X, BPoly.const(1), 1, 0)
     @example(X * Y, Y + BPoly.const(1), 1, 0)
@@ -530,16 +543,13 @@ class TestBridgedAlgebra:
     """Each bridged call against an exact identity or sympy's expression
     layer as an oracle."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(mixed_upolys(), mixed_upolys())
-    def test_resultant_u_matches_sympy(self, f, g):
-        if f.degree() < 1 or g.degree() < 1:
-            return
-        r = sympy.resultant(sym_u(f), sym_u(g), SX)
-        assert resultant_u(f, g) == Fraction(int(r.p), int(r.q))
-
     @settings(max_examples=60, deadline=None)
     @given(mixed_bpolys(max_deg=5), mixed_bpolys(max_deg=5))
+    # y-degree 0, as the oracle's log|Res| of two places reads it: the
+    # substitution, the Bezout determinant and sympy's PRS
+    @example(X**2 + BPoly.const(1), X - BPoly.const(2))
+    @example(X**3 - BPoly.const(2), X**2 + X + BPoly.const(Fraction(1, 3)))
+    @example(X**5 - X + BPoly.const(1), X**4 + BPoly.const(7))
     def test_resultant_x_matches_sympy(self, f, g):
         # x-degrees up to 5 reach the substitution, the Bezout
         # determinant and sympy's PRS
@@ -792,23 +802,6 @@ class TestResultant:
     def test_multiplicative(self):
         f, h, g = X - Y, X + Y**2, X**2 - Y - BPoly.const(3)
         assert resultant_x(f * h, g) == resultant_x(f, g) * resultant_x(h, g)
-
-    def test_univariate(self):
-        assert resultant_u(up(1, 0, 1), up(-2, 1)) == 5
-
-
-class TestSquarefree:
-    def test_spec_example(self):
-        f = up(-1, 1) ** 2 * up(2, 1)
-        assert squarefree_decomposition(f) == [(up(2, 1), 1), (up(-1, 1), 2)]
-
-    def test_squarefree_input(self):
-        f = up(-6, 1, 1)
-        dec = squarefree_decomposition(f)
-        assert dec == [(f.monic(), 1)]
-
-    def test_constant(self):
-        assert squarefree_decomposition(up(5)) == []
 
 
 class TestFactorQ:
@@ -1118,6 +1111,12 @@ class TestComplexRoots:
         rs = complex_roots(f, eps=1e-10)
         assert len(rs) == 3
         assert all(abs(complex(r) - 1) < 1e-8 for r in rs)
+        # distinct irreducibles at mixed multiplicities: (x - 1)^2 (x^2 + 1)(x^2 - 2)
+        f = up(-1, 1) ** 2 * up(1, 0, 1) * up(-2, 0, 1)
+        rs = complex_roots(f, eps=1e-10)
+        assert len(rs) == 6
+        for root, mult in ((1, 2), (1j, 1), (-1j, 1), (2**0.5, 1), (-(2**0.5), 1)):
+            assert sum(abs(complex(r) - root) < 1e-8 for r in rs) == mult
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

@@ -203,23 +203,25 @@ MUTANTS = [
     ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
     ("content-always-constant", (exact,), "_rows_coprime_mod_p", _rows_always_coprime, ("charts",)),
+    (
+        "degree-sets-always-empty",
+        (exact,),
+        "certify_irreducible_bivariate",
+        _certified_when_content_free,
+        ("principality",),
+    ),
 ]
 
-# Mutants of the factorizers' proofs that no verify suite reports as a
-# failure.  Every reducible polynomial the suites hand to factor_q keeps
+# Mutants of factor_q's proofs that no verify suite reports as a
+# failure: every reducible polynomial the suites hand to factor_q keeps
 # a proper factor degree in the patterns the two pattern mutants read.
-# The certificate mutant proves the two reducible products of
-# principality's element pool prime, and that suite then raises
-# NotCoprime instead of reporting a failure.  Each row names the fixed
-# example of tests/test_exact.py that fails instead, and the test that
-# checks it.
+# Each row names the fixed example of tests/test_exact.py that fails
+# instead, and the test that checks it.
 _PATTERN = test_exact.test_pattern_example_matches_sympy
-_REDUCIBLE = test_exact.test_reducible_curve_matches_sympy
 # (name, attribute of exact, mutant, example test, example)
 EXAMPLE_MUTANTS = [
     ("pattern-read-where-p-divides-lc", "_degree_pattern", _pattern_where_p_divides_lc, _PATTERN, "lc-105"),
     ("pattern-read-where-not-squarefree", "_degree_pattern", _pattern_where_not_squarefree, _PATTERN, "square-mod-5"),
-    ("degree-sets-always-empty", "certify_irreducible_bivariate", _certified_when_content_free, _REDUCIBLE, "x^2-y^2"),
 ]
 
 

@@ -100,18 +100,16 @@ def test_only_exact_imports_sympy():
     assert _importers("sympy") == {"exact.py"}
 
 
-# sympy's algorithms, the only names the bridge takes from sympy: exact
-# does its dense arithmetic itself, on plain int lists
+# sympy's algorithms, the only names the bridge takes from sympy: the
+# product's fallbacks (Zassenhaus, Wang, the content in y, the PRS
+# resultant) and factorint; exact does its dense arithmetic, gcds and
+# lowest terms itself, on plain int lists
 BRIDGED = {
     "ZZ",
     "dmp_content",
     "dmp_factor_list",
     "dmp_resultant",
-    "dup_cancel",
     "dup_factor_list",
-    "dup_gcd",
-    "dup_resultant",
-    "dup_sqf_list",
     "factorint",
 }
 
