@@ -25,6 +25,7 @@ from .exact import (
     primitive_int_bpoly,
     primitive_int_upoly,
     qpow,
+    render_sum,
 )
 
 
@@ -204,33 +205,12 @@ class Divisor:
             return Divisor.zero()
         return Divisor(tuple((p, c * k) for p, c in self.coeffs))
 
-    def __mul__(self, k: int) -> "Divisor":
-        return self.scale(k)
-
-    __rmul__ = __mul__
-
     def disjoint_from(self, other: "Divisor") -> bool:
         sup = set(self.support())
         return not any(p in sup for p in other.support())
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p, c in self.coeffs:
-            if c == 1:
-                term = str(p)
-            elif c == -1:
-                term = f"-{p}"
-            else:
-                term = f"{c}*{p}"
-            if parts and not term.startswith("-"):
-                parts.append(f" + {term}")
-            elif parts:
-                parts.append(f" - {term[1:]}")
-            else:
-                parts.append(term)
-        return "".join(parts)
+        return render_sum((c, str(p)) for p, c in self.coeffs)
 
 
 def bidegree(D: Divisor) -> tuple[int, int]:

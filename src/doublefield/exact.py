@@ -69,6 +69,10 @@ A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
 it is part of the value, with nothing to clear and no bound, and it
 stays out of ``==``, ``repr`` and pickles (``str`` hashes differ between
 processes).
+
+Printing.  ``render_sum`` is the one printer of a signed sum of
+``(coefficient, text)`` terms: polynomials print through it term by
+term, and ``Divisor.__str__`` prints its places through it.
 """
 
 from __future__ import annotations
@@ -1146,52 +1150,36 @@ def _fmt_coeff(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def render_upoly(p: UPoly) -> str:
-    if p.is_zero():
-        return "0"
+def _power_text(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def render_sum(terms) -> str:
+    """The signed sum of ``(coefficient, text)`` pairs, in their order:
+    spaced signs between terms, no coefficient of +-1 before a text, the
+    coefficient alone for an empty text, and "0" for no terms."""
     parts = []
-    for i in range(p.degree(), -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mon = ""
-        elif i == 1:
-            mon = p.var
+    for c, text in terms:
+        sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+        a = abs(c)
+        if not text:
+            parts.append(sign + _fmt_coeff(a))
+        elif a == 1:
+            parts.append(sign + text)
         else:
-            mon = f"{p.var}^{i}"
-        parts.append(_term_str(c, mon, first=not parts))
-    return "".join(parts)
+            parts.append(f"{sign}{_fmt_coeff(a)}*{text}")
+    return "".join(parts) or "0"
+
+
+def render_upoly(p: UPoly) -> str:
+    return render_sum(
+        (c, _power_text(p.var, i)) for i, c in reversed(tuple(enumerate(p.coeffs))) if c != 0
+    )
 
 
 def render_bpoly(p: BPoly) -> str:
-    if p.is_zero():
-        return "0"
     terms = sorted(p.terms, key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0], -t[0][1]))
-    parts = []
-    for (i, j), c in terms:
-        mons = []
-        if i == 1:
-            mons.append("x")
-        elif i > 1:
-            mons.append(f"x^{i}")
-        if j == 1:
-            mons.append("y")
-        elif j > 1:
-            mons.append(f"y^{j}")
-        parts.append(_term_str(c, "*".join(mons), first=not parts))
-    return "".join(parts)
-
-
-def _term_str(c: Scalar, mon: str, first: bool) -> str:
-    sign = "-" if c < 0 else ("" if first else "+")
-    if not first:
-        sign = " - " if c < 0 else " + "
-    a = abs(c)
-    if not mon:
-        body = _fmt_coeff(a)
-    elif a == 1:
-        body = mon
-    else:
-        body = f"{_fmt_coeff(a)}*{mon}"
-    return f"{sign}{body}"
+    return render_sum(
+        (c, "*".join(filter(None, (_power_text("x", i), _power_text("y", j)))))
+        for (i, j), c in terms
+    )

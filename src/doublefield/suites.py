@@ -31,7 +31,7 @@ from .divisors import (
     divisor_of_upoly,
     principal_divisor,
 )
-from .errors import DoubleFieldError, NotCoprime, PrecisionFailure
+from .errors import DoubleFieldError, InputError, NotCoprime, PrecisionFailure
 from .exact import BPoly, UPoly, clear_caches, factor_q, qdiv, resultant_x
 from .oracles import (
     RationalIsom,
@@ -625,25 +625,34 @@ def run_rsp() -> dict:
 # 11. conjecture explorer: determinism and reporting
 
 
-def run_explorer(trials: int = 100, max_deg: int = 2, seed: int = 7) -> dict:
+EXPLORER_TRIALS = 100
+EXPLORER_MAX_DEG = 2
+EXPLORER_SEED = 7
+
+
+def run_explorer() -> dict:
     # each run starts from empty memos, so the second one recomputes
     # everything instead of reading back the first one's values
     failures: list[str] = []
     clear_caches()
     t0 = time.monotonic()
-    first = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
+    first = explore_self_products(
+        trials=EXPLORER_TRIALS, max_deg=EXPLORER_MAX_DEG, seed=EXPLORER_SEED
+    )
     elapsed = time.monotonic() - t0
     clear_caches()
-    second = explore_self_products(trials=trials, max_deg=max_deg, seed=seed)
+    second = explore_self_products(
+        trials=EXPLORER_TRIALS, max_deg=EXPLORER_MAX_DEG, seed=EXPLORER_SEED
+    )
     if json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True):
         failures.append("explorer output is not reproducible by seed")
     if elapsed > 300:
         failures.append(f"explorer took {elapsed:.1f} s (limit 300 s)")
-    if first["minimum"] is None or len(first["records"]) != trials:
+    if first["minimum"] is None or len(first["records"]) != EXPLORER_TRIALS:
         failures.append("explorer report is incomplete")
     return _result(
         "explorer",
-        trials,
+        EXPLORER_TRIALS,
         failures,
         minimum=first["minimum"],
         negative_trials=first["negative_trials"],
@@ -670,7 +679,8 @@ def run_suite(name: str) -> dict:
     error raised inside a suite is that suite's one failure, with 0
     instances checked, so ``verify`` reports it as a FAIL line.  Only
     PrecisionFailure, a limit of the numeric oracle rather than a failed
-    check, passes through (``verify`` exit 4)."""
+    check, passes through (``verify`` exit 4).  An unknown name is an
+    InputError that lists the suites."""
     if name == "all":
         results = [run_suite(n) for n in SUITES]
         return {
@@ -679,7 +689,8 @@ def run_suite(name: str) -> dict:
             "ok": all(r["ok"] for r in results),
         }
     if name not in SUITES:
-        raise KeyError(name)
+        names = ", ".join(sorted(SUITES))
+        raise InputError(f"unknown suite {name!r}; the suites are {names} and all")
     t0 = time.monotonic()
     try:
         result = SUITES[name]()

@@ -516,6 +516,13 @@ class TestExitCodes:
         assert main(["verify", "--suite", "principality"]) == code
         assert capsys.readouterr().out == out
 
+    def test_unknown_suite_lists_the_suites(self, capsys):
+        assert main(["verify", "--suite", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        names = ", ".join(sorted(suites.SUITES))
+        assert captured.err == f"input error: unknown suite 'nope'; the suites are {names} and all\n"
+
     def test_reducible_binary_exits_2(self, capsys):
         # x^2 - y^2 is x^2 - 1 at y = 1, so the certificate does not apply;
         # factor_b splits it into (x - y)(x + y), so it is refused

@@ -126,15 +126,29 @@ def test_bridge_imports_only_sympy_algorithms():
     assert names == BRIDGED
 
 
-def test_root_import_leaves_out_the_suites_and_the_oracle():
-    """``import doublefield`` loads the product only; verify's suites and
-    their oracle come in with ``doublefield.suites``."""
-    code = "import sys, doublefield; print(sorted(m for m in sys.modules if m.startswith('doublefield')))"
+def _doublefield_modules_after(module: str) -> list[str]:
+    """The doublefield modules a fresh interpreter holds after importing
+    ``module``."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('doublefield')))"
     src = str(Path(doublefield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    loaded = ast.literal_eval(out)
+    return ast.literal_eval(out)
+
+
+def test_root_import_leaves_out_the_suites_and_the_oracle():
+    """``import doublefield`` loads the product only; verify's suites and
+    their oracle come in with ``doublefield.suites``."""
+    loaded = _doublefield_modules_after("doublefield")
     assert "doublefield.exact" in loaded
+    assert "doublefield.suites" not in loaded and "doublefield.oracles" not in loaded
+
+
+def test_cli_import_leaves_out_the_suites_and_the_oracle():
+    """Only ``verify`` loads the suites, inside its handler, so
+    ``import doublefield.cli`` loads neither them nor the oracle."""
+    loaded = _doublefield_modules_after("doublefield.cli")
+    assert "doublefield.cli" in loaded
     assert "doublefield.suites" not in loaded and "doublefield.oracles" not in loaded
 
 
