@@ -2,13 +2,15 @@
 Q(x,y), moves within a divisor class, and the self-product explorer.
 
 The scalar product is completed over C with genus-0 Arakelov theory
-over Q(y): a divisor of Q(y) gets real coefficients on the finite
-fibers (one per rational prime) and on the archimedean fiber, with the
-Fubini-Study metric, for which the two basic integrals have exact closed
-forms (integral of log(1+|z|^2) is 1, integral of log|z-a| is half
-log(1+|a|^2)) and principal Arakelov divisors intersect everything of
-disjoint support to zero (the product formula).  That numeric layer is
-``oracles``; this module needs only the closed form below, in integers.
+over Q(y): a divisor of Q(y) gets a vertical part N on the finite
+fibers (the positive rational prod p^v_p, since each fiber is
+irreducible and enters an intersection only as log N) and a real
+coefficient on the archimedean fiber, with the Fubini-Study metric, for
+which the two basic integrals have exact closed forms (integral of
+log(1+|z|^2) is 1, integral of log|z-a| is half log(1+|a|^2)) and
+principal Arakelov divisors intersect everything of disjoint support to
+zero (the product formula).  That numeric layer is ``oracles``; this
+module needs only the closed form below, in integers.
 
 The degree against the canonical class is an integer.  Write h =
 ``oracles._height`` (log|lc| plus half log(1+|root|^2) summed over the
@@ -26,12 +28,12 @@ has horizontal part -2(y - c), no vertical part and arch
 since |Res| = |lc(q)| * prod |a - c| cancels the -log|a - c| of the
 Green's function (for q = inf_y, _hh = h(y - c) = L/2 directly).  So for
 an Arakelov divisor D with horizontal part sum c_q q of degree d,
-vertical coefficients v_p and arch A,
+vertical part N and arch A,
 
-    intersect(D, K_c) = -2*sum c_q h(q) - d*L + d*(L - 1) - 2*(sum v_p log p + A)
-                      = -2*sum c_q h(q) - d - 2*(sum v_p log p + A),
+    intersect(D, K_c) = -2*sum c_q h(q) - d*L + d*(L - 1) - 2*(log N + A)
+                      = -2*sum c_q h(q) - d - 2*(log N + A),
 
-and L drops out.  arakelov_from_divisor sets v = 0 and
+and L drops out.  arakelov_from_divisor sets N = 1 and
 A = sum c_q (deg(q)/2 - h(q)), so the heights cancel as well and, for a
 divisor E of Q(y) of degree d,
 

@@ -347,10 +347,8 @@ def _term(text: str, start: int, end: int) -> tuple[Scalar, Place]:
 
 
 def _divisor_payload(d: Divisor) -> dict:
-    return {
-        "divisor": str(d),
-        "terms": [{"place": str(m), "coeff": w} for m, w in d.coeffs],
-    }
+    text, terms = d.rendered()
+    return {"divisor": text, "terms": [{"place": m, "coeff": w} for w, m in terms]}
 
 
 def _report(args, inputs: dict, result: dict, wall_time) -> dict:

@@ -209,8 +209,14 @@ class Divisor:
         sup = set(self.support())
         return not any(p in sup for p in other.support())
 
+    def rendered(self) -> tuple[str, tuple[tuple[int, str], ...]]:
+        """The divisor's text and its (coefficient, place text) pairs,
+        each place rendered once."""
+        terms = tuple((c, str(p)) for p, c in self.coeffs)
+        return render_sum(terms), terms
+
     def __str__(self) -> str:
-        return render_sum((c, str(p)) for p, c in self.coeffs)
+        return self.rendered()[0]
 
 
 def bidegree(D: Divisor) -> tuple[int, int]:

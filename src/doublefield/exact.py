@@ -17,10 +17,10 @@ degree-set rule over Q, read at several points.  The one bridge to sympy
 holds only the fallbacks: Zassenhaus and Wang factorization, for inputs
 that may have a factor of degree 2 to n - 2 and curves whose degree sets
 leave a proper factor possible, contents in y that no gcd mod p decides,
-the PRS resultant past x-degree 3, and ``factor_int`` for the oracle.
-The bridge works over ZZ only: each bridged call puts its inputs in
-primitive integer form (``primitive_int_upoly``, ``primitive_int_bpoly``)
-and puts their rational units back exactly, so everything stays exact.
+and the PRS resultant past x-degree 3.  The bridge works over ZZ only:
+each bridged call puts its inputs in primitive integer form
+(``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
+rational units back exactly, so everything stays exact.
 Both factorizers return primitive integer irreducibles with a positive
 leading coefficient, the form in which places store their polynomials.
 No other module of the package imports sympy.
@@ -84,7 +84,6 @@ from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from sympy.ntheory import factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_content, dmp_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
@@ -766,12 +765,6 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     unit, q = primitive_int_upoly(f)
     u, fac = _factor_primitive_q(q)
     return _frac(unit * u), fac
-
-
-def factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    """The prime factorization of |n| for a nonzero integer n, as
-    (prime, exponent) pairs in increasing order."""
-    return tuple(sorted(factorint(abs(n)).items()))
 
 
 @memo

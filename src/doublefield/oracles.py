@@ -18,18 +18,18 @@ algebra goes through ``exact``, and the four memos here are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import NoConvergence
 
 from .divisors import BinaryPlace, Divisor, UnaryPlace, degree_K, degree_one_coeffs, divisor_of_upoly
-from .errors import EqualIsoms, InputError, NotCoprime, PrecisionFailure
+from .errors import EqualIsoms, NotCoprime, PrecisionFailure
 from .exact import (
     BPoly,
     Scalar,
     UPoly,
     cancel_u,
-    factor_int,
     factor_q,
     memo,
     primitive_int_upoly,
@@ -38,10 +38,6 @@ from .exact import (
 
 # working precision, in bits, of the numeric (mpmath) layer
 DEFAULT_PREC = 80
-
-# largest content, in bits of its numerator or denominator, that
-# principal_arakelov factors into vertical fibers
-MAX_UNIT_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -203,45 +199,37 @@ def arch_lambda(q: UnaryPlace):
 
 @dataclass(frozen=True, slots=True)
 class ArakelovDivisorKp:
-    """Horizontal divisor of Q(y) plus real vertical coefficients at
-    finitely many rational primes and one archimedean coefficient."""
+    """Horizontal divisor of Q(y) plus a vertical part and one real
+    archimedean coefficient.
+
+    Every finite fiber F_p of P1 over Z is irreducible, so a vertical
+    part sum v_p F_p meets a horizontal divisor of degree d in
+    d * sum v_p log p = d * log N, and another vertical part in 0.  It
+    is stored as that one positive rational N = prod p^v_p."""
 
     horizontal: Divisor
-    vertical: tuple[tuple[int, object], ...]  # (prime, real coeff), sorted
+    vertical: Fraction  # N = prod p^v_p
     arch: object  # real
 
     @staticmethod
-    def make(horizontal: Divisor, vertical: dict | None = None, arch=0) -> "ArakelovDivisorKp":
-        vert = tuple(
-            sorted((p, v) for p, v in (vertical or {}).items() if v != 0)
-        )
-        return ArakelovDivisorKp(horizontal, vert, mpmath.mpf(arch) * 1)
-
-    def vertical_dict(self) -> dict:
-        return dict(self.vertical)
+    def make(horizontal: Divisor, vertical=1, arch=0) -> "ArakelovDivisorKp":
+        return ArakelovDivisorKp(horizontal, Fraction(vertical), mpmath.mpf(arch) * 1)
 
     def __add__(self, other: "ArakelovDivisorKp") -> "ArakelovDivisorKp":
-        v = self.vertical_dict()
-        for p, c in other.vertical:
-            v[p] = v.get(p, 0) + c
         return ArakelovDivisorKp.make(
-            self.horizontal + other.horizontal, v, self.arch + other.arch
+            self.horizontal + other.horizontal,
+            self.vertical * other.vertical,
+            self.arch + other.arch,
         )
 
     def __neg__(self) -> "ArakelovDivisorKp":
-        return ArakelovDivisorKp.make(
-            -self.horizontal, {p: -c for p, c in self.vertical}, -self.arch
-        )
+        return ArakelovDivisorKp.make(-self.horizontal, 1 / self.vertical, -self.arch)
 
     def __sub__(self, other: "ArakelovDivisorKp") -> "ArakelovDivisorKp":
         return self + (-other)
 
-    def scale(self, k) -> "ArakelovDivisorKp":
-        return ArakelovDivisorKp.make(
-            self.horizontal.scale(int(k)),
-            {p: c * k for p, c in self.vertical},
-            self.arch * k,
-        )
+    def scale(self, k: int) -> "ArakelovDivisorKp":
+        return ArakelovDivisorKp.make(self.horizontal.scale(k), self.vertical**k, self.arch * k)
 
 
 def arakelov_from_divisor(D: Divisor) -> ArakelovDivisorKp:
@@ -251,33 +239,21 @@ def arakelov_from_divisor(D: Divisor) -> ArakelovDivisorKp:
         arch = mpmath.mpf(0)
         for q, c in D.coeffs:
             arch += c * arch_lambda(q)
-        return ArakelovDivisorKp.make(D, None, arch)
+        return ArakelovDivisorKp.make(D, arch=arch)
 
 
 def principal_arakelov(num: UPoly) -> ArakelovDivisorKp:
     """Arakelov divisor of a nonzero polynomial num of Q[y]: horizontal
-    function-field divisor, Gauss valuations of its content on the
-    finite fibers, and minus the archimedean average of its log.  The
-    divisor of a quotient is the difference of two.  InputError if the
-    numerator or denominator of the content has more than MAX_UNIT_BITS
-    bits."""
+    function-field divisor, the absolute value of its content as the
+    vertical part (its Gauss valuations on the finite fibers), and minus
+    the archimedean average of its log.  The divisor of a quotient is
+    the difference of two."""
     if num.is_zero():
         raise ValueError("zero element")
     unit, pn = primitive_int_upoly(num)
-    vertical: dict[int, int] = {}
-    for p, e in _prime_factorization(unit.numerator):
-        vertical[p] = vertical.get(p, 0) + e
-    for p, e in _prime_factorization(unit.denominator):
-        vertical[p] = vertical.get(p, 0) - e
     with mpmath.workprec(DEFAULT_PREC):
         arch = -mpmath.log(abs(mpf_of(unit))) - _height(pn)
-    return ArakelovDivisorKp.make(divisor_of_upoly(pn), vertical, arch)
-
-
-def _prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
-    if abs(n).bit_length() > MAX_UNIT_BITS:
-        raise InputError(f"unit of {abs(n).bit_length()} bits exceeds bound {MAX_UNIT_BITS}")
-    return factor_int(n)
+    return ArakelovDivisorKp.make(divisor_of_upoly(pn), abs(unit), arch)
 
 
 def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp):
@@ -292,10 +268,7 @@ def intersect(D: ArakelovDivisorKp, E: ArakelovDivisorKp):
                 total += c1 * c2 * _hh(q1, q2)
         dD = degree_K(D.horizontal)
         dE = degree_K(E.horizontal)
-        for p, v in E.vertical:
-            total += dD * v * mpmath.log(p)
-        for p, v in D.vertical:
-            total += dE * v * mpmath.log(p)
+        total += dD * mpmath.log(mpf_of(E.vertical)) + dE * mpmath.log(mpf_of(D.vertical))
         total += dD * E.arch + dE * D.arch
         return total
 
@@ -387,8 +360,6 @@ def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
     swapped).  So the order of d is the coincidence order in all three
     cases.
     """
-    if mu == nu:
-        raise EqualIsoms("the two embeddings coincide")
     b1, a1 = mu.num, mu.den
     b2, a2 = nu.num, nu.den
     d = b1 * a2 - b2 * a1

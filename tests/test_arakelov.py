@@ -21,10 +21,9 @@ from doublefield.divisors import (
     bidegree,
     principal_divisor,
 )
-from doublefield.errors import InputError, NotCoprime
+from doublefield.errors import NotCoprime
 from doublefield.exact import BPoly, UPoly
 from doublefield.oracles import (
-    MAX_UNIT_BITS,
     ArakelovDivisorKp,
     arakelov_from_divisor,
     arch_lambda,
@@ -74,43 +73,46 @@ class TestPrincipalArakelov:
     def test_constant_two(self):
         a = principal_arakelov(yp(2))
         assert a.horizontal.is_zero()
-        assert a.vertical_dict() == {2: 1}
+        assert a.vertical == 2
         assert abs(a.arch + mpmath.log(2)) < 1e-12
 
     def test_large_prime_unit(self):
         start = time.process_time()
         a = principal_arakelov(yp(-1, 1).scale(2**61 - 1))
         assert time.process_time() - start < 0.5
-        assert a.vertical_dict() == {2**61 - 1: 1}
+        assert a.vertical == 2**61 - 1
 
-    def test_unit_over_bound_refused(self):
-        with pytest.raises(InputError, match="exceeds bound"):
-            principal_arakelov(yp(-1, 1).scale(Fraction(1, 2**MAX_UNIT_BITS + 1)))
+    def test_unit_far_over_64_bits(self):
+        # N is stored, not factored, so no size bound applies to the unit
+        unit = Fraction(3**200, 2**300 + 1)
+        a = principal_arakelov(yp(-1, 1).scale(unit))
+        assert a.vertical == unit
+        assert abs(intersect(a, arakelov_from_divisor(Divisor.of(yplace(-3, 1))))) < 1e-6
 
     def test_float_unit_refused(self):
         # 0.1 is 3602879701896397/2**55, not 1/10: no content is read off it
         with pytest.raises(TypeError, match="not an exact rational"):
             principal_arakelov(yp(-1, 1).scale(0.1))
-        assert principal_arakelov(yp(-1, 1).scale(Fraction(1, 10))).vertical_dict() == {2: -1, 5: -1}
+        assert principal_arakelov(yp(-1, 1).scale(Fraction(1, 10))).vertical == Fraction(1, 10)
 
     def test_multiplicative(self):
         f, g = yp(-1, 1), yp(3, 0, 1)
         ab = principal_arakelov(f * g)
         a, b = principal_arakelov(f), principal_arakelov(g)
         assert ab.horizontal == (a + b).horizontal
-        assert ab.vertical_dict() == (a + b).vertical_dict()
+        assert ab.vertical == (a + b).vertical
         assert abs(ab.arch - (a.arch + b.arch)) < 1e-9
 
 
 class TestIntersect:
     def test_vertical_rule(self):
-        v = ArakelovDivisorKp.make(Divisor.zero(), {5: 1})
+        v = ArakelovDivisorKp.make(Divisor.zero(), 5)
         h = arakelov_from_divisor(Divisor.of(yplace(-3, 1)))
         assert abs(intersect(v, h) - mpmath.log(5)) < 1e-12
 
     def test_fiber_fiber(self):
-        v = ArakelovDivisorKp.make(Divisor.zero(), {5: 1}, arch=2.0)
-        w = ArakelovDivisorKp.make(Divisor.zero(), {3: 2}, arch=-1.0)
+        v = ArakelovDivisorKp.make(Divisor.zero(), 5, arch=2.0)
+        w = ArakelovDivisorKp.make(Divisor.zero(), 9, arch=-1.0)
         assert intersect(v, w) == 0
 
     def test_product_formula_calibration(self):
@@ -130,7 +132,7 @@ class TestIntersect:
     def test_symmetry_bilinearity(self):
         a = arakelov_from_divisor(Divisor.of(yplace(-1, 1)))
         b = arakelov_from_divisor(Divisor.make({yplace(-3, 1): 1, INF_Y: 2}))
-        c = ArakelovDivisorKp.make(Divisor.of(yplace(1, 1)), {2: 0.5}, arch=1.25)
+        c = ArakelovDivisorKp.make(Divisor.of(yplace(1, 1)), Fraction(4, 9), arch=1.25)
         assert abs(intersect(a, b) - intersect(b, a)) < 1e-9
         assert abs(intersect(a + c, b) - (intersect(a, b) + intersect(c, b))) < 1e-9
 

@@ -9,6 +9,8 @@ the mutants that no suite reports as a failure, each with the fixed
 example of ``tests/test_exact.py`` that fails instead.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from doublefield import arakelov, exact, oracles, pairing, residues, suites
@@ -21,6 +23,7 @@ _rule = pairing._pair_primes_kp
 _fiber = pairing.fiber_divisor
 _substitute = exact._substitute
 _g_fs = oracles.g_fs
+_intersect = oracles.intersect
 _kappa = oracles.fs_kappa_closed_form
 _deg_Kp = arakelov.deg_Kp
 _pair = pairing.pair
@@ -97,6 +100,11 @@ def _g_fs_without_w_term(z, w):
     """The Fubini-Study Green's function without its half log(1 + |w|^2)
     term, which is fs_point_integral(w)."""
     return _g_fs(z, w) - oracles.fs_point_integral(w)
+
+
+def _intersect_without_vertical(D, E):
+    """The Arakelov intersection with both vertical parts N read as 1."""
+    return _intersect(replace(D, vertical=1), replace(E, vertical=1))
 
 
 def _kappa_perturbed():
@@ -190,6 +198,7 @@ MUTANTS = [
     ),
     ("bezout-without-division", (exact,), "_exquo", _exquo_skipped, ("charts",)),
     ("green-without-w-term", (oracles,), "g_fs", _g_fs_without_w_term, ("calibration",)),
+    ("intersect-drops-vertical", (oracles, suites), "intersect", _intersect_without_vertical, ("calibration",)),
     ("kappa-off-by-2^-20", (suites,), "fs_kappa_closed_form", _kappa_perturbed, ("calibration",)),
     ("deg_Kp-off-by-one-above-degree-1", (suites,), "deg_Kp", _deg_Kp_off_by_one, ("calibration",)),
     (

@@ -102,15 +102,15 @@ def test_only_exact_imports_sympy():
 
 # sympy's algorithms, the only names the bridge takes from sympy: the
 # product's fallbacks (Zassenhaus, Wang, the content in y, the PRS
-# resultant) and factorint; exact does its dense arithmetic, gcds and
-# lowest terms itself, on plain int lists
+# resultant) and their domain ZZ; exact does its dense arithmetic, gcds
+# and lowest terms itself, on plain int lists, and the oracle keeps a
+# vertical part as one rational instead of factoring it
 BRIDGED = {
     "ZZ",
     "dmp_content",
     "dmp_factor_list",
     "dmp_resultant",
     "dup_factor_list",
-    "factorint",
 }
 
 
