@@ -17,6 +17,8 @@ A slash is part of a rational literal only when an integer follows it,
 so ``1/2*x`` is (1/2)*x while ``3/x`` and ``x^2/3`` divide two
 expressions.  Unary minus covers the whole following factor (``-x^2``
 means ``-(x^2)``), so canonical renderings re-parse to equal values.
+At most ``MAX_NESTING`` levels of '(' and unary minus nest, counted
+together; a deeper input is a parse error (exit 2).
 
 Products, powers, unary minus and the quotient are kept factor by
 factor; only a sum is multiplied out, into one factor: each term into a
@@ -87,6 +89,9 @@ MAX_CONSTANT_BITS = 1 << 16
 # the L1 norms of the factors: (x + y + 2^41)^24 + 1, just below it,
 # factors in about 0.9 s of CPU, and (x + y + 2^80)^24 + 1 in about 16 s
 MAX_COEFFICIENT_BITS = 1 << 10
+# deepest nesting of '(' and unary '-' the parser descends into; each
+# level takes at most four stack frames, so 100 levels stay near 400
+MAX_NESTING = 100
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -180,6 +185,7 @@ class _Parser:
     def __init__(self, text: str, start: int, end: int):
         self.tokens = _tokenize(text, start, end)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -192,6 +198,18 @@ class _Parser:
     def finish(self, expected=("+", "-", "*", "^", "end of input")):
         if self.peek()[0] != "eof":
             self.fail(expected)
+
+    def descend(self) -> None:
+        """Consume a '(' or unary '-', one level deeper; ParseError at
+        the token that would pass MAX_NESTING."""
+        pos = self.advance()[2]
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels at offset {pos}",
+                pos,
+                expected=("int", "x", "y"),
+            )
+        self.depth += 1
 
     def fail(self, expected):
         kind, text, pos = self.peek()
@@ -258,17 +276,19 @@ class _Parser:
             self.advance()
             return 1, [(_X if text == "x" else _Y, 1)]
         if kind == "(":
-            self.advance()
+            self.descend()
             form = self.expr()
             if self.peek()[0] != ")":
                 self.fail((")",))
             self.advance()
+            self.depth -= 1
             return form
         if kind == "-":
-            self.advance()
+            self.descend()
             # unary minus covers the whole factor so that the canonical
             # rendering "-x^2" re-parses to the value it was printed from
             c, factors = self.factor()
+            self.depth -= 1
             return -c, factors
         self.fail(("int", "x", "y", "(", "-"))
 
@@ -361,13 +381,20 @@ def _report(args, inputs: dict, result: dict, wall_time) -> dict:
     }
 
 
-def _emit(args, report: dict, human: str) -> None:
+def _emit(args, report: dict, human: str, code: int) -> int:
+    """Print the report, or write it to --out; the exit code, EXIT_INPUT
+    when --out cannot be written."""
     out = json.dumps(report, indent=2) if args.json else human
-    if args.out:
+    if not args.out:
+        print(out)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
-    else:
-        print(out)
+    except OSError as exc:
+        print(f"input error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +549,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     # explore must be byte-reproducible, so its report carries no timing
     wall = None if args.command == "explore" else round(time.monotonic() - t0, 6)
-    _emit(args, _report(args, _inputs_of(args), result, wall), human)
-    return code
+    return _emit(args, _report(args, _inputs_of(args), result, wall), human, code)
 
 
 if __name__ == "__main__":

@@ -23,15 +23,11 @@ class ParseError(InputError):
 
 
 class DegreeBound(InputError):
-    """Polynomial degree exceeds the configured factorization bound."""
+    """Polynomial degree exceeds the factorization bound."""
 
 
 class NotDegreeOne(InputError):
     """Operation requires a binary prime of degree one in x."""
-
-
-class EqualIsoms(InputError):
-    """Different divisor of an isomorphism with itself is undefined."""
 
 
 class NotCoprime(InputError):

@@ -5,9 +5,9 @@ variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
 ``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
-in closed form, the cofactor of a rational root, and lowest terms.  A
-univariate gcd is the content in y of the polynomial whose two rows in
-x are the inputs, so ``gcd_u`` goes through ``y_content``.  ``factor_q``
+in closed form and the cofactor of a rational root.  A univariate gcd
+is the content in y of the polynomial whose two rows in x are the
+inputs, so ``gcd_u`` goes through ``y_content``.  ``factor_q``
 decides most inputs in plain integers too: it splits off powers of the
 variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
@@ -558,7 +558,7 @@ def primitive_int_bpoly(p: BPoly) -> tuple[Scalar, BPoly]:
 
 
 # ---------------------------------------------------------------------------
-# gcd, lowest terms, resultants
+# gcd, resultants
 
 
 def gcd_u(f: UPoly, g: UPoly) -> UPoly:
@@ -570,23 +570,6 @@ def gcd_u(f: UPoly, g: UPoly) -> UPoly:
         return (g if f.is_zero() else f).monic()
     rows = {(i, j): c for i, p in enumerate((f, g)) for j, c in enumerate(p.coeffs)}
     return y_content(BPoly.make(rows)).with_var(f.var)
-
-
-def cancel_u(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
-    """num/den in lowest terms: (p, q) with q monic, p and q coprime and
-    p/q = num/den; (0, 1) when num is 0.  den must be nonzero.
-
-    With N, D the primitive forms of num and den and G that of their
-    ``gcd_u``, G divides N and D exactly in Z[t] by Gauss's lemma, so the
-    quotients are integer lists that ``_exquo`` finds."""
-    num._check(den)
-    if num.is_zero():
-        return num, UPoly.const(den.var, 1)
-    u, N = primitive_int_upoly(num)
-    v, D = primitive_int_upoly(den)
-    G = primitive_int_upoly(gcd_u(N, D))[1].coeffs
-    p, q = _exquo(N.coeffs, G), _exquo(D.coeffs, G)
-    return UPoly(num.var, tuple(p)).scale(qdiv(u, v * q[-1])), UPoly(den.var, tuple(q)).monic()
 
 
 @memo

@@ -9,7 +9,7 @@ certified resultant roots, criterion 9 ``deg_Kp`` against the
 Fubini-Study intersection with the canonical representative K_c (the
 derivation is in ``arakelov``'s docstring), and criteria 5 to 7 the
 pairing of degree-one primes against ``different_divisor`` and
-``RationalIsom``.  ``suites`` is the one importer of this module, and
+``pole_divisor``.  ``suites`` is the one importer of this module, and
 this is the one module of the package that imports mpmath.  Polynomial
 algebra goes through ``exact``, and the four memos here are
 ``exact.memo`` caches, emptied by ``clear_caches()``.
@@ -24,12 +24,11 @@ import mpmath
 from mpmath.libmp import NoConvergence
 
 from .divisors import BinaryPlace, Divisor, UnaryPlace, degree_K, degree_one_coeffs, divisor_of_upoly
-from .errors import EqualIsoms, NotCoprime, PrecisionFailure
+from .errors import NotCoprime, PrecisionFailure
 from .exact import (
     BPoly,
     Scalar,
     UPoly,
-    cancel_u,
     factor_q,
     memo,
     primitive_int_upoly,
@@ -309,60 +308,38 @@ def canonical_route(D: ArakelovDivisorKp, c: int):
 
 
 # ---------------------------------------------------------------------------
-# rational embeddings of Q(x) into Q(y) and their different divisor
+# the different divisor and pole divisor of degree-one primes
 
 
-@dataclass(frozen=True, slots=True)
-class RationalIsom:
-    """An embedding of Q(x) into Q(y): x -> num(y)/den(y) in lowest
-    terms with monic denominator."""
-
-    num: UPoly
-    den: UPoly
-
-    @staticmethod
-    def make(num: UPoly, den: UPoly) -> "RationalIsom":
-        if den.is_zero():
-            raise ValueError("zero denominator")
-        if num.var != "y" or den.var != "y":
-            raise ValueError("rational isomorphisms live in Q(y)")
-        return RationalIsom(*cancel_u(num, den))
-
-    def pole_divisor(self) -> Divisor:
-        """Divisor of poles of num/den over the places of Q(y)."""
-        return divisor_of_upoly(self.den, max(self.num.degree(), self.den.degree()))
-
-    def __str__(self) -> str:
-        if self.den == UPoly.const("y", 1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+def pole_divisor(m: BinaryPlace) -> Divisor:
+    """Divisor of poles of b/a over the places of Q(y), for a degree-one
+    prime m = a*x - b."""
+    a, b = degree_one_coeffs(m)
+    return divisor_of_upoly(a, max(a.degree(), b.degree()))
 
 
-def residue_iso(n: BinaryPlace) -> RationalIsom:
-    """The substitution x -> b/a read off a degree-one prime a*x - b."""
-    a, b = degree_one_coeffs(n)
-    return RationalIsom.make(b, a)
+def different_divisor(m: BinaryPlace, n: BinaryPlace) -> Divisor:
+    """Effective divisor of Q(y) measuring the coincidence orders of the
+    residue embeddings x -> mu = b1/a1 and x -> nu = b2/a2 of two
+    degree-one primes m = a1*x - b1 and n = a2*x - b2: at each place the
+    order of mu - nu where both are finite with equal values, of
+    1/mu - 1/nu where both have poles, else 0.
 
-
-def different_divisor(mu: RationalIsom, nu: RationalIsom) -> Divisor:
-    """Effective divisor of Q(y) measuring the coincidence orders of two
-    embeddings: at each place the order of mu - nu where both are finite
-    with equal values, of 1/mu - 1/nu where both have poles, else 0.
-
-    Proof.  With mu = b1/a1 and nu = b2/a2 in lowest terms, d = b1*a2 -
-    b2*a1 is the form B1*A2 - B2*A1 of degree max(deg a1, deg b1) +
-    max(deg a2, deg b2) in the homogeneous coordinates of the y-line.
-    At every place, y = infinity included, A1 and B1 do not vanish
-    together, nor A2 and B2.  Where both values are finite, d is
-    A1*A2*(mu - nu) with A1*A2 a unit; where both are infinite, it is
-    B1*B2*(1/nu - 1/mu) with B1*B2 a unit; where only mu is infinite,
-    A1 = 0 and d = B1*A2 does not vanish (the same with mu and nu
-    swapped).  So the order of d is the coincidence order in all three
-    cases.
+    Proof.  a1 and b1 are coprime because m is prime, and so are a2 and
+    b2.  d = b1*a2 - b2*a1 is the form B1*A2 - B2*A1 of degree
+    max(deg a1, deg b1) + max(deg a2, deg b2) in the homogeneous
+    coordinates of the y-line.  At every place, y = infinity included,
+    A1 and B1 do not vanish together, nor A2 and B2.  Where both values
+    are finite, d is A1*A2*(mu - nu) with A1*A2 a unit; where both are
+    infinite, it is B1*B2*(1/nu - 1/mu) with B1*B2 a unit; where only mu
+    is infinite, A1 = 0 and d = B1*A2 does not vanish (the same with mu
+    and nu swapped).  So the order of d is the coincidence order in all
+    three cases.  A unit factor of d changes no divisor, and d = 0
+    exactly when m = n.
     """
-    b1, a1 = mu.num, mu.den
-    b2, a2 = nu.num, nu.den
+    a1, b1 = degree_one_coeffs(m)
+    a2, b2 = degree_one_coeffs(n)
     d = b1 * a2 - b2 * a1
     if d.is_zero():
-        raise EqualIsoms("the two embeddings coincide")
+        raise NotCoprime("the two primes are equal")
     return divisor_of_upoly(d, max(a1.degree(), b1.degree()) + max(a2.degree(), b2.degree()))

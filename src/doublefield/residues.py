@@ -9,8 +9,9 @@ degree-one prime (y - c) of Q(y) yields divisors of Q(x), computed both
 by explicit fiber factorization (``correspondence``) and as the pairing
 on side K (``residue_mod_Kp_degree_one``); the two agree at every
 degree-one point, so each cross-checks the other.  The closed forms the
-pairing of degree-one primes is checked against, ``different_divisor``
-and ``RationalIsom.pole_divisor``, are ``verify``'s oracle (``oracles``).
+pairing of degree-one primes is checked against,
+``oracles.different_divisor`` and ``oracles.pole_divisor``, are
+``verify``'s oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
     that resultant is +-M(a, b; Y), the form of m restricted to the line
     n: the divisor of m in the residue field Q(y).  It reads [m] for a
     y-unary m (i = 0), the zeros of p at x = b/a for a finite p(x), the
-    pole divisor of b/a for inf_x, and ``oracles.different_divisor`` of
-    the two embeddings b1/a1 and b/a for a binary m = a1*x - b1.
+    pole divisor of b/a for inf_x (``oracles.pole_divisor``), and
+    ``oracles.different_divisor(m, n)`` for a binary m = a1*x - b1.
     """
     degree_one_coeffs(n)
     _check_coprime_to(A, n)

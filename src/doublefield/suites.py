@@ -28,13 +28,13 @@ from .divisors import (
     Divisor,
     UnaryPlace,
     degree_K,
+    degree_one_coeffs,
     divisor_of_upoly,
     principal_divisor,
 )
 from .errors import DoubleFieldError, InputError, NotCoprime, PrecisionFailure
 from .exact import BPoly, UPoly, clear_caches, factor_q, qdiv, resultant_x
 from .oracles import (
-    RationalIsom,
     arakelov_from_divisor,
     canonical_route,
     complex_roots,
@@ -45,8 +45,8 @@ from .oracles import (
     fs_point_integral_quadrature,
     intersect,
     numeric_common_root,
+    pole_divisor,
     principal_arakelov,
-    residue_iso,
 )
 from .pairing import SIDE_K, SIDE_KPRIME, fiber_divisor, pair, self_pair_degree_one
 from .residues import correspondence, residue_mod_Kp_degree_one, residue_mod_degree_one
@@ -114,45 +114,40 @@ def unary_pool() -> list[UnaryPlace]:
     ]
 
 
-def isom_pool() -> list[RationalIsom]:
-    """Rational functions of y used both as residue isomorphisms and,
-    through b(y)x - a(y), as degree-one binary primes."""
-    raw = [
-        ((0, 1), (1,)),
-        ((0, 0, 1), (1,)),
-        ((-1, 1), (1,)),
-        ((2, 1), (1,)),
-        ((1, 2), (1,)),
-        ((-2, 0, 1), (1,)),
-        ((1,), (0, 1)),
-        ((1, 1), (0, 1)),
-        ((0, 1), (-1, 1)),
-        ((1, 0, 1), (0, 1)),
-        ((-1, 1), (1, 1)),
-        ((1, 1, 1), (1,)),
+def degree_one_pool() -> list[BinaryPlace]:
+    """Degree-one binary primes a(y)x - b(y), whose residue embeddings
+    x -> b/a are rational functions of y."""
+    polys = [
+        X - Y,
+        X - Y**2,
+        X - Y + _c(1),
+        X - Y - _c(2),
+        X - 2 * Y - _c(1),
+        X - Y**2 + _c(2),
+        Y * X - _c(1),
+        Y * X - Y - _c(1),
+        (Y - _c(1)) * X - Y,
+        Y * X - Y**2 - _c(1),
+        (Y + _c(1)) * X - Y + _c(1),
+        X - Y**2 - Y - _c(1),
     ]
-    return [RationalIsom.make(_ypoly(*num), _ypoly(*den)) for num, den in raw]
+    return [BinaryPlace.make(f) for f in polys]
 
 
-def extended_isom_pool() -> list[RationalIsom]:
-    extra = [
-        ((0, 0, 0, 1), (1,)),
-        ((-2, 0, 0, 1), (1,)),
-        ((3, 1), (1,)),
-        ((-3, 1), (1,)),
-        ((0, 2, 1), (1,)),
-        ((1,), (1, 1)),
-        ((2,), (0, 1)),
-        ((0, 1), (2, 1)),
-        ((1, 0, 0, 1), (1,)),
-        ((5, 1), (-2, 1)),
+def extended_degree_one_pool() -> list[BinaryPlace]:
+    polys = [
+        X - Y**3,
+        X - Y**3 + _c(2),
+        X - Y - _c(3),
+        X - Y + _c(3),
+        X - Y**2 - 2 * Y,
+        (Y + _c(1)) * X - _c(1),
+        Y * X - _c(2),
+        (Y + _c(2)) * X - Y,
+        X - Y**3 - _c(1),
+        (Y - _c(2)) * X - Y - _c(5),
     ]
-    return isom_pool() + [RationalIsom.make(_ypoly(*num), _ypoly(*den)) for num, den in extra]
-
-
-def degree_one_prime(mu: RationalIsom) -> BinaryPlace:
-    f = BPoly.from_upoly(mu.den) * X - BPoly.from_upoly(mu.num)
-    return BinaryPlace.make(f)
+    return degree_one_pool() + [BinaryPlace.make(f) for f in polys]
 
 
 def element_pool() -> list[DeltaElement]:
@@ -215,7 +210,7 @@ def run_bilinearity() -> dict:
 
     rng = random.Random(2)
     primes = binary_pool() + unary_pool()
-    deg_one = [degree_one_prime(mu) for mu in isom_pool()]
+    deg_one = degree_one_pool()
     points = [_yplace(-c, 1) for c in (-3, -1, 0, 1, 2, 5)]
     failures: list[str] = []
     pair_n = residue_n = corr_n = rounds = 0
@@ -264,7 +259,7 @@ def run_bilinearity() -> dict:
 def run_principality() -> dict:
     failures: list[str] = []
     checked = 0
-    moduli = [degree_one_prime(mu) for mu in isom_pool()]
+    moduli = degree_one_pool()
     points = [_yplace(-c, 1) for c in (5, -7, 3)]
     others = [Divisor.of(BinaryPlace.make(2 * X - Y - _c(3))), Divisor.of(_yplace(-5, 1))]
     for k, elem in enumerate(element_pool()):
@@ -311,14 +306,13 @@ def run_agreement() -> dict:
 
 def run_different() -> dict:
     failures: list[str] = []
-    isoms = isom_pool()
-    primes = [degree_one_prime(mu) for mu in isoms]
+    primes = degree_one_pool()
     checked = 0
-    for i in range(len(isoms)):
-        for j in range(i + 1, len(isoms)):
+    for i in range(len(primes)):
+        for j in range(i + 1, len(primes)):
             checked += 1
             lhs = pair(Divisor.of(primes[i]), Divisor.of(primes[j]))
-            rhs = different_divisor(isoms[i], isoms[j])
+            rhs = different_divisor(primes[i], primes[j])
             if lhs != rhs:
                 failures.append(f"pair != different for ({primes[i]}, {primes[j]})")
     worked = pair(Divisor.of(BinaryPlace.make(X - Y**2)), Divisor.of(BinaryPlace.make(X - Y)))
@@ -342,15 +336,14 @@ def _in_support_at(divisor: Divisor, var: str, value: Fraction) -> bool:
 
 def run_support() -> dict:
     failures: list[str] = []
-    isoms = isom_pool()
-    primes = [degree_one_prime(mu) for mu in isoms]
+    primes = degree_one_pool()
     checked = 0
-    for i in range(len(isoms)):
-        for j in range(len(isoms)):
+    for i in range(len(primes)):
+        for j in range(len(primes)):
             if i == j:
                 continue
             m, n = primes[i], primes[j]
-            nu = residue_iso(n)
+            a, b = degree_one_coeffs(n)
             d = residue_mod_degree_one(Divisor.of(m), n)
             candidates = {Fraction(c) for c in (-2, -1, 0, 1, 2, 3)}
             for place, _ in d.coeffs:
@@ -362,10 +355,10 @@ def run_support() -> dict:
                 ):
                     candidates.add(Fraction(-place.poly.coeffs[0], place.poly.coeffs[1]))
             for c in sorted(candidates):
-                den_val = nu.den.eval(c)
+                den_val = a.eval(c)
                 if den_val == 0:
                     continue
-                x_val = qdiv(nu.num.eval(c), den_val)
+                x_val = qdiv(b.eval(c), den_val)
                 below = UPoly.make("y", [-c.numerator, c.denominator])
                 corr = correspondence(Divisor.of(m), UnaryPlace.finite(below))
                 checked += 1
@@ -383,12 +376,11 @@ def run_support() -> dict:
 def run_selfpair() -> dict:
     failures: list[str] = []
     checked = 0
-    for mu in extended_isom_pool():
-        m = degree_one_prime(mu)
+    for m in extended_degree_one_pool():
         checked += 1
         sp = self_pair_degree_one(m)
-        # the image of dx under x -> mu is -2 times the pole divisor of mu
-        total = degree_K(sp.value - residue_iso(m).pole_divisor().scale(2))
+        # the image of dx under x -> b/a is -2 times the pole divisor of b/a
+        total = degree_K(sp.value - pole_divisor(m).scale(2))
         if total != 0:
             failures.append(f"self pairing of {m} leaves degree {total}")
     return _result("selfpair", checked, failures)

@@ -267,6 +267,30 @@ class TestDegreeBudget:
         assert main(["divisor", "(x-y)^30"]) == 0
         assert capsys.readouterr().out.strip() == "-30*inf_x - 30*inf_y + 30*(x - y)"
 
+    @staticmethod
+    def _nested(depth):
+        """x under depth levels of '(', and under depth unary '-'."""
+        return "(" * depth + "x" + ")" * depth, "-" * depth + "x"
+
+    @pytest.mark.parametrize("command", ["divisor", "pair"])
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_nesting_overrun_exits_2(self, command, kind, capsys):
+        # the recursive descent overran the interpreter's stack at a few
+        # hundred levels and exited 1 with a RecursionError
+        text = self._nested(cli.MAX_NESTING + 1)[kind]
+        argv = ["divisor", "--", text] if command == "divisor" else ["pair", f"--a={text}", "--b", "y - 5"]
+        start = time.process_time()
+        assert main(argv) == 2
+        assert time.process_time() - start < 0.5
+        assert f"nesting deeper than {cli.MAX_NESTING} levels" in capsys.readouterr().err
+
+    def test_nesting_within_bound(self):
+        # MAX_NESTING is even, so the minus signs cancel
+        paren, minus = self._nested(cli.MAX_NESTING)
+        assert parse_element(paren) == parse_element(minus) == _element(BPoly.gen("x"))
+        x = Divisor.of(UnaryPlace.finite(UPoly.make("x", [0, 1])))
+        assert parse_divisor_spec(paren) == parse_divisor_spec(minus) == x
+
 
 # Divisor-spec terms built around a pool prime from integer and rational
 # constants, each factor possibly negated, with the product of the
@@ -590,6 +614,13 @@ class TestReports:
         assert capsys.readouterr().out == ""
         report = json.loads(target.read_text())
         assert report["command"] == "divisor"
+
+    def test_out_file_in_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["divisor", "(x - y)", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot write {target}: ")
+        assert "Traceback" not in err
 
     def test_arakelov_deg_value(self, capsys):
         assert main(["arakelov-deg", "--d", "1*(y - 3)", "--json"]) == 0

@@ -32,7 +32,6 @@ from doublefield.exact import (
     _from_dup,
     _to_dmp,
     _to_dup,
-    cancel_u,
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
@@ -338,8 +337,6 @@ def test_results_are_exact_scalars(p, q, f, g, c, e):
     _assert_exact(p + q, p - q, p * q, -p, p.scale(c), p**e, p.monic(), p.eval(c))
     _assert_exact(f + g, f - g, f * g, -f, f.scale(c), f**e, f.eval_y(c))
     _assert_exact(gcd_u(p, q))
-    if not q.is_zero():
-        _assert_exact(cancel_u(p, q))
     if p.degree() >= 1:
         _assert_exact(primitive_int_upoly(p), factor_q(p))
     if not f.is_zero():
@@ -435,21 +432,6 @@ class TestGcd:
             assert sympy.rem(sym_u(p), sym_u(d), SX, domain=QQ) == 0
         F, G = (sympy.Poly(sym_u(p), SX, domain=QQ) for p in (f, g))
         assert d == upoly_of_expr(F.gcd(G).monic().as_expr(), "x")
-
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_upolys(max_deg=4), mixed_upolys(max_deg=4), mixed_upolys(max_deg=2))
-    def test_cancel_matches_sympy(self, a, b, h):
-        """cancel_u equals sympy's Poly.cancel over QQ, reached through
-        sympy's Poly and not the bridge, with the denominator made monic."""
-        num, den = a * h, b * h
-        assume(not den.is_zero())
-        p, q = cancel_u(num, den)
-        if num.is_zero():
-            assert (p, q) == (num, up(1))
-            return
-        c, P, Q = sympy.Poly(sym_u(num), SX, domain=QQ).cancel(sympy.Poly(sym_u(den), SX, domain=QQ))
-        assert q == upoly_of_expr(Q.monic().as_expr(), "x")
-        assert p == upoly_of_expr(c * P.as_expr() / Q.LC(), "x")
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)), st.sampled_from((0, 1, 3)))

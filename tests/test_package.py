@@ -102,9 +102,9 @@ def test_only_exact_imports_sympy():
 
 # sympy's algorithms, the only names the bridge takes from sympy: the
 # product's fallbacks (Zassenhaus, Wang, the content in y, the PRS
-# resultant) and their domain ZZ; exact does its dense arithmetic, gcds
-# and lowest terms itself, on plain int lists, and the oracle keeps a
-# vertical part as one rational instead of factoring it
+# resultant) and their domain ZZ; exact does its dense arithmetic and
+# gcds itself, on plain int lists, and the oracle keeps a vertical part
+# as one rational instead of factoring it
 BRIDGED = {
     "ZZ",
     "dmp_content",

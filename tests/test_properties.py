@@ -1,6 +1,7 @@
 """Properties of the pairing and the residue routes on generated binary
 primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
-fiber rule under Moebius maps of y, of the
+oracle's different and pole divisors on generated degree-one primes, of
+the fiber rule under Moebius maps of y, of the
 closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
 per-prime routes they replaced, of the one-``make`` pairing,
@@ -22,6 +23,7 @@ from doublefield.divisors import (
     UnaryPlace,
     bidegree,
     degree_K,
+    degree_one_coeffs,
     div_of_place,
     divisor_of_upoly,
     place_bidegree,
@@ -31,8 +33,8 @@ from doublefield.divisors import (
     transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
-from doublefield.exact import BPoly, UPoly, clear_caches, factor_q
-from doublefield.oracles import different_divisor, residue_iso
+from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, gcd_u
+from doublefield.oracles import different_divisor, pole_divisor
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, fiber_divisor, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
@@ -46,8 +48,7 @@ from doublefield.suites import (
     _pull_curve,
     _pull_divisor,
     binary_pool,
-    degree_one_prime,
-    extended_isom_pool,
+    extended_degree_one_pool,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
@@ -87,6 +88,36 @@ def test_pair_symmetric_with_bezout_degree(m, n):
         assert pair(A, B, side) == pair(B, A, side)
     bezout = m.poly.deg_x() * n.poly.deg_y() + m.poly.deg_y() * n.poly.deg_x()
     assert degree_K(pair(A, B, SIDE_KPRIME)) == bezout
+
+
+@st.composite
+def degree_one_places(draw):
+    """a(y)*x - b(y) for coprime a and b of degree at most 3, not both
+    constant: a prime because its content in y is gcd(a, b) = 1."""
+    coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    a, b = (UPoly.make("y", draw(coeffs)) for _ in range(2))
+    assume(not a.is_zero() and max(a.degree(), b.degree()) >= 1)
+    assume(gcd_u(a, b).degree() == 0)
+    return BinaryPlace.make(BPoly.from_upoly(a) * X - BPoly.from_upoly(b))
+
+
+@PROPERTY_SETTINGS
+@given(degree_one_places(), degree_one_places())
+def test_different_divisor_is_the_pairing(m, n):
+    assume(m != n)
+    d = different_divisor(m, n)
+    assert d == pair(Divisor.of(m), Divisor.of(n))
+    assert d == different_divisor(n, m)
+    assert all(c > 0 for _, c in d.coeffs)
+    assert degree_K(d) == m.poly.deg_y() + n.poly.deg_y()
+
+
+@PROPERTY_SETTINGS
+@given(degree_one_places())
+def test_pole_divisor_is_the_pairing_with_inf_x(m):
+    d = pole_divisor(m)
+    assert d == pair(Divisor.of(UnaryPlace.infinity("x")), Divisor.of(m))
+    assert degree_K(d) == m.poly.deg_y()
 
 
 @PROPERTY_SETTINGS
@@ -247,9 +278,8 @@ def test_second_move_refuses_a_moved_divisor_meeting_A():
 
 
 def test_self_pairing_moved_matches_factoring_route():
-    for mu in extended_isom_pool():
-        m = degree_one_prime(mu)
-        den = BPoly.from_upoly(residue_iso(m).den)
+    for m in extended_degree_one_pool():
+        den = BPoly.from_upoly(degree_one_coeffs(m)[0].monic())
         expected = Divisor.of(m) - _factoring_divisor(DeltaElement.from_fraction(m.poly, den))
         assert self_pair_degree_one(m).moved == expected
 
@@ -261,15 +291,14 @@ def test_self_pairing_moved_matches_factoring_route():
 def _old_residue_of_prime(m, n: BinaryPlace) -> Divisor:
     """Residue of one prime modulo a degree-one binary prime n = a*x - b,
     read off a table of prime families."""
-    iso_n = residue_iso(n)
+    a, b = degree_one_coeffs(n)
     if isinstance(m, BinaryPlace):
         if m.poly.deg_x() == 1:
-            return different_divisor(residue_iso(m), iso_n)
+            return different_divisor(m, n)
         return fiber_divisor(m.poly, n.poly)
     if m.var == "x":
         if m.is_infinity():
-            return iso_n.pole_divisor()
-        b, a = iso_n.num, iso_n.den
+            return pole_divisor(n)
         dp = m.poly.degree()
         cleared = UPoly.zero("y")
         for i, c in enumerate(m.poly.coeffs):
@@ -279,7 +308,7 @@ def _old_residue_of_prime(m, n: BinaryPlace) -> Divisor:
 
 
 def _old_residue_mod_degree_one(A: Divisor, n: BinaryPlace) -> Divisor:
-    residue_iso(n)
+    degree_one_coeffs(n)
     if A.coeff(n) != 0:
         raise NotCoprime(f"divisor meets the modulus {n}")
     out = Divisor.zero()
@@ -325,7 +354,7 @@ def _outcome(f, *args):
 
 
 RESIDUE_POOL = binary_pool() + _prime_pool(2)
-MODULI = [degree_one_prime(mu) for mu in extended_isom_pool()]
+MODULI = extended_degree_one_pool()
 residue_divisors = st.dictionaries(
     st.sampled_from(RESIDUE_POOL), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
 ).map(Divisor.make)

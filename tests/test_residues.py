@@ -1,9 +1,6 @@
 """Unit tests for residues, correspondences and different divisors."""
 
 import pytest
-import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from doublefield.divisors import (
     BinaryPlace,
@@ -11,11 +8,12 @@ from doublefield.divisors import (
     Divisor,
     UnaryPlace,
     degree_K,
+    degree_one_coeffs,
     principal_divisor,
 )
-from doublefield.errors import EqualIsoms, NotCoprime, NotDegreeOne
+from doublefield.errors import NotCoprime, NotDegreeOne
 from doublefield.exact import BPoly, UPoly
-from doublefield.oracles import RationalIsom, different_divisor, residue_iso
+from doublefield.oracles import different_divisor, pole_divisor
 from doublefield.pairing import self_pair_degree_one
 from doublefield.residues import (
     correspondence,
@@ -37,7 +35,9 @@ def xp(*coeffs):
 
 
 def iso(num, den=(1,)):
-    return RationalIsom.make(yp(*num), yp(*den))
+    """The degree-one prime den*x - num, whose residue embedding is
+    x -> num/den."""
+    return BinaryPlace.make(BPoly.from_upoly(yp(*den)) * X - BPoly.from_upoly(yp(*num)))
 
 
 def yplace(*coeffs):
@@ -52,53 +52,24 @@ INF_X = UnaryPlace.infinity("x")
 INF_Y = UnaryPlace.infinity("y")
 
 
-SY = sympy.Symbol("y")
-
-small_ints = st.integers(-6, 6)
-small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-ypolys = st.lists(st.one_of(small_ints, small_fracs), max_size=4).map(lambda cs: yp(*cs))
-
-
-def sym_y(p):
-    """A polynomial in y as a sympy Poly over QQ (test-only oracle)."""
-    terms = (sympy.Rational(c.numerator, c.denominator) * SY**j for j, c in enumerate(p.coeffs))
-    return sympy.Poly(sum(terms, sympy.S.Zero), SY, domain="QQ")
-
-
-class TestRationalIsomMake:
-    def test_zero_numerator_is_zero_over_one(self):
-        zero = RationalIsom.make(yp(0), yp(1, 1))
-        assert str(zero) == "0"
-        assert zero.pole_divisor().is_zero()
-        assert zero == RationalIsom.make(yp(0), yp(1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(ypolys, ypolys, ypolys)
-    def test_lowest_terms_with_monic_denominator(self, a, b, h):
-        """Coprime parts, a monic denominator and the same value, checked
-        with sympy's own gcd over QQ."""
-        num, den = a * h, b * h
-        if den.is_zero():
-            return
-        r = RationalIsom.make(num, den)
-        assert r.den.lc() == 1
-        if r.num.is_zero():
-            assert r.den == yp(1)
-        else:
-            assert sym_y(r.num).gcd(sym_y(r.den)) == sym_y(yp(1))
-        assert r.num * den == r.den * num
-
-
 class TestResidueIso:
+    # the residue embedding x -> b/a of a degree-one prime a*x - b, read
+    # off the place by degree_one_coeffs up to the place's unit
+
+    @staticmethod
+    def _embeds_as(m, num, den):
+        a, b = degree_one_coeffs(m)
+        return b * den == num * a
+
     def test_read_off(self):
-        assert residue_iso(BinaryPlace.make(X - Y**2)) == iso((0, 0, 1))
+        assert self._embeds_as(BinaryPlace.make(X - Y**2), yp(0, 0, 1), yp(1))
 
     def test_inverse(self):
-        assert residue_iso(BinaryPlace.make(Y * X - BPoly.const(1))) == iso((1,), (0, 1))
+        assert self._embeds_as(BinaryPlace.make(Y * X - BPoly.const(1)), yp(1), yp(0, 1))
 
     def test_not_degree_one(self):
         with pytest.raises(NotDegreeOne):
-            residue_iso(BinaryPlace.make(X**2 - Y))
+            degree_one_coeffs(BinaryPlace.make(X**2 - Y))
 
 
 class TestDifferentDivisor:
@@ -110,11 +81,8 @@ class TestDifferentDivisor:
         d = different_divisor(iso((0, 1)), iso((1, 1)))
         assert d == Divisor.make({INF_Y: 2})
 
-    def test_distinct_constants(self):
-        assert different_divisor(iso((0,)), iso((1,))).is_zero()
-
-    def test_equal_isoms(self):
-        with pytest.raises(EqualIsoms):
+    def test_equal_primes(self):
+        with pytest.raises(NotCoprime):
             different_divisor(iso((0, 2), (2,)), iso((0, 1)))
 
     def test_effective(self):
@@ -123,12 +91,12 @@ class TestDifferentDivisor:
             (iso((2, 1)), iso((0, 1), (1, 1))),
             (iso((1, 0, 1), (0, 1)), iso((0, 1))),
         ]
-        for mu, nu in pairs:
-            assert all(c >= 0 for _, c in different_divisor(mu, nu).coeffs)
+        for m, n in pairs:
+            assert all(c >= 0 for _, c in different_divisor(m, n).coeffs)
 
     def test_symmetric(self):
-        mu, nu = iso((1, 2, 1), (0, 1)), iso((3, 1))
-        assert different_divisor(mu, nu) == different_divisor(nu, mu)
+        m, n = iso((1, 2, 1), (0, 1)), iso((3, 1))
+        assert different_divisor(m, n) == different_divisor(n, m)
 
 
 class TestResidueModDegreeOne:
@@ -252,7 +220,8 @@ class TestCrossCheck:
 _X_DEGREE_TWO = BinaryPlace.make(X**2 - Y - BPoly.const(3))
 _BINARY_MODULUS = [
     lambda n: residue_mod_degree_one(Divisor.zero(), n),
-    residue_iso,
+    pole_divisor,
+    lambda n: different_divisor(n, iso((0, 1))),
     self_pair_degree_one,
 ]
 _POINT_OF_QY = [
