@@ -118,7 +118,7 @@ def _tokenize(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
                 break
             at = end - len(stripped)
             raise ParseError(
-                f"unexpected character {stripped[0]!r} at offset {at}",
+                f"unexpected character {stripped[0]!r}",
                 at,
                 expected=("int", "x", "y", "+", "-", "*", "^", "(", ")"),
             )
@@ -205,7 +205,7 @@ class _Parser:
         pos = self.advance()[2]
         if self.depth == MAX_NESTING:
             raise ParseError(
-                f"nesting deeper than {MAX_NESTING} levels at offset {pos}",
+                f"nesting deeper than {MAX_NESTING} levels",
                 pos,
                 expected=("int", "x", "y"),
             )
@@ -215,7 +215,7 @@ class _Parser:
         kind, text, pos = self.peek()
         what = "end of input" if kind == "eof" else repr(text)
         raise ParseError(
-            f"unexpected {what} at offset {pos}; expected one of {sorted(expected)}",
+            f"expected one of {sorted(expected)}, found {what}",
             pos,
             expected=expected,
         )
@@ -267,9 +267,10 @@ class _Parser:
             num = int(text)
             if self.peek()[0] == "/" and self.tokens[self.i + 1][0] == "int":
                 self.advance()
-                den = int(self.advance()[1])
+                _, digits, at = self.advance()
+                den = int(digits)
                 if den == 0:
-                    raise ParseError("zero denominator in rational", self.peek()[2], ("uint",))
+                    raise ParseError("zero denominator in rational", at, ("uint",))
                 return qdiv(num, den), []
             return num, []
         if kind == "var":
@@ -536,7 +537,7 @@ def main(argv=None) -> int:
     try:
         result, human, code = _COMMANDS[args.command](args)
     except ParseError as exc:
-        print(f"parse error: {exc} (offset {exc.offset})", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -125,10 +125,8 @@ def transpose_place(m: Place) -> Place:
 
 
 def transpose_divisor(D: Divisor) -> Divisor:
-    """Relabel a divisor over Q(y)-places as the mirror-image divisor
-    over Q(x)-places (or vice versa)."""
-    if any(isinstance(p, BinaryPlace) for p in D.support()):
-        raise ValueError("only unary divisors can be relabeled")
+    """The mirror-image divisor under the swap of x and y, place by
+    place."""
     return Divisor.make([(transpose_place(p), c) for p, c in D.coeffs])
 
 

@@ -12,12 +12,12 @@ class InputError(DoubleFieldError):
 class ParseError(InputError):
     """Expression or divisor-spec syntax error.
 
-    Carries the byte offset of the failure and the set of tokens that
-    would have been accepted there.
+    Carries the byte offset of the failure, which its message ends
+    with, and the set of tokens that would have been accepted there.
     """
 
     def __init__(self, message, offset, expected=()):
-        super().__init__(message)
+        super().__init__(f"{message} at offset {offset}")
         self.offset = offset
         self.expected = tuple(sorted(expected))
 

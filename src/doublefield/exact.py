@@ -5,9 +5,7 @@ variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
 ``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
-in closed form and the cofactor of a rational root.  A univariate gcd
-is the content in y of the polynomial whose two rows in x are the
-inputs, so ``gcd_u`` goes through ``y_content``.  ``factor_q``
+in closed form and the cofactor of a rational root.  ``factor_q``
 decides most inputs in plain integers too: it splits off powers of the
 variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
@@ -558,18 +556,7 @@ def primitive_int_bpoly(p: BPoly) -> tuple[Scalar, BPoly]:
 
 
 # ---------------------------------------------------------------------------
-# gcd, resultants
-
-
-def gcd_u(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd over Q; gcd(f, 0) = monic(f) and gcd(0, 0) = 0.  For
-    nonzero f and g it is ``y_content`` of the polynomial f + x*g, whose
-    two rows in x are f and g."""
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        return (g if f.is_zero() else f).monic()
-    rows = {(i, j): c for i, p in enumerate((f, g)) for j, c in enumerate(p.coeffs)}
-    return y_content(BPoly.make(rows)).with_var(f.var)
+# resultants
 
 
 @memo

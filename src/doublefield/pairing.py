@@ -4,8 +4,9 @@
 divisor of Q(x) (side K) or Q(y) (side Kprime).  Every place is a form
 on P1 x P1 with a bidegree (``place_bidegree``), and a pair of places
 goes to the divisor on the y-line of the resultant of their two forms,
-of the Bezout degree a1*b2 + a2*b1 (``_pair_primes_kp``).  Side K is the
-same rule with x and y swapped.
+of the Bezout degree a1*b2 + a2*b1 (``_pair_primes_kp``).  Side K is
+the side-Kprime pairing of the two transposed divisors, transposed
+back.
 
 The fiber of a coprime pair of curves over each point of the y-line is
 counted by one resultant in the original coordinates, Res_x(f, g): its
@@ -28,10 +29,9 @@ from .divisors import (
     divisor_of_upoly,
     place_bidegree,
     transpose_divisor,
-    transpose_place,
 )
 from .errors import NotCoprime
-from .exact import BPoly, gcd_u, resultant_x, y_content
+from .exact import BPoly, resultant_x
 
 SIDE_K = "K"
 SIDE_KPRIME = "Kprime"
@@ -44,23 +44,22 @@ def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
     their forms, read off their bidegrees (``_pair_primes_kp``): a
     multiple of a place of the output line, 0, or one resultant Res_x
     in the original coordinates, read at infinity off the Bezout number.
+    Side K swaps x and y in A and b, pairs them on side Kprime and swaps
+    back: the swap is a bijection on places, so by bilinearity this is
+    the rule read with x and y swapped.
     """
     if side not in (SIDE_K, SIDE_KPRIME):
         raise ValueError(f"unknown side {side!r}")
+    if side == SIDE_K:
+        return transpose_divisor(pair(transpose_divisor(A), transpose_divisor(b)))
     if not A.disjoint_from(b):
         raise NotCoprime("pairing requires disjoint supports")
     return Divisor.make(
         (p, c * wm * wn)
         for m, wm in A.coeffs
         for n, wn in b.coeffs
-        for p, c in _pair_primes(m, n, side).coeffs
+        for p, c in _pair_primes_kp(m, n).coeffs
     )
-
-
-def _pair_primes(m: Place, n: Place, side: str) -> Divisor:
-    if side == SIDE_K:
-        return transpose_divisor(_pair_primes_kp(transpose_place(m), transpose_place(n)))
-    return _pair_primes_kp(m, n)
 
 
 def _pair_primes_kp(m: Place, n: Place) -> Divisor:
@@ -115,7 +114,8 @@ def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
     intersections of the curves f = 0 and g = 0 above each place.
 
     Each input has positive x-degree; purely x-unary inputs (deg_y = 0)
-    are allowed.  Inputs must have no common component.
+    are allowed.  Inputs must have no common component; the curves of
+    two distinct places have none (see the end of the proof).
 
     Proof.  Let f have bidegree (a1, b1) and g (a2, b2), with a1, a2 >= 1.
     Their bihomogenizations F(X0:X1; Y0:Y1), G on P1 x P1 are binary
@@ -134,18 +134,16 @@ def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
     only by a unit, and no chart is needed.
 
     Common components: over Q(y), r = 0 exactly when f and g share a
-    factor of positive x-degree.  A common factor h(y) does not make r
-    vanish: each root of h is a fiber inside both curves, where R only
-    vanishes to the finite order a1 + a2 per factor of h
-    (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  Such an h divides the
-    y-content of f and of g (the gcd of their coefficients in x), which
-    is checked first.  Either case raises NotCoprime.
+    factor of positive x-degree, which raises NotCoprime.  A common
+    factor h(y) would not make r vanish: each root of h is a fiber inside
+    both curves, where R only vanishes to the finite order a1 + a2 per
+    factor of h (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  No place's
+    curve has such a factor: it is prime, and a nonconstant y-content
+    would be a proper factor of it, so ``divisors.place_of_curve``
+    refuses such a curve as reducible.
     """
     if f.deg_x() < 1 or g.deg_x() < 1:
         raise ValueError("both inputs need positive x-degree")
-    cf = y_content(f)
-    if cf.degree() > 0 and gcd_u(cf, y_content(g)).degree() > 0:
-        raise NotCoprime(f"curves share a component in y alone: ({f}, {g})")
     r = resultant_x(f, g)
     if r.is_zero():
         raise NotCoprime(f"vanishing resultant: ({f}, {g}) share a component")

@@ -453,17 +453,24 @@ def run_charts() -> dict:
         for (i, j, s), rhs in zip(cases, expected)
         if fiber_divisor(pulled[s][i], pulled[s][j]) != rhs
     ]
-    # a shared component in y alone leaves Res_x nonzero; one of positive
-    # x-degree makes it vanish
+    # a shared component in y alone would leave Res_x nonzero, so the
+    # place constructor refuses a curve with one; a shared component of
+    # positive x-degree makes Res_x vanish
     common_checked = 0
     for f, g in pairs[:12]:
-        for h, k in (((Y - _c(1)) * f, (Y - _c(1)) * g), (f * g, f)):
-            common_checked += 1
-            try:
-                fiber_divisor(h, k)
-            except NotCoprime:
-                continue
-            failures.append(f"common component of ({h}, {k}) not refused")
+        common_checked += 2
+        try:
+            BinaryPlace.make((Y - _c(1)) * f)
+        except InputError:
+            pass
+        else:
+            failures.append(f"(y - 1)*({f}) taken for a prime")
+        try:
+            fiber_divisor(f * g, f)
+        except NotCoprime:
+            pass
+        else:
+            failures.append(f"common component of ({f * g}, {f}) not refused")
     oracle_checked = 0
     for (f, g), d in zip(pairs, direct):
         if oracle_checked >= 24:

@@ -398,7 +398,7 @@ class TestSpecParsing:
         with pytest.raises(ParseError) as exc:
             parse_divisor_spec(text)
         assert exc.value.offset == offset
-        assert f"offset {offset}" in str(exc.value) or str(exc.value) == "empty divisor term"
+        assert str(exc.value).endswith(f" at offset {offset}")
 
     def test_coefficient_precedence_through_the_cli(self, capsys):
         for a in ("3*x - y^2", "(3*x - y^2)"):
@@ -466,6 +466,24 @@ class TestExitCodes:
     def test_input_error(self, capsys):
         assert main(["divisor", "x y"]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, offset",
+        [
+            (["divisor", "x y"], 2),
+            (["divisor", "x $"], 2),
+            (["divisor", "1/0 + x"], 2),
+            (["pair", "--a", "x - y;;", "--b", "y - 5"], 6),
+        ],
+    )
+    def test_parse_error_names_its_offset_once(self, argv, offset, capsys):
+        # the offset is the zero itself in 1/0 and the empty term's start
+        # in the spec
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert err.count("offset") == 1
+        assert err.rstrip().endswith(f" at offset {offset}")
 
     def test_divisor_slash_after_exponent(self, capsys):
         assert main(["divisor", "x^2/y"]) == 0

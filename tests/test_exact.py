@@ -35,7 +35,6 @@ from doublefield.exact import (
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
-    gcd_u,
     primitive_int_bpoly,
     primitive_int_upoly,
     resultant_x,
@@ -336,7 +335,6 @@ def test_results_are_exact_scalars(p, q, f, g, c, e):
     a float."""
     _assert_exact(p + q, p - q, p * q, -p, p.scale(c), p**e, p.monic(), p.eval(c))
     _assert_exact(f + g, f - g, f * g, -f, f.scale(c), f**e, f.eval_y(c))
-    _assert_exact(gcd_u(p, q))
     if p.degree() >= 1:
         _assert_exact(primitive_int_upoly(p), factor_q(p))
     if not f.is_zero():
@@ -408,31 +406,6 @@ class TestPrimitive:
 
 
 class TestGcd:
-    def test_spec_example(self):
-        assert gcd_u(up(-1, 0, 1), up(1, -2, 1)) == up(-1, 1)
-
-    def test_gcd_with_zero(self):
-        f = up(2, 4)
-        assert gcd_u(f, UPoly.zero("x")) == f.monic()
-
-    def test_coprime(self):
-        assert gcd_u(up(1, 0, 1), up(-2, 1)) == up(1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_upolys(max_deg=4), mixed_upolys(max_deg=4), mixed_upolys(max_deg=2))
-    def test_divides_both(self, a, b, h):
-        """gcd_u divides both inputs and equals sympy's own monic gcd over
-        QQ, reached through sympy's Poly and not the bridge."""
-        f, g = a * h, b * h
-        d = gcd_u(f, g)
-        if f.is_zero() and g.is_zero():
-            assert d.is_zero()
-            return
-        for p in (f, g):
-            assert sympy.rem(sym_u(p), sym_u(d), SX, domain=QQ) == 0
-        F, G = (sympy.Poly(sym_u(p), SX, domain=QQ) for p in (f, g))
-        assert d == upoly_of_expr(F.gcd(G).monic().as_expr(), "x")
-
     @settings(max_examples=60, deadline=None)
     @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)), st.sampled_from((0, 1, 3)))
     @example(2 * X * Y + 2 * X, BPoly.const(1), 1, 0)

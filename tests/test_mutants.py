@@ -122,6 +122,11 @@ def _pair_first_place_of_a(A, b, side=pairing.SIDE_KPRIME):
     return _pair(Divisor.make(A.coeffs[:1]), b, side)
 
 
+def _untransposed(D):
+    """The swap of x and y left out, so that side K pairs down to Q(y)."""
+    return D
+
+
 def _pattern_where_p_divides_lc(cs, p):
     """factor_q's degree pattern read even where p divides lc: the
     pattern of cs mod p with its leading zeros dropped."""
@@ -179,6 +184,7 @@ MUTANTS = [
     ("y-form-capped-at-1", (pairing,), "_pair_primes_kp", _y_form_capped, ("principality", "rsp")),
     ("inf_x-doubled", (pairing,), "_pair_primes_kp", _infx_doubled, ("principality", "selfpair", "rsp")),
     ("x-unary-against-curve-is-0", (pairing,), "_pair_primes_kp", _x_unary_against_curve_is_zero, ("symmetry", "rsp")),
+    ("side-K-untransposed", (pairing,), "transpose_divisor", _untransposed, ("agreement",)),
     ("bezout-plus-inf_y", _FIBER, "fiber_divisor", _bezout_plus_one, ("agreement", "different", "charts")),
     ("inf_y-dropped", _FIBER, "fiber_divisor", _infinity_dropped, ("agreement", "different", "charts")),
     ("first-multiplicity-doubled", _FIBER, "fiber_divisor", _first_doubled, ("agreement", "different", "charts")),

@@ -9,9 +9,10 @@ from doublefield.divisors import (
     UnaryPlace,
     degree_K,
     principal_divisor,
+    transpose_divisor,
 )
 from doublefield.errors import NotCoprime
-from doublefield.exact import BPoly, UPoly, resultant_x
+from doublefield.exact import BPoly, UPoly
 from doublefield.oracles import pole_divisor
 from doublefield.pairing import (
     SIDE_K,
@@ -47,16 +48,6 @@ class TestCharts:
     def test_common_component(self):
         with pytest.raises(NotCoprime):
             fiber_divisor((X - Y) * (X + Y), X - Y)
-
-    def test_common_component_in_y_alone(self):
-        # Res_x does not vanish on a shared factor in y alone, so the
-        # y-content check has to refuse these pairs
-        one, two = BPoly.const(1), BPoly.const(2)
-        f, g = (Y - one) * (X + one), (Y - one) * (X + two)
-        assert not resultant_x(f, g).is_zero()
-        for f, g in ((f, g), ((X + one) * Y, (X + one) * (Y + two))):
-            with pytest.raises(NotCoprime):
-                fiber_divisor(f, g)
 
     def test_infx(self):
         # X0 = inf_x against a curve reads lc_x of the curve as a form of
@@ -111,6 +102,16 @@ class TestPair:
     def test_side_k_mirror(self):
         d = pair(Divisor.of(b(Y - X**2)), Divisor.of(b(Y - X)), SIDE_K)
         assert d == Divisor.make({xplace(0, 1): 1, xplace(-1, 1): 1, INF_X: 1})
+
+    def test_side_k_is_one_transposition(self):
+        # transpose_divisor swaps binary places too, so side K is the
+        # side-Kprime pairing of the two transposed divisors, swapped back
+        A = Divisor.make({b(X - Y**2): 1, INF_X: 2, yplace(-1, 1): -1})
+        B = Divisor.make({b(X * Y - BPoly.const(2)): 1, xplace(3, 1): 3})
+        assert transpose_divisor(transpose_divisor(A)) == A
+        expected = transpose_divisor(pair(transpose_divisor(A), transpose_divisor(B)))
+        assert pair(A, B, SIDE_K) == expected
+        assert pair(A, B, SIDE_K) == pair(B, A, SIDE_K)
 
 
 class TestDx:

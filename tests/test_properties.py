@@ -8,8 +8,9 @@ per-prime routes they replaced, of the one-``make`` pairing,
 correspondence and divisor sum against the left folds they replaced,
 of the place order against the per-coefficient key it replaced, of
 the pairing rule read off place bidegrees against the case analysis over
-place families it replaced, and of inf_x against a curve as x = 0
-against the curve under x -> 1/x."""
+place families it replaced, of inf_x against a curve as x = 0
+against the curve under x -> 1/x, and of the curves of places that the
+fiber rule reads, none with a factor in y alone."""
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,9 +34,9 @@ from doublefield.divisors import (
     transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
-from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, gcd_u
+from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, y_content
 from doublefield.oracles import different_divisor, pole_divisor
-from doublefield.pairing import SIDE_K, SIDE_KPRIME, _pair_primes, fiber_divisor, pair, self_pair_degree_one
+from doublefield.pairing import SIDE_K, SIDE_KPRIME, _curve_of, fiber_divisor, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
     _degree_one_kp_value,
@@ -93,12 +94,13 @@ def test_pair_symmetric_with_bezout_degree(m, n):
 @st.composite
 def degree_one_places(draw):
     """a(y)*x - b(y) for coprime a and b of degree at most 3, not both
-    constant: a prime because its content in y is gcd(a, b) = 1."""
+    constant: a prime because its content in y, gcd(a, b), is 1."""
     coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
     a, b = (UPoly.make("y", draw(coeffs)) for _ in range(2))
     assume(not a.is_zero() and max(a.degree(), b.degree()) >= 1)
-    assume(gcd_u(a, b).degree() == 0)
-    return BinaryPlace.make(BPoly.from_upoly(a) * X - BPoly.from_upoly(b))
+    f = BPoly.from_upoly(a) * X - BPoly.from_upoly(b)
+    assume(y_content(f).degree() == 0)
+    return BinaryPlace.make(f)
 
 
 @PROPERTY_SETTINGS
@@ -396,7 +398,7 @@ def _old_pair(A: Divisor, b: Divisor, side: str) -> Divisor:
     out = Divisor.zero()
     for m, wm in A.coeffs:
         for n, wn in b.coeffs:
-            out = _old_add(out, _pair_primes(m, n, side).scale(wm * wn))
+            out = _old_add(out, pair(Divisor.of(m), Divisor.of(n), side).scale(wm * wn))
     return out
 
 
@@ -572,5 +574,20 @@ def test_pairing_rule_matches_family_ladder(m, n):
     (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
     for a, b in ((m, n), (n, m)):
         for side in (SIDE_K, SIDE_KPRIME):
-            assert _pair_primes(a, b, side) == _ladder_pair_primes(a, b, side)
-        assert degree_K(_pair_primes(a, b, SIDE_KPRIME)) == a1 * b2 + a2 * b1
+            assert pair(Divisor.of(a), Divisor.of(b), side) == _ladder_pair_primes(a, b, side)
+        assert degree_K(pair(Divisor.of(a), Divisor.of(b), SIDE_KPRIME)) == a1 * b2 + a2 * b1
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(bidegree_3_primes(), unary_primes()))
+def test_curves_that_reach_the_fiber_rule_have_constant_y_content(m):
+    """``fiber_divisor`` reads the curves of binary and finite x-unary
+    places only (a y-unary place takes the a1 = 0 reading), and no such
+    curve has a factor in y alone: its y-content is constant, and the
+    curve times y - c is refused as a prime."""
+    assume(place_bidegree(m)[0] >= 1)
+    curve = _curve_of(m)
+    assert y_content(curve).degree() == 0
+    for c in range(-2, 3):
+        with pytest.raises(InputError):
+            BinaryPlace.make((Y - BPoly.const(c)) * curve)
