@@ -143,7 +143,10 @@ _X, _Y = BPoly.gen("x"), BPoly.gen("y")
 
 def _l1_bits(f: BPoly) -> int:
     """Bits of the L1 norm of f with its denominators cleared, which
-    bounds the coefficients of f^e by e times as many bits."""
+    bounds the coefficients of f^e by e times as many bits.  A one-term
+    f, such as a generator, has its coefficient's numerator as that norm."""
+    if len(f.terms) == 1:
+        return abs(f.terms[0][1].numerator).bit_length()
     den = lcm(*(a.denominator for _, a in f.terms))
     return sum(abs(a.numerator) * (den // a.denominator) for _, a in f.terms).bit_length()
 

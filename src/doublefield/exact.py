@@ -18,7 +18,9 @@ leave a proper factor possible, contents in y that no gcd mod p decides,
 and the PRS resultant past x-degree 3.  The bridge works over ZZ only:
 each bridged call puts its inputs in primitive integer form
 (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
-rational units back exactly, so everything stays exact.
+rational units back exactly, so everything stays exact.  The bridge
+loads on first use (``_load_bridge``): sympy is imported by the first
+fallback call, so a process that needs no fallback never imports it.
 Both factorizers return primitive integer irreducibles with a positive
 leading coefficient, the form in which places store their polynomials.
 No other module of the package imports sympy.
@@ -81,10 +83,6 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
-
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_content, dmp_resultant
-from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 
 from .errors import DegreeBound
 
@@ -487,9 +485,37 @@ def _x_rows(g: BPoly) -> list[list]:
 # first puts its inputs in primitive integer form and puts their rational
 # units back exactly afterwards.  They are read back through int(), which
 # holds under every sympy ground type.
+#
+# The bridge loads on first use: each bridged call site runs
+# ``_load_bridge`` before the call, since Python reads the called name
+# before it evaluates the arguments, so a load inside ``_to_dup`` or
+# ``_to_dmp`` alone would come too late.  The five names are attributes of
+# this module from import on, None until the first load; the load fills
+# only the names still None, so a name replaced beforehand (a test's
+# ``monkeypatch.setattr``) stays replaced.
+
+_BRIDGED = ("ZZ", "dmp_content", "dmp_resultant", "dmp_factor_list", "dup_factor_list")
+ZZ = dmp_content = dmp_resultant = dmp_factor_list = dup_factor_list = None
+
+
+def _load_bridge() -> None:
+    """Set each bridged name that is still None to sympy's object,
+    importing sympy on the first call."""
+    names = globals()
+    if all(names[n] is not None for n in _BRIDGED):
+        return
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_content, dmp_resultant
+    from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+
+    loaded = locals()
+    for n in _BRIDGED:
+        if names[n] is None:
+            names[n] = loaded[n]
 
 
 def _to_dup(p: UPoly) -> list:
+    _load_bridge()
     return [ZZ(c) for c in reversed(p.coeffs)]
 
 
@@ -498,6 +524,7 @@ def _from_dup(f: list, var: str) -> UPoly:
 
 
 def _to_dmp(p: BPoly) -> list:
+    _load_bridge()
     return [[ZZ(c) for c in reversed(row)] for row in reversed(_x_rows(p))] or [[]]
 
 
@@ -590,6 +617,7 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     unit, q = primitive_int_bpoly(f)
     if certify_irreducible_bivariate(q):
         return unit, ((q, 1),)
+    _load_bridge()
     content, fac = dmp_factor_list(_to_dmp(q), 1, ZZ)
     unit *= int(content)
     out = []
@@ -662,6 +690,7 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
             r = _exquo(r, (gr if a2 > a1 else fr)[-1])
         negate = (n * (n + 1) // 2 + (n if a2 < a1 else 0)) % 2
     else:
+        _load_bridge()
         r, negate = _from_dup(dmp_resultant(_to_dmp(G), _to_dmp(F), 1, ZZ), "y").coeffs, False
     r = UPoly.make("y", [-c for c in r] if negate else r)
     # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
@@ -815,6 +844,7 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
             lin = [UPoly(q.var, (-r.numerator, r.denominator)) for r in zeros]
             out += [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
     elif roots is None:
+        _load_bridge()
         content, fac = dup_factor_list(_to_dup(c), ZZ)
         unit = int(content)
         for p, m in fac:
@@ -1033,6 +1063,7 @@ def y_content(f: BPoly) -> UPoly:
     rows = _x_rows(g)
     if any(len(row) == 1 for row in rows) or _rows_coprime_mod_p(rows):
         return UPoly.const("y", 1)
+    _load_bridge()
     return _from_dup(dmp_content(_to_dmp(g), 1, ZZ), "y").monic()
 
 

@@ -1,9 +1,13 @@
 """Tests for the command-line interface: grammar, exit codes, reports."""
 
+import ast
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
@@ -688,6 +692,20 @@ def _readme_cli_examples() -> list[list[str]]:
     return commands
 
 
+def _sympy_mpmath_after(argv: list[str]) -> set[str]:
+    """Which of sympy and mpmath a fresh interpreter holds after it runs
+    ``doublefield argv`` through ``cli.main``, which must return 0."""
+    code = (
+        "import sys\n"
+        "from doublefield import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
 class TestReadmeExamples:
     def test_readme_lists_the_pinned_commands(self):
         assert _readme_cli_examples() == [argv for argv, _ in README_EXAMPLES]
@@ -705,6 +723,19 @@ class TestReadmeExamples:
                 if "--json" in argv:
                     out = _report_digest(out)
                 assert out == expected, argv
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, _ in README_EXAMPLES if argv[0] != "divisor"], ids=lambda argv: argv[0]
+    )
+    def test_example_without_a_fallback_loads_neither_sympy_nor_mpmath(self, argv):
+        assert _sympy_mpmath_after(argv) == set()
+
+    def test_reducible_divisor_example_loads_sympy(self):
+        # x^2 - y^2 may split, so Wang's algorithm factors it
+        assert "sympy" in _sympy_mpmath_after(["divisor", "(x^2-y^2)/(x*y)"])
+
+    def test_verify_loads_sympy_and_mpmath(self):
+        assert _sympy_mpmath_after(["verify", "--suite", "all"]) == {"sympy", "mpmath"}
 
 
 # Reports of commands whose inputs have non-integral rational

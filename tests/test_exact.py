@@ -493,6 +493,37 @@ class TestBridge:
     def test_bpoly_round_trip(self, f):
         assert _from_dmp(_to_dmp(f)) == f
 
+    def test_a_name_set_before_the_first_load_wins(self):
+        """The bridge loads on the first fallback and fills only the names
+        still unset: Wang replaced before that load is the one that runs,
+        and a load fills every unset name with sympy's own object.  In a
+        fresh interpreter, so that no earlier fallback has loaded it."""
+        child = (
+            "from doublefield import cli, exact\n"
+            "names = ('ZZ', 'dmp_content', 'dmp_resultant', 'dmp_factor_list', 'dup_factor_list')\n"
+            "print(all(getattr(exact, n) is None for n in names))\n"
+            "class Refused(Exception):\n"
+            "    pass\n"
+            "def refuse(*args):\n"
+            "    raise Refused\n"
+            "exact.dmp_factor_list = refuse\n"
+            "try:\n"
+            "    cli.main(['divisor', '(x^2-y^2)/(x*y)'])\n"
+            "except Refused:\n"
+            "    print('refused')\n"
+            "print(exact.dmp_factor_list is refuse)\n"
+            "exact.dmp_factor_list = None\n"
+            "exact._load_bridge()\n"
+            "from sympy.polys import domains, euclidtools, factortools\n"
+            "own = (domains.ZZ, euclidtools.dmp_content, euclidtools.dmp_resultant,\n"
+            "       factortools.dmp_factor_list, factortools.dup_factor_list)\n"
+            "print([getattr(exact, n) is f for n, f in zip(names, own)])\n"
+        )
+        src = str(Path(exact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["True", "refused", "True", str([True] * 5)]
+
 
 class TestBridgedAlgebra:
     """Each bridged call against an exact identity or sympy's expression

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import doublefield
 
 ROOT_EXPORTS = {
@@ -126,20 +128,19 @@ def test_bridge_imports_only_sympy_algorithms():
     assert names == BRIDGED
 
 
-def _doublefield_modules_after(module: str) -> list[str]:
-    """The doublefield modules a fresh interpreter holds after importing
-    ``module``."""
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('doublefield')))"
+def _modules_after(module: str) -> set[str]:
+    """The modules a fresh interpreter holds after importing ``module``."""
+    code = f"import sys, {module}; print(sorted(sys.modules))"
     src = str(Path(doublefield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    return ast.literal_eval(out)
+    return set(ast.literal_eval(out))
 
 
 def test_root_import_leaves_out_the_suites_and_the_oracle():
     """``import doublefield`` loads the product only; verify's suites and
     their oracle come in with ``doublefield.suites``."""
-    loaded = _doublefield_modules_after("doublefield")
+    loaded = _modules_after("doublefield")
     assert "doublefield.exact" in loaded
     assert "doublefield.suites" not in loaded and "doublefield.oracles" not in loaded
 
@@ -147,9 +148,16 @@ def test_root_import_leaves_out_the_suites_and_the_oracle():
 def test_cli_import_leaves_out_the_suites_and_the_oracle():
     """Only ``verify`` loads the suites, inside its handler, so
     ``import doublefield.cli`` loads neither them nor the oracle."""
-    loaded = _doublefield_modules_after("doublefield.cli")
+    loaded = _modules_after("doublefield.cli")
     assert "doublefield.cli" in loaded
     assert "doublefield.suites" not in loaded and "doublefield.oracles" not in loaded
+
+
+@pytest.mark.parametrize("module", ["doublefield", "doublefield.cli"])
+def test_import_loads_neither_sympy_nor_mpmath(module):
+    """sympy comes in with the bridge's first fallback and mpmath with
+    verify's oracle, so importing the product or the CLI loads neither."""
+    assert not {"sympy", "mpmath"} & _modules_after(module)
 
 
 def test_only_oracles_imports_mpmath():
