@@ -988,11 +988,25 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
     the product of those of degree d, and once 2d > deg g what is left is
     irreducible.  h = t^(p^d) is kept mod f: h^p = sum h_i t^(i p), as
     h_i^p = h_i, so ``rows`` holds t^(i p) mod f; g divides f, so h - t
-    mod f serves for g as well."""
+    mod f serves for g as well, and ``_gcd_p`` reduces it mod g first
+    only when deg(h - t) >= deg g.
+
+    f is not overwritten.  With n = deg f, the rows cost about p*n^2
+    multiplications (row i is row i - 1 times t^p, reduced by up to p
+    eliminations of n terms, inlined here), each h^p costs n^2, and each
+    gcd and the exact division g / gcd cost deg g times the smaller
+    degree."""
     n = len(f) - 1
     rows = [[1]]
     for _ in range(1, n):
-        rows.append(_divmod_p([0] * p + rows[-1], f, p)[1])
+        a = [0] * p + rows[-1]
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] % p
+            if c:
+                s = i - n
+                for j in range(n):
+                    a[s + j] -= c * f[j]
+        rows.append(_trim([c % p for c in a[:n]]))
     degrees: list[int] = []
     h, g, d = [0, 1], f, 0
     while 2 * d + 2 < len(g):
@@ -1005,37 +1019,52 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
         h = _trim([a % p for a in acc])
         t = h + [0] * (2 - len(h))
         t[1] = (t[1] - 1) % p
-        common = _gcd_p(g, _divmod_p(_trim(t), g, p)[1], p)
-        if len(common) > 1:
-            degrees += [d] * ((len(common) - 1) // d)
-            g = _divmod_p(g[:], common, p)[0]
+        common = _gcd_p(_trim(t), g, p)
+        m = len(common) - 1
+        if m:
+            degrees += [d] * (m // d)
+            # g / common, exact, by long division from the top
+            a = g[:]
+            g = [0] * (len(a) - m)
+            for i in range(len(g) - 1, -1, -1):
+                c = g[i] = a[i + m] % p
+                if c:
+                    for j in range(m):
+                        a[i + j] -= c * common[j]
     if len(g) > 1:
         degrees.append(len(g) - 1)
     return degrees
 
 
-def _divmod_p(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by a monic f over GF(p); a is
-    overwritten."""
-    n = len(f) - 1
-    quo = [0] * max(len(a) - n, 0)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i] % p
-        if c:
-            quo[i - n] = c
-            s = i - n
-            for j in range(n):
-                a[s + j] -= c * f[j]
-    return quo, _trim([c % p for c in a[:n]])
-
-
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd over GF(p) of a monic a and a reduced b."""
+    """The monic gcd over GF(p) of a and b, reduced lists low degree
+    first with no trailing zeros, either of them empty or not monic; []
+    when both are empty.
+
+    One Euclid loop on copies, so neither a nor b is overwritten.  A
+    shorter a is swapped with b, so the first step reduces the longer
+    list mod the shorter.  Each step reduces the dividend mod the divisor
+    in place, eliminating its top term by c = (top coefficient) *
+    inv(lc divisor) mod p; it builds no quotient and reduces mod p once
+    per remainder.  The cost is about deg a * deg b multiplications and
+    one inverse mod p per step."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = a[:], b[:]
     while b:
+        n = len(b) - 1
         inv = pow(b[-1], -1, p)
-        a, b = [c * inv % p for c in b], a
-        b = _divmod_p(b[:], a, p)[1]
-    return a
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                s = i - n
+                for j in range(n):
+                    a[s + j] -= c * b[j]
+        a, b = b, _trim([c % p for c in a[:n]])
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -1074,9 +1103,8 @@ def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
     row's leading coefficient; False when no other row is at any of them."""
     top = rows[-1]
     for p in [p for p in PATTERN_PRIMES if top[-1] % p][:3]:
-        inv = pow(top[-1], -1, p)
-        monic = [c * inv % p for c in top]
-        if any(len(_gcd_p(monic, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1] if row):
+        top_p = [c % p for c in top]
+        if any(len(_gcd_p(top_p, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1] if row):
             return True
     return False
 

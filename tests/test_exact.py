@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dmp_content
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
-from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_monic, gf_sqf_p
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_gcd, gf_monic, gf_sqf_p
 
 from doublefield import exact
 from doublefield.divisors import DeltaElement
@@ -859,6 +859,39 @@ def test_pattern_example_matches_sympy(name):
     assert factor_q(f) == _sympy_route_q(f)
 
 
+def _sympy_pattern(cs, p):
+    """The degrees of the factors of cs mod p by sympy's factorization over
+    GF(p); None where p divides lc or the reduction has a square factor."""
+    f = gf_from_int_poly(cs[::-1], p)
+    if cs[-1] % p == 0 or not gf_sqf_p(gf_monic(f, p, ZZ)[1], p, ZZ):
+        return None
+    return sorted(len(g) - 1 for g in gf_factor_sqf(f, p, ZZ)[1])
+
+
+@pytest.mark.parametrize("name", PATTERN_EXAMPLES)
+def test_pattern_example_degrees_match_sympy(name):
+    """The example's degree pattern at every prime of PATTERN_PRIMES is
+    sympy's, None where the prime is unusable."""
+    cs = list(PATTERN_EXAMPLES[name].coeffs)
+    for p in exact.PATTERN_PRIMES:
+        pattern = exact._degree_pattern(cs, p)
+        assert (pattern if pattern is None else sorted(pattern)) == _sympy_pattern(cs, p)
+
+
+@st.composite
+def gf_pairs(draw):
+    """(p, a, b): a prime of PATTERN_PRIMES and two reduced lists over
+    GF(p), low degree first with no trailing zeros, of degree up to 6,
+    both multiplied by a third at times, so that gcds of positive degree
+    occur."""
+    p = draw(st.sampled_from(exact.PATTERN_PRIMES))
+    poly = st.lists(st.integers(0, p - 1), max_size=7).map(exact._trim)
+    common, a, b = draw(poly), draw(poly), draw(poly)
+    if draw(st.booleans()):
+        a, b = (exact._trim([c % p for c in exact._mul(common, x)]) for x in (a, b))
+    return p, a, b
+
+
 class TestDegreePatterns:
     def _refuse_factorizer(self, monkeypatch):
         def refuse(*args):
@@ -905,20 +938,38 @@ class TestDegreePatterns:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.integers(-30, 30), min_size=4, max_size=25).filter(lambda cs: cs[-1] != 0),
-        st.sampled_from(exact.PATTERN_PRIMES[:6]),
+        st.sampled_from(exact.PATTERN_PRIMES),
     )
+    @example([1, 1, 0, 0, 1], 47)  # t^4 + t + 1 at a prime far above the degree
+    @example([-6, 45043, 15015, -2, 15015], 17)  # lc 15015 = 3*5*7*11*13
     def test_pattern_equals_sympy_gf_factor_sqf(self, cs, p):
         """The kernel's degrees are those of sympy's factorization over
         GF(p); None exactly where p divides lc or the reduction has a
-        square factor."""
-        f = gf_from_int_poly(cs[::-1], p)
-        usable = cs[-1] % p != 0 and gf_sqf_p(gf_monic(f, p, ZZ)[1], p, ZZ)
+        square factor.  Degrees 3 to 24 at all fourteen primes, so the
+        Frobenius rows t^(ip) also shift past the degree (p > n)."""
         pattern = exact._degree_pattern(cs, p)
-        if not usable:
-            assert pattern is None
-            return
-        _, fac = gf_factor_sqf(f, p, ZZ)
-        assert sorted(pattern) == sorted(len(g) - 1 for g in fac)
+        assert (pattern if pattern is None else sorted(pattern)) == _sympy_pattern(cs, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gf_pairs())
+    @example((7, [3, 0, 2], []))  # b empty, a not monic
+    @example((5, [], [2, 4, 1]))  # a empty
+    @example((3, [], []))
+    @example((11, [4, 1, 3], [4, 1, 3]))  # a == b, not monic
+    @example((13, [0, 0, 0, 5], [0, 7]))  # a power of t against t
+    def test_gcd_equals_sympy_gf_gcd(self, case):
+        """``_gcd_p`` is sympy's monic gcd over GF(p), and alters neither
+        argument."""
+        p, a, b = case
+        a_before, b_before = list(a), list(b)
+        got = exact._gcd_p(a, b, p)
+        assert (a, b) == (a_before, b_before)
+        assert got == gf_gcd(a[::-1], b[::-1], p, ZZ)[::-1]
+
+    def test_gcd_of_a_list_with_itself(self):
+        a = [4, 1, 3]
+        assert exact._gcd_p(a, a, 11) == [5, 4, 1]
+        assert a == [4, 1, 3]
 
 
 def _irreducible_of_degree(draw, var, d):

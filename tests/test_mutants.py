@@ -146,6 +146,28 @@ def _pattern_where_not_squarefree(cs, p):
     return _ddf([c * inv % p for c in cs], p)
 
 
+def _gcd_one_step_early(a, b, p):
+    """The gcd's Euclid loop stopping one step early, at a nonzero
+    constant divisor instead of a zero one: coprime lists get their last
+    nonconstant remainder, made monic, as their gcd."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = a[:], b[:]
+    while len(b) > 1:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                for j in range(n):
+                    a[i - n + j] -= c * b[j]
+        a, b = b, exact._trim([c % p for c in a[:n]])
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 def _always_proved(cs):
     """factor_q's pattern verdict declaring every input irreducible."""
     return ()
@@ -229,14 +251,18 @@ MUTANTS = [
 
 # Mutants of factor_q's proofs that no verify suite reports as a
 # failure: every reducible polynomial the suites hand to factor_q keeps
-# a proper factor degree in the patterns the two pattern mutants read.
-# Each row names the fixed example of tests/test_exact.py that fails
-# instead, and the test that checks it.
+# a proper factor degree in the patterns the two pattern mutants read,
+# and the early-stopping gcd finds no reduction squarefree, so every
+# input goes to sympy, whose answers are right.  Each row names the
+# fixed example of tests/test_exact.py that fails instead, and the test
+# that checks it.
 _PATTERN = test_exact.test_pattern_example_matches_sympy
+_DEGREES = test_exact.test_pattern_example_degrees_match_sympy
 # (name, attribute of exact, mutant, example test, example)
 EXAMPLE_MUTANTS = [
     ("pattern-read-where-p-divides-lc", "_degree_pattern", _pattern_where_p_divides_lc, _PATTERN, "lc-105"),
     ("pattern-read-where-not-squarefree", "_degree_pattern", _pattern_where_not_squarefree, _PATTERN, "square-mod-5"),
+    ("gcd-stops-one-euclid-step-early", "_gcd_p", _gcd_one_step_early, _DEGREES, "y^24-1"),
 ]
 
 
