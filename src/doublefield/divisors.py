@@ -115,9 +115,10 @@ def degree_one_coeffs(m: Place) -> tuple[UPoly, UPoly]:
 
 
 def transpose_place(m: Place) -> Place:
-    """The mirror-image place under the swap of x and y."""
+    """The mirror-image place under the swap of x and y; a binary one in
+    primitive form, whose sign the swap may change."""
     if isinstance(m, BinaryPlace):
-        return BinaryPlace(m.poly.transpose())
+        return BinaryPlace(primitive_int_bpoly(m.poly.transpose())[1])
     nv = "x" if m.var == "y" else "y"
     if m.poly is None:
         return UnaryPlace.infinity(nv)

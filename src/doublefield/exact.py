@@ -11,11 +11,12 @@ variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
 finished by Hensel-lifted rational roots when only a linear factor is
 left possible.  The certificate proves a curve prime by the same
-degree-set rule over Q, read at several points.  The one bridge to sympy
-holds only the fallbacks: Zassenhaus and Wang factorization, for inputs
-that may have a factor of degree 2 to n - 2 and curves whose degree sets
-leave a proper factor possible, contents in y that no gcd mod p decides,
-and the PRS resultant past x-degree 3.  The bridge works over ZZ only:
+degree-set rule over Q, read at several points, and its content in y
+constant by a constant row, a gcd mod p or a resultant.  The one bridge
+to sympy holds only the fallbacks: Zassenhaus and Wang factorization,
+for inputs that may have a factor of degree 2 to n - 2 and curves whose
+degree sets leave a proper factor possible, and the PRS resultant past
+x-degree 3.  The bridge works over ZZ only:
 each bridged call puts its inputs in primitive integer form
 (``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
 rational units back exactly, so everything stays exact.  The bridge
@@ -40,8 +41,8 @@ Caching.  There is one memo policy for the whole package: ``memo`` wraps
 a leaf function in ``functools.lru_cache(maxsize=MEMO_SIZE)``, keyed on
 the full value of its arguments (polynomials and places are frozen and
 compare by value), and registers the cache so that ``clear_caches()``
-empties every one of them.  Here ``factor_b`` and ``y_content`` (key:
-the polynomial) are memoized; the verify oracle (``oracles``) memoizes
+empties every one of them.  Here ``factor_b`` (key: the polynomial) is
+memoized; the verify oracle (``oracles``) memoizes
 ``complex_roots`` (key: polynomial and eps), its per-place heights,
 ``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
 ``divisors`` hands out one shared place object per input through
@@ -209,6 +210,8 @@ class UPoly(_HashSlot):
         return self.coeffs[-1]
 
     def __add__(self, other: "UPoly") -> "UPoly":
+        if not isinstance(other, UPoly):
+            return NotImplemented
         self._check(other)
         return UPoly.make(self.var, _add(self.coeffs, other.coeffs))
 
@@ -216,7 +219,7 @@ class UPoly(_HashSlot):
         return UPoly(self.var, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, UPoly) else NotImplemented
 
     def __mul__(self, other: Union["UPoly", int, Fraction]) -> "UPoly":
         if isinstance(other, (int, Fraction)):
@@ -332,6 +335,8 @@ class BPoly(_DegreeSlots):
         return dx, dy
 
     def __add__(self, other: "BPoly") -> "BPoly":
+        if not isinstance(other, BPoly):
+            return NotImplemented
         d = self.as_dict()
         for k, v in other.terms:
             d[k] = d.get(k, 0) + v
@@ -341,7 +346,7 @@ class BPoly(_DegreeSlots):
         return BPoly(tuple((k, -v) for k, v in self.terms))
 
     def __sub__(self, other: "BPoly") -> "BPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, BPoly) else NotImplemented
 
     def __mul__(self, other: Union["BPoly", int, Fraction]) -> "BPoly":
         if isinstance(other, (int, Fraction)):
@@ -486,36 +491,31 @@ def _x_rows(g: BPoly) -> list[list]:
 # units back exactly afterwards.  They are read back through int(), which
 # holds under every sympy ground type.
 #
-# The bridge loads on first use: each bridged call site runs
-# ``_load_bridge`` before the call, since Python reads the called name
-# before it evaluates the arguments, so a load inside ``_to_dup`` or
-# ``_to_dmp`` alone would come too late.  The five names are attributes of
-# this module from import on, None until the first load; the load fills
-# only the names still None, so a name replaced beforehand (a test's
+# The bridge loads on first use: each of the three bridged call sites
+# runs ``_load_bridge`` before the call, which also sets the ``ZZ`` that
+# ``_to_dup`` and ``_to_dmp`` read.  The four names are attributes of this
+# module from import on, None until the first load; the load fills only
+# the names still None, so a name replaced beforehand (a test's
 # ``monkeypatch.setattr``) stays replaced.
 
-_BRIDGED = ("ZZ", "dmp_content", "dmp_resultant", "dmp_factor_list", "dup_factor_list")
-ZZ = dmp_content = dmp_resultant = dmp_factor_list = dup_factor_list = None
+_BRIDGED = ("ZZ", "dmp_resultant", "dmp_factor_list", "dup_factor_list")
+ZZ = dmp_resultant = dmp_factor_list = dup_factor_list = None
 
 
 def _load_bridge() -> None:
     """Set each bridged name that is still None to sympy's object,
-    importing sympy on the first call."""
-    names = globals()
-    if all(names[n] is not None for n in _BRIDGED):
-        return
+    importing sympy on the first call; later calls only look it up."""
     from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dmp_content, dmp_resultant
+    from sympy.polys.euclidtools import dmp_resultant
     from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 
     loaded = locals()
     for n in _BRIDGED:
-        if names[n] is None:
-            names[n] = loaded[n]
+        if globals()[n] is None:
+            globals()[n] = loaded[n]
 
 
 def _to_dup(p: UPoly) -> list:
-    _load_bridge()
     return [ZZ(c) for c in reversed(p.coeffs)]
 
 
@@ -524,7 +524,6 @@ def _from_dup(f: list, var: str) -> UPoly:
 
 
 def _to_dmp(p: BPoly) -> list:
-    _load_bridge()
     return [[ZZ(c) for c in reversed(row)] for row in reversed(_x_rows(p))] or [[]]
 
 
@@ -1071,29 +1070,30 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
 # bivariate irreducibility certification
 
 
-@memo
-def y_content(f: BPoly) -> UPoly:
-    """Monic gcd of the coefficients of a nonzero f in x, a polynomial
-    in y.
+def y_content_is_constant(f: BPoly) -> bool:
+    """True when no nonconstant polynomial in y alone divides a nonzero f.
 
-    It is read as 1 in integers when some row (coefficient of a power of
-    x) of the primitive form of f is a nonzero constant, or when
-    ``_rows_coprime_mod_p`` finds the top row coprime mod p to another
-    row at one of up to three primes p; sympy's ``dmp_content`` computes
-    it otherwise.
+    With g the primitive form of f, whose rows (coefficients of powers of
+    x) are integer polynomials in y, and t its top row: True when some
+    row is a nonzero constant or ``_rows_coprime_mod_p`` finds t coprime
+    mod p to another row; otherwise whether Res_x(t, g.transpose()), t
+    written in x, the resultant of t and g read in y, is nonzero.
 
-    Proof of the second test, at each such p.  The content c(y) of the
-    primitive form is a primitive integer polynomial (Gauss's lemma) and
-    divides every row in Z[y].  lc(c) divides the leading coefficient of
-    the top row, and p does not, so c mod p keeps the degree of c and
-    divides both rows mod p.  Their gcd mod p is constant, so deg c = 0.
+    Proofs.  The content c(y) of g is a primitive integer polynomial
+    (Gauss's lemma) dividing every row in Z[y].  At such a p, p does not
+    divide lc(t), so neither lc(c): c mod p keeps its degree and divides
+    both rows mod p, whose gcd is constant, so deg c = 0.  Over Q(x), t
+    and g read in y share a nonconstant factor exactly when that
+    resultant is 0 (von zur Gathen and Gerhard, sections 6.2 and 6.3),
+    as a nonconstant c does.  An irreducible common factor divides t, so
+    it is, up to a unit, some h in Q[y] (irreducible over Q, irreducible
+    over Q(x)); by Gauss's lemma h divides g in Q[x, y], hence every row.
     """
     g = primitive_int_bpoly(f)[1]
     rows = _x_rows(g)
     if any(len(row) == 1 for row in rows) or _rows_coprime_mod_p(rows):
-        return UPoly.const("y", 1)
-    _load_bridge()
-    return _from_dup(dmp_content(_to_dmp(g), 1, ZZ), "y").monic()
+        return True
+    return not resultant_x(BPoly.from_upoly(UPoly("x", tuple(rows[-1]))), g.transpose()).is_zero()
 
 
 def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
@@ -1110,9 +1110,8 @@ def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
 
 
 def content_free_both_ways(f: BPoly) -> bool:
-    """True when no nonconstant polynomial in y alone, nor in x alone,
-    divides f."""
-    return y_content(f).degree() == 0 and y_content(f.transpose()).degree() == 0
+    """True when no nonconstant polynomial in y alone, nor in x alone, divides f."""
+    return y_content_is_constant(f) and y_content_is_constant(f.transpose())
 
 
 def certify_irreducible_bivariate(q: BPoly) -> bool:
@@ -1121,21 +1120,21 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
     over Q at several points.
 
     Let g be whichever of q and q.transpose() has the smaller x-degree n
-    (q on a tie).  The test returns False when g(0, y) = 0 or y_content(g)
-    is not constant: then x or the content divides g, a proper factor
-    when g has positive degree in both variables.  Otherwise it narrows
-    the candidate degrees 1..n - 1 by the factor degrees, with
-    multiplicity, of g(x, c) (``factor_q``) at the points c = 1, -1, 2,
-    -2, ... that are zeros of neither lc_x(g) nor g(0, y), and returns
-    True once no degree is left.  With n = 1 none is left to begin with,
-    so no point is read.  It returns False when ``_degree_sets`` stops;
-    False means only that the rule did not prove q prime.  Raises
-    DegreeBound when g(x, c) is past the degree bound of ``factor_q``.
+    (q on a tie).  It returns False when g(0, y) = 0 or g has a content
+    in y (``y_content_is_constant``): then x or the content divides g, a
+    proper factor when g has positive degree in both variables.
+    Otherwise it narrows the candidate degrees 1..n - 1 by the factor
+    degrees, with multiplicity, of g(x, c) (``factor_q``) at the points
+    c = 1, -1, 2, -2, ... that are zeros of neither lc_x(g) nor g(0, y),
+    and returns True once no degree is left.  With n = 1 none is left to
+    begin with, so no point is read.  It returns False when
+    ``_degree_sets`` stops; False means only that the rule did not prove
+    q prime.  Raises DegreeBound when g(x, c) is past ``factor_q``'s bound.
 
     Proof.  q and its transpose are irreducible together.  Let g = a*b
     with neither factor constant.  A factor of x-degree 0 lies in Q[y] and
-    divides every x-coefficient of g, hence y_content(g); as that is
-    constant, d = deg_x a lies in 1..n - 1.  At a point c,
+    divides every x-coefficient of g, hence the content of g in y; as
+    that is constant, d = deg_x a lies in 1..n - 1.  At a point c,
     lc_x(g)(c) = lc_x(a)(c)*lc_x(b)(c) is nonzero, so a(x, c) has degree
     d and divides g(x, c); by unique factorization in Q[x] its
     irreducible factors are some of those of g(x, c), counted with
@@ -1147,7 +1146,7 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
     """
     g = q.transpose() if q.deg_y() < q.deg_x() else q
     # the terms are sorted, so the first has the least power of x
-    if g.terms[0][0][0] > 0 or y_content(g).degree() > 0:
+    if g.terms[0][0][0] > 0 or not y_content_is_constant(g):
         return False
     return _degree_sets(g.deg_x(), _specializations(g)) is not None
 

@@ -17,7 +17,6 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dmp_content
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_gcd, gf_monic, gf_sqf_p
 
@@ -38,7 +37,7 @@ from doublefield.exact import (
     primitive_int_bpoly,
     primitive_int_upoly,
     resultant_x,
-    y_content,
+    y_content_is_constant,
 )
 from doublefield.oracles import complex_roots
 
@@ -203,6 +202,18 @@ class TestBPoly:
         assert p**n == p_n
 
 
+@pytest.mark.parametrize(
+    "f, other", [(f, o) for f, g in ((up(1, 1), X), (X, up(1, 1))) for o in (1, Fraction(1, 2), "1", g)]
+)
+def test_sum_with_another_type_is_a_type_error(f, other):
+    """+ and - take a polynomial of their own class only: anything else,
+    the other class included, raises TypeError (BPoly.gen("x") - 1
+    raised AttributeError)."""
+    for op in (lambda: f + other, lambda: f - other, lambda: other + f, lambda: other - f):
+        with pytest.raises(TypeError):
+            op()
+
+
 # ---------------------------------------------------------------------------
 # the hash a frozen polynomial keeps after its first hash()
 
@@ -338,7 +349,7 @@ def test_results_are_exact_scalars(p, q, f, g, c, e):
     if p.degree() >= 1:
         _assert_exact(primitive_int_upoly(p), factor_q(p))
     if not f.is_zero():
-        _assert_exact(primitive_int_bpoly(f), factor_b(f), y_content(f))
+        _assert_exact(primitive_int_bpoly(f), factor_b(f))
     if not f.is_zero() and not g.is_zero():
         if f.deg_x() >= 1 or g.deg_x() >= 1:
             _assert_exact(resultant_x(f, g))
@@ -405,65 +416,80 @@ class TestPrimitive:
 # gcd, resultants, square-free
 
 
+def _sympy_content_is_constant(f):
+    """Whether sympy's gcd over QQ of f's coefficients in x is constant."""
+    rows = [f.coeff_of_x(i) for i in range(f.deg_x() + 1)]
+    cs = [sympy.Poly(sym_u(c.with_var("x")), SX, domain=QQ) for c in rows if not c.is_zero()]
+    return functools.reduce(lambda u, v: u.gcd(v), cs).degree() == 0
+
+
 class TestGcd:
     @settings(max_examples=60, deadline=None)
-    @given(mixed_bpolys(), mixed_bpolys(2, 3), st.sampled_from((1, 2)), st.sampled_from((0, 1, 3)))
+    @given(
+        mixed_bpolys(),
+        st.one_of(mixed_bpolys(2, 3), mixed_upolys(max_deg=2).map(lambda p: BPoly.from_upoly(p.with_var("y")))),
+        st.sampled_from((1, 2)),
+        st.sampled_from((0, 1, 3)),
+    )
     @example(2 * X * Y + 2 * X, BPoly.const(1), 1, 0)
     @example(X * Y, Y + BPoly.const(1), 1, 0)
-    def test_y_content_is_monic_gcd(self, a, h, k, m):
-        """y_content is sympy's monic gcd over QQ of the coefficients in x,
-        also when it has a factor in y alone or only one coefficient.  The
-        factor m*x + 1 leaves the content as it is; m = 3 puts 3 into the
-        top row's leading coefficient, so the modular test skips p = 3."""
+    @example(X + Y, Y**2 + BPoly.const(1), 2, 3)
+    @example(X * Y + BPoly.const(1), X**2 + BPoly.const(2), 1, 0)
+    def test_y_content_is_constant_matches_sympy(self, a, h, k, m):
+        """y_content_is_constant reads as sympy's gcd over QQ of the
+        coefficients in x, also when f has a factor h in y alone or in x
+        alone, or only one coefficient.  The factor m*x + 1 leaves the
+        content as it is; m = 3 puts 3 into the top row's leading
+        coefficient, so the modular test skips p = 3."""
         f = a * h**k * (m * X + BPoly.const(1))
         if f.is_zero():
             return
-        rows = [f.coeff_of_x(i) for i in range(f.deg_x() + 1)]
-        cs = [sympy.Poly(sym_u(c.with_var("x")), SX, domain=QQ) for c in rows if not c.is_zero()]
-        expected = functools.reduce(lambda u, v: u.gcd(v), cs).monic()
-        content = y_content(f)
-        assert content.lc() == 1
-        assert content == upoly_of_expr(expected.as_expr(), "x").with_var("y")
+        assert y_content_is_constant(f) is _sympy_content_is_constant(f)
 
 
-# y_content on fixed examples, with the route each must take (a prime
-# names the modular test and the prime that decides it): a constant row;
-# rows coprime mod 3; rows y^2 + 1 and y^2 + 4, equal mod 3 but coprime
-# over Q and mod 5; a top row 105*y + 1, whose lc 3, 5 and 7 divide,
-# sharing the root 9 with y + 2 mod 11 but not mod 13; rows y and
-# y + 105, equal mod 3, 5 and 7, so that sympy finds the constant
-# content; and (x + 1)(y^2 + 1), whose content is y^2 + 1
+# y_content_is_constant on fixed examples, with the answer and the route
+# each must take (a prime names the modular test and the prime that
+# decides it): a constant row; rows coprime mod 3; rows y^2 + 1 and
+# y^2 + 4, equal mod 3 but coprime over Q and mod 5; a top row 105*y + 1,
+# whose lc 3, 5 and 7 divide, sharing the root 9 with y + 2 mod 11 but
+# not mod 13; rows y and y + 105, equal mod 3, 5 and 7, so that the
+# resultant finds them coprime; and (x + 1)(y^2 + 1), whose content
+# y^2 + 1 the resultant finds
 CONTENT_EXAMPLES = {
-    "constant-row": (X**2 * Y + X + Y**2, "row"),
-    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), 3),
-    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), 5),
-    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), 13),
-    "rows-equal-mod-3-5-7": (X * Y + Y + BPoly.const(105), "sympy"),
-    "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), "sympy"),
+    "constant-row": (X**2 * Y + X + Y**2, True, "row"),
+    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), True, 3),
+    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), True, 5),
+    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), True, 13),
+    "rows-equal-mod-3-5-7": (X * Y + Y + BPoly.const(105), True, "resultant"),
+    "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), False, "resultant"),
 }
 
 
 @pytest.mark.parametrize("name", CONTENT_EXAMPLES)
 def test_y_content_example_route(monkeypatch, name):
-    """Each example equals the monic content sympy computes, reached by
-    its route: sympy is called only where the modular test fails."""
-    f, route = CONTENT_EXAMPLES[name]
-    expected = _from_dup(dmp_content(_to_dmp(primitive_int_bpoly(f)[1]), 1, ZZ), "y").monic()
-    calls = {"mod p": [], "sympy": []}
-    modular = exact._rows_coprime_mod_p
+    """Each example reads as sympy's content does, by its route: the
+    resultant is taken only where the modular test fails, and no route
+    loads a bridged name."""
+    f, constant, route = CONTENT_EXAMPLES[name]
+    assert _sympy_content_is_constant(f) is constant
+    calls = {"mod p": [], "resultant": []}
+    modular, resultant = exact._rows_coprime_mod_p, exact.resultant_x
 
     def coprime(rows):
         calls["mod p"].append(modular(rows))
         return calls["mod p"][-1]
 
-    def content(*args):
-        calls["sympy"].append(args)
-        return dmp_content(*args)
+    def res(*args):
+        calls["resultant"].append(args)
+        return resultant(*args)
 
     monkeypatch.setattr(exact, "_rows_coprime_mod_p", coprime)
-    monkeypatch.setattr(exact, "dmp_content", content)
-    assert y_content(f) == expected
-    taken = "sympy" if calls["sympy"] else "mod p" if calls["mod p"] else "row"
+    monkeypatch.setattr(exact, "resultant_x", res)
+    for n in exact._BRIDGED:
+        monkeypatch.setattr(exact, n, None)
+    assert y_content_is_constant(f) is constant
+    assert all(getattr(exact, n) is None for n in exact._BRIDGED)
+    taken = "resultant" if calls["resultant"] else "mod p" if calls["mod p"] else "row"
     assert taken == ("mod p" if type(route) is int else route)
     assert calls["mod p"] == ([] if route == "row" else [type(route) is int])
     if type(route) is int:
@@ -476,6 +502,10 @@ def test_y_content_example_route(monkeypatch, name):
 
 
 class TestBridge:
+    def setup_method(self):
+        # the conversions read the bridged ZZ, which the fallbacks load
+        exact._load_bridge()
+
     def test_dense_layout(self):
         # x is the main variable; rows and coefficients run from the top degree
         assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1)) == [[1, 0], [], [-3, 1]]
@@ -500,7 +530,7 @@ class TestBridge:
         fresh interpreter, so that no earlier fallback has loaded it."""
         child = (
             "from doublefield import cli, exact\n"
-            "names = ('ZZ', 'dmp_content', 'dmp_resultant', 'dmp_factor_list', 'dup_factor_list')\n"
+            "names = ('ZZ', 'dmp_resultant', 'dmp_factor_list', 'dup_factor_list')\n"
             "print(all(getattr(exact, n) is None for n in names))\n"
             "class Refused(Exception):\n"
             "    pass\n"
@@ -515,14 +545,14 @@ class TestBridge:
             "exact.dmp_factor_list = None\n"
             "exact._load_bridge()\n"
             "from sympy.polys import domains, euclidtools, factortools\n"
-            "own = (domains.ZZ, euclidtools.dmp_content, euclidtools.dmp_resultant,\n"
-            "       factortools.dmp_factor_list, factortools.dup_factor_list)\n"
+            "own = (domains.ZZ, euclidtools.dmp_resultant, factortools.dmp_factor_list,\n"
+            "       factortools.dup_factor_list)\n"
             "print([getattr(exact, n) is f for n, f in zip(names, own)])\n"
         )
         src = str(Path(exact.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["True", "refused", "True", str([True] * 5)]
+        assert out.splitlines() == ["True", "refused", "True", str([True] * 4)]
 
 
 class TestBridgedAlgebra:

@@ -133,9 +133,9 @@ def test_clear_caches_empties_every_memo():
     factor_q(UPoly.make("x", [Fraction(1, 2), 0, 1]))
     factor_b(BPoly.gen("x") - BPoly.gen("y"))
     filled = [m.cache_info().currsize for m in exact._MEMOS]
-    # factor_q's (on the primitive form), factor_b, y_content, complex_roots,
-    # _height, arch_lambda, _hh, UnaryPlace.finite and .infinity
-    assert len(filled) == 9 and all(n > 0 for n in filled)
+    # factor_q's (on the primitive form), factor_b, complex_roots, _height,
+    # arch_lambda, _hh, UnaryPlace.finite and .infinity
+    assert len(filled) == 8 and all(n > 0 for n in filled)
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in exact._MEMOS)
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in exact._MEMOS)

@@ -189,12 +189,19 @@ def _certified_when_content_free(q):
     """The certificate with its degree sets always empty: every curve
     whose content is constant is proved prime."""
     g = q.transpose() if q.deg_y() < q.deg_x() else q
-    return exact.y_content(g).degree() == 0
+    return exact.y_content_is_constant(g)
 
 
 def _rows_always_coprime(rows):
-    """y_content's modular test reporting every curve's rows coprime, so
-    that every content reads as constant."""
+    """The content test's modular proof reporting every curve's rows
+    coprime, so that every content reads as constant."""
+    return True
+
+
+def _content_without_resultant(f):
+    """The content test with its resultant skipped: the constant row and
+    the gcd mod p only ever prove a content constant, so without the
+    resultant every content that they leave unproved reads as constant."""
     return True
 
 
@@ -240,6 +247,7 @@ MUTANTS = [
     ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
     ("content-always-constant", (exact,), "_rows_coprime_mod_p", _rows_always_coprime, ("charts",)),
+    ("content-without-resultant", (exact,), "y_content_is_constant", _content_without_resultant, ("charts",)),
     (
         "degree-sets-always-empty",
         (exact,),

@@ -103,13 +103,12 @@ def test_only_exact_imports_sympy():
 
 
 # sympy's algorithms, the only names the bridge takes from sympy: the
-# product's fallbacks (Zassenhaus, Wang, the content in y, the PRS
-# resultant) and their domain ZZ; exact does its dense arithmetic and
-# gcds itself, on plain int lists, and the oracle keeps a vertical part
-# as one rational instead of factoring it
+# product's fallbacks (Zassenhaus, Wang, the PRS resultant) and their
+# domain ZZ; exact does its dense arithmetic, gcds and contents itself,
+# on plain int lists, and the oracle keeps a vertical part as one
+# rational instead of factoring it
 BRIDGED = {
     "ZZ",
-    "dmp_content",
     "dmp_factor_list",
     "dmp_resultant",
     "dup_factor_list",
@@ -158,6 +157,31 @@ def test_import_loads_neither_sympy_nor_mpmath(module):
     """sympy comes in with the bridge's first fallback and mpmath with
     verify's oracle, so importing the product or the CLI loads neither."""
     assert not {"sympy", "mpmath"} & _modules_after(module)
+
+
+# a divisor whose curve's rows y + 105 and y agree mod 3, 5 and 7, so that
+# a resultant, not sympy, proves its content constant; and one with
+# x^2 - y^2, which only Wang's algorithm splits
+DIVISOR_ROUTES = [
+    ("x*y + y + 105", "-inf_x - inf_y + (x*y + y + 105)", False),
+    ("(x^2-y^2)/(x*y)", "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)", True),
+]
+
+
+@pytest.mark.parametrize("expr, printed, loads_sympy", DIVISOR_ROUTES)
+def test_divisor_loads_sympy_only_for_a_fallback(expr, printed, loads_sympy):
+    """In a fresh interpreter, ``divisor`` prints its divisor, exits 0 and
+    holds sympy afterwards only when a fallback ran."""
+    code = (
+        "import sys\n"
+        "from doublefield import cli\n"
+        "status = cli.main(['divisor', sys.argv[1]])\n"
+        "print(status, 'sympy' in sys.modules)\n"
+    )
+    src = str(Path(doublefield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, expr], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [printed, f"0 {loads_sympy}"]
 
 
 def test_only_oracles_imports_mpmath():

@@ -34,7 +34,7 @@ from doublefield.divisors import (
     transpose_place,
 )
 from doublefield.errors import InputError, NotCoprime
-from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, y_content
+from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, y_content_is_constant
 from doublefield.oracles import different_divisor, pole_divisor
 from doublefield.pairing import SIDE_K, SIDE_KPRIME, _curve_of, fiber_divisor, pair, self_pair_degree_one
 from doublefield.residues import (
@@ -91,6 +91,21 @@ def test_pair_symmetric_with_bezout_degree(m, n):
     assert degree_K(pair(A, B, SIDE_KPRIME)) == bezout
 
 
+def test_transpose_place_is_in_primitive_form():
+    """x^2 - y^2 - 1 swapped is -x^2 + y^2 - 1, whose primitive form,
+    the place's, has the opposite sign."""
+    m, n = BinaryPlace.make(X * X - Y * Y - ONE), BinaryPlace.make(Y * Y - X * X - ONE)
+    assert transpose_divisor(Divisor.of(m)) - Divisor.of(n) == Divisor.zero()
+    assert transpose_place(m) == n and transpose_place(n) == m
+
+
+@PROPERTY_SETTINGS
+@given(binary_primes())
+def test_transpose_place_is_the_place_of_the_swapped_curve(m):
+    assert transpose_place(m) == BinaryPlace.make(m.poly.transpose())
+    assert transpose_place(transpose_place(m)) == m
+
+
 @st.composite
 def degree_one_places(draw):
     """a(y)*x - b(y) for coprime a and b of degree at most 3, not both
@@ -99,7 +114,7 @@ def degree_one_places(draw):
     a, b = (UPoly.make("y", draw(coeffs)) for _ in range(2))
     assume(not a.is_zero() and max(a.degree(), b.degree()) >= 1)
     f = BPoly.from_upoly(a) * X - BPoly.from_upoly(b)
-    assume(y_content(f).degree() == 0)
+    assume(y_content_is_constant(f))
     return BinaryPlace.make(f)
 
 
@@ -587,7 +602,7 @@ def test_curves_that_reach_the_fiber_rule_have_constant_y_content(m):
     curve times y - c is refused as a prime."""
     assume(place_bidegree(m)[0] >= 1)
     curve = _curve_of(m)
-    assert y_content(curve).degree() == 0
+    assert y_content_is_constant(curve)
     for c in range(-2, 3):
         with pytest.raises(InputError):
             BinaryPlace.make((Y - BPoly.const(c)) * curve)
