@@ -6,25 +6,26 @@ arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
 ``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
 in closed form and the cofactor of a rational root.  ``factor_q``
-decides most inputs in plain integers too: it splits off powers of the
+decides every input in plain integers too: it splits off powers of the
 variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
 decides most higher degrees from their degree patterns mod small primes,
 finished by Hensel-lifted rational roots when only a linear factor is
-left possible.  The certificate proves a curve prime by the same
+left possible; the rest go through a squarefree split when no small
+prime was usable, then Zassenhaus's algorithm at the pattern prime with
+the fewest factors.  The certificate proves a curve prime by the same
 degree-set rule over Q, read at several points, and its content in y
 constant by a constant row, a gcd mod p or a resultant.  The one bridge
-to sympy holds only the fallbacks: Zassenhaus and Wang factorization,
-for inputs that may have a factor of degree 2 to n - 2 and curves whose
-degree sets leave a proper factor possible, and the PRS resultant past
-x-degree 3.  The bridge works over ZZ only:
+to sympy holds only the fallbacks: Wang's factorization, for curves
+whose degree sets leave a proper factor possible, and the PRS resultant
+past x-degree 3.  The bridge works over ZZ only:
 each bridged call puts its inputs in primitive integer form
-(``primitive_int_upoly``, ``primitive_int_bpoly``) and puts their
-rational units back exactly, so everything stays exact.  The bridge
-loads on first use (``_load_bridge``): sympy is imported by the first
-fallback call, so a process that needs no fallback never imports it.
-Both factorizers return primitive integer irreducibles with a positive
-leading coefficient, the form in which places store their polynomials.
-No other module of the package imports sympy.
+(``primitive_int_bpoly``) and puts their rational units back exactly,
+so everything stays exact.  The bridge loads on first use
+(``_load_bridge``): sympy is imported by the first fallback call, so a
+process that needs no fallback never imports it.  Both factorizers
+return primitive integer irreducibles with a positive leading
+coefficient, the form in which places store their polynomials.  No
+other module of the package imports sympy.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -81,7 +82,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -224,6 +225,8 @@ class UPoly(_HashSlot):
     def __mul__(self, other: Union["UPoly", int, Fraction]) -> "UPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, UPoly):
+            return NotImplemented
         self._check(other)
         return UPoly.make(self.var, _mul(self.coeffs, other.coeffs))
 
@@ -351,6 +354,8 @@ class BPoly(_DegreeSlots):
     def __mul__(self, other: Union["BPoly", int, Fraction]) -> "BPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, BPoly):
+            return NotImplemented
         return BPoly.make(_mul_table(dict(self.terms), other.terms))
 
     __rmul__ = __mul__
@@ -484,22 +489,22 @@ def _x_rows(g: BPoly) -> list[list]:
 # ---------------------------------------------------------------------------
 # the bridge to sympy's dense polynomial layer
 #
-# A UPoly becomes a ``dup`` list and a BPoly a level-1 ``dmp`` list with x
-# as the main variable: one ``dup`` in y per power of x.  Both list the
-# highest degree first.  Coefficients live in ZZ: every bridged call
-# first puts its inputs in primitive integer form and puts their rational
-# units back exactly afterwards.  They are read back through int(), which
-# holds under every sympy ground type.
+# A BPoly becomes a level-1 ``dmp`` list with x as the main variable: one
+# ``dup`` list in y per power of x, and a resultant comes back as a
+# ``dup`` in y.  Both list the highest degree first.  Coefficients live
+# in ZZ: every bridged call first puts its inputs in primitive integer
+# form and puts their rational units back exactly afterwards.  They are
+# read back through int(), which holds under every sympy ground type.
 #
-# The bridge loads on first use: each of the three bridged call sites
+# The bridge loads on first use: each of the two bridged call sites
 # runs ``_load_bridge`` before the call, which also sets the ``ZZ`` that
-# ``_to_dup`` and ``_to_dmp`` read.  The four names are attributes of this
+# ``_to_dmp`` reads.  The three names are attributes of this
 # module from import on, None until the first load; the load fills only
 # the names still None, so a name replaced beforehand (a test's
 # ``monkeypatch.setattr``) stays replaced.
 
-_BRIDGED = ("ZZ", "dmp_resultant", "dmp_factor_list", "dup_factor_list")
-ZZ = dmp_resultant = dmp_factor_list = dup_factor_list = None
+_BRIDGED = ("ZZ", "dmp_resultant", "dmp_factor_list")
+ZZ = dmp_resultant = dmp_factor_list = None
 
 
 def _load_bridge() -> None:
@@ -507,16 +512,12 @@ def _load_bridge() -> None:
     importing sympy on the first call; later calls only look it up."""
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dmp_resultant
-    from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+    from sympy.polys.factortools import dmp_factor_list
 
     loaded = locals()
     for n in _BRIDGED:
         if globals()[n] is None:
             globals()[n] = loaded[n]
-
-
-def _to_dup(p: UPoly) -> list:
-    return [ZZ(c) for c in reversed(p.coeffs)]
 
 
 def _from_dup(f: list, var: str) -> UPoly:
@@ -747,11 +748,13 @@ def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
     discriminant), and degree n >= 3 by degree patterns mod small primes,
     which prove most such inputs irreducible; when they leave only factor
     degrees 1 and n - 1 possible, the rational roots, Hensel-lifted from
-    the roots mod p, decide the rest.  Only inputs that may still have a
-    factor of degree 2 to n - 2 go to sympy's ``dup_factor_list``.  The
-    proofs are in ``_factor_primitive_q``.  The memo is keyed on the
-    primitive form, so f and c*f share one entry for every nonzero
-    rational c.
+    the roots mod p, decide the rest.  The inputs they leave open are
+    finished here too, in plain integers: a squarefree split when no
+    prime was usable, then Zassenhaus's algorithm at the pattern prime
+    with the fewest factors, its recombination pruned by the degrees the
+    patterns left.  The proofs are in ``_irreducibles``.  The memo is
+    keyed on the primitive form, so f and c*f share one entry for every
+    nonzero rational c.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -771,93 +774,115 @@ def _factor_primitive_q(q: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]
 
     First t^k, for the k low zero coefficients of q, is split off as the
     factor (t, k).  The cofactor c = q / t^k has the same coefficients as
-    q, so it is primitive with a positive leading coefficient too, and it
-    is decided here, not by a recursive call of this memo.  A constant c
-    (then c = 1) adds no factor, and a linear c is its own factor.
-
-    A quadratic c = a*t^2 + b*t + d is decided by D = b^2 - 4ad.  When D
-    is no integer square, c has no rational root, so no linear factor over
-    Q, and is irreducible.  When D = s^2 its roots (-b -+ s)/2a, in lowest
-    terms n/e with e > 0, give the primitive factors e*t - n, squared when
-    s = 0, and the unit is 1: c and the product of the factors have the
-    same roots, so they differ by a rational factor; both are primitive
-    (the product by Gauss's lemma) with a positive leading coefficient, so
-    that factor is 1.
-
-    For c of degree n >= 3, ``_pattern_verdict`` reads the degrees of the
-    factors of c mod p at the primes of ``PATTERN_PRIMES`` in turn.  It
-    skips a prime p that divides lc(c) or at which c mod p is not
-    squarefree, and keeps the candidates C: the degrees 0 < d < n that are
-    a sum of factor degrees at every prime it used.  Every factor of c
-    over Z has its degree in C.  Proof: let c = g*h over Z with deg g = d,
-    0 < d < n; by Gauss's lemma such a split exists for every
-    factorization over Q.  Since p does not divide lc(c) = lc(g)*lc(h),
-    g mod p keeps degree d.  As c mod p is squarefree, its monic
-    irreducible factors are distinct and each divides exactly one of
-    g mod p and h mod p (unique factorization in GF(p)[t]), so d is the
-    sum of the degrees of those that divide g mod p.  An empty C proves c
-    irreducible.
-
-    When C is a subset of {1, n - 1} after a usable prime p,
-    ``_rational_roots`` decides c at p.  It lifts each root r of c mod p
-    by Newton's iteration to the root mod M = p^(2^k), for the first k
-    with M > 2*|lc(c)*c(0)| (c(0) != 0, as t^k is split off), takes the
-    symmetric residue m of lc(c)*r mod M, and keeps m/lc(c) when it is a
-    root of c in Q.  Every rational root is found: c is squarefree mod p
-    and p does not divide lc(c), so a root a/b in lowest terms (b divides
-    lc(c), a divides c(0)) reduces to a simple root mod p, which by
-    Hensel's lemma has exactly one p-adic lift, a/b itself; lc(c)*a/b is
-    an integer of absolute value at most |lc(c)*c(0)| < M/2, so the
-    symmetric residue is that integer.  The roots are simple (c mod p is
-    squarefree, so c is), each gives the primitive factor b*t - a, and
-    the cofactor h, c divided exactly by them, is irreducible or 1: it
-    has no rational root, so a proper split h = h1*h2 over Z has
-    deg h1, deg h2 >= 2, and h1 would be a factor of c of degree 2 to
-    n - 2, which is not in C.  The unit is 1, as for the quadratic: the
-    factors are primitive with positive leading coefficients and their
-    product is c, by Gauss's lemma and unique factorization.  Each cubic
-    is decided at its first usable prime, as its C lies in {1, 2}.
-
-    Only when the test stops with another C (at most
-    ``PATTERN_MAX_PRIMES`` usable primes, or ``PATTERN_STALL`` in a row
-    that leave C as it was) does c go to sympy's ``dup_factor_list``
-    (Zassenhaus).
+    q, so it is primitive with a positive leading coefficient too, and
+    ``_irreducibles`` factors it when it is not constant (then c = 1).
+    The unit is 1: the factors are primitive with positive leading
+    coefficients, so their product with multiplicities is primitive with
+    a positive leading coefficient (Gauss's lemma), and it equals q up to
+    a rational factor by unique factorization, which is therefore 1.
     """
     cs = q.coeffs
     k = 0
     while cs[k] == 0:
         k += 1
     out = [(UPoly(q.var, (0, 1)), k)] if k else []
-    c = UPoly(q.var, cs[k:]) if k else q
-    n = c.degree()
-    unit = 1
-    roots = _pattern_verdict(c.coeffs) if n >= 3 else ()
+    if len(cs) - k > 1:
+        out += [(UPoly(q.var, g), m) for g, m in _irreducibles(cs[k:])]
+    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
+    return 1, tuple(out)
+
+
+def _irreducibles(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The irreducible factors over Z of a primitive integer polynomial c
+    of degree n >= 1 with c[0] != 0 and a positive leading coefficient,
+    each primitive with a positive leading coefficient, with their
+    multiplicities.
+
+    A linear c is its own factor.  A quadratic c = a*t^2 + b*t + d is
+    decided by D = b^2 - 4ad.  When D is no integer square, c has no
+    rational root, so no linear factor over Q, and is irreducible.  When
+    D = s^2 its roots (-b -+ s)/2a, in lowest terms n/e with e > 0, give
+    the primitive factors e*t - n, squared when s = 0: c and the product
+    of the factors have the same roots and are both primitive with a
+    positive leading coefficient, so they are equal.
+
+    For n >= 3, the degree patterns read the degrees of the factors of c
+    mod p at the primes of ``PATTERN_PRIMES`` in turn (``_degree_sets``).
+    They skip a prime p that divides lc(c) or at which c mod p is not
+    squarefree, and keep the candidates C: the degrees 0 < d < n that are
+    a sum of factor degrees at every prime they used (a usable prime).
+    Every factor of c over Z has its degree in C.  Proof: let c = g*h
+    over Z with deg g = d, 0 < d < n; by Gauss's lemma such a split exists
+    for every factorization over Q.  Since p does not divide
+    lc(c) = lc(g)*lc(h), g mod p keeps degree d.  As c mod p is
+    squarefree, its monic irreducible factors are distinct and each
+    divides exactly one of g mod p and h mod p (unique factorization in
+    GF(p)[t]), so d is the sum of the degrees of those that divide g mod
+    p.  An empty C proves c irreducible.
+
+    A usable prime also proves c squarefree: were c = a^2*b over Z with
+    deg a > 0, a mod p would keep its degree (p does not divide lc(c),
+    so neither lc(a)), and its square would divide c mod p.
+
+    When C is a subset of {1, n - 1} after a usable prime p,
+    ``_rational_roots`` decides c at p.  It lifts each root r of c mod p
+    by Newton's iteration to the root mod M = p^(2^k), for the first k
+    with M > 2*|lc(c)*c(0)|, takes the symmetric residue m of lc(c)*r mod
+    M, and keeps m/lc(c) when it is a root of c in Q.  Every rational
+    root is found: p does not divide lc(c) and c mod p is squarefree, so
+    a root a/b in lowest terms (b divides lc(c), a divides c(0)) reduces
+    to a simple root mod p, which by Hensel's lemma has exactly one
+    p-adic lift, a/b itself; lc(c)*a/b is an integer of absolute value at
+    most |lc(c)*c(0)| < M/2, so the symmetric residue is that integer.
+    The roots are simple (c is squarefree), each gives the primitive
+    factor b*t - a, and the cofactor h, c divided exactly by them, is
+    irreducible or 1: it has no rational root, so a proper split
+    h = h1*h2 over Z has deg h1, deg h2 >= 2, and h1 would be a factor of
+    c of degree 2 to n - 2, which is not in C.  Each cubic is decided at
+    its first usable prime, as its C lies in {1, 2}.
+
+    When the patterns stop with another C (after ``PATTERN_MAX_PRIMES``
+    usable primes, or ``PATTERN_STALL`` in a row that leave C as it was),
+    ``_zassenhaus`` finishes c at the usable prime with the fewest
+    factors, pruned by C.  When no prime of ``PATTERN_PRIMES`` was usable,
+    c may have a square factor: ``_squarefree_parts`` splits it, c =
+    prod a_i^i, and each a_i of positive degree is factored by this rule
+    again, its factors taking multiplicity i.  The a_i are squarefree and
+    pairwise coprime, so the multiplicities are right, and each has
+    degree below n unless c is squarefree (then c = a_1), so the
+    recursion ends.  A c that is squarefree takes the first usable prime past
+    ``PATTERN_PRIMES`` (``_usable_prime``), which decides it by the same
+    rule, or finishes it.
+    """
+    c = tuple(c)
+    n = len(c) - 1
+    if n == 1:
+        return [(c, 1)]
     if n == 2:
-        d0, b, a = c.coeffs
+        d0, b, a = c
         disc = b * b - 4 * a * d0
         s = isqrt(max(disc, 0))
         if s * s != disc:
-            out.append((c, 1))
-        else:
-            zeros = (Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a))
-            lin = [UPoly(q.var, (-r.numerator, r.denominator)) for r in zeros]
-            out += [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
-    elif roots is None:
-        _load_bridge()
-        content, fac = dup_factor_list(_to_dup(c), ZZ)
-        unit = int(content)
-        for p, m in fac:
-            u, irr = primitive_int_upoly(_from_dup(p, q.var))
-            unit *= u**m
-            out.append((irr, m))
-    else:
-        for a, b in roots:
-            out.append((UPoly(q.var, (-a, b)), 1))
-            c = UPoly(q.var, tuple(_exquo(c.coeffs, (-a, b))))
-        if c.degree() > 0:
-            out.append((c, 1))
-    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-    return _frac(unit), tuple(out)
+            return [(c, 1)]
+        zeros = [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+        lin = [(-r.numerator, r.denominator) for r in zeros]
+        return [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
+    ends = 2 | 1 << (n - 1)
+    candidates, p, degrees = _degree_sets(n, ((p, _degree_pattern(c, p)) for p in PATTERN_PRIMES), ends)
+    if p is None:
+        parts = _squarefree_parts(c)
+        if all(len(a) < len(c) for a, _ in parts):
+            return [(g, i * m) for a, i in parts for g, m in _irreducibles(a)]
+        candidates, p, degrees = _degree_sets(n, [_usable_prime(c)], ends)
+    if not candidates:
+        return [(c, 1)]
+    if candidates & ~ends:
+        return [(g, 1) for g in _zassenhaus(c, p, candidates)]
+    out = []
+    for a, b in _rational_roots(c, p, degrees.count(1)):
+        out.append(((-a, b), 1))
+        c = tuple(_exquo(c, (-a, b)))
+    return out + [(c, 1)] if len(c) > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -872,36 +897,25 @@ PATTERN_MAX_PRIMES = 8
 PATTERN_STALL = 3
 
 
-def _pattern_verdict(cs: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]:
-    """The rational roots (a, b), meaning a/b in lowest terms with b > 0,
-    of the primitive integer polynomial with coefficients cs (degree
-    n >= 3, cs[0] != 0) when its degree patterns mod p decide it: () when
-    they prove it irreducible, the roots when they leave only factor
-    degrees 1 and n - 1; None when they leave it undecided (the proof is
-    in ``_factor_primitive_q``, the rule in ``_degree_sets``)."""
-    n = len(cs) - 1
-    verdict = _degree_sets(n, ((p, _degree_pattern(cs, p)) for p in PATTERN_PRIMES), 2 | 1 << (n - 1))
-    if verdict is None:
-        return None
-    candidates, p, pattern = verdict
-    return _rational_roots(cs, p, pattern.count(1)) if candidates else ()
-
-
-def _degree_sets(n: int, patterns: Iterable, enough: int = 0) -> Optional[tuple]:
+def _degree_sets(n: int, patterns: Iterable, enough: int = 0) -> tuple:
     """The degree-set rule.  The candidates C start as the degrees
     0 < d < n, a mask in which bit d stands for degree d.  Each
     (point, degrees) of ``patterns`` in turn, degrees being the factor
     degrees at that point with multiplicity (None for a point that is
     skipped), keeps in C the degrees that are a sum of some of them.
-    Returns (C, point, degrees) once C is empty (at once, with no point,
-    when it starts empty) or lies within the mask ``enough`` after a
-    point; None when the patterns run out or the test stops:
-    ``PATTERN_MAX_PRIMES`` usable points, or ``PATTERN_STALL`` in a row
-    that leave C as it was."""
+
+    Returns (C, point, degrees).  Once C is empty or lies within the mask
+    ``enough`` after a point, that point and its degrees (C = 0 and no
+    point when C starts empty).  When the patterns run out or the test
+    stops (``PATTERN_MAX_PRIMES`` usable points, or ``PATTERN_STALL`` in a
+    row that leave C as it was), the C left, which reaches outside
+    ``enough``, and the usable point with the fewest degrees, the first
+    of them on a tie; None and None when no point was usable."""
     candidates = (1 << n) - 2
     if not candidates:
         return 0, None, None
     used = unchanged = 0
+    best = None, None
     for point, degrees in patterns:
         if degrees is None:
             continue
@@ -911,19 +925,49 @@ def _degree_sets(n: int, patterns: Iterable, enough: int = 0) -> Optional[tuple]
         narrowed = candidates & sums
         if not narrowed & ~enough:
             return narrowed, point, degrees
+        if best[1] is None or len(degrees) < len(best[1]):
+            best = point, degrees
         unchanged = unchanged + 1 if narrowed == candidates else 0
         candidates = narrowed
         used += 1
         if used == PATTERN_MAX_PRIMES or unchanged == PATTERN_STALL:
-            return None
-    return None
+            break
+    return (candidates, *best)
+
+
+def _usable_prime(c: Sequence[int]) -> tuple[int, list[int]]:
+    """(p, the degree pattern of c at p) for the first odd prime p past
+    ``PATTERN_PRIMES`` that is usable for a squarefree c of degree
+    n >= 3.  ArithmeticError past the bound below, which no squarefree c
+    reaches, so the search never loops.
+
+    A prime is unusable exactly when it divides lc(c)*disc(c) =
+    +-Res(c, c'), a nonzero integer as c is squarefree.  By Hadamard's
+    inequality on the Sylvester matrix, |Res(c, c')| <=
+    |c|_2^(n-1) * |c'|_2^n, so Res(c, c') has fewer distinct prime
+    factors than half the bit length of S(c)^(n-1) * S(c')^n, S being
+    the sum of the squared coefficients, plus one."""
+    n = len(c) - 1
+    dc = [i * a for i, a in enumerate(c)][1:]
+    bad = (sum(a * a for a in c) ** (n - 1) * sum(a * a for a in dc) ** n).bit_length() // 2 + 1
+    p = PATTERN_PRIMES[-1]
+    while bad >= 0:
+        p += 2
+        if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        degrees = _degree_pattern(c, p)
+        if degrees is not None:
+            return p, degrees
+        bad -= 1
+    raise ArithmeticError("no usable prime: the input is not squarefree")
 
 
 def _rational_roots(cs: Sequence[int], p: int, count: int) -> tuple[tuple[int, int], ...]:
-    """The rational roots (a, b) of cs, for a usable prime p at which cs
-    has ``count`` roots: each root mod p, found by evaluation, is lifted
-    past 2*|lc*cs[0]| and kept when lc times it, as a symmetric residue,
-    over lc is a root in Q (proof in ``_factor_primitive_q``)."""
+    """The rational roots (a, b), meaning a/b in lowest terms with b > 0,
+    of cs, for a usable prime p at which cs has ``count`` roots: each
+    root mod p, found by evaluation, is lifted past 2*|lc*cs[0]| and
+    kept when lc times it, as a symmetric residue, over lc is a root in Q
+    (proof in ``_irreducibles``)."""
     lc = cs[-1]
     bound = 2 * abs(lc * cs[0])
     roots = []
@@ -966,8 +1010,9 @@ def _hensel_lift(cs: Sequence[int], r: int, p: int, bound: int) -> tuple[int, in
 
 def _degree_pattern(cs: Sequence[int], p: int) -> Optional[list[int]]:
     """The degrees of the irreducible factors of f = cs mod p, with
-    repetition; None when p divides the leading coefficient or f is not
-    squarefree (gcd(f, f') is not constant)."""
+    repetition, read off the products of ``_ddf_p``; None when p divides
+    the leading coefficient or f is not squarefree (gcd(f, f') is not
+    constant)."""
     lc = cs[-1] % p
     if not lc:
         return None
@@ -976,25 +1021,26 @@ def _degree_pattern(cs: Sequence[int], p: int) -> Optional[list[int]]:
     df = _trim([i * c % p for i, c in enumerate(f)][1:])
     if len(_gcd_p(f, df, p)) > 1:
         return None
-    return _ddf_p(f, p)
+    return [d for d, g in _ddf_p(f, p) for _ in range((len(g) - 1) // d)]
 
 
-def _ddf_p(f: list[int], p: int) -> list[int]:
-    """The degrees of the irreducible factors of a monic squarefree f of
-    positive degree over GF(p), by distinct-degree factorization (von zur
-    Gathen and Gerhard, Modern Computer Algebra, section 14.2): after the
-    factors of degree below d are divided out of g, gcd(g, t^(p^d) - t) is
-    the product of those of degree d, and once 2d > deg g what is left is
-    irreducible.  h = t^(p^d) is kept mod f: h^p = sum h_i t^(i p), as
-    h_i^p = h_i, so ``rows`` holds t^(i p) mod f; g divides f, so h - t
-    mod f serves for g as well, and ``_gcd_p`` reduces it mod g first
-    only when deg(h - t) >= deg g.
+def _ddf_p(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """The distinct-degree factorization of a monic squarefree f of
+    positive degree over GF(p): (d, g_d) for each d at which f has
+    irreducible factors, d ascending, g_d the monic product of those of
+    degree d (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 14.2).  After the factors of degree below d are divided out
+    of g, gcd(g, t^(p^d) - t) is the product of those of degree d, and
+    once 2d > deg g what is left is irreducible.  h = t^(p^d) is kept mod
+    f: h^p = sum h_i t^(i p), as h_i^p = h_i, so ``rows`` holds t^(i p)
+    mod f; g divides f, so h - t mod f serves for g as well, and
+    ``_gcd_p`` reduces it mod g first only when deg(h - t) >= deg g.
 
-    f is not overwritten.  With n = deg f, the rows cost about p*n^2
-    multiplications (row i is row i - 1 times t^p, reduced by up to p
-    eliminations of n terms, inlined here), each h^p costs n^2, and each
-    gcd and the exact division g / gcd cost deg g times the smaller
-    degree."""
+    f is not overwritten, and the last g_d may be f itself.  With
+    n = deg f, the rows cost about p*n^2 multiplications (row i is row
+    i - 1 times t^p, reduced by up to p eliminations of n terms, inlined
+    here), each h^p costs n^2, and each gcd and the exact division
+    g / gcd cost deg g times the smaller degree."""
     n = len(f) - 1
     rows = [[1]]
     for _ in range(1, n):
@@ -1006,7 +1052,7 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
                 for j in range(n):
                     a[s + j] -= c * f[j]
         rows.append(_trim([c % p for c in a[:n]]))
-    degrees: list[int] = []
+    products: list[tuple[int, list[int]]] = []
     h, g, d = [0, 1], f, 0
     while 2 * d + 2 < len(g):
         d += 1
@@ -1021,7 +1067,7 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
         common = _gcd_p(_trim(t), g, p)
         m = len(common) - 1
         if m:
-            degrees += [d] * (m // d)
+            products.append((d, common))
             # g / common, exact, by long division from the top
             a = g[:]
             g = [0] * (len(a) - m)
@@ -1031,8 +1077,8 @@ def _ddf_p(f: list[int], p: int) -> list[int]:
                     for j in range(m):
                         a[i + j] -= c * common[j]
     if len(g) > 1:
-        degrees.append(len(g) - 1)
-    return degrees
+        products.append((len(g) - 1, g))
+    return products
 
 
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
@@ -1064,6 +1110,287 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+# ---------------------------------------------------------------------------
+# the finish: squarefree split over Z, then Zassenhaus's algorithm
+
+
+def _divmod_mod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r mod m and deg r < deg b, both reduced mod
+    m, for a b whose leading coefficient is a unit mod m.  a is not
+    overwritten."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    a = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + n] * inv % m
+        if c:
+            for j in range(n):
+                a[i + j] -= c * b[j]
+    return q, _trim([c % m for c in a[:n]])
+
+
+def _mod(a: Sequence[int], m: int) -> list[int]:
+    return _trim([c % m for c in a])
+
+
+def _sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return _add(a, [-c for c in b])
+
+
+def _pp(a: Sequence[int]) -> list[int]:
+    """The primitive part of a nonzero integer list, with a positive
+    leading coefficient."""
+    ints = _primitive(a, a[-1])[1]
+    return list(a) if ints is None else ints
+
+
+def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd in Z[t] of a nonzero a and any b, with a positive
+    leading coefficient: the last nonzero remainder of the primitive PRS
+    (von zur Gathen and Gerhard, section 6.12), made primitive.  Each
+    pseudo-remainder lc(b)^(deg a - deg b + 1)*a mod b is taken to its
+    primitive part, which keeps the gcd up to a constant and the
+    coefficients small; the primitive gcd is [1] once a remainder is a
+    nonzero constant."""
+    a = _pp(a)
+    if not b:
+        return a
+    b = _pp(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n, lb = len(b) - 1, b[-1]
+        r = list(a)
+        for i in range(len(r) - 1, n - 1, -1):
+            c = r[i]
+            if c:
+                for j in range(i - n):
+                    r[j] *= lb
+                for j in range(n):
+                    r[i - n + j] = r[i - n + j] * lb - c * b[j]
+        r = _trim(r[:n])
+        if not r:
+            return b
+        a, b = b, _pp(r)
+    return [1]
+
+
+def _squarefree_parts(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """[(a_i, i), ...] for the a_i of positive degree in c = prod a_i^i, a
+    primitive integer c of positive degree with a positive leading
+    coefficient: Yun's algorithm (von zur Gathen and Gerhard, section
+    14.6) over Z.  The a_i are primitive with positive leading
+    coefficients, squarefree and pairwise coprime.
+
+    u = gcd(c, c'), v_1 = c/u, w_1 = c'/u, then a_i = gcd(v_i, w_i - v_i'),
+    v_(i+1) = v_i/a_i and w_(i+1) = (w_i - v_i')/a_i until v_i is
+    constant, which it is by i = deg c.  Over Q the invariants are v_i = prod_(j >= i) a_j and
+    w_i - v_i' = a_i * sum_(j >= i) (j - i) a_j' v_i / a_j, up to one
+    rational factor that v_i and w_i share; every gcd is primitive, so by
+    Gauss's lemma it divides exactly in Z[t].  The product of the a_i^i
+    is primitive with a positive leading coefficient and has the roots
+    of c with their multiplicities, so it is c."""
+    dc = [i * a for i, a in enumerate(c)][1:]
+    u = _gcd_z(c, dc)
+    v, w = _exquo(c, u), _exquo(dc, u)
+    parts = []
+    for i in range(1, len(c)):  # no multiplicity exceeds deg c
+        if len(v) < 2:
+            break
+        y = _sub(w, [j * a for j, a in enumerate(v)][1:])
+        a = _gcd_z(v, y)
+        v, w = _exquo(v, a), _exquo(y, a)
+        if len(a) > 1:
+            parts.append((tuple(a), i))
+    return parts
+
+
+def _edf_p(g: list[int], d: int, p: int) -> list[list[int]]:
+    """The monic irreducible factors over GF(p), p odd, of a monic
+    squarefree g whose irreducible factors all have degree d: equal-degree
+    factorization by Cantor and Zassenhaus (von zur Gathen and Gerhard,
+    section 14.3).  For a with a^e, e = (p^d - 1)/2, the power is 0 or +-1
+    in each field GF(p)[t]/(g_i), so gcd(a^e - 1, g) is the product of
+    the g_i where it is 1.  The trial polynomials a are those whose
+    coefficients are the base-p digits of p, p + 1, ...: by the Chinese
+    remainder theorem one of degree below deg g is 0 mod g_1 and 1 mod
+    g_2, which splits g, so the search stops.  The factors are unique, so
+    the sequence chosen changes only the time, never the output."""
+    m = len(g) - 1
+    if m == d:
+        return [g]
+    for k in count(p):
+        a = []
+        while k:
+            k, r = divmod(k, p)
+            a.append(r)
+        w, e = [1], (p**d - 1) // 2
+        while e:
+            if e & 1:
+                w = _divmod_mod(_mul(w, a), g, p)[1]
+            e >>= 1
+            if e:
+                a = _divmod_mod(_mul(a, a), g, p)[1]
+        w = w + [0] * (1 - len(w))
+        w[0] -= 1
+        h = _gcd_p(_mod(w, p), g, p)
+        if 1 < len(h) < len(g):
+            return _edf_p(h, d, p) + _edf_p(_divmod_mod(g, h, p)[0], d, p)
+
+
+def _gcdex_p(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s*g + t*h = 1 over GF(p), deg s < deg h and
+    deg t < deg g, for coprime g and h of positive degree: the extended
+    Euclidean algorithm, its last remainder made 1."""
+    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _mod(_sub(t0, _mul(q, t1)), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _hensel_step(
+    f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], m: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One quadratic Hensel step (von zur Gathen and Gerhard, Algorithm
+    15.10): from f = g*h and s*g + t*h = 1 mod m, with h monic,
+    deg s < deg h and deg t < deg g, the same four relations mod m^2,
+    each new polynomial congruent to the old one mod m."""
+    M = m * m
+    e = _mod(_sub(f, _mul(g, h)), M)
+    q, r = _divmod_mod(_mod(_mul(s, e), M), h, M)
+    g = _mod(_add(_add(g, _mul(t, e)), _mul(q, g)), M)
+    h = _mod(_add(h, r), M)
+    b = _mod(_sub(_add(_mul(s, g), _mul(t, h)), [1]), M)
+    c, d = _divmod_mod(_mod(_mul(s, b), M), h, M)
+    s = _mod(_sub(s, d), M)
+    t = _mod(_sub(t, _add(_mul(t, b), _mul(c, g))), M)
+    return g, h, s, t
+
+
+def _multifactor_lift(f: list[int], leaves: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """The monic F_i mod M = p^(2^k), F_i = leaves[i] mod p, with
+    f = lc(f) * prod F_i mod M, for a f whose lc is a unit mod p and
+    pairwise coprime monic leaves with f = lc(f) * prod leaves mod p: the
+    leaves are halved into a factor tree, and each node's split
+    g*h of its polynomial is lifted by k Hensel steps before its halves
+    are (von zur Gathen and Gerhard, section 15.5).  The lift is unique
+    (their Theorem 15.14): monic F_i of the same degrees, pairwise
+    coprime mod p, with these two congruences are determined mod M."""
+    mod = p ** (2**k)
+    if len(leaves) == 1:
+        inv = pow(f[-1], -1, mod)
+        return [[c * inv % mod for c in f]]
+    half = len(leaves) // 2
+    g = [f[-1] % p]
+    for leaf in leaves[:half]:
+        g = _mod(_mul(g, leaf), p)
+    h = [1]
+    for leaf in leaves[half:]:
+        h = _mod(_mul(h, leaf), p)
+    s, t = _gcdex_p(g, h, p)
+    m = p
+    for _ in range(k):
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _multifactor_lift(g, leaves[:half], p, k) + _multifactor_lift(h, leaves[half:], p, k)
+
+
+def _zassenhaus(c: tuple[int, ...], p: int, candidates: int) -> list[tuple[int, ...]]:
+    """The irreducible factors over Z of a squarefree primitive c of
+    degree n >= 3 with c[0] != 0 and lc(c) > 0, each primitive with a
+    positive leading coefficient, from a usable prime p and the
+    candidate degrees C (a mask, as in ``_degree_sets``) that every
+    factor of c has: Zassenhaus's algorithm as in von zur Gathen and
+    Gerhard, Algorithm 15.19, with its recombination pruned by C.
+
+    Factors mod p.  The products (d, g_d) of ``_ddf_p`` at p are split by
+    ``_edf_p`` into the monic irreducible factors of c mod p, which are
+    distinct (c mod p is squarefree).  They are lifted together
+    (``_multifactor_lift``) to M = p^(2^k) > 2B, B = sqrt(n + 1) * 2^n *
+    A * b with A the largest |coefficient| and b = lc(c).
+
+    The bound.  For the Mahler measure M(u) = |lc u| * prod max(1, |z|)
+    over the roots z of u: M is multiplicative, |u|_1 <= 2^(deg u) M(u),
+    and M(c) <= |c|_2 <= sqrt(n + 1) A (Landau).  Let f be c or a factor
+    of c over Z, with b_f = lc(f) > 0, and f = g*h over Z.  Then
+    g* = (b_f / lc g) g and h* = (b_f / lc h) h have g* h* = b_f f and
+    |g*|_1 |h*|_1 <= 2^(deg f) M(b_f f) <= 2^n b M(c) <= B, as b_f
+    divides b and M(f) <= M(c) (c/f has integer coefficients, so measure
+    at least 1).
+
+    Recombination.  With f the part of c still to split (f = c at
+    first), b_f its leading coefficient and T the indices of the lifted
+    factors F_i that make it up (f = b_f prod_T F_i mod M), the subsets
+    S of T are tried by size s = 1, 2, ... while 2s <= |T|, and in each
+    size in order, but only those whose degree sum is in C and for which
+    the constant term of b_f prod_S F_i mod M, a symmetric residue,
+    divides b_f f(0) (a true g* divides b_f f, and f(0) != 0).  A subset
+    is accepted when G = b_f prod_S F_i and H = b_f prod_(T - S) F_i,
+    symmetric residues mod M, have |G|_1 |H|_1 <= B; then pp(G) is a
+    factor, f becomes pp(H), and S leaves T.
+
+    Soundness.  G*H = b_f f mod M, and both sides have every coefficient
+    below M/2 in absolute value (|G H|_inf <= |G|_1 |H|_1 <= B, and
+    |b_f f|_inf <= b_f |f|_1 <= B by the bound), so G*H = b_f f over Z
+    and pp(G) divides f.  Completeness.  If f = g*h over Z with g
+    irreducible, by unique factorization mod p (f mod p is squarefree)
+    and uniqueness of the lift, b_f/lc(g) g = b_f prod_S F_i mod M for one
+    S; the bound makes g* the symmetric residue G, h* likewise H, and
+    deg g is in C, so S passes every test once it is tried.  A subset
+    accepted at size s gives an irreducible factor: a proper factor of
+    it would have a smaller subset, tried before (a subset of T that
+    gives a factor of f gave one of every earlier f as well).  Once
+    2s > |T|, f has no proper factor: the subsets of a split f = g*h
+    partition T, so one of them has size at most |T|/2 < s.
+    """
+    n, b = len(c) - 1, c[-1]
+    inv = pow(b, -1, p)
+    leaves = [leaf for d, g in _ddf_p([a * inv % p for a in c], p) for leaf in _edf_p(g, d, p)]
+    bound2 = (n + 1) * 4**n * (max(map(abs, c)) * b) ** 2  # B^2
+    mod, k = p, 0
+    while mod * mod <= 4 * bound2:
+        mod, k = mod * mod, k + 1
+    lifted = _multifactor_lift(list(c), leaves, p, k)
+
+    def symmetric(a: list[int]) -> list[int]:
+        return [v - mod if 2 * v > mod else v for v in a]
+
+    def product(indices) -> list[int]:
+        out = [b]
+        for i in indices:
+            out = _mod(_mul(out, lifted[i]), mod)
+        return symmetric(out)
+
+    factors, f, rest, s = [], c, list(range(len(lifted))), 1
+    while 2 * s <= len(rest):
+        for subset in combinations(rest, s):
+            if not candidates >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            low = b
+            for i in subset:
+                low = low * lifted[i][0] % mod
+            if 2 * low > mod:
+                low -= mod
+            if not low or b * f[0] % low:
+                continue
+            G = product(subset)
+            H = product(i for i in rest if i not in subset)
+            if (sum(map(abs, G)) * sum(map(abs, H))) ** 2 <= bound2:
+                factors.append(tuple(_pp(G)))
+                f = tuple(_pp(H))
+                b = f[-1]
+                rest = [i for i in rest if i not in subset]
+                break
+        else:
+            s += 1
+    return factors + [f]
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1443,7 @@ def content_free_both_ways(f: BPoly) -> bool:
 
 def certify_irreducible_bivariate(q: BPoly) -> bool:
     """A sound sufficient test that a nonzero q is irreducible over Q:
-    the degree-set rule of ``_pattern_verdict`` (``_degree_sets``), read
+    the degree-set rule of ``factor_q``'s patterns (``_degree_sets``), read
     over Q at several points.
 
     Let g be whichever of q and q.transpose() has the smaller x-degree n
@@ -1148,7 +1475,7 @@ def certify_irreducible_bivariate(q: BPoly) -> bool:
     # the terms are sorted, so the first has the least power of x
     if g.terms[0][0][0] > 0 or not y_content_is_constant(g):
         return False
-    return _degree_sets(g.deg_x(), _specializations(g)) is not None
+    return not _degree_sets(g.deg_x(), _specializations(g))[0]
 
 
 def _specializations(g: BPoly) -> Iterator[tuple[int, list[int]]]:

@@ -17,8 +17,11 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.densetools import dup_primitive
+from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_gcd, gf_monic, gf_sqf_p
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from doublefield import exact
 from doublefield.divisors import DeltaElement
@@ -30,7 +33,6 @@ from doublefield.exact import (
     _from_dmp,
     _from_dup,
     _to_dmp,
-    _to_dup,
     certify_irreducible_bivariate,
     factor_b,
     factor_q,
@@ -210,6 +212,16 @@ def test_sum_with_another_type_is_a_type_error(f, other):
     the other class included, raises TypeError (BPoly.gen("x") - 1
     raised AttributeError)."""
     for op in (lambda: f + other, lambda: f - other, lambda: other + f, lambda: other - f):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("f, other", [(f, o) for f, g in ((up(1, 1), X), (X, up(1, 1))) for o in ("1", 1.5, g)])
+def test_product_with_another_type_is_a_type_error(f, other):
+    """* takes an int, a Fraction or a polynomial of its own class only:
+    the other class or a float raises TypeError, not AttributeError
+    (BPoly.gen("x") * UPoly.make("x", [1, 1]) did)."""
+    for op in (lambda: f * other, lambda: other * f):
         with pytest.raises(TypeError):
             op()
 
@@ -510,13 +522,14 @@ class TestBridge:
         # x is the main variable; rows and coefficients run from the top degree
         assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1)) == [[1, 0], [], [-3, 1]]
         assert _to_dmp(BPoly.zero()) == [[]]
-        assert _to_dup(up(1, 0, 2)) == [2, 0, 1]
+        # a resultant comes back as a dup in y, from the top degree
+        assert _from_dup([ZZ(2), ZZ(0), ZZ(1)], "y") == up(1, 0, 2, var="y")
 
     @settings(max_examples=80)
     @given(upoly_strategy(coeffs=small_ints), st.sampled_from(("x", "y")))
     def test_upoly_round_trip(self, f, var):
         f = f.with_var(var)
-        assert _from_dup(_to_dup(f), var) == f
+        assert _from_dup([ZZ(c) for c in reversed(f.coeffs)], var) == f
 
     @settings(max_examples=80)
     @given(bpoly_strategy(coeffs=small_ints))
@@ -530,7 +543,7 @@ class TestBridge:
         fresh interpreter, so that no earlier fallback has loaded it."""
         child = (
             "from doublefield import cli, exact\n"
-            "names = ('ZZ', 'dmp_resultant', 'dmp_factor_list', 'dup_factor_list')\n"
+            "names = ('ZZ', 'dmp_resultant', 'dmp_factor_list')\n"
             "print(all(getattr(exact, n) is None for n in names))\n"
             "class Refused(Exception):\n"
             "    pass\n"
@@ -545,14 +558,13 @@ class TestBridge:
             "exact.dmp_factor_list = None\n"
             "exact._load_bridge()\n"
             "from sympy.polys import domains, euclidtools, factortools\n"
-            "own = (domains.ZZ, euclidtools.dmp_resultant, factortools.dmp_factor_list,\n"
-            "       factortools.dup_factor_list)\n"
+            "own = (domains.ZZ, euclidtools.dmp_resultant, factortools.dmp_factor_list)\n"
             "print([getattr(exact, n) is f for n, f in zip(names, own)])\n"
         )
         src = str(Path(exact.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["True", "refused", "True", str([True] * 4)]
+        assert out.splitlines() == ["True", "refused", "True", str([True] * 3)]
 
 
 class TestBridgedAlgebra:
@@ -851,7 +863,7 @@ class TestFactorQ:
         def refuse(*args):
             raise AssertionError("factorizer called")
 
-        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+        monkeypatch.setattr(exact, "_zassenhaus", refuse)
         monkeypatch.setattr(exact, "dmp_factor_list", refuse)
         assert factor_q(up(-6, 4)) == (2, ((up(-3, 2), 1),))
         assert factor_q(up(1, 4, 4)) == (1, ((up(1, 2), 2),))
@@ -863,8 +875,8 @@ class TestFactorQ:
         assert factor_b(q) == (1, ((q, 1),))
 
 
-# factor_q's degree-pattern proof (exact._pattern_verdict) on fixed
-# examples: the fallback, the primes it must skip, and two reducible
+# factor_q's degree-pattern proof (exact._irreducibles) on fixed
+# examples: the finish, the primes it must skip, and two reducible
 # quartics on which a proof that skipped either check would err
 SWINNERTON_DYER = up(576, 0, -960, 0, 352, 0, -40, 0, 1, var="y")
 # (7y - 3)(15y^3 + 6y^2 + 5y + 4): 3, 5 and 7 divide lc = 105; read there
@@ -927,21 +939,23 @@ class TestDegreePatterns:
         def refuse(*args):
             raise AssertionError("factorizer called")
 
-        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+        monkeypatch.setattr(exact, "_zassenhaus", refuse)
 
     def test_swinnerton_dyer_takes_the_fallback(self, monkeypatch):
         """Irreducible, but it splits into factors of degree at most 2
-        mod every prime, so no pattern proves it and sympy decides it."""
+        mod every prime, so no pattern proves it and the finish decides
+        it."""
         calls = []
+        finish = exact._zassenhaus
 
         def recording(*args):
             calls.append(args)
-            return dup_factor_list(*args)
+            return finish(*args)
 
         for p in exact.PATTERN_PRIMES:
             pattern = exact._degree_pattern(SWINNERTON_DYER.coeffs, p)
             assert pattern is None or max(pattern) <= 2
-        monkeypatch.setattr(exact, "dup_factor_list", recording)
+        monkeypatch.setattr(exact, "_zassenhaus", recording)
         assert factor_q(SWINNERTON_DYER) == (1, ((SWINNERTON_DYER, 1),))
         assert len(calls) == 1
 
@@ -1037,6 +1051,90 @@ def test_factor_q_matches_sympy_on_degrees_3_to_24(f):
     assert factor_q(f) == _sympy_route_q(f)
 
 
+def _dup_route_q(f):
+    """factor_q's oracle through sympy's dup_factor_list itself, on the
+    primitive form of f, each factor put in primitive form and sorted."""
+    unit, q = primitive_int_upoly(f)
+    content, fac = dup_factor_list([ZZ(c) for c in reversed(q.coeffs)], ZZ)
+    unit, out = unit * int(content), []
+    for P, m in fac:
+        u, g = primitive_int_upoly(UPoly.make(f.var, [int(c) for c in reversed(P)]))
+        unit *= u**m
+        out.append((g, m))
+    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
+    return unit, tuple(out)
+
+
+@st.composite
+def irreducible_products(draw):
+    """Products of one to four distinct irreducibles of degree 1 to 12,
+    each proved irreducible by dup_factor_list, with multiplicities 1 to
+    3 and a rational unit: total degree 3 to 24."""
+    var = draw(st.sampled_from("xy"))
+    factors = {}
+    for _ in range(draw(st.integers(1, 4))):
+        g = _irreducible_of_degree(draw, var, draw(st.integers(1, 12)))
+        assume(_dup_route_q(g)[1] == ((primitive_int_upoly(g)[1], 1),))
+        factors[g] = draw(st.integers(1, 3))
+    f = math.prod((g**m for g, m in factors.items()), start=UPoly.const(var, 1))
+    assume(3 <= f.degree() <= 24)
+    return f.scale(draw(nonzero_fracs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_products())
+@example(SWINNERTON_DYER)
+@example(SWINNERTON_DYER * up(1, 0, 1, var="y") ** 2)
+@example(up(1, 0, 1, var="y") ** 2 * up(3, 1, 0, 1, var="y"))  # no usable prime: a square
+@example(up(1, 1, 0, 1, var="y") ** 3 * up(-1, 1, var="y") ** 2 * up(1, 2, var="y"))
+def test_factor_q_matches_dup_factor_list(f):
+    assert factor_q(f) == _dup_route_q(f)
+
+
+@pytest.mark.parametrize("name", PATTERN_EXAMPLES)
+def test_pattern_example_matches_dup_factor_list(name):
+    f = PATTERN_EXAMPLES[name]
+    assert factor_q(f) == _dup_route_q(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda cs: cs[-1] > 0), min_size=1, max_size=3
+    ),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+)
+def test_gcd_and_squarefree_parts_match_sympy(factors, mults):
+    """The primitive PRS gcd of f and f' and Yun's parts of f are sympy's,
+    on products of factors with multiplicities."""
+    f = [1]
+    for g, m in zip(factors, mults):
+        for _ in range(m):
+            f = exact._mul(f, g)
+    f = exact._pp(f)
+    df = [i * c for i, c in enumerate(f)][1:]
+    want = dup_primitive(dup_gcd([ZZ(c) for c in reversed(f)], [ZZ(c) for c in reversed(df)], ZZ), ZZ)[1]
+    assert exact._gcd_z(f, df) == [int(c) for c in reversed(want)]
+    _, parts = dup_sqf_list([ZZ(c) for c in reversed(f)], ZZ)
+    want = [(tuple(int(c) for c in reversed(dup_primitive(a, ZZ)[1])), i) for a, i in parts]
+    assert exact._squarefree_parts(f) == want
+
+
+def test_usable_prime_past_the_pattern_primes():
+    """lc = 3*5*...*47: no pattern prime is usable, so the squarefree
+    split proves f squarefree and the next prime, 53, decides it; a
+    square has no usable prime, and the bounded search raises."""
+    lc = math.prod(exact.PATTERN_PRIMES)
+    f = up(1, 1, 0, lc, var="y")
+    assert all(exact._degree_pattern(f.coeffs, p) is None for p in exact.PATTERN_PRIMES)
+    assert exact._usable_prime(f.coeffs)[0] == 53
+    assert factor_q(f) == _dup_route_q(f)
+    g = up(1, 1, 0, lc, var="y") * up(1, 0, 0, lc, var="y")
+    assert factor_q(g) == _dup_route_q(g)
+    with pytest.raises(ArithmeticError):
+        exact._usable_prime((up(1, 0, 1) ** 2).coeffs)
+
+
 @st.composite
 def linear_factors_times_cofactor(draw):
     """One to three factors b*t - a, with b up to 10^6 and |a| up to
@@ -1065,19 +1163,19 @@ def test_factor_q_matches_sympy_on_linear_factors(f):
 
 class TestRationalRoots:
     """Inputs that factor_q decides by Hensel-lifted rational roots, with
-    sympy's factorizer refused."""
+    its Zassenhaus finish refused."""
 
     @pytest.fixture(autouse=True)
     def _refuse_factorizer(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("factorizer called")
 
-        monkeypatch.setattr(exact, "dup_factor_list", refuse)
+        monkeypatch.setattr(exact, "_zassenhaus", refuse)
 
     def test_irreducible_cubic_without_zassenhaus(self):
         # t^3 + t + 3 has the pattern [1, 2] at 3, 5 and 7, which leaves
         # the candidates unchanged until the stall, so patterns alone
-        # would send it to Zassenhaus; the finish finds no rational root
+        # would send it to the Zassenhaus finish; the roots find none
         # at p = 3
         f = up(3, 1, 0, 1)
         assert [exact._degree_pattern(f.coeffs, p) for p in (3, 5, 7)] == [[1, 2]] * 3
@@ -1094,7 +1192,11 @@ class TestRationalRoots:
         # the patterns leave factor degrees 1 and 11 only, so the root
         # -1/3 and an exact division decide the rest
         f = up(-1, -4, -3, *[0] * 8, 1, 3, var="y")
-        assert exact._pattern_verdict(f.coeffs) == ((-1, 3),)
+        ends = 2 | 1 << 11
+        patterns = ((p, exact._degree_pattern(f.coeffs, p)) for p in exact.PATTERN_PRIMES)
+        candidates, p, degrees = exact._degree_sets(12, patterns, ends)
+        assert candidates and not candidates & ~ends
+        assert exact._rational_roots(f.coeffs, p, degrees.count(1)) == ((-1, 3),)
         assert factor_q(f) == (1, ((up(1, 3, var="y"), 1), (up(-1, -1, *[0] * 9, 1, var="y"), 1)))
 
 

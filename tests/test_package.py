@@ -103,15 +103,15 @@ def test_only_exact_imports_sympy():
 
 
 # sympy's algorithms, the only names the bridge takes from sympy: the
-# product's fallbacks (Zassenhaus, Wang, the PRS resultant) and their
-# domain ZZ; exact does its dense arithmetic, gcds and contents itself,
-# on plain int lists, and the oracle keeps a vertical part as one
+# product's fallbacks (Wang, the PRS resultant) and their domain ZZ;
+# exact does its dense arithmetic, gcds, contents and univariate
+# factorization itself, on plain int lists, and the oracle keeps a
+# vertical part as one
 # rational instead of factoring it
 BRIDGED = {
     "ZZ",
     "dmp_factor_list",
     "dmp_resultant",
-    "dup_factor_list",
 }
 
 
