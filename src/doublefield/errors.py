@@ -42,5 +42,11 @@ class UncertifiedFactor(DoubleFieldError):
     ``dfbench/corpus.py``, which still catches it."""
 
 
+class InconsistentResult(DoubleFieldError):
+    """A computation broke an invariant that its own proof guarantees,
+    such as a prime search that the input's discriminant bounds running
+    past that bound.  A fault of the library, not of its input."""
+
+
 class PrecisionFailure(DoubleFieldError):
     """Numeric certification failed at the working precision (retryable)."""

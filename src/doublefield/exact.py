@@ -86,7 +86,7 @@ from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DegreeBound
+from .errors import DegreeBound, InconsistentResult
 
 DEFAULT_FACTOR_DEGREE_BOUND = 24
 
@@ -938,8 +938,8 @@ def _degree_sets(n: int, patterns: Iterable, enough: int = 0) -> tuple:
 def _usable_prime(c: Sequence[int]) -> tuple[int, list[int]]:
     """(p, the degree pattern of c at p) for the first odd prime p past
     ``PATTERN_PRIMES`` that is usable for a squarefree c of degree
-    n >= 3.  ArithmeticError past the bound below, which no squarefree c
-    reaches, so the search never loops.
+    n >= 3.  InconsistentResult past the bound below, which no squarefree
+    c reaches, so the search never loops.
 
     A prime is unusable exactly when it divides lc(c)*disc(c) =
     +-Res(c, c'), a nonzero integer as c is squarefree.  By Hadamard's
@@ -959,7 +959,7 @@ def _usable_prime(c: Sequence[int]) -> tuple[int, list[int]]:
         if degrees is not None:
             return p, degrees
         bad -= 1
-    raise ArithmeticError("no usable prime: the input is not squarefree")
+    raise InconsistentResult("no usable prime: the input is not squarefree")
 
 
 def _rational_roots(cs: Sequence[int], p: int, count: int) -> tuple[tuple[int, int], ...]:
@@ -997,14 +997,19 @@ def _rational_roots(cs: Sequence[int], p: int, count: int) -> tuple[tuple[int, i
 def _hensel_lift(cs: Sequence[int], r: int, p: int, bound: int) -> tuple[int, int]:
     """(root, M): a simple root r of cs mod p lifted by Newton's iteration
     (von zur Gathen and Gerhard, Modern Computer Algebra, section 15.4) to
-    the root mod M = p^(2^k), for the first k with M > bound."""
+    the root mod M = p^(2^k), for the first k with M > bound.
+    InconsistentResult when r is a multiple root mod p, which no root of
+    cs at a usable prime is."""
     mod = p
     while mod <= bound:
         mod *= mod
         v = dv = 0
         for c in reversed(cs):
             v, dv = (v * r + c) % mod, (dv * r + v) % mod
-        r = (r - v * pow(dv, -1, mod)) % mod
+        try:
+            r = (r - v * pow(dv, -1, mod)) % mod
+        except ValueError:
+            raise InconsistentResult(f"{r} is a multiple root mod {p}") from None
     return r, mod
 
 
@@ -1309,6 +1314,7 @@ def _zassenhaus(c: tuple[int, ...], p: int, candidates: int) -> list[tuple[int, 
     candidate degrees C (a mask, as in ``_degree_sets``) that every
     factor of c has: Zassenhaus's algorithm as in von zur Gathen and
     Gerhard, Algorithm 15.19, with its recombination pruned by C.
+    InconsistentResult when p divides lc(c), which no usable prime does.
 
     Factors mod p.  The products (d, g_d) of ``_ddf_p`` at p are split by
     ``_edf_p`` into the monic irreducible factors of c mod p, which are
@@ -1351,6 +1357,8 @@ def _zassenhaus(c: tuple[int, ...], p: int, candidates: int) -> list[tuple[int, 
     partition T, so one of them has size at most |T|/2 < s.
     """
     n, b = len(c) - 1, c[-1]
+    if not b % p:
+        raise InconsistentResult(f"the finish was handed {p}, which divides the leading coefficient")
     inv = pow(b, -1, p)
     leaves = [leaf for d, g in _ddf_p([a * inv % p for a in c], p) for leaf in _edf_p(g, d, p)]
     bound2 = (n + 1) * 4**n * (max(map(abs, c)) * b) ** 2  # B^2
