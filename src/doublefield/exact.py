@@ -14,7 +14,7 @@ left possible; the rest go through a squarefree split when no small
 prime was usable, then Zassenhaus's algorithm at the pattern prime with
 the fewest factors.  The certificate proves a curve prime by the same
 degree-set rule over Q, read at several points, and its content in y
-constant by a constant row, a gcd mod p or a resultant.  The one bridge
+constant by a gcd over Z of its rows (``_gcd_z``).  The one bridge
 to sympy holds only the fallbacks: Wang's factorization, for curves
 whose degree sets leave a proper factor possible, and the PRS resultant
 past x-degree 3.  The bridge works over ZZ only:
@@ -82,7 +82,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -1154,18 +1154,36 @@ def _pp(a: Sequence[int]) -> list[int]:
 
 def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The primitive gcd in Z[t] of a nonzero a and any b, with a positive
-    leading coefficient: the last nonzero remainder of the primitive PRS
-    (von zur Gathen and Gerhard, section 6.12), made primitive.  Each
+    leading coefficient: [1] when one operand is a nonzero constant, or
+    when a and b are coprime mod p at one of the first three primes of
+    ``PATTERN_PRIMES`` that do not divide the longer one's leading
+    coefficient; otherwise the last nonzero remainder of the primitive
+    PRS (von zur Gathen and Gerhard, section 6.12), made primitive.  The
+    tries stop early at a prime where the shorter operand's image keeps
+    its degree and divides the other's: the shorter then most likely
+    divides the longer, which the PRS's first step shows.  Each
     pseudo-remainder lc(b)^(deg a - deg b + 1)*a mod b is taken to its
     primitive part, which keeps the gcd up to a constant and the
     coefficients small; the primitive gcd is [1] once a remainder is a
-    nonzero constant."""
-    a = _pp(a)
+    nonzero constant.
+
+    Proof of the modular accept.  The primitive gcd g divides the longer
+    operand, so lc(g) divides its leading coefficient and p does not
+    divide lc(g): g mod p keeps the degree of g.  It divides both images
+    mod p, whose gcd is 1, so deg g = 0 and g = 1."""
     if not b:
-        return a
-    b = _pp(b)
+        return _pp(a)
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        return [1]
+    for p in islice((p for p in PATTERN_PRIMES if a[-1] % p), 3):
+        d = len(_gcd_p(_mod(a, p), _mod(b, p), p))
+        if d == 1:
+            return [1]
+        if d == len(b):
+            break
+    a, b = _pp(a), _pp(b)
     while len(b) > 1:
         n, lb = len(b) - 1, b[-1]
         r = list(a)
@@ -1406,41 +1424,21 @@ def _zassenhaus(c: tuple[int, ...], p: int, candidates: int) -> list[tuple[int, 
 
 
 def y_content_is_constant(f: BPoly) -> bool:
-    """True when no nonconstant polynomial in y alone divides a nonzero f.
+    """True when no nonconstant polynomial in y alone divides a nonzero f:
+    a fold of ``_gcd_z`` over the nonzero rows (coefficients of powers of
+    x, integer polynomials in y) of f's primitive form g, shortest first,
+    which stops as soon as the running gcd is constant; so a constant row
+    decides at once.
 
-    With g the primitive form of f, whose rows (coefficients of powers of
-    x) are integer polynomials in y, and t its top row: True when some
-    row is a nonzero constant or ``_rows_coprime_mod_p`` finds t coprime
-    mod p to another row; otherwise whether Res_x(t, g.transpose()), t
-    written in x, the resultant of t and g read in y, is nonzero.
-
-    Proofs.  The content c(y) of g is a primitive integer polynomial
-    (Gauss's lemma) dividing every row in Z[y].  At such a p, p does not
-    divide lc(t), so neither lc(c): c mod p keeps its degree and divides
-    both rows mod p, whose gcd is constant, so deg c = 0.  Over Q(x), t
-    and g read in y share a nonconstant factor exactly when that
-    resultant is 0 (von zur Gathen and Gerhard, sections 6.2 and 6.3),
-    as a nonconstant c does.  An irreducible common factor divides t, so
-    it is, up to a unit, some h in Q[y] (irreducible over Q, irreducible
-    over Q(x)); by Gauss's lemma h divides g in Q[x, y], hence every row.
-    """
-    g = primitive_int_bpoly(f)[1]
-    rows = _x_rows(g)
-    if any(len(row) == 1 for row in rows) or _rows_coprime_mod_p(rows):
-        return True
-    return not resultant_x(BPoly.from_upoly(UPoly("x", tuple(rows[-1]))), g.transpose()).is_zero()
-
-
-def _rows_coprime_mod_p(rows: list[list[int]]) -> bool:
-    """True when the last of the integer rows (low degree first, the last
-    nonzero) and some other nonzero row are coprime mod p, at one of the
-    first three primes of ``PATTERN_PRIMES`` that do not divide the last
-    row's leading coefficient; False when no other row is at any of them."""
-    top = rows[-1]
-    for p in [p for p in PATTERN_PRIMES if top[-1] % p][:3]:
-        top_p = [c % p for c in top]
-        if any(len(_gcd_p(top_p, _trim([c % p for c in row]), p)) == 1 for row in rows[:-1] if row):
-            return True
+    Proof.  By Gauss's lemma a polynomial in y alone divides g in
+    Q[x, y] exactly when it divides every row, so the content of g in y
+    is the gcd of its rows, up to a unit."""
+    c: list[int] = []
+    for row in sorted(_x_rows(primitive_int_bpoly(f)[1]), key=len):
+        if row:
+            c = _gcd_z(row, c) if c else row
+            if len(c) == 1:
+                return True
     return False
 
 

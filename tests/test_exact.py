@@ -459,58 +459,35 @@ class TestGcd:
         assert y_content_is_constant(f) is _sympy_content_is_constant(f)
 
 
-# y_content_is_constant on fixed examples, with the answer and the route
-# each must take (a prime names the modular test and the prime that
-# decides it): a constant row; rows coprime mod 3; rows y^2 + 1 and
-# y^2 + 4, equal mod 3 but coprime over Q and mod 5; a top row 105*y + 1,
-# whose lc 3, 5 and 7 divide, sharing the root 9 with y + 2 mod 11 but
-# not mod 13; rows y and y + 105, equal mod 3, 5 and 7, so that the
-# resultant finds them coprime; and (x + 1)(y^2 + 1), whose content
-# y^2 + 1 the resultant finds
+# y_content_is_constant on fixed examples: a constant row; rows coprime
+# mod 3; rows y^2 + 1 and y^2 + 4, equal mod 3 but coprime over Q and
+# mod 5; a top row 105*y + 1, whose lc 3, 5 and 7 divide, sharing the
+# root 9 with y + 2 mod 11 but not mod 13; rows y and y + 105, and y^4
+# and y^4 + 105, equal mod 3, 5 and 7, so that the primitive PRS finds
+# them coprime; and (x + 1)(y^2 + 1) and (x + 1)(y^4 + 1), whose contents
+# y^2 + 1 and y^4 + 1 it finds
 CONTENT_EXAMPLES = {
-    "constant-row": (X**2 * Y + X + Y**2, True, "row"),
-    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), True, 3),
-    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), True, 5),
-    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), True, 13),
-    "rows-equal-mod-3-5-7": (X * Y + Y + BPoly.const(105), True, "resultant"),
-    "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), False, "resultant"),
+    "constant-row": (X**2 * Y + X + Y**2, True),
+    "coprime-mod-3": (X * Y**2 + X * Y + Y + BPoly.const(2), True),
+    "equal-rows-mod-3": (X * Y**2 + Y**2 + X + BPoly.const(4), True),
+    "lc-105": (105 * X * Y + X + Y + BPoly.const(2), True),
+    "rows-equal-mod-3-5-7": (X * Y + Y + BPoly.const(105), True),
+    "quartic-rows-equal-mod-3-5-7": (X * Y**4 + Y**4 + BPoly.const(105), True),
+    "content-y^2+1": (X * Y**2 + X + Y**2 + BPoly.const(1), False),
+    "content-y^4+1": (X * Y**4 + X + Y**4 + BPoly.const(1), False),
 }
 
 
 @pytest.mark.parametrize("name", CONTENT_EXAMPLES)
-def test_y_content_example_route(monkeypatch, name):
-    """Each example reads as sympy's content does, by its route: the
-    resultant is taken only where the modular test fails, and no route
-    loads a bridged name."""
-    f, constant, route = CONTENT_EXAMPLES[name]
+def test_y_content_example(monkeypatch, name):
+    """Each example reads as sympy's content does, and no example loads a
+    bridged name."""
+    f, constant = CONTENT_EXAMPLES[name]
     assert _sympy_content_is_constant(f) is constant
-    calls = {"mod p": [], "resultant": []}
-    modular, resultant = exact._rows_coprime_mod_p, exact.resultant_x
-
-    def coprime(rows):
-        calls["mod p"].append(modular(rows))
-        return calls["mod p"][-1]
-
-    def res(*args):
-        calls["resultant"].append(args)
-        return resultant(*args)
-
-    monkeypatch.setattr(exact, "_rows_coprime_mod_p", coprime)
-    monkeypatch.setattr(exact, "resultant_x", res)
     for n in exact._BRIDGED:
         monkeypatch.setattr(exact, n, None)
     assert y_content_is_constant(f) is constant
     assert all(getattr(exact, n) is None for n in exact._BRIDGED)
-    taken = "resultant" if calls["resultant"] else "mod p" if calls["mod p"] else "row"
-    assert taken == ("mod p" if type(route) is int else route)
-    assert calls["mod p"] == ([] if route == "row" else [type(route) is int])
-    if type(route) is int:
-        # the primes before route do not decide it, route does
-        rows = exact._x_rows(primitive_int_bpoly(f)[1])
-        k = exact.PATTERN_PRIMES.index(route)
-        for primes, decided in ((exact.PATTERN_PRIMES[:k], False), (exact.PATTERN_PRIMES[: k + 1], True)):
-            monkeypatch.setattr(exact, "PATTERN_PRIMES", primes)
-            assert modular(rows) is decided
 
 
 class TestBridge:
@@ -1112,6 +1089,28 @@ def test_gcd_and_squarefree_parts_match_sympy(factors, mults):
     _, parts = dup_sqf_list([ZZ(c) for c in reversed(f)], ZZ)
     want = [(tuple(int(c) for c in reversed(dup_primitive(a, ZZ)[1])), i) for a, i in parts]
     assert exact._squarefree_parts(f) == want
+
+
+# integer lists, low degree first, whose nonzero last entry 3, 5 and 7 often divide
+_int_polys = st.tuples(
+    st.lists(st.integers(-9, 9), max_size=4), st.integers(1, 9), st.sampled_from((1, 1, 3, 5, 7, 15, 105))
+).map(lambda t: t[0] + [t[1] * t[2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_polys, _int_polys, st.one_of(st.just([]), _int_polys), st.booleans())
+@example([1, 3], [2, 1], [1, 1], True)  # shared 3y + 1, images coprime mod 3
+@example([1], [4], [0, 0, 1], False)  # a constant operand
+@example([1], [0, 1], [], False)  # b = 0
+def test_gcd_z_matches_sympy(h, a, b, shared):
+    """_gcd_z of independent operands, with and without a shared factor
+    h and with leading coefficients that 3, 5 and 7 often divide, is
+    sympy's gcd made primitive with a positive leading coefficient."""
+    if shared:
+        a, b = exact._mul(a, h), exact._mul(b, h)
+    want = dup_primitive(dup_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ), ZZ)[1]
+    want = [int(c) for c in reversed(want)]
+    assert exact._gcd_z(a, b) == (want if want[-1] > 0 else [-c for c in want])
 
 
 def test_usable_prime_past_the_pattern_primes():

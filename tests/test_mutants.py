@@ -31,6 +31,7 @@ _lift = exact._hensel_lift
 _degree_sets = exact._degree_sets
 _multifactor_lift = exact._multifactor_lift
 _squarefree_parts = exact._squarefree_parts
+_gcd_z = exact._gcd_z
 INF_Y = UnaryPlace.infinity("y")
 ZERO_Y = UnaryPlace.finite(UPoly.make("y", [0, 1]))
 
@@ -196,23 +197,20 @@ def _certified_when_content_free(q):
     return exact.y_content_is_constant(g)
 
 
-def _rows_always_coprime(rows):
-    """The content test's modular proof reporting every curve's rows
-    coprime, so that every content reads as constant."""
-    return True
+def _gcd_always_one(a, b):
+    """The gcd over Z reading every pair of operands as coprime, so that
+    every content in y reads as constant and the squarefree split finds
+    every input squarefree."""
+    return [1]
 
 
-def _content_resultant_inverted(f):
-    """The content test reading its resultant the wrong way round: a
-    zero resultant taken for a constant content and a nonzero one for a
-    content, so that x*y + y + 105, whose rows y + 105 and y agree mod 3,
-    5 and 7, is refused as having one."""
-    g = exact.primitive_int_bpoly(f)[1]
-    rows = exact._x_rows(g)
-    if any(len(row) == 1 for row in rows) or exact._rows_coprime_mod_p(rows):
-        return True
-    top = exact.BPoly.from_upoly(UPoly("x", tuple(rows[-1])))
-    return exact.resultant_x(top, g.transpose()).is_zero()
+def _gcd_accept_where_p_divides_lc(a, b):
+    """The gcd over Z accepting coprime images mod 3, 5 and 7 without
+    skipping the primes that divide the longer operand's leading
+    coefficient, where a shared factor can lose its degree mod p."""
+    if b and any(len(exact._gcd_p(exact._mod(a, p), exact._mod(b, p), p)) == 1 for p in (3, 5, 7)):
+        return [1]
+    return _gcd_z(a, b)
 
 
 def _lift_one_step_short(f, leaves, p, k):
@@ -273,8 +271,8 @@ MUTANTS = [
     ("pattern-proof-always-true", (exact,), "_degree_sets", _always_proved, ("charts",)),
     ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
-    ("content-always-constant", (exact,), "_rows_coprime_mod_p", _rows_always_coprime, ("charts",)),
-    ("content-resultant-inverted", (exact,), "y_content_is_constant", _content_resultant_inverted, ("charts",)),
+    ("gcd-z-always-one", (exact,), "_gcd_z", _gcd_always_one, ("principality", "charts", "rsp")),
+    ("gcd-accept-where-p-divides-lc", (exact,), "_gcd_z", _gcd_accept_where_p_divides_lc, ("charts",)),
     ("pattern-read-where-p-divides-lc", (exact,), "_degree_pattern", _pattern_where_p_divides_lc, ("charts",)),
     (
         "pattern-read-where-not-squarefree",

@@ -159,11 +159,12 @@ def test_import_loads_neither_sympy_nor_mpmath(module):
     assert not {"sympy", "mpmath"} & _modules_after(module)
 
 
-# a divisor whose curve's rows y + 105 and y agree mod 3, 5 and 7, so that
-# a resultant, not sympy, proves its content constant; and one with
-# x^2 - y^2, which only Wang's algorithm splits
+# divisors whose curve's rows, y + 105 and y or y^4 + 105 and y^4, agree
+# mod 3, 5 and 7, so that a gcd over Z, not sympy, proves its content
+# constant; and one with x^2 - y^2, which only Wang's algorithm splits
 DIVISOR_ROUTES = [
     ("x*y + y + 105", "-inf_x - inf_y + (x*y + y + 105)", False),
+    ("x*y^4 + y^4 + 105", "-inf_x - 4*inf_y + (x*y^4 + y^4 + 105)", False),
     ("(x^2-y^2)/(x*y)", "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)", True),
 ]
 
