@@ -4,28 +4,26 @@ Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
-``UPoly``'s sum and product, the fiber resultants of x-degree at most 3
-in closed form and the cofactor of a rational root.  ``factor_q``
-decides every input in plain integers too: it splits off powers of the
-variable, decides degrees 1 and 2 (a quadratic by its discriminant), and
-decides most higher degrees from their degree patterns mod small primes,
-finished by Hensel-lifted rational roots when only a linear factor is
-left possible; the rest go through a squarefree split when no small
-prime was usable, then Zassenhaus's algorithm at the pattern prime with
-the fewest factors.  The certificate proves a curve prime by the same
-degree-set rule over Q, read at several points, and its content in y
-constant by a gcd over Z of its rows (``_gcd_z``).  The one bridge
-to sympy holds only the fallbacks: Wang's factorization, for curves
-whose degree sets leave a proper factor possible, and the PRS resultant
-past x-degree 3.  The bridge works over ZZ only:
-each bridged call puts its inputs in primitive integer form
-(``primitive_int_bpoly``) and puts their rational units back exactly,
-so everything stays exact.  The bridge loads on first use
-(``_load_bridge``): sympy is imported by the first fallback call, so a
-process that needs no fallback never imports it.  Both factorizers
-return primitive integer irreducibles with a positive leading
-coefficient, the form in which places store their polynomials.  No
-other module of the package imports sympy.
+``UPoly``'s sum and product, every fiber resultant (a Bezoutian at equal
+x-degrees 2 and 3, a subresultant PRS otherwise) and the cofactor of a
+rational root.  ``factor_q`` decides every input in plain integers too:
+it splits off powers of the variable, decides degrees 1 and 2 (a
+quadratic by its discriminant), and decides most higher degrees from
+their degree patterns mod small primes, finished by Hensel-lifted
+rational roots when only a linear factor is left possible; the rest go
+through a squarefree split when no small prime was usable, then
+Zassenhaus's algorithm at the pattern prime with the fewest factors.
+The certificate proves a curve prime by the same degree-set rule over Q,
+read at several points, and its content in y constant by a gcd over Z of
+its rows (``_gcd_z``).  The one bridge to sympy holds one fallback,
+Wang's factorization, for curves whose degree sets leave a proper factor
+possible.  It works over ZZ only: the bridged call takes its input in
+primitive integer form (``primitive_int_bpoly``) and puts the rational
+unit back exactly.  The bridge loads on first use (``_load_bridge``), so
+a process that never needs Wang's algorithm never imports sympy.  Both
+factorizers return primitive integer irreducibles with a positive
+leading coefficient, the form in which places store their polynomials.
+No other module of the package imports sympy.
 
 Scalars.  An exact scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (``_frac`` makes it so), and
@@ -490,38 +488,32 @@ def _x_rows(g: BPoly) -> list[list]:
 # the bridge to sympy's dense polynomial layer
 #
 # A BPoly becomes a level-1 ``dmp`` list with x as the main variable: one
-# ``dup`` list in y per power of x, and a resultant comes back as a
-# ``dup`` in y.  Both list the highest degree first.  Coefficients live
-# in ZZ: every bridged call first puts its inputs in primitive integer
-# form and puts their rational units back exactly afterwards.  They are
-# read back through int(), which holds under every sympy ground type.
+# ``dup`` list in y per power of x, the highest degree first.
+# Coefficients live in ZZ: Wang's factorization, the one bridged call,
+# takes its input in primitive integer form, and its factors are read
+# back through int(), which holds under every sympy ground type.
 #
-# The bridge loads on first use: each of the two bridged call sites
-# runs ``_load_bridge`` before the call, which also sets the ``ZZ`` that
-# ``_to_dmp`` reads.  The three names are attributes of this
-# module from import on, None until the first load; the load fills only
-# the names still None, so a name replaced beforehand (a test's
+# The bridge loads on first use: the bridged call site runs
+# ``_load_bridge`` before the call, which also sets the ``ZZ`` that
+# ``_to_dmp`` reads.  The two names are attributes of this module from
+# import on, None until the first load; the load fills only the names
+# still None, so a name replaced beforehand (a test's
 # ``monkeypatch.setattr``) stays replaced.
 
-_BRIDGED = ("ZZ", "dmp_resultant", "dmp_factor_list")
-ZZ = dmp_resultant = dmp_factor_list = None
+_BRIDGED = ("ZZ", "dmp_factor_list")
+ZZ = dmp_factor_list = None
 
 
 def _load_bridge() -> None:
     """Set each bridged name that is still None to sympy's object,
     importing sympy on the first call; later calls only look it up."""
     from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dmp_resultant
     from sympy.polys.factortools import dmp_factor_list
 
     loaded = locals()
     for n in _BRIDGED:
         if globals()[n] is None:
             globals()[n] = loaded[n]
-
-
-def _from_dup(f: list, var: str) -> UPoly:
-    return UPoly.make(var, [int(c) for c in reversed(f)])
 
 
 def _to_dmp(p: BPoly) -> list:
@@ -632,40 +624,25 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
 def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     """Sylvester resultant eliminating x; a polynomial in y.
 
-    Convention: sympy's ``dmp_resultant(G, F)``, so that
+    Convention: sympy's ``resultant(g, f, x)``, so that
     Res_x(x - y^2, x - y) = y - y^2.  Let a1, a2 be the x-degrees of f
     and g, and Res(A, B) = lc(A)^deg B * prod B(beta) over the roots
     beta of A, the Sylvester determinant; Res(B, A) = (-1)^(a1*a2)
-    Res(A, B).  sympy's PRS puts the form of larger degree first and
-    fixes no sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G)
-    when a1 > a2.  With F, G the primitive forms of f and g (rows f_i,
-    g_i of ``_x_rows``, polynomials in y), one of three routes computes
-    it exactly, in integer list arithmetic:
+    Res(A, B).  sympy puts the form of larger degree first and fixes no
+    sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G) when
+    a1 > a2.  With F, G the primitive forms of f and g (rows of
+    ``_x_rows``, polynomials in y), one of two routes computes it
+    exactly, in integer list arithmetic:
 
-    - a1 = 1 or a2 = 1: substitution (``_substitute``).  For
-      F = f1*x + f0, Res(F, G) = f1^a2 * G(-f0/f1)
-      = sum g_i*(-f0)^i*f1^(a2-i), and a2 >= a1, so the value is
-      Res(G, F) = (-1)^a2 Res(F, G).  For G = g1*x + g0 and a1 > 1,
-      Res(G, F) = g1^a1 * F(-g0/g1) = sum f_i*(-g0)^i*g1^(a1-i), and the
-      value is Res(F, G) = (-1)^a1 Res(G, F).
-    - a1, a2 in {2, 3}: the Bezoutian (``_bezout_det``) of both forms
-      read with the formal degree n = max(a1, a2).  Its determinant is
-      (-1)^(n(n-1)/2) Res_n,n(F, G) (Cox, Little, O'Shea, Using
-      Algebraic Geometry, ch. 3), a polynomial identity in the
-      coefficients, so it holds when the smaller form is padded with a
-      zero leading coefficient, and Res_n,n(G, F) = (-1)^n Res_n,n(F, G).
-      Padding a form of degree n - 1 to formal degree n multiplies the
-      resultant by the other form's leading coefficient:
-      Res_n,n(G, F) = g_n * Res(G, F) when a1 = n - 1, and
-      Res_n,n(G, F) = (-1)^n f_n * Res(G, F) when a2 = n - 1 (swap the
-      arguments, pad, and swap back).  So Res(G, F) is
-      (-1)^(n(n+1)/2) det, times (-1)^n when a2 < a1, divided exactly by
-      lc_x of the larger form when a1 != a2: - at (2, 2) and (3, 2),
-      + at (3, 3) and (2, 3).  a1*a2 is even when a1 != a2, so this is
-      sympy's value in every order.
-    - otherwise sympy's subresultant PRS.  The Bezout route is not
-      extended past n = 3: a Bareiss determinant of the Bezoutian lost
-      to the PRS on unbalanced and larger shapes.
+    - a1 = a2 = n in {2, 3}: the Bezoutian (``_bezout_det``).  Its
+      determinant is (-1)^(n(n-1)/2) Res(F, G) (Cox, Little, O'Shea,
+      Using Algebraic Geometry, ch. 3) and Res(G, F) = (-1)^n Res(F, G),
+      so Res(G, F) is (-1)^(n(n+1)/2) det: - at n = 2, + at n = 3.
+    - otherwise the subresultant PRS (``_prs_resultant``), which reads
+      the form of larger x-degree first, G on a tie, so its value is
+      sympy's.  The Bezoutian is the cheaper route at equal degrees 2
+      and 3 only: with a Bareiss determinant it lost to the PRS on
+      unbalanced and larger shapes.
     """
     if f.deg_x() < 0 or g.deg_x() < 0:
         raise ValueError("zero polynomial")
@@ -678,46 +655,68 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     u, F = primitive_int_bpoly(f)
     v, G = primitive_int_bpoly(g)
     a1, a2 = f.deg_x(), g.deg_x()
-    fr, gr = _x_rows(F), _x_rows(G)
-    if a1 == 1:
-        r, negate = _substitute(gr, *fr), a2 % 2
-    elif a2 == 1:
-        r, negate = _substitute(fr, *gr), a1 % 2
-    elif a1 <= 3 and a2 <= 3:
-        n = max(a1, a2)
-        r = _bezout_det(fr, gr, n)
-        if a1 != a2:
-            r = _exquo(r, (gr if a2 > a1 else fr)[-1])
-        negate = (n * (n + 1) // 2 + (n if a2 < a1 else 0)) % 2
+    if a1 == a2 and a1 in (2, 3):
+        r = _bezout_det(_x_rows(F), _x_rows(G))
+        r = UPoly.make("y", [-c for c in r] if a1 == 2 else r)
     else:
-        _load_bridge()
-        r, negate = _from_dup(dmp_resultant(_to_dmp(G), _to_dmp(F), 1, ZZ), "y").coeffs, False
-    r = UPoly.make("y", [-c for c in r] if negate else r)
+        r = UPoly.make("y", _prs_resultant(_x_rows(G), _x_rows(F)))
     # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
     unit = u**a2 * v**a1
     return r if unit == 1 else r.scale(unit)
 
 
-def _substitute(rows: list, t0: list, t1: list) -> list:
-    """sum r_i*(-t0)^i*t1^(n-i) for the rows [r_0, ..., r_n] of a form of
-    x-degree n, by homogeneous Horner: the form evaluated at
-    (x0 : x1) = (t1 : -t0)."""
-    s = [-c for c in t0]
-    acc, power = rows[-1], [1]
-    for r in reversed(rows[:-1]):
-        power = _mul(power, t1)
-        acc = _add(_mul(acc, s), _mul(r, power))
-    return acc
+def _prs_resultant(a: list, b: list) -> list:
+    """Res(A, B), a list in y, by the subresultant PRS (Collins 1967;
+    Brown and Traub, J. ACM 18, 1971; Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7) with no contents removed, for
+    the ``_x_rows`` a and b of two forms of positive x-degree: A is the
+    one of larger x-degree, a on a tie.  No division is made while
+    g = h = 1, and when the last divisor is linear the signed constant
+    remainder is the resultant."""
+    if len(b) > len(a):
+        a, b = b, a
+    g = h = [1]
+    sign = 1
+    while True:
+        delta, n, lb = len(a) - len(b), len(b) - 1, b[-1]
+        if (len(a) - 1) & n & 1:
+            sign = -sign
+        # lb^(delta + 1) * A mod B, one top row a step; a row below B's
+        # window takes the lb of each step so far (lbk) when it enters it
+        r, lbk = list(a), lb
+        for j in range(delta, -1, -1):
+            top = [-c for c in r.pop()]
+            for i, c in enumerate(b[:-1]):
+                r[i + j] = _add(_mul(r[i + j], lb if i else lbk), _mul(top, c))
+            if j:
+                lbk = _mul(lbk, lb)
+        if not _trim(r):
+            return []
+        if g != [1] or h != [1]:
+            d = _mul(g, _pow(h, delta))
+            r = [_exquo(c, d) for c in r]
+        a, b = b, r
+        if len(b) == 1 and len(a) == 2:
+            return [sign * c for c in b[0]]
+        g = a[-1]
+        if delta:
+            h = _exquo(_pow(g, delta), _pow(h, delta - 1))
+        if len(b) == 1:
+            n = len(a) - 1
+            return [sign * c for c in _exquo(_pow(b[0], n), _pow(h, n - 1))]
 
 
-def _bezout_det(fr: list, gr: list, n: int) -> list:
-    """Determinant of the n x n Bezoutian, n = 2 or 3, of two forms given
-    by their ``_x_rows`` and read with formal x-degree n: the
-    coefficients B[i][j] of x^i z^j in (F(x)G(z) - F(z)G(x)) / (x - z).
-    Each pair b < a adds c = f_a g_b - f_b g_a times
+def _pow(a: list, n: int) -> list:
+    return functools.reduce(_mul, [a] * n, [1])
+
+
+def _bezout_det(f: list, g: list) -> list:
+    """Determinant of the n x n Bezoutian, n = 2 or 3, of two forms of
+    x-degree n given by their ``_x_rows``: the coefficients B[i][j] of
+    x^i z^j in (F(x)G(z) - F(z)G(x)) / (x - z).  Each pair b < a adds
+    c = f_a g_b - f_b g_a times
     (x^a z^b - x^b z^a) / (x - z) = sum over t < a - b of x^(a-1-t) z^(b+t)."""
-    f = fr + [[]] * (n + 1 - len(fr))
-    g = gr + [[]] * (n + 1 - len(gr))
+    n = len(f) - 1
     B = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(1, n + 1):
         for b in range(a):

@@ -730,6 +730,10 @@ class TestReadmeExamples:
     def test_example_without_a_fallback_loads_neither_sympy_nor_mpmath(self, argv):
         assert _sympy_mpmath_after(argv) == set()
 
+    def test_pair_past_x_degree_3_loads_neither_sympy_nor_mpmath(self):
+        # x-degrees (4, 2): the fiber resultant is the PRS over Z[y]
+        assert _sympy_mpmath_after(["pair", "--a", "x^4 - y", "--b", "x^2 + y^2 - 3"]) == set()
+
     def test_reducible_divisor_example_loads_sympy(self):
         # x^2 - y^2 may split, so Wang's algorithm factors it
         assert "sympy" in _sympy_mpmath_after(["divisor", "(x^2-y^2)/(x*y)"])

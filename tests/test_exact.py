@@ -31,7 +31,6 @@ from doublefield.exact import (
     BPoly,
     UPoly,
     _from_dmp,
-    _from_dup,
     _to_dmp,
     certify_irreducible_bivariate,
     factor_b,
@@ -490,23 +489,24 @@ def test_y_content_example(monkeypatch, name):
     assert all(getattr(exact, n) is None for n in exact._BRIDGED)
 
 
+# pairs of curves through a common component, at x-degrees (1, 1),
+# (2, 3) and (4, 2): every resultant of such a pair is 0
+SHARED_COMPONENT = {
+    "1-1": (X * Y - BPoly.const(1), (X * Y - BPoly.const(1)) * (Y + BPoly.const(2))),
+    "2-3": ((X - Y) * (X + Y**2), (X - Y) * (X**2 + Y + BPoly.const(1)).scale(Fraction(1, 2))),
+    "4-2": ((X**2 + Y) * (X**2 - Y**3 + BPoly.const(1)), (X**2 + Y) * (Y - BPoly.const(3))),
+}
+
+
 class TestBridge:
     def setup_method(self):
-        # the conversions read the bridged ZZ, which the fallbacks load
+        # the conversions read the bridged ZZ, which the fallback loads
         exact._load_bridge()
 
     def test_dense_layout(self):
         # x is the main variable; rows and coefficients run from the top degree
         assert _to_dmp(X**2 * Y - 3 * Y + BPoly.const(1)) == [[1, 0], [], [-3, 1]]
         assert _to_dmp(BPoly.zero()) == [[]]
-        # a resultant comes back as a dup in y, from the top degree
-        assert _from_dup([ZZ(2), ZZ(0), ZZ(1)], "y") == up(1, 0, 2, var="y")
-
-    @settings(max_examples=80)
-    @given(upoly_strategy(coeffs=small_ints), st.sampled_from(("x", "y")))
-    def test_upoly_round_trip(self, f, var):
-        f = f.with_var(var)
-        assert _from_dup([ZZ(c) for c in reversed(f.coeffs)], var) == f
 
     @settings(max_examples=80)
     @given(bpoly_strategy(coeffs=small_ints))
@@ -520,7 +520,7 @@ class TestBridge:
         fresh interpreter, so that no earlier fallback has loaded it."""
         child = (
             "from doublefield import cli, exact\n"
-            "names = ('ZZ', 'dmp_resultant', 'dmp_factor_list')\n"
+            "names = ('ZZ', 'dmp_factor_list')\n"
             "print(all(getattr(exact, n) is None for n in names))\n"
             "class Refused(Exception):\n"
             "    pass\n"
@@ -534,14 +534,14 @@ class TestBridge:
             "print(exact.dmp_factor_list is refuse)\n"
             "exact.dmp_factor_list = None\n"
             "exact._load_bridge()\n"
-            "from sympy.polys import domains, euclidtools, factortools\n"
-            "own = (domains.ZZ, euclidtools.dmp_resultant, factortools.dmp_factor_list)\n"
+            "from sympy.polys import domains, factortools\n"
+            "own = (domains.ZZ, factortools.dmp_factor_list)\n"
             "print([getattr(exact, n) is f for n, f in zip(names, own)])\n"
         )
         src = str(Path(exact.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["True", "refused", "True", str([True] * 3)]
+        assert out.splitlines() == ["True", "refused", "True", str([True] * 2)]
 
 
 class TestBridgedAlgebra:
@@ -550,25 +550,25 @@ class TestBridgedAlgebra:
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_bpolys(max_deg=5), mixed_bpolys(max_deg=5))
-    # y-degree 0, as the oracle's log|Res| of two places reads it: the
-    # substitution, the Bezout determinant and sympy's PRS
+    # y-degree 0, as the oracle's log|Res| of two places reads it: PRS
+    # chains of one, two and four steps
     @example(X**2 + BPoly.const(1), X - BPoly.const(2))
     @example(X**3 - BPoly.const(2), X**2 + X + BPoly.const(Fraction(1, 3)))
     @example(X**5 - X + BPoly.const(1), X**4 + BPoly.const(7))
     def test_resultant_x_matches_sympy(self, f, g):
-        # x-degrees up to 5 reach the substitution, the Bezout
-        # determinant and sympy's PRS
+        # x-degrees up to 5 reach both routes: the Bezoutian at equal
+        # x-degrees 2 and 3, the PRS everywhere else
         if f.deg_x() < 1 or g.deg_x() < 1:
             return
         # the documented order: Res(g, f) in sympy's argument convention
         r = sympy.resultant(sym_b(g), sym_b(f), SX)
         assert resultant_x(f, g) == upoly_of_expr(r, "y")
 
-    @pytest.mark.parametrize("a1, a2", [(a1, a2) for a1 in range(1, 6) for a2 in range(1, 6)])
+    @pytest.mark.parametrize("a1, a2", [(a1, a2) for a1 in range(1, 7) for a2 in range(1, 7)])
     def test_resultant_x_grid_matches_sympy(self, a1, a2):
-        """Every pair of x-degrees in {1..5}^2, so every route and sign,
-        at y-degrees 0..3, with x-leading coefficients that vanish at
-        y = 0 and rational units."""
+        """Every pair of x-degrees in {1..6}^2, so both routes, every sign
+        and PRS chains of up to five steps, at y-degrees 0..3, with
+        x-leading coefficients that vanish at y = 0 and rational units."""
         rng = random.Random(100 * a1 + a2)
         for b1 in range(4):
             for b2 in range(4):
@@ -578,6 +578,38 @@ class TestBridgedAlgebra:
                     f = f.scale(Fraction(-2, 3))
                 r = sympy.resultant(sym_b(g), sym_b(f), SX)
                 assert resultant_x(f, g) == upoly_of_expr(r, "y"), (f, g)
+
+    @pytest.mark.parametrize("a1, a2, k", [(2, 1, 2), (1, 3, 2), (3, 2, 2), (2, 2, 2), (2, 1, 3)])
+    def test_resultant_x_with_degree_gaps_matches_sympy(self, a1, a2, k):
+        """Forms in x^k, whose PRS remainders drop k degrees a step, so
+        that h is updated with delta = k and the chain ends on a divisor
+        of degree k, where the last division by a power of h runs."""
+        rng = random.Random(100 * a1 + 10 * a2 + k)
+        for b1, b2 in ((1, 2), (2, 1), (2, 2)):
+            f, g = (
+                BPoly.make({(i * k, j): v for (i, j), v in _grid_form(rng, a, b, lc_at_zero=False).terms})
+                for a, b in ((a1, b1), (a2, b2))
+            )
+            r = sympy.resultant(sym_b(g), sym_b(f), SX)
+            assert resultant_x(f, g) == upoly_of_expr(r, "y"), (f, g)
+
+    @pytest.mark.parametrize("name", SHARED_COMPONENT)
+    def test_resultant_x_vanishes_on_a_shared_component(self, name):
+        f, g = SHARED_COMPONENT[name]
+        assert sympy.resultant(sym_b(g), sym_b(f), SX) == 0
+        assert resultant_x(f, g).is_zero() and resultant_x(g, f).is_zero()
+
+    @pytest.mark.parametrize("a1, a2", [(4, 2), (5, 3), (1, 6), (2, 3)])
+    def test_resultant_x_loads_no_bridged_name(self, monkeypatch, a1, a2):
+        """The PRS shapes read as sympy's resultant with every bridged
+        name unset, and none of them is loaded."""
+        rng = random.Random(10 * a1 + a2)
+        f, g = _grid_form(rng, a1, 2, lc_at_zero=True), _grid_form(rng, a2, 3, lc_at_zero=False)
+        r = sympy.resultant(sym_b(g), sym_b(f), SX)
+        for n in exact._BRIDGED:
+            monkeypatch.setattr(exact, n, None)
+        assert resultant_x(f, g) == upoly_of_expr(r, "y")
+        assert all(getattr(exact, n) is None for n in exact._BRIDGED)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_upolys(max_deg=3), mixed_upolys(max_deg=3))

@@ -7,6 +7,7 @@ from empty memos.  A criterion that no mutant can fail would hold
 vacuously; this table keeps that checkable.
 """
 
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -19,7 +20,6 @@ from doublefield.suites import run_suite
 
 _rule = pairing._pair_primes_kp
 _fiber = pairing.fiber_divisor
-_substitute = exact._substitute
 _g_fs = oracles.g_fs
 _intersect = oracles.intersect
 _kappa = oracles.fs_kappa_closed_form
@@ -85,17 +85,25 @@ def _infinity_moved_to_zero(f, g):
     return d + Divisor.make({INF_Y: -w, ZERO_Y: w})
 
 
-def _substitution_power_plus_one(rows, t0, t1):
-    """The fiber resultant's substitution with f1's power one too high: the
-    other form read with formal x-degree one more than its own (a zero
-    row on top of its rows, which run from x^0 up)."""
-    return _substitute(rows + [[]], t0, t1)
-
-
 def _exquo_skipped(a, b):
-    """The fiber resultant's Bezout route without its exact division by
-    lc_x of the larger form: the list division returning its dividend."""
+    """The exact list division returning its dividend: the PRS resultant's
+    division by g*h^delta, the squarefree split's division by the gcd and
+    the cofactor of a rational root all skipped."""
     return list(a)
+
+
+def _prs_variant(old, new):
+    """exact._prs_resultant with one piece of its source replaced."""
+    src = inspect.getsource(exact._prs_resultant)
+    assert old in src
+    scope = {}
+    exec(src.replace(old, new), vars(exact), scope)
+    return scope["_prs_resultant"]
+
+
+# the subresultant PRS with its remainders left undivided by g*h^delta,
+# so that the chain's last remainder carries a spurious factor in y
+_prs_undivided = _prs_variant("r = [_exquo(c, d) for c in r]", "pass")
 
 
 def _g_fs_without_w_term(z, w):
@@ -250,13 +258,13 @@ MUTANTS = [
         ("agreement", "different", "support", "charts"),
     ),
     (
-        "substitution-f1-power-off-by-one",
+        "exquo-returns-dividend",
         (exact,),
-        "_substitute",
-        _substitution_power_plus_one,
-        ("symmetry", "agreement", "different", "support", "charts"),
+        "_exquo",
+        _exquo_skipped,
+        ("symmetry", "bilinearity", "principality", "charts", "calibration", "rsp"),
     ),
-    ("bezout-without-division", (exact,), "_exquo", _exquo_skipped, ("charts",)),
+    ("prs-remainders-undivided", (exact,), "_prs_resultant", _prs_undivided, ("charts",)),
     ("green-without-w-term", (oracles,), "g_fs", _g_fs_without_w_term, ("calibration",)),
     ("intersect-drops-vertical", (oracles, suites), "intersect", _intersect_without_vertical, ("calibration",)),
     ("kappa-off-by-2^-20", (suites,), "fs_kappa_closed_form", _kappa_perturbed, ("calibration",)),
