@@ -4,9 +4,9 @@ Univariate polynomials are dense coefficient tuples tagged with their
 variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
-``UPoly``'s sum and product, every fiber resultant (a Bezoutian at equal
-x-degrees 2 and 3, a subresultant PRS otherwise) and the cofactor of a
-rational root.  ``factor_q`` decides every input in plain integers too:
+``UPoly``'s sum and product and a rational root's cofactor.  Each fiber
+resultant is one PRS over Z with y packed at 2^k (``resultant_x``).
+``factor_q`` decides every input in plain integers too:
 it splits off powers of the variable, decides degrees 1 and 2 (a
 quadratic by its discriminant), and decides most higher degrees from
 their degree patterns mod small primes, finished by Hensel-lifted
@@ -630,19 +630,31 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     beta of A, the Sylvester determinant; Res(B, A) = (-1)^(a1*a2)
     Res(A, B).  sympy puts the form of larger degree first and fixes no
     sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G) when
-    a1 > a2.  With F, G the primitive forms of f and g (rows of
-    ``_x_rows``, polynomials in y), one of two routes computes it
-    exactly, in integer list arithmetic:
+    a1 > a2, which is the order of ``_int_prs_resultant``.
 
-    - a1 = a2 = n in {2, 3}: the Bezoutian (``_bezout_det``).  Its
-      determinant is (-1)^(n(n-1)/2) Res(F, G) (Cox, Little, O'Shea,
-      Using Algebraic Geometry, ch. 3) and Res(G, F) = (-1)^n Res(F, G),
-      so Res(G, F) is (-1)^(n(n+1)/2) det: - at n = 2, + at n = 3.
-    - otherwise the subresultant PRS (``_prs_resultant``), which reads
-      the form of larger x-degree first, G on a tie, so its value is
-      sympy's.  The Bezoutian is the cheaper route at equal degrees 2
-      and 3 only: with a Bareiss determinant it lost to the PRS on
-      unbalanced and larger shapes.
+    With F = f/u and G = g/v the integer forms of f and g with coprime
+    coefficients (u, v > 0), r = Res_x(F, G) is read by
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): y is set to 2^k in every x-row, one subresultant PRS
+    over Z computes R = r(2^k), and r's coefficients are the signed
+    base-2^k digits of R.  Let N(F) be the sum over the x-rows of F of
+    each row's squared l1 norm, and k the bit length of
+    isqrt(N(F)^a2 * N(G)^a1) + 1, plus 1.  Then:
+
+    - on |y| = 1 each of the a2 rows of F in the Sylvester matrix has
+      squared l2 norm at most N(F), and each of the a1 rows of G at most
+      N(G), so Hadamard's inequality and Cauchy's estimate give
+      |coeff r| <= max over |z| = 1 of |r(z)| <= N(F)^(a2/2) N(G)^(a1/2)
+      < 2^(k-1);
+    - an integer has at most one expansion in signed base-2^k digits
+      below 2^(k-1) in absolute value, so the digits of R are r once
+      R = r(2^k), and a nonzero polynomial with such coefficients does
+      not vanish at 2^k;
+    - every coefficient c of F has c^2 <= N(F), and a1, a2 >= 1, so
+      |c| < 2^(k-1), and the same holds for G; so the lc_x rows do not
+      vanish at 2^k, and as evaluation at y = 2^k is a ring map, r(2^k)
+      is the resultant of F(x, 2^k) and G(x, 2^k) at their full
+      degrees, which is R.
     """
     if f.deg_x() < 0 or g.deg_x() < 0:
         raise ValueError("zero polynomial")
@@ -652,87 +664,79 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
         return f.as_upoly().with_var("y") ** g.deg_x()
     if g.deg_x() == 0:
         return g.as_upoly().with_var("y") ** f.deg_x()
-    u, F = primitive_int_bpoly(f)
-    v, G = primitive_int_bpoly(g)
     a1, a2 = f.deg_x(), g.deg_x()
-    if a1 == a2 and a1 in (2, 3):
-        r = _bezout_det(_x_rows(F), _x_rows(G))
-        r = UPoly.make("y", [-c for c in r] if a1 == 2 else r)
-    else:
-        r = UPoly.make("y", _prs_resultant(_x_rows(G), _x_rows(F)))
+    (u, F, nf), (v, G, ng) = _int_form(f), _int_form(g)
+    k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() + 1
+    R, coeffs = _int_prs_resultant(_pack_y(G, a2, k), _pack_y(F, a1, k)), []
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    while R:
+        c = R & mask
+        if c >= half:
+            c -= 1 << k
+        coeffs.append(c)
+        R = (R - c) >> k
+    r = UPoly("y", tuple(coeffs))  # the last digit read is nonzero
     # homogeneity: Res_x(uF, vG) = u^(deg_x G) * v^(deg_x F) * Res_x(F, G)
     unit = u**a2 * v**a1
     return r if unit == 1 else r.scale(unit)
 
 
-def _prs_resultant(a: list, b: list) -> list:
-    """Res(A, B), a list in y, by the subresultant PRS (Collins 1967;
-    Brown and Traub, J. ACM 18, 1971; Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 3.3.7) with no contents removed, for
-    the ``_x_rows`` a and b of two forms of positive x-degree: A is the
-    one of larger x-degree, a on a tie.  No division is made while
-    g = h = 1, and when the last divisor is linear the signed constant
-    remainder is the resultant."""
+def _int_form(p: BPoly) -> tuple[Scalar, tuple, int]:
+    """(u, terms, N) with p = u * F, F the form with these terms, whose
+    integer coefficients are coprime, u > 0, and N = N(F)."""
+    u, ints = _primitive([c for _, c in p.terms], 1)
+    terms = p.terms if ints is None else tuple(zip((m for m, _ in p.terms), ints))
+    l1 = [0] * (p.deg_x() + 1)
+    for (i, _), c in terms:
+        l1[i] += abs(c)
+    return u, terms, sum(s * s for s in l1)
+
+
+def _pack_y(terms: tuple, a: int, k: int) -> list[int]:
+    """The x-rows 0..a of the form with these terms, at y = 2^k."""
+    rows = [0] * (a + 1)
+    for (i, j), c in terms:
+        rows[i] += c << (k * j)
+    return rows
+
+
+def _int_prs_resultant(a: list[int], b: list[int]) -> int:
+    """Res(A, B) for integer lists a and b of degree at least 1, by the
+    subresultant PRS (Collins 1967; Brown and Traub, J. ACM 18, 1971;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7)
+    with no contents removed: A is the one of larger degree, a on a tie.
+    No division is made while g = h = 1, and when the last divisor is
+    linear the signed constant remainder is the resultant."""
     if len(b) > len(a):
         a, b = b, a
-    g = h = [1]
-    sign = 1
+    g = h = sign = 1
     while True:
         delta, n, lb = len(a) - len(b), len(b) - 1, b[-1]
         if (len(a) - 1) & n & 1:
             sign = -sign
-        # lb^(delta + 1) * A mod B, one top row a step; a row below B's
-        # window takes the lb of each step so far (lbk) when it enters it
+        # lb^(delta + 1) * A mod B, one top entry a step; an entry below
+        # B's window takes the lb of each step so far (lbk) when it enters
         r, lbk = list(a), lb
         for j in range(delta, -1, -1):
-            top = [-c for c in r.pop()]
-            for i, c in enumerate(b[:-1]):
-                r[i + j] = _add(_mul(r[i + j], lb if i else lbk), _mul(top, c))
-            if j:
-                lbk = _mul(lbk, lb)
+            top = r.pop()
+            r[j] = r[j] * lbk - top * b[0]
+            for i in range(1, n):
+                r[i + j] = r[i + j] * lb - top * b[i]
+            lbk *= lb
         if not _trim(r):
-            return []
-        if g != [1] or h != [1]:
-            d = _mul(g, _pow(h, delta))
-            r = [_exquo(c, d) for c in r]
+            return 0
+        if g != 1 or h != 1:
+            d = g * h**delta
+            r = [c // d for c in r]
         a, b = b, r
         if len(b) == 1 and len(a) == 2:
-            return [sign * c for c in b[0]]
+            return sign * b[0]
         g = a[-1]
         if delta:
-            h = _exquo(_pow(g, delta), _pow(h, delta - 1))
+            h = g**delta // h ** (delta - 1)
         if len(b) == 1:
             n = len(a) - 1
-            return [sign * c for c in _exquo(_pow(b[0], n), _pow(h, n - 1))]
-
-
-def _pow(a: list, n: int) -> list:
-    return functools.reduce(_mul, [a] * n, [1])
-
-
-def _bezout_det(f: list, g: list) -> list:
-    """Determinant of the n x n Bezoutian, n = 2 or 3, of two forms of
-    x-degree n given by their ``_x_rows``: the coefficients B[i][j] of
-    x^i z^j in (F(x)G(z) - F(z)G(x)) / (x - z).  Each pair b < a adds
-    c = f_a g_b - f_b g_a times
-    (x^a z^b - x^b z^a) / (x - z) = sum over t < a - b of x^(a-1-t) z^(b+t)."""
-    n = len(f) - 1
-    B = [[[] for _ in range(n)] for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(a):
-            c = _add(_mul(f[a], g[b]), _mul(f[b], [-v for v in g[a]]))
-            for t in range(a - b):
-                B[a - 1 - t][b + t] = _add(B[a - 1 - t][b + t], c)
-
-    def minor(i, j, k, l):
-        return _add(_mul(B[i][k], B[j][l]), _mul(B[i][l], [-v for v in B[j][k]]))
-
-    if n == 2:
-        return minor(0, 1, 0, 1)
-    return _add(
-        _add(_mul(B[0][0], minor(1, 2, 1, 2)), _mul(B[0][1], [-v for v in minor(1, 2, 0, 2)])),
-        _mul(B[0][2], minor(1, 2, 0, 1)),
-    )
+            return sign * (b[0] ** n // h ** (n - 1))
 
 
 def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:

@@ -441,6 +441,11 @@ def run_charts() -> dict:
     """
     curves = [m.poly for m in binary_pool()]
     index = [(i, j) for i in range(len(curves)) for j in range(i + 1, len(curves))]
+    # one more prime pair, of forms in x^3 and x^2, whose PRS remainders
+    # drop two x-degrees a step: h is updated at delta = 2 from h = y^2,
+    # and the chain ends on a divisor of x-degree 2
+    curves += [BinaryPlace.make(f).poly for f in (X**6 + Y**2 - _c(2), Y * X**4 + X**2 + _c(1))]
+    index.append((len(curves) - 2, len(curves) - 1))
     pairs = [(curves[i], curves[j]) for i, j in index]
     cases = [(i, j, s) for i, j in index for s in _MOEBIUS]
     clear_caches()

@@ -101,15 +101,32 @@ def sym_b(p):
     )
 
 
-def _grid_form(rng, a, b, lc_at_zero):
+def _grid_form(rng, a, b, lc_at_zero, big=False):
     """A form of x-degree a and y-degree b with integer coefficients in
     [-5, 5]; its x-leading coefficient has y-degree b and, when
-    lc_at_zero (b >= 1), vanishes at y = 0."""
+    lc_at_zero (b >= 1), vanishes at y = 0.  With big, every coefficient
+    but the leading one is within 5 of a multiple of 10^30 in
+    [-5 * 10^30, 5 * 10^30], and every odd x-row below x^a has y-degree 0."""
     d = {(i, j): rng.randint(-5, 5) for i in range(a) for j in range(b + 1)}
     for j in range(1 if lc_at_zero else 0, b):
         d[(a, j)] = rng.randint(-5, 5)
+    if big:
+        d = {(i, j): c * 10**30 + rng.randint(-5, 5) for (i, j), c in d.items() if i % 2 == 0 or i == a or j == 0}
     d[(a, b)] = rng.choice((-3, -2, -1, 1, 2, 3))
     return BPoly.make(d)
+
+
+def _kronecker_bits(F, G):
+    """The k of ``resultant_x`` for primitive forms F and G: one more
+    than the bits of isqrt(N(F)^deg_x G * N(G)^deg_x F) + 1, where N is
+    the sum over the x-rows of each row's squared l1 norm."""
+    norms = []
+    for P in (F, G):
+        rows = [0] * (P.deg_x() + 1)
+        for (i, _), c in P.terms:
+            rows[i] += abs(c)
+        norms.append(sum(s * s for s in rows))
+    return (math.isqrt(norms[0] ** G.deg_x() * norms[1] ** F.deg_x()) + 1).bit_length() + 1
 
 
 def upoly_of_expr(expr, var):
@@ -556,8 +573,7 @@ class TestBridgedAlgebra:
     @example(X**3 - BPoly.const(2), X**2 + X + BPoly.const(Fraction(1, 3)))
     @example(X**5 - X + BPoly.const(1), X**4 + BPoly.const(7))
     def test_resultant_x_matches_sympy(self, f, g):
-        # x-degrees up to 5 reach both routes: the Bezoutian at equal
-        # x-degrees 2 and 3, the PRS everywhere else
+        # x-degrees up to 5: PRS chains of up to five steps
         if f.deg_x() < 1 or g.deg_x() < 1:
             return
         # the documented order: Res(g, f) in sympy's argument convention
@@ -566,18 +582,51 @@ class TestBridgedAlgebra:
 
     @pytest.mark.parametrize("a1, a2", [(a1, a2) for a1 in range(1, 7) for a2 in range(1, 7)])
     def test_resultant_x_grid_matches_sympy(self, a1, a2):
-        """Every pair of x-degrees in {1..6}^2, so both routes, every sign
-        and PRS chains of up to five steps, at y-degrees 0..3, with
-        x-leading coefficients that vanish at y = 0 and rational units."""
+        """Every pair of x-degrees in {1..6}^2, so every sign and PRS
+        chains of up to five steps, at y-degrees 0..3, with x-leading
+        coefficients that vanish at y = 0 and rational units; then three
+        pairs with coefficients near multiples of 10^30 and x-rows of
+        y-degree 0, whose packed digits run to hundreds of bits."""
         rng = random.Random(100 * a1 + a2)
-        for b1 in range(4):
-            for b2 in range(4):
-                f = _grid_form(rng, a1, b1, lc_at_zero=b1 > 0 and (b1 + b2) % 2 == 0)
-                g = _grid_form(rng, a2, b2, lc_at_zero=b2 > 0 and (b1 + b2) % 2 == 1)
-                if (b1 + b2) % 3 == 0:
-                    f = f.scale(Fraction(-2, 3))
-                r = sympy.resultant(sym_b(g), sym_b(f), SX)
-                assert resultant_x(f, g) == upoly_of_expr(r, "y"), (f, g)
+        cases = [(b1, b2, False) for b1 in range(4) for b2 in range(4)]
+        for b1, b2, big in cases + [(0, 2, True), (2, 1, True), (3, 3, True)]:
+            f = _grid_form(rng, a1, b1, lc_at_zero=b1 > 0 and (b1 + b2) % 2 == 0, big=big)
+            g = _grid_form(rng, a2, b2, lc_at_zero=b2 > 0 and (b1 + b2) % 2 == 1, big=big)
+            if (b1 + b2) % 3 == 0:
+                f = f.scale(Fraction(-2, 3))
+            r = sympy.resultant(sym_b(g), sym_b(f), SX)
+            assert resultant_x(f, g) == upoly_of_expr(r, "y"), (f, g)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ((1, 0, 0, 0), (0, 0, 0, 1)),  # y^3 - 1: a borrow through two zero digits
+            ((0, 0, 7), (-3, 0, 0, 0, -1, 0, 2)),  # 2y^6 - y^4 - 7y^2 - 3
+            ((5, -(2**40)), (0, 2**40 - 1, -1, 0, 0, -(10**20))),  # digits near the base's width
+        ],
+    )
+    def test_resultant_x_reads_back_negative_and_zero_digits(self, p, q):
+        """Res_x(x - p(y), x - q(y)) = q - p, whose interior coefficients
+        are zero and negative, so the signed read-back borrows from the
+        digit above; then times a cubic factor, against sympy."""
+        f = X - BPoly.from_upoly(UPoly.make("y", p))
+        g = X - BPoly.from_upoly(UPoly.make("y", q))
+        assert resultant_x(f, g) == UPoly.make("y", q) - UPoly.make("y", p)
+        f = f * (X**2 - Y**3 + BPoly.const(1))
+        assert resultant_x(f, g) == upoly_of_expr(sympy.resultant(sym_b(g), sym_b(f), SX), "y")
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_bpolys(max_deg=5, max_terms=10), mixed_bpolys(max_deg=5, max_terms=10))
+    @example(X**3 - BPoly.const(1), X - Y**3)
+    def test_resultant_x_coefficients_lie_below_half_the_base(self, f, g):
+        """Every coefficient of Res_x(F, G), for primitive forms F and G,
+        is below 2^(k - 1) in absolute value for the k of
+        ``resultant_x``: the Hadamard bound its read-back relies on."""
+        if f.deg_x() < 1 or g.deg_x() < 1:
+            return
+        F, G = primitive_int_bpoly(f)[1], primitive_int_bpoly(g)[1]
+        k = _kronecker_bits(F, G)
+        assert all(abs(c) < 2 ** (k - 1) for c in resultant_x(F, G).coeffs)
 
     @pytest.mark.parametrize("a1, a2, k", [(2, 1, 2), (1, 3, 2), (3, 2, 2), (2, 2, 2), (2, 1, 3)])
     def test_resultant_x_with_degree_gaps_matches_sympy(self, a1, a2, k):
@@ -601,8 +650,8 @@ class TestBridgedAlgebra:
 
     @pytest.mark.parametrize("a1, a2", [(4, 2), (5, 3), (1, 6), (2, 3)])
     def test_resultant_x_loads_no_bridged_name(self, monkeypatch, a1, a2):
-        """The PRS shapes read as sympy's resultant with every bridged
-        name unset, and none of them is loaded."""
+        """Resultants read as sympy's with every bridged name unset, and
+        none of them is loaded."""
         rng = random.Random(10 * a1 + a2)
         f, g = _grid_form(rng, a1, 2, lc_at_zero=True), _grid_form(rng, a2, 3, lc_at_zero=False)
         r = sympy.resultant(sym_b(g), sym_b(f), SX)

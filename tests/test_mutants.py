@@ -86,24 +86,38 @@ def _infinity_moved_to_zero(f, g):
 
 
 def _exquo_skipped(a, b):
-    """The exact list division returning its dividend: the PRS resultant's
-    division by g*h^delta, the squarefree split's division by the gcd and
-    the cofactor of a rational root all skipped."""
+    """The exact list division returning its dividend: the squarefree
+    split's divisions by the gcd and the cofactor of a rational root
+    skipped."""
     return list(a)
 
 
-def _prs_variant(old, new):
-    """exact._prs_resultant with one piece of its source replaced."""
-    src = inspect.getsource(exact._prs_resultant)
+def _variant(fn, old, new):
+    """exact's function fn with one piece of its source replaced."""
+    src = inspect.getsource(fn)
     assert old in src
     scope = {}
     exec(src.replace(old, new), vars(exact), scope)
-    return scope["_prs_resultant"]
+    return scope[fn.__name__]
 
 
 # the subresultant PRS with its remainders left undivided by g*h^delta,
 # so that the chain's last remainder carries a spurious factor in y
-_prs_undivided = _prs_variant("r = [_exquo(c, d) for c in r]", "pass")
+_prs_undivided = _variant(exact._int_prs_resultant, "r = [c // d for c in r]", "pass")
+# the PRS ending on a divisor of degree n >= 2 without its final division
+# by h^(n - 1)
+_prs_final_undivided = _variant(
+    exact._int_prs_resultant, "return sign * (b[0] ** n // h ** (n - 1))", "return sign * b[0] ** n"
+)
+# the PRS updating h to g^delta, without the division by h^(delta - 1)
+_prs_h_undivided = _variant(exact._int_prs_resultant, "h = g**delta // h ** (delta - 1)", "h = g**delta")
+# the resultant's base 2^k with k from half the bits of its Hadamard
+# bound, so that large coefficients overflow their digits
+_resultant_half_bits = _variant(
+    exact.resultant_x,
+    "k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() + 1",
+    "k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() // 2 + 1",
+)
 
 
 def _g_fs_without_w_term(z, w):
@@ -239,6 +253,7 @@ def _squarefree_parts_without_multiplicity(c):
 
 
 _FIBER = (pairing, suites)
+_RESULTANT = (pairing, oracles, suites)
 _PAIR = (pairing, arakelov, residues, suites)
 
 # (name, modules, attribute, mutant, suites that must fail)
@@ -264,7 +279,16 @@ MUTANTS = [
         _exquo_skipped,
         ("symmetry", "bilinearity", "principality", "charts", "calibration", "rsp"),
     ),
-    ("prs-remainders-undivided", (exact,), "_prs_resultant", _prs_undivided, ("charts",)),
+    ("prs-remainders-undivided", (exact,), "_int_prs_resultant", _prs_undivided, ("charts",)),
+    ("prs-final-division-skipped", (exact,), "_int_prs_resultant", _prs_final_undivided, ("charts",)),
+    ("prs-h-without-division", (exact,), "_int_prs_resultant", _prs_h_undivided, ("charts",)),
+    (
+        "resultant-half-the-bits",
+        _RESULTANT,
+        "resultant_x",
+        _resultant_half_bits,
+        ("symmetry", "agreement", "different", "support", "charts", "calibration"),
+    ),
     ("green-without-w-term", (oracles,), "g_fs", _g_fs_without_w_term, ("calibration",)),
     ("intersect-drops-vertical", (oracles, suites), "intersect", _intersect_without_vertical, ("calibration",)),
     ("kappa-off-by-2^-20", (suites,), "fs_kappa_closed_form", _kappa_perturbed, ("calibration",)),
