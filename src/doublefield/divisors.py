@@ -18,6 +18,7 @@ from .exact import (
     BPoly,
     Scalar,
     UPoly,
+    _HashSlot,
     _frac,
     factor_b,
     factor_q,
@@ -30,15 +31,25 @@ from .exact import (
 
 
 @dataclass(frozen=True, slots=True)
-class UnaryPlace:
+class UnaryPlace(_HashSlot):
     """A place of Q(x) (var='x') or Q(y) (var='y').
 
     ``poly`` is a primitive integer irreducible polynomial for a finite
-    place, or None for the degree valuation at infinity.
+    place, or None for the degree valuation at infinity.  A place keeps
+    its hash like a polynomial does, since divisors and pairings are
+    dicts keyed on places.
     """
 
     var: str
     poly: Optional[UPoly]
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.var, self.poly)))
+            return self._hash
 
     @staticmethod
     @memo
@@ -69,7 +80,7 @@ class UnaryPlace:
 
 
 @dataclass(frozen=True, slots=True)
-class BinaryPlace:
+class BinaryPlace(_HashSlot):
     """A binary prime of Q(x,y): a primitive integer irreducible
     polynomial of positive degree in both variables.
 
@@ -77,11 +88,20 @@ class BinaryPlace:
     polynomial is refused with InputError.  Nothing reads
     ``certified``: it stays only so that the benchmark harness's
     ``BinaryPlace(q, True)`` still constructs, and it does not
-    participate in place identity.
+    participate in place identity.  The place keeps its hash, as
+    ``UnaryPlace`` does.
     """
 
     poly: BPoly
     certified: bool = field(default=True, compare=False, hash=False)
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.poly,)))
+            return self._hash
 
     @staticmethod
     def make(f: BPoly) -> "BinaryPlace":
@@ -282,7 +302,10 @@ class DeltaElement:
         return DeltaElement.from_factors(1, [(num, 1), (den, -1)])
 
 
+@memo
 def _place_of(q: BPoly) -> Place:
+    """The place of a primitive integer irreducible q; equal inputs share
+    one place object while it stays in the memo."""
     if q.deg_x() >= 1 and q.deg_y() >= 1:
         return BinaryPlace(q)
     return UnaryPlace.finite(q.as_upoly())
@@ -334,11 +357,16 @@ def divisor_of_upoly(p: UPoly, degree: int = 0) -> Divisor:
     degree, whose order at infinity is the number of missing top
     coefficients (Fulton, Algebraic Curves, 5.1).
     """
+    return Divisor.make(_upoly_terms(p, degree))
+
+
+def _upoly_terms(p: UPoly, degree: int) -> list[tuple[Place, int]]:
+    """The terms of ``divisor_of_upoly(p, degree)``, each place once: the
+    place at infinity first, its coefficient possibly 0, then the
+    distinct irreducible factors of p."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    d: dict[Place, int] = {UnaryPlace.infinity(p.var): degree - p.degree()}
+    terms = [(UnaryPlace.infinity(p.var), degree - p.degree())]
     if p.degree() >= 1:
-        _, fac = factor_q(p)
-        for irr, m in fac:
-            d[UnaryPlace.finite(irr)] = m
-    return Divisor.make(d)
+        terms += [(UnaryPlace.finite(irr), m) for irr, m in factor_q(p)[1]]
+    return terms

@@ -45,10 +45,11 @@ memoized; the verify oracle (``oracles``) memoizes
 ``complex_roots`` (key: polynomial and eps), its per-place heights,
 ``arch_lambda`` and the pairwise term ``_hh`` (arguments in order), and
 ``divisors`` hands out one shared place object per input through
-``UnaryPlace.finite`` and ``UnaryPlace.infinity``.  ``factor_q`` itself
-has no memo: it takes the primitive form of its input and puts the unit
-back outside the memoized ``_factor_primitive_q``, so f and c*f share one
-entry for every nonzero rational c.  A fiber resultant and its negative,
+``UnaryPlace.finite``, ``UnaryPlace.infinity`` and ``_place_of`` (key:
+a factor's polynomial).  ``factor_q`` itself has no memo: it takes the
+primitive form of its input and puts the unit back outside the
+memoized ``_factor_primitive_q``, so f and c*f share one entry for
+every nonzero rational c.  A fiber resultant and its negative,
 which ``pair(A, B)`` and ``pair(B, A)`` factor, are then factored once.
 ``factor_b`` stays keyed on its raw input: the bivariate products it
 factors hardly ever repeat, even up to a unit, so a primitive key would
@@ -64,11 +65,12 @@ check it.  Nothing configures the caches; the bound of 128 entries each
 keeps the memory they hold small.
 
 A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
-``str`` does, because places and divisors are dicts keyed on them; a
-``BPoly`` keeps its degrees in x and y the same way.  That is no memo:
-it is part of the value, with nothing to clear and no bound, and it
-stays out of ``==``, ``repr`` and pickles (``str`` hashes differ between
-processes).
+``str`` does, because the memos and the places are keyed on them;
+the places of ``divisors`` keep theirs the same way, because divisors
+and pairings are dicts keyed on places, and a ``BPoly`` keeps its
+degrees in x and y.  That is no memo: it is part of the value, with nothing to clear and
+no bound, and it stays out of ``==``, ``repr`` and pickles (``str``
+hashes differ between processes).
 
 Printing.  ``render_sum`` is the one printer of a signed sum of
 ``(coefficient, text)`` terms: polynomials print through it term by
@@ -148,9 +150,10 @@ def qpow(a: Scalar, e: int) -> Scalar:
 
 
 class _HashSlot:
-    """Base of the frozen polynomials: a slot outside the dataclass
-    fields, where ``__hash__`` keeps the hash it computed first.  Being
-    no field, it takes no part in ``==``, ``repr`` or pickled state."""
+    """Base of the frozen polynomials and places: a slot outside the
+    dataclass fields, where ``__hash__`` keeps the hash it computed
+    first.  Being no field, it takes no part in ``==``, ``repr`` or
+    pickled state."""
 
     __slots__ = ("_hash",)
 
@@ -1100,11 +1103,14 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     in place, eliminating its top term by c = (top coefficient) *
     inv(lc divisor) mod p; it builds no quotient and reduces mod p once
     per remainder.  The cost is about deg a * deg b multiplications and
-    one inverse mod p per step."""
+    one inverse mod p per step.  A nonzero constant divisor ends the loop
+    at once: it divides everything, so the monic gcd is [1]."""
     if len(a) < len(b):
         a, b = b, a
     a, b = a[:], b[:]
     while b:
+        if len(b) == 1:
+            return [1]
         n = len(b) - 1
         inv = pow(b[-1], -1, p)
         for i in range(len(a) - 1, n - 1, -1):

@@ -19,11 +19,13 @@ deg_x f * deg_y g + deg_y f * deg_x g minus its degree (proof in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .divisors import (
     BinaryPlace,
     Divisor,
     Place,
+    _upoly_terms,
     degree_one_coeffs,
     div_of_place,
     divisor_of_upoly,
@@ -40,10 +42,12 @@ SIDE_KPRIME = "Kprime"
 def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
     """Bilinear norm pairing of two divisors with disjoint supports.
 
-    Each pair of places contributes the divisor of the resultant of
-    their forms, read off their bidegrees (``_pair_primes_kp``): a
-    multiple of a place of the output line, 0, or one resultant Res_x
-    in the original coordinates, read at infinity off the Bezout number.
+    Each pair of places contributes the terms of the divisor of the
+    resultant of their forms, read off their bidegrees
+    (``_pair_primes_kp``): a multiple of a place of the output line, 0,
+    or one resultant Res_x in the original coordinates, read at infinity
+    off the Bezout number.  The terms of all pairs, times both weights,
+    are summed in one ``Divisor.make``.
     Side K swaps x and y in A and b, pairs them on side Kprime and swaps
     back: the swap is a bijection on places, so by bilinearity this is
     the rule read with x and y swapped.
@@ -58,13 +62,15 @@ def pair(A: Divisor, b: Divisor, side: str = SIDE_KPRIME) -> Divisor:
         (p, c * wm * wn)
         for m, wm in A.coeffs
         for n, wn in b.coeffs
-        for p, c in _pair_primes_kp(m, n).coeffs
+        for p, c in _pair_primes_kp(m, n)
     )
 
 
-def _pair_primes_kp(m: Place, n: Place) -> Divisor:
-    """The pairing of two distinct places on side Kprime, read off their
-    bidegrees (a1, b1) = place_bidegree(m) and (a2, b2) = place_bidegree(n).
+def _pair_primes_kp(m: Place, n: Place) -> Iterable[tuple[Place, int]]:
+    """The pairing of two distinct places on side Kprime as (place,
+    coefficient) terms, each place once and some coefficients possibly
+    0, read off their bidegrees (a1, b1) = place_bidegree(m) and
+    (a2, b2) = place_bidegree(n).
 
     Proof.  m and n are cut out on P1 x P1 by irreducible forms F and G
     of these bidegrees (X0 for inf_x, Y0 for inf_y).  The pushforward to
@@ -88,17 +94,17 @@ def _pair_primes_kp(m: Place, n: Place) -> Divisor:
     """
     (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
     if a1 == 0:
-        return Divisor.of(m, a2)
+        return ((m, a2),)
     if a2 == 0:
-        return Divisor.of(n, a1)
+        return ((n, a1),)
     bezout = a1 * b2 + a2 * b1
     if bezout == 0:
-        return Divisor.zero()
+        return ()
     if m.poly is None:  # m = inf_x, since a1 >= 1 rules out inf_y
-        return divisor_of_upoly(n.poly.coeff_of_x(a2), bezout)
+        return _upoly_terms(n.poly.coeff_of_x(a2), bezout)
     if n.poly is None:
-        return divisor_of_upoly(m.poly.coeff_of_x(a1), bezout)
-    return fiber_divisor(_curve_of(m), _curve_of(n))
+        return _upoly_terms(m.poly.coeff_of_x(a1), bezout)
+    return fiber_divisor(_curve_of(m), _curve_of(n)).coeffs
 
 
 def _curve_of(m: Place) -> BPoly:

@@ -209,6 +209,8 @@ def run_bilinearity() -> dict:
     import random
 
     rng = random.Random(2)
+    # weights from their own generator, so rng draws the same places
+    weights = random.Random(3)
     primes = binary_pool() + unary_pool()
     deg_one = degree_one_pool()
     points = [_yplace(-c, 1) for c in (-3, -1, 0, 1, 2, 5)]
@@ -217,28 +219,32 @@ def run_bilinearity() -> dict:
     while min(pair_n, residue_n, corr_n) < 50 and rounds < 2000:
         rounds += 1
         m1, m2, n = rng.sample(primes, 3)
-        A1, A2, B = Divisor.of(m1), Divisor.of(m2), Divisor.of(n)
+        w1, w2, wn, k = (weights.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+        A1, A2, B = Divisor.of(m1, w1), Divisor.of(m2, w2), Divisor.of(n, wn)
         if not (A1.disjoint_from(B) and A2.disjoint_from(B)):
             continue
         pair_n += 1
         # additivity in the first argument, then in the second
         if pair(A1 + A2, B) != pair(A1, B) + pair(A2, B):
-            failures.append(f"pair not additive on ({m1}, {m2}; {n})")
+            failures.append(f"pair not additive on ({A1}, {A2}; {B})")
         if pair(B, A1 + A2) != pair(B, A1) + pair(B, A2):
-            failures.append(f"pair not additive in the 2nd argument on ({n}; {m1}, {m2})")
+            failures.append(f"pair not additive in the 2nd argument on ({B}; {A1}, {A2})")
+        # homogeneity: additivity alone cannot see a weight dropped
+        if not pair(A1.scale(k), B) == pair(A1, B).scale(k) == pair(A1, B.scale(k)):
+            failures.append(f"pair not homogeneous of degree 1 in k = {k} on ({A1}; {B})")
         nprime = deg_one[rounds % len(deg_one)]
         if m1 != nprime and m2 != nprime:
             residue_n += 1
             if residue_mod_degree_one(A1 + A2, nprime) != residue_mod_degree_one(
                 A1, nprime
             ) + residue_mod_degree_one(A2, nprime):
-                failures.append(f"residue not additive on ({m1}, {m2}; {nprime})")
+                failures.append(f"residue not additive on ({A1}, {A2}; {nprime})")
         p = points[rounds % len(points)]
         if A1.coeff(p) or A2.coeff(p):
             continue
         corr_n += 1
         if correspondence(A1 + A2, p) != correspondence(A1, p) + correspondence(A2, p):
-            failures.append(f"correspondence not additive on ({m1}, {m2}; {p})")
+            failures.append(f"correspondence not additive on ({A1}, {A2}; {p})")
     if min(pair_n, residue_n, corr_n) < 50:
         failures.append(
             f"corpus too small: pair {pair_n}, residue {residue_n}, correspondence {corr_n}"

@@ -1,5 +1,7 @@
 """Unit tests for places, divisors and principal divisors."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,7 @@ class TestPlaces:
         a = BinaryPlace.make(X - Y)
         b = BinaryPlace(a.poly, certified=False)
         assert a == b
+        assert hash(a) == hash(b) == hash(BinaryPlace(a.poly, True))
 
     def test_degree_conventions(self):
         # one row per family: the bidegree of the form that cuts the place out
@@ -153,6 +156,18 @@ class TestPlaceHash:
         _same_place(m, BinaryPlace.make(f.scale(-k)))
         _same_place(m, BinaryPlace.make((f + g) - g))
         _same_place(m, transpose_place(transpose_place(m)))
+
+    def test_kept_hash_is_the_generated_hash_after_copies(self):
+        """A place keeps its hash outside its fields, so a pickle round
+        trip or a copy computes it anew, by the same formula."""
+        places = [uplace("y", -2, 0, 1), inf("x"), BinaryPlace.make(X * Y - BPoly.const(2))]
+        for m in places:
+            key = (m.var, m.poly) if isinstance(m, UnaryPlace) else (m.poly,)
+            assert hash(m) == hash(key)
+            for c in (pickle.loads(pickle.dumps(m)), copy.copy(m)):
+                assert c == m and repr(c) == repr(m)
+                assert not hasattr(c, "_hash")  # not carried over
+                assert hash(c) == hash(key)
 
 
 class TestDivisorAlgebra:

@@ -1059,6 +1059,7 @@ class TestDegreePatterns:
     @example((3, [], []))
     @example((11, [4, 1, 3], [4, 1, 3]))  # a == b, not monic
     @example((13, [0, 0, 0, 5], [0, 7]))  # a power of t against t
+    @example((7, [3, 0, 2], [4]))  # a nonzero constant divisor
     def test_gcd_equals_sympy_gf_gcd(self, case):
         """``_gcd_p`` is sympy's monic gcd over GF(p), and alters neither
         argument."""

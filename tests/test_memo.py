@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublefield import exact, suites
-from doublefield.divisors import Divisor, UnaryPlace
+from doublefield.divisors import BinaryPlace, DeltaElement, Divisor, UnaryPlace, principal_divisor
 from doublefield.exact import (
     MEMO_SIZE,
     BPoly,
@@ -122,6 +122,11 @@ def test_equal_places_are_shared():
     assert UnaryPlace.finite(p) is UnaryPlace.finite(UPoly.make("y", [-1, 0, 1]))
     assert UnaryPlace.infinity("x") is UnaryPlace.infinity("x")
     assert UnaryPlace.infinity("x") != UnaryPlace.infinity("y")
+    # equal curves, built apart, get one binary place object from _place_of
+    x, y = BPoly.gen("x"), BPoly.gen("y")
+    divisors = [principal_divisor(DeltaElement.from_fraction(x * y - BPoly.const(2), y)) for _ in range(2)]
+    m, n = (next(p for p in D.support() if isinstance(p, BinaryPlace)) for D in divisors)
+    assert m is n
 
 
 def test_clear_caches_empties_every_memo():
@@ -132,10 +137,12 @@ def test_clear_caches_empties_every_memo():
     )
     factor_q(UPoly.make("x", [Fraction(1, 2), 0, 1]))
     factor_b(BPoly.gen("x") - BPoly.gen("y"))
+    BinaryPlace.make(BPoly.gen("x") - BPoly.gen("y"))
     filled = [m.cache_info().currsize for m in exact._MEMOS]
     # factor_q's (on the primitive form), factor_b, complex_roots, _height,
-    # arch_lambda, _hh, UnaryPlace.finite and .infinity
-    assert len(filled) == 8 and all(n > 0 for n in filled)
+    # arch_lambda, _hh, UnaryPlace.finite and .infinity, and divisors'
+    # _place_of
+    assert len(filled) == 9 and all(n > 0 for n in filled)
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in exact._MEMOS)
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in exact._MEMOS)

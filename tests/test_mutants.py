@@ -40,7 +40,7 @@ def _y_form_capped(m, n):
     """A form of X-degree 0 read with multiplicity at most 1."""
     out = _rule(m, n)
     if place_bidegree(m)[0] == 0 or place_bidegree(n)[0] == 0:
-        return Divisor.make((p, min(c, 1)) for p, c in out.coeffs)
+        return [(p, min(c, 1)) for p, c in out]
     return out
 
 
@@ -49,14 +49,14 @@ def _infx_doubled(m, n):
     X-degree."""
     out = _rule(m, n)
     if UnaryPlace.infinity("x") in (m, n) and place_bidegree(m)[0] > 0 and place_bidegree(n)[0] > 0:
-        return out.scale(2)
+        return [(p, 2 * c) for p, c in out]
     return out
 
 
 def _x_unary_against_curve_is_zero(m, n):
     """A finite x-unary place m against a curve n read as 0."""
     if isinstance(m, UnaryPlace) and m.var == "x" and not m.is_infinity() and place_bidegree(n)[1] > 0:
-        return Divisor.zero()
+        return ()
     return _rule(m, n)
 
 
@@ -93,11 +93,12 @@ def _exquo_skipped(a, b):
 
 
 def _variant(fn, old, new):
-    """exact's function fn with one piece of its source replaced."""
+    """The function fn with one piece of its source replaced, compiled in
+    fn's module."""
     src = inspect.getsource(fn)
     assert old in src
     scope = {}
-    exec(src.replace(old, new), vars(exact), scope)
+    exec(src.replace(old, new), vars(inspect.getmodule(fn)), scope)
     return scope[fn.__name__]
 
 
@@ -118,6 +119,10 @@ _resultant_half_bits = _variant(
     "k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() + 1",
     "k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() // 2 + 1",
 )
+
+
+# pair multiplying each term by the first divisor's weight only
+_pair_drops_second_weight = _variant(pairing.pair, "c * wm * wn", "c * wm")
 
 
 def _g_fs_without_w_term(z, w):
@@ -300,6 +305,7 @@ MUTANTS = [
         _pair_first_place_of_a,
         ("bilinearity", "principality", "selfpair", "rsp"),
     ),
+    ("pair-drops-second-weight", _PAIR, "pair", _pair_drops_second_weight, ("bilinearity", "rsp")),
     ("pattern-proof-always-true", (exact,), "_degree_sets", _always_proved, ("charts",)),
     ("rational-roots-never-found", (exact,), "_rational_roots", _no_roots, ("charts",)),
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),

@@ -288,6 +288,29 @@ def test_moves_match_factoring_route(A, fresh, fresh2):
         assert bidegree(B - A) == (0, 0)
 
 
+@st.composite
+def weighted_pool_pairs(draw):
+    """The terms of two divisors of disjoint support from POOL, one to
+    three places each, with weights in +-1..3."""
+    places = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=6, unique=True))
+    k = draw(st.integers(max(1, len(places) - 3), min(3, len(places) - 1)))
+    weights = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    return [(m, draw(weights)) for m in places[:k]], [(n, draw(weights)) for n in places[k:]]
+
+
+@PROPERTY_SETTINGS
+@given(weighted_pool_pairs(), st.sampled_from((SIDE_K, SIDE_KPRIME)))
+def test_pair_is_the_weighted_sum_over_place_pairs(terms, side):
+    """pair sums the terms of every place pair in one table: on weighted
+    divisors it is the sum of w*w'*pair(m, n) over the place pairs."""
+    a_terms, b_terms = terms
+    expected = Divisor.zero()
+    for m, w in a_terms:
+        for n, v in b_terms:
+            expected = expected + pair(Divisor.of(m), Divisor.of(n), side).scale(w * v)
+    assert pair(Divisor.make(a_terms), Divisor.make(b_terms), side) == expected
+
+
 def test_second_move_refuses_a_moved_divisor_meeting_A():
     A = Divisor.of(POOL[2])
     with pytest.raises(ValueError, match="meets the support"):
