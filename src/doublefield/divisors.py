@@ -20,6 +20,7 @@ from .exact import (
     UPoly,
     _HashSlot,
     _frac,
+    _kept_hash,
     factor_b,
     factor_q,
     memo,
@@ -30,6 +31,7 @@ from .exact import (
 )
 
 
+@_kept_hash
 @dataclass(frozen=True, slots=True)
 class UnaryPlace(_HashSlot):
     """A place of Q(x) (var='x') or Q(y) (var='y').
@@ -42,14 +44,6 @@ class UnaryPlace(_HashSlot):
 
     var: str
     poly: Optional[UPoly]
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed once
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.var, self.poly)))
-            return self._hash
 
     @staticmethod
     @memo
@@ -79,6 +73,7 @@ class UnaryPlace(_HashSlot):
         return f"({self.poly})"
 
 
+@_kept_hash
 @dataclass(frozen=True, slots=True)
 class BinaryPlace(_HashSlot):
     """A binary prime of Q(x,y): a primitive integer irreducible
@@ -94,14 +89,6 @@ class BinaryPlace(_HashSlot):
 
     poly: BPoly
     certified: bool = field(default=True, compare=False, hash=False)
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed once
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.poly,)))
-            return self._hash
 
     @staticmethod
     def make(f: BPoly) -> "BinaryPlace":

@@ -5,7 +5,9 @@ variable, bivariate polynomials are sparse exponent maps.  The dense
 arithmetic this module does itself runs on plain coefficient lists, low
 degree first (``_add``, ``_mul``, ``_exquo``, the rows of ``_x_rows``):
 ``UPoly``'s sum and product and a rational root's cofactor.  Each fiber
-resultant is one PRS over Z with y packed at 2^k (``resultant_x``).
+resultant is one PRS over Z with y packed at 2^k (``resultant_x``), the
+subresultant PRS whose last nonzero remainder also gives each gcd over
+Z (``_subresultant_prs``, ``_gcd_z``).
 ``factor_q`` decides every input in plain integers too:
 it splits off powers of the variable, decides degrees 1 and 2 (a
 quadratic by its discriminant), and decides most higher degrees from
@@ -67,10 +69,12 @@ keeps the memory they hold small.
 A frozen ``UPoly`` or ``BPoly`` keeps its own hash once computed, as
 ``str`` does, because the memos and the places are keyed on them;
 the places of ``divisors`` keep theirs the same way, because divisors
-and pairings are dicts keyed on places, and a ``BPoly`` keeps its
-degrees in x and y.  That is no memo: it is part of the value, with nothing to clear and
-no bound, and it stays out of ``==``, ``repr`` and pickles (``str``
-hashes differ between processes).
+and pairings are dicts keyed on places.  One rule does it for all four
+(``_kept_hash``): the generated dataclass hash, computed once.  A
+``BPoly`` also keeps its degrees in x and y.  That is no memo: it is
+part of the value, with nothing to clear and no bound, and it stays out
+of ``==``, ``repr`` and pickles (``str`` hashes differ between
+processes).
 
 Printing.  ``render_sum`` is the one printer of a signed sum of
 ``(coefficient, text)`` terms: polynomials print through it term by
@@ -152,10 +156,28 @@ def qpow(a: Scalar, e: int) -> Scalar:
 class _HashSlot:
     """Base of the frozen polynomials and places: a slot outside the
     dataclass fields, where ``__hash__`` keeps the hash it computed
-    first.  Being no field, it takes no part in ``==``, ``repr`` or
-    pickled state."""
+    first (``_kept_hash``).  Being no field, it takes no part in ``==``,
+    ``repr`` or pickled state."""
 
     __slots__ = ("_hash",)
+
+
+def _kept_hash(cls):
+    """Class decorator, applied outside ``@dataclass``: the generated
+    dataclass ``__hash__`` of cls, computed once and kept in the
+    ``_HashSlot`` slot, so the kept hash is the generated one."""
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class _DegreeSlots(_HashSlot):
@@ -165,6 +187,7 @@ class _DegreeSlots(_HashSlot):
     __slots__ = ("_deg_x", "_deg_y")
 
 
+@_kept_hash
 @dataclass(frozen=True, slots=True)
 class UPoly(_HashSlot):
     """Dense univariate polynomial over Q in the variable ``var``.
@@ -175,14 +198,6 @@ class UPoly(_HashSlot):
 
     var: str
     coeffs: tuple[Scalar, ...]
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed once
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.var, self.coeffs)))
-            return self._hash
 
     @staticmethod
     def make(var: str, coeffs: Iterable) -> "UPoly":
@@ -265,6 +280,7 @@ class UPoly(_HashSlot):
         return render_upoly(self)
 
 
+@_kept_hash
 @dataclass(frozen=True, slots=True)
 class BPoly(_DegreeSlots):
     """Sparse bivariate polynomial over Q in x and y.
@@ -275,14 +291,6 @@ class BPoly(_DegreeSlots):
     """
 
     terms: tuple[tuple[tuple[int, int], Scalar], ...]
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed once
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.terms,)))
-            return self._hash
 
     @staticmethod
     def make(d: dict[tuple[int, int], Scalar]) -> "BPoly":
@@ -633,7 +641,7 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     beta of A, the Sylvester determinant; Res(B, A) = (-1)^(a1*a2)
     Res(A, B).  sympy puts the form of larger degree first and fixes no
     sign, so its value is Res(G, F) when a2 >= a1 and Res(F, G) when
-    a1 > a2, which is the order of ``_int_prs_resultant``.
+    a1 > a2, which is the order of ``_subresultant_prs``.
 
     With F = f/u and G = g/v the integer forms of f and g with coprime
     coefficients (u, v > 0), r = Res_x(F, G) is read by
@@ -670,7 +678,7 @@ def resultant_x(f: BPoly, g: BPoly) -> UPoly:
     a1, a2 = f.deg_x(), g.deg_x()
     (u, F, nf), (v, G, ng) = _int_form(f), _int_form(g)
     k = (isqrt(nf**a2 * ng**a1) + 1).bit_length() + 1
-    R, coeffs = _int_prs_resultant(_pack_y(G, a2, k), _pack_y(F, a1, k)), []
+    R, coeffs = _subresultant_prs(_pack_y(G, a2, k), _pack_y(F, a1, k))[1], []
     mask, half = (1 << k) - 1, 1 << (k - 1)
     while R:
         c = R & mask
@@ -703,13 +711,16 @@ def _pack_y(terms: tuple, a: int, k: int) -> list[int]:
     return rows
 
 
-def _int_prs_resultant(a: list[int], b: list[int]) -> int:
-    """Res(A, B) for integer lists a and b of degree at least 1, by the
-    subresultant PRS (Collins 1967; Brown and Traub, J. ACM 18, 1971;
+def _subresultant_prs(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(G, Res(A, B)) for integer lists a and b of degree at least 1, by
+    the subresultant PRS (Collins 1967; Brown and Traub, J. ACM 18, 1971;
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7)
     with no contents removed: A is the one of larger degree, a on a tie.
     No division is made while g = h = 1, and when the last divisor is
-    linear the signed constant remainder is the resultant."""
+    linear the signed constant remainder is the resultant.  G is the last
+    nonzero remainder of the chain, which by the subresultant theorem is
+    gcd(A, B) up to a constant factor: a nonconstant G when the chain ends
+    on a zero remainder (and Res(A, B) = 0), a constant one otherwise."""
     if len(b) > len(a):
         a, b = b, a
     g = h = sign = 1
@@ -727,19 +738,19 @@ def _int_prs_resultant(a: list[int], b: list[int]) -> int:
                 r[i + j] = r[i + j] * lb - top * b[i]
             lbk *= lb
         if not _trim(r):
-            return 0
+            return b, 0
         if g != 1 or h != 1:
             d = g * h**delta
             r = [c // d for c in r]
         a, b = b, r
         if len(b) == 1 and len(a) == 2:
-            return sign * b[0]
+            return b, sign * b[0]
         g = a[-1]
         if delta:
             h = g**delta // h ** (delta - 1)
         if len(b) == 1:
             n = len(a) - 1
-            return sign * (b[0] ** n // h ** (n - 1))
+            return b, sign * (b[0] ** n // h ** (n - 1))
 
 
 def factor_q(f: UPoly) -> tuple[Scalar, tuple[tuple[UPoly, int], ...]]:
@@ -1166,15 +1177,13 @@ def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
     leading coefficient: [1] when one operand is a nonzero constant, or
     when a and b are coprime mod p at one of the first three primes of
     ``PATTERN_PRIMES`` that do not divide the longer one's leading
-    coefficient; otherwise the last nonzero remainder of the primitive
-    PRS (von zur Gathen and Gerhard, section 6.12), made primitive.  The
-    tries stop early at a prime where the shorter operand's image keeps
-    its degree and divides the other's: the shorter then most likely
-    divides the longer, which the PRS's first step shows.  Each
-    pseudo-remainder lc(b)^(deg a - deg b + 1)*a mod b is taken to its
-    primitive part, which keeps the gcd up to a constant and the
-    coefficients small; the primitive gcd is [1] once a remainder is a
-    nonzero constant.
+    coefficient; otherwise the primitive part of G, the last nonzero
+    remainder of the subresultant PRS of the primitive parts, which is
+    the gcd up to a constant (``_subresultant_prs``); it is [1] when G
+    is constant.  The tries stop early at a prime where the shorter
+    operand's image keeps its degree and divides the other's: the shorter
+    then most likely divides the longer, which the PRS's first step
+    shows.
 
     Proof of the modular accept.  The primitive gcd g divides the longer
     operand, so lc(g) divides its leading coefficient and p does not
@@ -1192,22 +1201,7 @@ def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
             return [1]
         if d == len(b):
             break
-    a, b = _pp(a), _pp(b)
-    while len(b) > 1:
-        n, lb = len(b) - 1, b[-1]
-        r = list(a)
-        for i in range(len(r) - 1, n - 1, -1):
-            c = r[i]
-            if c:
-                for j in range(i - n):
-                    r[j] *= lb
-                for j in range(n):
-                    r[i - n + j] = r[i - n + j] * lb - c * b[j]
-        r = _trim(r[:n])
-        if not r:
-            return b
-        a, b = b, _pp(r)
-    return [1]
+    return _pp(_subresultant_prs(_pp(a), _pp(b))[0])
 
 
 def _squarefree_parts(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:

@@ -32,7 +32,7 @@ from .divisors import (
     divisor_of_upoly,
     principal_divisor,
 )
-from .errors import DoubleFieldError, InputError, NotCoprime, PrecisionFailure
+from .errors import InputError, NotCoprime, PrecisionFailure
 from .exact import BPoly, UPoly, clear_caches, factor_q, qdiv, resultant_x
 from .oracles import (
     arakelov_from_divisor,
@@ -685,12 +685,13 @@ SUITES = {
 
 
 def run_suite(name: str) -> dict:
-    """Run one suite, or every suite for "all", and time each.  A library
-    error raised inside a suite is that suite's one failure, with 0
-    instances checked, so ``verify`` reports it as a FAIL line.  Only
-    PrecisionFailure, a limit of the numeric oracle rather than a failed
-    check, passes through (``verify`` exit 4).  An unknown name is an
-    InputError that lists the suites."""
+    """Run one suite, or every suite for "all", and time each.  Any
+    exception raised inside a suite, a library error or a fault of the
+    kernel, is that suite's one failure, with 0 instances checked, so
+    ``verify`` reports it as a FAIL line.  Only PrecisionFailure, a limit
+    of the numeric oracle rather than a failed check, passes through
+    (``verify`` exit 4).  An unknown name is an InputError that lists the
+    suites."""
     if name == "all":
         results = [run_suite(n) for n in SUITES]
         return {
@@ -706,8 +707,9 @@ def run_suite(name: str) -> dict:
         result = SUITES[name]()
     except PrecisionFailure:
         raise
-    except DoubleFieldError as exc:
-        # the library refused what the suite built from its own corpus
+    except Exception as exc:
+        # the library refused or failed on what the suite built from its
+        # own corpus
         result = _result(name, 0, [f"{type(exc).__name__}: {exc}"])
     result["seconds"] = round(time.monotonic() - t0, 3)
     return result

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
 import doublefield.cli as cli
+import doublefield.exact as exact
 import doublefield.suites as suites
 from doublefield.cli import (
     main,
@@ -548,12 +549,15 @@ class TestExitCodes:
         [
             (NotCoprime("places coincide"), 1, "principality: FAIL (checked=0)\n  NotCoprime: places coincide\n"),
             (PrecisionFailure("no roots"), 4, ""),
+            (ValueError("bad row"), 1, "principality: FAIL (checked=0)\n  ValueError: bad row\n"),
         ],
-        ids=["NotCoprime", "PrecisionFailure"],
+        ids=["NotCoprime", "PrecisionFailure", "ValueError"],
     )
     def test_library_error_inside_a_suite(self, monkeypatch, capsys, error, code, out):
-        """A library error inside a verify suite is that suite's FAIL line
-        (exit 1); a precision failure keeps its own exit code."""
+        """A library error or any other exception inside a verify suite is
+        that suite's FAIL line (exit 1), a ValueError too, which outside
+        a suite is an input error; a precision failure keeps its own exit
+        code."""
 
         def boom():
             raise error
@@ -561,6 +565,26 @@ class TestExitCodes:
         monkeypatch.setitem(suites.SUITES, "principality", boom)
         assert main(["verify", "--suite", "principality"]) == code
         assert capsys.readouterr().out == out
+
+    def test_kernel_fault_is_a_fail_line(self, monkeypatch, capsys):
+        """A fault of the exact kernel, here a ZeroDivisionError from the
+        exact list division, fails the suites that reach it, and ``verify
+        --suite all`` still prints one status line per suite."""
+
+        def boom(a, b):
+            raise ZeroDivisionError("integer division or modulo by zero")
+
+        monkeypatch.setattr(exact, "_exquo", boom)
+        exact.clear_caches()
+        try:
+            assert suites.run_suite("charts")["ok"] is False
+            assert main(["verify", "--suite", "all"]) == 1
+        finally:
+            exact.clear_caches()
+        lines = capsys.readouterr().out.splitlines()
+        status = [line for line in lines if not line.startswith("  ")]
+        assert [line.split(":")[0] for line in status] == list(suites.SUITES)
+        assert "  ZeroDivisionError: integer division or modulo by zero" in lines
 
     def test_unknown_suite_lists_the_suites(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2

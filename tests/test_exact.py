@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.densetools import dup_primitive
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.euclidtools import dup_gcd, dup_resultant
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_gcd, gf_monic, gf_sqf_p
 from sympy.polys.sqfreetools import dup_sqf_list
@@ -1158,8 +1158,8 @@ def test_factor_q_matches_dup_factor_list(f):
     st.lists(st.integers(1, 3), min_size=3, max_size=3),
 )
 def test_gcd_and_squarefree_parts_match_sympy(factors, mults):
-    """The primitive PRS gcd of f and f' and Yun's parts of f are sympy's,
-    on products of factors with multiplicities."""
+    """The gcd over Z of f and f' and Yun's parts of f are sympy's, on
+    products of factors with multiplicities."""
     f = [1]
     for g, m in zip(factors, mults):
         for _ in range(m):
@@ -1193,6 +1193,37 @@ def test_gcd_z_matches_sympy(h, a, b, shared):
     want = dup_primitive(dup_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ), ZZ)[1]
     want = [int(c) for c in reversed(want)]
     assert exact._gcd_z(a, b) == (want if want[-1] > 0 else [-c for c in want])
+
+
+def _zz(a):
+    """An integer list, low degree first, as sympy's dense ZZ list."""
+    return [ZZ(c) for c in reversed(a)]
+
+
+# integer lists of degree 1 to n, low degree first
+def _int_lists(n):
+    return st.lists(st.integers(-9, 9), min_size=2, max_size=n + 1).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists(8), _int_lists(6), st.one_of(st.just([1]), _int_lists(3)))
+@example([1, 0, 0, 0, 0, 0, 1], [3, 1], [1])  # degree gap 5
+@example([2, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 4], [1])  # degree gap 3, b longer
+@example([1, 0, 0, 0, 1], [-2, 1], [1, 0, 1])  # degree gap 3 and a shared t^2 + 1
+@example([-2, 1, 1], [3, 1], [1, 1, 0, 1])  # the chain ends on G of degree 3
+def test_subresultant_prs_reads_gcd_and_resultant(a, b, h):
+    """Both readings of one chain, with the modular accept of ``_gcd_z``
+    out of the way: the primitive part of G is sympy's primitive gcd, and
+    res is sympy's resultant with the longer operand first (a on a tie),
+    also when a and b share the factor h and for degree gaps of 2 or
+    more."""
+    a, b = exact._mul(a, h), exact._mul(b, h)
+    G, res = exact._subresultant_prs(a, b)
+    want = dup_primitive(dup_gcd(_zz(a), _zz(b), ZZ), ZZ)[1]
+    want = [int(c) for c in reversed(want)]
+    assert exact._pp(G) == (want if want[-1] > 0 else [-c for c in want])
+    A, B = (b, a) if len(b) > len(a) else (a, b)
+    assert res == dup_resultant(_zz(A), _zz(B), ZZ)
 
 
 def test_usable_prime_past_the_pattern_primes():

@@ -104,14 +104,17 @@ def _variant(fn, old, new):
 
 # the subresultant PRS with its remainders left undivided by g*h^delta,
 # so that the chain's last remainder carries a spurious factor in y
-_prs_undivided = _variant(exact._int_prs_resultant, "r = [c // d for c in r]", "pass")
+_prs_undivided = _variant(exact._subresultant_prs, "r = [c // d for c in r]", "pass")
 # the PRS ending on a divisor of degree n >= 2 without its final division
 # by h^(n - 1)
 _prs_final_undivided = _variant(
-    exact._int_prs_resultant, "return sign * (b[0] ** n // h ** (n - 1))", "return sign * b[0] ** n"
+    exact._subresultant_prs, "return b, sign * (b[0] ** n // h ** (n - 1))", "return b, sign * b[0] ** n"
 )
 # the PRS updating h to g^delta, without the division by h^(delta - 1)
-_prs_h_undivided = _variant(exact._int_prs_resultant, "h = g**delta // h ** (delta - 1)", "h = g**delta")
+_prs_h_undivided = _variant(exact._subresultant_prs, "h = g**delta // h ** (delta - 1)", "h = g**delta")
+# the gcd over Z returning the PRS's last nonzero remainder G as it
+# stands, not its primitive part
+_gcd_unreduced = _variant(exact._gcd_z, "return _pp(_subresultant_prs(", "return (_subresultant_prs(")
 # the resultant's base 2^k with k from half the bits of its Hadamard
 # bound, so that large coefficients overflow their digits
 _resultant_half_bits = _variant(
@@ -284,9 +287,9 @@ MUTANTS = [
         _exquo_skipped,
         ("symmetry", "bilinearity", "principality", "charts", "calibration", "rsp"),
     ),
-    ("prs-remainders-undivided", (exact,), "_int_prs_resultant", _prs_undivided, ("charts",)),
-    ("prs-final-division-skipped", (exact,), "_int_prs_resultant", _prs_final_undivided, ("charts",)),
-    ("prs-h-without-division", (exact,), "_int_prs_resultant", _prs_h_undivided, ("charts",)),
+    ("prs-remainders-undivided", (exact,), "_subresultant_prs", _prs_undivided, ("charts",)),
+    ("prs-final-division-skipped", (exact,), "_subresultant_prs", _prs_final_undivided, ("charts",)),
+    ("prs-h-without-division", (exact,), "_subresultant_prs", _prs_h_undivided, ("charts",)),
     (
         "resultant-half-the-bits",
         _RESULTANT,
@@ -311,6 +314,7 @@ MUTANTS = [
     ("hensel-lift-bound-without-lc", (exact,), "_hensel_lift", _lift_without_lc, ("charts",)),
     ("gcd-z-always-one", (exact,), "_gcd_z", _gcd_always_one, ("principality", "charts", "rsp")),
     ("gcd-accept-where-p-divides-lc", (exact,), "_gcd_z", _gcd_accept_where_p_divides_lc, ("charts",)),
+    ("gcd-left-unreduced", (exact,), "_gcd_z", _gcd_unreduced, ("symmetry", "principality", "charts", "rsp")),
     ("pattern-read-where-p-divides-lc", (exact,), "_degree_pattern", _pattern_where_p_divides_lc, ("charts",)),
     (
         "pattern-read-where-not-squarefree",
