@@ -8,12 +8,12 @@ of the Bezout degree a1*b2 + a2*b1 (``_pair_primes_kp``).  Side K is
 the side-Kprime pairing of the two transposed divisors, transposed
 back.
 
-The fiber of a coprime pair of curves over each point of the y-line is
-counted by one resultant in the original coordinates, Res_x(f, g): its
-order at each finite y0 is the whole fiber's intersection multiplicity,
-x = infinity included, and the place y = infinity gets the Bezout number
-deg_x f * deg_y g + deg_y f * deg_x g minus its degree (proof in
-``fiber_divisor``).
+The fiber of two distinct places over each point of the y-line is
+counted by one resultant in the original coordinates, Res_x(f, g) of
+their curves: its order at each finite y0 is the whole fiber's
+intersection multiplicity, x = infinity included, and the place
+y = infinity gets the Bezout number minus its degree (proof in
+``_pair_primes_kp``).
 """
 
 from __future__ import annotations
@@ -89,8 +89,25 @@ def _pair_primes_kp(m: Place, n: Place) -> Iterable[tuple[Place, int]]:
       G = sum g_i X1^i X0^(a2-i), R = Res_X(X0, G) = +-G(0, 1; Y) =
       +-lc_X(G), the x-leading coefficient g_a2 of n's curve, as a form
       of Y-degree b2 = a1*b2 + a2*b1.  n = inf_x likewise reads lc_X(F).
-    - otherwise both curves reach their X-degrees, and ``fiber_divisor``
-      reads R off Res_x of the two curve polynomials.
+    - otherwise m and n are binary or finite x-unary, with curves f and g
+      of x-degrees a1 and a2, so R(1, y) = r = resultant_x(f, g).  For
+      every point y0 at which F and G do not both vanish identically,
+      ord_y0 R is the sum of the intersection multiplicities of F and G
+      over the whole fiber above y0, x = infinity included.  So r counts
+      the finite places of Q(y), and y = infinity, where R has the order
+      a1*b2 + a2*b1 - deg r, gets that Bezout number minus deg r.  A
+      Moebius change of x such as x = c + 1/t maps each fiber to itself
+      and keeps the multiplicities, so it multiplies R only by a unit,
+      and no chart is needed.
+
+    Common components: the curves of two distinct places share none,
+    since each is prime.  Over Q(y), r = 0 exactly when f and g share a
+    factor of positive x-degree, so r is nonzero.  A common factor h(y)
+    would not make r vanish: each root of h is a fiber inside both
+    curves, where R vanishes only to the finite order a1 + a2 per factor
+    of h (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  No place's curve has
+    such a factor: a nonconstant y-content would be a proper factor of
+    it, so ``divisors.place_of_curve`` refuses such a curve as reducible.
     """
     (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
     if a1 == 0:
@@ -101,10 +118,12 @@ def _pair_primes_kp(m: Place, n: Place) -> Iterable[tuple[Place, int]]:
     if bezout == 0:
         return ()
     if m.poly is None:  # m = inf_x, since a1 >= 1 rules out inf_y
-        return _upoly_terms(n.poly.coeff_of_x(a2), bezout)
-    if n.poly is None:
-        return _upoly_terms(m.poly.coeff_of_x(a1), bezout)
-    return fiber_divisor(_curve_of(m), _curve_of(n)).coeffs
+        r = n.poly.coeff_of_x(a2)
+    elif n.poly is None:
+        r = m.poly.coeff_of_x(a1)
+    else:
+        r = resultant_x(_curve_of(m), _curve_of(n))
+    return _upoly_terms(r, bezout)
 
 
 def _curve_of(m: Place) -> BPoly:
@@ -113,47 +132,6 @@ def _curve_of(m: Place) -> BPoly:
     if isinstance(m, BinaryPlace):
         return m.poly
     return BPoly.from_upoly(m.poly)
-
-
-def fiber_divisor(f: BPoly, g: BPoly) -> Divisor:
-    """Divisor over the places of Q(y) (including infinity) counting the
-    intersections of the curves f = 0 and g = 0 above each place.
-
-    Each input has positive x-degree; purely x-unary inputs (deg_y = 0)
-    are allowed.  Inputs must have no common component; the curves of
-    two distinct places have none (see the end of the proof).
-
-    Proof.  Let f have bidegree (a1, b1) and g (a2, b2), with a1, a2 >= 1.
-    Their bihomogenizations F(X0:X1; Y0:Y1), G on P1 x P1 are binary
-    forms of degrees a1, a2 in X whose coefficients are forms of degrees
-    b1, b2 in Y.  The Sylvester resultant R = Res_X(F, G) with these
-    formal degrees is then a form of degree a1*b2 + a2*b1 in Y, and for
-    every point y0 of the Y-line at which F and G do not both vanish
-    identically, ord_y0 R is the sum of the intersection multiplicities
-    of F and G over all points (x, y0) of the fiber, x = infinity
-    included (Fulton, Algebraic Curves, 1.6 and 5.1).  Since a1 and a2
-    are the x-degrees of f and g, R(1, y) = r = resultant_x(f, g).  So r
-    counts the finite places of Q(y), and the place y = infinity, where
-    R has the order a1*b2 + a2*b1 - deg r, gets that Bezout number
-    minus deg r.  A Moebius change of x such as x = c + 1/t maps each
-    fiber to itself and keeps the multiplicities, so it multiplies R
-    only by a unit, and no chart is needed.
-
-    Common components: over Q(y), r = 0 exactly when f and g share a
-    factor of positive x-degree, which raises NotCoprime.  A common
-    factor h(y) would not make r vanish: each root of h is a fiber inside
-    both curves, where R only vanishes to the finite order a1 + a2 per
-    factor of h (Res_x((y-1)(x+1), (y-1)(x+2)) = (y-1)^2).  No place's
-    curve has such a factor: it is prime, and a nonconstant y-content
-    would be a proper factor of it, so ``divisors.place_of_curve``
-    refuses such a curve as reducible.
-    """
-    if f.deg_x() < 1 or g.deg_x() < 1:
-        raise ValueError("both inputs need positive x-degree")
-    r = resultant_x(f, g)
-    if r.is_zero():
-        raise NotCoprime(f"vanishing resultant: ({f}, {g}) share a component")
-    return divisor_of_upoly(r, f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x())
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,13 +16,15 @@ pairing of degree-one primes is checked against,
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .divisors import (
     BinaryPlace,
     Divisor,
     Place,
     UnaryPlace,
+    _upoly_terms,
     degree_one_coeffs,
-    divisor_of_upoly,
 )
 from .errors import NotCoprime, NotDegreeOne
 from .exact import Scalar, qdiv
@@ -82,17 +84,17 @@ def correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
     """
     c = _degree_one_kp_value(p)
     _check_coprime_to(A, p)
-    return Divisor.make(
-        (n, v * w) for m, w in A.coeffs for n, v in _prime_correspondence(m, c).coeffs
-    )
+    return Divisor.make((n, v * w) for m, w in A.coeffs for n, v in _prime_correspondence(m, c))
 
 
-def _prime_correspondence(m: Place, c: Scalar) -> Divisor:
+def _prime_correspondence(m: Place, c: Scalar) -> Iterable[tuple[Place, int]]:
+    """The correspondence of one place at y = c as (place, coefficient)
+    terms, each place once and some coefficients possibly 0."""
     if isinstance(m, BinaryPlace):
-        return divisor_of_upoly(m.poly.eval_y(c), m.poly.deg_x())
+        return _upoly_terms(m.poly.eval_y(c), m.poly.deg_x())
     if m.var == "x":
-        return Divisor.of(m, 1)
-    return Divisor.zero()
+        return ((m, 1),)
+    return ()
 
 
 def residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:

@@ -170,13 +170,13 @@ def test_symmetry_passes_share_no_factorization(monkeypatch):
 
 
 def test_charts_passes_share_no_factorization(monkeypatch):
-    """run_charts computes every sigma^* fiber_divisor(f, g) and then
-    every fiber_divisor(phi^*f, phi^*g), each pass from empty memos.  The
-    two passes often factor one polynomial up to a unit (136 of the
-    second pass's 347 inputs are asked in the first), so a memo kept
-    across them would serve the second pass from the first: each input
-    of the second pass must miss the factor memo the first time it is
-    asked, and without the clear between them there is no second pass."""
+    """run_charts computes every sigma^* pair(m, n) and then every
+    pair(phi^*m, phi^*n), each pass from empty memos.  The two passes
+    often factor one polynomial up to a unit (142 of the second pass's
+    369 distinct inputs are asked in the first), so a memo kept across
+    them would serve the second pass from the first: each input of the
+    second pass must miss the factor memo the first time it is asked,
+    and without the clear between them there is no second pass."""
     cached = exact._factor_primitive_q
     passes = [[]]  # per stretch between clears, each input and whether the memo served it
 

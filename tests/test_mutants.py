@@ -19,7 +19,6 @@ from doublefield.exact import UPoly, clear_caches
 from doublefield.suites import run_suite
 
 _rule = pairing._pair_primes_kp
-_fiber = pairing.fiber_divisor
 _g_fs = oracles.g_fs
 _intersect = oracles.intersect
 _kappa = oracles.fs_kappa_closed_form
@@ -60,27 +59,43 @@ def _x_unary_against_curve_is_zero(m, n):
     return _rule(m, n)
 
 
-def _bezout_plus_one(f, g):
+def _on_resultant_route(mutate):
+    """``_pair_primes_kp`` with ``mutate`` applied to the divisor it reads
+    off Res_x of the curves of two binary or finite x-unary places of
+    positive Bezout number; every other reading as it stands."""
+
+    def mutant(m, n):
+        (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
+        out = _rule(m, n)
+        if min(a1, a2) == 0 or a1 * b2 + a2 * b1 == 0 or m.poly is None or n.poly is None:
+            return out
+        return mutate(Divisor.make(out)).coeffs
+
+    return mutant
+
+
+@_on_resultant_route
+def _bezout_plus_one(d):
     """The fiber rule's Bezout number read one too high."""
-    return _fiber(f, g) + Divisor.of(INF_Y)
+    return d + Divisor.of(INF_Y)
 
 
-def _infinity_dropped(f, g):
+@_on_resultant_route
+def _infinity_dropped(d):
     """The fiber rule without its y = infinity term."""
-    d = _fiber(f, g)
     return d - Divisor.of(INF_Y, d.coeff(INF_Y))
 
 
-def _first_doubled(f, g):
+@_on_resultant_route
+def _first_doubled(d):
     """The fiber rule's first multiplicity counted twice."""
-    d = _fiber(f, g)
     return d + Divisor.of(*d.coeffs[0])
 
 
-def _infinity_moved_to_zero(f, g):
+@_on_resultant_route
+def _infinity_moved_to_zero(d):
     """The fiber rule's y = infinity weight put on the place y = 0, which
     keeps the degree."""
-    d = _fiber(f, g)
     w = d.coeff(INF_Y)
     return d + Divisor.make({INF_Y: -w, ZERO_Y: w})
 
@@ -260,8 +275,8 @@ def _squarefree_parts_without_multiplicity(c):
     return [(a, 1) for a, _ in _squarefree_parts(c)]
 
 
-_FIBER = (pairing, suites)
 _RESULTANT = (pairing, oracles, suites)
+_WRONG_DEGREE = ("principality", "agreement", "different", "charts", "rsp")
 _PAIR = (pairing, arakelov, residues, suites)
 
 # (name, modules, attribute, mutant, suites that must fail)
@@ -270,13 +285,15 @@ MUTANTS = [
     ("inf_x-doubled", (pairing,), "_pair_primes_kp", _infx_doubled, ("principality", "selfpair", "rsp")),
     ("x-unary-against-curve-is-0", (pairing,), "_pair_primes_kp", _x_unary_against_curve_is_zero, ("symmetry", "rsp")),
     ("side-K-untransposed", (pairing,), "transpose_divisor", _untransposed, ("agreement",)),
-    ("bezout-plus-inf_y", _FIBER, "fiber_divisor", _bezout_plus_one, ("agreement", "different", "charts")),
-    ("inf_y-dropped", _FIBER, "fiber_divisor", _infinity_dropped, ("agreement", "different", "charts")),
-    ("first-multiplicity-doubled", _FIBER, "fiber_divisor", _first_doubled, ("agreement", "different", "charts")),
+    # a resultant route read with the wrong degree also fails the degree
+    # checks of principality and rsp
+    ("bezout-plus-inf_y", (pairing,), "_pair_primes_kp", _bezout_plus_one, _WRONG_DEGREE),
+    ("inf_y-dropped", (pairing,), "_pair_primes_kp", _infinity_dropped, _WRONG_DEGREE),
+    ("first-multiplicity-doubled", (pairing,), "_pair_primes_kp", _first_doubled, _WRONG_DEGREE),
     (
         "inf_y-weight-moved-to-y-0",
-        _FIBER,
-        "fiber_divisor",
+        (pairing,),
+        "_pair_primes_kp",
         _infinity_moved_to_zero,
         ("agreement", "different", "support", "charts"),
     ),
@@ -321,9 +338,25 @@ MUTANTS = [
         (exact,),
         "_degree_pattern",
         _pattern_where_not_squarefree,
-        ("symmetry", "charts"),
+        ("symmetry", "bilinearity", "principality", "agreement", "charts", "rsp"),
     ),
-    ("gcd-stops-one-euclid-step-early", (exact,), "_gcd_p", _gcd_one_step_early, ("symmetry", "charts")),
+    (
+        "gcd-stops-one-euclid-step-early",
+        (exact,),
+        "_gcd_p",
+        _gcd_one_step_early,
+        (
+            "symmetry",
+            "bilinearity",
+            "principality",
+            "agreement",
+            "different",
+            "support",
+            "charts",
+            "calibration",
+            "rsp",
+        ),
+    ),
     ("lift-one-step-short", (exact,), "_multifactor_lift", _lift_one_step_short, ("charts",)),
     ("recombination-skips-first-subset", (exact,), "combinations", _combinations_skip_first, ("charts",)),
     (

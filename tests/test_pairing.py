@@ -12,12 +12,11 @@ from doublefield.divisors import (
     transpose_divisor,
 )
 from doublefield.errors import NotCoprime
-from doublefield.exact import BPoly, UPoly
+from doublefield.exact import BPoly, UPoly, resultant_x
 from doublefield.oracles import pole_divisor
 from doublefield.pairing import (
     SIDE_K,
     SIDE_KPRIME,
-    fiber_divisor,
     pair,
     self_pair_degree_one,
 )
@@ -42,12 +41,18 @@ def b(f):
 
 class TestCharts:
     def test_worked_fiber(self):
-        d = fiber_divisor(X - Y**2, X - Y)
+        # Res_x(x - y, x - y^2) = y^2 - y, of degree 2 below the Bezout
+        # number 1*2 + 1*1 = 3
+        d = pair(Divisor.of(b(X - Y)), Divisor.of(b(X - Y**2)))
         assert d == Divisor.make({yplace(0, 1): 1, yplace(-1, 1): 1, INF_Y: 1})
 
     def test_common_component(self):
+        # a shared component of positive x-degree makes Res_x vanish, and
+        # a place paired with itself is refused before any resultant
+        assert resultant_x((X - Y) * (X + Y), X - Y).is_zero()
+        A = Divisor.of(b(X - Y))
         with pytest.raises(NotCoprime):
-            fiber_divisor((X - Y) * (X + Y), X - Y)
+            pair(A, A)
 
     def test_infx(self):
         # X0 = inf_x against a curve reads lc_x of the curve as a form of

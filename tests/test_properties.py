@@ -1,18 +1,21 @@
 """Properties of the pairing and the residue routes on generated binary
 primes of bidegree at most (2, 2), beyond the fixed suite pools, of the
 oracle's different and pole divisors on generated degree-one primes, of
-the fiber rule under Moebius maps of y, of the
+the pairing of every place family under Moebius maps of y, of the
 closed-form principal divisors of places against the factoring route
 they replaced, of the residue routes and the bracket against the
 per-prime routes they replaced, of the one-``make`` pairing,
 correspondence and divisor sum against the left folds they replaced,
 of the place order against the per-coefficient key it replaced, of
 the pairing rule read off place bidegrees against the case analysis over
-place families it replaced, of inf_x against a curve as x = 0
-against the curve under x -> 1/x, and of the curves of places that the
-fiber rule reads, none with a factor in y alone."""
+place families it replaced, read with sympy, of inf_x against a curve
+as x = 0 against the curve under x -> 1/x, and of the curves of places
+whose resultant the pairing reads, none with a factor in y alone."""
+
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +39,7 @@ from doublefield.divisors import (
 from doublefield.errors import InputError, NotCoprime
 from doublefield.exact import BPoly, UPoly, clear_caches, factor_q, y_content_is_constant
 from doublefield.oracles import different_divisor, pole_divisor
-from doublefield.pairing import SIDE_K, SIDE_KPRIME, _curve_of, fiber_divisor, pair, self_pair_degree_one
+from doublefield.pairing import SIDE_K, SIDE_KPRIME, _curve_of, pair, self_pair_degree_one
 from doublefield.residues import (
     _check_coprime_to,
     _degree_one_kp_value,
@@ -51,6 +54,8 @@ from doublefield.suites import (
     binary_pool,
     extended_degree_one_pool,
 )
+from sympy.polys.domains import QQ
+from test_exact import SX, SY
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
 X, Y, ONE = BPoly.gen("x"), BPoly.gen("y"), BPoly.const(1)
@@ -143,26 +148,6 @@ def test_correspondence_matches_chart_route(m, a, b):
     A = Divisor.of(m)
     p = UnaryPlace.finite(UPoly.make("y", [-a, b]))
     assert correspondence(A, p) == residue_mod_Kp_degree_one(A, p)
-
-
-# sigma(y) = (ay + b)/(cy + d) as (a, b, c, d), with ad != bc
-moebius_maps = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda s: s[0] * s[3] != s[1] * s[2])
-
-
-@PROPERTY_SETTINGS
-@given(binary_primes(), binary_primes(), moebius_maps)
-@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (0, 1, 1, 0))
-@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (2, 1, 1, 1))
-def test_fiber_divisor_is_moebius_equivariant(m, n, s):
-    """fiber_divisor(phi^*f, phi^*g) = sigma^* fiber_divisor(f, g) for
-    phi = (id, sigma), each side from empty memos (proof in
-    ``suites.run_charts``)."""
-    assume(m != n)
-    f, g = m.poly, n.poly
-    clear_caches()
-    expected = _pull_divisor(fiber_divisor(f, g), s)
-    clear_caches()
-    assert fiber_divisor(_pull_curve(f, s), _pull_curve(g, s)) == expected
 
 
 def _yplace(*coeffs):
@@ -328,6 +313,19 @@ def test_self_pairing_moved_matches_factoring_route():
 # residues and the bracket against the per-prime routes they replaced
 
 
+def _sympy_fiber(f: BPoly, g: BPoly) -> Divisor:
+    """The divisor on the y-line of the form Res_X of f and g, read with
+    sympy over QQ: the factors of Res_x(f, g), and the Bezout number
+    deg_x f * deg_y g + deg_y f * deg_x g minus its degree at infinity."""
+    f_s, g_s = (sympy.Poly.from_dict({k: QQ(c.numerator, c.denominator) for k, c in h.terms}, SX, SY) for h in (f, g))
+    r = f_s.resultant(g_s)
+    terms = [(INF_Y, f.deg_x() * g.deg_y() + f.deg_y() * g.deg_x() - r.degree())]
+    for q, e in r.factor_list()[1]:
+        coeffs = (Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs()))
+        terms.append((UnaryPlace.finite(UPoly.make("y", coeffs)), e))
+    return Divisor.make(terms)
+
+
 def _old_residue_of_prime(m, n: BinaryPlace) -> Divisor:
     """Residue of one prime modulo a degree-one binary prime n = a*x - b,
     read off a table of prime families."""
@@ -335,7 +333,7 @@ def _old_residue_of_prime(m, n: BinaryPlace) -> Divisor:
     if isinstance(m, BinaryPlace):
         if m.poly.deg_x() == 1:
             return different_divisor(m, n)
-        return fiber_divisor(m.poly, n.poly)
+        return _sympy_fiber(m.poly, n.poly)
     if m.var == "x":
         if m.is_infinity():
             return pole_divisor(n)
@@ -366,7 +364,7 @@ def _old_residue_mod_Kp_degree_one(A: Divisor, q: UnaryPlace) -> Divisor:
     out = Divisor.zero()
     for m, w in A.coeffs:
         if isinstance(m, BinaryPlace):
-            out = out + transpose_divisor(fiber_divisor(q_t, m.poly.transpose())).scale(w)
+            out = out + transpose_divisor(_sympy_fiber(q_t, m.poly.transpose())).scale(w)
         elif m.var == "x":
             out = out + Divisor.of(m, w)
     return out
@@ -445,7 +443,7 @@ def _old_correspondence(A: Divisor, p: UnaryPlace) -> Divisor:
     _check_coprime_to(A, p)
     out = Divisor.zero()
     for m, w in A.coeffs:
-        out = _old_add(out, _prime_correspondence(m, c).scale(w))
+        out = _old_add(out, Divisor.make(_prime_correspondence(m, c)).scale(w))
     return out
 
 
@@ -518,7 +516,8 @@ def _ladder_degree_over_Kp(m) -> int:
 
 
 def _ladder_pair_primes_kp(m, n) -> Divisor:
-    """The seven-way case analysis over place families."""
+    """The seven-way case analysis over place families, each fiber read
+    with sympy."""
     m_kp_unary = isinstance(m, UnaryPlace) and m.var == "y"
     n_kp_unary = isinstance(n, UnaryPlace) and n.var == "y"
     if m_kp_unary and n_kp_unary:
@@ -530,10 +529,10 @@ def _ladder_pair_primes_kp(m, n) -> Divisor:
     if isinstance(m, UnaryPlace) and isinstance(n, UnaryPlace):
         return Divisor.zero()
     if m == UnaryPlace.infinity("x"):
-        return fiber_divisor(X, _reversed_in_x(n.poly))
+        return _sympy_fiber(X, _reversed_in_x(n.poly))
     if n == UnaryPlace.infinity("x"):
-        return fiber_divisor(X, _reversed_in_x(m.poly))
-    return fiber_divisor(_curve(m), _curve(n))
+        return _sympy_fiber(X, _reversed_in_x(m.poly))
+    return _sympy_fiber(_curve(m), _curve(n))
 
 
 def _reversed_in_x(f: BPoly) -> BPoly:
@@ -608,19 +607,59 @@ all_places = st.one_of(bidegree_3_primes(), unary_primes(), st.sampled_from("xy"
 @example(place_of_curve(Y - ONE), place_of_curve(X * X - Y))
 @example(UnaryPlace.infinity("y"), place_of_curve(X * X * Y - ONE))
 def test_pairing_rule_matches_family_ladder(m, n):
+    """The pairing in both orders equals the ladder's, which sympy's
+    resultant makes symmetric, so the ladder is read once a side."""
     assume(m != n)
     (a1, b1), (a2, b2) = place_bidegree(m), place_bidegree(n)
-    for a, b in ((m, n), (n, m)):
-        for side in (SIDE_K, SIDE_KPRIME):
-            assert pair(Divisor.of(a), Divisor.of(b), side) == _ladder_pair_primes(a, b, side)
-        assert degree_K(pair(Divisor.of(a), Divisor.of(b), SIDE_KPRIME)) == a1 * b2 + a2 * b1
+    A, B = Divisor.of(m), Divisor.of(n)
+    for side in (SIDE_K, SIDE_KPRIME):
+        assert pair(A, B, side) == pair(B, A, side) == _ladder_pair_primes(m, n, side)
+    assert degree_K(pair(A, B, SIDE_KPRIME)) == a1 * b2 + a2 * b1
+
+
+# sigma(y) = (ay + b)/(cy + d) as (a, b, c, d), with ad != bc
+moebius_maps = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda s: s[0] * s[3] != s[1] * s[2])
+
+
+def _pull_place(m, s) -> Divisor:
+    """phi^*[m] for phi = (id, sigma): an x-place stays fixed, a y-place
+    is pulled back by sigma^*, and a binary place goes to the place of
+    its pulled curve."""
+    if isinstance(m, BinaryPlace):
+        return Divisor.of(BinaryPlace.make(_pull_curve(m.poly, s)))
+    if m.var == "x":
+        return Divisor.of(m)
+    return _pull_divisor(Divisor.of(m), s)
+
+
+@PROPERTY_SETTINGS
+@given(all_places, all_places, moebius_maps)
+@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (0, 1, 1, 0))
+@example(place_of_curve(X - Y**2), place_of_curve(X - Y), (2, 1, 1, 1))
+# inf_x and a finite x-unary place against a curve, and inf_y, which
+# y -> 1/y sends to y = 0
+@example(UnaryPlace.infinity("x"), place_of_curve(X * Y - ONE), (2, 1, 1, 1))
+@example(place_of_curve(X - ONE), place_of_curve(X * X - Y), (0, 1, 1, 0))
+@example(UnaryPlace.infinity("y"), place_of_curve(X * X * Y - ONE), (0, 1, 1, 0))
+def test_pair_is_moebius_equivariant(m, n, s):
+    """For phi = (id, sigma), pair(phi^*m, phi^*n) = sigma^* pair(m, n)
+    on side Kprime and pair(phi^*m, phi^*n) = pair(m, n) on side K, each
+    side from empty memos (proof in ``suites.run_charts``; phi fixes the
+    x-line)."""
+    assume(m != n)
+    A, B = Divisor.of(m), Divisor.of(n)
+    clear_caches()
+    expected = _pull_divisor(pair(A, B, SIDE_KPRIME), s), pair(A, B, SIDE_K)
+    clear_caches()
+    pA, pB = _pull_place(m, s), _pull_place(n, s)
+    assert (pair(pA, pB, SIDE_KPRIME), pair(pA, pB, SIDE_K)) == expected
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(bidegree_3_primes(), unary_primes()))
 def test_curves_that_reach_the_fiber_rule_have_constant_y_content(m):
-    """``fiber_divisor`` reads the curves of binary and finite x-unary
-    places only (a y-unary place takes the a1 = 0 reading), and no such
+    """``pair`` reads the resultant of the curves of binary and finite
+    x-unary places only (a y-unary place takes the a1 = 0 reading), and no such
     curve has a factor in y alone: its y-content is constant, and the
     curve times y - c is refused as a prime."""
     assume(place_bidegree(m)[0] >= 1)
