@@ -20,15 +20,20 @@ means ``-(x^2)``), so canonical renderings re-parse to equal values.
 At most ``MAX_NESTING`` levels of '(' and unary minus nest, counted
 together; a deeper input is a parse error (exit 2).
 
-Products, powers, unary minus and the quotient are kept factor by
-factor; only a sum is multiplied out, into one factor: each term into a
-coefficient table, added into the sum's one table.  So ``divisor``
-factors each written factor on its own and never their product, and a
-prime written as a product of curves or a power of one is refused.  The
-degree bound of ``exact.factor_b`` (exit 2) applies to each written
-factor and, before any multiplication, to each term of a sum; so does
-``MAX_COEFFICIENT_BITS``, a bound on the bits of the term's multiplied-out
-coefficients.  A power of a constant is refused (exit 2) before it is
+Each text is read in one scan: one regex search for the first
+character outside the alphabet, then one ``findall`` for the tokens;
+token offsets are found again only for an error message.  Products,
+powers, unary minus and the quotient are kept factor by factor, but the
+one-term factors (a constant, x, y and their powers) fold into one
+monomial c*x^i*y^j by adding exponents.  Only a sum is multiplied out,
+into one factor: a monomial term goes into the sum's coefficient table
+directly, and only a term with written sums among its factors reaches
+``exact._mul_table``.  So ``divisor`` factors each written factor on its
+own and never their product, and a prime written as a product of curves
+or a power of one is refused.  The degree bound of ``exact.factor_b``
+(exit 2) applies to each written factor and, before any multiplication,
+to each term of a sum; so does ``MAX_COEFFICIENT_BITS``, a bound on the
+bits of the term's multiplied-out coefficients.  A power of a constant is refused (exit 2) before it is
 computed when the exponent times the bit length of the base exceeds
 ``MAX_CONSTANT_BITS``.
 
@@ -37,6 +42,11 @@ curve or one of the literals ``inf_x`` / ``inf_y`` after an optional
 ``coeff *``, e.g. ``"2*(x - y^2); -1*inf_x"``.  A term's coefficient is
 the constant factor the grammar computes for it, and must be an
 integer.
+
+``main`` reads a command's arguments with that command's own parser
+when argv[0] names one.  Any other argv, and one with arguments left
+over, goes to the top parser, which prints its help or its error for
+the whole argv as it always has.
 """
 
 from __future__ import annotations
@@ -103,197 +113,214 @@ EXIT_PRECISION = 4
 # expression parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xy])|([+\-*^()/]))")
+# one token: an integer or one character of the alphabet; whitespace
+# separates tokens and is otherwise dropped
+_TOKEN_RE = re.compile(r"\d+|\S")
+# the first character outside the alphabet
+_OUTSIDE_RE = re.compile(r"[^\s\dxy+\-*^()/]")
 
 
-def _tokenize(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
-    """Tokens of text[start:end], with their offsets in text."""
-    tokens = []
-    pos = start
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos, end)
-        if m is None:
-            stripped = text[pos:end].lstrip()
-            if not stripped:
-                break
-            at = end - len(stripped)
-            raise ParseError(
-                f"unexpected character {stripped[0]!r}",
-                at,
-                expected=("int", "x", "y", "+", "-", "*", "^", "(", ")"),
-            )
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("var", m.group(2), m.start(2)))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("eof", "", end))
+def _tokenize(text: str, start: int, end: int) -> list[str]:
+    """Tokens of text[start:end], then "" for the end of input; ParseError
+    at the first character outside the alphabet."""
+    bad = _OUTSIDE_RE.search(text, start, end)
+    if bad is not None:
+        raise ParseError(
+            f"unexpected character {bad.group()!r}",
+            bad.start(),
+            expected=("int", "x", "y", "+", "-", "*", "^", "(", ")"),
+        )
+    tokens = _TOKEN_RE.findall(text, start, end)
+    tokens.append("")
     return tokens
 
 
-# A factored form (constant, [(polynomial, exponent), ...]) stands for
-# constant * prod(polynomial**exponent).  Every polynomial in it is
-# non-constant and every exponent nonzero; zero is the constant 0.
-_Factored = tuple[Scalar, list[tuple[BPoly, int]]]
+# A factored form (c, i, j, ((polynomial, exponent), ...)) stands for
+# c * x^i * y^j * prod(polynomial**exponent).  Every polynomial in it is
+# a sum the parser multiplied out, non-constant, with a nonzero
+# exponent; zero is the constant 0.
+_Factored = tuple[Scalar, int, int, tuple[tuple[BPoly, int], ...]]
 
 _X, _Y = BPoly.gen("x"), BPoly.gen("y")
 
 
+def _written(i: int, j: int, factors: tuple) -> tuple[tuple[BPoly, int], ...]:
+    """The factors of x^i * y^j * prod(factors), the monomial's variables
+    first, each only when its exponent is nonzero."""
+    if j:
+        factors = ((_Y, j),) + factors
+    if i:
+        factors = ((_X, i),) + factors
+    return factors
+
+
 def _l1_bits(f: BPoly) -> int:
     """Bits of the L1 norm of f with its denominators cleared, which
-    bounds the coefficients of f^e by e times as many bits.  A one-term
-    f, such as a generator, has its coefficient's numerator as that norm."""
-    if len(f.terms) == 1:
-        return abs(f.terms[0][1].numerator).bit_length()
+    bounds the coefficients of f^e by e times as many bits."""
     den = lcm(*(a.denominator for _, a in f.terms))
     return sum(abs(a.numerator) * (den // a.denominator) for _, a in f.terms).bit_length()
 
 
-def _multiply_out(form: _Factored) -> dict[tuple[int, int], Scalar]:
-    """The coefficient table {(i, j): c} of the polynomial a factored
-    form stands for, possibly with zero entries, multiplied out in one
-    dict.  Its bidegree and the bits of its coefficients are read off the
-    factors first, and DegreeBound or InputError is raised before any
-    multiplication when they exceed their bounds."""
-    c, factors = form
+def _add_term(table: dict, c: Scalar, i: int, j: int, factors: tuple) -> None:
+    """Add the polynomial c * x^i * y^j * prod(factors) into a
+    coefficient table {(x-exponent, y-exponent): coefficient}, possibly
+    leaving zero entries.  Its
+    bidegree and the bits of its coefficients are read off the factors
+    first, a variable counting one bit, and DegreeBound or InputError is
+    raised before any multiplication when they exceed their bounds.  A
+    monomial goes into the table directly."""
     bound = DEFAULT_FACTOR_DEGREE_BOUND
-    dx = sum(e * f.deg_x() for f, e in factors)
-    dy = sum(e * f.deg_y() for f, e in factors)
+    dx, dy, bits = i, j, i + j
+    for f, e in factors:
+        dx += e * f.deg_x()
+        dy += e * f.deg_y()
+        bits += e * _l1_bits(f)
     if dx > bound or dy > bound:
         raise DegreeBound(f"bidegree ({dx}, {dy}) exceeds bound {bound}")
-    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-    bits += sum(e * _l1_bits(f) for f, e in factors)
+    bits += max(abs(c.numerator).bit_length(), c.denominator.bit_length())
     if bits > MAX_COEFFICIENT_BITS:
         raise InputError(
             f"coefficients of about {bits} bits exceed bound {MAX_COEFFICIENT_BITS}"
         )
-    powers = [f.terms for f, e in factors for _ in range(e)]
-    if not powers:
-        return {(0, 0): c}
-    table = {k: c * v for k, v in powers[0]}
-    for terms in powers[1:]:
-        table = _mul_table(table, terms)
-    return table
+    if not factors:
+        table[i, j] = table.get((i, j), 0) + c
+        return
+    term = {(i, j): c}
+    for f, e in factors:
+        for _ in range(e):
+            term = _mul_table(term, f.terms)
+    for k, v in term.items():
+        table[k] = table.get(k, 0) + v
 
 
 class _Parser:
     """Recursive descent over the module grammar.  Every rule returns a
-    factored form: products, powers and unary minus combine factor lists
-    and exponents, and only a sum multiplies its terms out, adding their
-    tables into one and building one polynomial from it.  It reads
-    text[start:end] and reports offsets in text."""
+    factored form: products, powers and unary minus combine constants,
+    monomials and factor lists, and only a sum multiplies its terms out,
+    adding them into one table and building one polynomial from it.  It
+    reads text[start:end] and reports offsets in text."""
 
     def __init__(self, text: str, start: int, end: int):
         self.tokens = _tokenize(text, start, end)
         self.i = 0
         self.depth = 0
+        self.text, self.start, self.end = text, start, end
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def offset(self) -> int:
+        """The offset in text of the current token, found by scanning
+        again, since only an error needs it."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text, self.start, self.end)):
+            if k == self.i:
+                return m.start()
+        return self.end
 
     def finish(self, expected=("+", "-", "*", "^", "end of input")):
-        if self.peek()[0] != "eof":
+        if self.tokens[self.i]:
             self.fail(expected)
 
     def descend(self) -> None:
         """Consume a '(' or unary '-', one level deeper; ParseError at
         the token that would pass MAX_NESTING."""
-        pos = self.advance()[2]
         if self.depth == MAX_NESTING:
             raise ParseError(
                 f"nesting deeper than {MAX_NESTING} levels",
-                pos,
+                self.offset(),
                 expected=("int", "x", "y"),
             )
+        self.i += 1
         self.depth += 1
 
     def fail(self, expected):
-        kind, text, pos = self.peek()
-        what = "end of input" if kind == "eof" else repr(text)
+        token = self.tokens[self.i]
+        what = repr(token) if token else "end of input"
         raise ParseError(
             f"expected one of {sorted(expected)}, found {what}",
-            pos,
+            self.offset(),
             expected=expected,
         )
 
     def expr(self) -> _Factored:
         form = self.term()
-        if self.peek()[0] not in ("+", "-"):
+        tokens = self.tokens
+        sign = tokens[self.i]
+        if sign != "+" and sign != "-":
             return form
-        table = _multiply_out(form)
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
-            c, factors = self.term()
-            for k, v in _multiply_out((sign * c, factors)).items():
-                table[k] = table.get(k, 0) + v
+        table: dict = {}
+        _add_term(table, *form)
+        while sign == "+" or sign == "-":
+            self.i += 1
+            c, i, j, factors = self.term()
+            _add_term(table, c if sign == "+" else -c, i, j, factors)
+            sign = tokens[self.i]
         value = BPoly.make(table)
         if value.deg_x() <= 0 and value.deg_y() <= 0:
-            return (value.terms[0][1] if value.terms else 0), []
-        return 1, [(value, 1)]
+            return (value.terms[0][1] if value.terms else 0), 0, 0, ()
+        return 1, 0, 0, ((value, 1),)
 
     def term(self) -> _Factored:
-        c, factors = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            c2, factors2 = self.factor()
-            c, factors = _frac(c * c2), factors + factors2
-        return c, factors
+        c, i, j, factors = self.factor()
+        tokens = self.tokens
+        while tokens[self.i] == "*":
+            self.i += 1
+            c2, i2, j2, factors2 = self.factor()
+            c, i, j, factors = _frac(c * c2), i + i2, j + j2, factors + factors2
+        return c, i, j, factors
 
     def factor(self) -> _Factored:
-        c, factors = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            if self.peek()[0] != "int":
-                self.fail(("uint",))
-            n = int(self.advance()[1])
-            if abs(c.numerator) > 1 or c.denominator > 1:
-                bits = n * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                if bits > MAX_CONSTANT_BITS:
-                    raise InputError(
-                        f"constant power of about {bits} bits exceeds bound {MAX_CONSTANT_BITS}"
-                    )
-            # x^0 is 1, so a zero exponent drops the factors
-            return _frac(c**n), [(f, e * n) for f, e in factors] if n else []
-        return c, factors
+        form = self.base()
+        tokens = self.tokens
+        if tokens[self.i] != "^":
+            return form
+        self.i += 1
+        if not tokens[self.i].isdecimal():
+            self.fail(("uint",))
+        n = int(tokens[self.i])
+        self.i += 1
+        c, i, j, factors = form
+        if abs(c.numerator) > 1 or c.denominator > 1:
+            bits = n * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            if bits > MAX_CONSTANT_BITS:
+                raise InputError(
+                    f"constant power of about {bits} bits exceeds bound {MAX_CONSTANT_BITS}"
+                )
+        # x^0 is 1, so a zero exponent drops the factors
+        return _frac(c**n), i * n, j * n, tuple((f, e * n) for f, e in factors) if n else ()
 
     def base(self) -> _Factored:
-        kind, text, _ = self.peek()
-        if kind == "int":
-            self.advance()
-            num = int(text)
-            if self.peek()[0] == "/" and self.tokens[self.i + 1][0] == "int":
-                self.advance()
-                _, digits, at = self.advance()
-                den = int(digits)
+        tokens = self.tokens
+        token = tokens[self.i]
+        if token == "x":
+            self.i += 1
+            return 1, 1, 0, ()
+        if token == "y":
+            self.i += 1
+            return 1, 0, 1, ()
+        if token.isdecimal():
+            self.i += 1
+            num = int(token)
+            if tokens[self.i] == "/" and tokens[self.i + 1].isdecimal():
+                self.i += 1
+                den = int(tokens[self.i])
                 if den == 0:
-                    raise ParseError("zero denominator in rational", at, ("uint",))
-                return qdiv(num, den), []
-            return num, []
-        if kind == "var":
-            self.advance()
-            return 1, [(_X if text == "x" else _Y, 1)]
-        if kind == "(":
+                    raise ParseError("zero denominator in rational", self.offset(), ("uint",))
+                self.i += 1
+                return qdiv(num, den), 0, 0, ()
+            return num, 0, 0, ()
+        if token == "(":
             self.descend()
             form = self.expr()
-            if self.peek()[0] != ")":
+            if tokens[self.i] != ")":
                 self.fail((")",))
-            self.advance()
+            self.i += 1
             self.depth -= 1
             return form
-        if kind == "-":
+        if token == "-":
             self.descend()
             # unary minus covers the whole factor so that the canonical
             # rendering "-x^2" re-parses to the value it was printed from
-            c, factors = self.factor()
+            c, i, j, factors = self.factor()
             self.depth -= 1
-            return -c, factors
+            return -c, i, j, factors
         self.fail(("int", "x", "y", "(", "-"))
 
 
@@ -302,18 +329,19 @@ def parse_element(text: str) -> DeltaElement:
     are handed over as written, so only sums are ever multiplied out."""
     p = _Parser(text, 0, len(text))
     num = p.expr()
-    if p.peek()[0] != "/":
+    if p.tokens[p.i] != "/":
         p.finish(("+", "-", "*", "/", "^", "end of input"))
-        den = (1, [])
+        den = (1, 0, 0, ())
     else:
-        p.advance()
+        p.i += 1
         den = p.expr()
         p.finish()
     if num[0] == 0:
         raise InputError("the zero element has no divisor")
     if den[0] == 0:
         raise InputError("zero denominator")
-    return DeltaElement.from_factors(qdiv(num[0], den[0]), num[1] + [(f, -e) for f, e in den[1]])
+    factors = num[3] + tuple((f, -e) for f, e in den[3])
+    return DeltaElement.from_factors(qdiv(num[0], den[0]), _written(num[1] - den[1], num[2] - den[2], factors))
 
 
 def parse_prime(text: str) -> Place:
@@ -353,8 +381,9 @@ def _term(text: str, start: int, end: int) -> tuple[Scalar, Place]:
         return 1, UnaryPlace.infinity(term[-1])
     # a coefficient of inf_x or inf_y is the constant before the '*'
     p = _Parser(text, start, start + len(head) - 1 if infinity else end)
-    c, written = p.expr()
+    c, i, j, factors = p.expr()
     p.finish()
+    written = _written(i, j, factors)
     if infinity:
         if written:
             raise InputError(f"the coefficient in {term.strip()!r} is not a constant")
@@ -492,41 +521,40 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each command's own parser by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", metavar="FILE", default=None)
 
     top = argparse.ArgumentParser(prog="doublefield")
     sub = top.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
 
-    p = sub.add_parser("divisor", parents=[common])
-    p.add_argument("expr", metavar="EXPR[/EXPR]")
-    p = sub.add_parser("residue", parents=[common])
+    parsers["divisor"].add_argument("expr", metavar="EXPR[/EXPR]")
+    p = parsers["residue"]
     p.add_argument("--A", required=True, metavar="SPEC")
     p.add_argument("--n", required=True, metavar="PRIME")
-    p = sub.add_parser("correspond", parents=[common])
+    p = parsers["correspond"]
     p.add_argument("--A", required=True, metavar="SPEC")
     p.add_argument("--p", required=True, metavar="PRIME")
-    p = sub.add_parser("pair", parents=[common])
+    p = parsers["pair"]
     p.add_argument("--a", required=True, metavar="SPEC")
     p.add_argument("--b", required=True, metavar="SPEC")
     p.add_argument("--side", choices=(SIDE_K, SIDE_KPRIME), default=SIDE_KPRIME)
-    p = sub.add_parser("selfpair", parents=[common])
+    p = parsers["selfpair"]
     p.add_argument("--m", required=True, metavar="PRIME")
     p.add_argument("--side", choices=(SIDE_K, SIDE_KPRIME), default=SIDE_KPRIME)
-    p = sub.add_parser("arakelov-deg", parents=[common])
-    p.add_argument("--d", required=True, metavar="DIVISOR")
-    p = sub.add_parser("rsp", parents=[common])
+    parsers["arakelov-deg"].add_argument("--d", required=True, metavar="DIVISOR")
+    p = parsers["rsp"]
     p.add_argument("--a", required=True, metavar="SPEC")
     p.add_argument("--b", required=True, metavar="SPEC")
-    p = sub.add_parser("explore", parents=[common])
+    p = parsers["explore"]
     p.add_argument("--trials", type=int, default=100, metavar="N")
     p.add_argument("--max-deg", type=int, default=2, metavar="D")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--suite", required=True, metavar="NAME")
-    return top
+    parsers["verify"].add_argument("--suite", required=True, metavar="NAME")
+    return top, parsers
 
 
 def _inputs_of(args) -> dict:
@@ -534,8 +562,23 @@ def _inputs_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv as the top parser reads them.  When argv[0]
+    names a command, that command's parser reads the rest; anything else,
+    and leftover arguments, go to the top parser, which prints its help
+    or its error and exits as it would for the whole argv."""
+    top, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     t0 = time.monotonic()
     try:
         result, human, code = _COMMANDS[args.command](args)

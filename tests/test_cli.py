@@ -1,10 +1,13 @@
 """Tests for the command-line interface: grammar, exit codes, reports."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -70,6 +73,28 @@ class TestExpressionGrammar:
             with pytest.raises(ParseError) as exc:
                 parse_element(text)
             assert exc.value.offset == offset
+
+    def test_alphabet(self):
+        # a digit is any Unicode decimal digit, whitespace any Unicode space
+        x, one = BPoly.gen("x"), BPoly.const(1)
+        assert parse_element("٣*x + 1") == _element(3 * x + one)
+        assert parse_element("\u00a0x\t+\n1\u00a0") == _element(x + one)
+        assert parse_element("1٢*x^٢") == _element(12 * x**2)
+
+    @pytest.mark.parametrize(
+        "text, offset, found",
+        [
+            ("  @x", 2, "@"),
+            ("\t\u00a0x + \n$", 7, "$"),
+            # a superscript two is a digit to str.isdigit but not a decimal
+            ("x^²", 2, "²"),
+        ],
+    )
+    def test_unexpected_character_offset(self, text, offset, found):
+        with pytest.raises(ParseError) as exc:
+            parse_element(text)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"unexpected character {found!r} at offset {offset}"
 
     @given(
         st.lists(
@@ -167,6 +192,26 @@ class TestFactoredParsing:
             parse_element("(x - x)*y")
         with pytest.raises(InputError, match="zero denominator"):
             parse_element("y/(x*(y - y))")
+
+
+# whitespace, Unicode spaces included, to put between two tokens
+_SPACES = st.text(alphabet=" \t\n\u00a0\u2003", max_size=3)
+
+
+class TestWhitespace:
+    @settings(max_examples=80, deadline=None)
+    @given(_EXPRESSIONS, st.data())
+    def test_whitespace_between_tokens_changes_nothing(self, generated, data):
+        text = generated[0]
+        tokens = re.findall(r"\d+|\S", text)
+        spaced = "".join(data.draw(_SPACES) + token for token in tokens) + data.draw(_SPACES)
+        try:
+            expected = parse_element(text)
+        except InputError as exc:
+            with pytest.raises(type(exc)):
+                parse_element(spaced)
+            return
+        assert parse_element(spaced) == expected
 
 
 # The same texts with the sympy expression each stands for, from integer
@@ -395,6 +440,9 @@ class TestSpecParsing:
             ("(x - y); ", 8),
             ("(x - y); 2*inf_x; 3 inf_y", 20),
             ("(x - y); (x @ y)", 12),
+            # an unexpected character in the second term, after whitespace
+            ("(x - y); \t@", 10),
+            ("(x - y);  \t2*(x + y$)", 19),
             # a leading '+' is refused, as everywhere in the grammar
             ("(x - y); +2*(x + y)", 9),
         ],
@@ -612,6 +660,67 @@ class TestExitCodes:
         f = "(x - y)^2 + y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
         assert main(["pair", "--a", f, "--b", "(y - 5)"]) == 0
         assert capsys.readouterr().out.strip() == "2*(y - 5)"
+
+
+def _run(call, argv):
+    """(exit code, stdout, stderr) of call(argv), whether it returns its
+    code or argparse exits with it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvRoutes:
+    """``main`` reads argv exactly as the top parser does: what argparse
+    answers itself it prints as the top parser prints it, and a command
+    it accepts runs on the same arguments."""
+
+    @pytest.mark.parametrize(
+        "argv, code, printed",
+        [
+            ([], 2, "doublefield: error: the following arguments are required: command"),
+            (["-h"], 0, "positional arguments:"),
+            (["divisor", "-h"], 0, "usage: doublefield divisor [-h] [--json] [--out FILE] EXPR[/EXPR]"),
+            (["divisor"], 2, "doublefield divisor: error: the following arguments are required: EXPR[/EXPR]"),
+            (["bogus"], 2, "doublefield: error: argument command: invalid choice: 'bogus'"),
+            (["div", "x"], 2, "doublefield: error: argument command: invalid choice: 'div'"),
+            (["divisor", "x", "extra"], 2, "doublefield: error: unrecognized arguments: extra"),
+            (["divisor", "x", "--bogus"], 2, "doublefield: error: unrecognized arguments: --bogus"),
+            (["--json", "divisor", "x"], 2, "doublefield: error: unrecognized arguments: --json"),
+            (["--", "divisor", "x"], 2, "doublefield: error: argument command: invalid choice: '--'"),
+            (["pair", "--a", "x", "--b"], 2, "doublefield pair: error: argument --b: expected one argument"),
+            (["pair", "--a", "x", "--b", "y", "--side", "L"], 2, "doublefield pair: error: argument --side: invalid choice: 'L'"),
+            (["arakelov-deg", "--d", "-1*inf_x"], 2, "doublefield arakelov-deg: error: argument --d: expected one argument"),
+        ],
+    )
+    def test_argparse_answers_as_the_top_parser(self, argv, code, printed):
+        got = _run(main, argv)
+        assert got == _run(cli._build_parser()[0].parse_args, argv)
+        assert got[0] == code
+        assert printed in got[1] + got[2]
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["divisor", "--", "-x"], "(x) - inf_x\n"),
+            # --js abbreviates --json
+            (["divisor", "x", "--js"], '{"schema_version": "5", "command": "divisor", "inputs": {"expr": "x"}, "result": {"divisor": "(x) - inf_x", "terms": [{"place": "(x)", "coeff": 1}, {"place": "inf_x", "coeff": -1}]}}'),
+            # the last --a counts
+            (["pair", "--a", "x", "--a", "y - 1", "--b", "x - y"], "(y - 1)\n"),
+            (["arakelov-deg", "--d=-1*inf_y"], "2\n"),
+        ],
+    )
+    def test_commands_run_on_the_top_parsers_arguments(self, argv, out):
+        code, stdout, stderr = _run(main, argv)
+        if "--js" in argv:
+            report = json.loads(stdout)
+            report.pop("wall_time")
+            stdout = json.dumps(report)
+        assert (code, stdout, stderr) == (0, out, "")
 
 
 class TestReports:
