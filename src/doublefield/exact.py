@@ -15,10 +15,17 @@ their degree patterns mod small primes, finished by Hensel-lifted
 rational roots when only a linear factor is left possible; the rest go
 through a squarefree split when no small prime was usable, then
 Zassenhaus's algorithm at the pattern prime with the fewest factors.
-The certificate proves a curve prime by the same degree-set rule over Q,
-read at several points, and its content in y constant by a gcd over Z of
-its rows (``_gcd_z``).  The one bridge to sympy holds one fallback,
-Wang's factorization, for curves whose degree sets leave a proper factor
+The certificate reads a curve's rows once.  A gcd over Z of the rows
+(``_gcd_z``) proves its content in y constant, which is the whole proof
+for a curve whose smaller degree is 1.  One of smaller degree 2 is
+decided by its discriminant in Z[y] and an integer polynomial square
+root (``_sqrt_z``), with no point read, and when the discriminant is a
+square ``factor_b`` splits the curve by it (``_split_quadratic``).  A
+larger one is proved prime by the same degree-set rule over Q, read at
+several points.  The one bridge to sympy holds one fallback, Wang's
+factorization, for the curves these rules leave open: those divisible by
+x or by a content in y (in the certificate's orientation), and those of
+both degrees at least 3 whose degree sets leave a proper factor
 possible.  It works over ZZ only: the bridged call takes its input in
 primitive integer form (``primitive_int_bpoly``) and puts the rational
 unit back exactly.  The bridge loads on first use (``_load_bridge``), so
@@ -495,6 +502,45 @@ def _x_rows(g: BPoly) -> list[list]:
     return rows
 
 
+def _sqrt_z(a: list[int]) -> Optional[list[int]]:
+    """The s in Z[t] with s*s = a and a positive leading coefficient, for
+    an integer list a with no trailing zeros: [] for a = [], and None when
+    a is no square in Z[t].  An integer is the constant list [a].
+
+    A square s*s with deg s = m has degree 2m, a leading coefficient
+    lc(s)^2 > 0 and a constant term s_0^2 >= 0, so a fails at once when
+    its degree is odd or either end is no integer square.  Otherwise s is
+    read from the top: s_m = isqrt(lc a), and for k = m - 1, ..., 0 the
+    coefficient of t^(m+k) in s*s is 2*s_m*s_k plus products of the s_u
+    with k < u < m, already read, so s_k is that coefficient of a less
+    those products, divided by 2*s_m, which must divide it exactly.  The
+    top m + 1 coefficients of a fix s this way, and s*s = a checks the
+    rest.  A square in Q[t] is one in Z[t] too: write s = r*s' with s'
+    primitive in Z[t]; s'^2 is primitive (Gauss's lemma), so r^2 is the
+    content of a, an integer, and so is r."""
+    if not a:
+        return []
+    if not len(a) & 1 or a[-1] < 0 or a[0] < 0:
+        return None
+    top, low = isqrt(a[-1]), isqrt(a[0])
+    if top * top != a[-1] or low * low != a[0]:
+        return None
+    m = len(a) // 2
+    s = [0] * m + [top]
+    for k in range(m - 1, -1, -1):
+        q, r = divmod(a[m + k] - sum(s[u] * s[m + k - u] for u in range(k + 1, m)), 2 * top)
+        if r:
+            return None
+        s[k] = q
+    return s if _mul(s, s) == a else None
+
+
+def _discriminant(rows: list[list[int]]) -> list[int]:
+    """b^2 - 4*a*c for the rows c, b, a of a*x^2 + b*x + c."""
+    c, b, a = rows
+    return _add(_mul(b, b), [-4 * v for v in _mul(a, c)])
+
+
 # ---------------------------------------------------------------------------
 # the bridge to sympy's dense polynomial layer
 #
@@ -603,10 +649,12 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     leading term is the leading one.  An input of positive degree in both
     variables is put in primitive integer form, (u, q) =
     primitive_int_bpoly(f).  The result is (u, ((q, 1),)) when
-    ``certify_irreducible_bivariate(q)`` proves q prime; only when it
-    does not does q go to sympy's ``dmp_factor_list`` (Wang's EEZ
-    lifting).  Both results equal sympy's: the factorization over Q is
-    unique up to units, and primitive_int_bpoly fixes the unit.
+    ``certify_irreducible_bivariate(q)`` proves q prime.  Otherwise a q
+    whose smaller degree is 2 splits by its discriminant
+    (``_split_quadratic``) when it can, and only the rest goes to sympy's
+    ``dmp_factor_list`` (Wang's EEZ lifting).  Every result equals
+    sympy's: the factorization over Q is unique up to units, and
+    primitive_int_bpoly fixes the unit.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -620,6 +668,9 @@ def factor_b(f: BPoly) -> tuple[Scalar, tuple[tuple[BPoly, int], ...]]:
     unit, q = primitive_int_bpoly(f)
     if certify_irreducible_bivariate(q):
         return unit, ((q, 1),)
+    split = _split_quadratic(q)
+    if split is not None:
+        return unit, split
     _load_bridge()
     content, fac = dmp_factor_list(_to_dmp(q), 1, ZZ)
     unit *= int(content)
@@ -816,7 +867,7 @@ def _irreducibles(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     multiplicities.
 
     A linear c is its own factor.  A quadratic c = a*t^2 + b*t + d is
-    decided by D = b^2 - 4ad.  When D is no integer square, c has no
+    decided by D = b^2 - 4ad (``_sqrt_z``).  When D is no integer square, c has no
     rational root, so no linear factor over Q, and is irreducible.  When
     D = s^2 its roots (-b -+ s)/2a, in lowest terms n/e with e > 0, give
     the primitive factors e*t - n, squared when s = 0: c and the product
@@ -877,10 +928,10 @@ def _irreducibles(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
         return [(c, 1)]
     if n == 2:
         d0, b, a = c
-        disc = b * b - 4 * a * d0
-        s = isqrt(max(disc, 0))
-        if s * s != disc:
+        root = _sqrt_z(_trim([b * b - 4 * a * d0]))
+        if root is None:
             return [(c, 1)]
+        s = root[0] if root else 0
         zeros = [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
         lin = [(-r.numerator, r.denominator) for r in zeros]
         return [(lin[0], 2)] if s == 0 else [(lin[0], 1), (lin[1], 1)]
@@ -1174,16 +1225,21 @@ def _pp(a: Sequence[int]) -> list[int]:
 
 def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The primitive gcd in Z[t] of a nonzero a and any b, with a positive
-    leading coefficient: [1] when one operand is a nonzero constant, or
-    when a and b are coprime mod p at one of the first three primes of
-    ``PATTERN_PRIMES`` that do not divide the longer one's leading
-    coefficient; otherwise the primitive part of G, the last nonzero
-    remainder of the subresultant PRS of the primitive parts, which is
-    the gcd up to a constant (``_subresultant_prs``); it is [1] when G
-    is constant.  The tries stop early at a prime where the shorter
-    operand's image keeps its degree and divides the other's: the shorter
-    then most likely divides the longer, which the PRS's first step
-    shows.
+    leading coefficient, read off the subresultant PRS
+    (``_subresultant_prs``): [1] when Res(a, b) != 0, which is when a and
+    b are coprime, and otherwise the primitive part of G, the chain's last
+    nonzero remainder, which is the gcd up to a constant.  It is [1] at
+    once when one operand is a nonzero constant.  A pair whose shorter
+    operand has degree 1 or 2 goes straight to the PRS, which there costs
+    about half of the modular tries when the other operand has degree up
+    to 12; from degree 3 on, the PRS costs more than the tries against a
+    long operand (``BENCH_50.json`` has the table by degree).  A longer
+    pair is [1] when a and b are coprime mod p at one of the first three
+    primes of ``PATTERN_PRIMES`` that do not divide the longer one's
+    leading coefficient; otherwise the PRS reads the primitive parts of a
+    and b.  The tries stop early at a prime where the shorter operand's
+    image keeps its degree and divides the other's: the shorter then most
+    likely divides the longer, which the PRS's first step shows.
 
     Proof of the modular accept.  The primitive gcd g divides the longer
     operand, so lc(g) divides its leading coefficient and p does not
@@ -1195,13 +1251,16 @@ def _gcd_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
         a, b = b, a
     if len(b) == 1:
         return [1]
-    for p in islice((p for p in PATTERN_PRIMES if a[-1] % p), 3):
-        d = len(_gcd_p(_mod(a, p), _mod(b, p), p))
-        if d == 1:
-            return [1]
-        if d == len(b):
-            break
-    return _pp(_subresultant_prs(_pp(a), _pp(b))[0])
+    if len(b) > 3:
+        for p in islice((p for p in PATTERN_PRIMES if a[-1] % p), 3):
+            d = len(_gcd_p(_mod(a, p), _mod(b, p), p))
+            if d == 1:
+                return [1]
+            if d == len(b):
+                break
+        a, b = _pp(a), _pp(b)
+    G, res = _subresultant_prs(a, b)
+    return [1] if res else _pp(G)
 
 
 def _squarefree_parts(c: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -1426,23 +1485,30 @@ def _zassenhaus(c: tuple[int, ...], p: int, candidates: int) -> list[tuple[int, 
 # bivariate irreducibility certification
 
 
-def y_content_is_constant(f: BPoly) -> bool:
-    """True when no nonconstant polynomial in y alone divides a nonzero f:
-    a fold of ``_gcd_z`` over the nonzero rows (coefficients of powers of
-    x, integer polynomials in y) of f's primitive form g, shortest first,
-    which stops as soon as the running gcd is constant; so a constant row
-    decides at once.
-
-    Proof.  By Gauss's lemma a polynomial in y alone divides g in
-    Q[x, y] exactly when it divides every row, so the content of g in y
-    is the gcd of its rows, up to a unit."""
+def _content_is_constant(rows: list[list[int]]) -> bool:
+    """True when the gcd over Z of the nonzero integer lists ``rows`` is
+    constant: a fold of ``_gcd_z`` over them, shortest first, which stops
+    as soon as the running gcd is constant; so a constant row decides at
+    once."""
     c: list[int] = []
-    for row in sorted(_x_rows(primitive_int_bpoly(f)[1]), key=len):
+    for row in sorted(rows, key=len):
         if row:
             c = _gcd_z(row, c) if c else row
             if len(c) == 1:
                 return True
     return False
+
+
+def y_content_is_constant(f: BPoly) -> bool:
+    """True when no nonconstant polynomial in y alone divides a nonzero f:
+    the gcd over Z of the nonzero rows (coefficients of powers of x,
+    integer polynomials in y) of f's primitive form g is constant
+    (``_content_is_constant``).
+
+    Proof.  By Gauss's lemma a polynomial in y alone divides g in
+    Q[x, y] exactly when it divides every row, so the content of g in y
+    is the gcd of its rows, up to a unit."""
+    return _content_is_constant(_x_rows(primitive_int_bpoly(f)[1]))
 
 
 def content_free_both_ways(f: BPoly) -> bool:
@@ -1451,47 +1517,104 @@ def content_free_both_ways(f: BPoly) -> bool:
 
 
 def certify_irreducible_bivariate(q: BPoly) -> bool:
-    """A sound sufficient test that a nonzero q is irreducible over Q:
-    the degree-set rule of ``factor_q``'s patterns (``_degree_sets``), read
-    over Q at several points.
+    """A sound sufficient test that a nonzero q with integer coefficients
+    (``factor_b`` passes its primitive integer form) is irreducible over
+    Q.  It reads the rows of g once, g being whichever of q and
+    q.transpose() has the smaller x-degree n (q on a tie).  It returns
+    False when g(0, y) = 0 or g has a content in y (the gcd over Z of the
+    rows is not constant, ``_content_is_constant``): then x or the
+    content divides g, a proper factor when g has positive degree in both
+    variables.  Otherwise:
 
-    Let g be whichever of q and q.transpose() has the smaller x-degree n
-    (q on a tie).  It returns False when g(0, y) = 0 or g has a content
-    in y (``y_content_is_constant``): then x or the content divides g, a
-    proper factor when g has positive degree in both variables.
-    Otherwise it narrows the candidate degrees 1..n - 1 by the factor
-    degrees, with multiplicity, of g(x, c) (``factor_q``) at the points
-    c = 1, -1, 2, -2, ... that are zeros of neither lc_x(g) nor g(0, y),
-    and returns True once no degree is left.  With n = 1 none is left to
-    begin with, so no point is read.  It returns False when
-    ``_degree_sets`` stops; False means only that the rule did not prove
-    q prime.  Raises DegreeBound when g(x, c) is past ``factor_q``'s bound.
+    - n = 1: True;
+    - n = 2, g = a*x^2 + b*x + c: True exactly when the discriminant
+      D = b^2 - 4*a*c in Z[y] is no square in Z[y] (``_sqrt_z``;
+      D = 0 is the square of 0), so the answer is exact and no point is
+      read;
+    - n >= 3: the degree-set rule of ``factor_q``'s patterns
+      (``_degree_sets``), read over Q at several points.  It narrows the
+      candidate degrees 1..n - 1 by the factor degrees, with
+      multiplicity, of g(x, c) (``factor_q``) at the points
+      c = 1, -1, 2, -2, ... that are zeros of neither lc_x(g) nor
+      g(0, y), and returns True once no degree is left.  It returns False
+      when ``_degree_sets`` stops; False means only that the rule did not
+      prove q prime.  Raises DegreeBound when g(x, c) is past
+      ``factor_q``'s bound.
 
     Proof.  q and its transpose are irreducible together.  Let g = a*b
     with neither factor constant.  A factor of x-degree 0 lies in Q[y] and
     divides every x-coefficient of g, hence the content of g in y; as
-    that is constant, d = deg_x a lies in 1..n - 1.  At a point c,
-    lc_x(g)(c) = lc_x(a)(c)*lc_x(b)(c) is nonzero, so a(x, c) has degree
-    d and divides g(x, c); by unique factorization in Q[x] its
-    irreducible factors are some of those of g(x, c), counted with
-    multiplicity, so d is a sum of some of their degrees.  So d stays a
-    candidate at every point, and no candidate left proves g irreducible.
-    The proof needs only lc_x(g)(c) != 0; skipping the zeros of g(0, y)
-    only avoids points where x divides g(x, c), which rule out neither 1
-    nor n - 1.
+    that is constant, d = deg_x a lies in 1..n - 1.  So g is prime when
+    n = 1.  When n = 2, g splits exactly when it has a linear factor
+    x - r over Q(y) (Gauss's lemma carries a split over Q(y) to one in
+    Q[x, y] and back), that is, a root r in Q(y), which it has exactly
+    when D is a square in Q(y) (r = (-b +- sqrt(D))/2a).  Q[y] is
+    integrally closed, so D is then a square in Q[y], and so in Z[y] (see
+    ``_sqrt_z``).  When n >= 3, at a point c, lc_x(g)(c) =
+    lc_x(a)(c)*lc_x(b)(c) is nonzero, so a(x, c) has degree d and divides
+    g(x, c); by unique factorization in Q[x] its irreducible factors are
+    some of those of g(x, c), counted with multiplicity, so d is a sum of
+    some of their degrees.  So d stays a candidate at every point, and no
+    candidate left proves g irreducible.  The proof needs only
+    lc_x(g)(c) != 0; skipping the zeros of g(0, y) only avoids points
+    where x divides g(x, c), which rule out neither 1 nor n - 1.
     """
     g = q.transpose() if q.deg_y() < q.deg_x() else q
     # the terms are sorted, so the first has the least power of x
-    if g.terms[0][0][0] > 0 or not y_content_is_constant(g):
+    if g.terms[0][0][0] > 0:
         return False
-    return not _degree_sets(g.deg_x(), _specializations(g))[0]
+    rows = _x_rows(g)
+    if not _content_is_constant(rows):
+        return False
+    n = len(rows) - 1
+    if n == 1:
+        return True
+    if n == 2:
+        return _sqrt_z(_discriminant(rows)) is None
+    return not _degree_sets(n, _specializations(g))[0]
+
+
+def _split_quadratic(q: BPoly) -> Optional[tuple[tuple[BPoly, int], ...]]:
+    """``factor_b``'s factors of a primitive integer q of positive degree
+    in both variables whose certificate form g (see
+    ``certify_irreducible_bivariate``) is a*x^2 + b*x + c with g(0, y) != 0,
+    a constant content in y and a discriminant D = s^2, s in Z[y]; None
+    for every other q.  The factors are the primitive parts of
+    2a*x + b - s and 2a*x + b + s, their contents in y and in Z removed,
+    one factor of multiplicity 2 when s = 0, transposed back when g is
+    q's transpose, and sorted by their terms.
+
+    Proof.  4a*g = (2a*x + b)^2 - D = (2a*x + b - s)*(2a*x + b + s).  Each
+    factor has x-degree 1, so its primitive part P in Z[y][x] is prime.
+    P1*P2 is primitive (Gauss's lemma) and an associate of g in Q(y)[x];
+    g is primitive too (q is, and its content in y is constant), so
+    g = +-P1*P2.  The sign is +: ``primitive_int_bpoly`` makes the
+    graded-lex leading coefficient positive, and that of a product is the
+    product of theirs.  P1 = P2 only when D = 0."""
+    g = q.transpose() if q.deg_y() < q.deg_x() else q
+    if g.deg_x() != 2 or g.terms[0][0][0] > 0:
+        return None
+    rows = _x_rows(g)
+    s = _sqrt_z(_discriminant(rows))
+    if s is None or not _content_is_constant(rows):
+        return None
+    _, b, a = rows
+    a2 = [2 * v for v in a]
+    lows, m = ([_add(b, [-v for v in s]), _add(b, s)], 1) if s else ([b], 2)
+    out = []
+    for low in lows:
+        h = _gcd_z(a2, low)  # the content in y
+        d = {(1, j): v for j, v in enumerate(_exquo(a2, h)) if v}
+        d.update(((0, j), v) for j, v in enumerate(_exquo(low, h)) if v)
+        p = BPoly.make(d)
+        out.append((primitive_int_bpoly(p.transpose() if g is not q else p)[1], m))
+    out.sort(key=lambda t: t[0].terms)
+    return tuple(out)
 
 
 def _specializations(g: BPoly) -> Iterator[tuple[int, list[int]]]:
     """(c, the factor degrees of g(x, c) with multiplicity) at c = 1, -1,
-    2, -2, ..., skipping the zeros of lc_x(g) and g(0, y).  Nothing is
-    built before the first point is asked for, so a curve of x-degree 1,
-    which needs no point, pays for none."""
+    2, -2, ..., skipping the zeros of lc_x(g) and g(0, y)."""
     lc, tail = g.coeff_of_x(g.deg_x()), g.coeff_of_x(0)
     for k in count(1):
         for c in (k, -k):

@@ -642,8 +642,8 @@ class TestExitCodes:
         assert captured.err == f"input error: unknown suite 'nope'; the suites are {names} and all\n"
 
     def test_reducible_binary_exits_2(self, capsys):
-        # x^2 - y^2 is x^2 - 1 at y = 1, so the certificate does not apply;
-        # factor_b splits it into (x - y)(x + y), so it is refused
+        # the discriminant of x^2 - y^2 is (2y)^2, so the certificate does
+        # not apply; factor_b splits it into (x - y)(x + y), so it is refused
         args = ["pair", "--a", "(x^2 - y^2)", "--b", "(y - 5)"]
         assert main(args) == 2
         captured = capsys.readouterr()
@@ -655,11 +655,11 @@ class TestExitCodes:
 
     def test_uncertified_irreducible_binary_is_decided(self, capsys):
         # the product vanishes at every y = c with |c| <= 10, so each
-        # specialization is (x - c)^2 and the certificate does not apply;
+        # specialization is (x - c)^3 and the certificate's points stall;
         # Wang's algorithm in factor_b finds one factor
-        f = "(x - y)^2 + y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
+        f = "(x - y)^3 + y*" + "*".join(f"(y^2 - {k * k})" for k in range(1, 11))
         assert main(["pair", "--a", f, "--b", "(y - 5)"]) == 0
-        assert capsys.readouterr().out.strip() == "2*(y - 5)"
+        assert capsys.readouterr().out.strip() == "3*(y - 5)"
 
 
 def _run(call, argv):
@@ -857,19 +857,14 @@ class TestReadmeExamples:
                     out = _report_digest(out)
                 assert out == expected, argv
 
-    @pytest.mark.parametrize(
-        "argv", [argv for argv, _ in README_EXAMPLES if argv[0] != "divisor"], ids=lambda argv: argv[0]
-    )
+    @pytest.mark.parametrize("argv", [argv for argv, _ in README_EXAMPLES], ids=lambda argv: argv[0])
     def test_example_without_a_fallback_loads_neither_sympy_nor_mpmath(self, argv):
+        # the divisor example's x^2 - y^2 splits by its discriminant
         assert _sympy_mpmath_after(argv) == set()
 
     def test_pair_past_x_degree_3_loads_neither_sympy_nor_mpmath(self):
         # x-degrees (4, 2): the fiber resultant is the PRS over Z[y]
         assert _sympy_mpmath_after(["pair", "--a", "x^4 - y", "--b", "x^2 + y^2 - 3"]) == set()
-
-    def test_reducible_divisor_example_loads_sympy(self):
-        # x^2 - y^2 may split, so Wang's algorithm factors it
-        assert "sympy" in _sympy_mpmath_after(["divisor", "(x^2-y^2)/(x*y)"])
 
     def test_verify_loads_sympy_and_mpmath(self):
         assert _sympy_mpmath_after(["verify", "--suite", "all"]) == {"sympy", "mpmath"}

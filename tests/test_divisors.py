@@ -35,15 +35,15 @@ Y = BPoly.gen("y")
 
 
 def _uncertified_prime() -> BPoly:
-    """(x - y)^2 + y*(y^2 - 1)*...*(y^2 - 100): irreducible, since its
-    x-discriminant -4*y*(y^2 - 1)*...*(y^2 - 100) has odd degree and so
-    is no square, but every specialization y = c with |c| <= 10 is
-    (x - c)^2, so the certificate does not apply and only Wang's
-    algorithm decides it."""
+    """(x - y)^3 + y*(y^2 - 1)*...*(y^2 - 100): irreducible, since
+    u^3 + y*(y^2 - 1)*...*(y^2 - 100) with u = x - y is, its constant
+    term being squarefree and so no cube, but every specialization
+    y = c with |c| <= 10 is (x - c)^3, so the certificate's points stall
+    and only Wang's algorithm decides it."""
     g = Y
     for k in range(1, 11):
         g = g * (Y**2 - BPoly.const(k * k))
-    return (X - Y) ** 2 + g
+    return (X - Y) ** 3 + g
 
 
 def uplace(var, *coeffs):

@@ -41,6 +41,7 @@ from doublefield.exact import (
     y_content_is_constant,
 )
 from doublefield.oracles import complex_roots
+from test_mutants import _variant
 
 
 def up(*coeffs, var="x"):
@@ -545,7 +546,7 @@ class TestBridge:
             "    raise Refused\n"
             "exact.dmp_factor_list = refuse\n"
             "try:\n"
-            "    cli.main(['divisor', '(x^2-y^2)/(x*y)'])\n"
+            "    cli.main(['divisor', '(x^3 + x^2*y^2 + x*y + y^3)/(x*y)'])\n"
             "except Refused:\n"
             "    print('refused')\n"
             "print(exact.dmp_factor_list is refuse)\n"
@@ -789,15 +790,70 @@ def test_factor_b_matches_sympy_route(f):
 # the benchmark's cli-divisor corpus (seed 1) that splits at y = 1, which
 # Wang's algorithm decided before the certificate read several points
 CORPUS_PRIME_2_3 = bp({(2, 3): 2, (1, 2): 4, (1, 1): 3, (0, 2): 4, (0, 0): 1})
-# factor_b on fixed reducible curves, which every proof of primality must
-# leave to Wang's algorithm
-REDUCIBLE_CURVES = {"x^2-y^2": X**2 - Y**2}
+# factor_b on fixed reducible curves: x^2 - y^2, which its discriminant
+# splits, and (x^2 + y)(x + y^2), of degrees 3 and 3, which every proof of
+# primality must leave to Wang's algorithm
+REDUCIBLE_CURVES = {"x^2-y^2": X**2 - Y**2, "(x^2+y)(x+y^2)": (X**2 + Y) * (X + Y**2)}
 
 
 @pytest.mark.parametrize("name", REDUCIBLE_CURVES)
 def test_reducible_curve_matches_sympy(name):
     f = REDUCIBLE_CURVES[name]
     assert factor_b(f) == _sympy_route(f)
+
+
+nonzero_ints = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def quadratic_curves(draw):
+    """A curve of x-degree 2 and y-degree 1 to 6, or its transpose, with
+    up to 9 integer terms, times a rational unit."""
+    dy = draw(st.integers(1, 6))
+    d = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, dy)), st.integers(-9, 9), max_size=7))
+    d[(2, draw(st.integers(0, dy)))] = draw(nonzero_ints)
+    d[(draw(st.integers(0, 2)), dy)] = draw(nonzero_ints)
+    f = BPoly.make(d).scale(draw(nonzero_fracs))
+    return f.transpose() if draw(st.booleans()) else f
+
+
+def _y_list(draw, max_deg):
+    return draw(st.lists(st.integers(-5, 5), min_size=1, max_size=max_deg + 1).filter(any))
+
+
+@st.composite
+def products_linear_in_x(draw):
+    """(a1*x + b1)(a2*x + b2) with a_i and b_i in Z[y] of degree up to 3,
+    a square when the factors are equal (D = 0), and with y dividing
+    a1 and a2 when the flag says so, so that the linear factors
+    2a*x + b -+ s of the discriminant rule carry a content in y."""
+    y_content = draw(st.booleans())
+    factors = []
+    for _ in range(2):
+        a, b = _y_list(draw, 3), _y_list(draw, 3)
+        if y_content:
+            a = [0] + a
+        factors.append(BPoly.make({**{(1, j): c for j, c in enumerate(a)}, **{(0, j): c for j, c in enumerate(b)}}))
+    if draw(st.booleans()):
+        factors[1] = factors[0]
+    f = factors[0] * factors[1]
+    return f.transpose() if draw(st.booleans()) else f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(quadratic_curves(), products_linear_in_x()))
+@example(X * Y**2 - X**2 - 2 * X * Y + 2 * Y)  # prime, split at its first three points
+@example((Y * X + BPoly.const(1)) * (Y * X + BPoly.const(2)))  # each 2a*x + b -+ s has content y
+@example((X * Y**2 + Y + BPoly.const(3)) ** 2)  # D = 0
+def test_factor_b_matches_sympy_route_at_smaller_degree_2(f):
+    """factor_b on curves whose smaller degree is 2 is sympy's
+    factorization, and the discriminant rule splits every reducible one
+    with a constant content whose form g is not divisible by x."""
+    assert factor_b.__wrapped__(f) == _sympy_route(f)
+    q = primitive_int_bpoly(f)[1]
+    g = q.transpose() if q.deg_y() < q.deg_x() else q
+    if g.deg_x() == 2 and g.terms[0][0][0] == 0 and y_content_is_constant(g):
+        assert (exact._split_quadratic(q) is None) is certify_irreducible_bivariate(q)
 
 
 class TestFactorB:
@@ -831,9 +887,10 @@ class TestFactorB:
             assert factor_b(f) == (u, ((q, 1),))
 
     def test_reducible_input_pays_at_most_the_stall_before_wang(self, monkeypatch):
-        """On a reducible curve the candidate degrees can only stay as they
-        are, so the certificate stops after PATTERN_STALL points and Wang
-        runs once, after every certificate call."""
+        """On a reducible curve of both degrees at least 3 the candidate
+        degrees can only stay as they are, so the certificate stops after
+        PATTERN_STALL points and Wang runs once, after every certificate
+        call."""
         factor_q_calls = []
         at_sympy_route = []
 
@@ -848,14 +905,38 @@ class TestFactorB:
         monkeypatch.setattr(exact, "factor_q", counting_factor_q)
         monkeypatch.setattr(exact, "dmp_factor_list", recording_dmp_factor_list)
         for f, factors in (
-            ((X - Y) * (X + Y**2), [X - Y, X + Y**2]),
-            (X**2 - Y**2, [X - Y, X + Y]),
+            ((X**2 + Y) * (X + Y**2), [X**2 + Y, X + Y**2]),
+            ((X - Y) * (X**2 + Y**3), [X - Y, X**2 + Y**3]),
         ):
             factor_q_calls.clear()
             at_sympy_route.clear()
             assert factor_b(f) == (1, tuple((q, 1) for q in factors))
             assert at_sympy_route == [len(factor_q_calls)]
             assert len(factor_q_calls) <= exact.PATTERN_STALL
+
+    def test_quadratic_curves_split_without_wang(self, monkeypatch):
+        """A reducible curve whose smaller degree is 2 splits by its
+        discriminant, with no point read and no Wang: a square (D = 0),
+        linear factors with a content in y to remove, the transpose of
+        such a curve, and the curves that went to Wang before."""
+
+        def refuse(*args):
+            raise AssertionError("factorizer called")
+
+        monkeypatch.setattr(exact, "dmp_factor_list", refuse)
+        monkeypatch.setattr(exact, "factor_q", refuse)
+        one = BPoly.const(1)
+        for f in (
+            X**2 - Y**2,
+            (X - Y) * (X + Y**2),
+            3 * (X * Y - Y**3 + one) ** 2,
+            (X * Y + one) * (X * Y + 2 * one),
+            (Y * X + one) * (Y**2 * X - Y - one) * -2,
+            (Y - X**2) * (Y + X**3),
+        ):
+            unit, factors = factor_b(f)
+            assert len(factors) == 2 or factors[0][1] == 2
+            assert (unit, factors) == _sympy_route(f)
 
     def test_at_the_bound_still_factors(self):
         f = (X**DEFAULT_FACTOR_DEGREE_BOUND - Y) * BPoly.const(3)
@@ -1226,6 +1307,55 @@ def test_subresultant_prs_reads_gcd_and_resultant(a, b, h):
     assert res == dup_resultant(_zz(A), _zz(B), ZZ)
 
 
+@st.composite
+def short_gcd_pairs(draw):
+    """(a, b) with b of degree 0 to 2 and a of degree up to 10, sharing a
+    factor h of degree up to 2 or none."""
+    h = draw(st.one_of(st.just([1]), _int_lists(2)))
+    cofactor = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4 - len(h)).filter(lambda cs: cs[-1] != 0))
+    return exact._mul(draw(_int_lists(8)), h), exact._mul(cofactor, h)
+
+
+# _gcd_z with its modular tries on every pair of nonconstant operands
+_gcd_z_modular = _variant(exact._gcd_z, "if len(b) > 3:", "if len(b) > 1:")
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_gcd_pairs())
+@example(([1, 3], [2, 1]))  # coprime over Z, equal mod 5
+@example(([-1, 0, 1], [1, 2, 1]))  # shared t + 1
+@example(([0, 0, 0, 2], [0, 0, 4]))  # shared t^2, contents 2 and 4
+def test_gcd_z_short_path_agrees_with_its_modular_route(pair):
+    a, b = pair
+    assert exact._gcd_z(a, b) == exact._gcd_z(b, a) == _gcd_z_modular(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-99, 99), max_size=6), st.lists(st.integers(-99, 99), max_size=9))
+@example([], [-1, -2, -1])  # -(t + 1)^2: a negative leading coefficient
+@example([], [0, 0, 0, 1])  # t^3: odd degree
+@example([], [-4])  # a negative integer
+@example([], [1, 0, 2, 0, 1])  # (t^2 + 1)^2
+def test_sqrt_z_round_trips_and_refuses_non_squares(s, a):
+    """_sqrt_z(s*s) is s with a positive leading coefficient, and on any
+    a it returns a root exactly when sympy's factorization over Z shows a
+    square: a positive square content and even multiplicities."""
+    s = exact._trim(s)
+    if s and s[-1] < 0:
+        s = [-c for c in s]
+    assert exact._sqrt_z(exact._mul(s, s)) == s
+    a = exact._trim(a)
+    root = exact._sqrt_z(a)
+    if not a:
+        assert root == []
+        return
+    content, fac = dup_factor_list(_zz(a), ZZ)
+    square = content > 0 and math.isqrt(int(content)) ** 2 == content and all(m % 2 == 0 for _, m in fac)
+    assert (root is not None) is square
+    if root is not None:
+        assert root[-1] > 0 and exact._mul(root, root) == a
+
+
 def test_usable_prime_past_the_pattern_primes():
     """lc = 3*5*...*47: no pattern prime is usable, so the squarefree
     split proves f squarefree and the next prime, 53, decides it; a
@@ -1312,6 +1442,14 @@ class TestCertifyIrreducible:
 
     def test_never_certifies_reducible(self):
         assert certify_irreducible_bivariate(X**2 - Y**2) is False
+
+    def test_quadratic_decided_by_discriminant(self):
+        # x*y^2 - x^2 - 2*x*y + 2*y splits at y = 1, -1 and 2, where the
+        # degree-set rule stalled; its discriminant (y^2 - 2y)^2 + 8y is
+        # no square.  (x*y + 1)^2 has D = 0
+        q = X * Y**2 - X**2 - 2 * X * Y + 2 * Y
+        assert certify_irreducible_bivariate(primitive_int_bpoly(q)[1]) is True
+        assert certify_irreducible_bivariate((X * Y + BPoly.const(1)) ** 2) is False
 
     def test_specialization(self):
         assert certify_irreducible_bivariate(X**2 - Y) is True

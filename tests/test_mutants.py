@@ -129,7 +129,7 @@ _prs_final_undivided = _variant(
 _prs_h_undivided = _variant(exact._subresultant_prs, "h = g**delta // h ** (delta - 1)", "h = g**delta")
 # the gcd over Z returning the PRS's last nonzero remainder G as it
 # stands, not its primitive part
-_gcd_unreduced = _variant(exact._gcd_z, "return _pp(_subresultant_prs(", "return (_subresultant_prs(")
+_gcd_unreduced = _variant(exact._gcd_z, "return [1] if res else _pp(G)", "return [1] if res else G")
 # the resultant's base 2^k with k from half the bits of its Hadamard
 # bound, so that large coefficients overflow their digits
 _resultant_half_bits = _variant(
@@ -258,6 +258,20 @@ def _gcd_accept_where_p_divides_lc(a, b):
     return _gcd_z(a, b)
 
 
+def _gcd_short_pair_coprime(a, b):
+    """The gcd over Z reading every pair whose shorter operand has degree
+    1 or 2, the pairs it sends straight to the PRS, as coprime."""
+    if b and 2 <= min(len(a), len(b)) <= 3:
+        return [1]
+    return _gcd_z(a, b)
+
+
+def _no_square_root(a):
+    """The integer square root finding no root: every quadratic over Z
+    and every curve whose smaller degree is 2 reads as prime."""
+    return None
+
+
 def _lift_one_step_short(f, leaves, p, k):
     """factor_q's multifactor Hensel lift stopping one quadratic step
     before p^(2^k) > 2B, the modulus the recombination reads it at."""
@@ -332,6 +346,14 @@ MUTANTS = [
     ("gcd-z-always-one", (exact,), "_gcd_z", _gcd_always_one, ("principality", "charts", "rsp")),
     ("gcd-accept-where-p-divides-lc", (exact,), "_gcd_z", _gcd_accept_where_p_divides_lc, ("charts",)),
     ("gcd-left-unreduced", (exact,), "_gcd_z", _gcd_unreduced, ("symmetry", "principality", "charts", "rsp")),
+    (
+        "gcd-short-pair-read-as-coprime",
+        (exact,),
+        "_gcd_z",
+        _gcd_short_pair_coprime,
+        ("symmetry", "principality", "charts", "rsp"),
+    ),
+    ("square-root-never-found", (exact,), "_sqrt_z", _no_square_root, ("principality", "charts")),
     ("pattern-read-where-p-divides-lc", (exact,), "_degree_pattern", _pattern_where_p_divides_lc, ("charts",)),
     (
         "pattern-read-where-not-squarefree",

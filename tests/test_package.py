@@ -159,11 +159,13 @@ def test_import_loads_neither_sympy_nor_mpmath(module):
 
 # divisors whose curve's rows, y + 105 and y or y^4 + 105 and y^4, agree
 # mod 3, 5 and 7, so that a gcd over Z, not sympy, proves its content
-# constant; and one with x^2 - y^2, which only Wang's algorithm splits
+# constant; one with x^2 - y^2, which its discriminant splits; and one
+# with (x^2 + y)(x + y^2) multiplied out, which only Wang's algorithm splits
 DIVISOR_ROUTES = [
     ("x*y + y + 105", "-inf_x - inf_y + (x*y + y + 105)", False),
     ("x*y^4 + y^4 + 105", "-inf_x - 4*inf_y + (x*y^4 + y^4 + 105)", False),
-    ("(x^2-y^2)/(x*y)", "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)", True),
+    ("(x^2-y^2)/(x*y)", "-(x) - inf_x - (y) - inf_y + (x - y) + (x + y)", False),
+    ("(x^3 + x^2*y^2 + x*y + y^3)/(x*y)", "-(x) - 2*inf_x - (y) - 2*inf_y + (x^2 + y) + (y^2 + x)", True),
 ]
 
 
